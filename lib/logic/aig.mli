@@ -21,8 +21,13 @@
     and a complement bit; see {!lit}. *)
 
 type t
-(** A mutable AIG under construction, plus its outputs. The passes do not
-    mutate their argument — they return a rebuilt graph. *)
+(** A mutable AIG under construction, plus its outputs. Only {!mk_and},
+    {!mk_or} and {!set_output} mutate a graph. The passes return a rebuilt
+    graph and leave their argument untouched; the conversions
+    ({!to_network}, {!to_subject}) and statistics ({!num_ands}, {!depth},
+    {!simulate}) only read it. One graph can therefore seed any number of
+    pass pipelines, as [Orchestrate.prepare] does with the AIG of its
+    optimized baseline. *)
 
 (** {1 Literals}
 

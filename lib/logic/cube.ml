@@ -38,22 +38,28 @@ let of_literals_merged lits =
   in
   go universe lits
 
+(* Index of the lowest set bit of [s] (nonzero), by binary search. *)
+let lowest_var s =
+  let b = s land -s in
+  let v = if b land 0xFFFFFFFF = 0 then 32 else 0 in
+  let v = if (b lsr v) land 0xFFFF = 0 then v + 16 else v in
+  let v = if (b lsr v) land 0xFF = 0 then v + 8 else v in
+  let v = if (b lsr v) land 0xF = 0 then v + 4 else v in
+  let v = if (b lsr v) land 0x3 = 0 then v + 2 else v in
+  if (b lsr v) land 0x1 = 0 then v + 1 else v
+
+(* Walks only the set support bits, lowest first. *)
 let literals c =
-  let rec collect v acc =
-    if v < 0 then acc
+  let rec collect s =
+    if s = 0 then []
     else
-      let bit = 1 lsl v in
-      let acc =
-        if c.pos land bit <> 0 then (v, true) :: acc
-        else if c.neg land bit <> 0 then (v, false) :: acc
-        else acc
-      in
-      collect (v - 1) acc
+      let v = lowest_var s in
+      (v, c.pos land (1 lsl v) <> 0) :: collect (s land (s - 1))
   in
-  collect (max_vars - 1) []
+  collect (c.pos lor c.neg)
 
 let popcount n =
-  let rec go n acc = if n = 0 then acc else go (n lsr 1) (acc + (n land 1)) in
+  let rec go n acc = if n = 0 then acc else go (n land (n - 1)) (acc + 1) in
   go n 0
 
 let num_literals c = popcount c.pos + popcount c.neg
@@ -78,16 +84,23 @@ let remove_var c v =
 let common a b = { pos = a.pos land b.pos; neg = a.neg land b.neg }
 
 let eval c inputs =
-  let ok = ref true in
-  List.iter (fun (v, phase) -> if inputs.(v) <> phase then ok := false) (literals c);
+  let ok = ref true and s = ref (c.pos lor c.neg) in
+  while !s <> 0 do
+    let v = lowest_var !s in
+    if inputs.(v) <> (c.pos land (1 lsl v) <> 0) then ok := false;
+    s := !s land (!s - 1)
+  done;
   !ok
 
 let eval64 c inputs =
-  List.fold_left
-    (fun acc (v, phase) ->
-      let bits = if phase then inputs.(v) else Int64.lognot inputs.(v) in
-      Int64.logand acc bits)
-    Int64.minus_one (literals c)
+  let acc = ref Int64.minus_one and s = ref (c.pos lor c.neg) in
+  while !s <> 0 do
+    let v = lowest_var !s in
+    let x = inputs.(v) in
+    acc := Int64.logand !acc (if c.pos land (1 lsl v) <> 0 then x else Int64.lognot x);
+    s := !s land (!s - 1)
+  done;
+  !acc
 
 let compare a b =
   match Int.compare a.pos b.pos with 0 -> Int.compare a.neg b.neg | c -> c

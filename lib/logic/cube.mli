@@ -29,6 +29,11 @@ val of_literals_merged : (int * bool) list -> t option
 val literals : t -> (int * bool) list
 (** Increasing variable order. *)
 
+val lowest_var : int -> int
+(** Index of the lowest set bit of a nonzero variable mask (e.g. of
+    {!support}); [s land (s - 1)] clears it, so a loop over both visits a
+    mask's variables in increasing order. *)
+
 val lit : int -> bool -> t
 (** Single-literal cube; [lit v phase] with [phase = true] positive. *)
 

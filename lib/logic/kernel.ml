@@ -10,7 +10,8 @@ let all f =
   let results = ref [] in
   let seen = Hashtbl.create 64 in
   let add cokernel kernel =
-    let key = List.map Cube.literals (Sop.cubes kernel) in
+    (* Canonical cube lists are equal exactly when the kernels are. *)
+    let key = Sop.cubes kernel in
     if not (Hashtbl.mem seen key) then begin
       Hashtbl.add seen key ();
       results := { cokernel; kernel } :: !results
@@ -23,7 +24,12 @@ let all f =
   in
   let rec kernels j g cokernel =
     if Sop.num_cubes g >= 2 && Sop.is_cube_free g then add cokernel g;
-    for v = j to Cube.max_vars - 1 do
+    (* Variables outside the support never appear twice: walk only the
+       support bits at or above [j], in increasing order. *)
+    let rest = ref (Sop.support g land lnot ((1 lsl j) - 1)) in
+    while !rest <> 0 do
+      let v = Cube.lowest_var !rest in
+      rest := !rest land (!rest - 1);
       if literal_count g v >= 2 then begin
         (* Quotient by each phase of the literal that appears twice. *)
         List.iter
@@ -34,9 +40,7 @@ let all f =
               let lcc = Sop.largest_common_cube q in
               (* Skip when the largest common cube reuses an already-tried
                  variable: that kernel was found earlier. *)
-              let reuses_smaller =
-                List.exists (fun (u, _) -> u < v) (Cube.literals lcc)
-              in
+              let reuses_smaller = Cube.support lcc land ((1 lsl v) - 1) <> 0 in
               if not reuses_smaller then begin
                 let qfree = Sop.make_cube_free q in
                 let full_co =

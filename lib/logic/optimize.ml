@@ -120,26 +120,57 @@ type candidate = {
   mutable users : int list;  (** Node ids where it divides. *)
 }
 
-let evaluate_candidate t cand =
+(* Live readers of every signal, each in increasing node id: the only nodes
+   a divisor over that signal can divide. Built once per extraction round;
+   evaluation never mutates the network. *)
+let readers t =
+  let live = Network.live_nodes t in
+  let of_pi = Array.make (Network.num_pis t) [] in
+  let of_node = Array.make (Network.num_nodes t) [] in
+  for i = Network.num_nodes t - 1 downto 0 do
+    if live.(i) then
+      Array.iter
+        (fun s ->
+          let tbl, j =
+            match s with Network.Pi j -> (of_pi, j) | Network.Node j -> (of_node, j)
+          in
+          match tbl.(j) with
+          | k :: _ when k = i -> () (* aliased fanin *)
+          | l -> tbl.(j) <- i :: l)
+        (Network.node t i).Network.fanins
+  done;
+  function Network.Pi j -> of_pi.(j) | Network.Node j -> of_node.(j)
+
+let evaluate_candidate t readers cand =
   let signals = divisor_signals cand.cubes in
   let body = divisor_node_sop cand.cubes signals in
   let overhead = Sop.num_literals body + 1 in
   let value = ref (-overhead) in
   let users = ref [] in
-  let live = Network.live_nodes t in
-  for i = 0 to Network.num_nodes t - 1 do
-    if live.(i) then begin
+  (* A divisor over a non-fanin signal has no local form: only nodes reading
+     every divisor signal are translated, walking the shortest reader list.
+     Every candidate has a literal, so [signals] is never empty. *)
+  let fewest =
+    List.fold_left
+      (fun best s ->
+        let r = readers s in
+        if List.compare_lengths r best < 0 then r else best)
+      (readers (List.hd signals)) signals
+  in
+  List.iter
+    (fun i ->
       let n = Network.node t i in
-      match divisor_in_local_space n cand.cubes with
-      | None -> ()
-      | Some d_local ->
-        let s = node_savings n d_local in
-        if s > 0 then begin
-          value := !value + s;
-          users := i :: !users
-        end
-    end
-  done;
+      let reads s = Array.exists (( = ) s) n.Network.fanins in
+      if List.for_all reads signals then
+        match divisor_in_local_space n cand.cubes with
+        | None -> ()
+        | Some d_local ->
+          let s = node_savings n d_local in
+          if s > 0 then begin
+            value := !value + s;
+            users := i :: !users
+          end)
+    fewest;
   cand.value <- !value;
   cand.users <- !users
 
@@ -158,32 +189,52 @@ let materialize t cand =
 (* Cube extraction                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let cube_candidates t =
-  let tbl : (slit list, candidate) Hashtbl.t = Hashtbl.create 256 in
-  let register lits =
-    if List.length lits >= 2 then begin
-      let key = canonical_cube lits in
-      match Hashtbl.find_opt tbl key with
-      | Some c -> c.hits <- c.hits + 1
-      | None -> Hashtbl.add tbl key { cubes = [ key ]; hits = 1; value = 0; users = [] }
-    end
-  in
+(* The divisors node [n] offers, in registration order: each full cube and
+   each pairwise intersection (capped for speed) with two or more literals. *)
+let cube_offers (n : Network.node) =
+  let cubes = Array.of_list (Sop.cubes n.Network.sop) in
+  let out = ref [] in
+  let offer lits = if List.length lits >= 2 then out := canonical_cube lits :: !out in
+  (* Identical full cubes across nodes. *)
+  Array.iter (fun c -> offer (node_cube_to_signals n c)) cubes;
+  let cap = min (Array.length cubes) 30 in
+  for a = 0 to cap - 1 do
+    for b = a + 1 to cap - 1 do
+      let common = Cube.common cubes.(a) cubes.(b) in
+      if Cube.num_literals common >= 2 then offer (node_cube_to_signals n common)
+    done
+  done;
+  List.rev !out
+
+(* Candidates of one round: every live node's offers, counted by key. A
+   node's offers depend only on its fanins and SOP, which [materialize]
+   replaces (never mutates) on the nodes it rewrites, so [memo] keeps them
+   per node id across the rounds of one extraction while both are
+   physically unchanged. Registration runs in node-id order into a fresh
+   table, so [memo] changes neither the table nor the order it folds in. *)
+let collect memo ~offers ~cubes_of t =
+  let tbl = Hashtbl.create 256 in
   let live = Network.live_nodes t in
   for i = 0 to Network.num_nodes t - 1 do
     if live.(i) then begin
       let n = Network.node t i in
-      let cubes = Array.of_list (Sop.cubes n.Network.sop) in
-      (* Identical full cubes across nodes. *)
-      Array.iter (fun c -> register (node_cube_to_signals n c)) cubes;
-      (* Pairwise intersections within a node, capped for speed. *)
-      let cap = min (Array.length cubes) 30 in
-      for a = 0 to cap - 1 do
-        for b = a + 1 to cap - 1 do
-          let common = Cube.common cubes.(a) cubes.(b) in
-          if Cube.num_literals common >= 2 then
-            register (node_cube_to_signals n common)
-        done
-      done
+      let keys =
+        match Hashtbl.find_opt memo i with
+        | Some (fanins, sop, keys)
+          when fanins == n.Network.fanins && sop == n.Network.sop ->
+          keys
+        | Some _ | None ->
+          let keys = offers n in
+          Hashtbl.replace memo i (n.Network.fanins, n.Network.sop, keys);
+          keys
+      in
+      List.iter
+        (fun key ->
+          match Hashtbl.find_opt tbl key with
+          | Some c -> c.hits <- c.hits + 1
+          | None ->
+            Hashtbl.add tbl key { cubes = cubes_of key; hits = 1; value = 0; users = [] })
+        keys
     end
   done;
   Hashtbl.fold (fun _ c acc -> c :: acc) tbl []
@@ -195,9 +246,16 @@ let best_candidate ?(exact_budget = 48) t cands =
     let lits = List.fold_left (fun acc cu -> acc + List.length cu) 0 c.cubes in
     c.hits * (lits - 1)
   in
-  let ranked = List.sort (fun a b -> compare (cheap b) (cheap a)) cands in
-  let shortlist = List.filteri (fun i _ -> i < exact_budget) ranked in
-  List.iter (evaluate_candidate t) shortlist;
+  (* Scores are computed once; a stable sort keeps equal scores in
+     collection order. *)
+  let ranked =
+    List.stable_sort
+      (fun (a, _) (b, _) -> Int.compare b a)
+      (List.map (fun c -> (cheap c, c)) cands)
+  in
+  let shortlist = List.filteri (fun i _ -> i < exact_budget) (List.map snd ranked) in
+  let readers = readers t in
+  List.iter (evaluate_candidate t readers) shortlist;
   List.fold_left
     (fun best c ->
       match best with
@@ -206,10 +264,12 @@ let best_candidate ?(exact_budget = 48) t cands =
     None shortlist
 
 let extract_common_cubes ?(max_rounds = 64) t =
+  let memo = Hashtbl.create 256 in
   let rec go round created =
     if round >= max_rounds then created
     else
-      match best_candidate t (cube_candidates t) with
+      let cands = collect memo ~offers:cube_offers ~cubes_of:(fun k -> [ k ]) t in
+      match best_candidate t cands with
       | None -> created
       | Some c -> if materialize t c then go (round + 1) (created + 1) else created
   in
@@ -221,33 +281,25 @@ let extract_common_cubes ?(max_rounds = 64) t =
 (* Kernel extraction                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let kernel_candidates ~max_node_cubes t =
-  let tbl : (slit list list, candidate) Hashtbl.t = Hashtbl.create 256 in
-  let live = Network.live_nodes t in
-  for i = 0 to Network.num_nodes t - 1 do
-    if live.(i) then begin
-      let n = Network.node t i in
-      if Sop.num_cubes n.Network.sop <= max_node_cubes then
-        List.iter
-          (fun k ->
-            let kern = k.Kernel.kernel in
-            if Sop.num_cubes kern >= 2 && Sop.num_cubes kern <= 12 then begin
-              let key = sop_to_signal_space n kern in
-              match Hashtbl.find_opt tbl key with
-              | Some c -> c.hits <- c.hits + 1
-              | None ->
-                Hashtbl.add tbl key { cubes = key; hits = 1; value = 0; users = [] }
-            end)
-          (Kernel.all n.Network.sop)
-    end
-  done;
-  Hashtbl.fold (fun _ c acc -> c :: acc) tbl []
+(* Kernels with 2 to 12 cubes of a node with at most [max_node_cubes]. *)
+let kernel_offers ~max_node_cubes (n : Network.node) =
+  if Sop.num_cubes n.Network.sop > max_node_cubes then []
+  else
+    List.filter_map
+      (fun k ->
+        let kern = k.Kernel.kernel in
+        if Sop.num_cubes kern >= 2 && Sop.num_cubes kern <= 12 then
+          Some (sop_to_signal_space n kern)
+        else None)
+      (Kernel.all n.Network.sop)
 
 let extract_kernels ?(max_rounds = 64) ?(max_node_cubes = 40) t =
+  let memo = Hashtbl.create 256 in
+  let offers = kernel_offers ~max_node_cubes in
   let rec go round created =
     if round >= max_rounds then created
     else
-      match best_candidate t (kernel_candidates ~max_node_cubes t) with
+      match best_candidate t (collect memo ~offers ~cubes_of:Fun.id t) with
       | None -> created
       | Some c -> if materialize t c then go (round + 1) (created + 1) else created
   in

@@ -163,6 +163,24 @@ let qcheck_pass_determinism =
       let b = dump (Aig.run Aig.all_passes net) in
       a = b)
 
+(* One graph seeds every candidate pipeline in [Orchestrate.prepare], which
+   relies on passes, conversions and statistics leaving their argument
+   untouched. The marshalled bytes cover every field of the graph, the
+   strash table and the spare array capacity included. *)
+let qcheck_read_only =
+  QCheck.Test.make ~name:"passes, conversions and statistics are read-only"
+    ~count:30 arb_seed (fun seed ->
+      let t = Aig.of_network (fuzz_network seed) in
+      let dump () = Marshal.to_string t [] in
+      let before = dump () in
+      List.iter (fun p -> ignore (Aig.apply p t)) Aig.all_passes;
+      ignore (Aig.to_network t);
+      ignore (Aig.to_subject t);
+      ignore (Aig.num_ands t);
+      ignore (Aig.depth t);
+      ignore (Aig.simulate t (Array.make (Aig.num_pis t) 0x5555L));
+      dump () = before)
+
 (* ------------------------------------------------------------------ *)
 (* Golden-corpus strash pins                                           *)
 (* ------------------------------------------------------------------ *)
@@ -222,7 +240,8 @@ let () =
           qc qcheck_subject_projection;
           qc qcheck_simulate_agrees;
           qc qcheck_balance_depth;
-          qc qcheck_pass_determinism ] );
+          qc qcheck_pass_determinism;
+          qc qcheck_read_only ] );
       ( "golden",
         [ Alcotest.test_case "strash reduction pins" `Quick
             test_golden_strash_reduction ] ) ]

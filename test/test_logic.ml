@@ -524,6 +524,66 @@ let arb_sop =
   in
   QCheck.make ~print:Sop.to_string gen
 
+(* Cubes over the whole variable range, the universe and variable
+   [max_vars - 1] included, checked against the all-variable reference
+   walks in [Reference_logic]. *)
+let arb_cube =
+  let open QCheck in
+  let last = Cube.max_vars - 1 in
+  let random =
+    Gen.(
+      list_size (int_range 0 12) (pair (int_range 0 last) bool)
+      |> map (fun lits ->
+             Cube.of_literals (List.sort_uniq (fun (a, _) (b, _) -> compare a b) lits)))
+  in
+  let fixed =
+    [ Cube.universe; Cube.lit last true; Cube.lit last false;
+      Cube.of_literals [ (0, false); (last, true) ] ]
+  in
+  make ~print:Cube.to_string Gen.(frequency [ (1, oneofl fixed); (6, random) ])
+
+let prop_cube_oracle =
+  QCheck.Test.make ~name:"cube walks match the reference" ~count:500
+    (QCheck.pair arb_cube QCheck.int) (fun (c, seed) ->
+      let rng = Rng.create seed in
+      let bits = Array.init Cube.max_vars (fun _ -> Rng.bool rng) in
+      let words = Array.init Cube.max_vars (fun _ -> Rng.bits64 rng) in
+      Cube.literals c = Reference_logic.literals c
+      && Cube.num_literals c = Reference_logic.num_literals c
+      && Cube.eval c bits = Reference_logic.eval c bits
+      && Cube.eval64 c words = Reference_logic.eval64 c words)
+
+(* SOPs over an alphabet of eight variables spread over the whole range, so
+   kernels exist and variable [max_vars - 1] takes part. *)
+let arb_wide_sop =
+  let open QCheck in
+  let gen =
+    Gen.(
+      pair
+        (list_repeat 8 (int_range 0 (Cube.max_vars - 1)))
+        (list_size (int_range 1 8)
+           (list_size (int_range 1 4) (pair (int_range 0 7) bool))))
+    |> Gen.map (fun (alphabet, cubes) ->
+           let alphabet = Array.of_list (Cube.max_vars - 1 :: List.tl alphabet) in
+           Sop.of_cubes
+             (List.filter_map
+                (fun lits ->
+                  List.map (fun (i, ph) -> (alphabet.(i), ph)) lits
+                  |> List.sort_uniq (fun (a, _) (b, _) -> compare a b)
+                  |> Cube.of_literals_merged)
+                cubes))
+  in
+  QCheck.make ~print:Sop.to_string gen
+
+let prop_kernel_oracle =
+  QCheck.Test.make ~name:"kernels match the reference" ~count:500 arb_wide_sop
+    (fun f ->
+      let same (a : Kernel.t) (b : Kernel.t) =
+        Cube.equal a.cokernel b.cokernel && Sop.equal a.kernel b.kernel
+      in
+      let got = Kernel.all f and want = Reference_logic.kernels f in
+      List.length got = List.length want && List.for_all2 same got want)
+
 let prop_sum_is_or =
   QCheck.Test.make ~name:"sop sum is boolean or" ~count:300
     (QCheck.pair arb_sop arb_sop) (fun (f, g) ->
@@ -578,6 +638,7 @@ let () =
           Alcotest.test_case "common" `Quick test_cube_common;
           Alcotest.test_case "eval" `Quick test_cube_eval;
           Alcotest.test_case "to_string" `Quick test_cube_to_string;
+          qc prop_cube_oracle;
         ] );
       ( "sop",
         [
@@ -607,6 +668,7 @@ let () =
           Alcotest.test_case "kernels cube-free" `Quick test_kernels_cube_free;
           Alcotest.test_case "single cube none" `Quick test_kernels_single_cube_none;
           Alcotest.test_case "level0 subset" `Quick test_level0_subset;
+          qc prop_kernel_oracle;
         ] );
       ( "factor",
         [
