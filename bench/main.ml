@@ -22,6 +22,7 @@ module Mapper = Cals_core.Mapper
 module Partition = Cals_core.Partition
 module Incremental = Cals_core.Incremental
 module Flow = Cals_core.Flow
+module Reference_flow = Cals_reference.Reference_flow
 module Check = Cals_verify.Check
 module Presets = Cals_workload.Presets
 module Probe = Cals_telemetry.Probe
@@ -354,15 +355,17 @@ let figure3 ~scale =
       ~core_area:(float_of_int (Subject.num_gates subject) *. 5.0)
       ~utilization:0.5 ~aspect:1.0 ~geometry
   in
-  let outcome =
-    Flow.run ~router_config ~subject ~library ~floorplan ~rng:(Rng.create 22) ()
+  let outcome, _ =
+    Flow.run_adaptive ~router_config ~subject ~library ~floorplan
+      ~rng:(Rng.create 22) ()
   in
   List.iter
     (fun it ->
       Printf.printf
-        "  K=%-8g cells=%-5d util=%5.2f%%  %s\n" it.Flow.k it.Flow.cells
+        "  K=%-8g cells=%-5d util=%5.2f%%  %s%s\n" it.Flow.k it.Flow.cells
         (100.0 *. it.Flow.utilization)
-        (Congestion.summary it.Flow.report))
+        (Congestion.summary it.Flow.report)
+        (if it.Flow.estimated then " [estimated]" else ""))
     outcome.Flow.iterations;
   (match outcome.Flow.accepted with
   | Some it -> Printf.printf "  -> congestion OK at K=%g; proceed to final P&R\n" it.Flow.k
@@ -425,7 +428,7 @@ let ablations ~scale =
   print_newline ()
 
 (* ------------------------------------------------------------------ *)
-(* Perf: per-stage wall-clock, sequential vs parallel flow, JSON dump  *)
+(* Perf: per-stage wall-clock, K-search sweeps, JSON dump              *)
 (* ------------------------------------------------------------------ *)
 
 let wall f =
@@ -433,25 +436,18 @@ let wall f =
   let r = f () in
   (r, Unix.gettimeofday () -. t0)
 
-(* The parallel flow must reproduce the sequential outcome bit for bit:
-   same K points evaluated, same accepted K, same metrics. *)
+(* What a pruned or adaptive search must reproduce of the unpruned walk's
+   accepted point: its K and every metric recorded for it. *)
 let iteration_sig (it : Flow.iteration) =
   (it.Flow.k, it.Flow.cells, it.Flow.cell_area, it.Flow.hpwl_um, it.Flow.report)
 
-let same_outcome (a : Flow.outcome) (b : Flow.outcome) =
-  List.map iteration_sig a.Flow.iterations
-  = List.map iteration_sig b.Flow.iterations
-  && Option.map iteration_sig a.Flow.accepted
-     = Option.map iteration_sig b.Flow.accepted
-
-let perf_report ~scale ~jobs ~json =
+let perf_report ~scale ~json =
   Ring.clear ();
   Metrics.reset ();
   let circuit = spla ~scale in
-  Printf.printf "Perf: %s, %d base gates, jobs=%d (host reports %d cores)\n"
+  Printf.printf "Perf: %s, %d base gates (host reports %d cores)\n"
     circuit.name
     (Subject.num_gates circuit.subject)
-    jobs
     (Domain.recommended_domain_count ());
   (* Per-stage wall-clock at a representative K point. *)
   let k = 0.001 in
@@ -492,40 +488,25 @@ let perf_report ~scale ~jobs ~json =
      flow.k_eval / route.route_pins totals below measure the K-schedule
      loop, not the stage timing above. *)
   Probe.enable ();
-  (* Full K-schedule sweep, sequential vs speculative-parallel. Fresh RNGs
-     with the same seed give both flows the same companion placement. *)
+  (* The unpruned linear walk of the full K schedule: the baseline the
+     pruned walk and the adaptive search below are measured against. The
+     estimator is pinned Off so every point pays its route and
+     flow.route_share keeps its schema-4 meaning. *)
   let subject = circuit.subject and floorplan = circuit.floorplan in
-  (* The seq/par pair measures the full (unpruned) sweep — the estimator
-     is pinned Off so flow.route_share and the parallel-speedup guard
-     keep their schema-4 meaning; the pruned run below measures the
-     production default against it. *)
   let seq, seq_s =
     wall (fun () ->
-        Flow.run ~router_config ~estimate:Estimate.Off ~subject ~library
-          ~floorplan ~rng:(Rng.create 22) ())
-  in
-  let par, par_s =
-    wall (fun () ->
-        Flow.run_parallel ~jobs ~router_config ~estimate:Estimate.Off ~subject
+        Reference_flow.run ~router_config ~estimate:Estimate.Off ~subject
           ~library ~floorplan ~rng:(Rng.create 22) ())
   in
-  let speedup = seq_s /. max 1e-9 par_s in
-  let identical = same_outcome seq par in
   let accepted_k =
     match seq.Flow.accepted with
     | Some it -> Printf.sprintf "%g" it.Flow.k
     | None -> "null"
   in
-  Printf.printf
-    "  flow sweep: sequential %.3fs (%d iterations), parallel(%d) %.3fs, \
-     speedup %.2fx, identical=%b\n"
-    seq_s
-    (List.length seq.Flow.iterations)
-    jobs par_s speedup identical;
-  if not identical then
-    print_endline "  WARNING: parallel flow diverged from the sequential loop";
+  Printf.printf "  unpruned linear walk: %.3fs (%d iterations)\n" seq_s
+    (List.length seq.Flow.iterations);
   (* Router share of the sweep, from the span totals accumulated by the
-     two flow runs above (snapshot now, before the sweeps below add
+     walk above (snapshot now, before the sweeps below add
      route.route_pins time outside any flow.k_eval). *)
   let route_share =
     let spans = Export.span_stats () in
@@ -539,14 +520,14 @@ let perf_report ~scale ~jobs ~json =
   in
   Printf.printf "  route share of the K sweep: %.1f%% of flow.k_eval\n"
     (100.0 *. route_share);
-  (* Pruned sweep: the production default (estimate on). Confident
+  (* Pruned walk: the same linear walk with the estimator on. Confident
      Unroutable forecasts skip their negotiated route; the accepted K and
      its QoR must be bit-identical to the unpruned [seq] run, and every
      skipped point is scored against the unpruned run's real route at the
      same K (accuracy = fraction the estimator called correctly). *)
   let pruned, pruned_s =
     wall (fun () ->
-        Flow.run ~router_config ~subject ~library ~floorplan
+        Reference_flow.run ~router_config ~subject ~library ~floorplan
           ~rng:(Rng.create 22) ())
   in
   let skipped =
@@ -958,11 +939,10 @@ let perf_report ~scale ~jobs ~json =
     let oc = open_out path in
     Printf.fprintf oc
       "{\n\
-      \  \"schema\": 8,\n\
+      \  \"schema\": 9,\n\
       \  \"circuit\": \"%s\",\n\
       \  \"scale\": %g,\n\
       \  \"gates\": %d,\n\
-      \  \"jobs\": %d,\n\
       \  \"host_cores\": %d,\n\
       \  \"stages\": {\n\
       \    \"map_s\": %.6f,\n\
@@ -979,9 +959,6 @@ let perf_report ~scale ~jobs ~json =
       \    \"iterations\": %d,\n\
       \    \"accepted_k\": %s,\n\
       \    \"sequential_s\": %.6f,\n\
-      \    \"parallel_s\": %.6f,\n\
-      \    \"speedup\": %.3f,\n\
-      \    \"parallel_identical\": %b,\n\
       \    \"route_share\": %.4f\n\
       \  },\n\
       \  \"sweep\": {\n\
@@ -1060,12 +1037,11 @@ let perf_report ~scale ~jobs ~json =
        }\n"
       circuit.name scale
       (Subject.num_gates circuit.subject)
-      jobs
       (Domain.recommended_domain_count ())
       map_s place_s route_s matches matches_per_sec route_alloc_mb
       route_minor_words route_major_words routing.Router.violations
       (List.length seq.Flow.iterations)
-      accepted_k seq_s par_s speedup identical route_share
+      accepted_k seq_s route_share
       (List.length k_schedule)
       cold_s inc_s sweep_speedup cache_hit_rate sweep_identical routes_skipped
       (List.length pruned.Flow.iterations)
@@ -1336,7 +1312,7 @@ let micro_benchmarks () =
 (* ------------------------------------------------------------------ *)
 
 let run_all ~scale ~tables ~figures ~with_ablations ~with_micro ~with_perf
-    ~jobs ~json =
+    ~json =
   let selective = tables <> [] || figures <> [] || with_perf in
   let want_table i =
     ((not selective) && figures = []) || List.mem i tables
@@ -1350,7 +1326,7 @@ let run_all ~scale ~tables ~figures ~with_ablations ~with_micro ~with_perf
   if want_figure 1 then figure1 ();
   if want_figure 3 then figure3 ~scale;
   if with_ablations then ablations ~scale;
-  if with_perf then perf_report ~scale ~jobs ~json;
+  if with_perf then perf_report ~scale ~json;
   if with_micro then micro_benchmarks ()
 
 open Cmdliner
@@ -1386,13 +1362,9 @@ let no_micro_arg =
 let perf_arg =
   let doc =
     "Run the perf section: per-stage wall-clock (map, place, route), \
-     matches/sec, and the sequential-vs-parallel K-schedule sweep."
+     matches/sec, and the unpruned, pruned and adaptive K searches."
   in
   Arg.(value & flag & info [ "perf" ] ~doc)
-
-let jobs_arg =
-  let doc = "Domains for the parallel flow in the perf section." in
-  Arg.(value & opt int 4 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
 let json_arg =
   let doc =
@@ -1401,13 +1373,13 @@ let json_arg =
   in
   Arg.(value & opt (some string) None & info [ "json" ] ~docv:"PATH" ~doc)
 
-let main scale full tables figures ablation micro no_micro perf jobs json =
+let main scale full tables figures ablation micro no_micro perf json =
   let scale = if full then 1.0 else scale in
   let with_perf = perf || json <> None in
   let selective = tables <> [] || figures <> [] || with_perf in
   let with_micro = micro || ((not selective) && not no_micro) in
   let with_ablations = ablation in
-  run_all ~scale ~tables ~figures ~with_ablations ~with_micro ~with_perf ~jobs
+  run_all ~scale ~tables ~figures ~with_ablations ~with_micro ~with_perf
     ~json
 
 let cmd =
@@ -1416,6 +1388,6 @@ let cmd =
     (Cmd.info "cals-bench" ~doc)
     Term.(
       const main $ scale_arg $ full_arg $ table_arg $ figure_arg $ ablation_arg
-      $ micro_arg $ no_micro_arg $ perf_arg $ jobs_arg $ json_arg)
+      $ micro_arg $ no_micro_arg $ perf_arg $ json_arg)
 
 let () = exit (Cmd.eval cmd)

@@ -225,8 +225,7 @@ let run_orchestrated input scale seed optimize utilization jobs checks timing
       1)
 
 let run_flow verbosity input scale seed optimize utilization jobs checks
-    estimate timing adaptive orchestrate dump incremental route_incremental
-    route_jobs trace metrics =
+    timing orchestrate dump route_jobs trace metrics =
   setup_logs verbosity;
   if trace <> None || metrics <> None then Probe.enable ();
   match orchestrate with
@@ -255,49 +254,14 @@ let run_flow verbosity input scale seed optimize utilization jobs checks
       t;
   if checks <> Check.Off then
     Printf.printf "verification checks: %s\n" (Check.level_to_string checks);
-  if not incremental then
-    print_endline "incremental K-loop engine disabled (cold re-mapping per K)";
-  if not route_incremental then
-    print_endline "router session disabled (cold routing per K)";
-  let adaptive = adaptive && jobs <= 1 in
-  (if adaptive then
-     print_endline
-       "adaptive K search: bisect on forecasts, confirm with real routes"
-   else
-     match estimate with
-     | Estimate.Off ->
-       print_endline "congestion estimator disabled (every K point routes)"
-     | Estimate.Prune -> ()
-     | Estimate.Triage ->
-       print_endline
-         "estimator-only triage: no K point routes, results are forecasts");
   if route_jobs > 1 then
-    if jobs > 1 then
-      print_endline "--route-jobs ignored with --jobs > 1 (pools cannot nest)"
-    else
-      Printf.printf "routing rip-up waves on %d domains\n" route_jobs;
+    Printf.printf "routing rip-up waves on %d domains\n" route_jobs;
   let rng = Cals_util.Rng.create (seed + 1) in
-  let adaptive_stats = ref None in
   let outcome =
     try
       Ok
-        (if jobs > 1 then begin
-           Printf.printf
-             "evaluating the K schedule speculatively on %d domains\n" jobs;
-           Flow.run_parallel ~jobs ~checks ~estimate ~incremental
-             ~route_incremental ~t ~subject ~library ~floorplan ~rng ()
-         end
-         else if adaptive then begin
-           let outcome, stats =
-             Flow.run_adaptive ~checks ~incremental ~route_incremental
-               ~route_jobs ~t ~subject ~library ~floorplan ~rng ()
-           in
-           adaptive_stats := Some stats;
-           outcome
-         end
-         else
-           Flow.run ~checks ~estimate ~incremental ~route_incremental
-             ~route_jobs ~t ~subject ~library ~floorplan ~rng ())
+        (Flow.run_adaptive ~checks ~route_jobs ~t ~subject ~library ~floorplan
+           ~rng ())
     with Check.Violation { stage; detail } -> Error (stage, detail)
   in
   let code =
@@ -305,7 +269,7 @@ let run_flow verbosity input scale seed optimize utilization jobs checks
     | Error (stage, detail) ->
       Printf.printf "verification FAILED at stage %s: %s\n" stage detail;
       2
-    | Ok outcome ->
+    | Ok (outcome, s) ->
       List.iter
         (fun it ->
           Printf.printf "K=%-8g cells=%-6d util=%5.2f%%  %s%s\n" it.Flow.k
@@ -314,23 +278,13 @@ let run_flow verbosity input scale seed optimize utilization jobs checks
             (Congestion.summary it.Flow.report)
             (if it.Flow.estimated then " [estimated]" else ""))
         outcome.Flow.iterations;
-      let skipped =
-        List.length (List.filter (fun it -> it.Flow.estimated)
-                       outcome.Flow.iterations)
-      in
-      if skipped > 0 then
-        Printf.printf "estimator skipped %d negotiated route%s\n" skipped
-          (if skipped = 1 then "" else "s");
-      (match !adaptive_stats with
-      | Some s ->
-        Printf.printf "adaptive: %d real route%s, %d forecast evals%s\n"
-          s.Flow.real_routes
-          (if s.Flow.real_routes = 1 then "" else "s")
-          s.Flow.forecast_evals
-          (match s.Flow.frontier_k with
-          | Some k -> Printf.sprintf ", frontier K=%g" k
-          | None -> ", every point ruled out")
-      | None -> ());
+      Printf.printf "adaptive: %d real route%s, %d forecast evals%s\n"
+        s.Flow.real_routes
+        (if s.Flow.real_routes = 1 then "" else "s")
+        s.Flow.forecast_evals
+        (match s.Flow.frontier_k with
+        | Some k -> Printf.sprintf ", frontier K=%g" k
+        | None -> ", every point ruled out");
       (match
          (timing, outcome.Flow.mapped, outcome.Flow.placement,
           outcome.Flow.routing)
@@ -400,9 +354,9 @@ let run_sta input scale seed optimize k utilization =
 
 (* ------------------------- fuzz ------------------------- *)
 
-let run_fuzz verbosity iterations seed out replay level jobs =
+let run_fuzz verbosity iterations seed out replay level =
   setup_logs verbosity;
-  let check p = Harness.check_params ~jobs ~level p in
+  let check p = Harness.check_params ~level p in
   match replay with
   | Some path ->
     let p = Fuzz.read_reproducer path in
@@ -489,7 +443,6 @@ let run_serve verbosity spool from_stdin jobs out deadline max_attempts
         watch;
         tick_s = tick;
         cache_dir;
-        adaptive = true;
       }
     in
     if worker_mode then begin
@@ -645,14 +598,24 @@ let k_arg =
   let doc = "Congestion minimization factor K (Eq. 5 of the paper)." in
   Arg.(value & opt float 0.0 & info [ "k" ] ~doc)
 
+let utilization_conv =
+  let parse s =
+    match float_of_string_opt s with
+    | Some u when u > 0.0 && u <= 1.0 -> Ok u
+    | _ -> Error (`Msg (Printf.sprintf "expected a number in (0, 1], got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_float)
+
 let utilization_arg =
-  let doc = "Target core utilization used to derive the floorplan." in
-  Arg.(value & opt float 0.55 & info [ "utilization" ] ~doc)
+  let doc =
+    "Target core utilization used to derive the floorplan, in (0, 1]."
+  in
+  Arg.(value & opt utilization_conv 0.55 & info [ "utilization" ] ~doc)
 
 let jobs_arg =
   let doc =
-    "Evaluate the flow's K schedule speculatively on $(docv) OCaml domains \
-     (1 = sequential). The result is identical to the sequential loop."
+    "Evaluate the $(b,--orchestrate) candidates on $(docv) OCaml domains \
+     (1 = sequential). The result is identical to the sequential run."
   in
   Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
@@ -682,29 +645,6 @@ let check_arg =
     & opt ~vopt:Check.Full check_level_conv Check.Off
     & info [ "check" ] ~docv:"LEVEL" ~doc)
 
-let estimate_conv =
-  let parse s =
-    match Estimate.policy_of_string s with
-    | Ok p -> Ok p
-    | Error e -> Error (`Msg e)
-  in
-  let print fmt p = Format.pp_print_string fmt (Estimate.policy_to_string p) in
-  Arg.conv (parse, print)
-
-let estimate_arg =
-  let doc =
-    "Millisecond congestion forecasting ahead of each negotiated route. \
-     $(b,on) (the default) prunes the K schedule: points the estimator \
-     confidently calls unroutable skip the route and record a forecast \
-     report (marked estimated); the accepted K is always confirmed by a \
-     real route. $(b,off) routes every point; $(b,triage) routes nothing \
-     and accepts on the forecast alone (results are estimates)."
-  in
-  Arg.(
-    value
-    & opt ~vopt:Estimate.Prune estimate_conv Estimate.Prune
-    & info [ "estimate" ] ~docv:"on|off|triage" ~doc)
-
 let timing_arg =
   let doc =
     "Timing-driven covering: weight the match cost with $(docv) times the \
@@ -718,17 +658,6 @@ let timing_arg =
     & opt ~vopt:(Some Mapper.default_timing_weight) (some float) None
     & info [ "timing" ] ~docv:"T" ~doc)
 
-let adaptive_arg =
-  let doc =
-    "Find the accepted K by adaptive search instead of walking the whole \
-     schedule: bisect the ladder on forecast verdicts, sweep the skipped \
-     points for soundness, then confirm with real routes from the \
-     frontier up. Accepts the same K as the linear schedule with a \
-     handful of routes. Sequential only — ignored with $(b,--jobs) > 1, \
-     and $(b,--estimate) does not apply (the search owns the estimator)."
-  in
-  Arg.(value & flag & info [ "adaptive" ] ~doc)
-
 let dump_congestion_arg =
   let doc =
     "Write the estimated and real per-gcell congestion maps at the \
@@ -739,37 +668,13 @@ let dump_congestion_arg =
     & opt (some string) None
     & info [ "dump-congestion" ] ~docv:"FILE" ~doc)
 
-let incremental_arg =
-  let doc =
-    "Drive the K schedule through the incremental engine (match the \
-     patterns once per tree, re-run only the cost DP per K). On by \
-     default; $(b,--incremental=off) forces cold re-mapping at every K \
-     point — the result is bit-identical either way."
-  in
-  Arg.(
-    value
-    & opt ~vopt:true (enum [ ("on", true); ("off", false) ]) true
-    & info [ "incremental" ] ~docv:"on|off" ~doc)
-
-let route_incremental_arg =
-  let doc =
-    "Carry committed routes across the K schedule in a router session \
-     (replay route requests whose inputs did not change instead of \
-     re-routing them). On by default; $(b,--route-incremental=off) forces \
-     cold routing at every K point — the result is bit-identical either \
-     way."
-  in
-  Arg.(
-    value
-    & opt ~vopt:true (enum [ ("on", true); ("off", false) ]) true
-    & info [ "route-incremental" ] ~docv:"on|off" ~doc)
-
 let route_jobs_arg =
   let doc =
     "Worker domains for the router's rip-up waves: segments with disjoint \
      search boxes maze-route concurrently inside one negotiation \
-     iteration. Only applies to the sequential K loop ($(b,--jobs) 1); \
-     the result is identical for every value."
+     iteration. Ignored when $(b,--orchestrate) runs candidates on \
+     $(b,--jobs) > 1 domains (pools cannot nest); the result is identical \
+     for every value."
   in
   Arg.(value & opt int 1 & info [ "route-jobs" ] ~docv:"N" ~doc)
 
@@ -826,9 +731,8 @@ let flow_cmd =
   Cmd.v (Cmd.info "flow" ~doc)
     Term.(
       const run_flow $ verbosity_arg $ input_arg $ scale_arg $ seed_arg
-      $ optimize_arg $ utilization_arg $ jobs_arg $ check_arg $ estimate_arg
-      $ timing_arg $ adaptive_arg $ orchestrate_arg $ dump_congestion_arg
-      $ incremental_arg $ route_incremental_arg $ route_jobs_arg $ trace_arg
+      $ optimize_arg $ utilization_arg $ jobs_arg $ check_arg $ timing_arg
+      $ orchestrate_arg $ dump_congestion_arg $ route_jobs_arg $ trace_arg
       $ metrics_arg)
 
 let fuzz_iterations_arg =
@@ -871,7 +775,7 @@ let fuzz_cmd =
   Cmd.v (Cmd.info "fuzz" ~doc ~man)
     Term.(
       const run_fuzz $ verbosity_arg $ fuzz_iterations_arg $ fuzz_seed_arg
-      $ fuzz_out_arg $ fuzz_replay_arg $ fuzz_level_arg $ jobs_arg)
+      $ fuzz_out_arg $ fuzz_replay_arg $ fuzz_level_arg)
 
 let serve_spool_arg =
   let doc =

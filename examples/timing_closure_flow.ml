@@ -30,12 +30,15 @@ let () =
       ~utilization:0.55 ~aspect:1.0 ~geometry
   in
   Printf.printf "   die: %s\n" (Floorplan.describe floorplan);
-  let outcome =
-    Flow.run ~subject ~library ~floorplan ~rng:(Cals_util.Rng.create 12) ()
+  let outcome, _ =
+    Flow.run_adaptive ~subject ~library ~floorplan
+      ~rng:(Cals_util.Rng.create 12) ()
   in
   List.iter
     (fun it ->
-      Printf.printf "   K=%-8g %s\n" it.Flow.k (Congestion.summary it.Flow.report))
+      Printf.printf "   K=%-8g %s%s\n" it.Flow.k
+        (Congestion.summary it.Flow.report)
+        (if it.Flow.estimated then " [estimated]" else ""))
     outcome.Flow.iterations;
   print_newline ();
 

@@ -17,11 +17,6 @@ module Log = (val Logs.src_log log_src)
 let m_k_evaluated =
   Metrics.counter ~help:"K points evaluated (map+place+route)" "flow_k_evaluated"
 
-let m_speculative_discarded =
-  Metrics.counter
-    ~help:"Speculative K evaluations discarded past the accepted point"
-    "flow_speculative_discarded"
-
 let m_legalize_overflows =
   Metrics.counter ~help:"K points whose netlist did not fit the floorplan"
     "flow_legalize_overflows"
@@ -70,10 +65,10 @@ let overflow_report =
     wirelength_um = infinity;
   }
 
-(* Per-K equivalence stimulus must depend only on K so that the
-   speculative [run_parallel] and the incremental engine see exactly the
-   streams the sequential cold [run] would. The seed derivation lives in
-   one place and is hoisted to the top of [evaluate_k], before any
+(* Per-K equivalence stimulus must depend only on K so that the adaptive
+   search, whose probes visit the ladder out of order, sees exactly the
+   streams a cold in-order walk would. The seed derivation lives in one
+   place and is hoisted to the top of [evaluate_k], before any
    mapper/cache work, so that no amount of warm-start reuse can reorder
    or perturb it. *)
 let equiv_seed ~k = Int64.to_int (Int64.bits_of_float k)
@@ -85,7 +80,7 @@ let check_equiv ~checks ~subject ~seed ~k mapped =
     ~stage:"equiv" (Equiv.of_subject subject)
     (Equiv.of_mapped ~label:(Printf.sprintf "mapped@K=%g" k) mapped)
 
-let evaluate_k ?router_config ?(strategy = Partition.Pdp) ?(checks = Check.Off)
+let evaluate_k ?router_config ?(checks = Check.Off)
     ?(estimate = Estimate.Prune) ?session ?route_session ?route_pool
     ?(t = 0.0) ?(cancel = Cals_util.Cancel.never) ~subject ~library ~floorplan
     ~positions ~k () =
@@ -99,10 +94,10 @@ let evaluate_k ?router_config ?(strategy = Partition.Pdp) ?(checks = Check.Off)
     match session with
     | Some session ->
       (* Warm-start re-mapping: the session carries the partition and the
-         cached per-tree match sets (its strategy overrides [strategy]). *)
+         cached per-tree match sets. *)
       Incremental.map ~verify ~t session ~k
     | None ->
-      let options = { (Mapper.congestion_aware ~k) with strategy; t } in
+      let options = { (Mapper.congestion_aware ~k) with t } in
       Mapper.map ~verify subject ~library ~positions options
   in
   let mapped = result.Mapper.mapped in
@@ -215,191 +210,6 @@ let log_accepted (it : iteration) =
         it.report.Congestion.total_overflow it.cells
         (100.0 *. it.utilization))
 
-(* Base mapper options of the flow's session: [evaluate_k]'s own default
-   is PDP via [Mapper.congestion_aware], so the session must agree. *)
-let session_options strategy =
-  let base = Mapper.congestion_aware ~k:0.0 in
-  match strategy with
-  | Some strategy -> { base with Mapper.strategy }
-  | None -> base
-
-let make_session ~incremental ?strategy ~subject ~library ~positions () =
-  if not incremental then None
-  else
-    Some
-      (Incremental.create
-         ~options:(session_options strategy)
-         ~subject ~library ~positions ())
-
-(* The route session rides on the incremental mapping session when there
-   is one (so the two caches share a lifetime); with cold mapping it is
-   created standalone — route requests still repeat across K points that
-   map to the same netlist, which is exactly what the replay cache
-   catches. *)
-let make_route_session ~route_incremental session =
-  if not route_incremental then None
-  else
-    Some
-      (match session with
-      | Some s -> Incremental.route_session s
-      | None -> Router.Session.create ())
-
-let run ?(k_schedule = default_k_schedule) ?router_config ?strategy
-    ?(checks = Check.Off) ?(estimate = Estimate.Prune) ?(incremental = true)
-    ?(route_incremental = true) ?(route_jobs = 1) ?(t = 0.0)
-    ?(cancel = Cals_util.Cancel.never) ~subject ~library ~floorplan ~rng () =
-  Span.with_ ~cat:"flow" "flow.run" @@ fun () ->
-  let positions =
-    Span.with_ ~cat:"flow" "flow.place_subject" @@ fun () ->
-    Placement.place_subject subject ~floorplan ~rng
-  in
-  let session =
-    make_session ~incremental ?strategy ~subject ~library ~positions ()
-  in
-  let route_session = make_route_session ~route_incremental session in
-  let route_pool =
-    if route_jobs > 1 then Some (Cals_util.Pool.create ~jobs:route_jobs)
-    else None
-  in
-  Fun.protect
-    ~finally:(fun () -> Option.iter Cals_util.Pool.shutdown route_pool)
-  @@ fun () ->
-  let rec loop schedule acc =
-    match schedule with
-    | [] ->
-      Log.info (fun m -> m "no K in the schedule was acceptable");
-      { iterations = List.rev acc; accepted = None; mapped = None;
-        placement = None; routing = None }
-    | k :: rest ->
-      let iteration, (mapped, placement, routing) =
-        evaluate_k ?router_config ?strategy ~checks ~estimate ?session
-          ?route_session ?route_pool ~t ~cancel ~subject ~library ~floorplan
-          ~positions ~k ()
-      in
-      if Congestion.acceptable iteration.report then begin
-        log_accepted iteration;
-        check_accepted ~checks ~subject ~k mapped;
-        {
-          iterations = List.rev (iteration :: acc);
-          accepted = Some iteration;
-          mapped = Some mapped;
-          placement;
-          routing;
-        }
-      end
-      else begin
-        log_rejected iteration;
-        loop rest (iteration :: acc)
-      end
-  in
-  loop k_schedule []
-
-(* ---------------- Speculative parallel evaluation ---------------- *)
-
-let rec take_chunk n = function
-  | x :: rest when n > 0 ->
-    let chunk, tail = take_chunk (n - 1) rest in
-    (x :: chunk, tail)
-  | rest -> ([], rest)
-
-let run_parallel ?(k_schedule = default_k_schedule) ?router_config ?strategy
-    ?(checks = Check.Off) ?(estimate = Estimate.Prune) ?(incremental = true)
-    ?(route_incremental = true) ?(route_jobs = 1) ?(t = 0.0)
-    ?(cancel = Cals_util.Cancel.never) ~jobs ~subject ~library ~floorplan ~rng
-    () =
-  if jobs <= 1 then
-    run ~k_schedule ?router_config ?strategy ~checks ~estimate ~incremental
-      ~route_incremental ~route_jobs ~t ~cancel ~subject ~library ~floorplan
-      ~rng ()
-  else begin
-    Span.with_ ~cat:"flow" ~meta:(Printf.sprintf "jobs=%d" jobs)
-      "flow.run_parallel"
-    @@ fun () ->
-    let positions =
-      Span.with_ ~cat:"flow" "flow.place_subject" @@ fun () ->
-      Placement.place_subject subject ~floorplan ~rng
-    in
-    let session =
-      make_session ~incremental ?strategy ~subject ~library ~positions ()
-    in
-    (* The route session is domain-safe (mutex-guarded caches with
-       in-flight dedup), so the workers share it directly. A route pool
-       is NOT used here: the workers already run on this pool, and
-       nesting map_array would deadlock — [route_jobs] only applies to
-       the sequential K loop. *)
-    let route_session = make_route_session ~route_incremental session in
-    (* Sequential match phase: enumerate every tree once, then freeze the
-       cache so the worker domains share it read-only. *)
-    Option.iter
-      (fun s ->
-        Span.with_ ~cat:"flow" "flow.match_phase" (fun () ->
-            Incremental.warm s);
-        Incremental.seal s)
-      session;
-    let pool = Cals_util.Pool.create ~jobs in
-    Fun.protect ~finally:(fun () -> Cals_util.Pool.shutdown pool) @@ fun () ->
-    (* Evaluate the schedule speculatively, [jobs] K points at a time.
-       Each chunk is scanned in schedule order and the loop stops at the
-       first acceptable iteration; speculative work past that point is
-       discarded, so the outcome is identical to the sequential [run]
-       ([evaluate_k] is deterministic and shares no mutable state). *)
-    let rec loop schedule acc =
-      match schedule with
-      | [] ->
-        Log.info (fun m -> m "no K in the schedule was acceptable");
-        { iterations = List.rev acc; accepted = None; mapped = None;
-          placement = None; routing = None }
-      | _ ->
-        let chunk, rest = take_chunk jobs schedule in
-        let chunk_meta =
-          String.concat " "
-            (List.map (fun k -> Printf.sprintf "K=%g" k) chunk)
-        in
-        let results =
-          Span.with_ ~cat:"flow" ~meta:chunk_meta "flow.chunk" @@ fun () ->
-          Cals_util.Pool.map_array pool
-            ~f:(fun _ k ->
-              evaluate_k ?router_config ?strategy ~checks ~estimate ?session
-                ?route_session ~t ~cancel ~subject ~library ~floorplan
-                ~positions ~k ())
-            (Array.of_list chunk)
-        in
-        let n = Array.length results in
-        let rec scan i acc =
-          if i >= n then loop rest acc
-          else begin
-            let iteration, (mapped, placement, routing) = results.(i) in
-            if Congestion.acceptable iteration.report then begin
-              log_accepted iteration;
-              check_accepted ~checks ~subject ~k:iteration.k mapped;
-              (* Everything past [i] in this chunk was speculative work
-                 the sequential loop would never have run. *)
-              let discarded = n - i - 1 in
-              if discarded > 0 then begin
-                Metrics.add m_speculative_discarded discarded;
-                Log.debug (fun m ->
-                    m "discarding %d speculative evaluation(s) past K=%g"
-                      discarded iteration.k)
-              end;
-              {
-                iterations = List.rev (iteration :: acc);
-                accepted = Some iteration;
-                mapped = Some mapped;
-                placement;
-                routing;
-              }
-            end
-            else begin
-              log_rejected iteration;
-              scan (i + 1) (iteration :: acc)
-            end
-          end
-        in
-        scan 0 acc
-    in
-    loop k_schedule []
-  end
-
 (* ---------------- Adaptive K search ---------------- *)
 
 (* A point the pruned linear sweep would reject without ever routing it:
@@ -411,10 +221,10 @@ let run_parallel ?(k_schedule = default_k_schedule) ?router_config ?strategy
 let established_rejected (it : iteration) =
   it.hpwl_um = infinity || it.verdict = Some Estimate.Unroutable
 
-let run_adaptive ?(k_schedule = default_k_schedule) ?router_config ?strategy
-    ?(checks = Check.Off) ?(incremental = true) ?(route_incremental = true)
-    ?(route_jobs = 1) ?(t = 0.0) ?(cancel = Cals_util.Cancel.never) ?session
-    ?positions ~subject ~library ~floorplan ~rng () =
+let run_adaptive ?(k_schedule = default_k_schedule) ?router_config
+    ?(checks = Check.Off) ?(route_jobs = 1) ?(t = 0.0)
+    ?(cancel = Cals_util.Cancel.never) ?session ?positions ~subject ~library
+    ~floorplan ~rng () =
   Span.with_ ~cat:"flow" "flow.run_adaptive" @@ fun () ->
   let positions =
     match positions with
@@ -425,10 +235,10 @@ let run_adaptive ?(k_schedule = default_k_schedule) ?router_config ?strategy
   in
   let session =
     match session with
-    | Some _ as s -> s
-    | None -> make_session ~incremental ?strategy ~subject ~library ~positions ()
+    | Some s -> s
+    | None -> Incremental.create ~subject ~library ~positions ()
   in
-  let route_session = make_route_session ~route_incremental session in
+  let route_session = Incremental.route_session session in
   let route_pool =
     if route_jobs > 1 then Some (Cals_util.Pool.create ~jobs:route_jobs)
     else None
@@ -446,9 +256,9 @@ let run_adaptive ?(k_schedule = default_k_schedule) ?router_config ?strategy
   let triage idx =
     incr forecast_evals;
     let iteration, _ =
-      evaluate_k ?router_config ?strategy ~checks ~estimate:Estimate.Triage
-        ?session ?route_session ~t ~cancel ~subject ~library ~floorplan
-        ~positions ~k:ks.(idx) ()
+      evaluate_k ?router_config ~checks ~estimate:Estimate.Triage ~session
+        ~route_session ~t ~cancel ~subject ~library ~floorplan ~positions
+        ~k:ks.(idx) ()
     in
     results.(idx) <- Some iteration;
     iteration
@@ -500,8 +310,8 @@ let run_adaptive ?(k_schedule = default_k_schedule) ?router_config ?strategy
     if idx >= n then None
     else begin
       let iteration, (mapped, placement, routing) =
-        evaluate_k ?router_config ?strategy ~checks ~estimate:Estimate.Prune
-          ?session ?route_session ?route_pool ~t ~cancel ~subject ~library
+        evaluate_k ?router_config ~checks ~estimate:Estimate.Prune ~session
+          ~route_session ?route_pool ~t ~cancel ~subject ~library
           ~floorplan ~positions ~k:ks.(idx) ()
       in
       results.(idx) <- Some iteration;

@@ -49,132 +49,10 @@ type adaptive_stats = {
 val default_k_schedule : float list
 (** The paper's Table 2 ladder: 0, 1e-4 ... 1.0. *)
 
-val run :
-  ?k_schedule:float list ->
-  ?router_config:Cals_route.Router.config ->
-  ?strategy:Partition.strategy ->
-  ?checks:Cals_verify.Check.level ->
-  ?estimate:Cals_estimate.Estimate.policy ->
-  ?incremental:bool ->
-  ?route_incremental:bool ->
-  ?route_jobs:int ->
-  ?t:float ->
-  ?cancel:Cals_util.Cancel.t ->
-  subject:Cals_netlist.Subject.t ->
-  library:Cals_cell.Library.t ->
-  floorplan:Cals_place.Floorplan.t ->
-  rng:Cals_util.Rng.t ->
-  unit ->
-  outcome
-(** Stops at the first acceptable congestion map. Iterations whose mapped
-    netlist does not even fit the floorplan rows are recorded with an
-    all-violations report and the loop moves on.
-
-    [t] (default [0.]) is the timing weight of the multi-objective match
-    cost [AREA + K*WIRE + T*DELAY] — see {!Mapper.options.t}. It changes
-    only the cost-combination DP, so it composes with every other knob
-    (incremental sessions, pruning, parallel evaluation) unchanged, and
-    [t = 0.] reproduces the pure Eq. 5 flow bit for bit.
-
-    [estimate] (default [Prune]) runs the millisecond congestion forecast
-    ({!Cals_estimate.Estimate}) on every placed K point before routing.
-    Under [Prune] a confident [Unroutable] verdict skips the negotiated
-    route and records the estimator's report with [estimated = true];
-    estimated reports always carry violations, so a pruned point is never
-    accepted and the accepted K (and its QoR metrics) is bit-identical to
-    an [estimate:Off] sweep as long as the calibration holds — when a
-    forecast is wrong the sweep routes a point it could have skipped, it
-    never skips a point it should have routed and accepted. [Triage]
-    routes {e nothing} and accepts on the forecast alone (results marked
-    estimated) — the batch service's deepest degradation rung, not meant
-    for interactive use.
-
-    [checks] (default [Off]) selects how much of the verification layer
-    runs alongside the loop — see {!Cals_verify.Check.level}. Checks never
-    change the outcome; a violated invariant raises
-    {!Cals_verify.Check.Violation}. The equivalence stimulus is derived
-    from K alone (see {!equiv_seed}), so checked runs stay deterministic
-    and {!run_parallel}-identical.
-
-    [incremental] (default [true]) drives the whole K schedule through one
-    {!Incremental} session: the partition and the per-tree pattern matches
-    are computed once and only the cost-combination DP re-runs per K
-    point. The outcome is bit-identical to a cold sweep — set
-    [incremental:false] to force cold re-mapping at every K (the escape
-    hatch behind [cals flow --incremental=off]).
-
-    [route_incremental] (default [true]) runs the whole schedule through
-    one {!Cals_route.Router.Session}: route requests whose fingerprint
-    (netlist gcells, density, config) already routed are replayed instead
-    of re-routed, which turns the re-evaluation of an unchanged mapping
-    into a cache hit. Warm results are bit-identical to cold ones —
-    [route_incremental:false] ([cals flow --route-incremental=off]) forces
-    cold routing at every K. The session rides on the incremental mapping
-    session when both are enabled.
-
-    [route_jobs] (default 1) sizes a worker pool for the router's rip-up
-    waves: segments with disjoint search boxes maze-route concurrently
-    within one negotiation iteration. The outcome is identical for every
-    [route_jobs] value (commits are deferred and ordered).
-
-    [cancel] (default {!Cals_util.Cancel.never}) makes the loop
-    cooperatively cancellable: the token is checked before every K point
-    and forwarded into {!evaluate_k} (which also hands it to the
-    router's negotiation loop). A fired token unwinds with
-    {!Cals_util.Cancel.Cancelled} — this is how the batch service
-    ([cals serve]) enforces per-job deadlines. *)
-
-val run_parallel :
-  ?k_schedule:float list ->
-  ?router_config:Cals_route.Router.config ->
-  ?strategy:Partition.strategy ->
-  ?checks:Cals_verify.Check.level ->
-  ?estimate:Cals_estimate.Estimate.policy ->
-  ?incremental:bool ->
-  ?route_incremental:bool ->
-  ?route_jobs:int ->
-  ?t:float ->
-  ?cancel:Cals_util.Cancel.t ->
-  jobs:int ->
-  subject:Cals_netlist.Subject.t ->
-  library:Cals_cell.Library.t ->
-  floorplan:Cals_place.Floorplan.t ->
-  rng:Cals_util.Rng.t ->
-  unit ->
-  outcome
-(** Same contract and same result as {!run}, but the K schedule is
-    evaluated speculatively on [jobs] OCaml domains, one chunk of [jobs]
-    consecutive K points at a time. Every K point is independent given
-    the shared subject graph and companion placement, so chunks evaluate
-    concurrently; the chunk is then scanned in schedule order and the
-    first acceptable iteration wins, with speculative work past it
-    discarded. [jobs <= 1] falls back to {!run} directly.
-
-    With [incremental] (the default) the match cache is populated by a
-    {e sequential} match phase (span ["flow.match_phase"]) and sealed
-    before the domains start, so the workers share it read-only — see
-    {!Incremental.seal}.
-
-    With [route_incremental] (the default) the worker domains share one
-    route session directly — its caches are mutex-guarded and concurrent
-    identical requests dedupe in flight, so sealing is not needed.
-    [route_jobs] is ignored here: the workers already occupy the K-point
-    pool and the router's wave pool must not nest inside it, so
-    intra-route parallelism applies only to the sequential {!run}.
-
-    A fired [cancel] token is observed by every worker domain at its
-    next check point; the first {!Cals_util.Cancel.Cancelled} to
-    complete is re-raised in the caller after all domains stop claiming
-    work (see {!Cals_util.Pool.map_array}), so cancellation still shuts
-    the chunk down cleanly. *)
-
 val run_adaptive :
   ?k_schedule:float list ->
   ?router_config:Cals_route.Router.config ->
-  ?strategy:Partition.strategy ->
   ?checks:Cals_verify.Check.level ->
-  ?incremental:bool ->
-  ?route_incremental:bool ->
   ?route_jobs:int ->
   ?t:float ->
   ?cancel:Cals_util.Cancel.t ->
@@ -186,7 +64,7 @@ val run_adaptive :
   rng:Cals_util.Rng.t ->
   unit ->
   outcome * adaptive_stats
-(** Adaptive K search: find the accepted point of [k_schedule] with a
+(** The K search: find the first acceptable point of [k_schedule] with a
     handful of real routes instead of one per schedule point, seeded by
     {!Cals_estimate.Estimate} verdicts.
 
@@ -197,42 +75,63 @@ val run_adaptive :
     skipped below the frontier; any point the estimator cannot rule out
     lowers the frontier, so the prefix-of-rejections assumption behind
     the bisection is only ever an optimization. (3) {e Confirming
-    routes}: from the frontier up, run the pruned linear loop — route
-    every point the estimator does not confidently reject, ascending,
-    until the first acceptable {e real} route.
+    routes}: from the frontier up, route every point the estimator does
+    not confidently reject, ascending, until the first acceptable
+    {e real} route.
 
     The invariant, by construction: a real route is skipped only where
     the point is established-rejected — its netlist does not legalize,
     or the forecast is confident-[Unroutable] (whose recorded report
-    always carries violations, the PR 7 pruning contract). Every other
-    point below the accepted one is routed, in schedule order, exactly
-    as the linear {!run} would. Hence the accepted K, its mapped
-    netlist and its routed result are bit-identical to the linear
-    schedule's whenever the calibration holds, and the no-acceptable-K
-    outcome (over-capacity floorplans) is preserved — at the cost of
-    [real_routes] negotiated routes, ≤ 6 on the bench corpus against
-    the 14-point default ladder.
+    always carries violations). Every other point below the accepted one
+    is routed, in schedule order, exactly as a linear walk of the
+    schedule under [estimate:Prune] would route it. Hence the accepted
+    K, its mapped netlist and its routed result are those of the linear
+    walk whenever the calibration holds, and the no-acceptable-K outcome
+    (over-capacity floorplans) is preserved — at the cost of
+    [real_routes] negotiated routes, ≤ 6 on the bench corpus against the
+    14-point default ladder. The test suites keep that linear walk as an
+    oracle.
 
     [iterations] in the returned outcome holds every point the search
-    evaluated, in ascending-K order; bisection probes above the accepted
-    K may appear (forecast-only, [estimated = true]), and points the
-    search never needed to look at are absent — unlike {!run}, whose
-    iteration list is always a schedule prefix. There is no [estimate]
-    parameter: the search owns the estimator (triage probes, [Prune]
-    confirming routes); [estimate:Off] would defeat its purpose, and the
-    linear {!run} remains the way to sweep without forecasts.
+    evaluated, in schedule order; bisection probes above the accepted K
+    may appear (forecast-only, [estimated = true]), and points the search
+    never needed to look at are absent.
 
-    [session] and [positions] let a caller that already owns a warmed
-    {!Incremental} session and its companion placement (the serve
-    scheduler's per-design cache) thread them through instead of placing
-    and warming from scratch — exactly like {!evaluate_k}'s [session]
-    parameter. When [positions] is given, [rng] is unused; when [session]
-    is given, [incremental] and [strategy] are ignored (the session fixes
-    both). *)
+    Mapping runs through one {!Incremental} session (the partition and
+    per-tree pattern matches are computed once, only the cost DP re-runs
+    per K) and routing through its {!Incremental.route_session}, which
+    replays repeated route requests. Both are bit-identical to cold
+    evaluation. [session] and [positions] let a caller that already owns
+    a warmed session and its companion placement (the serve scheduler's
+    per-design cache) thread them through instead of placing and warming
+    from scratch. When [positions] is given, [rng] is unused.
+
+    [t] (default [0.]) is the timing weight of the multi-objective match
+    cost [AREA + K*WIRE + T*DELAY] — see {!Mapper.options.t}. It changes
+    only the cost-combination DP, and [t = 0.] reproduces the pure Eq. 5
+    flow bit for bit.
+
+    [checks] (default [Off]) selects how much of the verification layer
+    runs alongside the search — see {!Cals_verify.Check.level}. Checks
+    never change the outcome; a violated invariant raises
+    {!Cals_verify.Check.Violation}. [Cheap] miters only the accepted
+    netlist, [Full] every evaluated point. The equivalence stimulus is
+    derived from K alone (see {!equiv_seed}), so checked runs stay
+    deterministic.
+
+    [route_jobs] (default 1) sizes a worker pool for the router's rip-up
+    waves: segments with disjoint search boxes maze-route concurrently
+    within one negotiation iteration. The outcome is identical for every
+    [route_jobs] value (commits are deferred and ordered).
+
+    [cancel] (default {!Cals_util.Cancel.never}) makes the search
+    cooperatively cancellable: it is forwarded into every {!evaluate_k}
+    (which also hands it to the router's negotiation loop). A fired token
+    unwinds with {!Cals_util.Cancel.Cancelled} — this is how the batch
+    service ([cals serve]) enforces per-job deadlines. *)
 
 val evaluate_k :
   ?router_config:Cals_route.Router.config ->
-  ?strategy:Partition.strategy ->
   ?checks:Cals_verify.Check.level ->
   ?estimate:Cals_estimate.Estimate.policy ->
   ?session:Incremental.session ->
@@ -251,10 +150,18 @@ val evaluate_k :
     * Cals_place.Placement.mapped_placement option
     * Cals_route.Router.result option)
 (** One K point against a precomputed companion placement — the primitive
-    the bench tables are built from. With [session] the mapping phase is
-    served by {!Incremental.map} (whose strategy overrides [strategy]);
-    the session must have been created from the same [subject],
-    [positions] and library. [t] (default [0.]) is the timing weight of
+    the K search and the bench tables are built from. With [session] the
+    mapping phase is served by {!Incremental.map}; without it the point
+    maps cold with {!Mapper.congestion_aware} (PDP). The session must
+    have been created from the same [subject], [positions] and library.
+
+    [estimate] (default [Prune]) runs the millisecond congestion forecast
+    ({!Cals_estimate.Estimate}) on the placed point before routing. Under
+    [Prune] a confident [Unroutable] verdict skips the negotiated route
+    and records the estimator's report with [estimated = true]; such a
+    report always carries violations, so a pruned point is never
+    accepted. [Triage] routes nothing and records the forecast; [Off]
+    always routes. [t] (default [0.]) is the timing weight of
     {!Mapper.options.t}, forwarded to the mapper on both the session and
     the cold path; the equivalence stimulus stays derived from K alone
     (see {!equiv_seed}), which remains sound because the stimulus never
@@ -333,7 +240,7 @@ val orchestrate :
     so every candidate gets the same utilization policy the plain flow
     would) with the stimulus RNG derived from [seed] exactly as
     [cals flow] derives it — the baseline evaluation is bit-identical
-    to a plain [--adaptive] run.
+    to a plain [cals flow] run.
 
     Selection minimizes [(accepted K, subject gates, cell area,
     candidate index)] lexicographically — no accepted K sorts last, and
@@ -349,12 +256,12 @@ val orchestrate :
     the generation-side counters of {!Cals_logic.Orchestrate}.
 
     [checks] selects the {e flow}'s own per-K verification level, as in
-    {!run}; the orchestrator's candidate and accepted-netlist miters
+    {!run_adaptive}; the orchestrator's candidate and accepted-netlist miters
     run regardless. *)
 
 val equiv_seed : k:float -> int
 (** Seed of the per-K equivalence stimulus, derived from K alone and from
     nothing else — not evaluation order, not cache state — so cold,
-    incremental and speculative-parallel runs all draw identical stimulus
-    streams at the same K. Hoisted to the top of {!evaluate_k} and shared
+    incremental and out-of-order (adaptive) evaluations all draw identical
+    stimulus streams at the same K. Hoisted to the top of {!evaluate_k} and shared
     with the accepted-netlist spot-check. *)

@@ -9,7 +9,7 @@ let family_of = function
   | Fuzz.Pla -> `Pla
   | Fuzz.Multilevel -> `Multilevel
 
-let check_params ?(utilization = 0.45) ?(jobs = 1) ?(level = Check.Full)
+let check_params ?(utilization = 0.45) ?(level = Check.Full)
     (p : Fuzz.params) =
   let library = Cals_cell.Stdlib_018.library in
   let geometry = Cals_cell.Library.geometry library in
@@ -39,11 +39,8 @@ let check_params ?(utilization = 0.45) ?(jobs = 1) ?(level = Check.Full)
         ~utilization ~aspect:1.0 ~geometry
     in
     let rng = Cals_util.Rng.create (p.Fuzz.seed + 1) in
-    let (_ : Flow.outcome) =
-      if jobs > 1 then
-        Flow.run_parallel ~jobs ~checks:level ~subject ~library ~floorplan ~rng
-          ()
-      else Flow.run ~checks:level ~subject ~library ~floorplan ~rng ()
+    let (_ : Flow.outcome * Flow.adaptive_stats) =
+      Flow.run_adaptive ~checks:level ~subject ~library ~floorplan ~rng ()
     in
     Ok ()
   with

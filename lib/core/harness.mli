@@ -3,14 +3,14 @@
     {!Cals_verify.Fuzz} is deliberately ignorant of the flow (the
     dependency points the other way); this module supplies the canonical
     [check] callback. For one parameter tuple it generates the workload,
-    runs optimization, decomposition and the Figure-3 loop with the
-    verification layer enabled, and checks equivalence across the
-    logic-synthesis stage boundaries the flow itself cannot see
-    (original vs optimized network, network vs subject graph). *)
+    runs optimization, decomposition and the Figure-3 K search
+    ({!Flow.run_adaptive}) with the verification layer enabled, and
+    checks equivalence across the logic-synthesis stage boundaries the
+    flow itself cannot see (original vs optimized network, network vs
+    subject graph). *)
 
 val check_params :
   ?utilization:float ->
-  ?jobs:int ->
   ?level:Cals_verify.Check.level ->
   Cals_verify.Fuzz.params ->
   (unit, string * string) result
@@ -19,6 +19,5 @@ val check_params :
     {!Cals_verify.Check.Violation} maps to its own stage; any other
     exception (including [Invalid_argument] from structural mismatches)
     maps to stage ["exception"]. Defaults: [utilization = 0.45],
-    [jobs = 1] (sequential flow), [level = Full]. A flow that finds no
-    acceptable K is not a failure — the fuzzer tests invariants, not
-    routability. *)
+    [level = Full]. A flow that finds no acceptable K is not a failure —
+    the fuzzer tests invariants, not routability. *)

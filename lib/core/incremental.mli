@@ -31,10 +31,11 @@
     {2 Domain safety}
 
     Cache insertion is mutex-protected, but concurrent lookups during
-    insertion are not safe on a shared [Hashtbl]. The intended parallel
-    protocol — what {!Flow.run_parallel} does — is: {!warm} the session
-    sequentially (one match phase), {!seal} it, then share it read-only
-    across domains. A sealed session never mutates the cache (a miss is
+    insertion are not safe on a shared [Hashtbl]. A session used from
+    several domains must first be {!warm}ed sequentially (one match
+    phase) and {!seal}ed, then shared read-only — what the serve
+    scheduler does with each cached design's session before its worker
+    domains map jobs against it. A sealed session never mutates the cache (a miss is
     recomputed on the fly and dropped), so sealed lookups are race-free.
     Hit/miss statistics are atomics and always safe. *)
 

@@ -91,19 +91,6 @@ let verdict_to_string = function
   | Unroutable -> "unroutable"
   | Uncertain -> "uncertain"
 
-let policy_to_string = function
-  | Off -> "off"
-  | Prune -> "on"
-  | Triage -> "triage"
-
-let policy_of_string s =
-  match String.lowercase_ascii (String.trim s) with
-  | "off" -> Ok Off
-  | "on" | "prune" -> Ok Prune
-  | "triage" -> Ok Triage
-  | other ->
-    Error (Printf.sprintf "unknown estimate policy %S (off, on, triage)" other)
-
 (* ------------------------- the forecast ------------------------- *)
 
 let clamp_int lo hi v = if v < lo then lo else if v > hi then hi else v

@@ -27,16 +27,20 @@ type verdict =
   | Unroutable  (** Confidently over capacity; predicted violations > 0. *)
   | Uncertain  (** Near the boundary (or degenerate input): route for real. *)
 
-(** How callers use the forecast inside a K sweep. *)
+(** How {!Cals_core.Flow.evaluate_k} uses the forecast at one K point. *)
 type policy =
-  | Off  (** Never forecast; every point pays a real route. *)
+  | Off
+      (** Never forecast; the point pays a real route. The unpruned
+          baseline the bench and the tests measure pruning against. *)
   | Prune
       (** Forecast first; a confident [Unroutable] skips the real route
-          (recording the estimated report), everything else routes. *)
+          (recording the estimated report), everything else routes. The
+          adaptive K search's confirming routes. *)
   | Triage
-      (** Estimator-only: no point routes for real, acceptance is decided
-          on the forecast. The batch service's deepest degradation rung —
-          results are explicitly marked estimated. *)
+      (** Estimator-only: the point never routes for real, and the
+          forecast is recorded as its report. The adaptive search's
+          bisection probes, and the batch service's deepest degradation
+          rung — results are explicitly marked estimated. *)
 
 type maps = {
   cols : int;
@@ -137,7 +141,3 @@ val verdict_of_scores :
 
 val verdict_to_string : verdict -> string
 
-val policy_to_string : policy -> string
-
-val policy_of_string : string -> (policy, string) result
-(** ["off"], ["on"]/["prune"], ["triage"] (case-insensitive). *)

@@ -319,7 +319,10 @@ let spec_of_json ?(default_id = "") json =
     | Some (Arr items) ->
       let rec nums acc = function
         | [] -> Ok (Some (List.rev acc))
-        | Num f :: rest -> nums (f :: acc) rest
+        | Num f :: rest when Float.is_finite f && f >= 0.0 ->
+          nums (f :: acc) rest
+        | Num _ :: _ ->
+          Error "k_schedule entries must be finite and non-negative"
         | _ -> Error "k_schedule must be an array of numbers"
       in
       nums [] items
@@ -334,7 +337,11 @@ let spec_of_json ?(default_id = "") json =
       | Ok l -> Ok l
       | Error e -> Error e)
   in
-  let* utilization = get_float "utilization" 0.55 json in
+  let* utilization =
+    let* u = get_float "utilization" 0.55 json in
+    if u > 0.0 && u <= 1.0 then Ok u
+    else Error "utilization must be in (0, 1]"
+  in
   let* optimize = get_bool "optimize" false json in
   let* timing =
     match member "timing" json with

@@ -17,9 +17,10 @@
 
     Exactly one of [blif] / [preset] / [workload] selects the input.
     Everything else is optional: [id] (auto-assigned when missing),
-    [k_schedule] (default {!Cals_core.Flow.default_k_schedule}),
-    [checks] ([off] / [cheap] / [full], default [off]), [utilization]
-    (default 0.55), [optimize] (default [false], the aggressive
+    [k_schedule] (default {!Cals_core.Flow.default_k_schedule}; any
+    order, finite non-negative entries), [checks] ([off] / [cheap] /
+    [full], default [off]), [utilization] (in (0, 1], default 0.55),
+    [optimize] (default [false], the aggressive
     SIS-style script), [timing] ([true] for the fitted default weight
     {!Cals_core.Mapper.default_timing_weight}, or a positive number for
     an explicit one — timing-driven covering, with the post-route

@@ -8,7 +8,6 @@ module Flow = Cals_core.Flow
 module Incremental = Cals_core.Incremental
 module Sta = Cals_sta.Sta
 module Check = Cals_verify.Check
-module Equiv = Cals_verify.Equiv
 module Fuzz = Cals_verify.Fuzz
 module Metrics = Cals_telemetry.Metrics
 module Span = Cals_telemetry.Span
@@ -74,7 +73,6 @@ type config = {
   watch : bool;
   tick_s : float;
   cache_dir : string option;
-  adaptive : bool;
 }
 
 let default_config =
@@ -91,7 +89,6 @@ let default_config =
     watch = false;
     tick_s = 0.1;
     cache_dir = None;
-    adaptive = true;
   }
 
 type summary = {
@@ -362,13 +359,6 @@ let degradation_level t ~depth =
   else if depth >= t.config.high_watermark then 1
   else 0
 
-(* Level 3 is the deepest rung: no job routes at all — acceptance is
-   decided on the congestion forecast and the results are marked
-   estimated. Cheaper than capping K points, because the capped schedule
-   still pays one negotiated route per point. *)
-let estimate_policy level =
-  if level >= 3 then Estimate.Triage else Estimate.Prune
-
 let degraded_checks level checks =
   match (level, checks) with
   | 0, c -> c
@@ -422,30 +412,25 @@ type run_metrics = {
 
 type run_result = Success of run_metrics | Fault of Job.fault
 
-(* The flow's accept loop against the cached session: stop at the first
-   acceptable congestion map; Cheap defers equivalence to the netlist the
-   job ships, exactly like [Flow.run] (Full already checked every K
-   inside [evaluate_k]). *)
-let run_schedule ~cancel ~checks ~estimate ~t ~design schedule =
+(* Level 3 is the deepest rung: no job routes at all — acceptance is
+   decided on the congestion forecast and the results are marked
+   estimated. Cheaper than capping K points, because the capped schedule
+   still pays one negotiated route per point. With nothing routed there
+   is nothing for the adaptive search to save, so the rung walks the
+   schedule in order under [Triage], against the cached session. Checks
+   are always [Off] at this level (see [degraded_checks]). *)
+let run_schedule ~cancel ~t ~design schedule =
   let { subject; floorplan; positions; session; _ } = design in
   let rec loop acc = function
     | [] -> (List.rev acc, None, None)
     | k :: rest ->
-      Cancel.check cancel;
-      let iteration, (mapped, placement, routing) =
-        Flow.evaluate_k ~checks ~estimate ~session
+      let iteration, artifacts =
+        Flow.evaluate_k ~estimate:Estimate.Triage ~session
           ~route_session:(Incremental.route_session session)
           ~t ~cancel ~subject ~library ~floorplan ~positions ~k ()
       in
-      if Congestion.acceptable iteration.Flow.report then begin
-        if checks = Check.Cheap then
-          Equiv.check_exn ~rounds:(Check.rounds checks)
-            ~rng:(Cals_util.Rng.create (Flow.equiv_seed ~k))
-            ~stage:"equiv" (Equiv.of_subject subject)
-            (Equiv.of_mapped ~label:(Printf.sprintf "mapped@K=%g" k) mapped);
-        (List.rev (iteration :: acc), Some iteration,
-         Some (mapped, placement, routing))
-      end
+      if Congestion.acceptable iteration.Flow.report then
+        (List.rev (iteration :: acc), Some iteration, Some artifacts)
       else loop (iteration :: acc) rest
   in
   loop [] schedule
@@ -549,18 +534,16 @@ let run_job t ~level (job : Job.t) =
       Option.value spec.Proto.k_schedule ~default:Flow.default_k_schedule
     in
     let schedule, k_capped = cap_schedule t level schedule in
-    let estimate = estimate_policy level in
-    if estimate = Estimate.Triage then Metrics.incr m_triaged;
+    let triage = level >= 3 in
+    if triage then Metrics.incr m_triaged;
     let timing_t = Option.value spec.Proto.timing ~default:0.0 in
-    (* The adaptive K search owns the estimator (triage probes + pruned
-       confirming routes), so it replaces the linear accept loop on every
-       rung except estimator-only triage, where no point routes at all
-       and the linear loop under [Triage] is already minimal. Accepted K
-       and artifacts are bit-identical either way (see
-       [Flow.run_adaptive]). *)
-    let use_adaptive = t.config.adaptive && estimate <> Estimate.Triage in
     let iterations, accepted, artifacts, forecast_evals =
-      if use_adaptive then begin
+      if triage then
+        let iterations, accepted, artifacts =
+          run_schedule ~cancel ~t:timing_t ~design schedule
+        in
+        (iterations, accepted, artifacts, None)
+      else begin
         let outcome, astats =
           Flow.run_adaptive ~k_schedule:schedule ~checks ~t:timing_t ~cancel
             ~session:design.session ~positions:design.positions
@@ -577,11 +560,6 @@ let run_job t ~level (job : Job.t) =
           artifacts,
           Some astats.Flow.forecast_evals )
       end
-      else
-        let iterations, accepted, artifacts =
-          run_schedule ~cancel ~checks ~estimate ~t:timing_t ~design schedule
-        in
-        (iterations, accepted, artifacts, None)
     in
     let real_routes =
       List.length

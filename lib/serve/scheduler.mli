@@ -3,8 +3,9 @@
     A scheduler owns one {!Queue}, one shared {!Cals_util.Pool} of
     worker domains, and a {e design cache}: per distinct circuit
     ({!Proto.design_key}) the subject graph, floorplan, companion
-    placement and a warmed-and-sealed {!Cals_core.Incremental} session,
-    kept alive across jobs so repeated designs skip decomposition,
+    placement and a warmed-and-sealed {!Cals_core.Incremental} session
+    ({!Cals_core.Incremental.warm} once, then {!Cals_core.Incremental.seal}
+    so worker domains can share it read-only), kept alive across jobs so repeated designs skip decomposition,
     placement and pattern matching entirely. Telemetry rings and metric
     counters likewise persist for the life of the process — one trace
     covers the whole drain.
@@ -13,8 +14,8 @@
 
     Jobs are drained in fork/join rounds: every queued job whose backoff
     gate has passed is dispatched through {!Cals_util.Pool.map_array},
-    each worker runs its job's whole K schedule (via
-    {!Cals_core.Flow.evaluate_k} against the design's shared session)
+    each worker searches its job's K schedule with
+    {!Cals_core.Flow.run_adaptive} against the design's shared session
     and writes the job's artifact directory, and the main domain then
     applies the failure policy to the round's faults. A job's deadline
     becomes a {!Cals_util.Cancel} token with a wall-clock expiry,
@@ -35,9 +36,9 @@
     at [high_watermark] jobs shed [Full] checks to [Cheap]; at
     [overload_watermark] checks turn [Off] and K schedules are capped at
     [degraded_k_points] points; at [triage_watermark] jobs run
-    estimator-only ({!Cals_estimate.Estimate.Triage}) — no point routes
-    at all, acceptance is decided on the congestion forecast and the
-    job's metrics carry [estimated: true]. Degraded jobs complete (their
+    estimator-only ({!Cals_estimate.Estimate.Triage}) — the schedule is
+    walked in order, no point routes at all, acceptance is decided on the
+    congestion forecast and the job's metrics carry [estimated: true]. Degraded jobs complete (their
     metrics record what was shed) instead of the queue collapsing behind
     expensive stragglers. *)
 
@@ -68,20 +69,12 @@ type config = {
           phase of any design the store has seen) and write back any
           design they had to warm cold. [None] (the default) keeps the
           pre-fleet behavior: the cache dies with the process. *)
-  adaptive : bool;
-      (** Use {!Cals_core.Flow.run_adaptive} for each job's K ladder
-          (the default): estimator-seeded bisection + confirming routes,
-          bit-identical accepted K and artifacts to the linear accept
-          loop at a fraction of the negotiated routes. Estimator-only
-          triage (degradation level 3) is unaffected — no point routes
-          there either way. [false] restores the linear loop. *)
 }
 
 val default_config : config
 (** [jobs = 1], [out_dir = "cals-serve-out"], no default deadline,
     3 attempts, 50 ms backoff, watermarks 8 / 16 / 32, 6 degraded K
-    points, one-shot drain, 100 ms tick, no cache dir, adaptive K
-    search on. *)
+    points, one-shot drain, 100 ms tick, no cache dir. *)
 
 type summary = {
   submitted : int;
@@ -146,7 +139,8 @@ type run_metrics = {
       (** Iterations that paid a negotiated route — what the adaptive
           ladder minimizes. *)
   forecast_evals : int option;
-      (** Forecast-only probe count when the adaptive search ran. *)
+      (** Forecast-only probe count of the adaptive search; [None] on the
+          triage rung, which walks the schedule without it. *)
   store_preloaded : int option;
       (** Match sets the design preloaded from the persistent store
           ([None] without [cache_dir]). *)

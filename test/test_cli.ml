@@ -196,7 +196,16 @@ let test_bad_usage () =
   let code = run (Printf.sprintf "%s no-such-subcommand" cals) in
   Alcotest.(check bool) "unknown subcommand fails" true (code <> 0);
   let code = run (Printf.sprintf "%s flow" cals) in
-  Alcotest.(check bool) "flow without input fails" true (code <> 0)
+  Alcotest.(check bool) "flow without input fails" true (code <> 0);
+  (* An out-of-range utilization is cmdliner's usage error (exit 124),
+     not an uncaught exception from the floorplanner. *)
+  List.iter
+    (fun u ->
+      check_exit ("flow --utilization " ^ u) 124
+        (Printf.sprintf "%s flow %s --utilization %s" cals blif u);
+      Alcotest.(check bool) "names the bad value" true
+        (contains ~needle:"(0, 1]" (logged ())))
+    [ "0"; "1.5"; "nan" ]
 
 let () =
   Alcotest.run "cli"

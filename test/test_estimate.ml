@@ -8,6 +8,7 @@
 
 module Estimate = Cals_estimate.Estimate
 module Flow = Cals_core.Flow
+module Reference_flow = Cals_reference.Reference_flow
 module Congestion = Cals_route.Congestion
 module Router = Cals_route.Router
 module Rgrid = Cals_route.Rgrid
@@ -160,8 +161,8 @@ let test_prune_skips_and_preserves_qor () =
   let floorplan, _ = workload_of ~utilization:0.85 subject in
   let k_schedule = [ 0.0; 0.01; 0.1 ] in
   let run estimate =
-    Flow.run ~k_schedule ~router_config:congested_config ~estimate ~subject
-      ~library:lib ~floorplan ~rng:(Rng.create 7) ()
+    Reference_flow.run ~k_schedule ~router_config:congested_config ~estimate
+      ~subject ~library:lib ~floorplan ~rng:(Rng.create 7) ()
   in
   let off = run Estimate.Off and pruned = run Estimate.Prune in
   let skipped =
@@ -220,8 +221,8 @@ let prop_pruned_accepted_identical =
       let router_config = { Router.default_config with Router.layers } in
       let floorplan, _ = workload_of ~utilization subject in
       let run estimate =
-        Flow.run ~router_config ~estimate ~subject ~library:lib ~floorplan
-          ~rng:(Rng.create (seed + 1)) ()
+        Reference_flow.run ~router_config ~estimate ~subject ~library:lib
+          ~floorplan ~rng:(Rng.create (seed + 1)) ()
       in
       let off = run Estimate.Off and pruned = run Estimate.Prune in
       if List.length off.Flow.iterations <> List.length pruned.Flow.iterations
@@ -275,8 +276,8 @@ let test_routable_seed_never_accepts_violations () =
         Alcotest.(check bool) "at least one confirming route was paid" true
           (stats.Flow.real_routes >= 1);
         let confirm =
-          Flow.run ~k_schedule:[ it.Flow.k ] ~router_config:congested_config
-            ~estimate:Estimate.Off ~subject ~library:lib ~floorplan
+          Reference_flow.run ~k_schedule:[ it.Flow.k ]
+            ~router_config:congested_config ~estimate:Estimate.Off ~subject ~library:lib ~floorplan
             ~rng:(Rng.create 9) ()
         in
         (match confirm.Flow.accepted with

@@ -2,6 +2,7 @@
    pipelines on small circuits. *)
 
 module Flow = Cals_core.Flow
+module Reference_flow = Cals_reference.Reference_flow
 module Mapper = Cals_core.Mapper
 module Partition = Cals_core.Partition
 module Subject = Cals_netlist.Subject
@@ -37,7 +38,7 @@ let test_flow_loose_floorplan_accepts_first () =
       ~utilization:0.3 ~aspect:1.0 ~geometry
   in
   let outcome =
-    Flow.run ~subject ~library:lib ~floorplan ~rng:(Rng.create 2) ()
+    Reference_flow.run ~subject ~library:lib ~floorplan ~rng:(Rng.create 2) ()
   in
   match outcome.Flow.accepted with
   | None -> Alcotest.fail "loose floorplan should route"
@@ -55,7 +56,7 @@ let test_flow_iterates_on_tight_floorplan () =
   let floorplan = Floorplan.of_rows ~num_rows:4 ~sites_per_row:40 ~geometry in
   let schedule = [ 0.0; 0.001; 0.01 ] in
   let outcome =
-    Flow.run ~k_schedule:schedule ~subject ~library:lib ~floorplan
+    Reference_flow.run ~k_schedule:schedule ~subject ~library:lib ~floorplan
       ~rng:(Rng.create 3) ()
   in
   Alcotest.(check int) "all iterations executed" (List.length schedule)
@@ -72,7 +73,9 @@ let test_flow_function_preserved_through_accepted () =
       ~core_area:(float_of_int (Subject.num_gates subject) *. 5.0)
       ~utilization:0.4 ~aspect:1.0 ~geometry
   in
-  let outcome = Flow.run ~subject ~library:lib ~floorplan ~rng:(Rng.create 4) () in
+  let outcome =
+    Reference_flow.run ~subject ~library:lib ~floorplan ~rng:(Rng.create 4) ()
+  in
   match outcome.Flow.mapped with
   | None -> Alcotest.fail "expected acceptance"
   | Some mapped ->
@@ -107,92 +110,6 @@ let test_flow_metrics_consistent () =
     Alcotest.(check int) "violations" rt.Router.violations
       it.Flow.report.Congestion.violations
   | None -> Alcotest.fail "routing expected"
-
-(* run_parallel must reproduce the sequential outcome exactly: same K
-   points evaluated (speculative extras discarded), same accepted K, and
-   bit-identical metrics, on both PLA-style preset families. *)
-let parallel_matches_sequential make_network seed utilization () =
-  let net = make_network () in
-  Cals_logic.Network.sweep net;
-  let subject = Cals_logic.Decompose.subject_of_network net in
-  let floorplan =
-    Floorplan.for_area
-      ~core_area:(float_of_int (Subject.num_gates subject) *. 5.0)
-      ~utilization ~aspect:1.0 ~geometry
-  in
-  let seq =
-    Flow.run ~subject ~library:lib ~floorplan ~rng:(Rng.create seed) ()
-  in
-  let par =
-    Flow.run_parallel ~jobs:4 ~subject ~library:lib ~floorplan
-      ~rng:(Rng.create seed) ()
-  in
-  Alcotest.(check (option (float 0.0)))
-    "same accepted K"
-    (Option.map (fun it -> it.Flow.k) seq.Flow.accepted)
-    (Option.map (fun it -> it.Flow.k) par.Flow.accepted);
-  Alcotest.(check (list (float 0.0)))
-    "same iteration schedule"
-    (List.map (fun it -> it.Flow.k) seq.Flow.iterations)
-    (List.map (fun it -> it.Flow.k) par.Flow.iterations);
-  List.iter2
-    (fun (a : Flow.iteration) (b : Flow.iteration) ->
-      Alcotest.(check int) "cells" a.Flow.cells b.Flow.cells;
-      Alcotest.(check (float 0.0)) "cell area" a.Flow.cell_area b.Flow.cell_area;
-      Alcotest.(check (float 0.0)) "hpwl" a.Flow.hpwl_um b.Flow.hpwl_um;
-      Alcotest.(check int) "violations" a.Flow.report.Congestion.violations
-        b.Flow.report.Congestion.violations;
-      Alcotest.(check (float 0.0)) "wirelength"
-        a.Flow.report.Congestion.wirelength_um
-        b.Flow.report.Congestion.wirelength_um)
-    seq.Flow.iterations par.Flow.iterations;
-  (match (seq.Flow.routing, par.Flow.routing) with
-  | Some a, Some b ->
-    Alcotest.(check (float 0.0)) "routed wirelength" a.Router.wirelength_um
-      b.Router.wirelength_um;
-    Alcotest.(check int) "routed violations" a.Router.violations
-      b.Router.violations
-  | None, None -> ()
-  | _ -> Alcotest.fail "routing presence differs");
-  match (seq.Flow.mapped, par.Flow.mapped) with
-  | Some a, Some b ->
-    Alcotest.(check int) "mapped cells" (Mapped.num_cells a) (Mapped.num_cells b)
-  | None, None -> ()
-  | _ -> Alcotest.fail "mapped presence differs"
-
-let test_parallel_spla_like =
-  parallel_matches_sequential
-    (fun () -> Cals_workload.Presets.spla_like ~scale:0.04 ~seed:7 ())
-    12 0.55
-
-let test_parallel_pdc_like =
-  parallel_matches_sequential
-    (fun () -> Cals_workload.Presets.pdc_like ~scale:0.04 ~seed:11 ())
-    13 0.6
-
-let test_parallel_tight_floorplan_walks_schedule () =
-  (* Nothing legalizes: both flows must walk the whole schedule and agree
-     that no K is acceptable, with the parallel chunks stitched back in
-     schedule order. *)
-  let net = small_circuit 2 in
-  let subject = Cals_logic.Decompose.subject_of_network net in
-  let floorplan = Floorplan.of_rows ~num_rows:4 ~sites_per_row:40 ~geometry in
-  let schedule = [ 0.0; 0.0005; 0.001; 0.005; 0.01 ] in
-  let seq =
-    Flow.run ~k_schedule:schedule ~subject ~library:lib ~floorplan
-      ~rng:(Rng.create 3) ()
-  in
-  let par =
-    Flow.run_parallel ~k_schedule:schedule ~jobs:2 ~subject ~library:lib
-      ~floorplan ~rng:(Rng.create 3) ()
-  in
-  Alcotest.(check bool) "no accepted" true (par.Flow.accepted = None);
-  Alcotest.(check (list (float 1e-12)))
-    "all ks in order" schedule
-    (List.map (fun it -> it.Flow.k) par.Flow.iterations);
-  Alcotest.(check int) "same count"
-    (List.length seq.Flow.iterations)
-    (List.length par.Flow.iterations)
 
 let test_full_pipeline_sis_vs_baseline () =
   (* Table-1-shaped experiment in miniature: the aggressively optimized
@@ -251,16 +168,34 @@ let test_pipeline_with_sta () =
 
 (* ------------------------- adaptive K search ------------------------- *)
 
+(* The ladder a serve job may send: the default one shuffled, and half
+   the time with one point duplicated. *)
+let unordered_ladder rng =
+  let ladder = Array.of_list Flow.default_k_schedule in
+  Rng.shuffle rng ladder;
+  let ladder = Array.to_list ladder in
+  if Rng.bool rng then begin
+    let dup = Rng.choose rng (Array.of_list ladder) in
+    let at = Rng.int rng (List.length ladder + 1) in
+    List.filteri (fun i _ -> i < at) ladder
+    @ (dup :: List.filteri (fun i _ -> i >= at) ladder)
+  end
+  else ladder
+
 (* The adaptive search's contract, as a differential against the linear
-   schedule on random workloads: same accepted K and metrics, same
-   mapped netlist (verilog digest), same routed paths, and exactly as
-   many real routes as the pruned linear sweep pays — never one more.
-   Crowd 2 drives over-capacity floorplans where no K is routable. *)
+   walk of the same ladder on random workloads: same accepted K and
+   metrics, same mapped netlist (verilog digest), same routed paths, and
+   exactly as many real routes as the pruned linear walk pays — never one
+   more. Crowd 2 drives over-capacity floorplans where no K is routable.
+   The ladder is the default one in order, or (shape > 0) shuffled and
+   possibly with a duplicated point, as serve jobs may send it. *)
 let prop_adaptive_matches_linear =
-  QCheck.Test.make ~count:6
+  QCheck.Test.make ~count:8
     ~name:"adaptive search == linear schedule on the full default ladder"
-    QCheck.(triple (int_range 0 10_000) (int_range 0 2) (int_range 0 1))
-    (fun (seed, crowd, fam) ->
+    QCheck.(
+      quad (int_range 0 10_000) (int_range 0 2) (int_range 0 1)
+        (int_range 0 3))
+    (fun (seed, crowd, fam, shape) ->
       let family = if fam = 0 then `Pla else `Multilevel in
       let net =
         Cals_workload.Gen.of_fuzz ~family ~seed ~inputs:6 ~outputs:3 ~size:14
@@ -275,13 +210,17 @@ let prop_adaptive_matches_linear =
           ~core_area:(float_of_int (Subject.num_gates subject) *. 5.0)
           ~utilization ~aspect:1.0 ~geometry
       in
+      let k_schedule =
+        if shape = 0 then Flow.default_k_schedule
+        else unordered_ladder (Rng.create (seed + shape))
+      in
       let linear =
-        Flow.run ~router_config ~subject ~library:lib ~floorplan
-          ~rng:(Rng.create (seed + 1)) ()
+        Reference_flow.run ~k_schedule ~router_config ~subject ~library:lib
+          ~floorplan ~rng:(Rng.create (seed + 1)) ()
       in
       let adaptive, stats =
-        Flow.run_adaptive ~router_config ~subject ~library:lib ~floorplan
-          ~rng:(Rng.create (seed + 1)) ()
+        Flow.run_adaptive ~k_schedule ~router_config ~subject ~library:lib
+          ~floorplan ~rng:(Rng.create (seed + 1)) ()
       in
       (match (linear.Flow.accepted, adaptive.Flow.accepted) with
       | None, None -> ()
@@ -337,7 +276,7 @@ let test_adaptive_over_capacity () =
   let subject = Cals_logic.Decompose.subject_of_network net in
   let floorplan = Floorplan.of_rows ~num_rows:4 ~sites_per_row:40 ~geometry in
   let linear =
-    Flow.run ~subject ~library:lib ~floorplan ~rng:(Rng.create 3) ()
+    Reference_flow.run ~subject ~library:lib ~floorplan ~rng:(Rng.create 3) ()
   in
   let adaptive, stats =
     Flow.run_adaptive ~subject ~library:lib ~floorplan ~rng:(Rng.create 3) ()
@@ -465,15 +404,6 @@ let () =
           Alcotest.test_case "function preserved" `Quick
             test_flow_function_preserved_through_accepted;
           Alcotest.test_case "metrics consistent" `Quick test_flow_metrics_consistent;
-        ] );
-      ( "parallel",
-        [
-          Alcotest.test_case "spla-like determinism" `Quick
-            test_parallel_spla_like;
-          Alcotest.test_case "pdc-like determinism" `Quick
-            test_parallel_pdc_like;
-          Alcotest.test_case "tight floorplan" `Quick
-            test_parallel_tight_floorplan_walks_schedule;
         ] );
       ( "adaptive",
         [

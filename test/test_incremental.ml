@@ -8,6 +8,7 @@ module Mapper = Cals_core.Mapper
 module Cover = Cals_core.Cover
 module Partition = Cals_core.Partition
 module Flow = Cals_core.Flow
+module Reference_flow = Cals_reference.Reference_flow
 module Subject = Cals_netlist.Subject
 module Mapped = Cals_netlist.Mapped
 module Floorplan = Cals_place.Floorplan
@@ -293,8 +294,8 @@ let outcome_signature (o : Flow.outcome) =
 
 let test_flow_incremental_identical_to_cold () =
   let w = workload_of ~family:`Pla ~seed:21 ~inputs:10 ~outputs:8 ~size:48 in
-  let run incremental =
-    Flow.run ~incremental ~subject:w.subject ~library:lib
+  let run session =
+    Reference_flow.run ~session ~subject:w.subject ~library:lib
       ~floorplan:w.floorplan ~rng:(Rng.create 22) ()
   in
   let inc = run true and cold = run false in
@@ -323,9 +324,9 @@ let test_equiv_seed_pure_in_k () =
 
 let test_checked_runs_deterministic_across_cache_reuse () =
   let w = workload_of ~family:`Pla ~seed:33 ~inputs:9 ~outputs:7 ~size:40 in
-  let run incremental =
-    Flow.run ~checks:Check.Full ~incremental ~subject:w.subject ~library:lib
-      ~floorplan:w.floorplan ~rng:(Rng.create 34) ()
+  let run session =
+    Reference_flow.run ~checks:Check.Full ~session ~subject:w.subject
+      ~library:lib ~floorplan:w.floorplan ~rng:(Rng.create 34) ()
   in
   let a = run true and b = run false and c = run true in
   Alcotest.(check bool) "full-checked warm == cold" true

@@ -85,6 +85,11 @@ let test_json_errors () =
       {|{"blif":"a","deadline_s":-1}|};
       {|{"workload":{"family":"pla"}}|};
       {|{"blif":"a"} trailing|};
+      {|{"blif":"a","utilization":0}|};
+      {|{"blif":"a","utilization":1.5}|};
+      {|{"blif":"a","utilization":-0.5}|};
+      {|{"blif":"a","k_schedule":[0,-0.001]}|};
+      {|{"blif":"a","k_schedule":[0,1e999]}|};
     ]
   in
   List.iter
@@ -522,52 +527,66 @@ let test_restart_warmth () =
         (read_file (Filename.concat out2 (id ^ "/mapped.v"))))
     [ "warm-1"; "warm-2" ]
 
-(* ROADMAP item 5 residual: the undegraded scheduler rung rides
-   Flow.run_adaptive. Against a linear-drain twin (adaptive off) the
-   accepted K and the netlist must be identical, and the adaptive run
-   must pay at most as many real routes. *)
+(* The undegraded scheduler rung rides Flow.run_adaptive. Against the
+   linear walk of the same ladder, run in-process on the design the
+   scheduler builds for the job, the drained job must accept the same K,
+   ship the same netlist and pay exactly the walk's real routes. *)
 let test_adaptive_ladder () =
-  let spec id =
-    workload_spec ~id ~seed:3
-      ~k_schedule:[ 0.0; 0.0002; 0.0005; 0.001; 0.005; 0.01; 0.05 ]
-      ()
+  let k_schedule = [ 0.0; 0.0002; 0.0005; 0.001; 0.005; 0.01; 0.05 ] in
+  let out = fresh_out () in
+  let scheduler =
+    Scheduler.create
+      { Scheduler.default_config with Scheduler.jobs = 1; out_dir = out }
   in
-  let run ~adaptive id =
-    let out = fresh_out () in
-    let config =
-      {
-        Scheduler.default_config with
-        Scheduler.jobs = 1;
-        out_dir = out;
-        adaptive;
-      }
-    in
-    let scheduler = Scheduler.create config in
-    Scheduler.submit scheduler (spec id);
-    let s = Scheduler.drain scheduler () in
-    Alcotest.(check int) "job completes" 1 s.Scheduler.completed;
-    (parse_file (Filename.concat out (id ^ "/metrics.json")),
-     read_file (Filename.concat out (id ^ "/mapped.v")))
+  Scheduler.submit scheduler (workload_spec ~id:"adap" ~seed:3 ~k_schedule ());
+  let s = Scheduler.drain scheduler () in
+  Alcotest.(check int) "job completes" 1 s.Scheduler.completed;
+  let metrics = parse_file (Filename.concat out "adap/metrics.json") in
+  let verilog = read_file (Filename.concat out "adap/mapped.v") in
+  (* The design [workload_spec ~seed:3] names, built as the scheduler
+     builds it: light script, 0.55 utilization, placement seed 3 + 1. *)
+  let library = Cals_cell.Stdlib_018.library in
+  let network =
+    Cals_workload.Gen.of_fuzz ~family:`Pla ~seed:3 ~inputs:6 ~outputs:3
+      ~size:12
   in
-  let adaptive, adaptive_v = run ~adaptive:true "adap" in
-  let linear, linear_v = run ~adaptive:false "lin" in
-  Alcotest.(check string) "identical netlist" linear_v adaptive_v;
-  Alcotest.(check (float 1e-12)) "identical accepted K"
-    (num_member "accepted_k" linear)
-    (num_member "accepted_k" adaptive);
-  let routes_lin = num_member "real_routes" linear in
-  let routes_adap = num_member "real_routes" adaptive in
-  Alcotest.(check bool)
-    (Printf.sprintf "adaptive pays at most the linear routes (%g <= %g)"
-       routes_adap routes_lin)
-    true
-    (routes_adap <= routes_lin);
-  (* The adaptive run says how it searched. *)
-  match Proto.member "adaptive" adaptive with
+  Cals_logic.Optimize.script_light network;
+  let subject = Cals_logic.Decompose.subject_of_network network in
+  let floorplan =
+    Cals_place.Floorplan.for_area
+      ~core_area:(float_of_int (Cals_netlist.Subject.num_gates subject) *. 5.0)
+      ~utilization:0.55 ~aspect:1.0
+      ~geometry:(Cals_cell.Library.geometry library)
+  in
+  let linear =
+    Cals_reference.Reference_flow.run ~k_schedule ~subject ~library
+      ~floorplan ~rng:(Cals_util.Rng.create 4) ()
+  in
+  let module Flow = Cals_core.Flow in
+  (match (linear.Flow.accepted, linear.Flow.mapped) with
+  | Some it, Some mapped ->
+    Alcotest.(check (float 0.0)) "identical accepted K" it.Flow.k
+      (num_member "accepted_k" metrics);
+    Alcotest.(check string) "identical netlist"
+      (Cals_netlist.Mapped.to_verilog mapped)
+      verilog
+  | _ -> Alcotest.fail "the linear walk accepted no K");
+  let linear_routes =
+    List.length
+      (List.filter
+         (fun (it : Flow.iteration) ->
+           (not it.Flow.estimated) && it.Flow.hpwl_um < infinity)
+         linear.Flow.iterations)
+  in
+  Alcotest.(check (float 0.0)) "same real routes as the linear walk"
+    (float_of_int linear_routes)
+    (num_member "real_routes" metrics);
+  (* The drained job says how it searched. *)
+  match Proto.member "adaptive" metrics with
   | Some a ->
     Alcotest.(check bool) "forecast evaluations recorded" true
       (num_member "forecast_evals" a >= 0.0)
-  | None -> Alcotest.fail "adaptive metrics.json has no adaptive object"
+  | None -> Alcotest.fail "metrics.json has no adaptive object"
 
 (* A malformed spool line is rejected, recorded, and does not poison the
    rest of the batch. *)

@@ -192,7 +192,7 @@ let test_timing_no_worse_on_golden_corpus () =
       in
       let crit ~t =
         let outcome =
-          Cals_core.Flow.run ~t ~subject ~library:lib ~floorplan
+          Cals_reference.Reference_flow.run ~t ~subject ~library:lib ~floorplan
             ~rng:(Rng.create 42) ()
         in
         match

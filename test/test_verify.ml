@@ -6,6 +6,7 @@ module Equiv = Cals_verify.Equiv
 module Invariant = Cals_verify.Invariant
 module Fuzz = Cals_verify.Fuzz
 module Flow = Cals_core.Flow
+module Reference_flow = Cals_reference.Reference_flow
 module Mapper = Cals_core.Mapper
 module Cover = Cals_core.Cover
 module Partition = Cals_core.Partition
@@ -540,11 +541,11 @@ let test_flow_full_checks_clean () =
       ~utilization:0.3 ~aspect:1.0 ~geometry
   in
   let checked =
-    Flow.run ~checks:Check.Full ~subject ~library:lib ~floorplan
+    Reference_flow.run ~checks:Check.Full ~subject ~library:lib ~floorplan
       ~rng:(Rng.create 22) ()
   in
   let plain =
-    Flow.run ~checks:Check.Off ~subject ~library:lib ~floorplan
+    Reference_flow.run ~checks:Check.Off ~subject ~library:lib ~floorplan
       ~rng:(Rng.create 22) ()
   in
   Alcotest.(check bool) "accepted under Full checks" true
@@ -560,59 +561,11 @@ let test_flow_full_checks_clean () =
       Alcotest.(check (float 0.0)) "hpwl" a.Flow.hpwl_um b.Flow.hpwl_um)
     plain.Flow.iterations checked.Flow.iterations
 
-(* Differential: sequential vs 4-domain speculative evaluation, both with
-   checks enabled, must agree on every recorded figure. *)
-let checked_parallel_matches_sequential make_network seed utilization () =
-  let net = make_network () in
-  Cals_logic.Network.sweep net;
-  let subject = Cals_logic.Decompose.subject_of_network net in
-  let floorplan =
-    Floorplan.for_area
-      ~core_area:(float_of_int (Subject.num_gates subject) *. 5.0)
-      ~utilization ~aspect:1.0 ~geometry
-  in
-  let seq =
-    Flow.run ~checks:Check.Cheap ~subject ~library:lib ~floorplan
-      ~rng:(Rng.create seed) ()
-  in
-  let par =
-    Flow.run_parallel ~jobs:4 ~checks:Check.Cheap ~subject ~library:lib
-      ~floorplan ~rng:(Rng.create seed) ()
-  in
-  Alcotest.(check (option (float 0.0)))
-    "same accepted K"
-    (Option.map (fun it -> it.Flow.k) seq.Flow.accepted)
-    (Option.map (fun it -> it.Flow.k) par.Flow.accepted);
-  Alcotest.(check (list (float 0.0)))
-    "same iteration schedule"
-    (List.map (fun it -> it.Flow.k) seq.Flow.iterations)
-    (List.map (fun it -> it.Flow.k) par.Flow.iterations);
-  List.iter2
-    (fun (a : Flow.iteration) (b : Flow.iteration) ->
-      Alcotest.(check int) "cells" a.Flow.cells b.Flow.cells;
-      Alcotest.(check (float 0.0)) "cell area" a.Flow.cell_area b.Flow.cell_area;
-      Alcotest.(check (float 0.0)) "hpwl" a.Flow.hpwl_um b.Flow.hpwl_um)
-    seq.Flow.iterations par.Flow.iterations;
-  match (seq.Flow.mapped, par.Flow.mapped) with
-  | Some a, Some b ->
-    Alcotest.(check int) "mapped cells" (Mapped.num_cells a) (Mapped.num_cells b)
-  | None, None -> ()
-  | _ -> Alcotest.fail "mapped presence differs"
-
-let test_checked_parallel_spla =
-  checked_parallel_matches_sequential
-    (fun () -> Cals_workload.Presets.spla_like ~scale:0.04 ~seed:7 ())
-    12 0.55
-
-let test_checked_parallel_pdc =
-  checked_parallel_matches_sequential
-    (fun () -> Cals_workload.Presets.pdc_like ~scale:0.04 ~seed:11 ())
-    13 0.6
-
-(* Three-way differential under Full checks: cold sequential re-mapping,
-   the incremental session, and 4-domain speculative evaluation (which
-   warms and seals the shared match cache) must agree on every recorded
-   figure and on the shipped netlist instance for instance. *)
+(* Three-way differential under Full checks: the linear walk with cold
+   re-mapping and routing, the same walk through one incremental session,
+   and the adaptive search must agree on the shipped netlist instance for
+   instance. The two walks must also agree on every recorded figure; the
+   adaptive search, which visits other points, on the accepted one. *)
 let test_checked_three_way_differential () =
   let net = Cals_workload.Presets.spla_like ~scale:0.04 ~seed:19 () in
   Cals_logic.Network.sweep net;
@@ -623,31 +576,29 @@ let test_checked_three_way_differential () =
       ~utilization:0.6 ~aspect:1.0 ~geometry
   in
   let cold =
-    Flow.run ~checks:Check.Full ~incremental:false ~subject ~library:lib
+    Reference_flow.run ~checks:Check.Full ~session:false ~subject ~library:lib
       ~floorplan ~rng:(Rng.create 20) ()
   in
   let warm =
-    Flow.run ~checks:Check.Full ~subject ~library:lib ~floorplan
+    Reference_flow.run ~checks:Check.Full ~subject ~library:lib ~floorplan
       ~rng:(Rng.create 20) ()
   in
-  let par =
-    Flow.run_parallel ~jobs:4 ~checks:Check.Full ~subject ~library:lib
-      ~floorplan ~rng:(Rng.create 20) ()
+  let adaptive, _ =
+    Flow.run_adaptive ~checks:Check.Full ~subject ~library:lib ~floorplan
+      ~rng:(Rng.create 20) ()
   in
-  let signature (o : Flow.outcome) =
-    List.map
-      (fun (it : Flow.iteration) ->
-        (it.Flow.k, it.Flow.cells, it.Flow.cell_area, it.Flow.hpwl_um,
-         it.Flow.report))
-      o.Flow.iterations
+  let signature (it : Flow.iteration) =
+    (it.Flow.k, it.Flow.cells, it.Flow.cell_area, it.Flow.hpwl_um,
+     it.Flow.report)
   in
-  let check_pair label a b =
-    Alcotest.(check bool) (label ^ ": same iteration records") true
-      (signature a = signature b);
-    Alcotest.(check (option (float 0.0)))
-      (label ^ ": same accepted K")
-      (Option.map (fun it -> it.Flow.k) a.Flow.accepted)
-      (Option.map (fun it -> it.Flow.k) b.Flow.accepted);
+  let check_pair label ~records a b =
+    if records then
+      Alcotest.(check bool) (label ^ ": same iteration records") true
+        (List.map signature a.Flow.iterations
+        = List.map signature b.Flow.iterations);
+    Alcotest.(check bool) (label ^ ": same accepted iteration") true
+      (Option.map signature a.Flow.accepted
+      = Option.map signature b.Flow.accepted);
     match (a.Flow.mapped, b.Flow.mapped) with
     | Some x, Some y ->
       Alcotest.(check bool) (label ^ ": same shipped netlist") true
@@ -664,8 +615,8 @@ let test_checked_three_way_differential () =
     | None, None -> ()
     | _ -> Alcotest.failf "%s: mapped presence differs" label
   in
-  check_pair "cold vs incremental" cold warm;
-  check_pair "cold vs parallel" cold par
+  check_pair "cold vs incremental" ~records:true cold warm;
+  check_pair "cold vs adaptive" ~records:false cold adaptive
 
 (* ---------------- Check levels ---------------- *)
 
@@ -742,12 +693,8 @@ let () =
         [
           Alcotest.test_case "full checks clean" `Quick
             test_flow_full_checks_clean;
-          Alcotest.test_case "checked parallel spla" `Quick
-            test_checked_parallel_spla;
           Alcotest.test_case "checked three-way differential" `Quick
             test_checked_three_way_differential;
-          Alcotest.test_case "checked parallel pdc" `Quick
-            test_checked_parallel_pdc;
           Alcotest.test_case "level parsing" `Quick test_check_level_parsing;
         ] );
     ]
