@@ -193,19 +193,42 @@ let iter_edges t f =
     done
   done
 
+(* The whole-grid scans below walk the flat arrays directly, horizontal
+   edges in index order and then vertical ones — the order of
+   [iter_edges], so the float sums are the same bits. *)
 let total_overflow t =
   let acc = ref 0.0 in
-  iter_edges t (fun e -> acc := !acc +. overflow t e);
+  for i = 0 to num_hedges t - 1 do
+    let o = t.husage.(i) -. t.hcap.(i) in
+    if o > 0.0 then acc := !acc +. o
+  done;
+  for i = 0 to num_vedges t - 1 do
+    let o = t.vusage.(i) -. t.vcap.(i) in
+    if o > 0.0 then acc := !acc +. o
+  done;
   !acc
 
 let overflowed_edges t =
   let acc = ref [] in
-  iter_edges t (fun e -> if overflow t e > 0.0 then acc := e :: !acc);
+  let hc = t.cols - 1 in
+  for i = 0 to num_hedges t - 1 do
+    if t.husage.(i) > t.hcap.(i) then acc := H (i mod hc, i / hc) :: !acc
+  done;
+  for i = 0 to num_vedges t - 1 do
+    if t.vusage.(i) > t.vcap.(i) then acc := V (i mod t.cols, i / t.cols) :: !acc
+  done;
   !acc
 
 let max_utilization t =
   let m = ref 0.0 in
-  iter_edges t (fun e -> m := max !m (usage t e /. max 1e-9 (capacity t e)));
+  let scan (usage : float array) (cap : float array) =
+    for i = 0 to Array.length usage - 1 do
+      let u = usage.(i) /. Float.max 1e-9 cap.(i) in
+      if u > !m then m := u
+    done
+  in
+  scan t.husage t.hcap;
+  scan t.vusage t.vcap;
   !m
 
 let reset_usage t =

@@ -18,6 +18,11 @@ let m_ripup_iterations =
 let m_rerouted =
   Metrics.counter ~help:"Segments ripped up and rerouted" "route_segments_rerouted"
 
+let m_waves =
+  Metrics.counter
+    ~help:"Rip-up waves processed (rerouted / waves = usable wave width)"
+    "route_waves"
+
 let m_overflow_per_iteration =
   Metrics.histogram ~help:"Total gcell overflow at each rip-up iteration"
     ~buckets:[| 0.0; 1.0; 4.0; 16.0; 64.0; 256.0; 1024.0; 4096.0 |]
@@ -116,38 +121,40 @@ let vec_push v x =
   v.a.(v.n) <- x;
   v.n <- v.n + 1
 
-(* Everything one routing call mutates besides the grid: the path arena
-   plus the negotiation work lists. Sessions pool these so repeated calls
-   reuse the same storage. *)
+(* Everything one routing call mutates besides the grid: the path arena,
+   the negotiation work lists and the wave scratch. Sessions pool these so
+   repeated calls reuse the same storage; concurrent calls never share
+   one. *)
 type state = {
   arena : Arena.t;
-  mutable pend : vec;  (** Segment indices crossing an overflowed edge. *)
-  mutable defer : vec;  (** Pending segments pushed to the next wave. *)
-  wave : vec;  (** Segment indices of the wave being processed. *)
-  rects : vec;  (** Four ints (c0 r0 c1 r1) per wave member. *)
+  pend : vec;  (** Segment indices crossing an overflowed edge. *)
+  waves : Wave.t;  (** The current iteration's waves. *)
   mutable boxes : int array;
       (** Four ints (c0 r0 c1 r1) per segment: the default search box,
-          precomputed once per negotiation — a pending segment is
-          re-tested against the open wave on every wave build, so the
-          box must be a read, not a computation. *)
+          precomputed once per negotiation and read by every wave
+          colouring and search. *)
+  mutable paths : int array;
+      (** Wave search results: each member writes its src-to-dst path
+          into its own slice, sized by its box area. A wave's boxes are
+          disjoint, so [cols * rows] ints hold any wave. *)
+  mutable path_off : int array;  (** Slice offset per position in the wave order. *)
+  mutable path_len : int array;  (** Path length per position, -1 if none. *)
 }
 
 let create_state () =
   {
     arena = Arena.create ~capacity:(1 lsl 16) ();
     pend = vec_make ();
-    defer = vec_make ();
-    wave = vec_make ();
-    rects = vec_make ();
+    waves = Wave.create ();
     boxes = [||];
+    paths = [||];
+    path_off = [||];
+    path_len = [||];
   }
 
 let reset_state st =
   Arena.clear st.arena;
-  vec_clear st.pend;
-  vec_clear st.defer;
-  vec_clear st.wave;
-  vec_clear st.rects
+  vec_clear st.pend
 
 (* Per-domain maze scratch: distance/backtrack stamps, the frontier heap
    as parallel float/int arrays (floats only ever flow through these
@@ -607,68 +614,16 @@ let seg_box grid seg m =
   and br1 = min (grid.Rgrid.rows - 1) (max r1 r2 + m) in
   (bc0, br0, bc1, br1)
 
-(* Copy the scratch path buffer (dst-to-src) into the segment's slice,
-   reversed to src-to-dst — in place when the new path fits the old
-   slice, else appended to the arena. *)
-let commit_scratch_path state seg scratch =
-  let len = scratch.pathlen in
-  if len <= seg.len then begin
-    let data = Arena.data state.arena in
-    for i = 0 to len - 1 do
-      Bigarray.Array1.set data (seg.off + i) scratch.pathbuf.(len - 1 - i)
-    done;
-    seg.len <- len
-  end
-  else begin
-    let off = Arena.alloc state.arena len in
-    let data = Arena.data state.arena in
-    for i = 0 to len - 1 do
-      Bigarray.Array1.set data (off + i) scratch.pathbuf.(len - 1 - i)
-    done;
-    seg.off <- off;
-    seg.len <- len
-  end
-
-(* Greedy wave construction: walk the pending list in order, accept a
-   segment when its search box is disjoint from every box already in the
-   wave (the first is always accepted), defer the rest. Disjoint boxes
-   plus the deferred-commit protocol below make the wave's outcome
-   independent of search order, hence of the pool. *)
-let build_wave state =
-  vec_clear state.wave;
-  vec_clear state.rects;
-  vec_clear state.defer;
-  let boxes = state.boxes in
-  for k = 0 to state.pend.n - 1 do
-    let si = state.pend.a.(k) in
-    let bx = 4 * si in
-    let bc0 = boxes.(bx)
-    and br0 = boxes.(bx + 1)
-    and bc1 = boxes.(bx + 2)
-    and br1 = boxes.(bx + 3) in
-    let ok = ref true in
-    let j = ref 0 in
-    while !ok && !j < state.wave.n do
-      let b = 4 * !j in
-      let oc0 = state.rects.a.(b)
-      and or0 = state.rects.a.(b + 1)
-      and oc1 = state.rects.a.(b + 2)
-      and or1 = state.rects.a.(b + 3) in
-      if not (bc1 < oc0 || oc1 < bc0 || br1 < or0 || or1 < br0) then ok := false;
-      incr j
-    done;
-    if !ok then begin
-      vec_push state.wave si;
-      vec_push state.rects bc0;
-      vec_push state.rects br0;
-      vec_push state.rects bc1;
-      vec_push state.rects br1
-    end
-    else vec_push state.defer si
+(* Copy a src-to-dst path of [len] edge ids from [src.(off)] into the
+   segment's slice — in place when it fits the old slice, else appended
+   to the arena. *)
+let commit_path state seg (src : int array) off len =
+  if len > seg.len then seg.off <- Arena.alloc state.arena len;
+  let data = Arena.data state.arena in
+  for i = 0 to len - 1 do
+    Bigarray.Array1.set data (seg.off + i) src.(off + i)
   done;
-  let t = state.pend in
-  state.pend <- state.defer;
-  state.defer <- t
+  seg.len <- len
 
 (* A wave member whose in-box search failed (defensive — see seg_box) is
    retried sequentially with the margin doubling until the box covers the
@@ -685,82 +640,91 @@ let reroute_fallback cfg grid cancel state seg =
     else if bc0 = 0 && br0 = 0 && bc1 = cols - 1 && br1 = rows - 1 then false
     else attempt (2 * m)
   in
-  if attempt (2 * seg_margin seg) then commit_scratch_path state seg scratch;
+  if attempt (2 * seg_margin seg) then begin
+    let pb = scratch.pathbuf and len = scratch.pathlen in
+    for i = 0 to (len / 2) - 1 do
+      let t = pb.(i) in
+      pb.(i) <- pb.(len - 1 - i);
+      pb.(len - 1 - i) <- t
+    done;
+    commit_path state seg pb 0 len
+  end;
   let data = Arena.data state.arena in
   add_usage_slice grid data nh seg.off seg.len 1.0
 
-(* One wave: rip up every member, search them all against the resulting
-   frozen grid (in parallel when a pool is given — commits are deferred
-   past the barrier, so the search results cannot depend on ordering),
-   then commit sequentially in wave order. *)
-let process_wave cfg grid cancel pool state segs =
-  let nw = state.wave.n in
+(* One wave, the members at wave-order positions [first, last): rip up
+   every member, search them all against the resulting frozen grid (in
+   parallel when a pool is given — each search writes only its own path
+   slice, and commits are deferred past the barrier, so the search
+   results cannot depend on ordering), then commit sequentially in wave
+   order. *)
+let process_wave cfg grid cancel pool state segs first last =
+  let nw = last - first in
+  Metrics.incr m_waves;
   Metrics.add m_rerouted nw;
   let nh = Rgrid.num_hedges grid in
+  let order = Wave.order state.waves and boxes = state.boxes in
   let data = Arena.data state.arena in
-  for k = 0 to nw - 1 do
-    let seg = segs.(state.wave.a.(k)) in
-    add_usage_slice grid data nh seg.off seg.len (-1.0)
+  let off = ref 0 in
+  for k = first to last - 1 do
+    let si = order.(k) in
+    let seg = segs.(si) in
+    add_usage_slice grid data nh seg.off seg.len (-1.0);
+    let bx = 4 * si in
+    state.path_off.(k) <- !off;
+    off :=
+      !off
+      + ((boxes.(bx + 2) - boxes.(bx) + 1) * (boxes.(bx + 3) - boxes.(bx + 1) + 1))
   done;
   let search k =
     Cancel.check cancel;
-    let seg = segs.(state.wave.a.(k)) in
-    let b = 4 * k in
-    let bc0 = state.rects.a.(b)
-    and br0 = state.rects.a.(b + 1)
-    and bc1 = state.rects.a.(b + 2)
-    and br1 = state.rects.a.(b + 3) in
+    let si = order.(k) in
+    let bx = 4 * si in
     let scratch = Domain.DLS.get scratch_key in
-    if maze_route cfg grid scratch ~bc0 ~br0 ~bc1 ~br1 seg.ends then begin
-      let len = scratch.pathlen in
-      let path = Array.make len 0 in
+    if
+      maze_route cfg grid scratch ~bc0:boxes.(bx) ~br0:boxes.(bx + 1)
+        ~bc1:boxes.(bx + 2) ~br1:boxes.(bx + 3) segs.(si).ends
+    then begin
+      let len = scratch.pathlen and o = state.path_off.(k) in
       for i = 0 to len - 1 do
-        path.(i) <- scratch.pathbuf.(len - 1 - i)
+        state.paths.(o + i) <- scratch.pathbuf.(len - 1 - i)
       done;
-      Some path
+      state.path_len.(k) <- len
     end
-    else None
+    else state.path_len.(k) <- -1
   in
-  let results =
-    match pool with
-    | Some p when nw > 1 ->
-      Pool.map_array p ~f:(fun k () -> search k) (Array.make nw ())
-    | _ -> Array.init nw search
-  in
-  for k = 0 to nw - 1 do
-    let seg = segs.(state.wave.a.(k)) in
-    match results.(k) with
-    | Some path ->
-      let n = Array.length path in
-      if n <= seg.len then begin
-        let data = Arena.data state.arena in
-        for i = 0 to n - 1 do
-          Bigarray.Array1.set data (seg.off + i) path.(i)
-        done;
-        seg.len <- n
-      end
-      else begin
-        let off = Arena.alloc state.arena n in
-        let data = Arena.data state.arena in
-        for i = 0 to n - 1 do
-          Bigarray.Array1.set data (off + i) path.(i)
-        done;
-        seg.off <- off;
-        seg.len <- n
-      end;
-      let data = Arena.data state.arena in
-      add_usage_slice grid data nh seg.off seg.len 1.0
-    | None -> reroute_fallback cfg grid cancel state seg
+  (match pool with
+  | Some p when nw > 1 ->
+    ignore (Pool.map_array p ~f:(fun k () -> search (first + k)) (Array.make nw ()))
+  | _ ->
+    for k = first to last - 1 do
+      search k
+    done);
+  for k = first to last - 1 do
+    let seg = segs.(order.(k)) in
+    let len = state.path_len.(k) in
+    if len >= 0 then begin
+      commit_path state seg state.paths state.path_off.(k) len;
+      add_usage_slice grid (Arena.data state.arena) nh seg.off seg.len 1.0
+    end
+    else reroute_fallback cfg grid cancel state seg
   done
 
 let negotiate cfg grid cancel pool state segs =
   let nh = Rgrid.num_hedges grid in
+  let cols = grid.Rgrid.cols and rows = grid.Rgrid.rows in
   let hinc = cfg.history_increment in
   (* Default search boxes, once per negotiation: endpoints and margins
      never change (the fallback's widened boxes stay local to it). *)
   let nsegs = Array.length segs in
   if Array.length state.boxes < 4 * nsegs then
     state.boxes <- Array.make (4 * nsegs) 0;
+  if Array.length state.path_off < nsegs then begin
+    state.path_off <- Array.make nsegs 0;
+    state.path_len <- Array.make nsegs 0
+  end;
+  if Array.length state.paths < cols * rows then
+    state.paths <- Array.make (cols * rows) 0;
   let boxes = state.boxes in
   for si = 0 to nsegs - 1 do
     let bc0, br0, bc1, br1 = seg_box grid segs.(si) (seg_margin segs.(si)) in
@@ -770,14 +734,15 @@ let negotiate cfg grid cancel pool state segs =
     boxes.(bx + 2) <- bc1;
     boxes.(bx + 3) <- br1
   done;
+  (* One overflow scan per iteration: it guards the loop and is what the
+     histogram observes. *)
   let iteration = ref 0 in
-  while
-    !iteration < cfg.reroute_iterations && Rgrid.total_overflow grid > 0.0
-  do
+  let overflow = ref (Rgrid.total_overflow grid) in
+  while !iteration < cfg.reroute_iterations && !overflow > 0.0 do
     Cancel.check cancel;
     incr iteration;
     Metrics.incr m_ripup_iterations;
-    Metrics.observe m_overflow_per_iteration (Rgrid.total_overflow grid);
+    Metrics.observe m_overflow_per_iteration !overflow;
     Rgrid.clear_overflow_marks grid;
     let hh = grid.Rgrid.hhistory and vh = grid.Rgrid.vhistory in
     Rgrid.iter_overflowed grid
@@ -794,11 +759,16 @@ let negotiate cfg grid cancel pool state segs =
         if seg.len > 0 && slice_marked grid data nh seg.off seg.len then
           vec_push state.pend si)
       segs;
-    while state.pend.n > 0 do
+    (* Waves never add to the pending list and the boxes are fixed, so the
+       whole iteration's waves are known before the first one runs. *)
+    let waves = state.waves in
+    Wave.build waves ~cols ~rows ~boxes ~pend:state.pend.a state.pend.n;
+    for w = 0 to Wave.count waves - 1 do
       Cancel.check cancel;
-      build_wave state;
-      process_wave cfg grid cancel pool state segs
-    done
+      process_wave cfg grid cancel pool state segs (Wave.start waves w)
+        (Wave.start waves (w + 1))
+    done;
+    overflow := Rgrid.total_overflow grid
   done
 
 let build_result grid state segments net_gcells num_nets =

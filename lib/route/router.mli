@@ -7,10 +7,13 @@
     Ensemble reports in the paper's tables.
 
     Committed paths live in a flat integer arena rather than per-edge
-    list cells, the maze search runs over preallocated flat arrays, and
-    rip-up proceeds in waves of segments with disjoint search boxes so
+    list cells, and the maze search runs over preallocated flat arrays.
+    Rip-up proceeds in waves of segments with disjoint search boxes, so
     the searches of one wave can run on a {!Cals_util.Pool} without
-    changing the result (see DESIGN.md, Section 4j). *)
+    changing the result. Each negotiation iteration colours all of its
+    waves in one first-fit pass ({!Wave}), and each wave's searches
+    write their paths into disjoint slices of one reusable buffer (see
+    DESIGN.md, Section 4j). *)
 
 type config = {
   layers : int;  (** Metal layers (the paper uses 3). *)

@@ -333,6 +333,207 @@ let test_route_cancel_mid_negotiation () =
   in
   check_same_result "post-pool-cancel session==cold" cold warm2
 
+(* ------------------------- Wave colouring ------------------------- *)
+
+type wave_case = {
+  cols : int;
+  rows : int;
+  boxes : int array;  (* c0 r0 c1 r1 per segment *)
+  pend : int array;
+}
+
+let print_wave_case c =
+  Printf.sprintf "%dx%d grid, %d boxes [%s], pending [%s]" c.cols c.rows
+    (Array.length c.boxes / 4)
+    (String.concat " " (Array.to_list (Array.map string_of_int c.boxes)))
+    (String.concat " " (Array.to_list (Array.map string_of_int c.pend)))
+
+(* Grids include the 2xN and Nx2 extremes. A "crowd" case pends so many
+   whole-grid boxes that it usually needs more than 124 waves, crossing
+   two plane boundaries; the others mix random rectangles with a few
+   whole-grid boxes and pend a random subset, empty included. Pending
+   order is random. *)
+let gen_wave_case =
+  let open QCheck.Gen in
+  let* cols, rows =
+    frequency
+      [
+        (1, map (fun n -> (2, n)) (int_range 2 12));
+        (1, map (fun n -> (n, 2)) (int_range 2 12));
+        (3, pair (int_range 2 14) (int_range 2 14));
+      ]
+  in
+  let* crowd = frequency [ (1, return true); (3, return false) ] in
+  let* nsegs = if crowd then int_range 160 260 else int_range 0 80 in
+  let whole = if crowd then 0.8 else 0.1 in
+  let span n =
+    let* a = int_bound (n - 1) and* b = int_bound (n - 1) in
+    return (min a b, max a b)
+  in
+  let box =
+    let* f = float_bound_inclusive 1.0 in
+    if f < whole then return [ 0; 0; cols - 1; rows - 1 ]
+    else
+      let* c0, c1 = span cols and* r0, r1 = span rows in
+      return [ c0; r0; c1; r1 ]
+  in
+  let* boxes = list_repeat nsegs box in
+  let ids = List.init nsegs Fun.id in
+  let* ids = shuffle_l ids in
+  let* keep = if crowd || nsegs = 0 then return nsegs else int_bound nsegs in
+  return
+    {
+      cols;
+      rows;
+      boxes = Array.of_list (List.concat boxes);
+      pend = Array.of_list (List.filteri (fun i _ -> i < keep) ids);
+    }
+
+(* One scratch for every case, as a routing state reuses it across
+   iterations: a plane left dirty by a previous build would show. *)
+let shared_waves = Cals_route.Wave.create ()
+
+let colour_waves c =
+  let w = shared_waves in
+  Cals_route.Wave.build w ~cols:c.cols ~rows:c.rows ~boxes:c.boxes ~pend:c.pend
+    (Array.length c.pend);
+  let order = Cals_route.Wave.order w in
+  List.init (Cals_route.Wave.count w) (fun i ->
+      let s = Cals_route.Wave.start w i in
+      Array.sub order s (Cals_route.Wave.start w (i + 1) - s))
+
+let wave_oracle_property =
+  QCheck.Test.make ~name:"wave colouring == greedy rescan" ~count:400
+    (QCheck.make ~print:print_wave_case gen_wave_case)
+    (fun c ->
+      let want = Cals_reference.Reference_wave.waves ~boxes:c.boxes c.pend in
+      let got = colour_waves c in
+      let rec first_diff i = function
+        | a :: xs, b :: ys when a = b -> first_diff (i + 1) (xs, ys)
+        | _ -> i
+      in
+      if got <> want then
+        QCheck.Test.fail_reportf "%d waves, want %d; first differing wave %d"
+          (List.length got) (List.length want) (first_diff 0 (got, want))
+      else true)
+
+(* The plane boundaries, pinned deterministically: 130 whole-grid boxes
+   need one wave each, and the small boxes interleaved with them must
+   still find the lowest free wave in plane 0. *)
+let test_wave_crosses_planes () =
+  let cols = 6 and rows = 5 in
+  let n = 260 in
+  let boxes =
+    Array.concat
+      (List.init n (fun i ->
+           if i mod 2 = 0 then [| 0; 0; cols - 1; rows - 1 |]
+           else [| i mod cols; i mod rows; i mod cols; i mod rows |]))
+  in
+  let c = { cols; rows; boxes; pend = Array.init n Fun.id } in
+  let got = colour_waves c in
+  Alcotest.(check bool) "more than 124 waves" true (List.length got > 124);
+  Alcotest.(check bool) "matches the greedy rescan" true
+    (got = Cals_reference.Reference_wave.waves ~boxes c.pend);
+  let empty = colour_waves { c with pend = [||] } in
+  Alcotest.(check int) "empty pending list, no waves" 0 (List.length empty)
+
+let counter name =
+  List.fold_left
+    (fun acc (v : Cals_telemetry.Metrics.counter_value) ->
+      if v.Cals_telemetry.Metrics.c_name = name then v.Cals_telemetry.Metrics.c_value
+      else acc)
+    0
+    (Cals_telemetry.Metrics.snapshot ()).Cals_telemetry.Metrics.counters
+
+(* The wave counter is the width [--route-jobs] can use: rerouted
+   segments per wave. *)
+let test_route_wave_counter () =
+  let module Probe = Cals_telemetry.Probe in
+  Probe.enable ();
+  Fun.protect ~finally:Probe.disable @@ fun () ->
+  let waves0 = counter "route_waves"
+  and rerouted0 = counter "route_segments_rerouted" in
+  ignore
+    (Router.route_pins ~floorplan:congested_floorplan ~wire
+       (congested_nets 40 240));
+  let waves = counter "route_waves" - waves0
+  and rerouted = counter "route_segments_rerouted" - rerouted0 in
+  Alcotest.(check bool) "waves processed" true (waves > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d waves <= %d rerouted" waves rerouted)
+    true (waves <= rerouted)
+
+(* ------------------------- Pinned routes ------------------------- *)
+
+(* Digest of everything a route decides: every segment's net, ends and
+   path, the bits of both usage arrays, the violation count and the bits
+   of the total overflow. The pins below were recorded before the one-pass
+   wave colouring replaced the rescanning wave builder; any change to
+   negotiation order, wave membership or commit order moves them. *)
+let route_digest (r : Router.result) =
+  let b = Buffer.create 65536 in
+  let int i = Buffer.add_string b (string_of_int i ^ ",") in
+  let bits f = Buffer.add_string b (Int64.to_string (Int64.bits_of_float f) ^ ",") in
+  Array.iter
+    (fun (ro : Router.route) ->
+      let (c1, r1), (c2, r2) = ro.Router.gends in
+      List.iter int [ ro.Router.net; c1; r1; c2; r2 ];
+      List.iter
+        (function
+          | Rgrid.H (c, r) -> List.iter int [ 0; c; r ]
+          | Rgrid.V (c, r) -> List.iter int [ 1; c; r ])
+        ro.Router.edges;
+      Buffer.add_char b ';')
+    r.Router.routes;
+  Array.iter bits r.Router.grid.Rgrid.husage;
+  Array.iter bits r.Router.grid.Rgrid.vusage;
+  int r.Router.violations;
+  bits r.Router.total_overflow;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let congested_pins =
+  [
+    (40, "e65f12ddbd22d3a55c592e0c2f6067d2");
+    (41, "e3c65e4397b24d56f58b1d52d2b1ceee");
+    (42, "e68d8a5aa795cd6dee906654eacaf0e3");
+  ]
+
+let test_route_pinned_congested () =
+  List.iter
+    (fun (seed, want) ->
+      let r =
+        Router.route_pins ~floorplan:congested_floorplan ~wire
+          (congested_nets seed 240)
+      in
+      Alcotest.(check string)
+        (Printf.sprintf "congested_nets %d" seed)
+        want (route_digest r))
+    congested_pins
+
+(* A PDC-like circuit at scale 0.05 and 85 % utilization mapped at K = 0:
+   the shape of the benchmark's never-settling searches. *)
+let test_route_pinned_pdc () =
+  let net = Cals_workload.Presets.pdc_like ~scale:0.05 ~seed:1 () in
+  Cals_logic.Optimize.script_light net;
+  let subject = Cals_logic.Decompose.subject_of_network net in
+  let floorplan =
+    Floorplan.for_area
+      ~core_area:(float_of_int (Cals_netlist.Subject.num_gates subject) *. 5.0)
+      ~utilization:0.85 ~aspect:1.0 ~geometry
+  in
+  let positions =
+    Cals_place.Placement.place_subject subject ~floorplan ~rng:(Rng.create 7)
+  in
+  let mapped =
+    (Cals_core.Mapper.map subject ~library:lib ~positions
+       (Cals_core.Mapper.congestion_aware ~k:0.0))
+      .Cals_core.Mapper.mapped
+  in
+  let placement = Cals_place.Placement.place_mapped_seeded mapped ~floorplan in
+  let r = Router.route_mapped mapped ~floorplan ~wire ~placement in
+  Alcotest.(check bool) "pdc fixture is congested" true (r.Router.violations > 0);
+  Alcotest.(check string) "pdc 0.05 @ 85%" "ada23aba3f3a7b5817dcdd99e7e8622a" (route_digest r)
+
 (* ------------------------- Congestion ------------------------- *)
 
 let test_congestion_report () =
@@ -393,6 +594,19 @@ let () =
           Alcotest.test_case "session replay" `Quick test_route_session_replay;
           Alcotest.test_case "cancel mid-negotiation" `Quick
             test_route_cancel_mid_negotiation;
+        ] );
+      ( "waves",
+        [
+          QCheck_alcotest.to_alcotest wave_oracle_property;
+          Alcotest.test_case "crosses plane boundaries" `Quick
+            test_wave_crosses_planes;
+          Alcotest.test_case "route_waves counter" `Quick test_route_wave_counter;
+        ] );
+      ( "pinned",
+        [
+          Alcotest.test_case "congested_nets 40-42" `Quick
+            test_route_pinned_congested;
+          Alcotest.test_case "pdc 0.05 @ 85%" `Quick test_route_pinned_pdc;
         ] );
       ("congestion", [ Alcotest.test_case "report" `Quick test_congestion_report ]);
     ]
