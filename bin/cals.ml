@@ -132,8 +132,9 @@ let dump_congestion path ~subject ~floorplan ~positions ~k =
     Printf.printf
       "dump-congestion: K=%g does not legalize, nothing to dump\n" k
   | placement ->
-    let f = Estimate.forecast_mapped mapped ~floorplan ~wire ~placement in
-    let routing = Router.route_mapped mapped ~floorplan ~wire ~placement in
+    let request = Router.Request.of_mapped mapped ~floorplan ~wire ~placement in
+    let f = Estimate.forecast request in
+    let routing = Router.route request in
     let real = Congestion.gcell_map routing in
     let m = f.Estimate.maps in
     let json =

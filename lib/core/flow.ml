@@ -124,14 +124,16 @@ let evaluate_k ?router_config ?(checks = Check.Off)
       Check.record ~stage:"place"
         (Invariant.check_placement ~floorplan mapped placement);
     Cals_util.Cancel.check cancel;
-    let wire = Cals_cell.Library.wire library in
+    (* One request per placed point: the forecast scores exactly the
+       input the route below would take. *)
+    let request =
+      Router.Request.of_mapped ?config:router_config mapped ~floorplan
+        ~wire:(Cals_cell.Library.wire library) ~placement
+    in
     let forecast =
       match estimate with
       | Estimate.Off -> None
-      | Estimate.Prune | Estimate.Triage ->
-        Some
-          (Estimate.forecast_mapped ?config:router_config mapped ~floorplan
-             ~wire ~placement)
+      | Estimate.Prune | Estimate.Triage -> Some (Estimate.forecast request)
     in
     let skip_route =
       match (estimate, forecast) with
@@ -172,9 +174,7 @@ let evaluate_k ?router_config ?(checks = Check.Off)
         (mapped, Some placement, None) )
     | _ ->
       let routing =
-        Router.route_mapped ?config:router_config ~cancel
-          ?session:route_session ?pool:route_pool mapped ~floorplan ~wire
-          ~placement
+        Router.route ~cancel ?session:route_session ?pool:route_pool request
       in
       if verify then
         Check.record ~stage:"route"

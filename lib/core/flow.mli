@@ -167,8 +167,11 @@ val evaluate_k :
     (see {!equiv_seed}), which remains sound because the stimulus never
     depends on the netlist under check.
 
+    The placed point becomes one {!Cals_route.Router.Request.t}, built
+    once and read by both the forecast and the route, so the estimator
+    scores exactly the pins and density the router would take.
     [route_session] and [route_pool] are handed to
-    {!Cals_route.Router.route_mapped} verbatim: the session replays
+    {!val:Cals_route.Router.route} unchanged: the session replays
     repeated route requests, the pool parallelizes rip-up waves (never
     pass a pool this call itself runs on). Neither changes the result.
     They are deliberately not derived from [session]; callers that want

@@ -3,7 +3,6 @@ module Grid2d = Cals_util.Grid2d
 module Rgrid = Cals_route.Rgrid
 module Router = Cals_route.Router
 module Congestion = Cals_route.Congestion
-module Mapped = Cals_netlist.Mapped
 module Metrics = Cals_telemetry.Metrics
 module Span = Cals_telemetry.Span
 
@@ -82,10 +81,6 @@ let verdict_of_scores ~degenerate ~normalized_overflow ~peak_utilization =
 let degenerate_scores ~cols ~rows ~total_supply ~routable_nets =
   cols * rows <= 4 || total_supply <= 1e-9 || routable_nets = 0
 
-let degenerate m =
-  let total_supply = Grid2d.total m.supply in
-  m.cols * m.rows <= 4 || total_supply <= 1e-9
-
 let verdict_to_string = function
   | Routable -> "routable"
   | Unroutable -> "unroutable"
@@ -93,37 +88,23 @@ let verdict_to_string = function
 
 (* ------------------------- the forecast ------------------------- *)
 
-let clamp_int lo hi v = if v < lo then lo else if v > hi then hi else v
-
-let forecast_pins ?(config = Router.default_config) ?density ~floorplan ~wire
-    nets =
+let forecast (req : Router.Request.t) =
+  let { Router.Request.config; cols; rows; gcell_um; pins; _ } = req in
   Span.with_ ~cat:"estimate"
-    ~meta:(Printf.sprintf "%d nets" (Array.length nets))
+    ~meta:(Printf.sprintf "%d nets" (Array.length pins))
     "estimate.forecast"
   @@ fun () ->
   let t0 = Unix.gettimeofday () in
   Metrics.incr m_forecasts;
-  let cols, rows, gcell_um =
-    Rgrid.dims ~floorplan ~gcell_rows:config.Router.gcell_rows
-  in
   let wire_density = Grid2d.create ~cols ~rows 0.0 in
   let pin_density = Grid2d.create ~cols ~rows 0.0 in
   let supply = Grid2d.create ~cols ~rows 0.0 in
-  (* Supply mirrors Rgrid.create's capacity model, folded per gcell: the
-     layers above M1 contribute [tracks] full track-lengths in each
-     direction, M1 contributes the share the standard cells leave over
-     (shrinking linearly with local cell density). *)
-  let tracks = gcell_um /. max 1e-9 wire.Cals_cell.Library.pitch_um in
-  let n_routing = max 0 (config.Router.layers - 1) in
-  let nh = float_of_int ((n_routing + 1) / 2) in
-  let nv = float_of_int (n_routing / 2) in
-  let density_at c r =
-    match density with
-    | None -> 0.0
-    | Some g ->
-      let c = clamp_int 0 (Grid2d.cols g - 1) c
-      and r = clamp_int 0 (Grid2d.rows g - 1) r in
-      Geom.clamp 0.0 1.0 (Grid2d.get g c r)
+  (* The router's track model, folded per gcell: the layers above M1
+     contribute [tracks] full track-lengths in each direction, M1 the
+     share the standard cells leave over in both. *)
+  let { Rgrid.tracks; nh; nv; density_at } =
+    Rgrid.track_model ~gcell_um ~wire:req.Router.Request.wire
+      ~layers:config.Router.layers ?density:req.Router.Request.density ()
   in
   for r = 0 to rows - 1 do
     for c = 0 to cols - 1 do
@@ -133,38 +114,30 @@ let forecast_pins ?(config = Router.default_config) ?density ~floorplan ~wire
         *. (nh +. nv +. (2.0 *. config.Router.m1_free *. (1.0 -. d))))
     done
   done;
-  (* Same clamp as Rgrid.gcell_of_point, so pin gcells agree with the
-     grid the router would build. *)
-  let gcell_of (p : Geom.point) =
-    let c = clamp_int 0 (cols - 1) (int_of_float (p.Geom.x /. gcell_um)) in
-    let r = clamp_int 0 (rows - 1) (int_of_float (p.Geom.y /. gcell_um)) in
-    (c, r)
-  in
   let hpwl_total = ref 0.0 in
   let routable_nets = ref 0 in
-  Array.iter
-    (fun pins ->
+  Array.iteri
+    (fun net pins ->
       match pins with
       | [] -> ()
       | first :: rest ->
         let x0 = ref first.Geom.x and x1 = ref first.Geom.x in
         let y0 = ref first.Geom.y and y1 = ref first.Geom.y in
-        let distinct = ref false in
-        let c0, r0 = gcell_of first in
-        Grid2d.add pin_density c0 r0 1.0;
-        Grid2d.add wire_density c0 r0 pin_track_cost;
         List.iter
           (fun (p : Geom.point) ->
             if p.Geom.x < !x0 then x0 := p.Geom.x;
             if p.Geom.x > !x1 then x1 := p.Geom.x;
             if p.Geom.y < !y0 then y0 := p.Geom.y;
-            if p.Geom.y > !y1 then y1 := p.Geom.y;
-            let c, r = gcell_of p in
-            if c <> c0 || r <> r0 then distinct := true;
+            if p.Geom.y > !y1 then y1 := p.Geom.y)
+          rest;
+        List.iter
+          (fun (c, r) ->
             Grid2d.add pin_density c r 1.0;
             Grid2d.add wire_density c r pin_track_cost)
-          rest;
-        if !distinct then incr routable_nets;
+          req.Router.Request.pin_gcells.(net);
+        (match req.Router.Request.net_gcells.(net) with
+        | _ :: _ :: _ -> incr routable_nets
+        | _ -> ());
         let hpwl = !x1 -. !x0 +. (!y1 -. !y0) in
         hpwl_total := !hpwl_total +. hpwl;
         if hpwl > 0.0 then begin
@@ -175,10 +148,10 @@ let forecast_pins ?(config = Router.default_config) ?density ~floorplan ~wire
           let bx0 = !x0 -. half and bx1 = !x1 +. half in
           let by0 = !y0 -. half and by1 = !y1 +. half in
           let area = (bx1 -. bx0) *. (by1 -. by0) in
-          let c_lo = clamp_int 0 (cols - 1) (int_of_float (bx0 /. gcell_um)) in
-          let c_hi = clamp_int 0 (cols - 1) (int_of_float (bx1 /. gcell_um)) in
-          let r_lo = clamp_int 0 (rows - 1) (int_of_float (by0 /. gcell_um)) in
-          let r_hi = clamp_int 0 (rows - 1) (int_of_float (by1 /. gcell_um)) in
+          let c_lo = Rgrid.gcell_index ~gcell_um ~n:cols bx0 in
+          let c_hi = Rgrid.gcell_index ~gcell_um ~n:cols bx1 in
+          let r_lo = Rgrid.gcell_index ~gcell_um ~n:rows by0 in
+          let r_hi = Rgrid.gcell_index ~gcell_um ~n:rows by1 in
           let per_area = hpwl /. max 1e-9 area /. gcell_um in
           for r = r_lo to r_hi do
             let gy0 = float_of_int r *. gcell_um in
@@ -196,7 +169,7 @@ let forecast_pins ?(config = Router.default_config) ?density ~floorplan ~wire
               done
           done
         end)
-    nets;
+    pins;
   let utilization = Grid2d.create ~cols ~rows 0.0 in
   let overflow = ref 0.0 in
   let total_supply = ref 0.0 in
@@ -254,32 +227,8 @@ let forecast_pins ?(config = Router.default_config) ?density ~floorplan ~wire
   Metrics.observe m_seconds (Unix.gettimeofday () -. t0);
   f
 
-let forecast_mapped ?config mapped ~floorplan ~wire
-    ~(placement : Cals_place.Placement.mapped_placement) =
-  (* Pin clusters and the cell-density map exactly as
-     Router.route_mapped derives them, so the forecast scores the same
-     geometry the router would route. *)
-  let density = Router.density_map ?config mapped ~floorplan ~placement in
-  let nets = Mapped.nets mapped in
-  let pos_of_signal = function
-    | Mapped.Of_pi i -> placement.Cals_place.Placement.pi_pos.(i)
-    | Mapped.Of_inst i -> placement.Cals_place.Placement.cell_pos.(i)
-  in
-  let pin_clusters =
-    Array.map
-      (fun net ->
-        match net.Mapped.sinks with
-        | [] -> []
-        | sinks ->
-          let sink_pos = function
-            | Mapped.Cell_pin (i, _) ->
-              placement.Cals_place.Placement.cell_pos.(i)
-            | Mapped.Po oi -> placement.Cals_place.Placement.po_pos.(oi)
-          in
-          pos_of_signal net.Mapped.driver :: List.map sink_pos sinks)
-      nets
-  in
-  forecast_pins ?config ~density ~floorplan ~wire pin_clusters
+let forecast_mapped ?config mapped ~floorplan ~wire ~placement =
+  forecast (Router.Request.of_mapped ?config mapped ~floorplan ~wire ~placement)
 
 let report f =
   {

@@ -8,11 +8,13 @@
     net's half-perimeter wirelength is spread uniformly over the gcells
     its bounding box covers (wire demand), pins add a per-gcell escape
     term (pin demand), and the demand map is compared against the exact
-    per-gcell supply the router's grid would offer (layer tracks plus the
-    density-coupled M1 share — see {!Cals_route.Rgrid.create}). The
-    whole forecast is a handful of linear passes over the nets and the
-    grid: microseconds to low milliseconds, versus seconds for a
-    negotiated route.
+    per-gcell supply the router's grid would offer. The whole forecast
+    is a handful of linear passes over the nets and the grid:
+    microseconds to low milliseconds, versus seconds for a negotiated
+    route. It reads the router's own input, one
+    {!Cals_route.Router.Request.t}, and folds its supply from the
+    router's {!val:Cals_route.Rgrid.track_model}, so the two can never
+    disagree on a pin gcell or a capacity.
 
     The forecast feeds a calibrated three-way {!verdict}. Thresholds are
     fitted on the golden corpus and the bench presets against the real
@@ -51,8 +53,8 @@ type maps = {
           plus the pin escape term). *)
   pin_density : Cals_util.Grid2d.t;  (** Pins per gcell. *)
   supply : Cals_util.Grid2d.t;
-      (** Track-lengths each gcell can host: layer tracks plus the
-          density-coupled M1 share, mirroring {!Cals_route.Rgrid.create}. *)
+      (** Track-lengths each gcell can host: the router's
+          {!val:Cals_route.Rgrid.track_model} summed over both directions. *)
   utilization : Cals_util.Grid2d.t;  (** [demand / supply] per gcell. *)
 }
 
@@ -75,20 +77,13 @@ type forecast = {
   verdict : verdict;
 }
 
-val forecast_pins :
-  ?config:Cals_route.Router.config ->
-  ?density:Cals_util.Grid2d.t ->
-  floorplan:Cals_place.Floorplan.t ->
-  wire:Cals_cell.Library.wire_model ->
-  Cals_util.Geom.point list array ->
-  forecast
-(** Forecast one net per array slot (list of pin locations), the
-    estimator mirror of {!Cals_route.Router.route_pins}. [density] feeds
-    the M1 supply model exactly as it feeds the router's grid. Never
-    raises on degenerate input — empty net arrays, single-pin nets,
-    zero-area bounding boxes and single-gcell grids all produce a
-    forecast whose verdict is [Uncertain] when the numbers cannot be
-    trusted (see {!degenerate}). *)
+val forecast : Cals_route.Router.Request.t -> forecast
+(** Forecast the request's nets, scoring exactly the pins, gcells and
+    density the router would route. Never raises on degenerate input —
+    empty net arrays, single-pin nets, zero-area bounding boxes and
+    single-gcell grids all produce a forecast whose verdict is
+    [Uncertain] when the numbers cannot be trusted: a grid of at most
+    four gcells, no supply, or no net spanning two gcells. *)
 
 val forecast_mapped :
   ?config:Cals_route.Router.config ->
@@ -97,19 +92,13 @@ val forecast_mapped :
   wire:Cals_cell.Library.wire_model ->
   placement:Cals_place.Placement.mapped_placement ->
   forecast
-(** Forecast a placed mapped netlist: pin clusters and the cell-density
-    map are derived exactly as {!Cals_route.Router.route_mapped} derives
-    them, so the estimator sees the same geometry the router would. *)
+(** {!forecast} of {!Cals_route.Router.Request.of_mapped}. *)
 
 val report : forecast -> Cals_route.Congestion.report
 (** The forecast as a congestion report, so a skipped K point records in
     the same shape as a routed one: [violations] is
     [predicted_violations], [total_overflow] the overflow score,
     [wirelength_um] the HPWL stand-in. *)
-
-val degenerate : maps -> bool
-(** Whether the grid is too small or the supply too empty for the
-    thresholds to mean anything ([verdict] is then [Uncertain]). *)
 
 (** {2 Calibration constants}
 

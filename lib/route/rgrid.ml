@@ -37,19 +37,30 @@ let dims ~floorplan ~gcell_rows =
   in
   (cols, rows, gcell_um)
 
-let create ~floorplan ~wire ~layers ?(gcell_rows = 2) ?(m1_free = 1.3) ?density
-    () =
-  if layers < 2 then invalid_arg "Rgrid.create: need at least 2 metal layers";
-  let cols, rows, gcell_um = dims ~floorplan ~gcell_rows in
-  let tracks = gcell_um /. wire.Cals_cell.Library.pitch_um in
-  (* Layers above M1 alternate directions and contribute their full track
-     count; M1 contributes what the standard cells leave over, so local
-     placement density directly eats routing capacity — the mechanism by
-     which a cell-area penalty "limits the amount of available wiring
-     resources" (paper, Section 4). *)
-  let n_routing = layers - 1 in
-  let nh = float_of_int ((n_routing + 1) / 2) in
-  let nv = float_of_int (n_routing / 2) in
+let[@inline] gcell_index ~gcell_um ~n v =
+  let i = int_of_float (v /. gcell_um) in
+  if i < 0 then 0 else if i >= n then n - 1 else i
+
+(* Takes the point rather than its coordinates, so callers in other
+   modules pass no boxed floats. *)
+let gcell_at ~cols ~rows ~gcell_um (p : Geom.point) =
+  ( gcell_index ~gcell_um ~n:cols p.Geom.x,
+    gcell_index ~gcell_um ~n:rows p.Geom.y )
+
+type track_model = {
+  tracks : float;
+  nh : float;
+  nv : float;
+  density_at : int -> int -> float;
+}
+
+(* Layers above M1 alternate directions and contribute their full track
+   count; M1 contributes what the standard cells leave over, so local
+   placement density directly eats routing capacity — the mechanism by
+   which a cell-area penalty "limits the amount of available wiring
+   resources" (paper, Section 4). *)
+let track_model ~gcell_um ~wire ~layers ?density () =
+  let n_routing = max 0 (layers - 1) in
   let density_at c r =
     match density with
     | None -> 0.0
@@ -57,6 +68,17 @@ let create ~floorplan ~wire ~layers ?(gcell_rows = 2) ?(m1_free = 1.3) ?density
       let c = min c (Cals_util.Grid2d.cols g - 1)
       and r = min r (Cals_util.Grid2d.rows g - 1) in
       Cals_util.Geom.clamp 0.0 1.0 (Cals_util.Grid2d.get g c r)
+  in
+  let tracks = gcell_um /. wire.Cals_cell.Library.pitch_um in
+  let nh = float_of_int ((n_routing + 1) / 2) in
+  { tracks; nh; nv = float_of_int (n_routing / 2); density_at }
+
+let create ~floorplan ~wire ~layers ?(gcell_rows = 2) ?(m1_free = 1.3) ?density
+    () =
+  if layers < 2 then invalid_arg "Rgrid.create: need at least 2 metal layers";
+  let cols, rows, gcell_um = dims ~floorplan ~gcell_rows in
+  let { tracks; nh; nv; density_at } =
+    track_model ~gcell_um ~wire ~layers ?density ()
   in
   let hcap = Array.make ((cols - 1) * rows) 0.0 in
   let vcap = Array.make (cols * (rows - 1)) 0.0 in
@@ -89,11 +111,7 @@ let create ~floorplan ~wire ~layers ?(gcell_rows = 2) ?(m1_free = 1.3) ?density
   }
 
 let gcell_of_point t p =
-  let c = int_of_float (p.Geom.x /. t.gcell_um) in
-  let r = int_of_float (p.Geom.y /. t.gcell_um) in
-  let c = if c < 0 then 0 else if c >= t.cols then t.cols - 1 else c in
-  let r = if r < 0 then 0 else if r >= t.rows then t.rows - 1 else r in
-  (c, r)
+  gcell_at ~cols:t.cols ~rows:t.rows ~gcell_um:t.gcell_um p
 
 let center_of_gcell t (c, r) =
   Geom.point
@@ -152,16 +170,8 @@ let bit_set b i =
 let bit_get b i =
   Char.code (Bytes.unsafe_get b (i lsr 3)) land (1 lsl (i land 7)) <> 0
 
-let mark_overflowed t = function
-  | H (c, r) -> bit_set t.hmark (hindex t c r)
-  | V (c, r) -> bit_set t.vmark (vindex t c r)
-
-let is_overflowed t = function
-  | H (c, r) -> bit_get t.hmark (hindex t c r)
-  | V (c, r) -> bit_get t.vmark (vindex t c r)
-
-(* Flat-index variants of the mark operations, for the router's hot loops
-   (no edge constructor, no bounds re-derivation). *)
+(* The mark operations take flat indices, for the router's hot loops (no
+   edge constructor, no bounds re-derivation). *)
 let num_hedges t = (t.cols - 1) * t.rows
 let num_vedges t = t.cols * (t.rows - 1)
 let mark_h t i = bit_set t.hmark i

@@ -30,9 +30,36 @@ type edge =
 val dims :
   floorplan:Cals_place.Floorplan.t -> gcell_rows:int -> int * int * float
 (** [(cols, rows, gcell_um)] of the grid {!create} would build for this
-    floorplan — the geometry without the capacity arrays. The router's
-    session uses it to compute pin gcells (and fingerprint a route
-    request) before deciding whether a grid needs to exist at all. *)
+    floorplan — the geometry without the capacity arrays. A route
+    request ([Router.Request]) takes its pin gcells from it before any
+    grid exists. *)
+
+val gcell_index : gcell_um:float -> n:int -> float -> int
+(** [int_of_float (v /. gcell_um)] clamped to [[0, n - 1]]: the gcell
+    column (or row) of a die coordinate. The flow's only such clamp. *)
+
+val gcell_at :
+  cols:int -> rows:int -> gcell_um:float -> Cals_util.Geom.point -> int * int
+(** {!gcell_index} on both axes: the gcell of a point on a [cols] x
+    [rows] grid, before any grid exists. *)
+
+type track_model = {
+  tracks : float;  (** Tracks per layer across a gcell: [gcell_um / pitch]. *)
+  nh : float;  (** Routing layers above M1 running horizontally. *)
+  nv : float;  (** Routing layers above M1 running vertically. *)
+  density_at : int -> int -> float;
+      (** Clamped cell-area fraction of gcell [(c, r)] (0 without a map). *)
+}
+
+val track_model :
+  gcell_um:float ->
+  wire:Cals_cell.Library.wire_model ->
+  layers:int ->
+  ?density:Cals_util.Grid2d.t ->
+  unit ->
+  track_model
+(** The capacity model {!create} and the congestion forecast share: a
+    direction offers [tracks * (nh or nv + m1_free * (1 - d))]. *)
 
 val create :
   floorplan:Cals_place.Floorplan.t ->
@@ -50,7 +77,7 @@ val create :
     map M1 is fully available. *)
 
 val gcell_of_point : t -> Cals_util.Geom.point -> int * int
-(** Clamped to the grid. *)
+(** {!gcell_at} on the grid's dimensions. *)
 
 val center_of_gcell : t -> int * int -> Cals_util.Geom.point
 (** Center of the gcell, in µm die coordinates. *)
@@ -86,17 +113,10 @@ val reset_usage : t -> unit
 (** Zero every edge's usage (history is kept — the negotiation loop's
     rip-up-all-and-reroute step). *)
 
-val mark_overflowed : t -> edge -> unit
-(** Set the edge's bit in the overflow-mark bitfield. The marks are a
-    scratch set owned by the router's negotiation loop — they carry no
-    meaning between iterations and are unrelated to {!overflow}. *)
-
-val is_overflowed : t -> edge -> bool
-(** Whether {!mark_overflowed} was called since the last
-    {!clear_overflow_marks}. *)
-
 val clear_overflow_marks : t -> unit
-(** Zero the scratch bitfields for the next negotiation iteration. *)
+(** Zero the overflow-mark bitfields ({!mark_h}, {!mark_v}): a scratch
+    set, one bit per edge, owned by the router's negotiation loop and
+    unrelated to {!overflow}. *)
 
 (** {2 Flat-index accessors}
 
@@ -113,16 +133,16 @@ val num_vedges : t -> int
 (** [cols * (rows - 1)], the length of the vertical edge arrays. *)
 
 val mark_h : t -> int -> unit
-(** {!mark_overflowed} by flat horizontal index. *)
+(** Set a horizontal edge's overflow mark. *)
 
 val mark_v : t -> int -> unit
-(** {!mark_overflowed} by flat vertical index. *)
+(** Set a vertical edge's overflow mark. *)
 
 val marked_h : t -> int -> bool
-(** {!is_overflowed} by flat horizontal index. *)
+(** Whether {!mark_h} marked the edge since {!clear_overflow_marks}. *)
 
 val marked_v : t -> int -> bool
-(** {!is_overflowed} by flat vertical index. *)
+(** Whether {!mark_v} marked the edge since {!clear_overflow_marks}. *)
 
 val iter_overflowed : t -> h:(int -> unit) -> v:(int -> unit) -> unit
 (** Call [h]/[v] with the flat index of every overflowed edge (usage

@@ -3,6 +3,7 @@ module Arena = Cals_util.Arena
 module Pool = Cals_util.Pool
 module Cancel = Cals_util.Cancel
 module Fnv = Cals_util.Tables.Fnv64
+module Grid2d = Cals_util.Grid2d
 module Mapped = Cals_netlist.Mapped
 module Probe = Cals_telemetry.Probe
 module Span = Cals_telemetry.Span
@@ -820,46 +821,100 @@ let derive_topology ~star ~driver cells =
 
 let float_bits f = Int64.to_int (Int64.bits_of_float f)
 
-(* Fingerprint of everything a route_pins call's result depends on: grid
-   geometry, config, wire pitch, density contents and the per-net gcell
-   sets (plus star drivers). Two calls with equal fingerprints route to
-   bit-identical results, because routing is deterministic in exactly
-   these inputs. *)
-let fingerprint ~config ~cols ~rows ~gcell_um ~wire ~density net_gcells
-    drivers =
-  let h = ref (Fnv.int Fnv.empty 0x726f757465) in
-  h := Fnv.int !h cols;
-  h := Fnv.int !h rows;
-  h := Fnv.int !h (float_bits gcell_um);
-  h := Fnv.int !h config.layers;
-  h := Fnv.int !h config.gcell_rows;
-  h := Fnv.int !h (float_bits config.m1_free);
-  h := Fnv.int !h (if config.star_topology then 1 else 0);
-  h := Fnv.int !h config.reroute_iterations;
-  h := Fnv.int !h (float_bits config.overflow_penalty);
-  h := Fnv.int !h (float_bits config.history_increment);
-  h := Fnv.int !h (float_bits wire.Cals_cell.Library.pitch_um);
-  (match density with
-  | None -> h := Fnv.int !h 0
-  | Some g ->
-    h := Fnv.int !h 1;
-    h := Fnv.int !h (Cals_util.Grid2d.cols g);
-    h := Fnv.int !h (Cals_util.Grid2d.rows g);
-    h :=
-      Cals_util.Grid2d.fold
-        (fun _ _ v acc -> Fnv.int acc (float_bits v))
-        g !h);
-  h := Fnv.int !h (Array.length net_gcells);
-  Array.iteri
-    (fun i cells ->
-      h := Fnv.int !h (List.length cells);
-      List.iter (fun (c, r) -> h := Fnv.int (Fnv.int !h c) r) cells;
-      if config.star_topology then
-        match drivers.(i) with
-        | Some (c, r) -> h := Fnv.int (Fnv.int (Fnv.int !h 1) c) r
-        | None -> h := Fnv.int !h 0)
-    net_gcells;
-  !h
+module Request = struct
+  type t = {
+    config : config;
+    floorplan : Cals_place.Floorplan.t;
+    wire : Cals_cell.Library.wire_model;
+    cols : int;
+    rows : int;
+    gcell_um : float;
+    pins : Geom.point list array;
+    pin_gcells : (int * int) list array;
+    net_gcells : (int * int) list array;
+    density : Grid2d.t option;
+  }
+
+  let of_pins ?(config = default_config) ?density ~floorplan ~wire pins =
+    let cols, rows, gcell_um =
+      Rgrid.dims ~floorplan ~gcell_rows:config.gcell_rows
+    in
+    let gcell = Rgrid.gcell_at ~cols ~rows ~gcell_um in
+    let pin_gcells = Array.map (List.map gcell) pins in
+    let net_gcells = Array.map (List.sort_uniq compare) pin_gcells in
+    { config; floorplan; wire; cols; rows; gcell_um; pins; pin_gcells;
+      net_gcells; density }
+
+  let of_mapped ?config mapped ~floorplan ~wire
+      ~(placement : Cals_place.Placement.mapped_placement) =
+    let { Cals_place.Placement.cell_pos; pi_pos; po_pos; _ } = placement in
+    (* Driver pin first, then the sinks; sinkless nets route nothing. *)
+    let driver_pos = function
+      | Mapped.Of_pi i -> pi_pos.(i)
+      | Mapped.Of_inst i -> cell_pos.(i)
+    in
+    let sink_pos = function
+      | Mapped.Cell_pin (i, _) -> cell_pos.(i)
+      | Mapped.Po oi -> po_pos.(oi)
+    in
+    let pins =
+      Array.map
+        (fun net ->
+          match net.Mapped.sinks with
+          | [] -> []
+          | sinks -> driver_pos net.Mapped.driver :: List.map sink_pos sinks)
+        (Mapped.nets mapped)
+    in
+    let req = of_pins ?config ~floorplan ~wire pins in
+    let { cols; rows; gcell_um; _ } = req in
+    (* Cell-area fraction per gcell, for the M1 blockage model. *)
+    let density = Grid2d.create ~cols ~rows 0.0 in
+    Array.iteri
+      (fun i inst ->
+        let c, r = Rgrid.gcell_at ~cols ~rows ~gcell_um cell_pos.(i) in
+        Grid2d.add density c r inst.Mapped.cell.Cals_cell.Cell.area)
+      mapped.Mapped.instances;
+    Grid2d.map_inplace (fun a -> a /. (gcell_um *. gcell_um)) density;
+    { req with density = Some density }
+
+  (* Everything a route's result depends on: grid geometry, config, wire
+     pitch, density contents and the per-net gcell sets (plus star
+     drivers). Two requests with equal fingerprints route to
+     bit-identical results, because routing is deterministic in exactly
+     these inputs. *)
+  let fingerprint req =
+    let config = req.config in
+    let h = ref (Fnv.int Fnv.empty 0x726f757465) in
+    h := Fnv.int !h req.cols;
+    h := Fnv.int !h req.rows;
+    h := Fnv.int !h (float_bits req.gcell_um);
+    h := Fnv.int !h config.layers;
+    h := Fnv.int !h config.gcell_rows;
+    h := Fnv.int !h (float_bits config.m1_free);
+    h := Fnv.int !h (if config.star_topology then 1 else 0);
+    h := Fnv.int !h config.reroute_iterations;
+    h := Fnv.int !h (float_bits config.overflow_penalty);
+    h := Fnv.int !h (float_bits config.history_increment);
+    h := Fnv.int !h (float_bits req.wire.Cals_cell.Library.pitch_um);
+    (match req.density with
+    | None -> h := Fnv.int !h 0
+    | Some g ->
+      h := Fnv.int !h 1;
+      h := Fnv.int !h (Grid2d.cols g);
+      h := Fnv.int !h (Grid2d.rows g);
+      h := Grid2d.fold (fun _ _ v acc -> Fnv.int acc (float_bits v)) g !h);
+    h := Fnv.int !h (Array.length req.net_gcells);
+    Array.iteri
+      (fun i cells ->
+        h := Fnv.int !h (List.length cells);
+        List.iter (fun (c, r) -> h := Fnv.int (Fnv.int !h c) r) cells;
+        if config.star_topology then
+          match req.pin_gcells.(i) with
+          | (c, r) :: _ -> h := Fnv.int (Fnv.int (Fnv.int !h 1) c) r
+          | [] -> h := Fnv.int !h 0)
+      req.net_gcells;
+    !h
+end
 
 module Session = struct
   type entry =
@@ -1025,29 +1080,25 @@ module Session = struct
     else float_of_int st.replays /. float_of_int st.route_calls
 end
 
-let route_cold ~config ~density ~cancel ~pool ~session ~floorplan ~wire ~state
-    net_gcells drivers =
+let route_cold ~cancel ~pool ~session ~state (req : Request.t) =
+  let config = req.Request.config in
   let grid =
-    Rgrid.create ~floorplan ~wire ~layers:config.layers
-      ~gcell_rows:config.gcell_rows ~m1_free:config.m1_free ?density ()
+    Rgrid.create ~floorplan:req.Request.floorplan ~wire:req.Request.wire
+      ~layers:config.layers ~gcell_rows:config.gcell_rows
+      ~m1_free:config.m1_free ?density:req.Request.density ()
   in
-  let num_nets = Array.length net_gcells in
+  let net_gcells = req.Request.net_gcells in
   let segments = ref [] in
   Array.iteri
     (fun net cells ->
       let topo =
-        if cells = [] then []
-        else begin
-          let driver =
-            match drivers.(net) with
-            | Some d -> d
-            | None -> assert false
-          in
+        match req.Request.pin_gcells.(net) with
+        | [] -> []
+        | driver :: _ -> (
           match session with
           | Some s ->
             Session.topo_segments s ~star:config.star_topology ~driver cells
-          | None -> derive_topology ~star:config.star_topology ~driver cells
-        end
+          | None -> derive_topology ~star:config.star_topology ~driver cells)
       in
       List.iter
         (fun sgm ->
@@ -1074,58 +1125,28 @@ let route_cold ~config ~density ~cancel ~pool ~session ~floorplan ~wire ~state
   let negotiate_token = Span.enter ~cat:"route" "route.negotiate" in
   Fun.protect ~finally:(fun () -> Span.exit negotiate_token) @@ fun () ->
   negotiate config grid cancel pool state segments;
-  build_result grid state segments net_gcells num_nets
+  build_result grid state segments net_gcells (Array.length net_gcells)
 
-let route_pins ?(config = default_config) ?density ?(cancel = Cancel.never)
-    ?session ?pool ~floorplan ~wire nets =
+let route ?(cancel = Cancel.never) ?session ?pool (req : Request.t) =
+  let num_nets = Array.length req.Request.pins in
   Span.with_ ~cat:"route"
-    ~meta:(Printf.sprintf "%d nets" (Array.length nets))
+    ~meta:(Printf.sprintf "%d nets" num_nets)
     "route.route_pins"
   @@ fun () ->
-  let num_nets = Array.length nets in
-  let cols, rows, gcell_um =
-    Rgrid.dims ~floorplan ~gcell_rows:config.gcell_rows
-  in
-  (* Pin gcells before any grid exists — same clamp as
-     Rgrid.gcell_of_point, so a later grid agrees exactly. *)
-  let gcell_of p =
-    let c = int_of_float (p.Geom.x /. gcell_um) in
-    let r = int_of_float (p.Geom.y /. gcell_um) in
-    let c = if c < 0 then 0 else if c >= cols then cols - 1 else c in
-    let r = if r < 0 then 0 else if r >= rows then rows - 1 else r in
-    (c, r)
-  in
-  let net_gcells = Array.make num_nets [] in
-  let drivers = Array.make num_nets None in
-  Array.iteri
-    (fun net pins ->
-      let cells = List.map gcell_of pins in
-      (match cells with
-      | d :: _ -> drivers.(net) <- Some d
-      | [] -> ());
-      net_gcells.(net) <- List.sort_uniq compare cells)
-    nets;
   match session with
   | None ->
-    route_cold ~config ~density ~cancel ~pool ~session:None ~floorplan ~wire
-      ~state:(create_state ()) net_gcells drivers
+    route_cold ~cancel ~pool ~session:None ~state:(create_state ()) req
   | Some s ->
     Cancel.check cancel;
     Session.note_call s;
-    let fp =
-      fingerprint ~config ~cols ~rows ~gcell_um ~wire ~density net_gcells
-        drivers
-    in
+    let fp = Request.fingerprint req in
     (match Session.claim s fp with
     | Some r ->
       Session.note_replay s ~nets:num_nets;
       r
     | None -> (
       let state = Session.acquire_state s in
-      match
-        route_cold ~config ~density ~cancel ~pool ~session:(Some s)
-          ~floorplan ~wire ~state net_gcells drivers
-      with
+      match route_cold ~cancel ~pool ~session:(Some s) ~state req with
       | r ->
         Session.release_state s state;
         Session.publish s fp r;
@@ -1135,54 +1156,11 @@ let route_pins ?(config = default_config) ?density ?(cancel = Cancel.never)
         Session.retract s fp;
         raise e))
 
-(* Cell-area fraction per gcell, for the M1 blockage model. *)
-let density_map ?(config = default_config) mapped ~floorplan
-    ~(placement : Cals_place.Placement.mapped_placement) =
-  let gcell_um =
-    float_of_int config.gcell_rows *. floorplan.Cals_place.Floorplan.row_height
-  in
-  let cols =
-    max 2
-      (int_of_float
-         (ceil (floorplan.Cals_place.Floorplan.die_width /. gcell_um)))
-  in
-  let rows =
-    max 2
-      (int_of_float
-         (ceil (floorplan.Cals_place.Floorplan.die_height /. gcell_um)))
-  in
-  let g = Cals_util.Grid2d.create ~cols ~rows 0.0 in
-  Array.iteri
-    (fun i inst ->
-      let p = placement.Cals_place.Placement.cell_pos.(i) in
-      let c = int_of_float (p.Geom.x /. gcell_um) in
-      let r = int_of_float (p.Geom.y /. gcell_um) in
-      let c = max 0 (min (cols - 1) c) and r = max 0 (min (rows - 1) r) in
-      Cals_util.Grid2d.add g c r inst.Mapped.cell.Cals_cell.Cell.area)
-    mapped.Mapped.instances;
-  Cals_util.Grid2d.map_inplace (fun a -> a /. (gcell_um *. gcell_um)) g;
-  g
+let route_pins ?config ?density ?cancel ?session ?pool ~floorplan ~wire nets =
+  route ?cancel ?session ?pool
+    (Request.of_pins ?config ?density ~floorplan ~wire nets)
 
 let route_mapped ?config ?cancel ?session ?pool mapped ~floorplan ~wire
     ~placement =
-  let density = density_map ?config mapped ~floorplan ~placement in
-  let nets = Mapped.nets mapped in
-  let pos_of_signal = function
-    | Mapped.Of_pi i -> placement.Cals_place.Placement.pi_pos.(i)
-    | Mapped.Of_inst i -> placement.Cals_place.Placement.cell_pos.(i)
-  in
-  let pin_clusters =
-    Array.map
-      (fun net ->
-        match net.Mapped.sinks with
-        | [] -> []
-        | sinks ->
-          let sink_pos = function
-            | Mapped.Cell_pin (i, _) -> placement.Cals_place.Placement.cell_pos.(i)
-            | Mapped.Po oi -> placement.Cals_place.Placement.po_pos.(oi)
-          in
-          pos_of_signal net.Mapped.driver :: List.map sink_pos sinks)
-      nets
-  in
-  route_pins ?config ~density ?cancel ?session ?pool ~floorplan ~wire
-    pin_clusters
+  route ?cancel ?session ?pool
+    (Request.of_mapped ?config mapped ~floorplan ~wire ~placement)

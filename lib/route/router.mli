@@ -52,17 +52,63 @@ type result = {
           segments must connect). *)
 }
 
+(** One route request: everything a route depends on, derived once.
+    The router, the congestion forecast and the {!Session} fingerprint
+    all read it, so they can never disagree on a pin gcell, the grid
+    dimensions or a density bin: {!Request.of_pins} and
+    {!Request.of_mapped} are the only places that clamp pins to gcells,
+    build pin clusters and bin cell area. *)
+module Request : sig
+  type t = private {
+    config : config;
+    floorplan : Cals_place.Floorplan.t;
+    wire : Cals_cell.Library.wire_model;
+    cols : int;  (** Grid geometry, from {!Rgrid.dims}. *)
+    rows : int;
+    gcell_um : float;
+    pins : Cals_util.Geom.point list array;  (** Per net, driver first. *)
+    pin_gcells : (int * int) list array;
+        (** Each pin's {!Rgrid.gcell_at} gcell, in [pins] order. *)
+    net_gcells : (int * int) list array;
+        (** Each net's sorted distinct pin gcells. *)
+    density : Cals_util.Grid2d.t option;
+        (** Cell-area fraction per gcell (see {!Rgrid.create}). *)
+  }
+
+  val of_pins :
+    ?config:config ->
+    ?density:Cals_util.Grid2d.t ->
+    floorplan:Cals_place.Floorplan.t ->
+    wire:Cals_cell.Library.wire_model ->
+    Cals_util.Geom.point list array ->
+    t
+  (** One net per array slot; off-die pins clamp into the grid. *)
+
+  val of_mapped :
+    ?config:config ->
+    Cals_netlist.Mapped.t ->
+    floorplan:Cals_place.Floorplan.t ->
+    wire:Cals_cell.Library.wire_model ->
+    placement:Cals_place.Placement.mapped_placement ->
+    t
+  (** Nets in {!Cals_netlist.Mapped.nets} order, so a result's
+      [net_length_um] can be indexed by
+      {!Cals_netlist.Mapped.signal_index}; sinkless nets have no pins.
+      The density map bins each placed cell's area into its gcell. *)
+end
+
 (** Cross-call routing state: a replay cache over whole route requests, a
     per-net topology cache and a pool of reusable arenas.
 
-    A session fingerprints each {!route_pins} request (grid geometry,
-    config, wire pitch, density contents, per-net gcell sets) and replays
-    the stored {!result} on an exact match — the common case when the
-    K-loop re-evaluates an unchanged mapping. Replayed results are shared
-    structure: treat them as immutable. Misses run the normal cold path
-    (so a warm session is result-identical to no session by
-    construction) and additionally reuse cached per-net MST/star
-    decompositions for nets whose gcell sets reappear.
+    A session fingerprints each {!Request.t} it routes (grid geometry,
+    config, wire pitch, density contents, per-net gcell sets and, for
+    star topologies, driver gcells) and replays the stored {!result} on
+    an exact match — the common case when the K-loop re-evaluates an
+    unchanged mapping. Replayed results are shared structure: treat them
+    as immutable. Misses run the normal cold path (so a warm session is
+    result-identical to no session by construction) and additionally
+    reuse cached per-net MST/star decompositions for nets whose gcell
+    sets reappear.
 
     All operations are domain-safe; concurrent calls with the same
     fingerprint dedupe in flight (the second caller waits for the first
@@ -71,7 +117,7 @@ module Session : sig
   type t
 
   type stats = {
-    route_calls : int;  (** {!route_pins} calls made with this session. *)
+    route_calls : int;  (** {!val:route} calls made with this session. *)
     replays : int;  (** Calls answered whole from the replay cache. *)
     nets_reused : int;
         (** Nets served from a cache: replayed wholesale or with a
@@ -93,19 +139,14 @@ module Session : sig
   (** [replays / route_calls] (0 when no calls were made). *)
 end
 
-val route_pins :
-  ?config:config ->
-  ?density:Cals_util.Grid2d.t ->
+val route :
   ?cancel:Cals_util.Cancel.t ->
   ?session:Session.t ->
   ?pool:Cals_util.Pool.t ->
-  floorplan:Cals_place.Floorplan.t ->
-  wire:Cals_cell.Library.wire_model ->
-  Cals_util.Geom.point list array ->
+  Request.t ->
   result
-(** Route one net per array slot (list of pin locations; nets with fewer
-    than two distinct gcells cost no routing). [density] feeds the M1
-    blockage model (see {!Rgrid.create}).
+(** Route every net of the request (nets with fewer than two distinct
+    gcells cost no routing). The result's [net_gcells] is the request's.
 
     [session] carries committed routes and scratch arenas between calls
     (see {!Session}); without one, every call routes cold into a private
@@ -123,6 +164,18 @@ val route_pins :
     router half of the deadline propagation the batch service relies
     on. *)
 
+val route_pins :
+  ?config:config ->
+  ?density:Cals_util.Grid2d.t ->
+  ?cancel:Cals_util.Cancel.t ->
+  ?session:Session.t ->
+  ?pool:Cals_util.Pool.t ->
+  floorplan:Cals_place.Floorplan.t ->
+  wire:Cals_cell.Library.wire_model ->
+  Cals_util.Geom.point list array ->
+  result
+(** {!val:route} of {!Request.of_pins}. *)
+
 val route_mapped :
   ?config:config ->
   ?cancel:Cals_util.Cancel.t ->
@@ -133,15 +186,4 @@ val route_mapped :
   wire:Cals_cell.Library.wire_model ->
   placement:Cals_place.Placement.mapped_placement ->
   result
-(** Nets in {!Cals_netlist.Mapped.nets} order, so [net_length_um] can be
-    indexed by {!Cals_netlist.Mapped.signal_index}. The placement's cell
-    density is folded into the M1 blockage model automatically.
-    [cancel], [session] and [pool] are forwarded to {!route_pins}. *)
-
-val density_map :
-  ?config:config ->
-  Cals_netlist.Mapped.t ->
-  floorplan:Cals_place.Floorplan.t ->
-  placement:Cals_place.Placement.mapped_placement ->
-  Cals_util.Grid2d.t
-(** Cell-area fraction per gcell under the given placement. *)
+(** {!val:route} of {!Request.of_mapped}. *)

@@ -4,7 +4,8 @@
    properties pin monotonicity under added demand and the pruning
    soundness contract (a pruned sweep's accepted K is bit-identical to
    an unpruned one over the full default schedule); degenerate inputs
-   must answer Uncertain instead of raising. *)
+   must answer Uncertain instead of raising; pinned digests hold every
+   bit of a few forecasts. *)
 
 module Estimate = Cals_estimate.Estimate
 module Flow = Cals_core.Flow
@@ -24,6 +25,9 @@ module Rng = Cals_util.Rng
 let lib = Cals_cell.Stdlib_018.library
 let geometry = Library.geometry lib
 let wire = Library.wire lib
+
+let forecast_of_pins ?density ~floorplan nets =
+  Estimate.forecast (Router.Request.of_pins ?density ~floorplan ~wire nets)
 
 let golden_dir =
   Option.value (Sys.getenv_opt "CALS_GOLDEN_DIR") ~default:"golden"
@@ -318,7 +322,7 @@ let prop_estimate_monotone =
     QCheck.(pair (arb_nets floorplan) (arb_nets floorplan))
     (fun (base, extra) ->
       let forecast nets =
-        Estimate.forecast_pins ~floorplan ~wire (Array.of_list nets)
+        forecast_of_pins ~floorplan (Array.of_list nets)
       in
       let f0 = forecast base and f1 = forecast (base @ extra) in
       if f1.Estimate.overflow_score < f0.Estimate.overflow_score then
@@ -347,22 +351,22 @@ let test_degenerate_inputs () =
      is too small for the thresholds to mean anything. *)
   let tiny = Floorplan.of_rows ~num_rows:1 ~sites_per_row:1 ~geometry in
   check_uncertain "a single-site floorplan" (fun () ->
-      Estimate.forecast_pins ~floorplan:tiny ~wire
+      forecast_of_pins ~floorplan:tiny
         [| [ { Geom.x = 0.1; y = 0.1 }; { Geom.x = 0.4; y = 0.2 } ] |]);
   let plan = Floorplan.of_rows ~num_rows:10 ~sites_per_row:50 ~geometry in
   (* No nets at all, and nets whose pins never leave their gcell: there
      is no routing demand to score. *)
   check_uncertain "an empty netlist" (fun () ->
-      Estimate.forecast_pins ~floorplan:plan ~wire [||]);
+      forecast_of_pins ~floorplan:plan [||]);
   check_uncertain "one-pin nets" (fun () ->
-      Estimate.forecast_pins ~floorplan:plan ~wire
+      forecast_of_pins ~floorplan:plan
         [| [ { Geom.x = 5.0; y = 5.0 } ]; []; [ { Geom.x = 40.0; y = 3.0 } ] |]);
   check_uncertain "zero-area nets inside one gcell" (fun () ->
-      Estimate.forecast_pins ~floorplan:plan ~wire
+      forecast_of_pins ~floorplan:plan
         [| [ { Geom.x = 1.0; y = 1.0 }; { Geom.x = 1.0; y = 1.0 } ] |]);
   (* Pins off the die clamp into the boundary gcells instead of raising. *)
   let f =
-    Estimate.forecast_pins ~floorplan:plan ~wire
+    forecast_of_pins ~floorplan:plan
       [|
         [ { Geom.x = -50.0; y = -50.0 }; { Geom.x = 1e6; y = 1e6 } ];
         [ { Geom.x = 0.0; y = 0.0 }; { Geom.x = 30.0; y = 30.0 } ];
@@ -428,6 +432,115 @@ let test_gcell_accessor () =
       | _ -> Alcotest.failf "gcell (%d,%d) out of bounds did not raise" c r)
     [ (-1, 0); (0, -1); (cols, 0); (0, rows) ]
 
+(* ------------------------- pinned forecasts ------------------------- *)
+
+(* Digest of everything a forecast decides: the float bits of all four
+   per-gcell maps and of every score, the predicted violations and the
+   verdict. The pins below were recorded before the router and the
+   estimator shared one route request; any change to pin gcells, the
+   supply model or the fold order moves them. *)
+let forecast_digest (f : Estimate.forecast) =
+  let b = Buffer.create 65536 in
+  let bits x =
+    Buffer.add_string b (Int64.to_string (Int64.bits_of_float x) ^ ",")
+  in
+  let grid g =
+    Buffer.add_string b
+      (Printf.sprintf "%dx%d:" (Grid2d.cols g) (Grid2d.rows g));
+    Grid2d.iter (fun _ _ v -> bits v) g;
+    Buffer.add_char b ';'
+  in
+  let m = f.Estimate.maps in
+  List.iter grid
+    [
+      m.Estimate.wire_density; m.Estimate.pin_density; m.Estimate.supply;
+      m.Estimate.utilization;
+    ];
+  List.iter bits
+    [
+      f.Estimate.overflow_score; f.Estimate.normalized_overflow;
+      f.Estimate.peak_utilization; f.Estimate.hot_fraction; f.Estimate.hpwl_um;
+    ];
+  Buffer.add_string b (string_of_int f.Estimate.predicted_violations);
+  Buffer.add_string b (Estimate.verdict_to_string f.Estimate.verdict);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* test_route's congested workload: a narrow corridor crossed by long
+   parallel nets plus random two-pin nets. *)
+let congested_floorplan =
+  Floorplan.of_rows ~num_rows:8 ~sites_per_row:400 ~geometry
+
+let congested_nets seed n =
+  let rng = Rng.create seed in
+  Array.init n (fun i ->
+      if i mod 3 = 0 then begin
+        let y = float_of_int (i mod 8) +. 2.0 in
+        [
+          Geom.point 1.0 y;
+          Geom.point (congested_floorplan.Floorplan.die_width -. 1.0) y;
+        ]
+      end
+      else
+        List.init 2 (fun _ ->
+            Geom.point
+              (Rng.float rng congested_floorplan.Floorplan.die_width)
+              (Rng.float rng congested_floorplan.Floorplan.die_height)))
+
+(* Seed 42 also carries a density map one column short of the grid, with
+   values outside [0, 1], so the supply model's clamped density lookup
+   is pinned too. *)
+let congested_density seed =
+  if seed <> 42 then None
+  else begin
+    let cols, rows, _ =
+      Rgrid.dims ~floorplan:congested_floorplan
+        ~gcell_rows:Router.default_config.Router.gcell_rows
+    in
+    let rng = Rng.create seed in
+    let g = Grid2d.create ~cols:(cols - 1) ~rows 0.0 in
+    Grid2d.map_inplace (fun _ -> Rng.float rng 1.4 -. 0.2) g;
+    Some g
+  end
+
+let forecast_pins_pinned =
+  [
+    (40, "4839c06985e13a96153a4840b60253d2");
+    (41, "49b6a367ec4f00fa92566cef111f0229");
+    (42, "61f4915f6749af2475e6877a1a44f19a");
+  ]
+
+let test_forecast_pinned_congested () =
+  List.iter
+    (fun (seed, want) ->
+      let f =
+        forecast_of_pins ?density:(congested_density seed)
+          ~floorplan:congested_floorplan (congested_nets seed 240)
+      in
+      Alcotest.(check string)
+        (Printf.sprintf "congested_nets %d" seed)
+        want (forecast_digest f))
+    forecast_pins_pinned
+
+(* test_route's PDC-like fixture: scale 0.05, 85 % utilization, K = 0. *)
+let test_forecast_pinned_pdc () =
+  let net = Cals_workload.Presets.pdc_like ~scale:0.05 ~seed:1 () in
+  Cals_logic.Optimize.script_light net;
+  let subject = Cals_logic.Decompose.subject_of_network net in
+  let floorplan =
+    Floorplan.for_area
+      ~core_area:(float_of_int (Subject.num_gates subject) *. 5.0)
+      ~utilization:0.85 ~aspect:1.0 ~geometry
+  in
+  let positions = Placement.place_subject subject ~floorplan ~rng:(Rng.create 7) in
+  let mapped =
+    (Cals_core.Mapper.map subject ~library:lib ~positions
+       (Cals_core.Mapper.congestion_aware ~k:0.0))
+      .Cals_core.Mapper.mapped
+  in
+  let placement = Placement.place_mapped_seeded mapped ~floorplan in
+  let f = Estimate.forecast_mapped mapped ~floorplan ~wire ~placement in
+  Alcotest.(check string) "pdc 0.05 @ 85%" "22cb75cfa4f989f92c05b7ee9a923478" (forecast_digest f)
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "estimate"
@@ -455,4 +568,10 @@ let () =
           Alcotest.test_case "thresholds" `Quick test_verdict_thresholds;
         ] );
       ("congestion", [ Alcotest.test_case "gcell-accessor" `Quick test_gcell_accessor ]);
+      ( "pinned",
+        [
+          Alcotest.test_case "congested_nets 40-42" `Quick
+            test_forecast_pinned_congested;
+          Alcotest.test_case "pdc 0.05 @ 85%" `Quick test_forecast_pinned_pdc;
+        ] );
     ]

@@ -534,6 +534,94 @@ let test_route_pinned_pdc () =
   Alcotest.(check bool) "pdc fixture is congested" true (r.Router.violations > 0);
   Alcotest.(check string) "pdc 0.05 @ 85%" "ada23aba3f3a7b5817dcdd99e7e8622a" (route_digest r)
 
+(* ------------------------- One route request ------------------------- *)
+
+module Request = Router.Request
+module Placement = Cals_place.Placement
+module Estimate = Cals_estimate.Estimate
+
+(* A small mapped netlist and a legal placement of it; the property below
+   moves every pin at random. *)
+let agreement_fixture =
+  lazy
+    (let net =
+       Cals_workload.Gen.pla ~rng:(Rng.create 17) ~inputs:5 ~outputs:3
+         ~products:10 ()
+     in
+     Cals_logic.Network.sweep net;
+     let subject = Cals_logic.Decompose.subject_of_network net in
+     let floorplan = Floorplan.of_rows ~num_rows:10 ~sites_per_row:60 ~geometry in
+     let positions = Placement.place_subject subject ~floorplan ~rng:(Rng.create 3) in
+     let mapped =
+       (Cals_core.Mapper.map subject ~library:lib ~positions
+          (Cals_core.Mapper.congestion_aware ~k:0.0))
+         .Cals_core.Mapper.mapped
+     in
+     (mapped, Placement.place_mapped_seeded mapped ~floorplan))
+
+(* The router, the density map and the forecast share one request, so on
+   any floorplan and gcell size they agree on every pin gcell and on the
+   grid dimensions — pins off the die and at negative coordinates
+   included. *)
+let prop_request_agreement =
+  QCheck.Test.make ~count:60
+    ~name:"request, density, grid and forecast agree on gcells"
+    QCheck.(
+      quad (int_range 1 12) (int_range 1 80) (int_range 1 4)
+        (int_range 0 10_000))
+    (fun (num_rows, sites_per_row, gcell_rows, seed) ->
+      let floorplan = Floorplan.of_rows ~num_rows ~sites_per_row ~geometry in
+      let config = { Router.default_config with Router.gcell_rows } in
+      let rng = Rng.create seed in
+      (* From half a die below the origin to half a die past the far edge. *)
+      let point _ =
+        Geom.point
+          ((Rng.float rng 2.0 -. 0.5) *. floorplan.Floorplan.die_width)
+          ((Rng.float rng 2.0 -. 0.5) *. floorplan.Floorplan.die_height)
+      in
+      let dims_of g = (g.Rgrid.cols, g.Rgrid.rows) in
+      let check what (req : Request.t) =
+        let r = Router.route req in
+        let g = r.Router.grid in
+        if (req.Request.cols, req.Request.rows) <> dims_of g then
+          QCheck.Test.fail_reportf "%s: request dims differ from the grid" what;
+        Array.iteri
+          (fun net pins ->
+            List.iter2
+              (fun p cell ->
+                if Rgrid.gcell_of_point g p <> cell then
+                  QCheck.Test.fail_reportf
+                    "%s: net %d pin (%g, %g) disagrees with the grid" what net
+                    p.Geom.x p.Geom.y)
+              pins req.Request.pin_gcells.(net))
+          req.Request.pins;
+        if r.Router.net_gcells <> req.Request.net_gcells then
+          QCheck.Test.fail_reportf "%s: result net gcells differ" what;
+        (match req.Request.density with
+        | Some d when (Grid2d.cols d, Grid2d.rows d) <> dims_of g ->
+          QCheck.Test.fail_reportf "%s: density dims differ from the grid" what
+        | _ -> ());
+        let m = (Estimate.forecast req).Estimate.maps in
+        if (m.Estimate.cols, m.Estimate.rows) <> dims_of g then
+          QCheck.Test.fail_reportf "%s: forecast dims differ from the grid" what
+      in
+      let pins = Array.init 24 (fun _ -> List.init (Rng.int rng 5) point) in
+      check "pins" (Request.of_pins ~config ~floorplan ~wire pins);
+      let mapped, placed = Lazy.force agreement_fixture in
+      let placement =
+        {
+          placed with
+          Placement.cell_pos = Array.map point placed.Placement.cell_pos;
+          pi_pos = Array.map point placed.Placement.pi_pos;
+          po_pos = Array.map point placed.Placement.po_pos;
+        }
+      in
+      let req = Request.of_mapped ~config mapped ~floorplan ~wire ~placement in
+      if req.Request.density = None then
+        QCheck.Test.fail_report "of_mapped built no density map";
+      check "mapped" req;
+      true)
+
 (* ------------------------- Congestion ------------------------- *)
 
 let test_congestion_report () =
@@ -608,5 +696,6 @@ let () =
             test_route_pinned_congested;
           Alcotest.test_case "pdc 0.05 @ 85%" `Quick test_route_pinned_pdc;
         ] );
+      ("request", [ QCheck_alcotest.to_alcotest prop_request_agreement ]);
       ("congestion", [ Alcotest.test_case "report" `Quick test_congestion_report ]);
     ]
