@@ -100,11 +100,12 @@ val library : session -> Cals_cell.Library.t
 val route_session : session -> Cals_route.Router.Session.t
 (** The session's router companion: a {!Cals_route.Router.Session}
     created alongside the match cache, so the K loop that reuses match
-    sets also replays unchanged route requests. {!Flow.evaluate_k}
-    threads it into the router automatically when it is given the
-    session; it shares the session's lifetime and invalidation story
-    (the flow never re-uses a session across subjects, so the route
-    cache can only ever see requests from one design). *)
+    sets also replays unchanged route requests. {!Flow.evaluate_k} does
+    not take it from the session: callers pass it explicitly as
+    [~route_session] next to [~session] (as {!Flow.run_adaptive} does).
+    It shares the session's lifetime and invalidation story (the flow
+    never re-uses a session across subjects, so the route cache can only
+    ever see requests from one design). *)
 
 val fingerprints : session -> (int * int64) list
 (** [(root, fingerprint)] per tree, in root order — exposed for tests and

@@ -12,14 +12,13 @@ let log_file = "cli-smoke.log"
 let run cmd =
   Sys.command (Printf.sprintf "%s > %s 2>&1" cmd log_file)
 
-let logged () =
-  if not (Sys.file_exists log_file) then ""
-  else begin
-    let ic = open_in log_file in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  end
+let slurp path =
+  let ic = open_in path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+let logged () = if Sys.file_exists log_file then slurp log_file else ""
 
 let check_exit name expected cmd =
   let code = run cmd in
@@ -47,26 +46,28 @@ let test_map () =
   check_exit "map" 0
     (Printf.sprintf "%s map %s -k 0.001 -o cli-mapped.v" cals blif);
   check_file "map" "cli-mapped.v";
-  let ic = open_in "cli-mapped.v" in
-  let verilog =
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
   Alcotest.(check bool) "structural Verilog" true
-    (contains ~needle:"module" verilog)
+    (contains ~needle:"module" (slurp "cli-mapped.v"))
 
 let test_flow () =
   check_exit "flow accepted" 0
     (Printf.sprintf "%s flow %s --check cheap" cals blif);
   Alcotest.(check bool) "reports the accepted K" true
     (contains ~needle:"accepted at K=" (logged ()));
-  (* A preset works as input too, and the trace artifact lands. *)
+  (* A preset works as input too, and the trace artifact lands with a
+     span for every pipeline stage. *)
   check_exit "flow preset" 0
     (Printf.sprintf
        "%s flow --preset spla --scale 0.02 --seed 5 --trace cli-trace.json"
        cals);
-  check_file "flow" "cli-trace.json"
+  check_file "flow" "cli-trace.json";
+  let trace = slurp "cli-trace.json" in
+  List.iter
+    (fun span ->
+      Alcotest.(check bool) ("trace has span " ^ span) true
+        (contains ~needle:(Printf.sprintf "\"name\":\"%s\"" span) trace))
+    [ "workload.generate"; "logic.decompose"; "mapper.map"; "place.legalize";
+      "route.route_pins" ]
 
 (* Orchestrated flow: candidate table, miter-verified selection, and
    bit-identical output across two runs (the determinism contract the

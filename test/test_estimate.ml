@@ -191,6 +191,24 @@ let test_prune_skips_and_preserves_qor () =
   Alcotest.(check int) "same schedule walked"
     (List.length off.Flow.iterations)
     (List.length pruned.Flow.iterations);
+  (* The pruning win as a count: at least a third of the walked points
+     pay no negotiated route, and every one of them really fails to
+     route in the unpruned walk (no routable point is ever ruled out). *)
+  Alcotest.(check bool)
+    (Printf.sprintf "skipped %d of %d points, at least a third"
+       (List.length skipped)
+       (List.length pruned.Flow.iterations))
+    true
+    (3 * List.length skipped >= List.length pruned.Flow.iterations);
+  List.iter2
+    (fun o p ->
+      if p.Flow.estimated then
+        Alcotest.(check bool)
+          (Printf.sprintf "skipped K=%g has violations unpruned (%d)" o.Flow.k
+             o.Flow.report.Congestion.violations)
+          true
+          (o.Flow.report.Congestion.violations >= 1))
+    off.Flow.iterations pruned.Flow.iterations;
   List.iter2
     (fun o p ->
       Alcotest.(check bool)

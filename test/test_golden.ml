@@ -219,6 +219,45 @@ let check_design (name, make) () =
     if expected <> actual then Alcotest.fail (diff_message name expected actual)
   end
 
+(* Synthesis orchestration over the whole corpus: on every design the
+   selected candidate's accepted K is never worse than the fixed
+   pipeline's, and across the corpus the selected subjects are smaller
+   than the baselines. *)
+let test_orchestrate_never_worse () =
+  let floorplan_of subject =
+    Floorplan.for_area
+      ~core_area:(float_of_int (Subject.num_gates subject) *. 5.0)
+      ~utilization:0.55 ~aspect:1.0 ~geometry
+  in
+  let accepted_k ev =
+    match ev.Flow.result with
+    | Some ({ Flow.accepted = Some it; _ }, _) -> Some it.Flow.k
+    | _ -> None
+  in
+  let base_gates, best_gates =
+    List.fold_left
+      (fun (base_gates, best_gates) (name, make) ->
+        let r =
+          Flow.orchestrate ~optimize:false ~network:(load_network name make)
+            ~library:lib ~floorplan_of ~seed:1 ()
+        in
+        let base = accepted_k r.Flow.baseline
+        and best = accepted_k r.Flow.best in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: accepted K never worse than the baseline's" name)
+          true
+          (match (base, best) with
+          | None, _ -> true
+          | Some _, None -> false
+          | Some b, Some s -> s <= b);
+        (base_gates + r.Flow.baseline.Flow.gates,
+         best_gates + r.Flow.best.Flow.gates))
+      (0, 0) designs
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "corpus subject gates %d -> %d" base_gates best_gates)
+    true (best_gates < base_gates)
+
 let () =
   Alcotest.run "golden"
     [
@@ -226,4 +265,7 @@ let () =
         List.map
           (fun d -> Alcotest.test_case (fst d) `Quick (check_design d))
           designs );
+      ( "synthesis",
+        [ Alcotest.test_case "orchestrate never worse" `Quick
+            test_orchestrate_never_worse ] );
     ]

@@ -259,19 +259,27 @@ let test_route_session_regression_seeds () =
 
 (* The warm K sweep re-routes the same mapped netlist whenever consecutive
    K points map identically, so a full-schedule sweep through one session
-   must replay at least once — this is the speedup mechanism. *)
+   must replay at least once — this is the speedup mechanism. A second
+   pass over every routed point through the same session must then be
+   pure replay: no net re-derived, every result equal to the first. *)
 let test_route_session_hit_rate () =
   let w = workload_of ~family:`Pla ~seed:11 ~inputs:8 ~outputs:6 ~size:30 in
   let session =
     Incremental.create ~subject:w.subject ~library:lib ~positions:w.positions ()
   in
   let rsession = Incremental.route_session session in
-  List.iter
-    (fun k ->
-      ignore
-        (Flow.evaluate_k ~session ~route_session:rsession ~subject:w.subject
-           ~library:lib ~floorplan:w.floorplan ~positions:w.positions ~k ()))
-    Flow.default_k_schedule;
+  let routed =
+    List.filter_map
+      (fun k ->
+        match
+          Flow.evaluate_k ~session ~route_session:rsession ~subject:w.subject
+            ~library:lib ~floorplan:w.floorplan ~positions:w.positions ~k ()
+        with
+        | _, (mapped, Some placement, Some routing) ->
+          Some (mapped, placement, routing)
+        | _ -> None)
+      Flow.default_k_schedule
+  in
   let s = Router.Session.stats rsession in
   Alcotest.(check bool)
     (Printf.sprintf "replays %d of %d calls" s.Router.Session.replays
@@ -280,7 +288,24 @@ let test_route_session_hit_rate () =
     (s.Router.Session.replays > 0);
   Alcotest.(check bool) "hit rate in (0,1]" true
     (Router.Session.warm_hit_rate s > 0.0
-    && Router.Session.warm_hit_rate s <= 1.0)
+    && Router.Session.warm_hit_rate s <= 1.0);
+  List.iter
+    (fun (mapped, placement, first) ->
+      let again =
+        Router.route_mapped ~session:rsession mapped ~floorplan:w.floorplan
+          ~wire:(Cals_cell.Library.wire lib) ~placement
+      in
+      Alcotest.(check bool) "second pass == first pass" true
+        (route_result_identical first again))
+    routed;
+  let s' = Router.Session.stats rsession in
+  let passes = List.length routed in
+  Alcotest.(check bool) "the sweep routed some point" true (passes > 0);
+  Alcotest.(check int) "every second-pass call is a replay"
+    (s.Router.Session.replays + passes)
+    s'.Router.Session.replays;
+  Alcotest.(check int) "the second pass re-derives no net"
+    s.Router.Session.nets_rerouted s'.Router.Session.nets_rerouted
 
 (* ---------------- Flow integration ---------------- *)
 

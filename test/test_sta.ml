@@ -213,6 +213,10 @@ let test_timing_no_worse_on_golden_corpus () =
       let k0, baseline = crit ~t:0.0 in
       let k1, timed = crit ~t:Cals_core.Mapper.default_timing_weight in
       Alcotest.(check bool)
+        (Printf.sprintf "%s: post-route critical path %.4f ns is positive"
+           name timed)
+        true (timed > 0.0);
+      Alcotest.(check bool)
         (Printf.sprintf
            "%s: T>0 critical path %.4f ns (K=%g) <= T=0 baseline %.4f ns \
             (K=%g)"
