@@ -119,9 +119,11 @@ let grid_json g =
            (List.init (Grid2d.cols g) (fun c -> Proto.Num (Grid2d.get g c r)))))
 
 (* Both per-gcell maps — the estimator's forecast and the router's real
-   congestion — at one K point, for offline inspection. The point is
-   re-evaluated from scratch (same companion placement) so the dump is
-   complete even when the flow itself pruned or triaged the route away. *)
+   congestion — at one K point, for offline inspection, with the cut
+   certificate's bound and its worst line, which explain a pruned point.
+   The point is re-evaluated from scratch (same companion placement) so
+   the dump is complete even when the flow itself pruned or triaged the
+   route away. *)
 let dump_congestion path ~subject ~floorplan ~positions ~k =
   let result =
     Mapper.map subject ~library ~positions (Mapper.congestion_aware ~k)
@@ -136,7 +138,7 @@ let dump_congestion path ~subject ~floorplan ~positions ~k =
     let f = Estimate.forecast request in
     let routing = Router.route request in
     let real = Congestion.gcell_map routing in
-    let m = f.Estimate.maps in
+    let m = f.Estimate.maps and cut = f.Estimate.cut in
     let json =
       Proto.Obj
         [
@@ -151,6 +153,17 @@ let dump_congestion path ~subject ~floorplan ~positions ~k =
                 ("normalized_overflow", Proto.Num f.Estimate.normalized_overflow);
                 ("peak_utilization", Proto.Num f.Estimate.peak_utilization);
                 ("overflow_score", Proto.Num f.Estimate.overflow_score);
+                ("cut_bound", Proto.Num cut.Router.Cut.bound);
+                ( "cut_line",
+                  let w = cut.Router.Cut.worst in
+                  Proto.Obj
+                    [
+                      ("axis", Proto.Str (Router.Cut.axis_to_string w.Router.Cut.axis));
+                      ("index", Proto.Num (float_of_int w.Router.Cut.index));
+                      ("crossings", Proto.Num (float_of_int w.Router.Cut.crossings));
+                      ( "floored_capacity",
+                        Proto.Num (float_of_int w.Router.Cut.floored_capacity) );
+                    ] );
                 ("wire_density", grid_json m.Estimate.wire_density);
                 ("pin_density", grid_json m.Estimate.pin_density);
                 ("supply", grid_json m.Estimate.supply);
@@ -662,7 +675,8 @@ let timing_arg =
 let dump_congestion_arg =
   let doc =
     "Write the estimated and real per-gcell congestion maps at the \
-     accepted (or last evaluated) K point to $(docv) as JSON."
+     accepted (or last evaluated) K point to $(docv) as JSON, with the \
+     cut certificate's bound and its worst cut line."
   in
   Arg.(
     value

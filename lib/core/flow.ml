@@ -144,10 +144,11 @@ let evaluate_k ?router_config ?(checks = Check.Off)
     match (skip_route, forecast) with
     | true, Some f ->
       (* The estimator stands in for the router at this point. Under
-         [Prune] only confident-Unroutable points land here and their
-         reports carry violations by construction, so a pruned point can
+         [Prune] only certified-Unroutable points land here: their cut
+         certificate proves the real route violates, and their reports
+         carry that proof's lower bound (>= 1), so a pruned point can
          never be the accepted one — acceptance always rides on a real
-         route. Under [Triage] nothing routes; a non-[Routable] verdict
+         route. Under [Triage] nothing routes; an [Uncertain] verdict
          must still read as a rejection even when the damped violation
          estimate rounds to zero. *)
       Metrics.incr m_routes_skipped;
@@ -213,11 +214,12 @@ let log_accepted (it : iteration) =
 (* ---------------- Adaptive K search ---------------- *)
 
 (* A point the pruned linear sweep would reject without ever routing it:
-   the netlist does not legalize, or the estimator confidently calls it
-   unroutable (the PR 7 soundness construction — such points always carry
-   violations, so they can never be the accepted one). These are the only
-   points the adaptive search may skip a real route for, which is what
-   makes its accepted K bit-identical to the linear schedule's. *)
+   the netlist does not legalize, or its cut certificate proves every
+   route of it violates (the forecast's [Unroutable]). Both are proofs,
+   not forecasts: such a point also fails a real route, so it can never
+   be the accepted one. These are the only points the adaptive search
+   may skip a real route for, which is what makes its accepted K
+   bit-identical to the linear schedule's, pruned or not. *)
 let established_rejected (it : iteration) =
   it.hpwl_um = infinity || it.verdict = Some Estimate.Unroutable
 
@@ -264,7 +266,7 @@ let run_adaptive ?(k_schedule = default_k_schedule) ?router_config
     iteration
   in
   (* Phase 1 — verdict bisection. Find the frontier: the lowest schedule
-     index the estimator does not confidently rule out. Congestion falls
+     index that is not proven rejected. Congestion falls
      as K rises, so ruled-out points form (in practice) a prefix of the
      ladder; the bisection exploits that to seed the frontier in
      O(log n) forecast probes instead of n. *)
@@ -279,8 +281,8 @@ let run_adaptive ?(k_schedule = default_k_schedule) ?router_config
   let seed_frontier = bisect 0 n in
   (* Phase 2 — soundness sweep. The bisection's prefix assumption is an
      optimization, never a premise: forecast every point it skipped below
-     the seed, and lower the frontier to the first point the estimator
-     cannot rule out. After this pass every point below the frontier is
+     the seed, and lower the frontier to the first point not proven
+     rejected. After this pass every point below the frontier is
      established-rejected by exactly the rules the pruned linear sweep
      applies, so skipping their routes cannot move the accepted K. *)
   for idx = seed_frontier - 1 downto 0 do
@@ -301,8 +303,9 @@ let run_adaptive ?(k_schedule = default_k_schedule) ?router_config
         (if frontier < n then Printf.sprintf "K=%g" ks.(frontier) else "end")
         !forecast_evals);
   (* Phase 3 — confirming routes. From the frontier up this is the pruned
-     linear loop: each point re-forecasts under [Prune] (skipping any the
-     estimator confidently rejects) and otherwise routes for real, until
+     linear loop: each point re-forecasts under [Prune] (skipping any
+     whose certificate proves it unroutable) and otherwise routes for
+     real, until
      the first acceptable real route. Acceptance still rides a real
      route; the refinement only reorders where the forecast work
      happens. *)

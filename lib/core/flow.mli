@@ -18,9 +18,10 @@ type iteration = {
   verdict : Cals_estimate.Estimate.verdict option;
       (** The forecast's verdict at this point, when the estimator ran
           ([None] under [estimate:Off] and for netlists that do not
-          legalize). Routed points keep their pre-route verdict, so the
-          adaptive search and its tests can audit which skips were
-          estimator-justified. *)
+          legalize). [Some Unroutable] means the point's cut certificate
+          proved every route of it violates. Routed points keep their
+          pre-route verdict, so the adaptive search and its tests can
+          audit which skips were justified. *)
 }
 
 type outcome = {
@@ -41,8 +42,8 @@ type adaptive_stats = {
           estimate, no route) spent on bisection probes and the
           soundness sweep. *)
   frontier_k : float option;
-      (** First schedule point the estimator could not rule out — where
-          the confirming routes started. [None] when every point was
+      (** First schedule point not proven rejected — where the
+          confirming routes started. [None] when every point was
           established-rejected. *)
 }
 
@@ -69,28 +70,29 @@ val run_adaptive :
     {!Cals_estimate.Estimate} verdicts.
 
     Three phases. (1) {e Verdict bisection}: binary-search the ladder for
-    the frontier — the lowest K the estimator does not confidently rule
-    out — using forecast-only probes (map + legalize + estimate, never a
-    route). (2) {e Soundness sweep}: forecast every point the bisection
-    skipped below the frontier; any point the estimator cannot rule out
-    lowers the frontier, so the prefix-of-rejections assumption behind
-    the bisection is only ever an optimization. (3) {e Confirming
-    routes}: from the frontier up, route every point the estimator does
-    not confidently reject, ascending, until the first acceptable
-    {e real} route.
+    the frontier — the lowest K not proven rejected — using
+    forecast-only probes (map + legalize + estimate, never a route).
+    (2) {e Soundness sweep}: forecast every point the bisection skipped
+    below the frontier; any point not proven rejected lowers the
+    frontier, so the prefix-of-rejections assumption behind the
+    bisection is only ever an optimization. (3) {e Confirming routes}:
+    from the frontier up, route every point not proven rejected,
+    ascending, until the first acceptable {e real} route.
 
     The invariant, by construction: a real route is skipped only where
     the point is established-rejected — its netlist does not legalize,
-    or the forecast is confident-[Unroutable] (whose recorded report
-    always carries violations). Every other point below the accepted one
-    is routed, in schedule order, exactly as a linear walk of the
-    schedule under [estimate:Prune] would route it. Hence the accepted
-    K, its mapped netlist and its routed result are those of the linear
-    walk whenever the calibration holds, and the no-acceptable-K outcome
-    (over-capacity floorplans) is preserved — at the cost of
-    [real_routes] negotiated routes, ≤ 6 on the bench corpus against the
-    14-point default ladder. The test suites keep that linear walk as an
-    oracle.
+    or its forecast is [Unroutable], which means its
+    {!Cals_route.Router.Cut} certificate proves every route of it
+    violates (and its recorded report carries violations). Every other
+    point below the accepted one is routed, in schedule order, exactly
+    as a linear walk of the schedule under [estimate:Prune] would route
+    it, and a skipped point would have failed the unpruned walk's route
+    too. Hence the accepted K, its mapped netlist and its routed result
+    are those of the linear walk, pruned or not, and the no-acceptable-K
+    outcome (over-capacity floorplans) is preserved — at the cost of
+    [real_routes] negotiated routes against the 14-point default ladder
+    (test_flow "adaptive route budget" bounds them on a settling
+    circuit). The test suites keep that linear walk as an oracle.
 
     [iterations] in the returned outcome holds every point the search
     evaluated, in schedule order; bisection probes above the accepted K
@@ -157,10 +159,11 @@ val evaluate_k :
 
     [estimate] (default [Prune]) runs the millisecond congestion forecast
     ({!Cals_estimate.Estimate}) on the placed point before routing. Under
-    [Prune] a confident [Unroutable] verdict skips the negotiated route
-    and records the estimator's report with [estimated = true]; such a
-    report always carries violations, so a pruned point is never
-    accepted. [Triage] routes nothing and records the forecast; [Off]
+    [Prune] an [Unroutable] verdict — a cut certificate proving the
+    route would violate — skips the negotiated route and records the
+    estimator's report with [estimated = true]; that report carries the
+    certificate's lower bound on the violations (>= 1), so a pruned
+    point is never accepted. [Triage] routes nothing and records the forecast; [Off]
     always routes. [t] (default [0.]) is the timing weight of
     {!Mapper.options.t}, forwarded to the mapper on both the session and
     the cold path; the equivalence stimulus stays derived from K alone

@@ -39,10 +39,35 @@ let check_params ?(utilization = 0.45) ?(level = Check.Full)
         ~utilization ~aspect:1.0 ~geometry
     in
     let rng = Cals_util.Rng.create (p.Fuzz.seed + 1) in
-    let (_ : Flow.outcome * Flow.adaptive_stats) =
-      Flow.run_adaptive ~checks:level ~subject ~library ~floorplan ~rng ()
+    let positions = Cals_place.Placement.place_subject subject ~floorplan ~rng in
+    let outcome, _ =
+      Flow.run_adaptive ~checks:level ~positions ~subject ~library ~floorplan
+        ~rng ()
     in
-    Ok ()
+    (* Every point skipped on a cut certificate must really fail to
+       route, with at least the violations its report claims. *)
+    let violations (it : Flow.iteration) =
+      it.Flow.report.Cals_route.Congestion.violations
+    in
+    let refuted (it : Flow.iteration) =
+      if it.Flow.verdict <> Some Cals_estimate.Estimate.Unroutable then None
+      else begin
+        let real, _ =
+          Flow.evaluate_k ~estimate:Cals_estimate.Estimate.Off ~subject
+            ~library ~floorplan ~positions ~k:it.Flow.k ()
+        in
+        if violations real < violations it then Some (it, real) else None
+      end
+    in
+    match List.find_map refuted outcome.Flow.iterations with
+    | Some (it, real) ->
+      Error
+        ( "certificate",
+          Printf.sprintf
+            "K=%g was certified unroutable with at least %d violations, but \
+             routes with %d"
+            it.Flow.k (violations it) (violations real) )
+    | None -> Ok ()
   with
   | Check.Violation { stage; detail } -> Error (stage, detail)
   | exn -> Error ("exception", Printexc.to_string exn)

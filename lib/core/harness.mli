@@ -7,7 +7,9 @@
     ({!Flow.run_adaptive}) with the verification layer enabled, and
     checks equivalence across the logic-synthesis stage boundaries the
     flow itself cannot see (original vs optimized network, network vs
-    subject graph). *)
+    subject graph). It then re-routes every point the search skipped on
+    a cut certificate ([verdict = Some Unroutable]) with the estimator
+    off, so the certificate's proof is checked at runtime too. *)
 
 val check_params :
   ?utilization:float ->
@@ -18,6 +20,8 @@ val check_params :
     [p] and reports the first violation as [Error (stage, detail)]. A
     {!Cals_verify.Check.Violation} maps to its own stage; any other
     exception (including [Invalid_argument] from structural mismatches)
-    maps to stage ["exception"]. Defaults: [utilization = 0.45],
+    maps to stage ["exception"]. A certified point that routes with
+    fewer violations than its report claims (clean included) is
+    [Error ("certificate", detail)]. Defaults: [utilization = 0.45],
     [level = Full]. A flow that finds no acceptable K is not a failure —
     the fuzzer tests invariants, not routability. *)

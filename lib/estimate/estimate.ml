@@ -14,7 +14,7 @@ let m_routable =
     "estimate_verdict_routable"
 
 let m_unroutable =
-  Metrics.counter ~help:"Forecasts with a confident Unroutable verdict"
+  Metrics.counter ~help:"Forecasts certified Unroutable by a cut line"
     "estimate_verdict_unroutable"
 
 let m_uncertain =
@@ -48,27 +48,24 @@ type forecast = {
   hot_fraction : float;
   predicted_violations : int;
   hpwl_um : float;
+  cut : Router.Cut.t;
   verdict : verdict;
 }
 
 (* ------------------------- calibration ------------------------- *)
 
 (* Fitted against the real router on the golden corpus (always routable,
-   utilization 0.42-0.53) and the SPLA/PDC presets at the congested
-   bench scales (DESIGN.md, Section 4k has the fitting table). The
-   margins are deliberately asymmetric: a wrong Unroutable would change
-   the sweep's accepted K, a wrong Routable merely wastes one real
-   route, and a wrong Uncertain only costs the route we would have paid
-   anyway. *)
+   utilization 0.42-0.53). Only the Routable band is fitted: a wrong
+   Routable merely seeds the adaptive bisection too low and wastes
+   routes, because acceptance always rides a real route. Unroutable is
+   never a fit; it is the cut certificate's proof. *)
 let pin_track_cost = 0.125
 let negotiation_relief = 0.5
-let unroutable_min_norm = 0.02
 let routable_max_norm = 1e-4
 let routable_max_peak = 0.8
 
 let verdict_of_scores ~degenerate ~normalized_overflow ~peak_utilization =
   if degenerate then Uncertain
-  else if normalized_overflow >= unroutable_min_norm then Unroutable
   else if
     normalized_overflow <= routable_max_norm
     && peak_utilization <= routable_max_peak
@@ -77,7 +74,8 @@ let verdict_of_scores ~degenerate ~normalized_overflow ~peak_utilization =
 
 (* The thresholds are meaningless when the grid barely exists or offers
    no capacity, and a netlist with no two-pin net has no routing demand
-   to score — all three answer Uncertain rather than a confident guess. *)
+   to score — all three answer Uncertain rather than a confident
+   Routable. *)
 let degenerate_scores ~cols ~rows ~total_supply ~routable_nets =
   cols * rows <= 4 || total_supply <= 1e-9 || routable_nets = 0
 
@@ -192,9 +190,14 @@ let forecast (req : Router.Request.t) =
     degenerate_scores ~cols ~rows ~total_supply:!total_supply
       ~routable_nets:!routable_nets
   in
+  (* A proof beats a score: a certified request is Unroutable even where
+     the RUDY map looks clean. *)
+  let cut = Router.Cut.of_request req in
   let verdict =
-    verdict_of_scores ~degenerate:deg ~normalized_overflow
-      ~peak_utilization:!peak
+    if cut.Router.Cut.certified then Unroutable
+    else
+      verdict_of_scores ~degenerate:deg ~normalized_overflow
+        ~peak_utilization:!peak
   in
   Metrics.incr
     (match verdict with
@@ -204,11 +207,9 @@ let forecast (req : Router.Request.t) =
   let predicted_violations =
     match verdict with
     | Routable -> 0
-    | Unroutable | Uncertain ->
-      let damped =
-        int_of_float (Float.round ((1.0 -. negotiation_relief) *. !overflow))
-      in
-      if verdict = Unroutable then max 1 damped else damped
+    | Unroutable -> Router.Cut.violations cut
+    | Uncertain ->
+      int_of_float (Float.round ((1.0 -. negotiation_relief) *. !overflow))
   in
   let f =
     {
@@ -221,6 +222,7 @@ let forecast (req : Router.Request.t) =
       hot_fraction = float_of_int !hot /. float_of_int (max 1 (cols * rows));
       predicted_violations;
       hpwl_um = !hpwl_total;
+      cut;
       verdict;
     }
   in

@@ -16,17 +16,21 @@
     router's {!val:Cals_route.Rgrid.track_model}, so the two can never
     disagree on a pin gcell or a capacity.
 
-    The forecast feeds a calibrated three-way {!verdict}. Thresholds are
-    fitted on the golden corpus and the bench presets against the real
-    router (see DESIGN.md, Section 4k): a {e confident} [Unroutable] lets
-    {!Cals_core.Flow.evaluate_k} skip the negotiated route entirely,
-    [Uncertain] points route for real, and an accepted K is always
-    confirmed by a real route — the estimator can only ever prune
-    rejections, never certify an acceptance. *)
+    The forecast feeds a three-way {!verdict}. [Unroutable] is not a
+    fit but a proof: the request's {!Cals_route.Router.Cut} certificate
+    shows some cut line carries more segment crossings than its floored
+    capacity, so no route of it is clean (DESIGN.md, Section 4k). That
+    lets {!Cals_core.Flow.evaluate_k} skip the negotiated route
+    entirely. [Routable] is the one fitted band, and only ever seeds
+    the adaptive search; [Uncertain] points route for real. An accepted
+    K is always confirmed by a real route — the estimator can only ever
+    prune proven rejections, never certify an acceptance. *)
 
 type verdict =
   | Routable  (** Confidently under capacity everywhere. *)
-  | Unroutable  (** Confidently over capacity; predicted violations > 0. *)
+  | Unroutable
+      (** Certified by a cut line: every route of the request has
+          violations, and [predicted_violations] is a lower bound on them. *)
   | Uncertain  (** Near the boundary (or degenerate input): route for real. *)
 
 (** How {!Cals_core.Flow.evaluate_k} uses the forecast at one K point. *)
@@ -35,7 +39,7 @@ type policy =
       (** Never forecast; the point pays a real route. The unpruned
           baseline the bench and the tests measure pruning against. *)
   | Prune
-      (** Forecast first; a confident [Unroutable] skips the real route
+      (** Forecast first; a certified [Unroutable] skips the real route
           (recording the estimated report), everything else routes. The
           adaptive K search's confirming routes. *)
   | Triage
@@ -64,16 +68,19 @@ type forecast = {
       (** Sum over gcells of [max 0 (demand - supply)], in track units —
           the estimator's counterpart of the router's total overflow. *)
   normalized_overflow : float;
-      (** [overflow_score / total supply]; scale-free, what the verdict
-          thresholds are calibrated on. *)
+      (** [overflow_score / total supply]; scale-free, what the
+          [Routable] thresholds are calibrated on. *)
   peak_utilization : float;  (** Largest per-gcell [demand / supply]. *)
   hot_fraction : float;
       (** Gcells above {!Cals_route.Congestion.hot_threshold}. *)
   predicted_violations : int;
-      (** Rounded overflow score damped by {!negotiation_relief} — the
-          router negotiates demand away from hotspots, so raw RUDY
-          overflow overestimates the post-negotiation residual. *)
+      (** [0] when [Routable]; {!Cals_route.Router.Cut.violations} (a
+          sound lower bound) when [Unroutable]; otherwise the rounded
+          overflow score damped by {!negotiation_relief} — the router
+          negotiates demand away from hotspots, so raw RUDY overflow
+          overestimates the post-negotiation residual. *)
   hpwl_um : float;  (** Summed net HPWL (the wirelength stand-in). *)
+  cut : Cals_route.Router.Cut.t;  (** The request's cut certificate. *)
   verdict : verdict;
 }
 
@@ -81,9 +88,11 @@ val forecast : Cals_route.Router.Request.t -> forecast
 (** Forecast the request's nets, scoring exactly the pins, gcells and
     density the router would route. Never raises on degenerate input —
     empty net arrays, single-pin nets, zero-area bounding boxes and
-    single-gcell grids all produce a forecast whose verdict is
-    [Uncertain] when the numbers cannot be trusted: a grid of at most
-    four gcells, no supply, or no net spanning two gcells. *)
+    single-gcell grids all produce a forecast. The verdict is
+    [Unroutable] iff [cut] is certified; otherwise it is [Uncertain]
+    when the scores cannot be trusted (a grid of at most four gcells, no
+    supply, or no net spanning two gcells) and {!verdict_of_scores}
+    else. *)
 
 val forecast_mapped :
   ?config:Cals_route.Router.config ->
@@ -102,10 +111,10 @@ val report : forecast -> Cals_route.Congestion.report
 
 (** {2 Calibration constants}
 
-    Fitted once against the real router on the golden corpus and the
-    SPLA/PDC bench presets (DESIGN.md, Section 4k records the fitting
-    table). Exposed so tests can assert the calibration's soundness
-    margins rather than hard-coding copies. *)
+    The [Routable] band and the [Uncertain] damping, fitted once against
+    the real router on the golden corpus. [Unroutable] has no constant:
+    it is {!Cals_route.Router.Cut}'s proof. Exposed so tests read the
+    values rather than hard-coding copies. *)
 
 val pin_track_cost : float
 (** Track-lengths of escape routing charged per pin (0.125). *)
@@ -113,9 +122,6 @@ val pin_track_cost : float
 val negotiation_relief : float
 (** Fraction of raw RUDY overflow the negotiated router is expected to
     resolve; damps [predicted_violations] (0.5). *)
-
-val unroutable_min_norm : float
-(** Normalized overflow at or above which the verdict is [Unroutable]. *)
 
 val routable_max_norm : float
 (** Normalized overflow at or below which the verdict may be [Routable]. *)
@@ -125,7 +131,8 @@ val routable_max_peak : float
 
 val verdict_of_scores :
   degenerate:bool -> normalized_overflow:float -> peak_utilization:float -> verdict
-(** The threshold logic alone, exposed for tests ([degenerate:true]
+(** The threshold logic of an uncertified forecast, exposed for tests:
+    [Routable] or [Uncertain], never [Unroutable] ([degenerate:true]
     forces [Uncertain]). *)
 
 val verdict_to_string : verdict -> string

@@ -73,25 +73,30 @@ let track_model ~gcell_um ~wire ~layers ?density () =
   let nh = float_of_int ((n_routing + 1) / 2) in
   { tracks; nh; nv = float_of_int (n_routing / 2); density_at }
 
+(* An edge offers the mean of its two gcells' free track share. *)
+let hcapacity { tracks; nh; density_at; _ } ~m1_free c r =
+  let d = (density_at c r +. density_at (c + 1) r) /. 2.0 in
+  tracks *. (nh +. (m1_free *. (1.0 -. d)))
+
+let vcapacity { tracks; nv; density_at; _ } ~m1_free c r =
+  let d = (density_at c r +. density_at c (r + 1)) /. 2.0 in
+  tracks *. (nv +. (m1_free *. (1.0 -. d)))
+
 let create ~floorplan ~wire ~layers ?(gcell_rows = 2) ?(m1_free = 1.3) ?density
     () =
   if layers < 2 then invalid_arg "Rgrid.create: need at least 2 metal layers";
   let cols, rows, gcell_um = dims ~floorplan ~gcell_rows in
-  let { tracks; nh; nv; density_at } =
-    track_model ~gcell_um ~wire ~layers ?density ()
-  in
+  let model = track_model ~gcell_um ~wire ~layers ?density () in
   let hcap = Array.make ((cols - 1) * rows) 0.0 in
   let vcap = Array.make (cols * (rows - 1)) 0.0 in
   for r = 0 to rows - 1 do
     for c = 0 to cols - 2 do
-      let d = (density_at c r +. density_at (c + 1) r) /. 2.0 in
-      hcap.((r * (cols - 1)) + c) <- tracks *. (nh +. (m1_free *. (1.0 -. d)))
+      hcap.((r * (cols - 1)) + c) <- hcapacity model ~m1_free c r
     done
   done;
   for r = 0 to rows - 2 do
     for c = 0 to cols - 1 do
-      let d = (density_at c r +. density_at c (r + 1)) /. 2.0 in
-      vcap.((r * cols) + c) <- tracks *. (nv +. (m1_free *. (1.0 -. d)))
+      vcap.((r * cols) + c) <- vcapacity model ~m1_free c r
     done
   done;
   Metrics.incr m_grids;

@@ -61,6 +61,14 @@ val track_model :
 (** The capacity model {!create} and the congestion forecast share: a
     direction offers [tracks * (nh or nv + m1_free * (1 - d))]. *)
 
+val hcapacity : track_model -> m1_free:float -> int -> int -> float
+(** [hcapacity m ~m1_free c r]: the capacity {!create} gives the
+    horizontal edge [H (c, r)], with [d] the mean density of its two
+    gcells. The router's cut certificate reads the same bits. *)
+
+val vcapacity : track_model -> m1_free:float -> int -> int -> float
+(** Same for the vertical edge [V (c, r)]. *)
+
 val create :
   floorplan:Cals_place.Floorplan.t ->
   wire:Cals_cell.Library.wire_model ->

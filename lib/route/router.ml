@@ -1080,6 +1080,111 @@ module Session = struct
     else float_of_int st.replays /. float_of_int st.route_calls
 end
 
+(* Every net's two-pin segments, in net order: the MST of its distinct
+   pin gcells, or a star from its driver's gcell. The router and the cut
+   certificate both take their segments from here, so they cannot
+   diverge. *)
+let iter_segments ?session (req : Request.t) f =
+  let star = req.Request.config.star_topology in
+  Array.iteri
+    (fun net cells ->
+      match req.Request.pin_gcells.(net) with
+      | [] -> ()
+      | driver :: _ ->
+        let topo =
+          match session with
+          | Some s -> Session.topo_segments s ~star ~driver cells
+          | None -> derive_topology ~star ~driver cells
+        in
+        List.iter (f net) topo)
+    req.Request.net_gcells
+
+module Cut = struct
+  type axis = Column | Row
+
+  type line = {
+    axis : axis;
+    index : int;
+    crossings : int;
+    floored_capacity : int;
+  }
+
+  type t = {
+    certified : bool;
+    bound : float;
+    worst : line;
+  }
+
+  (* A segment whose ends lie on both sides of a cut line is committed
+     as a 4-connected path, so it adds at least 1.0 to one edge of that
+     line. Usage is integral: more crossings than the line's floored
+     capacities overflow some edge, whatever negotiation does. The
+     capacities are [Rgrid.create]'s, computed without building a
+     grid. *)
+  let of_request (req : Request.t) =
+    let { Request.config; cols; rows; gcell_um; _ } = req in
+    let model =
+      Rgrid.track_model ~gcell_um ~wire:req.Request.wire ~layers:config.layers
+        ?density:req.Request.density ()
+    in
+    let m1_free = config.m1_free in
+    (* Difference arrays: a segment spanning columns [lo, hi) crosses
+       column lines lo .. hi-1. *)
+    let dcol = Array.make cols 0 and drow = Array.make rows 0 in
+    iter_segments req (fun _ sgm ->
+        let (c1, r1), (c2, r2) = (sgm.Topology.src, sgm.Topology.dst) in
+        if c1 <> c2 then begin
+          dcol.(min c1 c2) <- dcol.(min c1 c2) + 1;
+          dcol.(max c1 c2) <- dcol.(max c1 c2) - 1
+        end;
+        if r1 <> r2 then begin
+          drow.(min r1 r2) <- drow.(min r1 r2) + 1;
+          drow.(max r1 r2) <- drow.(max r1 r2) - 1
+        end);
+    let certified = ref false and bound = ref 0.0 and worst = ref None in
+    let consider axis index crossings ~cap ~floored =
+      if crossings > floored then certified := true;
+      let excess = float_of_int crossings -. cap in
+      if excess > 0.0 then bound := !bound +. excess;
+      match !worst with
+      | Some w when w.crossings - w.floored_capacity >= crossings - floored -> ()
+      | _ ->
+        worst := Some { axis; index; crossings; floored_capacity = floored }
+    in
+    let line axis index crossings ~edges ~capacity =
+      let cap = ref 0.0 and floored = ref 0 in
+      for i = 0 to edges - 1 do
+        let e = capacity i in
+        cap := !cap +. e;
+        floored := !floored + int_of_float (Float.floor e)
+      done;
+      consider axis index crossings ~cap:!cap ~floored:!floored
+    in
+    let run = ref 0 in
+    for c = 0 to cols - 2 do
+      run := !run + dcol.(c);
+      line Column c !run ~edges:rows ~capacity:(fun r ->
+          Rgrid.hcapacity model ~m1_free c r)
+    done;
+    run := 0;
+    for r = 0 to rows - 2 do
+      run := !run + drow.(r);
+      line Row r !run ~edges:cols ~capacity:(fun c ->
+          Rgrid.vcapacity model ~m1_free c r)
+    done;
+    (* [Rgrid.dims] keeps at least two columns, so a column line exists. *)
+    { certified = !certified; bound = !bound; worst = Option.get !worst }
+
+  (* The router sums the same overflow edge by edge, in another order: a
+     bound of 124.00000000000001 against a routed 124.0 exactly is float
+     rounding, not a violation more. The slack keeps [ceil] below it. *)
+  let rounding_slack = 1e-6
+
+  let violations t = max 1 (int_of_float (ceil (t.bound -. rounding_slack)))
+
+  let axis_to_string = function Column -> "column" | Row -> "row"
+end
+
 let route_cold ~cancel ~pool ~session ~state (req : Request.t) =
   let config = req.Request.config in
   let grid =
@@ -1089,24 +1194,10 @@ let route_cold ~cancel ~pool ~session ~state (req : Request.t) =
   in
   let net_gcells = req.Request.net_gcells in
   let segments = ref [] in
-  Array.iteri
-    (fun net cells ->
-      let topo =
-        match req.Request.pin_gcells.(net) with
-        | [] -> []
-        | driver :: _ -> (
-          match session with
-          | Some s ->
-            Session.topo_segments s ~star:config.star_topology ~driver cells
-          | None -> derive_topology ~star:config.star_topology ~driver cells)
-      in
-      List.iter
-        (fun sgm ->
-          segments :=
-            { net; ends = (sgm.Topology.src, sgm.Topology.dst); off = 0; len = 0 }
-            :: !segments)
-        topo)
-    net_gcells;
+  iter_segments ?session req (fun net sgm ->
+      segments :=
+        { net; ends = (sgm.Topology.src, sgm.Topology.dst); off = 0; len = 0 }
+        :: !segments);
   let segments = Array.of_list (List.rev !segments) in
   (* Initial pattern routing, long segments first (they are the hardest to
      place once the grid fills up). *)

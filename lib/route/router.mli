@@ -139,6 +139,59 @@ module Session : sig
   (** [replays / route_calls] (0 when no calls were made). *)
 end
 
+(** A proof that a request cannot route clean, from cut lines alone.
+
+    The router commits each two-pin segment as a 4-connected gcell path
+    adding 1.0 to every edge it uses. A segment whose end columns lie on
+    both sides of the cut line between gcell columns [c] and [c+1]
+    therefore uses at least one horizontal edge of that line (row lines
+    likewise take vertical edges). Usage is integral, so when a line's
+    crossings exceed the sum of its edges' floored capacities, some edge
+    of it overflows and [violations >= 1], whatever negotiation, the
+    widened-box fallback or a kept old path does: every committed path
+    still joins its segment's ends.
+
+    Segments come from the same decomposition {!val:route} uses, and the
+    capacities from {!Rgrid.hcapacity} and {!Rgrid.vcapacity}, which
+    {!Rgrid.create} fills its grid with, so they are the router's bits.
+    No grid is built: the cost is the topology derivation plus one pass
+    over the edges. *)
+module Cut : sig
+  type axis =
+    | Column  (** The line between gcell columns [index] and [index + 1]. *)
+    | Row  (** The line between gcell rows [index] and [index + 1]. *)
+
+  type line = {
+    axis : axis;
+    index : int;
+    crossings : int;  (** Segments with ends on both sides of the line. *)
+    floored_capacity : int;  (** Sum of the line's floored edge capacities. *)
+  }
+
+  type t = {
+    certified : bool;
+        (** Some line has [crossings > floored_capacity]: no route of the
+            request is clean. *)
+    bound : float;
+        (** [Σ_lines max 0 (crossings - Σ capacity)] with unfloored
+            capacities: a lower bound on the routed total overflow. (A
+            floored sum is not one, so it is not reported.) *)
+    worst : line;
+        (** The line with the largest [crossings - floored_capacity],
+            the first such line on ties (columns before rows). *)
+  }
+
+  val of_request : Request.t -> t
+
+  val violations : t -> int
+  (** [max 1 (ceil (bound - 1e-6))]: a lower bound on the routed
+      [violations] of a certified request. The slack absorbs
+      float rounding, since the router sums the same overflow in another
+      order. Meaningless when [certified] is false. *)
+
+  val axis_to_string : axis -> string
+end
+
 val route :
   ?cancel:Cals_util.Cancel.t ->
   ?session:Session.t ->

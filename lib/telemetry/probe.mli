@@ -4,8 +4,9 @@
     histogram observations — starts with a branch on one {!Atomic.t}
     read through {!enabled}. While the switch is off that branch is the
     *entire* cost of instrumentation, so probes can stay in hot paths
-    permanently (the bench harness verifies <= 1% overhead on the
-    maze router with telemetry disabled). *)
+    permanently. calsbench reports what turning collection on costs as
+    [trace.overhead]: a traced replay's wall time over an untraced
+    one's, minus 1. *)
 
 val enabled : unit -> bool
 (** One [Atomic.get]; safe to call from any domain at any rate. *)

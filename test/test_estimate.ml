@@ -4,8 +4,10 @@
    properties pin monotonicity under added demand and the pruning
    soundness contract (a pruned sweep's accepted K is bit-identical to
    an unpruned one over the full default schedule); degenerate inputs
-   must answer Uncertain instead of raising; pinned digests hold every
-   bit of a few forecasts. *)
+   must answer Uncertain instead of raising; the cut certificate behind
+   every Unroutable verdict is checked against real routes on random
+   requests and pinned at its boundary; pinned digests hold every bit
+   of a few forecasts' maps and scores, next to their verdicts. *)
 
 module Estimate = Cals_estimate.Estimate
 module Flow = Cals_core.Flow
@@ -395,6 +397,43 @@ let test_degenerate_inputs () =
   Alcotest.(check bool) "off-die demand lands in the maps" true
     (Grid2d.total f.Estimate.maps.Estimate.pin_density > 0.0)
 
+(* A 4 x 4 gcell grid without a density map: every edge offers
+   18 tracks x (1 + 1.3) = 41.4, so a line of four edges floors to 164
+   against 165.6 unfloored — more than one crossing apart, so only the
+   floored sum can sit on the boundary. *)
+let boundary_floorplan =
+  Floorplan.of_rows ~num_rows:8 ~sites_per_row:60 ~geometry
+
+let boundary_floored edges =
+  let g = Rgrid.create ~floorplan:boundary_floorplan ~wire ~layers:3 () in
+  let floored =
+    List.fold_left
+      (fun acc e -> acc + int_of_float (Float.floor (Rgrid.capacity g e)))
+      0 edges
+  in
+  let unfloored =
+    List.fold_left (fun acc e -> acc +. Rgrid.capacity g e) 0.0 edges
+  in
+  if unfloored < float_of_int (floored + 1) then
+    Alcotest.fail "boundary fixture: floored and unfloored sums too close";
+  floored
+
+let gcell_centre c r =
+  let g = 2.0 *. geometry.Library.row_height in
+  Geom.point ((float_of_int c +. 0.5) *. g) ((float_of_int r +. 0.5) *. g)
+
+(* [n] two-pin nets crossing only column line 0 (resp. row line 0),
+   spread over the rows (resp. columns). *)
+let column_nets n =
+  Array.init n (fun i -> [ gcell_centre 0 (i mod 4); gcell_centre 1 (i mod 4) ])
+
+let row_nets n =
+  Array.init n (fun i -> [ gcell_centre (i mod 4) 0; gcell_centre (i mod 4) 1 ])
+
+let cut_of_nets nets =
+  Router.Cut.of_request
+    (Router.Request.of_pins ~floorplan:boundary_floorplan ~wire nets)
+
 let test_verdict_thresholds () =
   let v = Estimate.verdict_of_scores in
   Alcotest.(check string) "degenerate forces uncertain" "uncertain"
@@ -403,24 +442,125 @@ let test_verdict_thresholds () =
   Alcotest.(check string) "clean map is routable" "routable"
     (Estimate.verdict_to_string
        (v ~degenerate:false ~normalized_overflow:0.0 ~peak_utilization:0.5));
-  Alcotest.(check string) "overflow past the floor is unroutable" "unroutable"
+  Alcotest.(check string) "no score alone is unroutable" "uncertain"
     (Estimate.verdict_to_string
-       (v ~degenerate:false
-          ~normalized_overflow:Estimate.unroutable_min_norm
-          ~peak_utilization:0.5));
-  Alcotest.(check string) "boundary overflow is uncertain" "uncertain"
-    (Estimate.verdict_to_string
-       (v ~degenerate:false
-          ~normalized_overflow:(Estimate.unroutable_min_norm /. 2.0)
-          ~peak_utilization:0.5));
+       (v ~degenerate:false ~normalized_overflow:1.0 ~peak_utilization:5.0));
   Alcotest.(check string) "hot peak blocks a routable verdict" "uncertain"
     (Estimate.verdict_to_string
        (v ~degenerate:false ~normalized_overflow:0.0
           ~peak_utilization:(Estimate.routable_max_peak +. 0.01)));
-  (* The calibration's soundness margin: the confident bands must not
-     touch (see DESIGN.md, Section 4k). *)
-  Alcotest.(check bool) "a dead band separates the confident verdicts" true
-    (Estimate.unroutable_min_norm > 10.0 *. Estimate.routable_max_norm)
+  (* The Unroutable threshold is the certificate's: crossings equal to a
+     line's floored capacity certify nothing, one more certifies. *)
+  List.iter
+    (fun (axis, line_edges, nets) ->
+      let name = Router.Cut.axis_to_string axis in
+      let cap = boundary_floored line_edges in
+      let cut n = cut_of_nets (nets n) in
+      let at = cut cap and over = cut (cap + 1) in
+      Alcotest.(check bool) (name ^ " line at its floored capacity") false
+        at.Router.Cut.certified;
+      Alcotest.(check bool)
+        (name ^ " line one past its floored capacity")
+        true over.Router.Cut.certified;
+      Alcotest.(check bool) (name ^ " worst line is the crossed one") true
+        (over.Router.Cut.worst
+        = { Router.Cut.axis; index = 0; crossings = cap + 1;
+            floored_capacity = cap });
+      let f = forecast_of_pins ~floorplan:boundary_floorplan (nets (cap + 1)) in
+      Alcotest.(check string) (name ^ " certified forecast") "unroutable"
+        (Estimate.verdict_to_string f.Estimate.verdict);
+      Alcotest.(check int) (name ^ " certified bound") 1
+        f.Estimate.predicted_violations;
+      let r =
+        Router.route_pins ~floorplan:boundary_floorplan ~wire (nets (cap + 1))
+      in
+      Alcotest.(check bool) (name ^ " certified request violates") true
+        (r.Router.violations >= 1))
+    [
+      (Router.Cut.Column, List.init 4 (fun r -> Rgrid.H (0, r)), column_nets);
+      (Router.Cut.Row, List.init 4 (fun c -> Rgrid.V (c, 0)), row_nets);
+    ]
+
+(* ------------------------- the cut certificate ------------------------- *)
+
+(* A certificate is a proof: whenever it fires, the real route of the
+   same request has violations, at least as many as it reports. Random
+   floorplans, gcell sizes, layer counts, density maps, net counts and
+   pin spreads, under both the MST and the star decomposition. *)
+let arb_cut_case =
+  QCheck.(
+    quad
+      (triple (int_range 2 16) (int_range 4 90) (int_range 1 3))
+      (pair (int_range 2 3) bool)
+      (pair (int_range 0 300) (float_range 0.05 1.0))
+      (int_range 0 10_000))
+
+(* Route the case's request when it is certified and fail unless the
+   route violates, at least as often as the certificate reports.
+   Returns whether the request was certified. *)
+let cut_case ((num_rows, sites_per_row, gcell_rows), (layers, star), (n, spread),
+    seed) =
+  (* QCheck's shrinker may step outside the generator's ranges. *)
+  let num_rows = max 1 num_rows and sites_per_row = max 1 sites_per_row in
+  let gcell_rows = max 1 gcell_rows and layers = max 2 layers in
+  let n = max 0 n in
+  let floorplan = Floorplan.of_rows ~num_rows ~sites_per_row ~geometry in
+  let config =
+    { Router.default_config with
+      Router.gcell_rows; layers; star_topology = star }
+  in
+  let rng = Rng.create seed in
+  let cols, rows, _ = Rgrid.dims ~floorplan ~gcell_rows in
+  let density =
+    if seed mod 3 = 0 then None
+    else begin
+      let g = Grid2d.create ~cols ~rows 0.0 in
+      Grid2d.map_inplace (fun _ -> Rng.float rng 1.2 -. 0.1) g;
+      Some g
+    end
+  in
+  (* A net's pins scatter within [spread] of the die around a random
+     centre. *)
+  let w = floorplan.Floorplan.die_width
+  and h = floorplan.Floorplan.die_height in
+  let nets =
+    Array.init n (fun _ ->
+        let cx = Rng.float rng w and cy = Rng.float rng h in
+        List.init
+          (1 + Rng.int rng 4)
+          (fun _ ->
+            Geom.point
+              (cx +. ((Rng.float rng 2.0 -. 1.0) *. spread *. w))
+              (cy +. ((Rng.float rng 2.0 -. 1.0) *. spread *. h))))
+  in
+  let req = Router.Request.of_pins ~config ?density ~floorplan ~wire nets in
+  let cut = Router.Cut.of_request req in
+  if cut.Router.Cut.certified then begin
+    let r = Router.route req in
+    if r.Router.violations < 1 then
+      QCheck.Test.fail_reportf "certified request routed clean (%d nets)" n;
+    if Router.Cut.violations cut > r.Router.violations then
+      QCheck.Test.fail_reportf "certified bound %d exceeds real violations %d"
+        (Router.Cut.violations cut) r.Router.violations
+  end;
+  cut.Router.Cut.certified
+
+let prop_certificate_sound =
+  QCheck.Test.make ~count:60 ~name:"a certified request never routes clean"
+    arb_cut_case
+    (fun case -> ignore (cut_case case : bool); true)
+
+(* The property must not pass vacuously: on a fixed sample of its
+   cases, at least a quarter are certified. *)
+let test_certificate_fires () =
+  let sample =
+    QCheck.Gen.generate ~rand:(Random.State.make [| 18 |]) ~n:40
+      (QCheck.gen arb_cut_case)
+  in
+  let certified = List.length (List.filter cut_case sample) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d of 40 sampled requests certified" certified)
+    true (4 * certified >= 40)
 
 (* ------------------------- the gcell accessor ------------------------- *)
 
@@ -452,12 +592,14 @@ let test_gcell_accessor () =
 
 (* ------------------------- pinned forecasts ------------------------- *)
 
-(* Digest of everything a forecast decides: the float bits of all four
-   per-gcell maps and of every score, the predicted violations and the
-   verdict. The pins below were recorded before the router and the
-   estimator shared one route request; any change to pin gcells, the
-   supply model or the fold order moves them. *)
-let forecast_digest (f : Estimate.forecast) =
+(* Digest of the forecast's maps and scores: the float bits of all four
+   per-gcell maps and of every score. The pins below were recorded before
+   the router and the estimator shared one route request, and again
+   before the verdict became a cut certificate (neither change moved
+   them); any change to pin gcells, the supply model or the fold order
+   moves them. The verdict and the predicted violations are pinned
+   separately, next to each digest. *)
+let maps_digest (f : Estimate.forecast) =
   let b = Buffer.create 65536 in
   let bits x =
     Buffer.add_string b (Int64.to_string (Int64.bits_of_float x) ^ ",")
@@ -479,8 +621,6 @@ let forecast_digest (f : Estimate.forecast) =
       f.Estimate.overflow_score; f.Estimate.normalized_overflow;
       f.Estimate.peak_utilization; f.Estimate.hot_fraction; f.Estimate.hpwl_um;
     ];
-  Buffer.add_string b (string_of_int f.Estimate.predicted_violations);
-  Buffer.add_string b (Estimate.verdict_to_string f.Estimate.verdict);
   Digest.to_hex (Digest.string (Buffer.contents b))
 
 (* test_route's congested workload: a narrow corridor crossed by long
@@ -520,11 +660,18 @@ let congested_density seed =
     Some g
   end
 
+let check_pinned what (digest, verdict, violations) (f : Estimate.forecast) =
+  Alcotest.(check string) (what ^ " maps and scores") digest (maps_digest f);
+  Alcotest.(check string) (what ^ " verdict") verdict
+    (Estimate.verdict_to_string f.Estimate.verdict);
+  Alcotest.(check int) (what ^ " predicted violations") violations
+    f.Estimate.predicted_violations
+
 let forecast_pins_pinned =
   [
-    (40, "4839c06985e13a96153a4840b60253d2");
-    (41, "49b6a367ec4f00fa92566cef111f0229");
-    (42, "61f4915f6749af2475e6877a1a44f19a");
+    (40, ("1840ef35e4f9bde9e3f483dcf397dde1", "uncertain", 0));
+    (41, ("948fc173294893a88e28872b1c92c304", "uncertain", 0));
+    (42, ("757bc0ab06b855c91e6f69337a4e3641", "unroutable", 377));
   ]
 
 let test_forecast_pinned_congested () =
@@ -534,9 +681,7 @@ let test_forecast_pinned_congested () =
         forecast_of_pins ?density:(congested_density seed)
           ~floorplan:congested_floorplan (congested_nets seed 240)
       in
-      Alcotest.(check string)
-        (Printf.sprintf "congested_nets %d" seed)
-        want (forecast_digest f))
+      check_pinned (Printf.sprintf "congested_nets %d" seed) want f)
     forecast_pins_pinned
 
 (* test_route's PDC-like fixture: scale 0.05, 85 % utilization, K = 0. *)
@@ -557,7 +702,9 @@ let test_forecast_pinned_pdc () =
   in
   let placement = Placement.place_mapped_seeded mapped ~floorplan in
   let f = Estimate.forecast_mapped mapped ~floorplan ~wire ~placement in
-  Alcotest.(check string) "pdc 0.05 @ 85%" "22cb75cfa4f989f92c05b7ee9a923478" (forecast_digest f)
+  check_pinned "pdc 0.05 @ 85%"
+    ("cf538688560a55a1fff84b09b9aa6907", "unroutable", 65)
+    f
 
 let () =
   let qc = QCheck_alcotest.to_alcotest in
@@ -584,6 +731,12 @@ let () =
         [
           Alcotest.test_case "inputs" `Quick test_degenerate_inputs;
           Alcotest.test_case "thresholds" `Quick test_verdict_thresholds;
+        ] );
+      ( "soundness",
+        [
+          qc prop_certificate_sound;
+          Alcotest.test_case "fires on the sample" `Quick
+            test_certificate_fires;
         ] );
       ("congestion", [ Alcotest.test_case "gcell-accessor" `Quick test_gcell_accessor ]);
       ( "pinned",
