@@ -176,10 +176,30 @@ let tfi_wire subject ~positions ~distance =
   done;
   memo
 
+(* The DP prices every cached candidate in one pass over flat state and
+   builds a [solution] only for each vertex's winner, so a K point
+   allocates little beyond its output. The float operations are those of
+   the plain definitions, in the same order, so results are bit-identical
+   to them (test_core "cover pinned"):
+   - area: [cell.area] plus each leaf's area, in leaf order;
+   - center of mass: the x and y sums over [covered] in order, each
+     divided by the count;
+   - WIRE1: from 0, each leaf's distance in leaf order; WIRE2 then adds
+     each leaf's memoized wire cost onto it, in leaf order;
+   - arrival: the maximum from 0 under a strict [>] of each leaf's
+     arrival plus its Elmore wire delay, plus the cell delay.
+   [distance] is called once per leaf, and that value feeds both WIRE1
+   and the arrival. The incumbent is kept on
+   [b.cost < cost || (b.cost = cost && b.area_cost <= area_cost)], so the
+   first of equally priced candidates in enumeration order wins. *)
 let run ?matchsets:cached subject ~library ~partition ~positions options =
   let n = Subject.num_nodes subject in
   let wire = Library.wire library in
-  let pos_cur = Array.copy positions in
+  let res = wire.Library.res_kohm_per_um and cap = wire.Library.cap_pf_per_um in
+  (* Current companion positions (collapsed to centers of mass as matches
+     are chosen), as flat coordinate arrays. *)
+  let cur_x = Array.map (fun p -> p.Geom.x) positions in
+  let cur_y = Array.map (fun p -> p.Geom.y) positions in
   let sols : solution option array = Array.make n None in
   (* Per-node memoized figures for fanin lookups (Eqs. 1 and 3). PIs keep
      zero cost and their pad position. *)
@@ -189,76 +209,11 @@ let run ?matchsets:cached subject ~library ~partition ~positions options =
   let node_arrival = Array.make n 0.0 in
   let tfi =
     if options.transitive_wire then
-      Some (tfi_wire subject ~positions ~distance:options.distance)
-    else None
+      tfi_wire subject ~positions ~distance:options.distance
+    else [||]
   in
   let evaluated = ref 0 in
-  (* Cost of one structural candidate against the current DP state (Eqs.
-     1-3 and 5). This is the only per-K work: the candidate itself is
-     K-independent and may come from a cache. *)
   let fanout_counts = Subject.fanout_counts subject in
-  let eval_candidate v { cand_cell = cell; cand_leaves = leaves;
-                         cand_covered = covered } =
-    let area_cost =
-      Array.fold_left
-        (fun acc l -> acc +. node_area.(l))
-        cell.Cell.area leaves
-    in
-    let com = Geom.center_of_mass (List.map (fun u -> pos_cur.(u)) covered) in
-    let wire_cost =
-      match tfi with
-      | Some cone ->
-        (* Charge every leaf at its original position plus its whole
-           cone: the uncontrolled variant of Section 3.3. *)
-        Array.fold_left
-          (fun acc l -> acc +. options.distance com positions.(l) +. cone.(l))
-          0.0 leaves
-      | None ->
-        let wire1 =
-          Array.fold_left
-            (fun acc l -> acc +. options.distance com node_com.(l))
-            0.0 leaves
-        in
-        if options.include_wire2 then
-          Array.fold_left (fun acc l -> acc +. node_wire.(l)) wire1 leaves
-        else wire1
-    in
-    let arrival_ns =
-      (* Elmore wire delay on each leaf-to-match edge (the model
-         {!Cals_sta.Sta} uses post-route), so the DP ranks covers by the
-         arrival the routed netlist will actually see — a constant-load
-         estimate ties covers that the wire then unties the wrong way. *)
-      let latest =
-        Array.fold_left
-          (fun acc l ->
-            let d = options.distance com node_com.(l) in
-            let r = d *. wire.Library.res_kohm_per_um in
-            let c = d *. wire.Library.cap_pf_per_um in
-            let t_wire = r *. ((c /. 2.0) +. cell.Cell.input_cap_pf) in
-            let t = node_arrival.(l) +. t_wire in
-            if t > acc then t else acc)
-          0.0 leaves
-      in
-      let load =
-        match options.objective with
-        | Min_delay { load_pf } -> load_pf
-        | Min_area ->
-          (* Each reader of the match root is roughly one standard sink;
-             a sink-less root still drives a primary-output load. *)
-          0.01 *. float_of_int (max 1 fanout_counts.(v))
-      in
-      latest +. Cell.delay_ns cell ~load_pf:load
-    in
-    let primary =
-      match options.objective with
-      | Min_area -> area_cost
-      | Min_delay _ -> arrival_ns
-    in
-    let cost =
-      primary +. (options.k *. wire_cost) +. (options.t *. arrival_ns)
-    in
-    { cell; leaves; covered; area_cost; wire_cost; arrival_ns; cost; com }
-  in
   for v = 0 to n - 1 do
     if partition.Partition.live.(v) && is_gate subject v then begin
       let nm =
@@ -270,30 +225,126 @@ let run ?matchsets:cached subject ~library ~partition ~positions options =
         | None -> match_node subject ~library ~partition v
       in
       evaluated := !evaluated + nm.enumerated;
-      let best = ref None in
-      Array.iter
-        (fun cand ->
-          let sol = eval_candidate v cand in
-          match !best with
-          | Some b
-            when b.cost < sol.cost
-                 || (b.cost = sol.cost && b.area_cost <= sol.area_cost) ->
-            ()
-          | Some _ | None -> best := Some sol)
-        nm.candidates;
-      match !best with
-      | None ->
+      let load =
+        match options.objective with
+        | Min_delay { load_pf } -> load_pf
+        | Min_area ->
+          (* Each reader of the match root is roughly one standard sink;
+             a sink-less root still drives a primary-output load. *)
+          0.01 *. float_of_int (Int.max 1 fanout_counts.(v))
+      in
+      (* The incumbent: its candidate index (-1 before the first) and
+         figures. *)
+      let best = ref (-1) in
+      let best_area = ref 0.0 and best_wire = ref 0.0 in
+      let best_arrival = ref 0.0 and best_cost = ref 0.0 in
+      let best_com = ref Geom.{ x = 0.0; y = 0.0 } in
+      let cands = nm.candidates in
+      for ci = 0 to Array.length cands - 1 do
+        let { cand_cell = cell; cand_leaves = leaves; cand_covered = covered } =
+          cands.(ci)
+        in
+        (* A loop, not a closure, keeps the float sums unboxed. *)
+        let sx = ref 0.0 and sy = ref 0.0 and count = ref 0 in
+        let rest = ref covered in
+        while
+          match !rest with
+          | [] -> false
+          | u :: tl ->
+            sx := !sx +. cur_x.(u);
+            sy := !sy +. cur_y.(u);
+            incr count;
+            rest := tl;
+            true
+        do
+          ()
+        done;
+        let m = float_of_int !count in
+        let com = Geom.{ x = !sx /. m; y = !sy /. m } in
+        let area = ref cell.Cell.area in
+        let wire1 = ref 0.0 in
+        let latest = ref 0.0 in
+        for li = 0 to Array.length leaves - 1 do
+          let l = leaves.(li) in
+          area := !area +. node_area.(l);
+          (* Elmore wire delay on each leaf-to-match edge (the model
+             {!Cals_sta.Sta} uses post-route), so the DP ranks covers by
+             the arrival the routed netlist will actually see — a
+             constant-load estimate ties covers that the wire then unties
+             the wrong way. *)
+          let d = options.distance com node_com.(l) in
+          if not options.transitive_wire then wire1 := !wire1 +. d;
+          let r = d *. res in
+          let c = d *. cap in
+          let t_wire = r *. ((c /. 2.0) +. cell.Cell.input_cap_pf) in
+          let t = node_arrival.(l) +. t_wire in
+          if t > !latest then latest := t
+        done;
+        let wire_cost =
+          if options.transitive_wire then begin
+            (* Charge every leaf at its original position plus its whole
+               cone: the uncontrolled variant of Section 3.3. *)
+            let w = ref 0.0 in
+            for li = 0 to Array.length leaves - 1 do
+              let l = leaves.(li) in
+              w := !w +. options.distance com positions.(l) +. tfi.(l)
+            done;
+            !w
+          end
+          else if options.include_wire2 then begin
+            let w = ref !wire1 in
+            for li = 0 to Array.length leaves - 1 do
+              w := !w +. node_wire.(leaves.(li))
+            done;
+            !w
+          end
+          else !wire1
+        in
+        let area_cost = !area in
+        let arrival_ns = !latest +. Cell.delay_ns cell ~load_pf:load in
+        let primary =
+          match options.objective with
+          | Min_area -> area_cost
+          | Min_delay _ -> arrival_ns
+        in
+        let cost =
+          primary +. (options.k *. wire_cost) +. (options.t *. arrival_ns)
+        in
+        if
+          !best < 0
+          || not
+               (!best_cost < cost
+               || (!best_cost = cost && !best_area <= area_cost))
+        then begin
+          best := ci;
+          best_area := area_cost;
+          best_wire := wire_cost;
+          best_arrival := arrival_ns;
+          best_cost := cost;
+          best_com := com
+        end
+      done;
+      if !best < 0 then
         (* Cannot happen: INV and NAND2 always match. *)
-        failwith "Cover.run: no match at a live gate"
-      | Some sol ->
-        Metrics.observe m_matches_per_vertex (float_of_int nm.enumerated);
-        sols.(v) <- Some sol;
-        node_com.(v) <- sol.com;
-        node_wire.(v) <- sol.wire_cost;
-        node_area.(v) <- sol.area_cost;
-        node_arrival.(v) <- sol.arrival_ns;
-        if options.incremental_update then
-          List.iter (fun u -> pos_cur.(u) <- sol.com) sol.covered
+        failwith "Cover.run: no match at a live gate";
+      let { cand_cell; cand_leaves; cand_covered } = cands.(!best) in
+      let com = !best_com in
+      Metrics.observe m_matches_per_vertex (float_of_int nm.enumerated);
+      sols.(v) <-
+        Some
+          { cell = cand_cell; leaves = cand_leaves; covered = cand_covered;
+            area_cost = !best_area; wire_cost = !best_wire;
+            arrival_ns = !best_arrival; cost = !best_cost; com };
+      node_com.(v) <- com;
+      node_wire.(v) <- !best_wire;
+      node_area.(v) <- !best_area;
+      node_arrival.(v) <- !best_arrival;
+      if options.incremental_update then
+        List.iter
+          (fun u ->
+            cur_x.(u) <- com.Geom.x;
+            cur_y.(u) <- com.Geom.y)
+          cand_covered
     end
   done;
   { subject; partition; sols; evaluated = !evaluated }
@@ -307,22 +358,25 @@ type extraction = {
   taps : int;
 }
 
-(* Instantiate cells for all needed signals, memoized per subject node. *)
+(* Instantiate cells for all needed signals, memoized per subject node:
+   [inst_of.(v)] is the instance built for [v] (-1 before it is), and
+   [cover_count.(u)] how many instances cover base gate [u]. *)
 let extract_internal t =
-  let memo : (int, Mapped.signal) Hashtbl.t = Hashtbl.create 1024 in
+  let n = Subject.num_nodes t.subject in
+  let inst_of = Array.make n (-1) in
+  let cover_count = Array.make n 0 in
   let instances = ref [] in
   let count = ref 0 in
   let taps = ref 0 in
-  let cover_count = Hashtbl.create 1024 in
   let rec inst v =
     match t.subject.Subject.gates.(v) with
     | Subject.Pi idx -> Mapped.Of_pi idx
-    | Subject.Inv _ | Subject.Nand2 _ -> (
-      match Hashtbl.find_opt memo v with
-      | Some s ->
+    | Subject.Inv _ | Subject.Nand2 _ ->
+      if inst_of.(v) >= 0 then begin
         incr taps;
-        s
-      | None ->
+        Mapped.Of_inst inst_of.(v)
+      end
+      else begin
         let sol =
           match t.sols.(v) with
           | Some s -> s
@@ -333,14 +387,10 @@ let extract_internal t =
         incr count;
         instances :=
           { Mapped.cell = sol.cell; fanins; seed = sol.com } :: !instances;
-        List.iter
-          (fun u ->
-            Hashtbl.replace cover_count u
-              (1 + Option.value ~default:0 (Hashtbl.find_opt cover_count u)))
-          sol.covered;
-        let s = Mapped.Of_inst idx in
-        Hashtbl.add memo v s;
-        s)
+        List.iter (fun u -> cover_count.(u) <- cover_count.(u) + 1) sol.covered;
+        inst_of.(v) <- idx;
+        Mapped.Of_inst idx
+      end
   in
   let outputs =
     Array.map (fun (name, v) -> (name, inst v)) t.subject.Subject.outputs
@@ -351,7 +401,7 @@ let extract_internal t =
       ~outputs
   in
   let duplicated =
-    Hashtbl.fold (fun _ c acc -> acc + max 0 (c - 1)) cover_count 0
+    Array.fold_left (fun acc c -> acc + Int.max 0 (c - 1)) 0 cover_count
   in
   (mapped, duplicated, !taps, cover_count)
 
@@ -367,7 +417,7 @@ let check_coverage t =
       match g with
       | Subject.Pi _ -> ()
       | Subject.Inv _ | Subject.Nand2 _ ->
-        if t.partition.Partition.live.(v) && not (Hashtbl.mem cover_count v) then
+        if t.partition.Partition.live.(v) && cover_count.(v) = 0 then
           missing := v :: !missing)
     t.subject.Subject.gates;
   match !missing with

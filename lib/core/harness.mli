@@ -9,10 +9,15 @@
     flow itself cannot see (original vs optimized network, network vs
     subject graph). It then re-routes every point the search skipped on
     a cut certificate ([verdict = Some Unroutable]) with the estimator
-    off, so the certificate's proof is checked at runtime too. *)
+    off, so the certificate's proof is checked at runtime too.
+
+    The flow's configuration follows the workload seed: odd seeds route
+    on two metal layers at 85 % utilization, congested enough that
+    certificates fire; even seeds use {!Cals_route.Router.default_config}
+    at 45 %. The shrinker never changes the seed, so a reproducer replays
+    its configuration. *)
 
 val check_params :
-  ?utilization:float ->
   ?level:Cals_verify.Check.level ->
   Cals_verify.Fuzz.params ->
   (unit, string * string) result
@@ -22,6 +27,6 @@ val check_params :
     exception (including [Invalid_argument] from structural mismatches)
     maps to stage ["exception"]. A certified point that routes with
     fewer violations than its report claims (clean included) is
-    [Error ("certificate", detail)]. Defaults: [utilization = 0.45],
-    [level = Full]. A flow that finds no acceptable K is not a failure —
-    the fuzzer tests invariants, not routability. *)
+    [Error ("certificate", detail)]. Default: [level = Full]. A flow that
+    finds no acceptable K is not a failure — the fuzzer tests invariants,
+    not routability. *)

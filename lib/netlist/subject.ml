@@ -126,9 +126,19 @@ let output_refs t =
   Array.iter (fun (_, v) -> refs.(v) <- refs.(v) + 1) t.outputs;
   refs
 
+(* Counted straight off the gates: [List.length] of each [fanouts] entry
+   plus the output references, without building the lists. *)
 let fanout_counts t =
-  let fo = fanouts t and refs = output_refs t in
-  Array.init (num_nodes t) (fun v -> List.length fo.(v) + refs.(v))
+  let counts = output_refs t in
+  Array.iter
+    (function
+      | Pi _ -> ()
+      | Inv a -> counts.(a) <- counts.(a) + 1
+      | Nand2 (a, b) ->
+        counts.(a) <- counts.(a) + 1;
+        if b <> a then counts.(b) <- counts.(b) + 1)
+    t.gates;
+  counts
 
 let simulate t pi_vectors =
   if Array.length pi_vectors <> num_pis t then invalid_arg "Subject.simulate";

@@ -76,35 +76,50 @@ let of_mapped mapped ~floorplan =
     | Mapped.Of_pi i -> pi_pad_ids.(i)
     | Mapped.Of_inst i -> i
   in
+  let node_of_sink = function
+    | Mapped.Cell_pin (i, _) -> i
+    | Mapped.Po oi -> po_pad_ids.(oi)
+  in
   let nets =
-    Mapped.nets mapped
-    |> Array.to_list
-    |> List.filter_map (fun net ->
-           match net.Mapped.sinks with
-           | [] -> None
-           | sinks ->
-             let driver = node_of_signal net.Mapped.driver in
-             let pins =
-               List.map
-                 (function
-                   | Mapped.Cell_pin (i, _) -> i
-                   | Mapped.Po oi -> po_pad_ids.(oi))
-                 sinks
-             in
-             (* Collapse duplicate pins on the same net. *)
-             Some (Array.of_list (List.sort_uniq compare (driver :: pins))))
-    |> List.filter (fun pins -> Array.length pins >= 2)
+    Array.fold_right
+      (fun net acc ->
+        match net.Mapped.sinks with
+        | [] -> acc
+        | sinks -> (
+          (* Collapse duplicate pins on the same net. *)
+          match
+            List.sort_uniq Int.compare
+              (node_of_signal net.Mapped.driver :: List.map node_of_sink sinks)
+          with
+          | [] | [ _ ] -> acc
+          | pins -> Array.of_list pins :: acc))
+      (Mapped.nets mapped) []
   in
   ({ weights; fixed; nets = Array.of_list nets }, pi_pad_ids, po_pad_ids)
 
+(* One net's bounding box folded in four float locals, with the
+   [Stdlib.min]/[max] semantics of [Geom.bbox_add] (the box side first),
+   so the result is bit-identical to folding [Geom.bbox_add] from
+   [Geom.bbox_empty] and taking [Geom.half_perimeter]. *)
+let net_hpwl pos net =
+  let lx = ref infinity and ly = ref infinity in
+  let hx = ref neg_infinity and hy = ref neg_infinity in
+  for i = 0 to Array.length net - 1 do
+    let p = pos.(net.(i)) in
+    let x = p.Geom.x and y = p.Geom.y in
+    if not (!lx <= x) then lx := x;
+    if not (!ly <= y) then ly := y;
+    if not (!hx >= x) then hx := x;
+    if not (!hy >= y) then hy := y
+  done;
+  !hx -. !lx +. (!hy -. !ly)
+
 let hpwl t pos =
-  Array.fold_left
-    (fun acc net ->
-      let box =
-        Array.fold_left (fun b v -> Geom.bbox_add b pos.(v)) Geom.bbox_empty net
-      in
-      acc +. Geom.half_perimeter box)
-    0.0 t.nets
+  let total = ref 0.0 in
+  for i = 0 to Array.length t.nets - 1 do
+    total := !total +. net_hpwl pos t.nets.(i)
+  done;
+  !total
 
 let net_degree_stats t =
   let maxd = Array.fold_left (fun m net -> max m (Array.length net)) 0 t.nets in

@@ -24,28 +24,34 @@ let run ~floorplan ~widths ~desired ~movable =
     invalid_arg "Legalize.run: length mismatch";
   let positions = Array.copy desired in
   let next_free = Array.make fp.Floorplan.num_rows 0 in
+  (* Movable cells by desired x; the sort is stable, so ties keep index
+     order. *)
   let order =
-    Array.init n (fun i -> i)
-    |> Array.to_list
-    |> List.filter (fun i -> movable.(i) && widths.(i) > 0)
-    |> List.sort (fun a b -> compare desired.(a).Geom.x desired.(b).Geom.x)
+    Array.of_list
+      (List.filter (fun i -> movable.(i) && widths.(i) > 0) (List.init n Fun.id))
   in
+  Array.stable_sort
+    (fun a b -> Float.compare desired.(a).Geom.x desired.(b).Geom.x)
+    order;
   let site = fp.Floorplan.site_width in
+  let row_y = Array.init fp.Floorplan.num_rows (Floorplan.row_y fp) in
   let displacement = ref 0.0 in
   (* Gaps left before a cell waste capacity; bound their total by the
      floorplan slack minus a per-row reserve of the widest cell, so by
      pigeonhole some row can always take the next cell. *)
-  let total_width = List.fold_left (fun acc i -> acc + widths.(i)) 0 order in
-  let max_width = List.fold_left (fun acc i -> max acc widths.(i)) 0 order in
+  let total_width = Array.fold_left (fun acc i -> acc + widths.(i)) 0 order in
+  let max_width = Array.fold_left (fun acc i -> Int.max acc widths.(i)) 0 order in
   let slack = (fp.Floorplan.num_rows * fp.Floorplan.sites_per_row) - total_width in
-  let gap_budget = ref (max 0 (slack - (fp.Floorplan.num_rows * max_width))) in
+  let gap_budget = ref (Int.max 0 (slack - (fp.Floorplan.num_rows * max_width))) in
   let place_cell i =
     let w = widths.(i) in
     let want = desired.(i) in
-    let best = ref None in
+    (* The best row so far (-1: none yet), its start site and cost. *)
+    let best_r = ref (-1) and best_site = ref 0 and best_cost = ref 0.0 in
+    let want_site = int_of_float (want.Geom.x /. site) - (w / 2) in
     for r = 0 to fp.Floorplan.num_rows - 1 do
-      let raw = max next_free.(r) (int_of_float (want.Geom.x /. site) - (w / 2)) in
-      let start_site = min raw (next_free.(r) + !gap_budget) in
+      let raw = Int.max next_free.(r) want_site in
+      let start_site = Int.min raw (next_free.(r) + !gap_budget) in
       let start_site =
         if start_site + w > fp.Floorplan.sites_per_row then
           fp.Floorplan.sites_per_row - w
@@ -53,43 +59,34 @@ let run ~floorplan ~widths ~desired ~movable =
       in
       if start_site >= next_free.(r) && start_site >= 0 then begin
         let x = (float_of_int start_site +. (float_of_int w /. 2.0)) *. site in
-        let y = Floorplan.row_y fp r in
+        let y = row_y.(r) in
         let cost = abs_float (x -. want.Geom.x) +. abs_float (y -. want.Geom.y) in
-        match !best with
-        | Some (bcost, _, _) when bcost <= cost -> ()
-        | Some _ | None -> best := Some (cost, r, start_site)
+        if !best_r < 0 || not (!best_cost <= cost) then begin
+          best_r := r;
+          best_site := start_site;
+          best_cost := cost
+        end
       end
     done;
-    (* Fallback: when every preferred spot overshoots its row, take the
-       emptiest row regardless of displacement (packing guarantee). *)
-    (if !best = None then begin
-       let r = ref (-1) in
-       for cand = 0 to fp.Floorplan.num_rows - 1 do
-         if !r < 0 || next_free.(cand) < next_free.(!r) then r := cand
-       done;
-       if next_free.(!r) + w <= fp.Floorplan.sites_per_row then begin
-         let x = (float_of_int next_free.(!r) +. (float_of_int w /. 2.0)) *. site in
-         let y = Floorplan.row_y fp !r in
-         let cost = abs_float (x -. want.Geom.x) +. abs_float (y -. want.Geom.y) in
-         best := Some (cost, !r, next_free.(!r))
-       end
-     end);
-    match !best with
-    | None ->
+    (* A row turns the cell away only when fewer than [w] of its sites
+       are free (the start is clamped left to [sites_per_row - w], and
+       is at least [next_free] otherwise), so when every row does, no
+       row can take it. *)
+    if !best_r < 0 then
       raise
         (Overflow
            (Printf.sprintf "cell %d (%d sites) fits in no row; floorplan %s" i w
-              (Floorplan.describe fp)))
-    | Some (cost, r, start_site) ->
-      gap_budget := max 0 (!gap_budget - (start_site - next_free.(r)));
-      next_free.(r) <- start_site + w;
-      positions.(i) <-
-        Geom.point
-          ((float_of_int start_site +. (float_of_int w /. 2.0)) *. site)
-          (Floorplan.row_y fp r);
-      displacement := !displacement +. cost
+              (Floorplan.describe fp)));
+    let r = !best_r and start_site = !best_site in
+    gap_budget := Int.max 0 (!gap_budget - (start_site - next_free.(r)));
+    next_free.(r) <- start_site + w;
+    positions.(i) <-
+      Geom.point
+        ((float_of_int start_site +. (float_of_int w /. 2.0)) *. site)
+        row_y.(r);
+    displacement := !displacement +. !best_cost
   in
-  List.iter place_cell order;
-  Metrics.add m_cells (List.length order);
+  Array.iter place_cell order;
+  Metrics.add m_cells (Array.length order);
   Metrics.set m_displacement !displacement;
   { positions; total_displacement = !displacement; row_fill = Array.copy next_free }

@@ -16,7 +16,7 @@ let place_subject subject ~floorplan ~rng =
 
 let finish mapped ~floorplan (hg : Hypergraph.t) desired =
   let n_cells = Array.length mapped.Mapped.instances in
-  let movable = Array.map (fun f -> f = None) hg.Hypergraph.fixed in
+  let movable = Array.map Option.is_none hg.Hypergraph.fixed in
   let legal =
     Legalize.run ~floorplan ~widths:hg.Hypergraph.weights ~desired ~movable
   in

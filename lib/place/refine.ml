@@ -1,5 +1,3 @@
-module Geom = Cals_util.Geom
-
 type stats = {
   swaps : int;
   passes : int;
@@ -10,12 +8,7 @@ type stats = {
 (* Incremental HPWL bookkeeping: per net, recompute its bbox from scratch
    (nets are small on average; this keeps the code simple and correct). *)
 let net_hpwl (hg : Hypergraph.t) positions ni =
-  let box =
-    Array.fold_left
-      (fun b v -> Geom.bbox_add b positions.(v))
-      Geom.bbox_empty hg.Hypergraph.nets.(ni)
-  in
-  Geom.half_perimeter box
+  Hypergraph.net_hpwl positions hg.Hypergraph.nets.(ni)
 
 let run ?(max_passes = 3) ~(hypergraph : Hypergraph.t) ~positions ~widths () =
   let hg = hypergraph in

@@ -841,7 +841,11 @@ module Request = struct
     in
     let gcell = Rgrid.gcell_at ~cols ~rows ~gcell_um in
     let pin_gcells = Array.map (List.map gcell) pins in
-    let net_gcells = Array.map (List.sort_uniq compare) pin_gcells in
+    let compare_gcell (c1, r1) (c2, r2) =
+      let c = Int.compare c1 c2 in
+      if c <> 0 then c else Int.compare r1 r2
+    in
+    let net_gcells = Array.map (List.sort_uniq compare_gcell) pin_gcells in
     { config; floorplan; wire; cols; rows; gcell_um; pins; pin_gcells;
       net_gcells; density }
 

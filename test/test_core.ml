@@ -323,6 +323,34 @@ let test_transitive_wire_grows_area_faster () =
     (Printf.sprintf "transitive %.0f >= bounded %.0f" pedram ours)
     true (pedram >= ours -. 1e-6)
 
+(* ------------------------- Pinned covers ------------------------- *)
+
+(* Digests recorded before the cover DP was rewritten over flat state:
+   every solution's figures (float bits), the run's counts and the
+   extracted netlist, at all 14 ladder K, per subject and option variant
+   (see Pinned_kernels). *)
+let cover_pins =
+  [
+    (("pla 11", "congestion_aware"), "f4fbbc068aeb273ba24e7f49d148d840");
+    (("pla 11", "no incremental update"), "0d8a826e5de8821d754eaca99871d582");
+    (("pla 11", "no wire2"), "4fe48b489b6fbf03b1574563f02c17d0");
+    (("pla 11", "transitive wire"), "d65695e8aa7fce881f9bb7b5b1549a7c");
+    (("pla 11", "euclidean"), "0e28cb0009774146c436332a2de09cfd");
+    (("pla 11", "min delay"), "597ff36aa4ae40acca1ef265f8e8eaf5");
+    (("pla 11", "t = 0.5"), "d708d3b7979c0f37c39b25daf7469c5d");
+    (("pla 21", "congestion_aware"), "e3c55c7114a3abc8533edb1e0d737bbe");
+    (("pla 21", "no incremental update"), "c2933069e4346ee4e9879d217971638c");
+    (("pla 21", "no wire2"), "b0528a7a818c68325188670822ff9e71");
+    (("pla 21", "transitive wire"), "ce331f679f595fd7d08fae1de4b53314");
+    (("pla 21", "euclidean"), "0f6ff758d0b1f55c6310d0f9a5f99eed");
+    (("pla 21", "min delay"), "7b8cc4ff27d6965a50b2c6ad79b856c1");
+    (("pla 21", "t = 0.5"), "4fda1cd9088bb7313814c866f1a672ba");
+  ]
+
+let test_cover_pinned () =
+  Pinned_kernels.check "cover" cover_pins Pinned_kernels.cover_digest
+
+
 let () =
   Alcotest.run "core"
     [
@@ -354,4 +382,6 @@ let () =
           Alcotest.test_case "transitive wire variant" `Quick
             test_transitive_wire_grows_area_faster;
         ] );
+      ( "cover pinned",
+        [ Alcotest.test_case "14 K x 7 variants" `Quick test_cover_pinned ] );
     ]

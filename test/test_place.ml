@@ -364,6 +364,35 @@ let test_def_well_formed () =
         Alcotest.failf "instance u%d missing" i)
     mapped.Cals_netlist.Mapped.instances
 
+(* ------------------------- Pinned placements ------------------------- *)
+
+(* Digests recorded before the legalizer, the hypergraph builder and the
+   HPWL fold were rewritten without per-pin allocation: positions, HPWL
+   bits and row fill of every seeded placement of the netlists pinned in
+   test_core "cover pinned" on a loose, a full and an overfull floorplan,
+   plus one refinement pass at K = 0 (see Pinned_kernels). *)
+let placement_pins =
+  [
+    (("pla 11", "congestion_aware"), "9abc1cf5800c4b4e59083ffa52643751");
+    (("pla 11", "no incremental update"), "77593cfeb0888884c9624a0d772f6679");
+    (("pla 11", "no wire2"), "e673597b493141c38fce51bb1589be1f");
+    (("pla 11", "transitive wire"), "2e26e924f827a17994cdc798572ece88");
+    (("pla 11", "euclidean"), "033dd254ac70c48aa90704a919c69304");
+    (("pla 11", "min delay"), "e7f7932ec2b00720466ffdf96f97cf01");
+    (("pla 11", "t = 0.5"), "e009fd30557d3b1c43aa1b0d04599664");
+    (("pla 21", "congestion_aware"), "678d3f182d1ba1ccb707d1080095b2c3");
+    (("pla 21", "no incremental update"), "f461ab31aa7e64f83c998e95a2a40f6e");
+    (("pla 21", "no wire2"), "1403cb7e4d1e6ab9f50c11bc0148072a");
+    (("pla 21", "transitive wire"), "d44fed3d0bfbcdbebffe65f5a5b9d387");
+    (("pla 21", "euclidean"), "2e2129374804451be4ef8ee9bc6add69");
+    (("pla 21", "min delay"), "364fe6eaca756b3bc363a614f08f330f");
+    (("pla 21", "t = 0.5"), "bda08df79449a2a55e32d1e6d7729e02");
+  ]
+
+let test_placement_pinned () =
+  Pinned_kernels.check "placement" placement_pins
+    Pinned_kernels.placement_digest
+
 let () =
   Alcotest.run "place"
     [
@@ -408,5 +437,10 @@ let () =
       ( "def",
         [
           Alcotest.test_case "well formed" `Quick test_def_well_formed;
+        ] );
+      ( "pinned",
+        [
+          Alcotest.test_case "seeded placements, 14 K x 7 variants" `Quick
+            test_placement_pinned;
         ] );
     ]

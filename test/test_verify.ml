@@ -521,6 +521,31 @@ let test_fuzz_harness_end_to_end () =
       (Fuzz.params_to_string f.Fuzz.params)
       f.Fuzz.stage f.Fuzz.detail
 
+(* An odd fuzz seed runs the congested configuration (two layers, 85 %
+   utilization): the search certifies points there, and the harness must
+   re-route each of them and find the certificate's bound honoured. *)
+let test_fuzz_harness_certificate_fires () =
+  let module Metrics = Cals_telemetry.Metrics in
+  let certified () =
+    List.fold_left
+      (fun acc (v : Metrics.counter_value) ->
+        if v.Metrics.c_name = "estimate_verdict_unroutable" then
+          v.Metrics.c_value
+        else acc)
+      0 (Metrics.snapshot ()).Metrics.counters
+  in
+  Cals_telemetry.Probe.enable ();
+  Fun.protect ~finally:Cals_telemetry.Probe.disable @@ fun () ->
+  let before = certified () in
+  let p =
+    { Fuzz.seed = 1; family = Fuzz.Pla; inputs = 8; outputs = 4; size = 30 }
+  in
+  (match Harness.check_params ~level:Check.Full p with
+  | Ok () -> ()
+  | Error (stage, detail) -> Alcotest.failf "[%s] %s" stage detail);
+  Alcotest.(check bool) "some point was certified and re-routed" true
+    (certified () > before)
+
 (* ---------------- Flow with checks on ---------------- *)
 
 let small_circuit seed =
@@ -688,6 +713,8 @@ let () =
             test_fuzz_reproducer_roundtrip;
           Alcotest.test_case "harness end to end" `Slow
             test_fuzz_harness_end_to_end;
+          Alcotest.test_case "congested seed re-routes certified points"
+            `Quick test_fuzz_harness_certificate_fires;
         ] );
       ( "flow",
         [
