@@ -27,6 +27,7 @@ module Check = Cals_verify.Check
 module Fuzz = Cals_verify.Fuzz
 module Probe = Cals_telemetry.Probe
 module Export = Cals_telemetry.Export
+module Ledger = Cals_serve.Ledger
 module Scheduler = Cals_serve.Scheduler
 module Shard = Cals_serve.Shard
 
@@ -45,13 +46,30 @@ let library = Cals_cell.Stdlib_018.library
 let geometry = Cals_cell.Library.geometry library
 let wire = Cals_cell.Library.wire library
 
+(* A missing or malformed circuit file is the user's error, not ours:
+   name it and exit 2 instead of escaping as an uncaught exception. *)
 let load_network input scale seed =
-  match input with
-  | "spla" -> Cals_workload.Presets.spla_like ~scale ~seed ()
-  | "pdc" -> Cals_workload.Presets.pdc_like ~scale ~seed ()
-  | "too_large" -> Cals_workload.Presets.too_large_like ~scale ~seed ()
-  | path when Filename.check_suffix path ".pla" -> Cals_logic.Pla.read_file path
-  | path -> Cals_logic.Blif.read_file path
+  match List.assoc_opt input Cals_workload.Presets.named with
+  | Some preset -> preset ~scale ~seed
+  | None -> (
+    try
+      if Filename.check_suffix input ".pla" then Cals_logic.Pla.read_file input
+      else Cals_logic.Blif.read_file input
+    with
+    | Sys_error reason
+    | Cals_logic.Blif.Parse_error reason
+    | Cals_logic.Pla.Parse_error reason
+    ->
+      (* [Sys_error] already starts with the path; say it once. *)
+      let prefix = input ^ ": " in
+      let reason =
+        if String.starts_with ~prefix reason then
+          String.sub reason (String.length prefix)
+            (String.length reason - String.length prefix)
+        else reason
+      in
+      Printf.eprintf "cals: %s: %s\n" input reason;
+      exit 2)
 
 let prepare input scale seed optimize =
   let network = load_network input scale seed in
@@ -465,93 +483,74 @@ let run_serve verbosity spool from_stdin jobs out deadline max_attempts
       Shard.worker_main config;
       0
     end
-    else if workers > 0 then begin
-      if spool = None && (not from_stdin) && listen_addr = None then
-        fail
-          "nothing to do — give a job source (--spool DIR, --stdin or \
-           --listen ADDR)"
-      else begin
-        let worker_argv =
-          Array.of_list
-            ([ Sys.executable_name; "serve"; "--worker"; "--out"; out ]
-            @ (match cache_dir with
-              | Some d -> [ "--cache-dir"; d ]
-              | None -> [])
-            @ (match deadline with
-              | Some s -> [ "--deadline"; Printf.sprintf "%g" s ]
-              | None -> [])
-            @ [
-                "--max-attempts";
-                string_of_int max_attempts;
-                "--degraded-k-points";
-                string_of_int degraded_k_points;
-              ]
-            @ List.concat_map (fun _ -> [ "-v" ]) verbosity)
-        in
-        let config =
-          {
-            Cals_serve.Shard.default_config with
-            workers;
-            worker_argv;
-            out_dir = out;
-            listen = listen_addr;
-            max_attempts;
-            backoff_s = backoff;
-            high_watermark;
-            overload_watermark;
-            triage_watermark;
-            tick_s = tick;
-          }
-        in
-        let shard = Shard.create config in
-        if from_stdin then begin
-          try
-            while true do
-              let line = input_line stdin in
-              ignore (Shard.submit_line shard ~source:"stdin" line)
-            done
-          with End_of_file -> ()
-        end;
-        let s = Shard.drain shard ?spool () in
-        Printf.printf
-          "serve: %d submitted, %d completed, %d quarantined, %d retries, \
-           %d timeouts, %d shed, %d worker restarts, %d parse errors in \
-           %.2fs\n"
-          s.Shard.submitted s.Shard.completed s.Shard.quarantined
-          s.Shard.retries s.Shard.timeouts s.Shard.shed s.Shard.restarts
-          s.Shard.parse_errors s.Shard.wall_s;
-        serve_export trace metrics;
-        if
-          s.Shard.quarantined = 0 && s.Shard.parse_errors = 0
-          && s.Shard.shed = 0
-        then 0
-        else 1
-      end
-    end
-    else if listen_addr <> None then
+    else if workers = 0 && listen_addr <> None then
       fail "--listen needs a worker fleet; pass --workers N (N >= 1)"
-    else if spool = None && not from_stdin then
-      fail "nothing to do — give a job source (--spool DIR and/or --stdin)"
+    else if workers > 0 && watch then
+      fail "--watch needs the in-process drain; a --workers fleet reads its \
+            spool once"
+    else if workers > 0 && jobs <> 1 then
+      fail "-j/--jobs sets in-process worker domains; with --workers each \
+            worker process runs one job at a time"
+    else if spool = None && (not from_stdin) && listen_addr = None then
+      fail
+        "nothing to do — give a job source (--spool DIR, --stdin or --listen \
+         ADDR)"
     else begin
-      let scheduler = Scheduler.create config in
+      let ledger, drain =
+        if workers = 0 then
+          let scheduler = Scheduler.create config in
+          (Scheduler.ledger scheduler, fun () -> Scheduler.drain scheduler ?spool ())
+        else
+          let worker_argv =
+            Array.of_list
+              ([ Sys.executable_name; "serve"; "--worker"; "--out"; out ]
+              @ (match cache_dir with
+                | Some d -> [ "--cache-dir"; d ]
+                | None -> [])
+              @ (match deadline with
+                | Some s -> [ "--deadline"; Printf.sprintf "%g" s ]
+                | None -> [])
+              @ [
+                  "--max-attempts";
+                  string_of_int max_attempts;
+                  "--degraded-k-points";
+                  string_of_int degraded_k_points;
+                ]
+              @ List.concat_map (fun _ -> [ "-v" ]) verbosity)
+          in
+          let shard =
+            Shard.create
+              {
+                Shard.default_config with
+                workers;
+                worker_argv;
+                out_dir = out;
+                listen = listen_addr;
+                max_attempts;
+                backoff_s = backoff;
+                high_watermark;
+                overload_watermark;
+                triage_watermark;
+                tick_s = tick;
+              }
+          in
+          (Shard.ledger shard, fun () -> Shard.drain shard ?spool ())
+      in
       if from_stdin then begin
         try
           while true do
-            let line = input_line stdin in
-            ignore (Scheduler.submit_line scheduler ~source:"stdin" line)
+            ignore (Ledger.submit_line ledger ~source:"stdin" (input_line stdin))
           done
         with End_of_file -> ()
       end;
-      let s = Scheduler.drain scheduler ?spool () in
+      let s = drain () in
       Printf.printf
         "serve: %d submitted, %d completed, %d quarantined, %d retries, %d \
-         timeouts, %d parse errors in %.2fs\n"
-        s.Scheduler.submitted s.Scheduler.completed s.Scheduler.quarantined
-        s.Scheduler.retries s.Scheduler.timeouts s.Scheduler.parse_errors
-        s.Scheduler.wall_s;
+         timeouts, %d shed, %d worker restarts, %d parse errors in %.2fs\n"
+        s.Ledger.submitted s.completed s.quarantined s.retries s.timeouts
+        s.shed s.restarts s.parse_errors s.wall_s;
       serve_export trace metrics;
-      if s.Scheduler.quarantined = 0 && s.Scheduler.parse_errors = 0 then 0
-      else 1
+      if s.quarantined = 0 && s.parse_errors = 0 && s.shed = 0 then 0 else 1
     end
 
 (* ------------------------- lib ------------------------- *)
@@ -581,7 +580,10 @@ let preset_arg =
   in
   Arg.(
     value
-    & opt (some (enum [ ("spla", "spla"); ("pdc", "pdc"); ("too_large", "too_large") ])) None
+    & opt
+        (some
+           (enum (List.map (fun (name, _) -> (name, name)) Cals_workload.Presets.named)))
+        None
     & info [ "preset" ] ~docv:"NAME" ~doc)
 
 (* One input source: either the positional INPUT or --preset. *)
@@ -804,7 +806,10 @@ let serve_stdin_arg =
   Arg.(value & flag & info [ "stdin" ] ~doc)
 
 let serve_jobs_arg =
-  let doc = "Worker domains the job rounds are spread over." in
+  let doc =
+    "Worker domains the job rounds are spread over (in-process drain only; \
+     refused with $(b,--workers))."
+  in
   Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
 let serve_out_arg =
@@ -854,7 +859,7 @@ let serve_degraded_k_arg =
 let serve_watch_arg =
   let doc =
     "Keep polling the spool after the queue drains (daemon mode) instead of \
-     exiting."
+     exiting. In-process drain only; refused with $(b,--workers)."
   in
   Arg.(value & flag & info [ "watch" ] ~doc)
 

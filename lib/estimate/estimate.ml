@@ -55,10 +55,12 @@ type forecast = {
 (* ------------------------- calibration ------------------------- *)
 
 (* Fitted against the real router on the golden corpus (always routable,
-   utilization 0.42-0.53). Only the Routable band is fitted: a wrong
-   Routable merely seeds the adaptive bisection too low and wastes
-   routes, because acceptance always rides a real route. Unroutable is
-   never a fit; it is the cut certificate's proof. *)
+   utilization 0.42-0.53). Only the Routable band is fitted, and only
+   the serve Triage rung reads it: there a wrong Routable accepts a K
+   that a real route would reject (such results are marked estimated).
+   The adaptive search ignores it, and outside Triage acceptance always
+   rides a real route. Unroutable is never a fit; it is the cut
+   certificate's proof. *)
 let pin_track_cost = 0.125
 let negotiation_relief = 0.5
 let routable_max_norm = 1e-4

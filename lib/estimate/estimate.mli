@@ -21,10 +21,14 @@
     shows some cut line carries more segment crossings than its floored
     capacity, so no route of it is clean (DESIGN.md, Section 4k). That
     lets {!Cals_core.Flow.evaluate_k} skip the negotiated route
-    entirely. [Routable] is the one fitted band, and only ever seeds
-    the adaptive search; [Uncertain] points route for real. An accepted
-    K is always confirmed by a real route — the estimator can only ever
-    prune proven rejections, never certify an acceptance. *)
+    entirely. [Routable] is the one fitted band. The adaptive search
+    never reads it (its probes stop only on [Unroutable] or a failed
+    legalization); its one effect is acceptance under [Triage], the
+    estimator-only rung of [cals serve] (degradation level 3), where a
+    [Routable] point may be accepted without a route. Everywhere else
+    [Uncertain] and [Routable] points route for real, and an accepted K
+    is confirmed by a real route — there the estimator can only prune
+    proven rejections, never certify an acceptance. *)
 
 type verdict =
   | Routable  (** Confidently under capacity everywhere. *)

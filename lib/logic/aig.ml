@@ -375,15 +375,6 @@ let pass_name = function
   | Cse -> "cse"
   | Constprop -> "constprop"
 
-let pass_of_string = function
-  | "strash" -> Ok Strash
-  | "rewrite" -> Ok Rewrite
-  | "balance" -> Ok Balance
-  | "dce" -> Ok Dce
-  | "cse" -> Ok Cse
-  | "constprop" -> Ok Constprop
-  | other -> Error (Printf.sprintf "unknown AIG pass %S" other)
-
 (* Rebuild every live node bottom-up through a fresh (hash-consing)
    graph; [two_level] arms the rewrite rules. Ids are topological, so a
    single ascending sweep sees fanins before fanouts. *)

@@ -188,13 +188,9 @@ val all_passes : pass list
 val pass_name : pass -> string
 (** Lower-case pass name, e.g. ["strash"]. *)
 
-val pass_of_string : string -> (pass, string) result
-(** Inverse of {!pass_name}; [Error] names the unknown pass. *)
-
 val apply : pass -> t -> t
 (** Run one pass, returning the rebuilt graph. *)
 
 val run : pass list -> Network.t -> Network.t
-(** [run passes net]: {!of_network}, fold {!apply}, {!to_network}. The
-    network-level entry point the shared {!Optimize.pass} registry wraps;
+(** [run passes net]: {!of_network}, fold {!apply}, {!to_network}.
     [net] itself is not modified. *)

@@ -411,65 +411,20 @@ let eliminate ?(value_threshold = 0) t =
   !eliminated
 
 (* ------------------------------------------------------------------ *)
-(* Pass registry and scripts                                           *)
+(* Scripts                                                             *)
 (* ------------------------------------------------------------------ *)
-
-type pass = {
-  pass_name : string;
-  run : Network.t -> Network.t;
-}
-
-let sweep_pass =
-  {
-    pass_name = "sweep";
-    run =
-      (fun t ->
-        Network.sweep t;
-        t);
-  }
-
-let cubes_pass =
-  {
-    pass_name = "cubes";
-    run =
-      (fun t ->
-        Metrics.add m_cubes_extracted (extract_common_cubes t);
-        t);
-  }
-
-let kernels_pass =
-  {
-    pass_name = "kernels";
-    run =
-      (fun t ->
-        Metrics.add m_kernels_extracted (extract_kernels t);
-        t);
-  }
-
-let eliminate_pass =
-  {
-    pass_name = "eliminate";
-    run =
-      (fun t ->
-        Metrics.add m_eliminated (eliminate ~value_threshold:0 t);
-        t);
-  }
-
-let area_pipeline ?(rounds = 2) () =
-  let round = [ cubes_pass; kernels_pass; eliminate_pass ] in
-  let rec repeat n = if n = 0 then [] else round @ repeat (n - 1) in
-  (sweep_pass :: repeat rounds) @ [ sweep_pass ]
-
-let run_pipeline passes t = List.fold_left (fun t p -> p.run t) t passes
-
-let pipeline_name passes =
-  String.concat "," (List.map (fun p -> p.pass_name) passes)
 
 let script_area ?(rounds = 2) t =
   Span.with_ ~cat:"logic" ~meta:(Printf.sprintf "%d rounds" rounds)
     "logic.script_area"
-  @@ fun () -> ignore (run_pipeline (area_pipeline ~rounds ()) t)
+  @@ fun () ->
+  Network.sweep t;
+  for _ = 1 to rounds do
+    Metrics.add m_cubes_extracted (extract_common_cubes t);
+    Metrics.add m_kernels_extracted (extract_kernels t);
+    Metrics.add m_eliminated (eliminate ~value_threshold:0 t)
+  done;
+  Network.sweep t
 
 let script_light t =
-  Span.with_ ~cat:"logic" "logic.script_light"
-  @@ fun () -> ignore (run_pipeline [ sweep_pass ] t)
+  Span.with_ ~cat:"logic" "logic.script_light" @@ fun () -> Network.sweep t

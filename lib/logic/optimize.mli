@@ -33,50 +33,14 @@ val extract_kernels : ?max_rounds:int -> ?max_node_cubes:int -> Network.t -> int
     kernel sources (but still rewritten as uses). Returns the number of
     divisor nodes created. *)
 
-(** {1 Pass registry}
-
-    The scripts used to hardcode their ordering; they are now built from
-    first-class passes so the synthesis orchestrator ({!Orchestrate}) and
-    the legacy pipeline share one registry instead of duplicating pass
-    glue. A pass takes a network and returns the optimized network —
-    the SOP passes below restructure their argument in place and return
-    it, while AIG-backed passes (built with {!Orchestrate.aig_pass})
-    return a fresh network. *)
-
-type pass = {
-  pass_name : string;  (** Lower-case, e.g. ["kernels"] — for labels. *)
-  run : Network.t -> Network.t;
-      (** May mutate its argument; callers must use the return value. *)
-}
-
-val sweep_pass : pass
-(** {!Network.sweep}: constant folding, dangling-node removal. *)
-
-val cubes_pass : pass
-(** {!extract_common_cubes} with its extraction count recorded on the
-    [optimize_cubes_extracted] counter. *)
-
-val kernels_pass : pass
-(** {!extract_kernels} recorded on [optimize_kernels_extracted]. *)
-
-val eliminate_pass : pass
-(** {!eliminate} at threshold 0 recorded on [optimize_nodes_eliminated]. *)
-
-val area_pipeline : ?rounds:int -> unit -> pass list
-(** The pass list behind {!script_area}: sweep, then [rounds] (default 2)
-    repetitions of cubes/kernels/eliminate, then a final sweep. *)
-
-val run_pipeline : pass list -> Network.t -> Network.t
-(** Fold the passes left to right, threading the returned network. *)
-
-val pipeline_name : pass list -> string
-(** Comma-joined pass names, e.g. ["sweep,cubes,kernels"]. *)
-
 val script_area : ?rounds:int -> Network.t -> unit
-(** The aggressive area script — {!run_pipeline} over {!area_pipeline}
-    under a telemetry span. Mirrors a SIS [script.algebraic] run in
-    spirit. The pipeline's passes all mutate in place, so the unit
-    return loses nothing. *)
+(** The aggressive area script, in place, under a telemetry span: a
+    {!Network.sweep}, then [rounds] (default 2) repetitions of
+    {!extract_common_cubes}, {!extract_kernels} and {!eliminate} at
+    threshold 0 (their counts recorded on the
+    [optimize_cubes_extracted], [optimize_kernels_extracted] and
+    [optimize_nodes_eliminated] counters), then a final sweep. Mirrors a
+    SIS [script.algebraic] run in spirit. *)
 
 val script_light : Network.t -> unit
 (** Sweep only — the front end used for the "DAGON" baseline netlists. *)

@@ -35,11 +35,6 @@ val schedule : budget:int -> candidate list
     in lexicographic order, duplicates skipped. Pure in [budget]:
     the same budget always yields the same schedule. *)
 
-val aig_pass : Aig.pass list -> Optimize.pass
-(** Wrap an AIG sequence as a registry pass ({!Aig.run} under the
-    candidate's label), so orchestrated sequences and the legacy
-    pipeline compose through one {!Optimize.run_pipeline} mechanism. *)
-
 type prepared = {
   label : string;  (** ["baseline"] or the candidate label. *)
   network : Network.t;

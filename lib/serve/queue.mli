@@ -1,15 +1,18 @@
-(** The service's job queue: admission, retry backoff, quarantine.
+(** A serve drain's job queue: FIFO order and retry backoff.
 
-    A mutex-protected FIFO of {!Job.t} with the failure policy folded
+    A mutex-protected FIFO of {!Job.t} with the backoff policy folded
     in: a failed or timed-out run goes back in the queue behind an
     exponential backoff gate until its attempt budget is spent, after
-    which {!record_fault} hands it to quarantine. The queue never drops
-    a job silently — every submission ends as [Done] or [Quarantined].
+    which {!record_fault} hands it back for quarantine. The queue never
+    drops a job silently — every submission ends as [Done] or
+    [Quarantined]. Counting, logging and quarantine artifacts are the
+    {!Ledger}'s, which calls {!record_fault} from {!Ledger.fault}.
 
-    The scheduler drains in rounds (fork/join over the pool), so pops
-    happen from one domain at a time; the mutex exists so that watch
-    mode can keep admitting jobs while a round is being assembled, and
-    so depth gauges read consistently from anywhere. *)
+    The in-process scheduler drains one queue in rounds (fork/join over
+    the pool), so pops happen from one domain at a time; the mutex
+    exists so that watch mode can keep admitting jobs while a round is
+    being assembled, and so depth gauges read consistently from
+    anywhere. A {!Shard} fleet keeps one queue per worker. *)
 
 type t
 
@@ -29,8 +32,8 @@ val take_ready : t -> now:float -> max:int -> Job.t list
 val record_fault : t -> now:float -> Job.t -> Job.fault -> [ `Retry | `Quarantine ]
 (** The policy decision for a failed run: within budget the job returns
     to the queue ([`Retry], status [Pending], gate set); out of budget
-    it is marked [Quarantined] and {e not} requeued — the caller owns
-    writing the quarantine artifacts. *)
+    it is marked [Quarantined] and {e not} requeued — the caller
+    ({!Ledger.fault}) writes the quarantine artifacts. *)
 
 val depth : t -> int
 (** Jobs currently queued (ready or backing off), excluding running

@@ -22,43 +22,14 @@ let library = Cals_cell.Stdlib_018.library
 let geometry = Cals_cell.Library.geometry library
 let wire = Cals_cell.Library.wire library
 
-let m_submitted =
-  Metrics.counter ~help:"Jobs admitted to the service queue"
-    "serve_jobs_submitted"
-
-let m_completed =
-  Metrics.counter ~help:"Jobs that completed and wrote artifacts"
-    "serve_jobs_completed"
-
-let m_retried =
-  Metrics.counter ~help:"Faulted runs sent back for retry" "serve_jobs_retried"
-
-let m_quarantined =
-  Metrics.counter ~help:"Jobs quarantined after the retry budget"
-    "serve_jobs_quarantined"
-
-let m_timeouts =
-  Metrics.counter ~help:"Runs cancelled by their deadline" "serve_job_timeouts"
-
 let m_degraded =
   Metrics.counter ~help:"Runs dispatched under a degradation level > 0"
     "serve_jobs_degraded"
-
-let m_queue_depth = Metrics.gauge ~help:"Queued jobs" "serve_queue_depth"
-
-let m_degradation =
-  Metrics.gauge ~help:"Degradation ladder step (0/1/2/3)"
-    "serve_degradation_level"
 
 let m_triaged =
   Metrics.counter
     ~help:"Runs dispatched estimator-only (degradation level 3)"
     "serve_jobs_triaged"
-
-let m_job_seconds =
-  Metrics.histogram ~help:"Wall seconds per completed job"
-    ~buckets:[| 0.01; 0.05; 0.25; 1.0; 5.0; 30.0 |]
-    "serve_job_seconds"
 
 type config = {
   jobs : int;
@@ -91,13 +62,15 @@ let default_config =
     cache_dir = None;
   }
 
-type summary = {
+type summary = Ledger.summary = {
   submitted : int;
   completed : int;
   quarantined : int;
   retries : int;
   timeouts : int;
   parse_errors : int;
+  shed : int;
+  restarts : int;
   wall_s : float;
 }
 
@@ -120,104 +93,38 @@ type t = {
   queue : Queue.t;
   designs : (string, design) Hashtbl.t;
   designs_mutex : Mutex.t;
-  mutable auto_id : int;
-  mutable submitted : int;
-  mutable completed : int;
-  mutable quarantined : int;
-  mutable retries : int;
-  mutable timeouts : int;
-  mutable parse_errors : int;
-  mutable drained : bool;
+  ledger : Ledger.t;
 }
 
 let create config =
+  let queue =
+    Queue.create ~max_attempts:config.max_attempts ~backoff_s:config.backoff_s
+      ()
+  in
   {
     config;
-    queue =
-      Queue.create ~max_attempts:config.max_attempts
-        ~backoff_s:config.backoff_s ();
+    queue;
     designs = Hashtbl.create 16;
     designs_mutex = Mutex.create ();
-    auto_id = 0;
-    submitted = 0;
-    completed = 0;
-    quarantined = 0;
-    retries = 0;
-    timeouts = 0;
-    parse_errors = 0;
-    drained = false;
+    ledger =
+      Ledger.create ~out_dir:config.out_dir ~fleet:false
+        ~high_watermark:config.high_watermark
+        ~overload_watermark:config.overload_watermark
+        ~triage_watermark:config.triage_watermark
+        ~enqueue:(fun _ job -> Queue.push queue job);
   }
+
+let ledger t = t.ledger
+let submit t spec = ignore (Ledger.submit t.ledger spec)
 
 (* ------------------------- filesystem helpers ------------------------- *)
 
 let mkdir_p = Cals_util.Fsutil.mkdir_p
 let sanitize = Cals_util.Fsutil.sanitize
 let write_file = Cals_util.Fsutil.write_file
-let read_lines = Cals_util.Fsutil.read_lines
 
 let job_dir t (job : Job.t) =
   Filename.concat t.config.out_dir (sanitize job.Job.spec.Proto.id)
-
-let quarantine_dir out_dir name =
-  Filename.concat (Filename.concat out_dir "quarantine") (sanitize name)
-
-(* ------------------------- admission ------------------------- *)
-
-let fresh_id t =
-  t.auto_id <- t.auto_id + 1;
-  Printf.sprintf "job-%04d" t.auto_id
-
-let submit t (spec : Proto.spec) =
-  let spec =
-    if spec.Proto.id = "" then { spec with Proto.id = fresh_id t } else spec
-  in
-  t.submitted <- t.submitted + 1;
-  Metrics.incr m_submitted;
-  Log.debug (fun m ->
-      m "admitted %s (%s)" spec.Proto.id (Proto.design_key spec));
-  Queue.push t.queue (Job.create ~now:(Unix.gettimeofday ()) spec)
-
-let submit_line t ~source line =
-  let trimmed = String.trim line in
-  if trimmed = "" || trimmed.[0] = '#' then Ok ()
-  else
-    match Proto.spec_of_string ~default_id:"" trimmed with
-    | Ok spec ->
-      submit t spec;
-      Ok ()
-    | Error err ->
-      t.parse_errors <- t.parse_errors + 1;
-      let dir = quarantine_dir t.config.out_dir source in
-      let path =
-        Filename.concat dir (Printf.sprintf "parse-%03d.txt" t.parse_errors)
-      in
-      write_file path
-        (Printf.sprintf "source: %s\nerror: %s\nline: %s\n" source err trimmed);
-      Log.warn (fun m -> m "rejected job line from %s: %s" source err);
-      Error err
-
-let load_spool t ~dir =
-  if not (Sys.file_exists dir && Sys.is_directory dir) then 0
-  else begin
-    let files =
-      Sys.readdir dir |> Array.to_list
-      |> List.filter (fun f -> Filename.check_suffix f ".json")
-      |> List.sort String.compare
-    in
-    let before = t.submitted in
-    List.iter
-      (fun file ->
-        let path = Filename.concat dir file in
-        match read_lines path with
-        | lines ->
-          (* Consume the file first so watch mode never re-ingests it. *)
-          (try Sys.remove path with Sys_error _ -> ());
-          List.iter (fun l -> ignore (submit_line t ~source:file l)) lines
-        | exception Sys_error err ->
-          Log.warn (fun m -> m "skipping spool file %s: %s" path err))
-      files;
-    t.submitted - before
-  end
 
 (* ------------------------- design cache ------------------------- *)
 
@@ -228,11 +135,9 @@ let network_of_input = function
     else if Filename.check_suffix path ".pla" then Cals_logic.Pla.read_file path
     else Cals_logic.Blif.read_file path
   | Proto.Preset { name; scale; seed } -> (
-    match name with
-    | "spla" -> Cals_workload.Presets.spla_like ~scale ~seed ()
-    | "pdc" -> Cals_workload.Presets.pdc_like ~scale ~seed ()
-    | "too_large" -> Cals_workload.Presets.too_large_like ~scale ~seed ()
-    | other -> failwith (Printf.sprintf "unknown preset %s" other))
+    match List.assoc_opt name Cals_workload.Presets.named with
+    | Some preset -> preset ~scale ~seed
+    | None -> failwith (Printf.sprintf "unknown preset %s" name))
   | Proto.Workload p ->
     let family =
       match p.Fuzz.family with
@@ -352,12 +257,6 @@ let get_design t spec =
     winner
 
 (* ------------------------- degradation ladder ------------------------- *)
-
-let degradation_level t ~depth =
-  if depth >= t.config.triage_watermark then 3
-  else if depth >= t.config.overload_watermark then 2
-  else if depth >= t.config.high_watermark then 1
-  else 0
 
 let degraded_checks level checks =
   match (level, checks) with
@@ -617,56 +516,12 @@ let run_job t ~level (job : Job.t) =
   | Check.Violation { stage; detail } -> Fault (Job.Violation { stage; detail })
   | exn -> Fault (Job.Crashed (Printexc.to_string exn))
 
-(* ------------------------- quarantine ------------------------- *)
-
-let fault_stage_detail = function
-  | Job.Timed_out d -> ("deadline", Printf.sprintf "exceeded %.3fs budget" d)
-  | Job.Violation { stage; detail } -> (stage, detail)
-  | Job.Crashed detail -> ("crash", detail)
-
-let write_quarantine ~out_dir (job : Job.t) fault =
-  let spec = job.Job.spec in
-  let dir = quarantine_dir out_dir spec.Proto.id in
-  mkdir_p dir;
-  (* The spec itself is respoolable: drop job.json back in the spool to
-     retry after a fix. *)
-  write_file
-    (Filename.concat dir "job.json")
-    (Proto.print_json (Proto.spec_to_json spec) ^ "\n");
-  write_file
-    (Filename.concat dir "failure.txt")
-    (Printf.sprintf "job: %s\nattempts: %d\nfault: %s\n" spec.Proto.id
-       job.Job.attempts
-       (Job.fault_to_string fault));
-  match spec.Proto.input with
-  | Proto.Workload params ->
-    let stage, detail = fault_stage_detail fault in
-    Fuzz.write_reproducer
-      ~path:(Filename.concat dir "reproducer.txt")
-      { Fuzz.params; stage; detail; shrink_steps = 0 }
-  | Proto.Blif _ | Proto.Preset _ -> ()
-
 (* ------------------------- the drain loop ------------------------- *)
-
-let summary_json t ~wall_s =
-  Proto.Obj
-    [
-      ("submitted", Proto.Num (float_of_int t.submitted));
-      ("completed", Proto.Num (float_of_int t.completed));
-      ("quarantined", Proto.Num (float_of_int t.quarantined));
-      ("retries", Proto.Num (float_of_int t.retries));
-      ("timeouts", Proto.Num (float_of_int t.timeouts));
-      ("parse_errors", Proto.Num (float_of_int t.parse_errors));
-      ("wall_s", Proto.Num wall_s);
-    ]
 
 let apply_result t ((job : Job.t), result) =
   match result with
   | Success m ->
-    job.Job.status <- Job.Done;
-    t.completed <- t.completed + 1;
-    Metrics.incr m_completed;
-    Metrics.observe m_job_seconds m.wall_s;
+    Ledger.complete t.ledger job ~wall_s:m.wall_s;
     Log.info (fun f ->
         f "%s done in %.2fs (accepted K=%s, cache hit rate %.0f%%)"
           job.Job.spec.Proto.id m.wall_s
@@ -678,47 +533,21 @@ let apply_result t ((job : Job.t), result) =
           let total = m.cache_hits + m.cache_misses in
           if total = 0 then 0.0
           else float_of_int m.cache_hits /. float_of_int total))
-  | Fault fault -> (
-    (match fault with
-    | Job.Timed_out _ ->
-      t.timeouts <- t.timeouts + 1;
-      Metrics.incr m_timeouts
-    | _ -> ());
-    let now = Unix.gettimeofday () in
-    match Queue.record_fault t.queue ~now job fault with
-    | `Retry ->
-      t.retries <- t.retries + 1;
-      Metrics.incr m_retried;
-      Log.info (fun f ->
-          f "%s faulted (%s), retry %d queued" job.Job.spec.Proto.id
-            (Job.fault_to_string fault) job.Job.attempts)
-    | `Quarantine ->
-      t.quarantined <- t.quarantined + 1;
-      Metrics.incr m_quarantined;
-      write_quarantine ~out_dir:t.config.out_dir job fault;
-      Log.warn (fun f ->
-          f "%s quarantined after %d attempts: %s" job.Job.spec.Proto.id
-            job.Job.attempts
-            (Job.fault_to_string fault)))
+  | Fault fault -> ignore (Ledger.fault t.ledger t.queue job fault)
 
 let drain t ?spool () =
-  if t.drained then invalid_arg "Scheduler.drain: scheduler already drained";
-  t.drained <- true;
-  let t0 = Unix.gettimeofday () in
-  mkdir_p t.config.out_dir;
-  (match spool with
-  | Some dir -> ignore (load_spool t ~dir)
-  | None -> ());
+  Ledger.start t.ledger;
+  let poll () =
+    Option.iter (fun dir -> ignore (Ledger.load_spool t.ledger ~dir)) spool
+  in
+  poll ();
   let pool = Pool.create ~jobs:(max 1 t.config.jobs) in
   Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
   let rec loop () =
-    if t.config.watch then
-      Option.iter (fun dir -> ignore (load_spool t ~dir)) spool;
+    if t.config.watch then poll ();
     let now = Unix.gettimeofday () in
     let depth = Queue.depth t.queue in
-    Metrics.set m_queue_depth (float_of_int depth);
-    let level = degradation_level t ~depth in
-    Metrics.set m_degradation (float_of_int level);
+    let level = Ledger.level t.ledger ~depth in
     match Queue.take_ready t.queue ~now ~max:max_int with
     | [] -> (
       match Queue.next_gate t.queue ~now with
@@ -750,19 +579,4 @@ let drain t ?spool () =
       loop ()
   in
   loop ();
-  let wall_s = Unix.gettimeofday () -. t0 in
-  write_file
-    (Filename.concat t.config.out_dir "summary.json")
-    (Proto.print_json (summary_json t ~wall_s) ^ "\n");
-  Log.info (fun f ->
-      f "drained: %d completed, %d quarantined, %d retries in %.2fs"
-        t.completed t.quarantined t.retries wall_s);
-  {
-    submitted = t.submitted;
-    completed = t.completed;
-    quarantined = t.quarantined;
-    retries = t.retries;
-    timeouts = t.timeouts;
-    parse_errors = t.parse_errors;
-    wall_s;
-  }
+  fst (Ledger.finish t.ledger)

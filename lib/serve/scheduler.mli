@@ -1,14 +1,15 @@
-(** The batch service engine behind [cals serve].
+(** The in-process serve drain behind [cals serve] without [--workers].
 
     A scheduler owns one {!Queue}, one shared {!Cals_util.Pool} of
-    worker domains, and a {e design cache}: per distinct circuit
-    ({!Proto.design_key}) the subject graph, floorplan, companion
+    worker domains, a {!Ledger}, and a {e design cache}: per distinct
+    circuit ({!Proto.design_key}) the subject graph, floorplan, companion
     placement and a warmed-and-sealed {!Cals_core.Incremental} session
-    ({!Cals_core.Incremental.warm} once, then {!Cals_core.Incremental.seal}
-    so worker domains can share it read-only), kept alive across jobs so repeated designs skip decomposition,
-    placement and pattern matching entirely. Telemetry rings and metric
-    counters likewise persist for the life of the process — one trace
-    covers the whole drain.
+    ({!Cals_core.Incremental.warm} once, then
+    {!Cals_core.Incremental.seal} so worker domains can share it
+    read-only), kept alive across jobs so repeated designs skip
+    decomposition, placement and pattern matching entirely. Telemetry
+    rings and metric counters likewise persist for the life of the
+    process — one trace covers the whole drain.
 
     {2 Execution model}
 
@@ -17,30 +18,26 @@
     each worker searches its job's K schedule with
     {!Cals_core.Flow.run_adaptive} against the design's shared session
     and writes the job's artifact directory, and the main domain then
-    applies the failure policy to the round's faults. A job's deadline
-    becomes a {!Cals_util.Cancel} token with a wall-clock expiry,
-    checked cooperatively at every flow and router check point.
-
-    {2 Failure policy}
-
-    A run that times out, crashes, or violates a verification invariant
-    is retried under the queue's exponential backoff until its attempt
-    budget is spent, then quarantined under [out_dir/quarantine/<id>/]
-    with the respoolable job spec, the fault, and — for synthetic
-    [workload] jobs — a reproducer in {!Cals_verify.Fuzz} format that
-    [cals fuzz --replay] accepts.
+    hands the round's outcomes to the ledger, which applies the
+    retry/quarantine policy ({!Ledger.fault}). A job's deadline becomes a
+    {!Cals_util.Cancel} token with a wall-clock expiry, checked
+    cooperatively at every flow and router check point. Job ids, spool
+    ingestion, quarantine artifacts and [summary.json] are the ledger's
+    and identical to a {!Shard} fleet's.
 
     {2 Graceful degradation}
 
-    Queue depth drives a three-step ladder, re-read at every round:
-    at [high_watermark] jobs shed [Full] checks to [Cheap]; at
-    [overload_watermark] checks turn [Off] and K schedules are capped at
-    [degraded_k_points] points; at [triage_watermark] jobs run
-    estimator-only ({!Cals_estimate.Estimate.Triage}) — the schedule is
-    walked in order, no point routes at all, acceptance is decided on the
-    congestion forecast and the job's metrics carry [estimated: true]. Degraded jobs complete (their
-    metrics record what was shed) instead of the queue collapsing behind
-    expensive stragglers. *)
+    Queue depth sets the round's level ({!Ledger.level}), re-read at
+    every round, which {!run_job} applies: at level 1
+    ([high_watermark]) jobs shed [Full] checks to [Cheap]; at level 2
+    ([overload_watermark]) checks turn [Off] and K schedules are capped
+    at [degraded_k_points] points; at level 3 ([triage_watermark]) jobs
+    run estimator-only ({!Cals_estimate.Estimate.Triage}) — the schedule
+    is walked in order, no point routes at all, acceptance is decided on
+    the congestion forecast and the job's metrics carry
+    [estimated: true]. Degraded jobs complete (their metrics record what
+    was shed) instead of the queue collapsing behind expensive
+    stragglers. *)
 
 type config = {
   jobs : int;  (** Worker domains (>= 1). *)
@@ -76,13 +73,15 @@ val default_config : config
     3 attempts, 50 ms backoff, watermarks 8 / 16 / 32, 6 degraded K
     points, one-shot drain, 100 ms tick, no cache dir. *)
 
-type summary = {
+type summary = Ledger.summary = {
   submitted : int;
   completed : int;
   quarantined : int;
-  retries : int;  (** Faulted runs that went back in the queue. *)
-  timeouts : int;  (** Runs (not jobs) that hit their deadline. *)
-  parse_errors : int;  (** Rejected spool/stdin lines. *)
+  retries : int;
+  timeouts : int;
+  parse_errors : int;
+  shed : int;
+  restarts : int;
   wall_s : float;
 }
 
@@ -90,35 +89,27 @@ type t
 
 val create : config -> t
 
+val ledger : t -> Ledger.t
+(** The drain's ledger: submit lines or spool directories through it. *)
+
 val submit : t -> Proto.spec -> unit
-(** Admit one job. An empty [id] is replaced with a fresh
-    ["job-NNNN"]. *)
-
-val submit_line : t -> source:string -> string -> (unit, string) result
-(** Parse one JSON-lines job and admit it. On a malformed line the
-    error is returned {e and} recorded under
-    [out_dir/quarantine/<source>/] so a bad producer is visible after
-    the fact; blank lines and [#] comments are accepted and ignored. *)
-
-val load_spool : t -> dir:string -> int
-(** Ingest every [*.json] file in [dir] (sorted, one job per line),
-    deleting each file once read. Returns the number of jobs
-    admitted. *)
+(** {!Ledger.submit}: admit one job. *)
 
 val drain : t -> ?spool:string -> unit -> summary
-(** Run rounds until the queue is empty (or forever under
-    [config.watch], re-polling [spool] between rounds). Every round's
-    results are applied before the next is dispatched; on return the
-    pool is shut down, every submitted job is [Done] or [Quarantined],
-    and [out_dir/summary.json] records the totals. Safe to call once
-    per scheduler. *)
+(** Load [spool], then run rounds until the queue is empty (or forever
+    under [config.watch], re-polling [spool] between rounds). Every
+    round's results are applied before the next is dispatched; on
+    return the pool is shut down, every submitted job is [Done] or
+    [Quarantined], and the ledger has written [out_dir/summary.json].
+    Safe to call once per scheduler. *)
 
 (** {2 Single-run API}
 
     The pieces of one job run, exposed so a {!Shard} worker process can
     execute jobs with exactly the in-process scheduler's semantics (same
     design cache, degradation behavior and artifact layout) while the
-    queue- and retry-level bookkeeping lives in the front-end. *)
+    queue- and retry-level bookkeeping lives in the front-end's
+    {!Ledger}. *)
 
 type run_metrics = {
   wall_s : float;
@@ -152,9 +143,5 @@ val run_job : t -> level:int -> Job.t -> run_result
 (** Execute one run of one job at the given degradation level:
     increment its attempt counter, resolve (or build) its design, run
     its K ladder and write its artifact directory on success. Faults
-    are returned, not applied — the caller owns the retry/quarantine
-    policy. *)
-
-val write_quarantine : out_dir:string -> Job.t -> Job.fault -> unit
-(** Write [<out_dir>/quarantine/<id>/]: the respoolable job spec, the
-    fault, and a fuzz reproducer for synthetic workload inputs. *)
+    are returned, not applied — the caller's {!Ledger.fault} owns the
+    retry/quarantine policy. *)

@@ -1,5 +1,4 @@
 module Fnv = Cals_util.Tables.Fnv64
-module Fsutil = Cals_util.Fsutil
 module Lines = Cals_util.Lines
 module Netaddr = Cals_util.Netaddr
 module Metrics = Cals_telemetry.Metrics
@@ -15,17 +14,6 @@ let m_dispatched =
 let m_requeued =
   Metrics.counter ~help:"In-flight or faulted jobs re-queued by the front-end"
     "serve_shard_requeued"
-
-let m_shed =
-  Metrics.counter ~help:"Jobs shed by per-worker queue backpressure"
-    "serve_shard_shed"
-
-let m_restarts =
-  Metrics.counter ~help:"Worker processes respawned after a crash"
-    "serve_shard_worker_restarts"
-
-let m_depth =
-  Metrics.gauge ~help:"Fleet-wide queued jobs" "serve_shard_queue_depth"
 
 let m_alive =
   Metrics.gauge ~help:"Live worker processes" "serve_shard_workers_alive"
@@ -61,15 +49,15 @@ let default_config =
     tick_s = 0.1;
   }
 
-type summary = {
+type summary = Ledger.summary = {
   submitted : int;
   completed : int;
   quarantined : int;
   retries : int;
   timeouts : int;
+  parse_errors : int;
   shed : int;
   restarts : int;
-  parse_errors : int;
   wall_s : float;
 }
 
@@ -95,29 +83,53 @@ type client = {
 type t = {
   config : config;
   workers : worker array;
+  ledger : Ledger.t;
   mutable clients : client list;
-  mutable auto_id : int;
-  mutable submitted : int;
-  mutable completed : int;
-  mutable quarantined : int;
-  mutable retries : int;
-  mutable timeouts : int;
-  mutable shed : int;
-  mutable restarts_total : int;
-  mutable parse_errors : int;
   mutable draining : bool;
   mutable shutting_down : bool;
-  mutable drained : bool;
 }
+
+(* Rendezvous (highest-random-weight) hashing over the non-abandoned
+   workers: stable per key, minimal movement when a worker is abandoned.
+   Routing deliberately ignores [alive] — jobs may be submitted before
+   {!drain} spawns anyone, and a worker that just died but still has
+   restart budget keeps its keys. *)
+let route workers key =
+  let best = ref None in
+  Array.iter
+    (fun w ->
+      if not w.abandoned then begin
+        let h = Fnv.string (Fnv.int Fnv.empty w.index) key in
+        match !best with
+        | Some (bh, _) when Int64.unsigned_compare bh h >= 0 -> ()
+        | _ -> best := Some (h, w)
+      end)
+    workers;
+  Option.map snd !best
+
+(* Admission: route the job to its worker's queue, shedding that queue's
+   oldest waiter first when it is at the watermark. *)
+let enqueue (config : config) workers ledger (job : Job.t) =
+  match route workers (Proto.design_key job.Job.spec) with
+  | None -> Ledger.quarantine ledger job (Job.Crashed "no live workers")
+  | Some w ->
+    (if config.queue_watermark > 0 && Queue.depth w.queue >= config.queue_watermark
+     then
+       match Queue.shed_oldest w.queue with
+       | Some victim ->
+         Ledger.shed ledger victim
+           (Job.Crashed
+              (Printf.sprintf "shed: worker %d queue over watermark %d" w.index
+                 config.queue_watermark))
+       | None -> ());
+    Queue.push w.queue job
 
 let create (config : config) =
   if config.workers < 1 then invalid_arg "Shard.create: workers must be >= 1";
   if Array.length config.worker_argv = 0 then
     invalid_arg "Shard.create: worker_argv must name the worker command";
-  {
-    config;
-    workers =
-      Array.init config.workers (fun index ->
+  let workers =
+    Array.init config.workers (fun index ->
           {
             index;
             queue =
@@ -131,21 +143,24 @@ let create (config : config) =
             restarts = 0;
             alive = false;
             abandoned = false;
-          });
+          })
+  in
+  {
+    config;
+    workers;
+    ledger =
+      Ledger.create ~out_dir:config.out_dir ~fleet:true
+        ~high_watermark:config.high_watermark
+        ~overload_watermark:config.overload_watermark
+        ~triage_watermark:config.triage_watermark
+        ~enqueue:(enqueue config workers);
     clients = [];
-    auto_id = 0;
-    submitted = 0;
-    completed = 0;
-    quarantined = 0;
-    retries = 0;
-    timeouts = 0;
-    shed = 0;
-    restarts_total = 0;
-    parse_errors = 0;
     draining = false;
     shutting_down = false;
-    drained = false;
   }
+
+let ledger t = t.ledger
+let submit t spec = Ledger.submit t.ledger spec
 
 (* ------------------------- protocol ------------------------- *)
 
@@ -304,56 +319,6 @@ let alive_count t =
 let total_depth t =
   Array.fold_left (fun n w -> n + Queue.depth w.queue) 0 t.workers
 
-let degradation_level t ~depth =
-  if depth >= t.config.triage_watermark then 3
-  else if depth >= t.config.overload_watermark then 2
-  else if depth >= t.config.high_watermark then 1
-  else 0
-
-(* Rendezvous (highest-random-weight) hashing over the non-abandoned
-   workers: stable per key, minimal movement when a worker is abandoned.
-   Routing deliberately ignores [alive] — jobs may be submitted before
-   {!drain} spawns anyone, and a worker that just died but still has
-   restart budget keeps its keys. *)
-let route t key =
-  let best = ref None in
-  Array.iter
-    (fun w ->
-      if not w.abandoned then begin
-        let h = Fnv.string (Fnv.int Fnv.empty w.index) key in
-        match !best with
-        | Some (bh, _) when Int64.unsigned_compare bh h >= 0 -> ()
-        | _ -> best := Some (h, w)
-      end)
-    t.workers;
-  Option.map snd !best
-
-let quarantine_now t (job : Job.t) fault =
-  job.Job.status <- Job.Quarantined fault;
-  t.quarantined <- t.quarantined + 1;
-  Scheduler.write_quarantine ~out_dir:t.config.out_dir job fault
-
-let apply_fault t w (job : Job.t) fault =
-  (match fault with
-  | Job.Timed_out _ -> t.timeouts <- t.timeouts + 1
-  | _ -> ());
-  match Queue.record_fault w.queue ~now:(Unix.gettimeofday ()) job fault with
-  | `Retry ->
-    t.retries <- t.retries + 1;
-    Metrics.incr m_requeued;
-    Log.info (fun m ->
-        m "%s faulted on worker %d (%s), retry %d queued" job.Job.spec.Proto.id
-          w.index
-          (Job.fault_to_string fault)
-          job.Job.attempts)
-  | `Quarantine ->
-    t.quarantined <- t.quarantined + 1;
-    Scheduler.write_quarantine ~out_dir:t.config.out_dir job fault;
-    Log.warn (fun m ->
-        m "%s quarantined after %d attempts: %s" job.Job.spec.Proto.id
-          job.Job.attempts
-          (Job.fault_to_string fault))
-
 (* A worker abandoned past its restart budget leaves its queue behind:
    re-route every queued job over the survivors (rendezvous again, so
    only the dead worker's keys move), or quarantine when the fleet is
@@ -364,12 +329,17 @@ let reroute_queue t w =
     | None -> ()
     | Some job ->
       Metrics.incr m_requeued;
-      (match route t (Proto.design_key job.Job.spec) with
+      (match route t.workers (Proto.design_key job.Job.spec) with
       | Some survivor -> Queue.push survivor.queue job
-      | None -> quarantine_now t job (Job.Crashed "no live workers"));
+      | None -> Ledger.quarantine t.ledger job (Job.Crashed "no live workers"));
       go ()
   in
   go ()
+
+let apply_fault t w job fault =
+  match Ledger.fault t.ledger w.queue job fault with
+  | `Retry -> Metrics.incr m_requeued
+  | `Quarantine -> ()
 
 let close_quiet fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
@@ -388,7 +358,6 @@ let worker_died t w =
   (match w.inflight with
   | Some job ->
     w.inflight <- None;
-    Metrics.incr m_requeued;
     apply_fault t w job
       (Job.Crashed (Printf.sprintf "worker %d died (%s) mid-job" w.index status))
   | None -> ());
@@ -396,8 +365,7 @@ let worker_died t w =
     Log.warn (fun m -> m "worker %d died (%s)" w.index status);
     if w.restarts < t.config.restart_limit then begin
       w.restarts <- w.restarts + 1;
-      t.restarts_total <- t.restarts_total + 1;
-      Metrics.incr m_restarts;
+      Ledger.restarted t.ledger;
       spawn t w;
       Metrics.set m_alive (float_of_int (alive_count t))
     end
@@ -418,91 +386,11 @@ let write_all fd s =
   in
   go 0
 
-(* ------------------------- admission ------------------------- *)
-
-let fresh_id t =
-  t.auto_id <- t.auto_id + 1;
-  Printf.sprintf "job-%04d" t.auto_id
-
-let submit t (spec : Proto.spec) =
-  let spec =
-    if spec.Proto.id = "" then { spec with Proto.id = fresh_id t } else spec
-  in
-  t.submitted <- t.submitted + 1;
-  let job = Job.create ~now:(Unix.gettimeofday ()) spec in
-  (match route t (Proto.design_key spec) with
-  | None -> quarantine_now t job (Job.Crashed "no live workers")
-  | Some w ->
-    if
-      t.config.queue_watermark > 0
-      && Queue.depth w.queue >= t.config.queue_watermark
-    then begin
-      match Queue.shed_oldest w.queue with
-      | Some victim ->
-        t.shed <- t.shed + 1;
-        Metrics.incr m_shed;
-        victim.Job.status <-
-          Job.Quarantined (Job.Crashed "shed under backpressure");
-        Scheduler.write_quarantine ~out_dir:t.config.out_dir victim
-          (Job.Crashed
-             (Printf.sprintf "shed: worker %d queue over watermark %d" w.index
-                t.config.queue_watermark));
-        Log.warn (fun m ->
-            m "shed %s: worker %d queue over watermark"
-              victim.Job.spec.Proto.id w.index)
-      | None -> ()
-    end;
-    Queue.push w.queue job);
-  spec.Proto.id
-
-let submit_line t ~source line =
-  let trimmed = String.trim line in
-  if trimmed = "" || trimmed.[0] = '#' then Ok ""
-  else
-    match Proto.spec_of_string ~default_id:"" trimmed with
-    | Ok spec -> Ok (submit t spec)
-    | Error err ->
-      t.parse_errors <- t.parse_errors + 1;
-      let dir =
-        Filename.concat
-          (Filename.concat t.config.out_dir "quarantine")
-          (Fsutil.sanitize source)
-      in
-      Fsutil.write_file
-        (Filename.concat dir (Printf.sprintf "parse-%03d.txt" t.parse_errors))
-        (Printf.sprintf "source: %s\nerror: %s\nline: %s\n" source err trimmed);
-      Log.warn (fun m -> m "rejected job line from %s: %s" source err);
-      Error err
-
-let load_spool t ~dir =
-  if not (Sys.file_exists dir && Sys.is_directory dir) then 0
-  else begin
-    let files =
-      Sys.readdir dir |> Array.to_list
-      |> List.filter (fun f -> Filename.check_suffix f ".json")
-      |> List.sort String.compare
-    in
-    let before = t.submitted in
-    List.iter
-      (fun file ->
-        let path = Filename.concat dir file in
-        match Fsutil.read_lines path with
-        | lines ->
-          (try Sys.remove path with Sys_error _ -> ());
-          List.iter (fun l -> ignore (submit_line t ~source:file l)) lines
-        | exception Sys_error err ->
-          Log.warn (fun m -> m "skipping spool file %s: %s" path err))
-      files;
-    t.submitted - before
-  end
-
 (* ------------------------- the select loop ------------------------- *)
 
 let dispatch t =
   let now = Unix.gettimeofday () in
-  let depth = total_depth t in
-  Metrics.set m_depth (float_of_int depth);
-  let level = degradation_level t ~depth in
+  let level = Ledger.level t.ledger ~depth:(total_depth t) in
   Array.iter
     (fun w ->
       if w.alive && w.inflight = None then
@@ -534,8 +422,12 @@ let handle_response t w line =
     | Some job when job.Job.spec.Proto.id = id ->
       w.inflight <- None;
       if ok then begin
-        job.Job.status <- Job.Done;
-        t.completed <- t.completed + 1;
+        let wall_s =
+          match Proto.member "wall_s" json with
+          | Some (Proto.Num s) -> s
+          | _ -> 0.0
+        in
+        Ledger.complete t.ledger job ~wall_s;
         Log.info (fun m -> m "%s done on worker %d" id w.index)
       end
       else
@@ -567,27 +459,20 @@ let client_reply c json =
   with Unix.Unix_error _ -> ()
 
 let handle_client_line t c line =
-  let trimmed = String.trim line in
-  if trimmed = "" || trimmed.[0] = '#' then ()
-  else
-    let is_drain =
-      match Proto.parse_json trimmed with
-      | Ok json -> Proto.member "op" json = Some (Proto.Str "drain")
-      | Error _ -> false
-    in
-    if is_drain then begin
-      Log.info (fun m -> m "drain requested by a client");
-      t.draining <- true;
-      c.want_summary <- true
-    end
-    else
-      match submit_line t ~source:"socket" line with
-      | Ok id ->
-        client_reply c
-          (Proto.Obj [ ("ok", Proto.Bool true); ("id", Proto.Str id) ])
-      | Error err ->
-        client_reply c
-          (Proto.Obj [ ("ok", Proto.Bool false); ("error", Proto.Str err) ])
+  match Proto.parse_json line with
+  | Ok json when Proto.member "op" json = Some (Proto.Str "drain") ->
+    Log.info (fun m -> m "drain requested by a client");
+    t.draining <- true;
+    c.want_summary <- true
+  | _ -> (
+    match Ledger.submit_line t.ledger ~source:"socket" line with
+    | Ok None -> ()
+    | Ok (Some id) ->
+      client_reply c
+        (Proto.Obj [ ("ok", Proto.Bool true); ("id", Proto.Str id) ])
+    | Error err ->
+      client_reply c
+        (Proto.Obj [ ("ok", Proto.Bool false); ("error", Proto.Str err) ]))
 
 let handle_client t c =
   match Unix.read c.cfd scratch 0 (Bytes.length scratch) with
@@ -595,24 +480,6 @@ let handle_client t c =
   | n -> List.iter (handle_client_line t c) (Lines.feed c.clines scratch n)
   | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
     drop_client t c
-
-let summary_json (s : summary) =
-  Proto.Obj
-    [
-      ("submitted", Proto.Num (float_of_int s.submitted));
-      ("completed", Proto.Num (float_of_int s.completed));
-      ("quarantined", Proto.Num (float_of_int s.quarantined));
-      ("retries", Proto.Num (float_of_int s.retries));
-      ("timeouts", Proto.Num (float_of_int s.timeouts));
-      ("parse_errors", Proto.Num (float_of_int s.parse_errors));
-      ("wall_s", Proto.Num s.wall_s);
-      ( "shard",
-        Proto.Obj
-          [
-            ("shed", Proto.Num (float_of_int s.shed));
-            ("restarts", Proto.Num (float_of_int s.restarts));
-          ] );
-    ]
 
 let finished t =
   t.draining
@@ -628,12 +495,12 @@ let quarantine_stranded t =
         (match w.inflight with
         | Some job ->
           w.inflight <- None;
-          quarantine_now t job (Job.Crashed "no live workers")
+          Ledger.quarantine t.ledger job (Job.Crashed "no live workers")
         | None -> ());
         let rec go () =
           match Queue.shed_oldest w.queue with
           | Some job ->
-            quarantine_now t job (Job.Crashed "no live workers");
+            Ledger.quarantine t.ledger job (Job.Crashed "no live workers");
             go ()
           | None -> ()
         in
@@ -649,10 +516,7 @@ let next_gate t =
     infinity t.workers
 
 let drain t ?spool () =
-  if t.drained then invalid_arg "Shard.drain: already drained";
-  t.drained <- true;
-  let t0 = Unix.gettimeofday () in
-  Fsutil.mkdir_p t.config.out_dir;
+  Ledger.start t.ledger;
   (* A worker dying between rounds must surface as EPIPE on the next
      dispatch write, not kill the front-end. *)
   let previous_sigpipe =
@@ -661,9 +525,7 @@ let drain t ?spool () =
   in
   Array.iter (fun w -> spawn t w) t.workers;
   Metrics.set m_alive (float_of_int (alive_count t));
-  (match spool with
-  | Some dir -> ignore (load_spool t ~dir)
-  | None -> ());
+  Option.iter (fun dir -> ignore (Ledger.load_spool t.ledger ~dir)) spool;
   let listen_fd = Option.map (fun addr -> Netaddr.listen addr) t.config.listen in
   if listen_fd = None then t.draining <- true;
   let rec loop () =
@@ -736,29 +598,11 @@ let drain t ?spool () =
   (match previous_sigpipe with
   | Some behavior -> ignore (Sys.signal Sys.sigpipe behavior)
   | None -> ());
-  let s =
-    {
-      submitted = t.submitted;
-      completed = t.completed;
-      quarantined = t.quarantined;
-      retries = t.retries;
-      timeouts = t.timeouts;
-      shed = t.shed;
-      restarts = t.restarts_total;
-      parse_errors = t.parse_errors;
-      wall_s = Unix.gettimeofday () -. t0;
-    }
-  in
-  let line = Proto.print_json (summary_json s) ^ "\n" in
-  Fsutil.write_file (Filename.concat t.config.out_dir "summary.json") line;
+  let s, line = Ledger.finish t.ledger in
   List.iter
     (fun c ->
       if c.want_summary then (try write_all c.cfd line with _ -> ());
       close_quiet c.cfd)
     t.clients;
   t.clients <- [];
-  Log.info (fun m ->
-      m "fleet drained: %d completed, %d quarantined, %d retries, %d shed, %d \
-         restarts in %.2fs"
-        s.completed s.quarantined s.retries s.shed s.restarts s.wall_s);
   s

@@ -1,15 +1,18 @@
 (** The serve fleet: a front-end that shards jobs over supervised worker
-    processes, with admission control and a socket ingress.
+    processes, with backpressure and a socket ingress.
 
     {2 Topology}
 
-    The front-end owns the job-level bookkeeping — admission, consistent
-    hashing, retry backoff, quarantine, the drain summary — and never
-    maps anything itself. Each worker is a [cals serve --worker] child
-    process speaking newline-delimited JSON over its stdin/stdout pipe
-    pair (stderr passes through for logs): one request
-    [{"op":"run","attempts":A,"level":L,"job":<spec>}] at a time,
-    answered by [{"id":I,"ok":true,...}] or
+    The front-end dispatches, supervises and never maps anything itself.
+    Its bookkeeping — job ids, spool and line admission, retry and
+    quarantine, the degradation level, the counts and [summary.json] — is
+    a {!Ledger}, the same one {!Scheduler.drain} uses, so both drains of
+    one spool write the same ids, quarantine layout and summary keys (the
+    fleet's summary adds a ["shard"] object). Each worker is a
+    [cals serve --worker] child process speaking newline-delimited JSON
+    over its stdin/stdout pipe pair (stderr passes through for logs):
+    one request [{"op":"run","attempts":A,"level":L,"job":<spec>}] at a
+    time, answered by [{"id":I,"ok":true,"wall_s":S}] or
     [{"id":I,"ok":false,"fault":{...}}]. Workers run jobs through
     {!Scheduler.run_job}, so artifacts, degradation semantics and the
     per-worker design cache are exactly the in-process scheduler's, and a
@@ -19,30 +22,31 @@
     {2 Sharding}
 
     Jobs hash by {!Proto.design_key} onto workers with
-    highest-random-weight (rendezvous) hashing over the {e live} worker
-    set: a design's jobs always land on the same worker (so its warmed
-    session is reused and per-job cache metrics match a single-process
-    drain), one hot design can only ever occupy one worker, and when a
-    worker is abandoned its keys re-distribute over the survivors without
-    moving anyone else's.
+    highest-random-weight (rendezvous) hashing over the non-abandoned
+    workers: a design's jobs always land on the same worker (so its
+    warmed session is reused and per-job cache metrics match a
+    single-process drain), one hot design can only ever occupy one
+    worker, and when a worker is abandoned its keys re-distribute over
+    the survivors without moving anyone else's.
 
     {2 Supervision}
 
     A worker that exits (crash, kill, chaos) is detected by EOF on its
-    pipe; its in-flight job is re-queued through the ordinary
-    {!Queue.record_fault} retry/quarantine machinery as a [Crashed]
-    fault, and the worker is respawned up to [restart_limit] times, after
-    which it is abandoned and its queue re-routes to the survivors. If no
-    worker is left alive, remaining jobs quarantine rather than hang.
+    pipe; its in-flight job goes through the ledger's retry/quarantine
+    policy ({!Ledger.fault}) as a [Crashed] fault, and the worker is
+    respawned up to [restart_limit] times, after which it is abandoned
+    and its queue re-routes to the survivors. If no worker is left
+    alive, remaining jobs quarantine rather than hang.
 
     {2 Backpressure}
 
     Per-worker queues are bounded by [queue_watermark]: past it, the
     {e oldest} queued job is shed (quarantined with a backpressure fault,
     counted in [summary.shed]) to admit the newest. Fleet-wide queue
-    depth drives the same 0–3 degradation ladder as the in-process
-    scheduler, passed to workers per request. Everything is surfaced as
-    [serve_shard_*] counters and gauges on the existing exporters.
+    depth sets the same 0–3 degradation level as in process
+    ({!Ledger.level}), passed to workers per request. The ledger's
+    [serve_jobs_*] counters and the front-end's [serve_shard_*] counters
+    and gauges are on the existing exporters.
 
     {2 Chaos hook (tests)}
 
@@ -81,15 +85,15 @@ val default_config : config
     watermark 64, 2 restarts, degradation watermarks 8 / 16 / 32,
     100 ms tick. *)
 
-type summary = {
+type summary = Ledger.summary = {
   submitted : int;
   completed : int;
-  quarantined : int;  (** Retry budget spent (excludes shed jobs). *)
-  retries : int;  (** Faulted runs re-queued, crashes included. *)
+  quarantined : int;
+  retries : int;
   timeouts : int;
-  shed : int;  (** Jobs dropped by per-worker backpressure. *)
-  restarts : int;  (** Worker respawns performed. *)
   parse_errors : int;
+  shed : int;
+  restarts : int;
   wall_s : float;
 }
 
@@ -99,33 +103,25 @@ val create : config -> t
 (** Validates [workers >= 1] and a non-empty [worker_argv]. Workers are
     spawned by {!drain}, not here. *)
 
+val ledger : t -> Ledger.t
+(** The drain's ledger: submit lines or spool directories through it. *)
+
 val submit : t -> Proto.spec -> string
-(** Route one job to its worker's queue (shedding past the watermark)
-    and return its id (fresh ["job-NNNN"] ids are assigned exactly like
-    the in-process scheduler's, so a fleet drain of a spool yields the
-    same artifact directories). *)
-
-val submit_line : t -> source:string -> string -> (string, string) result
-(** Parse and {!submit} one JSON-lines job; malformed lines are counted
-    and recorded under [out_dir/quarantine/<source>/] like
-    {!Scheduler.submit_line}. *)
-
-val load_spool : t -> dir:string -> int
-(** Ingest every [*.json] spool file (sorted; deleted once read). *)
+(** {!Ledger.submit}: route one job to its worker's queue (shedding past
+    the watermark) and return its id. *)
 
 val drain : t -> ?spool:string -> unit -> summary
 (** Spawn the workers, ingest [spool] if given, then run the select
     loop — dispatching, supervising, accepting socket clients — until
     every queue is empty and no job is in flight (socket mode waits for
     a client's [{"op":"drain"}] first). Workers are shut down (stdin
-    EOF + waitpid) on the way out and the summary is written to
-    [out_dir/summary.json] with a ["shard"] extension object. Safe to
-    call once per [t]. *)
+    EOF + waitpid) on the way out and the ledger writes
+    [out_dir/summary.json]. Safe to call once per [t]. *)
 
 val worker_main : Scheduler.config -> unit
 (** The worker side: serve [{"op":"run",...}] requests from stdin until
     EOF, writing one response line per request on stdout. Runs jobs via
     {!Scheduler.run_job} on a private scheduler (the design cache and
-    [cache_dir] store behavior ride in [config]); never touches the
-    queue or summary. [config.jobs] is ignored — a worker runs one job
-    at a time, parallelism comes from the process fleet. *)
+    [cache_dir] store behavior ride in [config]); never touches a queue
+    or a ledger. A worker runs one job at a time whatever
+    [config.jobs] says; parallelism comes from the process fleet. *)

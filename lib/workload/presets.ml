@@ -39,6 +39,13 @@ let too_large_like ?(scale = default_scale) ~seed () =
     ~internal_nodes:(scaled scale 4200)
     ~fanins_lo:2 ~fanins_hi:5 ~cubes_lo:2 ~cubes_hi:4 ()
 
+let named =
+  [
+    ("spla", fun ~scale ~seed -> spla_like ~scale ~seed ());
+    ("pdc", fun ~scale ~seed -> pdc_like ~scale ~seed ());
+    ("too_large", fun ~scale ~seed -> too_large_like ~scale ~seed ());
+  ]
+
 let figure1 () =
   let b = Subject.builder () in
   let a = Subject.add_pi b "a" in

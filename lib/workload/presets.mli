@@ -9,6 +9,10 @@ val spla_like : ?scale:float -> seed:int -> unit -> Cals_logic.Network.t
 val pdc_like : ?scale:float -> seed:int -> unit -> Cals_logic.Network.t
 val too_large_like : ?scale:float -> seed:int -> unit -> Cals_logic.Network.t
 
+val named : (string * (scale:float -> seed:int -> Cals_logic.Network.t)) list
+(** The three presets under the names [cals] inputs and serve job specs
+    use: ["spla"], ["pdc"] and ["too_large"]. *)
+
 val default_scale : float
 (** 0.25. *)
 

@@ -191,7 +191,45 @@ let test_serve_fleet () =
   Alcotest.(check bool) "says which dir is unusable" true
     (contains ~needle:"unusable --cache-dir" (logged ()));
   check_exit "--listen without --workers" 2
-    (Printf.sprintf "%s serve --listen unix:cli-fleet.sock" cals)
+    (Printf.sprintf "%s serve --listen unix:cli-fleet.sock" cals);
+  (* Flags the fleet cannot honour are refused, not silently dropped. *)
+  check_exit "--watch with --workers" 2
+    (Printf.sprintf "%s serve --spool cli-fleet-spool --workers 2 --watch" cals);
+  Alcotest.(check bool) "says --watch is refused" true
+    (contains ~needle:"--watch" (logged ()));
+  check_exit "-j 2 with --workers" 2
+    (Printf.sprintf "%s serve --spool cli-fleet-spool --workers 2 -j 2" cals);
+  Alcotest.(check bool) "says -j is refused" true
+    (contains ~needle:"-j/--jobs" (logged ()))
+
+(* A missing or malformed circuit file is a clean error, exit 2, naming
+   the file — for every subcommand that reads one. *)
+let test_bad_input () =
+  let write path text =
+    let oc = open_out path in
+    output_string oc text;
+    close_out oc
+  in
+  write "cli-bad.blif" "11 1\n.model x\n";
+  write "cli-bad.pla" ".i 2\n.o 1\nzz 1\n.e\n";
+  List.iter
+    (fun (cmd, input, reason) ->
+      check_exit (cmd ^ " " ^ input) 2
+        (Printf.sprintf "%s %s %s" cals cmd input);
+      Alcotest.(check bool)
+        (cmd ^ " " ^ input ^ ": names the input and the reason")
+        true
+        (contains ~needle:(Printf.sprintf "cals: %s: %s" input reason) (logged ()));
+      Alcotest.(check bool) (cmd ^ " " ^ input ^ ": no uncaught exception") false
+        (contains ~needle:"uncaught exception" (logged ())))
+    [
+      ("stats", "cli-missing.blif", "No such file");
+      ("map", "cli-missing.pla", "No such file");
+      ("stats", "cli-bad.blif", "line 1");
+      ("flow", "cli-bad.blif", "line 1");
+      ("sta", "cli-bad.pla", "line 3");
+      ("map", "cli-bad.pla", "line 3");
+    ]
 
 let test_bad_usage () =
   let code = run (Printf.sprintf "%s no-such-subcommand" cals) in
@@ -223,5 +261,6 @@ let () =
           Alcotest.test_case "serve" `Quick test_serve;
           Alcotest.test_case "serve-fleet" `Quick test_serve_fleet;
           Alcotest.test_case "bad-usage" `Quick test_bad_usage;
+          Alcotest.test_case "bad-input" `Quick test_bad_input;
         ] );
     ]

@@ -7,6 +7,7 @@ module Proto = Cals_serve.Proto
 module Job = Cals_serve.Job
 module Queue = Cals_serve.Queue
 module Scheduler = Cals_serve.Scheduler
+module Shard = Cals_serve.Shard
 module Check = Cals_verify.Check
 module Fuzz = Cals_verify.Fuzz
 
@@ -589,8 +590,9 @@ let test_adaptive_ladder () =
   | None -> Alcotest.fail "metrics.json has no adaptive object"
 
 (* A malformed spool line is rejected, recorded, and does not poison the
-   rest of the batch. *)
-let test_spool_and_parse_errors () =
+   rest of the batch — in either drain, since both admit through one
+   ledger. [drain ~out ~spool] runs one drain of [spool] into [out]. *)
+let test_spool_and_parse_errors drain () =
   let out = fresh_out () in
   let spool = out ^ "-spool" in
   (try Unix.mkdir spool 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
@@ -600,11 +602,7 @@ let test_spool_and_parse_errors () =
    ^ {|{"workload":{"family":"pla","seed":3,"inputs":6,"outputs":3,"size":12},"k_schedule":[0]}|}
    ^ "\nthis is not json\n");
   close_out oc;
-  let config =
-    { Scheduler.default_config with Scheduler.out_dir = out }
-  in
-  let scheduler = Scheduler.create config in
-  let s = Scheduler.drain scheduler ~spool () in
+  let s = drain ~out ~spool in
   Alcotest.(check int) "one job admitted" 1 s.Scheduler.submitted;
   Alcotest.(check int) "it completed" 1 s.Scheduler.completed;
   Alcotest.(check int) "one parse error" 1 s.Scheduler.parse_errors;
@@ -613,6 +611,26 @@ let test_spool_and_parse_errors () =
   Alcotest.(check bool) "parse error recorded" true
     (Sys.file_exists
        (Filename.concat out "quarantine/batch.json/parse-001.txt"))
+
+let scheduler_drain ~out ~spool =
+  let config =
+    { Scheduler.default_config with Scheduler.out_dir = out }
+  in
+  let scheduler = Scheduler.create config in
+  Scheduler.drain scheduler ~spool ()
+
+let fleet_drain ~out ~spool =
+  let shard =
+    Shard.create
+      {
+        Shard.default_config with
+        Shard.workers = 2;
+        worker_argv =
+          [| Filename.concat ".." "bin/cals.exe"; "serve"; "--worker"; "--out"; out |];
+        out_dir = out;
+      }
+  in
+  Shard.drain shard ~spool ()
 
 let () =
   Alcotest.run "serve"
@@ -634,6 +652,9 @@ let () =
           Alcotest.test_case "triage" `Quick test_triage;
           Alcotest.test_case "restart-warmth" `Quick test_restart_warmth;
           Alcotest.test_case "adaptive-ladder" `Quick test_adaptive_ladder;
-          Alcotest.test_case "spool" `Quick test_spool_and_parse_errors;
+          Alcotest.test_case "spool" `Quick
+            (test_spool_and_parse_errors scheduler_drain);
+          Alcotest.test_case "spool-fleet" `Quick
+            (test_spool_and_parse_errors fleet_drain);
         ] );
     ]

@@ -12,6 +12,8 @@ module Scheduler = Cals_serve.Scheduler
 module Netaddr = Cals_util.Netaddr
 module Check = Cals_verify.Check
 module Fuzz = Cals_verify.Fuzz
+module Metrics = Cals_telemetry.Metrics
+module Probe = Cals_telemetry.Probe
 
 let cals = Filename.concat ".." "bin/cals.exe"
 
@@ -246,6 +248,38 @@ let test_backpressure_sheds_oldest () =
            (Filename.concat out (Printf.sprintf "quarantine/%s/failure.txt" id))))
     (List.filteri (fun i _ -> i < 3) ids)
 
+(* A fleet drain is observable like an in-process one: the ledger moves
+   the [serve_jobs_*] counters. The registry is process-global, so the
+   check compares deltas across the drain. *)
+let test_fleet_counters () =
+  let counter name =
+    match
+      List.find_opt
+        (fun c -> c.Metrics.c_name = name)
+        (Metrics.snapshot ()).Metrics.counters
+    with
+    | Some c -> c.Metrics.c_value
+    | None -> 0
+  in
+  Probe.enable ();
+  Fun.protect ~finally:Probe.disable @@ fun () ->
+  let submitted0 = counter "serve_jobs_submitted"
+  and completed0 = counter "serve_jobs_completed" in
+  let shard = Shard.create (fleet_config ~out:(fresh_out ()) ()) in
+  List.iter
+    (fun seed ->
+      ignore
+        (Shard.submit shard (workload_spec ~seed ~k_schedule:[ 0.0; 0.001 ] ())))
+    [ 3; 4; 3 ];
+  let s = Shard.drain shard () in
+  Alcotest.(check int) "all complete" 3 s.Shard.completed;
+  Alcotest.(check int) "serve_jobs_submitted moved by the summary's count"
+    s.Shard.submitted
+    (counter "serve_jobs_submitted" - submitted0);
+  Alcotest.(check int) "serve_jobs_completed moved by the summary's count"
+    s.Shard.completed
+    (counter "serve_jobs_completed" - completed0)
+
 (* ---------------- socket ingress, end to end ---------------- *)
 
 let rec connect_retry addr tries =
@@ -319,6 +353,7 @@ let () =
             test_kill_respawns_within_budget;
           Alcotest.test_case "backpressure-sheds-oldest" `Quick
             test_backpressure_sheds_oldest;
+          Alcotest.test_case "counters" `Quick test_fleet_counters;
           Alcotest.test_case "socket-drain" `Quick test_socket_drain;
         ] );
     ]
