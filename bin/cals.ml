@@ -52,22 +52,9 @@ let load_network input scale seed =
   match List.assoc_opt input Cals_workload.Presets.named with
   | Some preset -> preset ~scale ~seed
   | None -> (
-    try
-      if Filename.check_suffix input ".pla" then Cals_logic.Pla.read_file input
-      else Cals_logic.Blif.read_file input
-    with
-    | Sys_error reason
-    | Cals_logic.Blif.Parse_error reason
-    | Cals_logic.Pla.Parse_error reason
-    ->
-      (* [Sys_error] already starts with the path; say it once. *)
-      let prefix = input ^ ": " in
-      let reason =
-        if String.starts_with ~prefix reason then
-          String.sub reason (String.length prefix)
-            (String.length reason - String.length prefix)
-        else reason
-      in
+    match Cals_logic.Blif.load input with
+    | Ok network -> network
+    | Error reason ->
       Printf.eprintf "cals: %s: %s\n" input reason;
       exit 2)
 
@@ -205,6 +192,19 @@ let dump_congestion path ~subject ~floorplan ~positions ~k =
     Printf.printf "wrote %s (estimated + real congestion maps at K=%g)\n" path
       k
 
+(* After a traced run: write the --trace file and print the --metrics
+   report. *)
+let export_telemetry trace metrics =
+  (match trace with
+  | Some path ->
+    Export.write_chrome_trace path;
+    Printf.printf "wrote %s (open in Perfetto or chrome://tracing)\n" path
+  | None -> ());
+  match metrics with
+  | Some ("prometheus" | "prom") -> print_string (Export.prometheus ())
+  | Some _ -> print_string (Export.summary ())
+  | None -> ()
+
 (* Orchestrated front end: generate candidate pass orderings, score each
    through the adaptive K-loop, report the table and the selected
    outcome. Candidate generation and selection live in
@@ -256,27 +256,8 @@ let run_orchestrated input scale seed optimize utilization jobs checks timing
       print_endline "no K in the schedule was acceptable";
       1)
 
-let run_flow verbosity input scale seed optimize utilization jobs checks
-    timing orchestrate dump route_jobs trace metrics =
-  setup_logs verbosity;
-  if trace <> None || metrics <> None then Probe.enable ();
-  match orchestrate with
-  | Some budget ->
-    let code =
-      run_orchestrated input scale seed optimize utilization jobs checks
-        timing budget route_jobs
-    in
-    (match trace with
-    | Some path ->
-      Export.write_chrome_trace path;
-      Printf.printf "wrote %s (open in Perfetto or chrome://tracing)\n" path
-    | None -> ());
-    (match metrics with
-    | Some ("prometheus" | "prom") -> print_string (Export.prometheus ())
-    | Some _ -> print_string (Export.summary ())
-    | None -> ());
-    code
-  | None ->
+let run_adaptive input scale seed optimize utilization checks timing dump
+    route_jobs =
   let _, subject = prepare input scale seed optimize in
   let floorplan = floorplan_of subject utilization in
   let t = Option.value timing ~default:0.0 in
@@ -296,68 +277,72 @@ let run_flow verbosity input scale seed optimize utilization jobs checks
            ~rng ())
     with Check.Violation { stage; detail } -> Error (stage, detail)
   in
+  match outcome with
+  | Error (stage, detail) ->
+    Printf.printf "verification FAILED at stage %s: %s\n" stage detail;
+    2
+  | Ok (outcome, s) ->
+    List.iter
+      (fun it ->
+        Printf.printf "K=%-8g cells=%-6d util=%5.2f%%  %s%s\n" it.Flow.k
+          it.Flow.cells
+          (100.0 *. it.Flow.utilization)
+          (Congestion.summary it.Flow.report)
+          (if it.Flow.estimated then " [estimated]" else ""))
+      outcome.Flow.iterations;
+    Printf.printf "adaptive: %d real route%s, %d forecast evals%s\n"
+      s.Flow.real_routes
+      (if s.Flow.real_routes = 1 then "" else "s")
+      s.Flow.forecast_evals
+      (match s.Flow.frontier_k with
+      | Some k -> Printf.sprintf ", frontier K=%g" k
+      | None -> ", every point ruled out");
+    (match
+       (timing, outcome.Flow.mapped, outcome.Flow.placement,
+        outcome.Flow.routing)
+     with
+    | Some _, Some mapped, Some placement, Some routing ->
+      let report =
+        Sta.analyze ~net_length_um:routing.Router.net_length_um mapped ~wire
+          ~placement
+      in
+      Printf.printf "post-route critical path: %s\n"
+        (Sta.endpoint_to_string report.Sta.critical)
+    | _ -> ());
+    (match dump with
+    | Some path ->
+      let k =
+        match (outcome.Flow.accepted, List.rev outcome.Flow.iterations) with
+        | Some it, _ | None, it :: _ -> it.Flow.k
+        | None, [] -> 0.0
+      in
+      let rng = Cals_util.Rng.create (seed + 1) in
+      let positions = Placement.place_subject subject ~floorplan ~rng in
+      dump_congestion path ~subject ~floorplan ~positions ~k
+    | None -> ());
+    (match outcome.Flow.accepted with
+    | Some it ->
+      Printf.printf "accepted at K=%g%s\n" it.Flow.k
+        (if it.Flow.estimated then " (estimated, not routed)" else "");
+      0
+    | None ->
+      print_endline "no K in the schedule was acceptable";
+      1)
+
+let run_flow verbosity input scale seed optimize utilization jobs checks
+    timing orchestrate dump route_jobs trace metrics =
+  setup_logs verbosity;
+  if trace <> None || metrics <> None then Probe.enable ();
   let code =
-    match outcome with
-    | Error (stage, detail) ->
-      Printf.printf "verification FAILED at stage %s: %s\n" stage detail;
-      2
-    | Ok (outcome, s) ->
-      List.iter
-        (fun it ->
-          Printf.printf "K=%-8g cells=%-6d util=%5.2f%%  %s%s\n" it.Flow.k
-            it.Flow.cells
-            (100.0 *. it.Flow.utilization)
-            (Congestion.summary it.Flow.report)
-            (if it.Flow.estimated then " [estimated]" else ""))
-        outcome.Flow.iterations;
-      Printf.printf "adaptive: %d real route%s, %d forecast evals%s\n"
-        s.Flow.real_routes
-        (if s.Flow.real_routes = 1 then "" else "s")
-        s.Flow.forecast_evals
-        (match s.Flow.frontier_k with
-        | Some k -> Printf.sprintf ", frontier K=%g" k
-        | None -> ", every point ruled out");
-      (match
-         (timing, outcome.Flow.mapped, outcome.Flow.placement,
-          outcome.Flow.routing)
-       with
-      | Some _, Some mapped, Some placement, Some routing ->
-        let report =
-          Sta.analyze ~net_length_um:routing.Router.net_length_um mapped ~wire
-            ~placement
-        in
-        Printf.printf "post-route critical path: %s\n"
-          (Sta.endpoint_to_string report.Sta.critical)
-      | _ -> ());
-      (match dump with
-      | Some path ->
-        let k =
-          match (outcome.Flow.accepted, List.rev outcome.Flow.iterations) with
-          | Some it, _ | None, it :: _ -> it.Flow.k
-          | None, [] -> 0.0
-        in
-        let rng = Cals_util.Rng.create (seed + 1) in
-        let positions = Placement.place_subject subject ~floorplan ~rng in
-        dump_congestion path ~subject ~floorplan ~positions ~k
-      | None -> ());
-      (match outcome.Flow.accepted with
-      | Some it ->
-        Printf.printf "accepted at K=%g%s\n" it.Flow.k
-          (if it.Flow.estimated then " (estimated, not routed)" else "");
-        0
-      | None ->
-        print_endline "no K in the schedule was acceptable";
-        1)
+    match orchestrate with
+    | Some budget ->
+      run_orchestrated input scale seed optimize utilization jobs checks
+        timing budget route_jobs
+    | None ->
+      run_adaptive input scale seed optimize utilization checks timing dump
+        route_jobs
   in
-  (match trace with
-  | Some path ->
-    Export.write_chrome_trace path;
-    Printf.printf "wrote %s (open in Perfetto or chrome://tracing)\n" path
-  | None -> ());
-  (match metrics with
-  | Some ("prometheus" | "prom") -> print_string (Export.prometheus ())
-  | Some _ -> print_string (Export.summary ())
-  | None -> ());
+  export_telemetry trace metrics;
   code
 
 (* ------------------------- sta ------------------------- *)
@@ -420,17 +405,6 @@ let run_fuzz verbosity iterations seed out replay level =
       1)
 
 (* ------------------------- serve ------------------------- *)
-
-let serve_export trace metrics =
-  (match trace with
-  | Some path ->
-    Export.write_chrome_trace path;
-    Printf.printf "wrote %s (open in Perfetto or chrome://tracing)\n" path
-  | None -> ());
-  match metrics with
-  | Some ("prometheus" | "prom") -> print_string (Export.prometheus ())
-  | Some _ -> print_string (Export.summary ())
-  | None -> ()
 
 let run_serve verbosity spool from_stdin jobs out deadline max_attempts
     backoff high_watermark overload_watermark triage_watermark
@@ -549,7 +523,7 @@ let run_serve verbosity spool from_stdin jobs out deadline max_attempts
          timeouts, %d shed, %d worker restarts, %d parse errors in %.2fs\n"
         s.Ledger.submitted s.completed s.quarantined s.retries s.timeouts
         s.shed s.restarts s.parse_errors s.wall_s;
-      serve_export trace metrics;
+      export_telemetry trace metrics;
       if s.quarantined = 0 && s.parse_errors = 0 && s.shed = 0 then 0 else 1
     end
 

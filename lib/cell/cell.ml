@@ -53,11 +53,6 @@ let make ~name ~width_sites ~site_width ~row_height ~input_cap_pf ~intrinsic_ns
     drive_kohm;
   }
 
-let eval t inputs =
-  match t.patterns with
-  | [] -> invalid_arg "Cell.eval: no pattern"
-  | p :: _ -> Pattern.eval p inputs
-
 let eval64 t inputs =
   match t.patterns with
   | [] -> invalid_arg "Cell.eval64: no pattern"

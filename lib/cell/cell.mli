@@ -35,9 +35,6 @@ val make :
     patterns valid, same arity, same truth table. Raises [Invalid_argument]
     otherwise. *)
 
-val eval : t -> bool array -> bool
-(** Evaluate the cell function (first pattern). *)
-
 val eval64 : t -> int64 array -> int64
 (** Bit-parallel evaluation. *)
 

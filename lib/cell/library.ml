@@ -35,12 +35,4 @@ let wire t = t.wire
 let cells t = t.cells
 let find t n = Hashtbl.find t.by_name n
 let find_opt t n = Hashtbl.find_opt t.by_name n
-let inv t = find t "INV"
-let nand2 t = find t "NAND2"
 let size t = List.length t.cells
-
-let max_pattern_size t =
-  List.fold_left
-    (fun acc (c : Cell.t) ->
-      List.fold_left (fun acc p -> max acc (Pattern.size p)) acc c.Cell.patterns)
-    0 t.cells

@@ -30,11 +30,5 @@ val find : t -> string -> Cell.t
 (** Raises [Not_found]. *)
 
 val find_opt : t -> string -> Cell.t option
-val inv : t -> Cell.t
-val nand2 : t -> Cell.t
 val size : t -> int
 (** Number of cells. *)
-
-val max_pattern_size : t -> int
-(** Largest pattern (base-gate count) over all cells — a bound used by the
-    matcher. *)

@@ -10,16 +10,6 @@ let rec max_var = function
 
 let num_vars p = max_var p + 1
 
-let rec size = function
-  | Var _ -> 0
-  | Inv p -> 1 + size p
-  | Nand (a, b) -> 1 + size a + size b
-
-let rec depth = function
-  | Var _ -> 0
-  | Inv p -> 1 + depth p
-  | Nand (a, b) -> 1 + max (depth a) (depth b)
-
 let rec eval p inputs =
   match p with
   | Var i -> inputs.(i)
@@ -31,11 +21,6 @@ let rec eval64 p inputs =
   | Var i -> inputs.(i)
   | Inv q -> Int64.lognot (eval64 q inputs)
   | Nand (a, b) -> Int64.lognot (Int64.logand (eval64 a inputs) (eval64 b inputs))
-
-let rec to_string = function
-  | Var i -> Printf.sprintf "x%d" i
-  | Inv p -> Printf.sprintf "INV(%s)" (to_string p)
-  | Nand (a, b) -> Printf.sprintf "NAND(%s,%s)" (to_string a) (to_string b)
 
 let validate p =
   let n = num_vars p in

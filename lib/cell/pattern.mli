@@ -14,21 +14,12 @@ type t =
 val num_vars : t -> int
 (** Number of distinct input variables ([max index + 1]). *)
 
-val size : t -> int
-(** Number of base gates (internal nodes) in the pattern. *)
-
-val depth : t -> int
-(** Longest gate path from root to any leaf. *)
-
 val eval : t -> bool array -> bool
 (** [eval p inputs] computes the pattern output; [inputs] must have at least
     [num_vars p] entries. *)
 
 val eval64 : t -> int64 array -> int64
 (** Bit-parallel evaluation over 64 input vectors at once. *)
-
-val to_string : t -> string
-(** Prefix rendering, e.g. ["NAND(INV(NAND(x0,x1)),x2)"]. *)
 
 val validate : t -> (unit, string) result
 (** Checks variable indices are dense [0 .. n-1]. *)

@@ -10,9 +10,3 @@
 val library : Library.t
 (** The full library: INV, BUF, NAND2-4, NOR2-3, AND2-3, OR2-3, AOI21,
     AOI22, OAI21, OAI22, XOR2, XNOR2, MUX21. *)
-
-val site_width : float
-(** 0.66 µm. *)
-
-val row_height : float
-(** 5.04 µm. *)

@@ -25,17 +25,6 @@ type options = {
   transitive_wire : bool;
 }
 
-let default_options =
-  {
-    k = 0.0;
-    t = 0.0;
-    objective = Min_area;
-    distance = Geom.manhattan;
-    incremental_update = true;
-    include_wire2 = true;
-    transitive_wire = false;
-  }
-
 type solution = {
   cell : Cell.t;
   leaves : int array;
@@ -145,13 +134,6 @@ let is_gate subject v =
   match subject.Subject.gates.(v) with
   | Subject.Pi _ -> false
   | Subject.Inv _ | Subject.Nand2 _ -> true
-
-let matchsets subject ~library ~(partition : Partition.t) =
-  let n = Subject.num_nodes subject in
-  Array.init n (fun v ->
-      if partition.Partition.live.(v) && is_gate subject v then
-        Some (match_node subject ~library ~partition v)
-      else None)
 
 (* Wire cost of the Pedram-Bhat-style transitive variant: total original
    edge length of the full fanin cone below a node. *)

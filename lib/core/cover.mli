@@ -49,9 +49,6 @@ type options = {
           implements the comparison of the paper's Section 3.3. *)
 }
 
-val default_options : options
-(** [k = 0], [t = 0], Manhattan distance, incremental updates, WIRE2 on. *)
-
 type solution = {
   cell : Cals_cell.Cell.t;
   leaves : int array;  (** Subject node per pattern variable. *)
@@ -101,13 +98,6 @@ val match_node :
   int ->
   node_matches
 (** All structural candidates at one live gate. *)
-
-val matchsets :
-  Cals_netlist.Subject.t ->
-  library:Cals_cell.Library.t ->
-  partition:Partition.t ->
-  matchset
-(** [match_node] over every live gate. *)
 
 val run :
   ?matchsets:matchset ->

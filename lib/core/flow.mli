@@ -206,8 +206,8 @@ type candidate_eval = {
 
 type orchestrated = {
   evaluations : candidate_eval list;
-      (** Schedule order: the baseline first, then
-          {!Cals_logic.Orchestrate.schedule}. *)
+      (** Schedule order: the baseline first, then the candidates of
+          {!Cals_logic.Orchestrate.prepare}. *)
   baseline : candidate_eval;  (** [= List.hd evaluations], never guarded. *)
   best : candidate_eval;  (** The selected candidate. *)
   best_index : int;  (** Index of [best] in [evaluations]. *)

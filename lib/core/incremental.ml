@@ -21,10 +21,6 @@ type stats = {
   maps : int;
 }
 
-let hit_rate s =
-  let total = s.hits + s.misses in
-  if total = 0 then 0.0 else float_of_int s.hits /. float_of_int total
-
 type tree = {
   root : int;
   nodes : int list;  (** Live gates of the tree, increasing node order. *)
@@ -202,8 +198,6 @@ let stats session =
     maps = Atomic.get session.maps;
   }
 
-let partition session = session.partition
-let options session = session.options
 let library session = session.library
 let route_session session = session.route_session
 

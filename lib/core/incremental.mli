@@ -46,9 +46,6 @@ type stats = {
   maps : int;  (** {!map} calls executed so far. *)
 }
 
-val hit_rate : stats -> float
-(** [hits / (hits + misses)]; [0.] before any lookup. *)
-
 type session
 
 val create :
@@ -87,12 +84,6 @@ val stats : session -> stats
 (** Snapshot of the session-local counters. The global telemetry
     counterparts are the [mapper_cache_hit] / [mapper_cache_miss]
     counters in {!Cals_telemetry.Metrics}. *)
-
-val partition : session -> Partition.t
-(** The session's one-time partition (shared by every K point). *)
-
-val options : session -> Mapper.options
-(** The base options the session was created with. *)
 
 val library : session -> Cals_cell.Library.t
 (** The library the session matches against. *)

@@ -37,9 +37,6 @@ let min_area =
 
 let congestion_aware ~k = { min_area with k; strategy = Partition.Pdp }
 
-let min_delay ?(load_pf = 0.02) () =
-  { min_area with objective = Cover.Min_delay { load_pf } }
-
 type stats = {
   cells : int;
   cell_area : float;

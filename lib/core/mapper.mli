@@ -17,7 +17,7 @@ type options = {
       (** Unit conversion applied to WIRE before multiplying by [k]. The
           companion placement is in µm; the paper's K ladder (1e-4 .. 1)
           implies distances in finer database units, so WIRE is scaled by
-          {!default_wire_scale} to make the paper's K values land in the
+          200 ({!min_area}) to make the paper's K values land in the
           same sensitivity range here. *)
   objective : Cover.objective;
   strategy : Partition.strategy;
@@ -26,9 +26,6 @@ type options = {
   include_wire2 : bool;
   transitive_wire : bool;
 }
-
-val default_wire_scale : float
-(** 200. *)
 
 val default_timing_weight : float
 (** The [t] used when timing-driven covering is requested without an
@@ -46,10 +43,6 @@ val min_area : options
 
 val congestion_aware : k:float -> options
 (** The paper's configuration: PDP partitioning + Eq. 5 covering. *)
-
-val min_delay : ?load_pf:float -> unit -> options
-(** Rudell-style constant-load min-delay covering (default load 0.02 pF);
-    combine with [k] for delay-plus-congestion objectives. *)
 
 type stats = {
   cells : int;

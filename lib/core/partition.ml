@@ -85,40 +85,3 @@ let run strategy subject ~positions ~distance =
       all_roots := v :: !all_roots
   done;
   { father; live; roots = !all_roots }
-
-let is_internal_edge t ~parent ~child = t.father.(child) = Some parent
-
-let tree_sizes t subject =
-  let n = Cals_netlist.Subject.num_nodes subject in
-  (* Climb to the root of each node's father chain. *)
-  let root_of = Array.make n (-1) in
-  let rec find v =
-    if root_of.(v) >= 0 then root_of.(v)
-    else begin
-      let r = match t.father.(v) with None -> v | Some u -> find u in
-      root_of.(v) <- r;
-      r
-    end
-  in
-  let sizes = Hashtbl.create 64 in
-  for v = 0 to n - 1 do
-    if t.live.(v) && is_gate subject v then begin
-      let r = find v in
-      Hashtbl.replace sizes r (1 + Option.value ~default:0 (Hashtbl.find_opt sizes r))
-    end
-  done;
-  t.roots |> List.map (fun r -> Option.value ~default:0 (Hashtbl.find_opt sizes r))
-  |> Array.of_list
-
-let duplication_refs t subject =
-  let fanouts = Cals_netlist.Subject.fanouts subject in
-  let count = ref 0 in
-  Array.iteri
-    (fun w parents ->
-      if t.live.(w) && is_gate subject w then
-        List.iter
-          (fun u ->
-            if t.live.(u) && t.father.(w) <> Some u then incr count)
-          parents)
-    fanouts;
-  !count

@@ -35,13 +35,3 @@ val run :
   distance:(Cals_util.Geom.point -> Cals_util.Geom.point -> float) ->
   t
 (** [positions] and [distance] are only consulted by [Pdp]. *)
-
-val is_internal_edge : t -> parent:int -> child:int -> bool
-(** True when a match rooted above [parent] may extend through [child]. *)
-
-val tree_sizes : t -> Cals_netlist.Subject.t -> int array
-(** For each root, the number of gates in its tree (diagnostics). *)
-
-val duplication_refs : t -> Cals_netlist.Subject.t -> int
-(** Number of cross-tree leaf references — an upper bound on how many
-    signals must be taps or get duplicated. *)

@@ -80,7 +80,7 @@ type forecast = {
   predicted_violations : int;
       (** [0] when [Routable]; {!Cals_route.Router.Cut.violations} (a
           sound lower bound) when [Unroutable]; otherwise the rounded
-          overflow score damped by {!negotiation_relief} — the router
+          overflow score damped by a fixed relief factor (0.5) — the router
           negotiates demand away from hotspots, so raw RUDY overflow
           overestimates the post-negotiation residual. *)
   hpwl_um : float;  (** Summed net HPWL (the wirelength stand-in). *)
@@ -120,16 +120,6 @@ val report : forecast -> Cals_route.Congestion.report
     it is {!Cals_route.Router.Cut}'s proof. Exposed so tests read the
     values rather than hard-coding copies. *)
 
-val pin_track_cost : float
-(** Track-lengths of escape routing charged per pin (0.125). *)
-
-val negotiation_relief : float
-(** Fraction of raw RUDY overflow the negotiated router is expected to
-    resolve; damps [predicted_violations] (0.5). *)
-
-val routable_max_norm : float
-(** Normalized overflow at or below which the verdict may be [Routable]. *)
-
 val routable_max_peak : float
 (** Peak utilization a [Routable] verdict additionally requires. *)
 
@@ -140,4 +130,3 @@ val verdict_of_scores :
     forces [Uncertain]). *)
 
 val verdict_to_string : verdict -> string
-

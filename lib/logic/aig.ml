@@ -153,8 +153,6 @@ and mk_and t a b =
         | Some id -> lit id false
         | None -> alloc t a b))
 
-let mk_or t a b = neg (mk_and t (neg a) (neg b))
-
 let set_output t name l =
   let replaced = ref false in
   let outs =
@@ -509,7 +507,3 @@ let apply pass t =
   | Dce -> compact t
   | Balance -> restructure t ~combine:balance_combine
   | Cse -> restructure t ~combine:cse_combine
-
-let run passes net =
-  let t = List.fold_left (fun t p -> apply p t) (of_network net) passes in
-  to_network t

@@ -21,8 +21,8 @@
     and a complement bit; see {!lit}. *)
 
 type t
-(** A mutable AIG under construction, plus its outputs. Only {!mk_and},
-    {!mk_or} and {!set_output} mutate a graph. The passes return a rebuilt
+(** A mutable AIG under construction, plus its outputs. Only {!mk_and}
+    and {!set_output} mutate a graph. The passes return a rebuilt
     graph and leave their argument untouched; the conversions
     ({!to_network}, {!to_subject}) and statistics ({!num_ands}, {!depth},
     {!simulate}) only read it. One graph can therefore seed any number of
@@ -71,9 +71,6 @@ val mk_and : t -> int -> int -> int
     ([x AND NOT x = 0]), then — on a hash-consing graph — structural
     lookup before allocating a node. Fanins must already be literals of
     this graph. *)
-
-val mk_or : t -> int -> int -> int
-(** De Morgan: [mk_or t a b = neg (mk_and t (neg a) (neg b))]. *)
 
 val set_output : t -> string -> int -> unit
 (** Append (or overwrite, by name) a primary output driven by a literal. *)
@@ -190,7 +187,3 @@ val pass_name : pass -> string
 
 val apply : pass -> t -> t
 (** Run one pass, returning the rebuilt graph. *)
-
-val run : pass list -> Network.t -> Network.t
-(** [run passes net]: {!of_network}, fold {!apply}, {!to_network}.
-    [net] itself is not modified. *)

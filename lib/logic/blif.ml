@@ -162,12 +162,26 @@ let parse text =
     outputs;
   net
 
-let read_file path =
-  let ic = open_in path in
-  let n = in_channel_length ic in
-  let text = really_input_string ic n in
-  close_in ic;
-  parse text
+let load path =
+  match
+    let ic = open_in path in
+    let text =
+      Fun.protect
+        ~finally:(fun () -> close_in ic)
+        (fun () -> really_input_string ic (in_channel_length ic))
+    in
+    if Filename.check_suffix path ".pla" then Pla.parse text else parse text
+  with
+  | net -> Ok net
+  | exception (Sys_error reason | Parse_error reason | Pla.Parse_error reason)
+    ->
+    (* [Sys_error] already starts with the path; say it once. *)
+    let prefix = path ^ ": " in
+    if String.starts_with ~prefix reason then
+      Error
+        (String.sub reason (String.length prefix)
+           (String.length reason - String.length prefix))
+    else Error reason
 
 let print ?(model = "network") net =
   let buf = Buffer.create 4096 in
@@ -211,8 +225,3 @@ let print ?(model = "network") net =
     (Network.outputs net);
   Buffer.add_string buf ".end\n";
   Buffer.contents buf
-
-let write_file ?model path net =
-  let oc = open_out path in
-  output_string oc (print ?model net);
-  close_out oc

@@ -11,11 +11,10 @@ exception Parse_error of string
 val parse : string -> Network.t
 (** Parse BLIF source text. *)
 
-val read_file : string -> Network.t
-(** {!parse} the contents of a file. *)
+val load : string -> (Network.t, string) result
+(** Read a circuit file: Espresso PLA ({!Pla.parse}) when its name ends
+    in [.pla], BLIF otherwise. A file that cannot be read or parsed is
+    [Error reason]; the reason does not repeat the path. *)
 
 val print : ?model:string -> Network.t -> string
 (** Render a network back to BLIF (one [.names] per live node). *)
-
-val write_file : ?model:string -> string -> Network.t -> unit
-(** {!print} to a file. *)

@@ -83,15 +83,6 @@ let remove_var c v =
 
 let common a b = { pos = a.pos land b.pos; neg = a.neg land b.neg }
 
-let eval c inputs =
-  let ok = ref true and s = ref (c.pos lor c.neg) in
-  while !s <> 0 do
-    let v = lowest_var !s in
-    if inputs.(v) <> (c.pos land (1 lsl v) <> 0) then ok := false;
-    s := !s land (!s - 1)
-  done;
-  !ok
-
 let eval64 c inputs =
   let acc = ref Int64.minus_one and s = ref (c.pos lor c.neg) in
   while !s <> 0 do

@@ -66,11 +66,9 @@ val remove_var : t -> int -> t
 val common : t -> t -> t
 (** Largest cube dividing both (shared literals). *)
 
-val eval : t -> bool array -> bool
-(** Evaluate under an assignment indexed by variable. *)
-
 val eval64 : t -> int64 array -> int64
-(** Bit-parallel {!eval} over 64 assignments at once. *)
+(** Evaluate over 64 assignments at once: bit [i] of input word [v] is
+    variable [v] in assignment [i]. *)
 
 val compare : t -> t -> int
 (** Total order on the mask pair (arbitrary but deterministic). *)

@@ -84,13 +84,6 @@ let rec num_literals = function
   | Const _ -> 0
   | And fs | Or fs -> List.fold_left (fun acc f -> acc + num_literals f) 0 fs
 
-let rec eval t inputs =
-  match t with
-  | Lit (v, ph) -> inputs.(v) = ph
-  | Const b -> b
-  | And fs -> List.for_all (fun f -> eval f inputs) fs
-  | Or fs -> List.exists (fun f -> eval f inputs) fs
-
 let rec eval64 t inputs =
   match t with
   | Lit (v, ph) -> if ph then inputs.(v) else Int64.lognot inputs.(v)
@@ -98,30 +91,3 @@ let rec eval64 t inputs =
   | And fs ->
     List.fold_left (fun acc f -> Int64.logand acc (eval64 f inputs)) Int64.minus_one fs
   | Or fs -> List.fold_left (fun acc f -> Int64.logor acc (eval64 f inputs)) 0L fs
-
-let rec to_string ?names t =
-  let name v =
-    match names with
-    | Some arr when v < Array.length arr -> arr.(v)
-    | Some _ | None -> Printf.sprintf "x%d" v
-  in
-  match t with
-  | Lit (v, true) -> name v
-  | Lit (v, false) -> name v ^ "'"
-  | Const true -> "1"
-  | Const false -> "0"
-  | And fs -> String.concat "*" (List.map (paren ?names) fs)
-  | Or fs -> String.concat " + " (List.map (to_string ?names) fs)
-
-and paren ?names t =
-  match t with
-  | Or _ -> "(" ^ to_string ?names t ^ ")"
-  | Lit _ | And _ | Const _ -> to_string ?names t
-
-let support_list t =
-  let rec go acc = function
-    | Lit (v, _) -> v :: acc
-    | Const _ -> acc
-    | And fs | Or fs -> List.fold_left go acc fs
-  in
-  List.sort_uniq compare (go [] t)

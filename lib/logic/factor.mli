@@ -18,14 +18,6 @@ val factor : Sop.t -> t
 val num_literals : t -> int
 (** Literal count of the factored form — the gate-count proxy. *)
 
-val eval : t -> bool array -> bool
-(** Evaluate under an assignment indexed by variable. *)
-
 val eval64 : t -> int64 array -> int64
-(** Bit-parallel {!eval} over 64 assignments at once. *)
-
-val to_string : ?names:string array -> t -> string
-(** Infix rendering with primes for negation, e.g. ["a (b + c')"]. *)
-
-val support_list : t -> int list
-(** Variables mentioned anywhere in the form, increasing, deduplicated. *)
+(** Evaluate over 64 assignments at once: bit [i] of input word [v] is
+    variable [v] in assignment [i]. *)

@@ -62,32 +62,3 @@ let all f =
   in
   if Sop.num_cubes f >= 2 then kernels 0 (Sop.make_cube_free f) Cube.universe;
   List.rev !results
-
-let level0 f =
-  let ks = all f in
-  List.filter
-    (fun k ->
-      List.for_all
-        (fun other ->
-          Sop.equal other.kernel k.kernel
-          || not
-               (let q, _ = Sop.divide k.kernel other.kernel in
-                not (Sop.is_zero q)))
-        ks)
-    ks
-
-let literal_savings uses k =
-  let kernel_lits = Sop.num_literals k.kernel in
-  let kernel_cubes = Sop.num_cubes k.kernel in
-  let occurrences =
-    List.fold_left
-      (fun acc f ->
-        let q, _ = Sop.divide f k.kernel in
-        acc + Sop.num_cubes q)
-      0 uses
-  in
-  if occurrences = 0 then 0
-  else
-    (* Each occurrence replaces [kernel_cubes] cubes worth of literals by a
-       single literal on the new node; the node body costs [kernel_lits]. *)
-    (occurrences * (kernel_lits - 1)) - kernel_lits - kernel_cubes

@@ -15,12 +15,3 @@ val all : Sop.t -> t list
 (** Every kernel/co-kernel pair, by the classic recursive algorithm.
     Includes [f] itself (with universe co-kernel) when [f] is cube-free
     and has two or more cubes. *)
-
-val level0 : Sop.t -> t list
-(** Kernels having no kernels other than themselves. *)
-
-val literal_savings : Sop.t list -> t -> int
-(** [literal_savings uses k]: literals saved by extracting kernel [k] as a
-    new node given the list of functions in which it divides:
-    [(n-1) * lits(kernel) - n] style SIS "value" (non-positive means not
-    worth extracting). *)

@@ -59,10 +59,6 @@ let set_output t name s =
 
 let outputs t = t.outs
 
-let set_outputs t outs =
-  Array.iter (fun (_, s) -> check_signal t s) outs;
-  t.outs <- outs
-
 let live_nodes t =
   let live = Array.make t.n_nodes false in
   let rec visit = function

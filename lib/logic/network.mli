@@ -45,9 +45,6 @@ val set_output : t -> string -> signal -> unit
 val outputs : t -> (string * signal) array
 (** Primary outputs in declaration order. *)
 
-val set_outputs : t -> (string * signal) array -> unit
-(** Replace the whole output list (used by passes that renumber nodes). *)
-
 val live_nodes : t -> bool array
 (** Reachability from the outputs. *)
 

@@ -12,28 +12,20 @@
     {!Cals_core}'s job ([Flow.orchestrate]); this module owns the search
     space and keeps it deterministic.
 
-    Determinism: {!schedule} is a pure function of [budget] (a curated
-    prefix, then lexicographic enumeration), every {!Aig} pass rebuilds
-    in structure-derived order, and candidate evaluation downstream
+    Determinism: the candidate schedule is a pure function of [budget]
+    (a curated prefix, then lexicographic enumeration), every {!Aig} pass
+    rebuilds in structure-derived order, and candidate evaluation downstream
     derives all seeds from the spec — so repeated runs are bit-identical
     (asserted by the CLI determinism test). *)
 
 type candidate = {
   label : string;  (** ["aig:strash,rewrite,…"] — the pass names. *)
-  passes : Aig.pass list;  (** Applied left to right by {!Aig.run}. *)
+  passes : Aig.pass list;  (** Applied left to right by {!Aig.apply}. *)
 }
 
 val default_budget : int
 (** Candidate count used when [--orchestrate] is given without a value
     ([8] — the curated schedule). *)
-
-val schedule : budget:int -> candidate list
-(** The first [budget] candidate pass sequences: a curated list of
-    known-good orderings (the exemplar
-    strash/DCE/CSE/constprop/balance script among them), extended past
-    its length by every 2- then 3-pass sequence over {!Aig.all_passes}
-    in lexicographic order, duplicates skipped. Pure in [budget]:
-    the same budget always yields the same schedule. *)
 
 type prepared = {
   label : string;  (** ["baseline"] or the candidate label. *)
@@ -56,7 +48,7 @@ val prepare : ?optimize:bool -> budget:int -> Network.t -> prepared list
     element 0 is always the baseline (a copy of [net] through
     {!Optimize.script_area}, or {!Optimize.script_light} when [optimize]
     is [false], decomposed exactly as the plain flow would), followed by
-    {!schedule}[ ~budget] AIG candidates, each running its pass sequence
+    [budget] scheduled AIG candidates, each running its pass sequence
     on an AIG of the {e optimized} baseline network (AIG restructuring
     composes with, rather than replaces, the algebraic script). [net]
     itself is never mutated. Bumps the [orchestrate_candidates_generated]

@@ -80,13 +80,6 @@ let parse text =
     per_output;
   net
 
-let read_file path =
-  let ic = open_in path in
-  let n = in_channel_length ic in
-  let text = really_input_string ic n in
-  close_in ic;
-  parse text
-
 let print net =
   let pis = Network.pi_names net in
   let ni = Array.length pis in

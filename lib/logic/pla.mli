@@ -12,9 +12,6 @@ val parse : string -> Network.t
 (** One network node per output, whose SOP collects the products with '1'
     (or '4') in that output column. *)
 
-val read_file : string -> Network.t
-(** {!parse} the contents of a file. *)
-
 val print : Network.t -> string
 (** Render a two-level network back to PLA. Raises [Invalid_argument] when
     some output is not a direct function of primary inputs. *)

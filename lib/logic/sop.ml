@@ -161,8 +161,6 @@ let substitute t v g =
   in
   sum (sum positive negative) free
 
-let eval t inputs = List.exists (fun c -> Cube.eval c inputs) t
-
 let eval64 t inputs =
   List.fold_left (fun acc c -> Int64.logor acc (Cube.eval64 c inputs)) 0L t
 

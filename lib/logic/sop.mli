@@ -82,11 +82,9 @@ val substitute : t -> int -> t -> t
 val can_substitute : ?max_cubes:int -> t -> int -> t -> bool
 (** True when [substitute] can be performed exactly within the size cap. *)
 
-val eval : t -> bool array -> bool
-(** Evaluate under an assignment indexed by variable. *)
-
 val eval64 : t -> int64 array -> int64
-(** Bit-parallel {!eval} over 64 assignments at once. *)
+(** Evaluate over 64 assignments at once: bit [i] of input word [v] is
+    variable [v] in assignment [i]. *)
 
 val equal : t -> t -> bool
 (** Structural equality of canonical cube sets (not Boolean equivalence). *)

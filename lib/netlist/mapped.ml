@@ -42,9 +42,6 @@ let num_cells t = Array.length t.instances
 let total_area t =
   Array.fold_left (fun acc i -> acc +. i.cell.Cals_cell.Cell.area) 0.0 t.instances
 
-let total_sites t =
-  Array.fold_left (fun acc i -> acc + i.cell.Cals_cell.Cell.width_sites) 0 t.instances
-
 let cell_histogram t =
   let tbl = Hashtbl.create 32 in
   Array.iter
@@ -103,10 +100,6 @@ let simulate t pi_vectors =
       values.(idx) <- Cals_cell.Cell.eval64 inst.cell ins)
     t.instances;
   Array.map (fun (_, s) -> read s) t.outputs
-
-let simulate_one t assignment =
-  let stimulus = Array.map (fun b -> if b then -1L else 0L) assignment in
-  Array.map (fun v -> Int64.logand v 1L <> 0L) (simulate t stimulus)
 
 let sanitize name =
   String.map (fun c -> if c = '[' || c = ']' || c = '.' || c = '-' then '_' else c) name

@@ -37,8 +37,6 @@ val total_area : t -> float
 val cell_histogram : t -> (string * int) list
 (** Instance count per cell name, sorted by name. *)
 
-val total_sites : t -> int
-
 (** {1 Connectivity} *)
 
 type sink =
@@ -62,10 +60,6 @@ val signal_index : t -> signal -> int
 val simulate : t -> int64 array -> int64 array
 (** Bit-parallel simulation; stimulus indexed like [pi_names], result like
     [outputs]. Used to verify that mapping preserved the function. *)
-
-val simulate_one : t -> bool array -> bool array
-(** Single-assignment simulation (one value per PI) — counterexample
-    replay for the verification layer. *)
 
 (** {1 Export} *)
 

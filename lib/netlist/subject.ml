@@ -157,7 +157,3 @@ let random_vectors rng t =
   Array.init (num_pis t) (fun i ->
       (* __const0 must stay 0 in every vector. *)
       if t.pi_names.(i) = "__const0" then 0L else Cals_util.Rng.bits64 rng)
-
-let simulate_one t assignment =
-  let stimulus = Array.map (fun b -> if b then -1L else 0L) assignment in
-  Array.map (fun v -> Int64.logand v 1L <> 0L) (simulate t stimulus)

@@ -72,7 +72,3 @@ val simulate : t -> int64 array -> int64 array
 
 val random_vectors : Cals_util.Rng.t -> t -> int64 array
 (** Fresh random stimulus for property tests. *)
-
-val simulate_one : t -> bool array -> bool array
-(** Single-assignment simulation (one value per PI) — counterexample
-    replay for the verification layer. *)

@@ -14,7 +14,3 @@ val place :
   Cals_util.Geom.point array
 (** Positions for every hypergraph node; fixed nodes keep their pad
     position. *)
-
-val leaf_size : int
-(** Regions at or below this many movable nodes are spread on a local grid
-    instead of being split further. *)

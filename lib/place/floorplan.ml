@@ -7,15 +7,6 @@ type t = {
   sites_per_row : int;
 }
 
-let make ~die_width ~die_height ~geometry =
-  let row_height = geometry.Cals_cell.Library.row_height in
-  let site_width = geometry.Cals_cell.Library.site_width in
-  let num_rows = int_of_float (die_height /. row_height) in
-  let sites_per_row = int_of_float (die_width /. site_width) in
-  if num_rows < 1 || sites_per_row < 1 then
-    invalid_arg "Floorplan.make: die smaller than one row";
-  { die_width; die_height; row_height; site_width; num_rows; sites_per_row }
-
 let of_rows ~num_rows ~sites_per_row ~geometry =
   if num_rows < 1 || sites_per_row < 1 then invalid_arg "Floorplan.of_rows";
   let row_height = geometry.Cals_cell.Library.row_height in

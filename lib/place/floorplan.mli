@@ -13,11 +13,6 @@ type t = private {
   sites_per_row : int;
 }
 
-val make :
-  die_width:float -> die_height:float -> geometry:Cals_cell.Library.geometry -> t
-(** Rows fill the die height; raises [Invalid_argument] when no full row
-    fits. *)
-
 val of_rows :
   num_rows:int -> sites_per_row:int -> geometry:Cals_cell.Library.geometry -> t
 (** Exact row/site grid (die dimensions derived). *)
@@ -30,9 +25,6 @@ val for_area :
   t
 (** Square-ish die sized so that [core_area] occupies [utilization] of it;
     [aspect] = width / height. *)
-
-val core_area : t -> float
-(** [die_width *. die_height], µm². *)
 
 val row_y : t -> int -> float
 (** Center y of row [i]. *)

@@ -10,11 +10,6 @@ type t = {
 
 let num_nodes t = Array.length t.weights
 
-let num_movable t =
-  Array.fold_left
-    (fun acc f -> match f with None -> acc + 1 | Some _ -> acc)
-    0 t.fixed
-
 let of_subject subject ~floorplan =
   let n = Subject.num_nodes subject in
   let outs = subject.Subject.outputs in
@@ -120,8 +115,3 @@ let hpwl t pos =
     total := !total +. net_hpwl pos t.nets.(i)
   done;
   !total
-
-let net_degree_stats t =
-  let maxd = Array.fold_left (fun m net -> max m (Array.length net)) 0 t.nets in
-  let sum = Array.fold_left (fun s net -> s + Array.length net) 0 t.nets in
-  (maxd, float_of_int sum /. float_of_int (max 1 (Array.length t.nets)))

@@ -13,9 +13,6 @@ type t = {
 val num_nodes : t -> int
 (** Movable and fixed nodes together. *)
 
-val num_movable : t -> int
-(** Nodes without a fixed pad position. *)
-
 val of_subject :
   Cals_netlist.Subject.t ->
   floorplan:Floorplan.t ->
@@ -31,14 +28,6 @@ val of_mapped :
 (** Node layout: first all cell instances (movable), then PI pads, then PO
     pads (both fixed). Returns [(graph, pi_pad_ids, po_pad_ids)]. *)
 
-val net_hpwl : Cals_util.Geom.point array -> int array -> float
-(** Half-perimeter wirelength of one net (its node ids) under the given
-    positions, folded without allocating; bit-identical to folding
-    {!Cals_util.Geom.bbox_add} over its pins. *)
-
 val hpwl : t -> Cals_util.Geom.point array -> float
 (** Total half-perimeter wirelength of all nets under the given positions:
-    {!net_hpwl} summed from [0.] in net order. *)
-
-val net_degree_stats : t -> int * float
-(** [(max_degree, mean_degree)]. *)
+    each net's bounding-box half-perimeter, summed from [0.] in net order. *)

@@ -4,8 +4,7 @@
       (the paper's companion placement; positions feed the mapper's wire
       cost), and
     - each mapped netlist is legalized from the mapper's center-of-mass
-      seeds (the incremental-placement aspect of the methodology), with a
-      from-scratch global placement available for comparison. *)
+      seeds (the incremental-placement aspect of the methodology). *)
 
 type mapped_placement = {
   cell_pos : Cals_util.Geom.point array;  (** Per instance. *)
@@ -28,15 +27,3 @@ val place_mapped_seeded :
   Cals_netlist.Mapped.t -> floorplan:Floorplan.t -> mapped_placement
 (** Legalize the mapper's seed positions onto rows. Raises
     {!Legalize.Overflow} when the netlist does not fit. *)
-
-val place_mapped_global :
-  Cals_netlist.Mapped.t ->
-  floorplan:Floorplan.t ->
-  rng:Cals_util.Rng.t ->
-  mapped_placement
-(** Full recursive-bisection placement ignoring seeds (ablation and the
-    from-scratch "SIS" flow). *)
-
-val mapped_hpwl :
-  Cals_netlist.Mapped.t -> floorplan:Floorplan.t -> cell_pos:Cals_util.Geom.point array -> float
-(** HPWL of a mapped netlist under arbitrary cell positions. *)

@@ -115,14 +115,6 @@ let create ~floorplan ~wire ~layers ?(gcell_rows = 2) ?(m1_free = 1.3) ?density
     vmark = Bytes.make (((cols * (rows - 1)) + 7) / 8) '\000';
   }
 
-let gcell_of_point t p =
-  gcell_at ~cols:t.cols ~rows:t.rows ~gcell_um:t.gcell_um p
-
-let center_of_gcell t (c, r) =
-  Geom.point
-    ((float_of_int c +. 0.5) *. t.gcell_um)
-    ((float_of_int r +. 0.5) *. t.gcell_um)
-
 let hindex t c r =
   if c < 0 || c >= t.cols - 1 || r < 0 || r >= t.rows then
     invalid_arg "Rgrid: horizontal edge out of range";
@@ -140,28 +132,6 @@ let capacity t = function
 let usage t = function
   | H (c, r) -> t.husage.(hindex t c r)
   | V (c, r) -> t.vusage.(vindex t c r)
-
-let history t = function
-  | H (c, r) -> t.hhistory.(hindex t c r)
-  | V (c, r) -> t.vhistory.(vindex t c r)
-
-let add_usage t e delta =
-  match e with
-  | H (c, r) ->
-    let i = hindex t c r in
-    t.husage.(i) <- t.husage.(i) +. delta
-  | V (c, r) ->
-    let i = vindex t c r in
-    t.vusage.(i) <- t.vusage.(i) +. delta
-
-let add_history t e delta =
-  match e with
-  | H (c, r) ->
-    let i = hindex t c r in
-    t.hhistory.(i) <- t.hhistory.(i) +. delta
-  | V (c, r) ->
-    let i = vindex t c r in
-    t.vhistory.(i) <- t.vhistory.(i) +. delta
 
 let overflow t e = max 0.0 (usage t e -. capacity t e)
 
@@ -223,17 +193,6 @@ let total_overflow t =
   done;
   !acc
 
-let overflowed_edges t =
-  let acc = ref [] in
-  let hc = t.cols - 1 in
-  for i = 0 to num_hedges t - 1 do
-    if t.husage.(i) > t.hcap.(i) then acc := H (i mod hc, i / hc) :: !acc
-  done;
-  for i = 0 to num_vedges t - 1 do
-    if t.vusage.(i) > t.vcap.(i) then acc := V (i mod t.cols, i / t.cols) :: !acc
-  done;
-  !acc
-
 let max_utilization t =
   let m = ref 0.0 in
   let scan (usage : float array) (cap : float array) =
@@ -245,10 +204,6 @@ let max_utilization t =
   scan t.husage t.hcap;
   scan t.vusage t.vcap;
   !m
-
-let reset_usage t =
-  Array.fill t.husage 0 (Array.length t.husage) 0.0;
-  Array.fill t.vusage 0 (Array.length t.vusage) 0.0
 
 let congestion_map t =
   let g = Cals_util.Grid2d.create ~cols:t.cols ~rows:t.rows 0.0 in

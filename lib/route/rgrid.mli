@@ -84,26 +84,11 @@ val create :
     fraction per gcell, clamped to [0,1]) approaches 1. Without a density
     map M1 is fully available. *)
 
-val gcell_of_point : t -> Cals_util.Geom.point -> int * int
-(** {!gcell_at} on the grid's dimensions. *)
-
-val center_of_gcell : t -> int * int -> Cals_util.Geom.point
-(** Center of the gcell, in µm die coordinates. *)
-
 val capacity : t -> edge -> float
 (** Routing tracks the edge offers (fixed at {!create}). *)
 
 val usage : t -> edge -> float
 (** Tracks currently claimed by routed segments. *)
-
-val history : t -> edge -> float
-(** Accumulated negotiation-history penalty (PathFinder-style). *)
-
-val add_usage : t -> edge -> float -> unit
-(** Claim (or with a negative delta, release) tracks on the edge. *)
-
-val add_history : t -> edge -> float -> unit
-(** Bump the edge's history penalty after an overflowed iteration. *)
 
 val overflow : t -> edge -> float
 (** [max 0 (usage - capacity)]. *)
@@ -111,15 +96,8 @@ val overflow : t -> edge -> float
 val total_overflow : t -> float
 (** Sum of {!overflow} over every edge. *)
 
-val overflowed_edges : t -> edge list
-(** Edges with positive {!overflow}, horizontal first, row-major. *)
-
 val max_utilization : t -> float
 (** Largest [usage / capacity] over every edge with capacity. *)
-
-val reset_usage : t -> unit
-(** Zero every edge's usage (history is kept — the negotiation loop's
-    rip-up-all-and-reroute step). *)
 
 val clear_overflow_marks : t -> unit
 (** Zero the overflow-mark bitfields ({!mark_h}, {!mark_v}): a scratch
@@ -137,9 +115,6 @@ val clear_overflow_marks : t -> unit
 val num_hedges : t -> int
 (** [(cols - 1) * rows], the length of the horizontal edge arrays. *)
 
-val num_vedges : t -> int
-(** [cols * (rows - 1)], the length of the vertical edge arrays. *)
-
 val mark_h : t -> int -> unit
 (** Set a horizontal edge's overflow mark. *)
 
@@ -154,8 +129,7 @@ val marked_v : t -> int -> bool
 
 val iter_overflowed : t -> h:(int -> unit) -> v:(int -> unit) -> unit
 (** Call [h]/[v] with the flat index of every overflowed edge (usage
-    strictly above capacity), horizontal edges first, row-major — the
-    allocation-free counterpart of {!overflowed_edges}. *)
+    strictly above capacity), horizontal edges first, row-major. *)
 
 val congestion_map : t -> Cals_util.Grid2d.t
 (** Per-gcell maximum of the utilizations of its incident edges. *)

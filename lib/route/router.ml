@@ -1059,17 +1059,6 @@ module Session = struct
       Metrics.incr m_session_nets_rerouted;
       segs
 
-  let invalidate s =
-    Mutex.lock s.lock;
-    Hashtbl.filter_map_inplace
-      (fun _ e ->
-        match e with
-        | Done _ -> None
-        | Inflight -> Some e)
-      s.full;
-    Hashtbl.reset s.topo;
-    Mutex.unlock s.lock
-
   let stats s =
     {
       route_calls = Atomic.get s.route_calls;
@@ -1078,10 +1067,6 @@ module Session = struct
       nets_rerouted = Atomic.get s.nets_rerouted;
       arena_bytes = Atomic.get s.arena_peak;
     }
-
-  let warm_hit_rate (st : stats) =
-    if st.route_calls = 0 then 0.0
-    else float_of_int st.replays /. float_of_int st.route_calls
 end
 
 (* Every net's two-pin segments, in net order: the MST of its distinct
@@ -1250,10 +1235,6 @@ let route ?(cancel = Cancel.never) ?session ?pool (req : Request.t) =
         Session.release_state s state;
         Session.retract s fp;
         raise e))
-
-let route_pins ?config ?density ?cancel ?session ?pool ~floorplan ~wire nets =
-  route ?cancel ?session ?pool
-    (Request.of_pins ?config ?density ~floorplan ~wire nets)
 
 let route_mapped ?config ?cancel ?session ?pool mapped ~floorplan ~wire
     ~placement =

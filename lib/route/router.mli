@@ -128,15 +128,7 @@ module Session : sig
 
   val create : unit -> t
 
-  val invalidate : t -> unit
-  (** Drop every cached result and topology (arenas are kept). Callers
-      use this when something outside the fingerprint changes; in-flight
-      computations are unaffected and republish on completion. *)
-
   val stats : t -> stats
-
-  val warm_hit_rate : stats -> float
-  (** [replays / route_calls] (0 when no calls were made). *)
 end
 
 (** A proof that a request cannot route clean, from cut lines alone.
@@ -216,18 +208,6 @@ val route :
     the session's pool, so a cancelled call leaks nothing). This is the
     router half of the deadline propagation the batch service relies
     on. *)
-
-val route_pins :
-  ?config:config ->
-  ?density:Cals_util.Grid2d.t ->
-  ?cancel:Cals_util.Cancel.t ->
-  ?session:Session.t ->
-  ?pool:Cals_util.Pool.t ->
-  floorplan:Cals_place.Floorplan.t ->
-  wire:Cals_cell.Library.wire_model ->
-  Cals_util.Geom.point list array ->
-  result
-(** {!val:route} of {!Request.of_pins}. *)
 
 val route_mapped :
   ?config:config ->

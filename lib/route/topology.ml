@@ -43,10 +43,6 @@ let mst_segments_sorted pins =
     done;
     List.rev !segments
 
-let mst_segments pins = mst_segments_sorted (List.sort_uniq compare pins)
-
-let segment_length s = manhattan s.src s.dst
-
 let star_segments driver pins =
   pins
   |> List.sort_uniq compare

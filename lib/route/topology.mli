@@ -8,17 +8,10 @@ type segment = {
   dst : int * int;
 }
 
-val mst_segments : (int * int) list -> segment list
-(** Spanning-tree edges over the distinct pin gcells (empty for 0/1 pin).
-    Deterministic for a given pin order. *)
-
 val mst_segments_sorted : (int * int) list -> segment list
-(** Same tree, but the input must already be distinct and sorted
-    ([List.sort_uniq compare]) — the form the router keeps its per-net
-    gcell lists in, skipping the redundant re-sort of {!mst_segments}. *)
-
-val segment_length : segment -> int
-(** Manhattan length in gcells. *)
+(** Spanning-tree edges over pin gcells that are already distinct and
+    sorted ([List.sort_uniq compare]) — the form the router keeps its
+    per-net gcell lists in. Empty for 0 or 1 pin. *)
 
 val star_segments : (int * int) -> (int * int) list -> segment list
 (** Driver-rooted star topology (ablation alternative to the MST). *)

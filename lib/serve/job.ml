@@ -1,6 +1,7 @@
 type fault =
   | Timed_out of float
   | Violation of { stage : string; detail : string }
+  | Input_error of string
   | Crashed of string
 
 type status =
@@ -32,6 +33,7 @@ let fault_to_string = function
   | Timed_out deadline -> Printf.sprintf "timeout after %.2fs" deadline
   | Violation { stage; detail } ->
     Printf.sprintf "violation at %s: %s" stage detail
+  | Input_error detail -> Printf.sprintf "input error: %s" detail
   | Crashed detail -> Printf.sprintf "crash: %s" detail
 
 let ready t ~now = t.status = Pending && t.not_before <= now

@@ -12,13 +12,17 @@ type fault =
   | Violation of { stage : string; detail : string }
       (** The verification layer rejected the result
           ({!Cals_verify.Check.Violation}). *)
+  | Input_error of string
+      (** The job's circuit cannot be loaded: a missing or malformed file
+          or an unknown preset. Deterministic, so never retried. *)
   | Crashed of string  (** Any other exception, printed. *)
 
 type status =
   | Pending  (** Waiting in the queue (fresh or awaiting retry). *)
   | Running
   | Done  (** Completed; artifacts written. *)
-  | Quarantined of fault  (** Gave up after the retry budget. *)
+  | Quarantined of fault
+      (** Gave up after the retry budget, or at once on an input error. *)
 
 type t = {
   spec : Proto.spec;

@@ -174,6 +174,7 @@ let complete t (job : Job.t) ~wall_s =
 let fault_stage_detail = function
   | Job.Timed_out d -> ("deadline", Printf.sprintf "exceeded %.3fs budget" d)
   | Job.Violation { stage; detail } -> (stage, detail)
+  | Job.Input_error detail -> ("input", detail)
   | Job.Crashed detail -> ("crash", detail)
 
 let write_quarantine t (job : Job.t) fault =
@@ -220,7 +221,7 @@ let fault t queue (job : Job.t) fault =
   | Job.Timed_out _ ->
     t.timeouts <- t.timeouts + 1;
     Metrics.incr m_timeouts
-  | Job.Violation _ | Job.Crashed _ -> ());
+  | Job.Violation _ | Job.Input_error _ | Job.Crashed _ -> ());
   let verdict = Queue.record_fault queue ~now:(Unix.gettimeofday ()) job fault in
   (match verdict with
   | `Retry ->

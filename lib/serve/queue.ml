@@ -35,7 +35,13 @@ let take_ready t ~now ~max =
 
 let record_fault t ~now (job : Job.t) fault =
   job.Job.last_fault <- Some fault;
-  if job.Job.attempts >= t.max_attempts then begin
+  let final =
+    match fault with
+    | Job.Input_error _ -> true
+    | Job.Timed_out _ | Job.Violation _ | Job.Crashed _ ->
+      job.Job.attempts >= t.max_attempts
+  in
+  if final then begin
     job.Job.status <- Job.Quarantined fault;
     `Quarantine
   end

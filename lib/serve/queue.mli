@@ -31,9 +31,10 @@ val take_ready : t -> now:float -> max:int -> Job.t list
 
 val record_fault : t -> now:float -> Job.t -> Job.fault -> [ `Retry | `Quarantine ]
 (** The policy decision for a failed run: within budget the job returns
-    to the queue ([`Retry], status [Pending], gate set); out of budget
-    it is marked [Quarantined] and {e not} requeued — the caller
-    ({!Ledger.fault}) writes the quarantine artifacts. *)
+    to the queue ([`Retry], status [Pending], gate set); out of budget,
+    or on a {!Job.Input_error} (which no retry can mend), it is marked
+    [Quarantined] and {e not} requeued — the caller ({!Ledger.fault})
+    writes the quarantine artifacts. *)
 
 val depth : t -> int
 (** Jobs currently queued (ready or backing off), excluding running

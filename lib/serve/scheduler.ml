@@ -115,7 +115,6 @@ let create config =
   }
 
 let ledger t = t.ledger
-let submit t spec = ignore (Ledger.submit t.ledger spec)
 
 (* ------------------------- filesystem helpers ------------------------- *)
 
@@ -128,24 +127,27 @@ let job_dir t (job : Job.t) =
 
 (* ------------------------- design cache ------------------------- *)
 
+(* Raised by [build_design] when the job's circuit cannot be loaded;
+   [run_job] turns it into [Job.Input_error]. *)
+exception Bad_input of string
+
 let network_of_input = function
   | Proto.Blif path ->
-    if not (Sys.file_exists path) then
-      failwith (Printf.sprintf "input file %s does not exist" path)
-    else if Filename.check_suffix path ".pla" then Cals_logic.Pla.read_file path
-    else Cals_logic.Blif.read_file path
+    Result.map_error (fun reason -> path ^ ": " ^ reason)
+      (Cals_logic.Blif.load path)
   | Proto.Preset { name; scale; seed } -> (
     match List.assoc_opt name Cals_workload.Presets.named with
-    | Some preset -> preset ~scale ~seed
-    | None -> failwith (Printf.sprintf "unknown preset %s" name))
+    | Some preset -> Ok (preset ~scale ~seed)
+    | None -> Error (Printf.sprintf "unknown preset %s" name))
   | Proto.Workload p ->
     let family =
       match p.Fuzz.family with
       | Fuzz.Pla -> `Pla
       | Fuzz.Multilevel -> `Multilevel
     in
-    Cals_workload.Gen.of_fuzz ~family ~seed:p.Fuzz.seed ~inputs:p.Fuzz.inputs
-      ~outputs:p.Fuzz.outputs ~size:p.Fuzz.size
+    Ok
+      (Cals_workload.Gen.of_fuzz ~family ~seed:p.Fuzz.seed
+         ~inputs:p.Fuzz.inputs ~outputs:p.Fuzz.outputs ~size:p.Fuzz.size)
 
 let placement_seed = function
   | Proto.Blif _ -> 1
@@ -155,7 +157,11 @@ let placement_seed = function
 let build_design ~cache_dir (spec : Proto.spec) =
   let key = Proto.design_key spec in
   Span.with_ ~cat:"serve" ~meta:key "serve.build_design" @@ fun () ->
-  let network = network_of_input spec.Proto.input in
+  let network =
+    match network_of_input spec.Proto.input with
+    | Ok network -> network
+    | Error reason -> raise (Bad_input reason)
+  in
   let floorplan_of subject =
     Floorplan.for_area
       ~core_area:(float_of_int (Subject.num_gates subject) *. 5.0)
@@ -514,6 +520,7 @@ let run_job t ~level (job : Job.t) =
   | Cancel.Cancelled _ ->
     Fault (Job.Timed_out (Option.value deadline ~default:0.0))
   | Check.Violation { stage; detail } -> Fault (Job.Violation { stage; detail })
+  | Bad_input reason -> Fault (Job.Input_error reason)
   | exn -> Fault (Job.Crashed (Printexc.to_string exn))
 
 (* ------------------------- the drain loop ------------------------- *)

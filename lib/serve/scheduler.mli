@@ -92,9 +92,6 @@ val create : config -> t
 val ledger : t -> Ledger.t
 (** The drain's ledger: submit lines or spool directories through it. *)
 
-val submit : t -> Proto.spec -> unit
-(** {!Ledger.submit}: admit one job. *)
-
 val drain : t -> ?spool:string -> unit -> summary
 (** Load [spool], then run rounds until the queue is empty (or forever
     under [config.watch], re-polling [spool] between rounds). Every

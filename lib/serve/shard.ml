@@ -174,6 +174,8 @@ let fault_to_json = function
         ("stage", Proto.Str stage);
         ("detail", Proto.Str detail);
       ]
+  | Job.Input_error detail ->
+    Proto.Obj [ ("kind", Proto.Str "input"); ("detail", Proto.Str detail) ]
   | Job.Crashed detail ->
     Proto.Obj [ ("kind", Proto.Str "crash"); ("detail", Proto.Str detail) ]
 
@@ -190,6 +192,7 @@ let fault_of_json json =
     in
     Job.Timed_out d
   | "violation" -> Job.Violation { stage = str "stage"; detail = str "detail" }
+  | "input" -> Job.Input_error (str "detail")
   | _ -> Job.Crashed (str "detail")
 
 let request_line ~attempts ~level (spec : Proto.spec) =

@@ -11,8 +11,6 @@ type config = {
   output_load_pf : float;  (** Load each primary output must drive. *)
 }
 
-val default_config : config
-
 type endpoint = {
   po : string;
   through_pi : string;  (** Start of the latest path into this output. *)

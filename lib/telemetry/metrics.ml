@@ -155,16 +155,3 @@ let snapshot () =
           | Counter _ | Gauge _ -> None)
         ordered;
   }
-
-let reset () =
-  Mutex.lock registry_mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock registry_mutex) @@ fun () ->
-  List.iter
-    (function
-      | Counter c -> Atomic.set c.cell 0
-      | Gauge g -> Atomic.set g.value 0.0
-      | Histogram h ->
-        Array.iter (fun b -> Atomic.set b 0) h.buckets;
-        Atomic.set h.total 0;
-        Atomic.set h.sum 0.0)
-    !registry

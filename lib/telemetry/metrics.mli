@@ -50,6 +50,3 @@ type snapshot = {
 
 val snapshot : unit -> snapshot
 (** Registration-order listing of every instrument's current value. *)
-
-val reset : unit -> unit
-(** Zero every instrument (instruments stay registered). *)

@@ -22,10 +22,6 @@ type event = {
   seq : int;  (** Per-domain completion order (0, 1, ...). *)
 }
 
-val capacity : int
-(** Events kept per domain (65536). When a buffer is full further
-    events are counted in {!dropped} and discarded. *)
-
 val record :
   name:string -> cat:string -> meta:string -> ts_us:float -> dur_us:float ->
   unit

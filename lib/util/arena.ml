@@ -12,8 +12,6 @@ let create ?(capacity = 1024) () =
   { data = make_buffer (max 1 capacity); used = 0 }
 
 let data t = t.data
-let used t = t.used
-let capacity t = Bigarray.Array1.dim t.data
 
 let capacity_bytes t =
   Bigarray.Array1.dim t.data * (Sys.word_size / 8)
@@ -37,13 +35,4 @@ let alloc t n =
   t.used <- off + n;
   off
 
-let truncate t off =
-  if off < 0 || off > t.used then invalid_arg "Arena.truncate: bad offset";
-  t.used <- off
-
 let clear t = t.used <- 0
-
-let blit t ~src ~dst ~len =
-  Bigarray.Array1.blit
-    (Bigarray.Array1.sub t.data src len)
-    (Bigarray.Array1.sub t.data dst len)

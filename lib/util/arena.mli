@@ -20,30 +20,16 @@ val create : ?capacity:int -> unit -> t
 (** A fresh arena with [capacity] slots reserved (default 1024). *)
 
 val data : t -> buffer
-(** The backing store. Only indices below {!used} hold allocated slices.
+(** The backing store. Only slices returned by {!alloc} hold data.
     Invalidated by any {!alloc} that grows the arena — re-fetch after
     allocating, never cache across calls. *)
-
-val used : t -> int
-(** Slots allocated since the last {!clear}. *)
 
 val alloc : t -> int -> int
 (** [alloc t n] reserves [n] slots and returns the offset of the first;
     grows the backing store (doubling) when needed. *)
 
-val truncate : t -> int -> unit
-(** [truncate t off] abandons every slice at or above [off] (which must
-    be a value previously returned by {!alloc}, or {!used}). *)
-
 val clear : t -> unit
 (** Abandon every slice; capacity is retained. *)
 
-val capacity : t -> int
-(** Current slot capacity of the backing store. *)
-
 val capacity_bytes : t -> int
 (** Backing-store footprint in bytes. *)
-
-val blit : t -> src:int -> dst:int -> len:int -> unit
-(** Move [len] slots from [src] to [dst] within the arena (ranges may
-    overlap; copies as [memmove]). Bookkeeping ([used]) is untouched. *)

@@ -25,8 +25,6 @@ let fire t reason =
   if (not t.sentinel) && Atomic.compare_and_set t.flag false true then
     Atomic.set t.why reason
 
-let cancel ?(reason = "cancelled") t = fire t reason
-
 let fired t =
   Atomic.get t.flag
   || ((not t.sentinel) && t.expires ()
@@ -35,5 +33,4 @@ let fired t =
           true
         end)
 
-let reason t = if Atomic.get t.flag then Atomic.get t.why else ""
 let check t = if fired t then raise (Cancelled (Atomic.get t.why))

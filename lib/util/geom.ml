@@ -7,25 +7,6 @@ let euclidean a b =
   let dx = a.x -. b.x and dy = a.y -. b.y in
   sqrt ((dx *. dx) +. (dy *. dy))
 
-let midpoint a b = { x = (a.x +. b.x) /. 2.0; y = (a.y +. b.y) /. 2.0 }
-
-let center_of_mass = function
-  | [] -> invalid_arg "Geom.center_of_mass: empty"
-  | points ->
-    let n = float_of_int (List.length points) in
-    let sx = List.fold_left (fun acc p -> acc +. p.x) 0.0 points in
-    let sy = List.fold_left (fun acc p -> acc +. p.y) 0.0 points in
-    { x = sx /. n; y = sy /. n }
-
-let center_of_mass_weighted = function
-  | [] -> invalid_arg "Geom.center_of_mass_weighted: empty"
-  | points ->
-    let w = List.fold_left (fun acc (_, wi) -> acc +. wi) 0.0 points in
-    if w <= 0.0 then invalid_arg "Geom.center_of_mass_weighted: weight";
-    let sx = List.fold_left (fun acc (p, wi) -> acc +. (p.x *. wi)) 0.0 points in
-    let sy = List.fold_left (fun acc (p, wi) -> acc +. (p.y *. wi)) 0.0 points in
-    { x = sx /. w; y = sy /. w }
-
 type bbox = { lx : float; ly : float; hx : float; hy : float }
 
 let bbox_empty = { lx = infinity; ly = infinity; hx = neg_infinity; hy = neg_infinity }
@@ -33,11 +14,5 @@ let bbox_empty = { lx = infinity; ly = infinity; hx = neg_infinity; hy = neg_inf
 let bbox_add b p =
   { lx = min b.lx p.x; ly = min b.ly p.y; hx = max b.hx p.x; hy = max b.hy p.y }
 
-let bbox_of_points = function
-  | [] -> invalid_arg "Geom.bbox_of_points: empty"
-  | points -> List.fold_left bbox_add bbox_empty points
-
 let half_perimeter b = b.hx -. b.lx +. (b.hy -. b.ly)
-let bbox_contains b p = p.x >= b.lx && p.x <= b.hx && p.y >= b.ly && p.y <= b.hy
-let bbox_area b = (b.hx -. b.lx) *. (b.hy -. b.ly)
 let clamp lo hi v = if v < lo then lo else if v > hi then hi else v

@@ -12,19 +12,8 @@ val manhattan : point -> point -> float
 val euclidean : point -> point -> float
 (** L2 distance — available for the distance-metric ablation. *)
 
-val midpoint : point -> point -> point
-
-val center_of_mass : point list -> point
-(** Arithmetic mean of a non-empty list of points. *)
-
-val center_of_mass_weighted : (point * float) list -> point
-(** Weighted mean; total weight must be positive. *)
-
 type bbox = { lx : float; ly : float; hx : float; hy : float }
 (** Axis-aligned bounding box with [lx <= hx] and [ly <= hy]. *)
-
-val bbox_of_points : point list -> bbox
-(** Bounding box of a non-empty list. *)
 
 val bbox_empty : bbox
 (** A reversed box suitable as fold seed; [bbox_add] fixes it up. *)
@@ -33,9 +22,6 @@ val bbox_add : bbox -> point -> bbox
 
 val half_perimeter : bbox -> float
 (** HPWL contribution of one net. *)
-
-val bbox_contains : bbox -> point -> bool
-val bbox_area : bbox -> float
 
 val clamp : float -> float -> float -> float
 (** [clamp lo hi v] restricts [v] to [\[lo, hi\]]. *)

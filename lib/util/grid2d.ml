@@ -29,11 +29,8 @@ let fold f g acc =
   done;
   !acc
 
-let iter f g = fold (fun c r v () -> f c r v) g ()
 let map_inplace f g = Array.iteri (fun i v -> g.data.(i) <- f v) g.data
 let max_value g = Array.fold_left max neg_infinity g.data
-let total g = Array.fold_left ( +. ) 0.0 g.data
-let copy g = { g with data = Array.copy g.data }
 
 let render_ascii ?(levels = " .:-=+*#%@") g =
   let hi = max (max_value g) 1e-12 in

@@ -14,11 +14,7 @@ val get : t -> int -> int -> float
 val set : t -> int -> int -> float -> unit
 val add : t -> int -> int -> float -> unit
 val fold : (int -> int -> float -> 'a -> 'a) -> t -> 'a -> 'a
-val iter : (int -> int -> float -> unit) -> t -> unit
 val map_inplace : (float -> float) -> t -> unit
-val max_value : t -> float
-val total : t -> float
-val copy : t -> t
 
 val render_ascii : ?levels:string -> t -> string
 (** Heat-map rendering: one character per bin, low-to-high along [levels]

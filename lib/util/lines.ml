@@ -18,5 +18,3 @@ let feed t bytes n =
       List.rev acc
   in
   split [] 0
-
-let pending t = Buffer.contents t.buf

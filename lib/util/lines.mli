@@ -15,6 +15,3 @@ val feed : t -> bytes -> int -> string list
     ['\n'] (a trailing ['\r'] is also stripped, for telnet-style TCP
     clients). Bytes after the last newline stay buffered for the next
     feed. *)
-
-val pending : t -> string
-(** The buffered partial line (empty if the stream ended cleanly). *)

@@ -30,10 +30,6 @@ let parse addr =
         (String.sub rest (i + 1) (String.length rest - i - 1))
     | None -> tcp "" rest
 
-let to_string = function
-  | Unix_sock path -> "unix:" ^ path
-  | Tcp (host, port) -> Printf.sprintf "tcp:%s:%d" host port
-
 let resolve host =
   match Unix.inet_addr_of_string host with
   | addr -> addr
@@ -60,14 +56,6 @@ let listen ?(backlog = 64) t =
      (match t with Tcp _ -> Unix.setsockopt fd Unix.SO_REUSEADDR true | _ -> ());
      Unix.bind fd (sockaddr_of t);
      Unix.listen fd backlog
-   with e ->
-     Unix.close fd;
-     raise e);
-  fd
-
-let connect t =
-  let fd = Unix.socket (domain_of t) Unix.SOCK_STREAM 0 in
-  (try Unix.connect fd (sockaddr_of t)
    with e ->
      Unix.close fd;
      raise e);

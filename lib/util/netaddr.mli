@@ -9,8 +9,7 @@
       127.0.0.1);
     - [tcp:host:port] — explicit TCP.
 
-    Parsing is pure; host resolution happens at {!listen}/{!connect}
-    time. *)
+    Parsing is pure; host resolution happens at {!listen} time. *)
 
 type t =
   | Unix_sock of string  (** Filesystem path of a Unix-domain socket. *)
@@ -21,14 +20,8 @@ val parse : string -> (t, string) result
     path, a non-numeric or out-of-range port, or an empty host in the
     [tcp:] form. *)
 
-val to_string : t -> string
-(** Canonical rendering, accepted back by {!parse}. *)
-
 val listen : ?backlog:int -> t -> Unix.file_descr
 (** Bind and listen (default [backlog] 64). A pre-existing socket file
     under a [Unix_sock] address is unlinked first; TCP sockets are bound
     with [SO_REUSEADDR]. Raises [Unix.Unix_error] or [Failure] (host
     resolution) on failure. *)
-
-val connect : t -> Unix.file_descr
-(** Connect a fresh socket to the address. Raises like {!listen}. *)

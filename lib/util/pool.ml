@@ -9,7 +9,6 @@ type t = {
 }
 
 let jobs t = t.jobs
-let default_jobs () = Domain.recommended_domain_count ()
 
 (* Workers block on the queue until shutdown; tasks never raise (map_array
    wraps user code), so a worker only exits via [closed]. *)

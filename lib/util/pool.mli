@@ -19,9 +19,6 @@ val create : jobs:int -> t
 val jobs : t -> int
 (** Parallelism the pool was created with (always >= 1). *)
 
-val default_jobs : unit -> int
-(** [Domain.recommended_domain_count ()]. *)
-
 val map_array : t -> f:(int -> 'a -> 'b) -> 'a array -> 'b array
 (** [map_array pool ~f arr] computes [[| f 0 arr.(0); ... |]], spreading
     the calls over the pool's domains, and returns once every element is

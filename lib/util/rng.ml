@@ -13,9 +13,6 @@ let bits64 t =
   t.state <- Int64.add t.state golden_gamma;
   mix t.state
 
-let split t = { state = bits64 t }
-let copy t = { state = t.state }
-
 let int t bound =
   assert (bound > 0);
   (* Keep 62 bits so the value is non-negative as a native 63-bit int. *)
@@ -28,7 +25,6 @@ let float t bound =
 
 let bool t = Int64.logand (bits64 t) 1L = 1L
 let range t lo hi = lo + int t (hi - lo + 1)
-let choose t arr = arr.(int t (Array.length arr))
 
 let shuffle t arr =
   for i = Array.length arr - 1 downto 1 do

@@ -11,12 +11,6 @@ val create : int -> t
 (** [create seed] returns a fresh generator. Two generators created with the
     same seed produce identical streams. *)
 
-val split : t -> t
-(** [split t] derives an independent generator from [t], advancing [t]. *)
-
-val copy : t -> t
-(** [copy t] duplicates the current state without advancing it. *)
-
 val bits64 : t -> int64
 (** Next raw 64-bit output. *)
 
@@ -31,9 +25,6 @@ val bool : t -> bool
 
 val range : t -> int -> int -> int
 (** [range t lo hi] is uniform in [\[lo, hi\]] (inclusive). *)
-
-val choose : t -> 'a array -> 'a
-(** Uniform element of a non-empty array. *)
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)

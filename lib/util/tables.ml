@@ -87,27 +87,3 @@ module Fnv64 = struct
     String.iter (fun c -> h := byte !h (Char.code c)) s;
     !h
 end
-
-let mean = function
-  | [] -> 0.0
-  | xs -> List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs)
-
-let stddev = function
-  | [] | [ _ ] -> 0.0
-  | xs ->
-    let m = mean xs in
-    let var =
-      List.fold_left (fun acc x -> acc +. ((x -. m) *. (x -. m))) 0.0 xs
-      /. float_of_int (List.length xs - 1)
-    in
-    sqrt var
-
-let percentile p = function
-  | [] -> invalid_arg "Tables.percentile: empty"
-  | xs ->
-    let sorted = List.sort compare xs in
-    let arr = Array.of_list sorted in
-    let n = Array.length arr in
-    let rank = int_of_float (p *. float_of_int (n - 1) +. 0.5) in
-    let rank = if rank < 0 then 0 else if rank >= n then n - 1 else rank in
-    arr.(rank)

@@ -1,6 +1,6 @@
-(** Plain-text table rendering for bench output and reports, plus small
-    summary statistics. The bench harness prints the paper's tables through
-    this module so every experiment has a uniform, diffable format. *)
+(** Plain-text table rendering for bench output and reports. The bench
+    harness prints the paper's tables through this module so every
+    experiment has a uniform, diffable format. *)
 
 type align = Left | Right
 
@@ -27,8 +27,3 @@ module Fnv64 : sig
   val string : int64 -> string -> int64
   (** Absorb every byte of a string. *)
 end
-
-val mean : float list -> float
-val stddev : float list -> float
-val percentile : float -> float list -> float
-(** [percentile p xs] with [p] in [\[0,1\]]; nearest-rank on sorted data. *)

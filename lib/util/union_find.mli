@@ -7,9 +7,6 @@ type t
 val create : int -> t
 (** [create n] makes [n] singleton sets labelled [0 .. n-1]. *)
 
-val find : t -> int -> int
-(** Canonical representative. *)
-
 val union : t -> int -> int -> bool
 (** Merge the two sets; returns [false] when already merged. *)
 

@@ -125,8 +125,7 @@ let cover_digest s options =
 
 (* The seeded placement of every netlist of [maps] on three floorplans:
    a loose one, a full one, and one 2 % short of the cell area, where
-   some netlists overflow the rows. One swap-refinement pass runs over
-   the loose placement at K = 0. *)
+   some netlists overflow the rows. *)
 let placement_digest s options =
   let b = Buffer.create 65536 in
   let add_placement (pl : Placement.mapped_placement) =
@@ -137,37 +136,18 @@ let placement_digest s options =
     Array.iter (add_int b) pl.Placement.row_fill;
     Buffer.add_char b ';'
   in
-  let refine mapped ~floorplan (pl : Placement.mapped_placement) =
-    let hg, _, _ = Cals_place.Hypergraph.of_mapped mapped ~floorplan in
-    let positions =
-      Array.init (Cals_place.Hypergraph.num_nodes hg) (fun i ->
-          match hg.Cals_place.Hypergraph.fixed.(i) with
-          | Some p -> p
-          | None -> pl.Placement.cell_pos.(i))
-    in
-    let st =
-      Cals_place.Refine.run ~max_passes:1 ~hypergraph:hg ~positions
-        ~widths:hg.Cals_place.Hypergraph.weights ()
-    in
-    add_int b st.Cals_place.Refine.swaps;
-    add_bits b st.Cals_place.Refine.hpwl_before;
-    add_bits b st.Cals_place.Refine.hpwl_after;
-    Array.iter (add_point b) positions
-  in
   List.iter
     (fun (k, r) ->
       add_bits b k;
       let mapped = r.Mapper.mapped in
       let area = Mapped.total_area mapped in
-      List.iteri
-        (fun i (core_area, utilization) ->
+      List.iter
+        (fun (core_area, utilization) ->
           let floorplan =
             Floorplan.for_area ~core_area ~utilization ~aspect:1.0 ~geometry
           in
           match Placement.place_mapped_seeded mapped ~floorplan with
-          | pl ->
-            add_placement pl;
-            if i = 0 && k = 0.0 then refine mapped ~floorplan pl
+          | pl -> add_placement pl
           | exception Cals_place.Legalize.Overflow _ ->
             Buffer.add_string b "overflow;")
         [ (area, 0.55); (area, 1.0); (area *. 0.98, 1.0) ])

@@ -28,11 +28,6 @@ let popcount n =
 
 let num_literals (c : Cube.t) = popcount c.pos + popcount c.neg
 
-let eval c inputs =
-  let ok = ref true in
-  List.iter (fun (v, phase) -> if inputs.(v) <> phase then ok := false) (literals c);
-  !ok
-
 let eval64 c inputs =
   List.fold_left
     (fun acc (v, phase) ->

@@ -12,6 +12,18 @@ module Cell = Cals_cell.Cell
 let lib = Cals_cell.Stdlib_018.library
 let geometry = Cals_cell.Library.geometry lib
 
+(* Plain min-area covering (K = 0, no timing term). *)
+let cover_options =
+  {
+    Cover.k = 0.0;
+    t = 0.0;
+    objective = Cover.Min_area;
+    distance = Geom.manhattan;
+    incremental_update = true;
+    include_wire2 = true;
+    transitive_wire = false;
+  }
+
 let pla_subject ?(inputs = 8) ?(outputs = 6) ?(products = 24) seed =
   let rng = Rng.create seed in
   let net =
@@ -115,6 +127,49 @@ let test_partition_pdp_nearest () =
           fanouts.(v))
     p.Partition.father
 
+let is_gate subject v =
+  match subject.Subject.gates.(v) with
+  | Subject.Pi _ -> false
+  | Subject.Inv _ | Subject.Nand2 _ -> true
+
+(* Gates per tree, in [roots] order. *)
+let tree_sizes (p : Partition.t) subject =
+  let n = Subject.num_nodes subject in
+  let root_of = Array.make n (-1) in
+  let rec find v =
+    if root_of.(v) >= 0 then root_of.(v)
+    else begin
+      let r = match p.Partition.father.(v) with None -> v | Some u -> find u in
+      root_of.(v) <- r;
+      r
+    end
+  in
+  let sizes = Hashtbl.create 64 in
+  for v = 0 to n - 1 do
+    if p.Partition.live.(v) && is_gate subject v then begin
+      let r = find v in
+      Hashtbl.replace sizes r (1 + Option.value ~default:0 (Hashtbl.find_opt sizes r))
+    end
+  done;
+  List.map
+    (fun r -> Option.value ~default:0 (Hashtbl.find_opt sizes r))
+    p.Partition.roots
+  |> Array.of_list
+
+(* Live fanout edges that cross a tree boundary. *)
+let duplication_refs (p : Partition.t) subject =
+  let count = ref 0 in
+  Array.iteri
+    (fun w parents ->
+      if p.Partition.live.(w) && is_gate subject w then
+        List.iter
+          (fun u ->
+            if p.Partition.live.(u) && p.Partition.father.(w) <> Some u then
+              incr count)
+          parents)
+    (Subject.fanouts subject);
+  !count
+
 let test_partition_pdp_bigger_trees_than_dagon () =
   let subject, _, positions = placed_subject 4 in
   let dagon = Partition.run Partition.Dagon subject ~positions ~distance:Geom.manhattan in
@@ -122,10 +177,9 @@ let test_partition_pdp_bigger_trees_than_dagon () =
   (* PDP keeps multi-fanout nodes inside trees, so it has at most as many
      boundary references. *)
   Alcotest.(check bool) "pdp fewer or equal cross-tree refs" true
-    (Partition.duplication_refs pdp subject
-    <= Partition.duplication_refs dagon subject);
-  let sizes_d = Partition.tree_sizes dagon subject in
-  let sizes_p = Partition.tree_sizes pdp subject in
+    (duplication_refs pdp subject <= duplication_refs dagon subject);
+  let sizes_d = tree_sizes dagon subject in
+  let sizes_p = tree_sizes pdp subject in
   let total a = Array.fold_left ( + ) 0 a in
   (* Both cover all live gates exactly once. *)
   Alcotest.(check int) "same gate total" (total sizes_d) (total sizes_p)
@@ -136,8 +190,8 @@ let test_cover_min_area_beats_naive () =
   let subject, _, positions = placed_subject 5 in
   let r = Mapper.map subject ~library:lib ~positions Mapper.min_area in
   (* Naive 1:1 mapping cost: every gate its own INV/NAND2 cell. *)
-  let inv_area = (Cals_cell.Library.inv lib).Cell.area in
-  let nand_area = (Cals_cell.Library.nand2 lib).Cell.area in
+  let inv_area = (Cals_cell.Library.find lib "INV").Cell.area in
+  let nand_area = (Cals_cell.Library.find lib "NAND2").Cell.area in
   let live =
     Partition.run Partition.Dagon subject ~positions ~distance:Geom.manhattan
   in
@@ -180,7 +234,7 @@ let test_cover_full_coverage () =
     (fun strategy ->
       let partition = Partition.run strategy subject ~positions ~distance:Geom.manhattan in
       let cover =
-        Cover.run subject ~library:lib ~partition ~positions Cover.default_options
+        Cover.run subject ~library:lib ~partition ~positions cover_options
       in
       match Cover.check_coverage cover with
       | Ok () -> ()
@@ -291,7 +345,10 @@ let test_min_delay_objective () =
      r.Mapper.stats.Mapper.cell_area, mapped)
   in
   let t_area, a_area, m_area = arrival Mapper.min_area in
-  let t_delay, a_delay, m_delay = arrival (Mapper.min_delay ()) in
+  let t_delay, a_delay, m_delay =
+    arrival
+      { Mapper.min_area with objective = Cover.Min_delay { load_pf = 0.02 } }
+  in
   (* Delay covering must not be slower than area covering, and it pays
      area for the speedup (or finds the same cover). *)
   Alcotest.(check bool)

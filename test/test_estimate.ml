@@ -111,8 +111,8 @@ let test_golden_rank_correlation () =
     (fun name ->
       let subject =
         subject_of
-          (Cals_logic.Blif.read_file
-             (Filename.concat golden_dir (name ^ ".blif")))
+          (Result.get_ok
+             (Cals_logic.Blif.load (Filename.concat golden_dir (name ^ ".blif"))))
       in
       let floorplan, positions = workload_of subject in
       List.iter
@@ -348,7 +348,11 @@ let prop_estimate_monotone =
       if f1.Estimate.overflow_score < f0.Estimate.overflow_score then
         QCheck.Test.fail_reportf "overflow score shrank: %g -> %g"
           f0.Estimate.overflow_score f1.Estimate.overflow_score;
-      let demand f = Grid2d.total f.Estimate.maps.Estimate.wire_density in
+      let demand f =
+        Grid2d.fold
+          (fun _ _ v acc -> acc +. v)
+          f.Estimate.maps.Estimate.wire_density 0.0
+      in
       if demand f1 < demand f0 then
         QCheck.Test.fail_reportf "wire demand shrank: %g -> %g" (demand f0)
           (demand f1);
@@ -395,7 +399,10 @@ let test_degenerate_inputs () =
   Alcotest.(check bool) "off-die pins clamp into the grid" true
     (f.Estimate.overflow_score >= 0.0);
   Alcotest.(check bool) "off-die demand lands in the maps" true
-    (Grid2d.total f.Estimate.maps.Estimate.pin_density > 0.0)
+    (Grid2d.fold
+       (fun _ _ v acc -> acc +. v)
+       f.Estimate.maps.Estimate.pin_density 0.0
+    > 0.0)
 
 (* A 4 x 4 gcell grid without a density map: every edge offers
    18 tracks x (1 + 1.3) = 41.4, so a line of four edges floors to 164
@@ -472,7 +479,9 @@ let test_verdict_thresholds () =
       Alcotest.(check int) (name ^ " certified bound") 1
         f.Estimate.predicted_violations;
       let r =
-        Router.route_pins ~floorplan:boundary_floorplan ~wire (nets (cap + 1))
+        Router.route
+          (Router.Request.of_pins ~floorplan:boundary_floorplan ~wire
+             (nets (cap + 1)))
       in
       Alcotest.(check bool) (name ^ " certified request violates") true
         (r.Router.violations >= 1))
@@ -578,11 +587,11 @@ let test_gcell_accessor () =
   let cols, rows, _ = Rgrid.dims ~floorplan ~gcell_rows:Router.default_config.Router.gcell_rows in
   Alcotest.(check int) "map cols match the router grid" cols (Grid2d.cols map);
   Alcotest.(check int) "map rows match the router grid" rows (Grid2d.rows map);
-  Grid2d.iter
-    (fun c r v ->
+  Grid2d.fold
+    (fun c r v () ->
       if Congestion.gcell routing c r <> v then
         Alcotest.failf "gcell (%d,%d) disagrees with gcell_map" c r)
-    map;
+    map ();
   List.iter
     (fun (c, r) ->
       match Congestion.gcell routing c r with
@@ -607,7 +616,7 @@ let maps_digest (f : Estimate.forecast) =
   let grid g =
     Buffer.add_string b
       (Printf.sprintf "%dx%d:" (Grid2d.cols g) (Grid2d.rows g));
-    Grid2d.iter (fun _ _ v -> bits v) g;
+    Grid2d.fold (fun _ _ v () -> bits v) g ();
     Buffer.add_char b ';'
   in
   let m = f.Estimate.maps in

@@ -175,7 +175,7 @@ let unordered_ladder rng =
   Rng.shuffle rng ladder;
   let ladder = Array.to_list ladder in
   if Rng.bool rng then begin
-    let dup = Rng.choose rng (Array.of_list ladder) in
+    let dup = List.nth ladder (Rng.int rng (List.length ladder)) in
     let at = Rng.int rng (List.length ladder + 1) in
     List.filteri (fun i _ -> i < at) ladder
     @ (dup :: List.filteri (fun i _ -> i >= at) ladder)

@@ -64,8 +64,8 @@ let expected_path name = Filename.concat golden_dir (name ^ ".expected")
 let load_network name make =
   let path = blif_path name in
   if update_mode && not (Sys.file_exists path) then
-    Cals_logic.Blif.write_file ~model:name path (make ());
-  Cals_logic.Blif.read_file path
+    Cals_util.Fsutil.write_file path (Cals_logic.Blif.print ~model:name (make ()));
+  Result.get_ok (Cals_logic.Blif.load path)
 
 let fmt_iteration (it : Flow.iteration) =
   if it.Flow.hpwl_um = infinity then

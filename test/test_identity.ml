@@ -27,7 +27,7 @@ let designs =
     ("too_large", fun () -> Presets.too_large_like ~scale:0.05 ~seed:1 ()) ]
   @ List.map
       (fun name ->
-        (name, fun () -> Blif.read_file (Filename.concat golden_dir name)))
+        (name, fun () -> Result.get_ok (Blif.load (Filename.concat golden_dir name))))
       [ "ml_control_10.blif"; "ml_deep_08.blif"; "pla_shared_08.blif";
         "pla_small_06.blif"; "pla_wide_10.blif" ]
 

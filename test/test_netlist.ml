@@ -131,7 +131,6 @@ let test_mapped_metrics () =
   Alcotest.(check int) "cells" 2 (Mapped.num_cells m);
   Alcotest.(check (float 1e-6)) "area" (inv_cell.Cell.area +. nand2_cell.Cell.area)
     (Mapped.total_area m);
-  Alcotest.(check int) "sites" 5 (Mapped.total_sites m);
   Alcotest.(check (list (pair string int))) "histogram"
     [ ("INV", 1); ("NAND2", 1) ]
     (Mapped.cell_histogram m)

@@ -11,6 +11,9 @@ module Shard = Cals_serve.Shard
 module Check = Cals_verify.Check
 module Fuzz = Cals_verify.Fuzz
 
+let submit scheduler spec =
+  ignore (Cals_serve.Ledger.submit (Scheduler.ledger scheduler) spec)
+
 (* ------------------------- helpers ------------------------- *)
 
 let read_file path =
@@ -246,7 +249,7 @@ let test_drain_mixed () =
   in
   let scheduler = Scheduler.create config in
   for i = 0 to 5 do
-    Scheduler.submit scheduler
+    submit scheduler
       (workload_spec
          ~id:(Printf.sprintf "wl-%d" i)
          ~seed:(3 + (i mod 2))
@@ -254,7 +257,7 @@ let test_drain_mixed () =
          ~k_schedule:[ 0.0; 0.001 ]
          ())
   done;
-  Scheduler.submit scheduler
+  submit scheduler
     {
       Proto.id = "preset-ok";
       input = Proto.Preset { name = "spla"; scale = 0.02; seed = 5 };
@@ -266,9 +269,9 @@ let test_drain_mixed () =
       orchestrate = None;
       deadline_s = None;
     };
-  Scheduler.submit scheduler
+  submit scheduler
     (workload_spec ~id:"too-slow" ~seed:9 ~deadline_s:1e-4 ());
-  Scheduler.submit scheduler
+  submit scheduler
     {
       Proto.id = "no-such-file";
       input = Proto.Blif "does-not-exist.blif";
@@ -284,7 +287,9 @@ let test_drain_mixed () =
   Alcotest.(check int) "submitted" 9 s.Scheduler.submitted;
   Alcotest.(check int) "completed" 7 s.Scheduler.completed;
   Alcotest.(check int) "quarantined" 2 s.Scheduler.quarantined;
-  Alcotest.(check int) "one retry per attempt past the first" 2
+  (* Only the timeout retries: the missing file is an input error,
+     quarantined on its first attempt. *)
+  Alcotest.(check int) "one retry per attempt past the first" 1
     s.Scheduler.retries;
   Alcotest.(check bool) "timeouts counted" true (s.Scheduler.timeouts >= 1);
   (* Completed jobs wrote their artifacts. *)
@@ -315,7 +320,17 @@ let test_drain_mixed () =
   let params = Fuzz.read_reproducer repro in
   Alcotest.(check int) "reproducer replays the job's circuit" 9
     params.Fuzz.seed;
-  (* The bad BLIF quarantined with a respoolable job spec. *)
+  (* The bad BLIF quarantined after one attempt with a respoolable job
+     spec. *)
+  (match
+     String.split_on_char '\n'
+       (read_file (Filename.concat qdir "no-such-file/failure.txt"))
+   with
+  | _ :: attempts :: fault :: _ ->
+    Alcotest.(check string) "one attempt" "attempts: 1" attempts;
+    Alcotest.(check bool) "input error" true
+      (String.starts_with ~prefix:"fault: input error: " fault)
+  | _ -> Alcotest.fail "failure.txt has fewer than three lines");
   let bad_spec = parse_file (Filename.concat qdir "no-such-file/job.json") in
   (match Proto.spec_of_json ~default_id:"" bad_spec with
   | Ok spec -> Alcotest.(check string) "respoolable" "no-such-file" spec.Proto.id
@@ -334,9 +349,9 @@ let test_timing_metrics () =
     { Scheduler.default_config with Scheduler.jobs = 1; out_dir = out }
   in
   let scheduler = Scheduler.create config in
-  Scheduler.submit scheduler
+  submit scheduler
     (workload_spec ~id:"plain" ~seed:3 ~k_schedule:[ 0.0; 0.001 ] ());
-  Scheduler.submit scheduler
+  submit scheduler
     (workload_spec ~id:"timed" ~seed:3 ~timing:50.0
        ~k_schedule:[ 0.0; 0.001 ] ());
   let s = Scheduler.drain scheduler () in
@@ -379,7 +394,7 @@ let test_degradation () =
   in
   let scheduler = Scheduler.create config in
   for i = 0 to 3 do
-    Scheduler.submit scheduler
+    submit scheduler
       (workload_spec
          ~id:(Printf.sprintf "hot-%d" i)
          ~seed:3 ~checks:Check.Full ~timing:50.0
@@ -423,7 +438,7 @@ let test_triage () =
   in
   let scheduler = Scheduler.create config in
   for i = 0 to 3 do
-    Scheduler.submit scheduler
+    submit scheduler
       (workload_spec
          ~id:(Printf.sprintf "triage-%d" i)
          ~seed:3 ~timing:50.0
@@ -476,8 +491,8 @@ let test_restart_warmth () =
       }
     in
     let scheduler = Scheduler.create config in
-    Scheduler.submit scheduler (spec "warm-1");
-    Scheduler.submit scheduler (spec "warm-2");
+    submit scheduler (spec "warm-1");
+    submit scheduler (spec "warm-2");
     Scheduler.drain scheduler ()
   in
   let counter name =
@@ -539,7 +554,7 @@ let test_adaptive_ladder () =
     Scheduler.create
       { Scheduler.default_config with Scheduler.jobs = 1; out_dir = out }
   in
-  Scheduler.submit scheduler (workload_spec ~id:"adap" ~seed:3 ~k_schedule ());
+  submit scheduler (workload_spec ~id:"adap" ~seed:3 ~k_schedule ());
   let s = Scheduler.drain scheduler () in
   Alcotest.(check int) "job completes" 1 s.Scheduler.completed;
   let metrics = parse_file (Filename.concat out "adap/metrics.json") in

@@ -9,7 +9,6 @@
 module Proto = Cals_serve.Proto
 module Shard = Cals_serve.Shard
 module Scheduler = Cals_serve.Scheduler
-module Netaddr = Cals_util.Netaddr
 module Check = Cals_verify.Check
 module Fuzz = Cals_verify.Fuzz
 module Metrics = Cals_telemetry.Metrics
@@ -120,7 +119,9 @@ let test_fleet_matches_single () =
     Scheduler.create
       { Scheduler.default_config with Scheduler.jobs = 1; out_dir = single }
   in
-  List.iter (fun s -> ignore (Scheduler.submit scheduler s)) specs;
+  List.iter
+    (fun s -> ignore (Cals_serve.Ledger.submit (Scheduler.ledger scheduler) s))
+    specs;
   let ss = Scheduler.drain scheduler () in
   Alcotest.(check int) "single: all complete" 6 ss.Scheduler.completed;
   let fleet = fresh_out () in
@@ -282,12 +283,15 @@ let test_fleet_counters () =
 
 (* ---------------- socket ingress, end to end ---------------- *)
 
-let rec connect_retry addr tries =
-  match Netaddr.connect addr with
-  | fd -> fd
-  | exception _ when tries > 0 ->
+let rec connect_retry path tries =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  match Unix.connect fd (Unix.ADDR_UNIX path) with
+  | () -> fd
+  | exception e ->
+    Unix.close fd;
+    if tries = 0 then raise e;
     Unix.sleepf 0.1;
-    connect_retry addr (tries - 1)
+    connect_retry path (tries - 1)
 
 (* A real [cals serve --listen unix:... --workers 2] process: submit two
    jobs over the socket, ask for the drain, and check the acks, the
@@ -307,7 +311,7 @@ let test_socket_drain () =
       |]
       Unix.stdin Unix.stdout Unix.stderr
   in
-  let fd = connect_retry (Netaddr.Unix_sock sock) 50 in
+  let fd = connect_retry sock 50 in
   let ic = Unix.in_channel_of_descr fd in
   let oc = Unix.out_channel_of_descr fd in
   let send line =

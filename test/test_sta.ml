@@ -180,7 +180,7 @@ let test_timing_no_worse_on_golden_corpus () =
   List.iter
     (fun name ->
       let net =
-        Cals_logic.Blif.read_file (Filename.concat golden_dir (name ^ ".blif"))
+        Result.get_ok (Cals_logic.Blif.load (Filename.concat golden_dir (name ^ ".blif")))
       in
       Cals_logic.Network.sweep net;
       let subject = Cals_logic.Decompose.subject_of_network net in

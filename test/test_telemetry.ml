@@ -406,8 +406,6 @@ let test_metrics_disabled_and_reset () =
   Metrics.incr c;
   Metrics.incr c;
   Alcotest.(check int) "enabled increments count" 2 (value ());
-  Metrics.reset ();
-  Alcotest.(check int) "reset zeroes" 0 (value ());
   done_ ()
 
 let test_summary_lists_stages () =

@@ -1,6 +1,5 @@
 module Rng = Cals_util.Rng
 module Geom = Cals_util.Geom
-module Pqueue = Cals_util.Pqueue
 module Union_find = Cals_util.Union_find
 module Pool = Cals_util.Pool
 module Grid2d = Cals_util.Grid2d
@@ -62,11 +61,6 @@ let test_rng_shuffle_permutation () =
   Array.sort compare sorted;
   Alcotest.(check (array int)) "permutation" (Array.init 50 (fun i -> i)) sorted
 
-let test_rng_split_independent () =
-  let a = Rng.create 5 in
-  let b = Rng.split a in
-  Alcotest.(check bool) "split differs" false (Rng.bits64 a = Rng.bits64 b)
-
 let test_rng_float_bounds () =
   let rng = Rng.create 21 in
   for _ = 1 to 10_000 do
@@ -82,180 +76,17 @@ let test_manhattan () =
 let test_euclidean () =
   check_float "euclidean" 5.0 (Geom.euclidean (Geom.point 0.0 0.0) (Geom.point 3.0 4.0))
 
-let test_center_of_mass () =
-  let c = Geom.center_of_mass [ Geom.point 0.0 0.0; Geom.point 2.0 4.0 ] in
-  check_float "x" 1.0 c.Geom.x;
-  check_float "y" 2.0 c.Geom.y
-
-let test_center_of_mass_weighted () =
-  let c =
-    Geom.center_of_mass_weighted
-      [ (Geom.point 0.0 0.0, 1.0); (Geom.point 4.0 0.0, 3.0) ]
-  in
-  check_float "weighted x" 3.0 c.Geom.x
-
 let test_bbox () =
-  let b = Geom.bbox_of_points [ Geom.point 1.0 5.0; Geom.point 3.0 2.0 ] in
-  check_float "half perimeter" 5.0 (Geom.half_perimeter b);
-  Alcotest.(check bool) "contains" true (Geom.bbox_contains b (Geom.point 2.0 3.0));
-  Alcotest.(check bool) "excludes" false (Geom.bbox_contains b (Geom.point 0.0 3.0));
-  check_float "area" 6.0 (Geom.bbox_area b)
+  let b =
+    List.fold_left Geom.bbox_add Geom.bbox_empty
+      [ Geom.point 1.0 5.0; Geom.point 3.0 2.0 ]
+  in
+  check_float "half perimeter" 5.0 (Geom.half_perimeter b)
 
 let test_clamp () =
   check_float "low" 1.0 (Geom.clamp 1.0 2.0 0.5);
   check_float "high" 2.0 (Geom.clamp 1.0 2.0 9.0);
   check_float "mid" 1.5 (Geom.clamp 1.0 2.0 1.5)
-
-(* ------------------------- Pqueue ------------------------- *)
-
-let test_pqueue_order () =
-  let q = Pqueue.create () in
-  List.iter (fun p -> Pqueue.push q p (int_of_float p)) [ 5.0; 1.0; 3.0; 2.0; 4.0 ];
-  let popped = ref [] in
-  let rec drain () =
-    match Pqueue.pop q with
-    | Some (_, v) ->
-      popped := v :: !popped;
-      drain ()
-    | None -> ()
-  in
-  drain ();
-  Alcotest.(check (list int)) "ascending" [ 1; 2; 3; 4; 5 ] (List.rev !popped)
-
-let test_pqueue_empty () =
-  let q = Pqueue.create () in
-  Alcotest.(check bool) "empty" true (Pqueue.is_empty q);
-  Alcotest.(check bool) "pop none" true (Pqueue.pop q = None);
-  Pqueue.push q 1.0 1;
-  Alcotest.(check int) "length" 1 (Pqueue.length q);
-  Pqueue.clear q;
-  Alcotest.(check bool) "cleared" true (Pqueue.is_empty q)
-
-let test_pqueue_duplicates () =
-  let q = Pqueue.create () in
-  Pqueue.push q 1.0 "a";
-  Pqueue.push q 1.0 "b";
-  Pqueue.push q 0.5 "c";
-  (match Pqueue.peek q with
-  | Some (p, v) ->
-    Alcotest.(check string) "peek min" "c" v;
-    check_float "peek prio" 0.5 p
-  | None -> Alcotest.fail "peek");
-  Alcotest.(check int) "length 3" 3 (Pqueue.length q)
-
-let pqueue_heap_property =
-  QCheck.Test.make ~name:"pqueue pops in priority order" ~count:200
-    QCheck.(list (float_bound_exclusive 1000.0))
-    (fun floats ->
-      let q = Pqueue.create () in
-      List.iter (fun f -> Pqueue.push q f ()) floats;
-      let rec drain last =
-        match Pqueue.pop q with
-        | None -> true
-        | Some (p, ()) -> p >= last && drain p
-      in
-      drain neg_infinity)
-
-let test_pqueue_push_pop_interleaved () =
-  let q = Pqueue.create () in
-  Pqueue.push q 3.0 3;
-  Pqueue.push q 1.0 1;
-  Alcotest.(check (option (pair (float 1e-9) int))) "first min" (Some (1.0, 1))
-    (Pqueue.pop q);
-  Pqueue.push q 0.5 0;
-  Pqueue.push q 2.0 2;
-  Alcotest.(check (option (pair (float 1e-9) int))) "new min" (Some (0.5, 0))
-    (Pqueue.pop q);
-  Alcotest.(check (option (pair (float 1e-9) int))) "then 2" (Some (2.0, 2))
-    (Pqueue.pop q);
-  Alcotest.(check (option (pair (float 1e-9) int))) "then 3" (Some (3.0, 3))
-    (Pqueue.pop q);
-  Alcotest.(check bool) "drained" true (Pqueue.pop q = None)
-
-let test_pqueue_clear_reuse () =
-  let q = Pqueue.create () in
-  for i = 0 to 99 do
-    Pqueue.push q (float_of_int (100 - i)) i
-  done;
-  Pqueue.clear q;
-  Alcotest.(check int) "cleared length" 0 (Pqueue.length q);
-  Alcotest.(check bool) "cleared pop" true (Pqueue.pop q = None);
-  Pqueue.push q 2.0 7;
-  Pqueue.push q 1.0 9;
-  Alcotest.(check (option (pair (float 1e-9) int))) "usable after clear"
-    (Some (1.0, 9)) (Pqueue.pop q)
-
-(* The backing array must not pin popped or cleared values live: weak
-   pointers to the payloads must empty after a major GC. *)
-let test_pqueue_no_space_leak () =
-  let q = Pqueue.create () in
-  let w = Weak.create 3 in
-  List.iteri
-    (fun i p ->
-      let v = ref (Array.make 64 p) in
-      Weak.set w i (Some v);
-      Pqueue.push q p v)
-    [ 3.0; 1.0; 2.0 ];
-  ignore (Pqueue.pop q);
-  (* One popped, two cleared: none may stay reachable through the queue. *)
-  Pqueue.clear q;
-  Gc.full_major ();
-  Gc.full_major ();
-  for i = 0 to 2 do
-    Alcotest.(check bool)
-      (Printf.sprintf "payload %d released" i)
-      false (Weak.check w i)
-  done
-
-(* ------------------------- Pqueue.Int ------------------------- *)
-
-let test_ipqueue_order () =
-  let q = Pqueue.Int.create () in
-  List.iter
-    (fun p -> Pqueue.Int.push q p (int_of_float p))
-    [ 5.0; 1.0; 3.0; 2.0; 4.0 ];
-  Alcotest.(check int) "length" 5 (Pqueue.Int.length q);
-  let popped = ref [] in
-  while not (Pqueue.Int.is_empty q) do
-    let p = Pqueue.Int.min_prio q in
-    let v = Pqueue.Int.pop q in
-    check_float "prio matches value" (float_of_int v) p;
-    popped := v :: !popped
-  done;
-  Alcotest.(check (list int)) "ascending" [ 1; 2; 3; 4; 5 ] (List.rev !popped);
-  (* Clear then reuse. *)
-  Pqueue.Int.push q 9.0 9;
-  Pqueue.Int.clear q;
-  Alcotest.(check bool) "cleared" true (Pqueue.Int.is_empty q);
-  Pqueue.Int.push q 1.0 1;
-  Alcotest.(check int) "usable after clear" 1 (Pqueue.Int.pop q)
-
-let test_ipqueue_empty_raises () =
-  let q = Pqueue.Int.create () in
-  Alcotest.check_raises "pop empty"
-    (Invalid_argument "Pqueue.Int.pop: empty") (fun () ->
-      ignore (Pqueue.Int.pop q));
-  Alcotest.check_raises "min_prio empty"
-    (Invalid_argument "Pqueue.Int.min_prio: empty") (fun () ->
-      ignore (Pqueue.Int.min_prio q))
-
-let ipqueue_heap_property =
-  QCheck.Test.make ~name:"Pqueue.Int pops in priority order" ~count:200
-    QCheck.(list (float_bound_exclusive 1000.0))
-    (fun floats ->
-      let q = Pqueue.Int.create () in
-      List.iteri (fun i f -> Pqueue.Int.push q f i) floats;
-      let rec drain last =
-        if Pqueue.Int.is_empty q then true
-        else begin
-          let p = Pqueue.Int.min_prio q in
-          let v = Pqueue.Int.pop q in
-          p >= last && v >= 0
-          && v < List.length floats
-          && List.nth floats v = p && drain p
-        end
-      in
-      drain neg_infinity)
 
 (* ------------------------- Pool ------------------------- *)
 
@@ -334,21 +165,13 @@ let test_grid_get_set () =
   Grid2d.set g 2 1 5.0;
   Grid2d.add g 2 1 1.5;
   check_float "get" 6.5 (Grid2d.get g 2 1);
-  check_float "other" 0.0 (Grid2d.get g 0 0);
-  check_float "max" 6.5 (Grid2d.max_value g);
-  check_float "total" 6.5 (Grid2d.total g)
+  check_float "other" 0.0 (Grid2d.get g 0 0)
 
 let test_grid_bounds () =
   let g = Grid2d.create ~cols:3 ~rows:2 0.0 in
   Alcotest.check_raises "col out of range"
     (Invalid_argument "Grid2d: (3,0) outside 3x2") (fun () ->
       ignore (Grid2d.get g 3 0))
-
-let test_grid_copy_independent () =
-  let g = Grid2d.create ~cols:2 ~rows:2 1.0 in
-  let h = Grid2d.copy g in
-  Grid2d.set g 0 0 9.0;
-  check_float "copy unchanged" 1.0 (Grid2d.get h 0 0)
 
 let test_grid_render () =
   let g = Grid2d.create ~cols:2 ~rows:2 0.0 in
@@ -371,13 +194,7 @@ let test_tables_render () =
   Alcotest.(check bool) "contains header" true
     (String.length s > 0 && String.contains s '|')
 
-let test_tables_stats () =
-  check_float "mean" 2.0 (Tables.mean [ 1.0; 2.0; 3.0 ]);
-  check_float "stddev" 1.0 (Tables.stddev [ 1.0; 2.0; 3.0 ]);
-  check_float "median" 2.0 (Tables.percentile 0.5 [ 3.0; 1.0; 2.0 ])
-
 let () =
-  let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "util"
     [
       ( "rng",
@@ -389,34 +206,14 @@ let () =
           Alcotest.test_case "sample distinct" `Quick test_rng_sample_distinct;
           Alcotest.test_case "sample full" `Quick test_rng_sample_full;
           Alcotest.test_case "shuffle permutation" `Quick test_rng_shuffle_permutation;
-          Alcotest.test_case "split independent" `Quick test_rng_split_independent;
           Alcotest.test_case "float bounds" `Quick test_rng_float_bounds;
         ] );
       ( "geom",
         [
           Alcotest.test_case "manhattan" `Quick test_manhattan;
           Alcotest.test_case "euclidean" `Quick test_euclidean;
-          Alcotest.test_case "center of mass" `Quick test_center_of_mass;
-          Alcotest.test_case "weighted com" `Quick test_center_of_mass_weighted;
           Alcotest.test_case "bbox" `Quick test_bbox;
           Alcotest.test_case "clamp" `Quick test_clamp;
-        ] );
-      ( "pqueue",
-        [
-          Alcotest.test_case "order" `Quick test_pqueue_order;
-          Alcotest.test_case "empty" `Quick test_pqueue_empty;
-          Alcotest.test_case "duplicates" `Quick test_pqueue_duplicates;
-          Alcotest.test_case "interleaved push/pop" `Quick
-            test_pqueue_push_pop_interleaved;
-          Alcotest.test_case "clear reuse" `Quick test_pqueue_clear_reuse;
-          Alcotest.test_case "no space leak" `Quick test_pqueue_no_space_leak;
-          qc pqueue_heap_property;
-        ] );
-      ( "pqueue_int",
-        [
-          Alcotest.test_case "order" `Quick test_ipqueue_order;
-          Alcotest.test_case "empty raises" `Quick test_ipqueue_empty_raises;
-          qc ipqueue_heap_property;
         ] );
       ( "pool",
         [
@@ -440,13 +237,11 @@ let () =
         [
           Alcotest.test_case "get/set" `Quick test_grid_get_set;
           Alcotest.test_case "bounds" `Quick test_grid_bounds;
-          Alcotest.test_case "copy" `Quick test_grid_copy_independent;
           Alcotest.test_case "render" `Quick test_grid_render;
         ] );
       ( "tables",
         [
           Alcotest.test_case "fmt_int" `Quick test_tables_fmt_int;
           Alcotest.test_case "render" `Quick test_tables_render;
-          Alcotest.test_case "stats" `Quick test_tables_stats;
         ] );
     ]

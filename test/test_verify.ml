@@ -273,7 +273,16 @@ let test_cover_rejects_uncovered_live_gate () =
     Partition.run Partition.Dagon subject ~positions ~distance:Geom.manhattan
   in
   let cover =
-    Cover.run subject ~library:lib ~partition ~positions Cover.default_options
+    Cover.run subject ~library:lib ~partition ~positions
+      {
+        Cover.k = 0.0;
+        t = 0.0;
+        objective = Cover.Min_area;
+        distance = Geom.manhattan;
+        incremental_update = true;
+        include_wire2 = true;
+        transitive_wire = false;
+      }
   in
   Alcotest.(check bool) "legal cover accepted" true
     (Result.is_ok (Cover.check_coverage cover));
@@ -362,7 +371,7 @@ let routed_example () =
       [ { Geom.x = 0.5 *. w; y = 0.5 *. h } ];
     |]
   in
-  (fp, Router.route_pins ~floorplan:fp ~wire pins)
+  (fp, Router.route (Router.Request.of_pins ~floorplan:fp ~wire pins))
 
 let test_routing_checker_accepts_real_result () =
   let _, res = routed_example () in
@@ -444,7 +453,8 @@ let test_routing_checker_rejects_truncated_route () =
 let test_routing_checker_rejects_usage_tampering () =
   let _, res = routed_example () in
   (* Usage the routes cannot explain. *)
-  Rgrid.add_usage res.Router.grid (Rgrid.H (0, 0)) 1.0;
+  let g = res.Router.grid in
+  g.Rgrid.husage.(0) <- g.Rgrid.husage.(0) +. 1.0;
   (match Invariant.check_routing ~usage:true res with
   | Ok () -> Alcotest.fail "phantom usage accepted"
   | Error _ -> ());
