@@ -269,12 +269,14 @@ let run_adaptive input scale seed optimize utilization checks timing dump
     Printf.printf "verification checks: %s\n" (Check.level_to_string checks);
   if route_jobs > 1 then
     Printf.printf "routing rip-up waves on %d domains\n" route_jobs;
+  (* One companion placement serves the search and the congestion dump. *)
   let rng = Cals_util.Rng.create (seed + 1) in
+  let positions = Placement.place_subject subject ~floorplan ~rng in
   let outcome =
     try
       Ok
-        (Flow.run_adaptive ~checks ~route_jobs ~t ~subject ~library ~floorplan
-           ~rng ())
+        (Flow.run_adaptive ~checks ~route_jobs ~t ~positions ~subject ~library
+           ~floorplan ~rng ())
     with Check.Violation { stage; detail } -> Error (stage, detail)
   in
   match outcome with
@@ -316,8 +318,6 @@ let run_adaptive input scale seed optimize utilization checks timing dump
         | Some it, _ | None, it :: _ -> it.Flow.k
         | None, [] -> 0.0
       in
-      let rng = Cals_util.Rng.create (seed + 1) in
-      let positions = Placement.place_subject subject ~floorplan ~rng in
       dump_congestion path ~subject ~floorplan ~positions ~k
     | None -> ());
     (match outcome.Flow.accepted with

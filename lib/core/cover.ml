@@ -11,14 +11,9 @@ let m_matches_per_vertex =
     ~buckets:[| 1.0; 2.0; 4.0; 8.0; 16.0; 32.0; 64.0; 128.0 |]
     "cover_matches_per_vertex"
 
-type objective =
-  | Min_area
-  | Min_delay of { load_pf : float }
-
 type options = {
   k : float;
   t : float;
-  objective : objective;
   distance : Geom.point -> Geom.point -> float;
   incremental_update : bool;
   include_wire2 : bool;
@@ -207,14 +202,9 @@ let run ?matchsets:cached subject ~library ~partition ~positions options =
         | None -> match_node subject ~library ~partition v
       in
       evaluated := !evaluated + nm.enumerated;
-      let load =
-        match options.objective with
-        | Min_delay { load_pf } -> load_pf
-        | Min_area ->
-          (* Each reader of the match root is roughly one standard sink;
-             a sink-less root still drives a primary-output load. *)
-          0.01 *. float_of_int (Int.max 1 fanout_counts.(v))
-      in
+      (* Each reader of the match root is roughly one standard sink; a
+         sink-less root still drives a primary-output load. *)
+      let load = 0.01 *. float_of_int (Int.max 1 fanout_counts.(v)) in
       (* The incumbent: its candidate index (-1 before the first) and
          figures. *)
       let best = ref (-1) in
@@ -284,13 +274,8 @@ let run ?matchsets:cached subject ~library ~partition ~positions options =
         in
         let area_cost = !area in
         let arrival_ns = !latest +. Cell.delay_ns cell ~load_pf:load in
-        let primary =
-          match options.objective with
-          | Min_area -> area_cost
-          | Min_delay _ -> arrival_ns
-        in
         let cost =
-          primary +. (options.k *. wire_cost) +. (options.t *. arrival_ns)
+          area_cost +. (options.k *. wire_cost) +. (options.t *. arrival_ns)
         in
         if
           !best < 0

@@ -23,14 +23,6 @@
     vertex swallowed inside a match is re-instantiated from its own DP
     solution, reproducing MIS-style logic duplication. *)
 
-type objective =
-  | Min_area  (** Eq. 1: cell area (the paper's experiments). *)
-  | Min_delay of { load_pf : float }
-      (** Rudell-style constant-load delay covering: the primary figure of
-          merit is the match's worst arrival time, assuming every cell
-          output drives [load_pf]. The paper's prototype supports delay
-          objectives alongside area (Section 4, first paragraph). *)
-
 type options = {
   k : float;  (** The congestion minimization factor. *)
   t : float;
@@ -39,7 +31,6 @@ type options = {
           pure Eq. 5 and is bit-identical to the pre-timing DP — the
           arrival term is [t *. arrival_ns], which is exactly [0.] then,
           and adding [0.] never changes a finite positive cost. *)
-  objective : objective;
   distance : Cals_util.Geom.point -> Cals_util.Geom.point -> float;
   incremental_update : bool;  (** Center-of-mass position collapsing. *)
   include_wire2 : bool;  (** Eq. 3 term (off = WIRE1-only ablation). *)

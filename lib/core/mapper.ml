@@ -11,7 +11,6 @@ type options = {
   k : float;
   t : float;
   wire_scale : float;
-  objective : Cover.objective;
   strategy : Partition.strategy;
   distance : Cals_util.Geom.point -> Cals_util.Geom.point -> float;
   incremental_update : bool;
@@ -27,7 +26,6 @@ let min_area =
     k = 0.0;
     t = 0.0;
     wire_scale = default_wire_scale;
-    objective = Cover.Min_area;
     strategy = Partition.Dagon;
     distance = Cals_util.Geom.manhattan;
     incremental_update = true;
@@ -70,7 +68,6 @@ let map ?(verify = false) ?partition ?matchsets subject ~library ~positions
     {
       Cover.k = options.k *. options.wire_scale;
       t = options.t;
-      objective = options.objective;
       distance = options.distance;
       incremental_update = options.incremental_update;
       include_wire2 = options.include_wire2;

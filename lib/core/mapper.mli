@@ -19,7 +19,6 @@ type options = {
           implies distances in finer database units, so WIRE is scaled by
           200 ({!min_area}) to make the paper's K values land in the
           same sensitivity range here. *)
-  objective : Cover.objective;
   strategy : Partition.strategy;
   distance : Cals_util.Geom.point -> Cals_util.Geom.point -> float;
   incremental_update : bool;

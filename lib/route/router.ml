@@ -39,17 +39,9 @@ let m_session_replays =
   Metrics.counter ~help:"Route requests replayed whole from a session cache"
     "router_session_replays"
 
-let m_session_nets_reused =
-  Metrics.counter ~help:"Nets served from a session cache (topology or full route)"
-    "router_session_nets_reused"
-
 let m_session_nets_rerouted =
-  Metrics.counter ~help:"Nets re-derived on a session cache miss"
+  Metrics.counter ~help:"Nets of session route requests that routed cold"
     "router_session_nets_rerouted"
-
-let g_session_arena =
-  Metrics.gauge ~help:"Arena bytes of the last released routing state"
-    "router_session_arena_bytes"
 
 type config = {
   layers : int;
@@ -123,9 +115,9 @@ let vec_push v x =
   v.n <- v.n + 1
 
 (* Everything one routing call mutates besides the grid: the path arena,
-   the negotiation work lists and the wave scratch. Sessions pool these so
-   repeated calls reuse the same storage; concurrent calls never share
-   one. *)
+   the negotiation work lists and the wave scratch. Each domain keeps one
+   (see [state_key]) and clears it at the start of every call, so repeated
+   calls reuse the same storage and concurrent calls never share one. *)
 type state = {
   arena : Arena.t;
   pend : vec;  (** Segment indices crossing an overflowed edge. *)
@@ -153,9 +145,7 @@ let create_state () =
     path_len = [||];
   }
 
-let reset_state st =
-  Arena.clear st.arena;
-  vec_clear st.pend
+let state_key = Domain.DLS.new_key create_state
 
 (* Per-domain maze scratch: distance/backtrack stamps, the frontier heap
    as parallel float/int arrays (floats only ever flow through these
@@ -236,15 +226,41 @@ let rec heap_sift_down (qp : float array) (qd : int array) size i =
     end
   end
 
+(* Relax the edge [i] of one direction's [usage]/[cap]/[hist] arrays
+   from gcell [v] to its neighbour [nidx], whose Manhattan distance to
+   the target is [h]: the edge costs 1.0, plus [overflow_penalty] per
+   unit it would overflow, plus its history. Only ints and arrays cross
+   the call — [v]'s distance is read from [scratch.dist] — so nothing
+   boxes whether or not it inlines. *)
+let[@inline] relax cfg scratch (usage : float array) (cap : float array)
+    (hist : float array) i v nidx h =
+  let dist = scratch.dist and stamp = scratch.stamp in
+  let over = usage.(i) +. 1.0 -. cap.(i) in
+  let cost =
+    dist.(v) +. 1.0
+    +. (if over > 0.0 then cfg.overflow_penalty *. over else 0.0)
+    +. hist.(i)
+  in
+  if stamp.(nidx) <> scratch.gen || cost < dist.(nidx) then begin
+    dist.(nidx) <- cost;
+    stamp.(nidx) <- scratch.gen;
+    scratch.prev.(nidx) <- v;
+    if scratch.qsize = Array.length scratch.qprio then heap_grow scratch;
+    let qp = scratch.qprio and qd = scratch.qdata in
+    let j = scratch.qsize in
+    qp.(j) <- cost +. float_of_int h;
+    qd.(j) <- nidx;
+    scratch.qsize <- j + 1;
+    heap_sift_up qp qd j
+  end
+
 (* A* over gcells, restricted to the box [bc0,bc1] x [br0,br1] (which
    always contains both endpoints). The heuristic is Manhattan distance
    times the minimum edge cost (>= 1.0): admissible and consistent, so
    the first pop of the target is Dijkstra's answer. Stale queue entries
-   (lazy decrease-key) satisfy f > dist + h and are skipped. Relaxation
-   and the heap push are fully inlined so no float ever crosses a
-   function boundary — the whole search allocates nothing. On success
-   the path's edge ids are left in [scratch.pathbuf] (dst-to-src order,
-   length [scratch.pathlen]). *)
+   (lazy decrease-key) satisfy f > dist + h and are skipped. The whole
+   search allocates nothing. On success the path's edge ids are left in
+   [scratch.pathbuf] (dst-to-src order, length [scratch.pathlen]). *)
 let maze_route cfg grid scratch ~bc0 ~br0 ~bc1 ~br1 (src, dst) =
   let cols = grid.Rgrid.cols and rows = grid.Rgrid.rows in
   let n = cols * rows in
@@ -259,7 +275,6 @@ let maze_route cfg grid scratch ~bc0 ~br0 ~bc1 ~br1 (src, dst) =
   let vcap = grid.Rgrid.vcap
   and vusage = grid.Rgrid.vusage
   and vhist = grid.Rgrid.vhistory in
-  let penalty = cfg.overflow_penalty in
   let sc, sr = src and dc, dr = dst in
   let sidx = (sr * cols) + sc and didx = (dr * cols) + dc in
   dist.(sidx) <- 0.0;
@@ -286,108 +301,23 @@ let maze_route cfg grid scratch ~bc0 ~br0 ~bc1 ~br1 (src, dst) =
        if last > 0 then heap_sift_down qp qd last 0;
        if counting then incr pops;
        let c = v mod cols and r = v / cols in
-       let g = dist.(v) in
-       if f <= g +. float_of_int (abs (c - dc) + abs (r - dr)) then begin
+       if f <= dist.(v) +. float_of_int (abs (c - dc) + abs (r - dr)) then begin
          if v = didx then begin
            found := true;
            raise Exit
          end;
-         (* East. *)
-         if c < bc1 then begin
-           let i = (r * (cols - 1)) + c in
-           let over = husage.(i) +. 1.0 -. hcap.(i) in
-           let cost =
-             g +. 1.0
-             +. (if over > 0.0 then penalty *. over else 0.0)
-             +. hhist.(i)
-           in
-           let nidx = v + 1 in
-           if stamp.(nidx) <> gen || cost < dist.(nidx) then begin
-             dist.(nidx) <- cost;
-             stamp.(nidx) <- gen;
-             prev.(nidx) <- v;
-             if scratch.qsize = Array.length scratch.qprio then
-               heap_grow scratch;
-             let qp = scratch.qprio and qd = scratch.qdata in
-             let j = scratch.qsize in
-             qp.(j) <- cost +. float_of_int (abs (c + 1 - dc) + abs (r - dr));
-             qd.(j) <- nidx;
-             scratch.qsize <- j + 1;
-             heap_sift_up qp qd j
-           end
-         end;
-         (* West. *)
-         if c > bc0 then begin
-           let i = (r * (cols - 1)) + c - 1 in
-           let over = husage.(i) +. 1.0 -. hcap.(i) in
-           let cost =
-             g +. 1.0
-             +. (if over > 0.0 then penalty *. over else 0.0)
-             +. hhist.(i)
-           in
-           let nidx = v - 1 in
-           if stamp.(nidx) <> gen || cost < dist.(nidx) then begin
-             dist.(nidx) <- cost;
-             stamp.(nidx) <- gen;
-             prev.(nidx) <- v;
-             if scratch.qsize = Array.length scratch.qprio then
-               heap_grow scratch;
-             let qp = scratch.qprio and qd = scratch.qdata in
-             let j = scratch.qsize in
-             qp.(j) <- cost +. float_of_int (abs (c - 1 - dc) + abs (r - dr));
-             qd.(j) <- nidx;
-             scratch.qsize <- j + 1;
-             heap_sift_up qp qd j
-           end
-         end;
-         (* North. *)
-         if r < br1 then begin
-           let i = (r * cols) + c in
-           let over = vusage.(i) +. 1.0 -. vcap.(i) in
-           let cost =
-             g +. 1.0
-             +. (if over > 0.0 then penalty *. over else 0.0)
-             +. vhist.(i)
-           in
-           let nidx = v + cols in
-           if stamp.(nidx) <> gen || cost < dist.(nidx) then begin
-             dist.(nidx) <- cost;
-             stamp.(nidx) <- gen;
-             prev.(nidx) <- v;
-             if scratch.qsize = Array.length scratch.qprio then
-               heap_grow scratch;
-             let qp = scratch.qprio and qd = scratch.qdata in
-             let j = scratch.qsize in
-             qp.(j) <- cost +. float_of_int (abs (c - dc) + abs (r + 1 - dr));
-             qd.(j) <- nidx;
-             scratch.qsize <- j + 1;
-             heap_sift_up qp qd j
-           end
-         end;
-         (* South. *)
-         if r > br0 then begin
-           let i = ((r - 1) * cols) + c in
-           let over = vusage.(i) +. 1.0 -. vcap.(i) in
-           let cost =
-             g +. 1.0
-             +. (if over > 0.0 then penalty *. over else 0.0)
-             +. vhist.(i)
-           in
-           let nidx = v - cols in
-           if stamp.(nidx) <> gen || cost < dist.(nidx) then begin
-             dist.(nidx) <- cost;
-             stamp.(nidx) <- gen;
-             prev.(nidx) <- v;
-             if scratch.qsize = Array.length scratch.qprio then
-               heap_grow scratch;
-             let qp = scratch.qprio and qd = scratch.qdata in
-             let j = scratch.qsize in
-             qp.(j) <- cost +. float_of_int (abs (c - dc) + abs (r - 1 - dr));
-             qd.(j) <- nidx;
-             scratch.qsize <- j + 1;
-             heap_sift_up qp qd j
-           end
-         end
+         if c < bc1 then
+           relax cfg scratch husage hcap hhist ((r * (cols - 1)) + c) v (v + 1)
+             (abs (c + 1 - dc) + abs (r - dr));
+         if c > bc0 then
+           relax cfg scratch husage hcap hhist ((r * (cols - 1)) + c - 1) v (v - 1)
+             (abs (c - 1 - dc) + abs (r - dr));
+         if r < br1 then
+           relax cfg scratch vusage vcap vhist ((r * cols) + c) v (v + cols)
+             (abs (c - dc) + abs (r + 1 - dr));
+         if r > br0 then
+           relax cfg scratch vusage vcap vhist (((r - 1) * cols) + c) v (v - cols)
+             (abs (c - dc) + abs (r - 1 - dr))
        end
      done
    with Exit -> ());
@@ -815,10 +745,6 @@ let build_result grid state segments net_gcells num_nets =
     net_gcells;
   }
 
-let derive_topology ~star ~driver cells =
-  if star then Topology.star_segments driver cells
-  else Topology.mst_segments_sorted cells
-
 let float_bits f = Int64.to_int (Int64.bits_of_float f)
 
 module Request = struct
@@ -928,22 +854,16 @@ module Session = struct
   type stats = {
     route_calls : int;
     replays : int;
-    nets_reused : int;
     nets_rerouted : int;
-    arena_bytes : int;
   }
 
   type t = {
     lock : Mutex.t;
     cond : Condition.t;
     full : (int64, entry) Hashtbl.t;
-    topo : (int64, Topology.segment list) Hashtbl.t;
-    states : state Queue.t;
     route_calls : int Atomic.t;
     replays : int Atomic.t;
-    nets_reused : int Atomic.t;
     nets_rerouted : int Atomic.t;
-    arena_peak : int Atomic.t;
   }
 
   let create () =
@@ -951,33 +871,24 @@ module Session = struct
       lock = Mutex.create ();
       cond = Condition.create ();
       full = Hashtbl.create 16;
-      topo = Hashtbl.create 64;
-      states = Queue.create ();
       route_calls = Atomic.make 0;
       replays = Atomic.make 0;
-      nets_reused = Atomic.make 0;
       nets_rerouted = Atomic.make 0;
-      arena_peak = Atomic.make 0;
     }
-
-  let note_call s = Atomic.incr s.route_calls
-
-  let note_replay s ~nets =
-    Atomic.incr s.replays;
-    ignore (Atomic.fetch_and_add s.nets_reused nets);
-    Metrics.incr m_session_replays;
-    Metrics.add m_session_nets_reused nets
 
   (* Look the fingerprint up; [Some r] replays, [None] means this caller
      inserted the Inflight marker and owns the cold route (it must
      publish or retract). A concurrent caller with the same fingerprint
      waits instead of routing the same request twice. *)
   let claim s fp =
+    Atomic.incr s.route_calls;
     Mutex.lock s.lock;
     let rec loop () =
       match Hashtbl.find_opt s.full fp with
       | Some (Done r) ->
         Mutex.unlock s.lock;
+        Atomic.incr s.replays;
+        Metrics.incr m_session_replays;
         Some r
       | Some Inflight ->
         Condition.wait s.cond s.lock;
@@ -989,7 +900,9 @@ module Session = struct
     in
     loop ()
 
-  let publish s fp r =
+  let publish s fp r ~nets =
+    ignore (Atomic.fetch_and_add s.nets_rerouted nets);
+    Metrics.add m_session_nets_rerouted nets;
     Mutex.lock s.lock;
     Hashtbl.replace s.full fp (Done r);
     Condition.broadcast s.cond;
@@ -1003,89 +916,28 @@ module Session = struct
     Condition.broadcast s.cond;
     Mutex.unlock s.lock
 
-  let acquire_state s =
-    Mutex.lock s.lock;
-    let st =
-      if Queue.is_empty s.states then create_state () else Queue.pop s.states
-    in
-    Mutex.unlock s.lock;
-    reset_state st;
-    st
-
-  let release_state s st =
-    let bytes = Arena.capacity_bytes st.arena in
-    let rec bump () =
-      let cur = Atomic.get s.arena_peak in
-      if bytes > cur && not (Atomic.compare_and_set s.arena_peak cur bytes)
-      then bump ()
-    in
-    bump ();
-    Metrics.set g_session_arena (float_of_int bytes);
-    reset_state st;
-    Mutex.lock s.lock;
-    Queue.push st s.states;
-    Mutex.unlock s.lock
-
-  let topo_key ~star ~driver cells =
-    let h = ref (Fnv.int Fnv.empty (if star then 1 else 0)) in
-    (if star then begin
-       let dc, dr = driver in
-       h := Fnv.int (Fnv.int !h dc) dr
-     end);
-    List.iter (fun (c, r) -> h := Fnv.int (Fnv.int !h c) r) cells;
-    !h
-
-  (* The per-net decomposition cache: keyed by the gcell set (every key
-     element is a pair, so the flattened stream is self-delimiting) plus
-     the star flag and driver. Collisions would need two nets with
-     FNV-colliding gcell streams inside one session — accepted, as for
-     the K-loop's fingerprint cache. *)
-  let topo_segments s ~star ~driver cells =
-    let key = topo_key ~star ~driver cells in
-    Mutex.lock s.lock;
-    let cached = Hashtbl.find_opt s.topo key in
-    Mutex.unlock s.lock;
-    match cached with
-    | Some segs ->
-      Atomic.incr s.nets_reused;
-      Metrics.incr m_session_nets_reused;
-      segs
-    | None ->
-      let segs = derive_topology ~star ~driver cells in
-      Mutex.lock s.lock;
-      if not (Hashtbl.mem s.topo key) then Hashtbl.add s.topo key segs;
-      Mutex.unlock s.lock;
-      Atomic.incr s.nets_rerouted;
-      Metrics.incr m_session_nets_rerouted;
-      segs
-
   let stats s =
     {
       route_calls = Atomic.get s.route_calls;
       replays = Atomic.get s.replays;
-      nets_reused = Atomic.get s.nets_reused;
       nets_rerouted = Atomic.get s.nets_rerouted;
-      arena_bytes = Atomic.get s.arena_peak;
     }
 end
 
 (* Every net's two-pin segments, in net order: the MST of its distinct
-   pin gcells, or a star from its driver's gcell. The router and the cut
-   certificate both take their segments from here, so they cannot
-   diverge. *)
-let iter_segments ?session (req : Request.t) f =
+   pin gcells, or a star from its driver's gcell, derived on demand. The
+   router and the cut certificate both take their segments from here, so
+   they cannot diverge. *)
+let iter_segments (req : Request.t) f =
   let star = req.Request.config.star_topology in
   Array.iteri
     (fun net cells ->
       match req.Request.pin_gcells.(net) with
       | [] -> ()
       | driver :: _ ->
-        let topo =
-          match session with
-          | Some s -> Session.topo_segments s ~star ~driver cells
-          | None -> derive_topology ~star ~driver cells
-        in
-        List.iter (f net) topo)
+        List.iter (f net)
+          (if star then Topology.star_segments driver cells
+           else Topology.mst_segments_sorted cells))
     req.Request.net_gcells
 
 module Cut = struct
@@ -1174,8 +1026,10 @@ module Cut = struct
   let axis_to_string = function Column -> "column" | Row -> "row"
 end
 
-let route_cold ~cancel ~pool ~session ~state (req : Request.t) =
+let route_cold ~cancel ~pool (req : Request.t) =
   let config = req.Request.config in
+  let state = Domain.DLS.get state_key in
+  Arena.clear state.arena;
   let grid =
     Rgrid.create ~floorplan:req.Request.floorplan ~wire:req.Request.wire
       ~layers:config.layers ~gcell_rows:config.gcell_rows
@@ -1183,7 +1037,7 @@ let route_cold ~cancel ~pool ~session ~state (req : Request.t) =
   in
   let net_gcells = req.Request.net_gcells in
   let segments = ref [] in
-  iter_segments ?session req (fun net sgm ->
+  iter_segments req (fun net sgm ->
       segments :=
         { net; ends = (sgm.Topology.src, sgm.Topology.dst); off = 0; len = 0 }
         :: !segments);
@@ -1214,25 +1068,18 @@ let route ?(cancel = Cancel.never) ?session ?pool (req : Request.t) =
     "route.route_pins"
   @@ fun () ->
   match session with
-  | None ->
-    route_cold ~cancel ~pool ~session:None ~state:(create_state ()) req
-  | Some s ->
+  | None -> route_cold ~cancel ~pool req
+  | Some s -> (
     Cancel.check cancel;
-    Session.note_call s;
     let fp = Request.fingerprint req in
-    (match Session.claim s fp with
-    | Some r ->
-      Session.note_replay s ~nets:num_nets;
-      r
+    match Session.claim s fp with
+    | Some r -> r
     | None -> (
-      let state = Session.acquire_state s in
-      match route_cold ~cancel ~pool ~session:(Some s) ~state req with
+      match route_cold ~cancel ~pool req with
       | r ->
-        Session.release_state s state;
-        Session.publish s fp r;
+        Session.publish s fp r ~nets:num_nets;
         r
       | exception e ->
-        Session.release_state s state;
         Session.retract s fp;
         raise e))
 

@@ -7,7 +7,8 @@
     Ensemble reports in the paper's tables.
 
     Committed paths live in a flat integer arena rather than per-edge
-    list cells, and the maze search runs over preallocated flat arrays.
+    list cells, and the maze search runs over preallocated flat arrays;
+    each domain keeps both and reuses them from call to call.
     Rip-up proceeds in waves of segments with disjoint search boxes, so
     the searches of one wave can run on a {!Cals_util.Pool} without
     changing the result. Each negotiation iteration colours all of its
@@ -97,33 +98,26 @@ module Request : sig
       The density map bins each placed cell's area into its gcell. *)
 end
 
-(** Cross-call routing state: a replay cache over whole route requests, a
-    per-net topology cache and a pool of reusable arenas.
+(** A replay cache over whole route requests.
 
     A session fingerprints each {!Request.t} it routes (grid geometry,
     config, wire pitch, density contents, per-net gcell sets and, for
     star topologies, driver gcells) and replays the stored {!result} on
-    an exact match — the common case when the K-loop re-evaluates an
-    unchanged mapping. Replayed results are shared structure: treat them
-    as immutable. Misses run the normal cold path (so a warm session is
-    result-identical to no session by construction) and additionally
-    reuse cached per-net MST/star decompositions for nets whose gcell
-    sets reappear.
+    an exact match — the common case when a K search or a batch of jobs
+    re-evaluates an unchanged mapping. Replayed results are shared
+    structure: treat them as immutable. A miss routes cold, exactly as
+    without a session, so a session never changes a result.
 
-    All operations are domain-safe; concurrent calls with the same
-    fingerprint dedupe in flight (the second caller waits for the first
-    result instead of routing twice). *)
+    All operations are domain-safe. Concurrent calls with the same
+    fingerprint dedupe in flight: the second caller waits for the first
+    one's result instead of routing twice. *)
 module Session : sig
   type t
 
   type stats = {
     route_calls : int;  (** {!val:route} calls made with this session. *)
     replays : int;  (** Calls answered whole from the replay cache. *)
-    nets_reused : int;
-        (** Nets served from a cache: replayed wholesale or with a
-            reused topology decomposition. *)
-    nets_rerouted : int;  (** Nets whose decomposition was re-derived. *)
-    arena_bytes : int;  (** Peak arena capacity over released states. *)
+    nets_rerouted : int;  (** Nets of the calls that routed cold. *)
   }
 
   val create : unit -> t
@@ -193,19 +187,19 @@ val route :
 (** Route every net of the request (nets with fewer than two distinct
     gcells cost no routing). The result's [net_gcells] is the request's.
 
-    [session] carries committed routes and scratch arenas between calls
-    (see {!Session}); without one, every call routes cold into a private
-    arena. [pool] parallelizes the maze searches of each rip-up wave;
-    the result is identical with or without it, because waves commit
-    deferred and in a fixed order. Do not pass a pool whose workers are
-    the callers of this function (the pool is not reentrant).
+    [session] replays the result of an earlier call with an equal request
+    (see {!Session}); without one, every call routes cold. [pool]
+    parallelizes the maze searches of each rip-up wave; the result is
+    identical with or without it, because waves commit deferred and in a
+    fixed order. Do not pass a pool whose workers are the callers of
+    this function (the pool is not reentrant).
 
     [cancel] (default {!Cals_util.Cancel.never}) is checked before the
     pattern phase, at the top of every negotiation iteration and before
     every ripped-up segment's maze search; a fired token unwinds with
-    {!Cals_util.Cancel.Cancelled}, leaving only the result unbuilt and
-    any session state released (arenas are reset on their way back to
-    the session's pool, so a cancelled call leaks nothing). This is the
+    {!Cals_util.Cancel.Cancelled}, leaving only the result unbuilt: the
+    session forgets the call, and the domain's routing state is cleared
+    by the next call, so a cancelled call leaks nothing. This is the
     router half of the deadline propagation the batch service relies
     on. *)
 

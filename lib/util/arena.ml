@@ -13,9 +13,6 @@ let create ?(capacity = 1024) () =
 
 let data t = t.data
 
-let capacity_bytes t =
-  Bigarray.Array1.dim t.data * (Sys.word_size / 8)
-
 let grow t need =
   let cap = Bigarray.Array1.dim t.data in
   let ncap = ref (max 16 (2 * cap)) in

@@ -3,14 +3,14 @@
     A bump allocator for variable-length integer records (the router's
     committed edge-id paths): [alloc] hands out a contiguous slice at the
     end, [clear] recycles the whole arena in O(1), and the backing store
-    survives between uses, so a long-lived owner (a router session) pays
-    for the buffer once instead of re-allocating scratch on every call.
+    survives between uses, so a long-lived owner (a domain's routing
+    state) pays for the buffer once instead of re-allocating scratch on every call.
     The Bigarray lives outside the OCaml heap: slices written here are
     invisible to the GC, which is the point — path storage stops being
     minor-heap churn.
 
-    Not domain-safe: one arena belongs to one routing call at a time
-    (sessions hand them out through a mutex-guarded pool). *)
+    Not domain-safe: one arena belongs to one domain, and to one routing
+    call at a time. *)
 
 type t
 
@@ -30,6 +30,3 @@ val alloc : t -> int -> int
 
 val clear : t -> unit
 (** Abandon every slice; capacity is retained. *)
-
-val capacity_bytes : t -> int
-(** Backing-store footprint in bytes. *)

@@ -59,8 +59,6 @@ let variants : (string * (float -> Mapper.options)) list =
     ("no wire2", fun k -> { (base k) with include_wire2 = false });
     ("transitive wire", fun k -> { (base k) with transitive_wire = true });
     ("euclidean", fun k -> { (base k) with distance = Geom.euclidean });
-    ( "min delay",
-      fun k -> { (base k) with objective = Cover.Min_delay { load_pf = 0.02 } } );
     ("t = 0.5", fun k -> { (base k) with t = 0.5 });
   ]
 

@@ -290,14 +290,12 @@ let placement_pins =
     (("pla 11", "no wire2"), "f50519037926e028a7821fdeca140084");
     (("pla 11", "transitive wire"), "a8d89c451f3ccd9bbfd67d7b9c643f08");
     (("pla 11", "euclidean"), "bfc4ffa97220aafe749d6682cbcb1910");
-    (("pla 11", "min delay"), "ef1ffc457151878fb024564b3a48265a");
     (("pla 11", "t = 0.5"), "fe938d733635252cacd0c943dae15274");
     (("pla 21", "congestion_aware"), "8b3f0c36c976afa7c1c17264e5e56b24");
     (("pla 21", "no incremental update"), "132009239793c72f43e417e3a58d6060");
     (("pla 21", "no wire2"), "96f30ab39f2bed93ed86d426a26a513e");
     (("pla 21", "transitive wire"), "903c5c9dccf02b5a52504b4d2ad3f0db");
     (("pla 21", "euclidean"), "c02521e636b7b8e756843380dfb6b4aa");
-    (("pla 21", "min delay"), "725c93b17440c0a8d95a7d4ac347e1af");
     (("pla 21", "t = 0.5"), "432697b1ef080909ccd834bceeb17fa6");
   ]
 
@@ -340,7 +338,7 @@ let () =
         ] );
       ( "pinned",
         [
-          Alcotest.test_case "seeded placements, 14 K x 7 variants" `Quick
+          Alcotest.test_case "seeded placements, 14 K x 6 variants" `Quick
             test_placement_pinned;
         ] );
     ]

@@ -277,7 +277,6 @@ let test_cover_rejects_uncovered_live_gate () =
       {
         Cover.k = 0.0;
         t = 0.0;
-        objective = Cover.Min_area;
         distance = Geom.manhattan;
         incremental_update = true;
         include_wire2 = true;
