@@ -19,9 +19,11 @@ module Router = Cals_route.Router
 module Congestion = Cals_route.Congestion
 module Sta = Cals_sta.Sta
 module Mapper = Cals_core.Mapper
+module Incremental = Cals_core.Incremental
 module Partition = Cals_core.Partition
 module Flow = Cals_core.Flow
 module Presets = Cals_workload.Presets
+module Estimate = Cals_estimate.Estimate
 
 let library = Cals_cell.Stdlib_018.library
 let geometry = Cals_cell.Library.geometry library
@@ -78,21 +80,23 @@ type point_result = {
   routing : Router.result option;
 }
 
-let run_point ?(strategy = Partition.Pdp) circuit k =
-  let options = { (Mapper.congestion_aware ~k) with strategy } in
-  let result =
-    Mapper.map circuit.subject ~library ~positions:circuit.positions options
+(* A warmed mapping session over the circuit's companion placement; its
+   options are every mapper setting but K. *)
+let session_of ?(options = Mapper.congestion_aware ~k:0.0) circuit =
+  let session =
+    Incremental.create ~options ~subject:circuit.subject ~library
+      ~positions:circuit.positions ()
   in
-  let mapped = result.Mapper.mapped in
-  match Placement.place_mapped_seeded mapped ~floorplan:circuit.floorplan with
-  | exception Cals_place.Legalize.Overflow _ ->
-    { k; mapped; placement = None; routing = None }
-  | placement ->
-    let routing =
-      Router.route_mapped ~config:router_config mapped
-        ~floorplan:circuit.floorplan ~wire ~placement
-    in
-    { k; mapped; placement = Some placement; routing = Some routing }
+  Incremental.warm session;
+  session
+
+let run_point session circuit k =
+  let _, (mapped, placement, routing) =
+    Flow.evaluate_k ~router_config ~estimate:Estimate.Off ~session
+      ~subject:circuit.subject ~library ~floorplan:circuit.floorplan
+      ~positions:circuit.positions ~k ()
+  in
+  { k; mapped; placement; routing }
 
 (* ------------------------------------------------------------------ *)
 (* Tables 2 and 4: K sweep                                             *)
@@ -105,10 +109,11 @@ let k_sweep_table circuit =
     (Subject.num_nand2 circuit.subject)
     (Subject.num_inv circuit.subject)
     (Floorplan.describe circuit.floorplan);
+  let session = session_of circuit in
   let rows =
     List.map
       (fun k ->
-        let p = run_point circuit k in
+        let p = run_point session circuit k in
         let area = Mapped.total_area p.mapped in
         let util =
           100.0 *. Floorplan.utilization circuit.floorplan ~cell_area:area
@@ -165,7 +170,7 @@ let sis_variant circuit make_network ~seed ~scale =
   { circuit with name = circuit.name ^ "-SIS"; subject; positions }
 
 let sta_point circuit k =
-  let p = run_point circuit k in
+  let p = run_point (session_of circuit) circuit k in
   match (p.placement, p.routing) with
   | Some placement, Some routing ->
     let report =
@@ -257,7 +262,10 @@ let table1 ~scale =
   let rows =
     List.map
       (fun (label, circuit) ->
-        let p = run_point ~strategy:Partition.Dagon circuit 0.0 in
+        let options =
+          { (Mapper.congestion_aware ~k:0.0) with strategy = Partition.Dagon }
+        in
+        let p = run_point (session_of ~options circuit) circuit 0.0 in
         let area = Mapped.total_area p.mapped in
         let util = 100.0 *. Floorplan.utilization circuit.floorplan ~cell_area:area in
         let violations =
@@ -290,11 +298,9 @@ let table1 ~scale =
 let figure1 () =
   let subject, positions = Presets.figure1 () in
   print_endline "Figure 1: minimum-area vs congestion mapping of f = NOT(a*b + c)";
+  let session = Incremental.create ~subject ~library ~positions () in
   let show label k =
-    let r =
-      Mapper.map subject ~library ~positions (Mapper.congestion_aware ~k)
-    in
-    let mapped = r.Mapper.mapped in
+    let mapped = (Incremental.map session ~k).Mapper.mapped in
     let cells =
       Mapped.cell_histogram mapped
       |> List.map (fun (n, c) -> Printf.sprintf "%dx%s" c n)
@@ -376,17 +382,15 @@ let ablations ~scale =
   Printf.printf "Ablations on %s (%d gates)\n" circuit.name
     (Subject.num_gates circuit.subject);
   let evaluate label options =
-    let r = Mapper.map circuit.subject ~library ~positions:circuit.positions options in
-    let mapped = r.Mapper.mapped in
-    match Placement.place_mapped_seeded mapped ~floorplan:circuit.floorplan with
-    | exception Cals_place.Legalize.Overflow _ ->
+    let p =
+      run_point (session_of ~options circuit) circuit options.Mapper.k
+    in
+    let mapped = p.mapped in
+    match (p.placement, p.routing) with
+    | None, _ | _, None ->
       [ label; Tables.fmt_int (int_of_float (Mapped.total_area mapped));
         string_of_int (Mapped.num_cells mapped); "-"; "DNF" ]
-    | placement ->
-      let routing =
-        Router.route_mapped ~config:router_config mapped
-          ~floorplan:circuit.floorplan ~wire ~placement
-      in
+    | Some placement, Some routing ->
       [
         label;
         Tables.fmt_int (int_of_float (Mapped.total_area mapped));

@@ -21,6 +21,7 @@ module Grid2d = Cals_util.Grid2d
 module Proto = Cals_serve.Proto
 module Sta = Cals_sta.Sta
 module Mapper = Cals_core.Mapper
+module Incremental = Cals_core.Incremental
 module Flow = Cals_core.Flow
 module Harness = Cals_core.Harness
 module Check = Cals_verify.Check
@@ -96,9 +97,8 @@ let run_map input scale seed optimize k utilization output =
   let floorplan = floorplan_of subject utilization in
   let rng = Cals_util.Rng.create (seed + 1) in
   let positions = Placement.place_subject subject ~floorplan ~rng in
-  let result =
-    Mapper.map subject ~library ~positions (Mapper.congestion_aware ~k)
-  in
+  let session = Incremental.create ~subject ~library ~positions () in
+  let result = Incremental.map session ~k in
   let mapped = result.Mapper.mapped in
   Printf.printf "mapped at K=%g: %d cells, %.0f um2 (%d matches evaluated)\n" k
     (Mapped.num_cells mapped) (Mapped.total_area mapped)
@@ -130,18 +130,15 @@ let grid_json g =
    the dump is complete even when the flow itself pruned or triaged the
    route away. *)
 let dump_congestion path ~subject ~floorplan ~positions ~k =
-  let result =
-    Mapper.map subject ~library ~positions (Mapper.congestion_aware ~k)
-  in
-  let mapped = result.Mapper.mapped in
-  match Placement.place_mapped_seeded mapped ~floorplan with
-  | exception Cals_place.Legalize.Overflow _ ->
+  match
+    Flow.evaluate_k ~estimate:Estimate.Off ~subject ~library ~floorplan
+      ~positions ~k ()
+  with
+  | _, (_, None, _) | _, (_, _, None) ->
     Printf.printf
       "dump-congestion: K=%g does not legalize, nothing to dump\n" k
-  | placement ->
-    let request = Router.Request.of_mapped mapped ~floorplan ~wire ~placement in
-    let f = Estimate.forecast request in
-    let routing = Router.route request in
+  | _, (mapped, Some placement, Some routing) ->
+    let f = Estimate.forecast_mapped mapped ~floorplan ~wire ~placement in
     let real = Congestion.gcell_map routing in
     let m = f.Estimate.maps and cut = f.Estimate.cut in
     let json =
@@ -352,22 +349,26 @@ let run_sta input scale seed optimize k utilization =
   let floorplan = floorplan_of subject utilization in
   let rng = Cals_util.Rng.create (seed + 1) in
   let positions = Placement.place_subject subject ~floorplan ~rng in
-  let result =
-    Mapper.map subject ~library ~positions (Mapper.congestion_aware ~k)
-  in
-  let mapped = result.Mapper.mapped in
-  let placement = Placement.place_mapped_seeded mapped ~floorplan in
-  let routing = Router.route_mapped mapped ~floorplan ~wire ~placement in
-  Printf.printf "%s\n" (Congestion.summary (Congestion.of_result routing));
-  let report =
-    Sta.analyze ~net_length_um:routing.Router.net_length_um mapped ~wire
-      ~placement
-  in
-  Printf.printf "critical path: %s\n" (Sta.endpoint_to_string report.Sta.critical);
-  List.iter
-    (fun (label, t) -> Printf.printf "  %-20s %8.3f ns\n" label t)
-    report.Sta.critical_path;
-  0
+  match
+    Flow.evaluate_k ~estimate:Estimate.Off ~subject ~library ~floorplan
+      ~positions ~k ()
+  with
+  | _, (_, None, _) | _, (_, _, None) ->
+    Printf.printf
+      "K=%g: the mapped netlist does not legalize into the floorplan\n" k;
+    1
+  | _, (mapped, Some placement, Some routing) ->
+    Printf.printf "%s\n" (Congestion.summary (Congestion.of_result routing));
+    let report =
+      Sta.analyze ~net_length_um:routing.Router.net_length_um mapped ~wire
+        ~placement
+    in
+    Printf.printf "critical path: %s\n"
+      (Sta.endpoint_to_string report.Sta.critical);
+    List.iter
+      (fun (label, t) -> Printf.printf "  %-20s %8.3f ns\n" label t)
+      report.Sta.critical_path;
+    0
 
 (* ------------------------- fuzz ------------------------- *)
 
@@ -862,7 +863,7 @@ let serve_workers_arg =
 
 let serve_cache_dir_arg =
   let doc =
-    "Persist sealed match caches under $(docv), keyed by design \
+    "Persist warmed match caches under $(docv), keyed by design \
      fingerprint, and warm new scheduler (or worker) processes from them \
      — a restarted service pays for pattern matching only once per \
      design, ever."

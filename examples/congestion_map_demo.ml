@@ -3,6 +3,7 @@
    router's verdicts. *)
 
 module Mapper = Cals_core.Mapper
+module Incremental = Cals_core.Incremental
 module Subject = Cals_netlist.Subject
 module Floorplan = Cals_place.Floorplan
 module Placement = Cals_place.Placement
@@ -24,9 +25,10 @@ let () =
   let positions =
     Placement.place_subject subject ~floorplan ~rng:(Cals_util.Rng.create 4)
   in
+  let session = Incremental.create ~subject ~library ~positions () in
+  Incremental.warm session;
   let route k =
-    let r = Mapper.map subject ~library ~positions (Mapper.congestion_aware ~k) in
-    let mapped = r.Cals_core.Mapper.mapped in
+    let mapped = (Incremental.map session ~k).Mapper.mapped in
     let placement = Placement.place_mapped_seeded mapped ~floorplan in
     Router.route_mapped mapped ~floorplan ~wire ~placement
   in

@@ -5,6 +5,7 @@
    grows. *)
 
 module Mapper = Cals_core.Mapper
+module Incremental = Cals_core.Incremental
 module Mapped = Cals_netlist.Mapped
 module Subject = Cals_netlist.Subject
 module Geom = Cals_util.Geom
@@ -25,9 +26,12 @@ let () =
         positions.(v).Geom.y)
     subject.Subject.gates;
   print_newline ();
+  (* One session maps every K: the partition and the pattern matches
+     are computed once, only the cost DP re-runs. *)
+  let session = Incremental.create ~subject ~library ~positions () in
+  Incremental.warm session;
   let describe k =
-    let r = Mapper.map subject ~library ~positions (Mapper.congestion_aware ~k) in
-    let mapped = r.Mapper.mapped in
+    let mapped = (Incremental.map session ~k).Mapper.mapped in
     let cover =
       Mapped.cell_histogram mapped
       |> List.map (fun (n, c) -> Printf.sprintf "%dx%s" c n)

@@ -5,6 +5,7 @@
    Usage: dune exec examples/kfactor_sweep.exe [-- SCALE]  (default 0.12) *)
 
 module Flow = Cals_core.Flow
+module Incremental = Cals_core.Incremental
 module Subject = Cals_netlist.Subject
 module Floorplan = Cals_place.Floorplan
 module Placement = Cals_place.Placement
@@ -30,12 +31,14 @@ let () =
   let positions =
     Placement.place_subject subject ~floorplan ~rng:(Cals_util.Rng.create 3)
   in
+  let session = Incremental.create ~subject ~library ~positions () in
+  Incremental.warm session;
   Printf.printf "%-9s %-7s %-10s %-7s %-10s %s\n" "K" "cells" "area" "util%"
     "hpwl" "violations";
   List.iter
     (fun k ->
       let it, _ =
-        Flow.evaluate_k ~subject ~library ~floorplan ~positions ~k ()
+        Flow.evaluate_k ~session ~subject ~library ~floorplan ~positions ~k ()
       in
       Printf.printf "%-9g %-7d %-10.0f %-7.2f %-10.0f %d\n" k it.Flow.cells
         it.Flow.cell_area

@@ -169,7 +169,7 @@ let tfi_wire subject ~positions ~distance =
    and the arrival. The incumbent is kept on
    [b.cost < cost || (b.cost = cost && b.area_cost <= area_cost)], so the
    first of equally priced candidates in enumeration order wins. *)
-let run ?matchsets:cached subject ~library ~partition ~positions options =
+let run ~matchsets subject ~library ~partition ~positions options =
   let n = Subject.num_nodes subject in
   let wire = Library.wire library in
   let res = wire.Library.res_kohm_per_um and cap = wire.Library.cap_pf_per_um in
@@ -194,12 +194,11 @@ let run ?matchsets:cached subject ~library ~partition ~positions options =
   for v = 0 to n - 1 do
     if partition.Partition.live.(v) && is_gate subject v then begin
       let nm =
-        match cached with
-        | Some ms -> (
-          match ms.(v) with
-          | Some nm -> nm
-          | None -> match_node subject ~library ~partition v)
-        | None -> match_node subject ~library ~partition v
+        match matchsets.(v) with
+        | Some nm -> nm
+        | None ->
+          invalid_arg
+            (Printf.sprintf "Cover.run: no match set at live gate %d" v)
       in
       evaluated := !evaluated + nm.enumerated;
       (* Each reader of the match root is roughly one standard sink; a

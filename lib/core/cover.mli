@@ -91,19 +91,19 @@ val match_node :
 (** All structural candidates at one live gate. *)
 
 val run :
-  ?matchsets:matchset ->
+  matchsets:matchset ->
   Cals_netlist.Subject.t ->
   library:Cals_cell.Library.t ->
   partition:Partition.t ->
   positions:Cals_util.Geom.point array ->
   options ->
   t
-(** With [matchsets] the enumeration phase is skipped wherever the array
-    has an entry (holes fall back to {!match_node}); the result — chosen
-    solutions, costs, tie-breaks and [matches_evaluated] — is bit-identical
-    to a cold run, because the DP consumes candidates in the same order
-    either way. The caller must pass a matchset computed against the same
-    subject, library and partition. *)
+(** The cost-combination DP over precomputed match sets: [matchsets]
+    holds {!match_node}'s result for every live gate of [partition]
+    (computed against the same subject and library); a missing entry
+    raises [Invalid_argument]. The result depends only on the candidates
+    and their order, so a cached matchset maps bit-identically to a
+    fresh one. *)
 
 val solution : t -> int -> solution option
 (** The chosen match at a live gate ([None] for PIs / dead gates). *)

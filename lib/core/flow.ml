@@ -90,16 +90,12 @@ let evaluate_k ?router_config ?(checks = Check.Off)
   Metrics.incr m_k_evaluated;
   let seed = equiv_seed ~k in
   let verify = checks <> Check.Off in
-  let result =
+  let session =
     match session with
-    | Some session ->
-      (* Warm-start re-mapping: the session carries the partition and the
-         cached per-tree match sets. *)
-      Incremental.map ~verify ~t session ~k
-    | None ->
-      let options = { (Mapper.congestion_aware ~k) with t } in
-      Mapper.map ~verify subject ~library ~positions options
+    | Some session -> session
+    | None -> Incremental.create ~subject ~library ~positions ()
   in
+  let result = Incremental.map ~verify ~t session ~k in
   let mapped = result.Mapper.mapped in
   Cals_util.Cancel.check cancel;
   if checks = Check.Full then check_equiv ~checks ~subject ~seed ~k mapped;
@@ -238,7 +234,10 @@ let run_adaptive ?(k_schedule = default_k_schedule) ?router_config
   let session =
     match session with
     | Some s -> s
-    | None -> Incremental.create ~subject ~library ~positions ()
+    | None ->
+      let s = Incremental.create ~subject ~library ~positions () in
+      Incremental.warm s;
+      s
   in
   let route_session = Incremental.route_session session in
   let route_pool =

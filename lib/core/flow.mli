@@ -103,10 +103,13 @@ val run_adaptive :
     per-tree pattern matches are computed once, only the cost DP re-runs
     per K) and routing through its {!Incremental.route_session}, which
     replays repeated route requests. Both are bit-identical to cold
-    evaluation. [session] and [positions] let a caller that already owns
-    a warmed session and its companion placement (the serve scheduler's
-    per-design cache) thread them through instead of placing and warming
-    from scratch. When [positions] is given, [rng] is unused.
+    evaluation. Without [session] the search creates one and warms it
+    first, so each tree is enumerated once per search. [session] and
+    [positions] let a caller that already owns a warmed session and its
+    companion placement (the serve scheduler's per-design cache) thread
+    them through instead of placing and warming from scratch; a passed
+    session is not warmed here. When [positions] is given, [rng] is
+    unused.
 
     [t] (default [0.]) is the timing weight of the multi-objective match
     cost [AREA + K*WIRE + T*DELAY] — see {!Mapper.options.t}. It changes
@@ -152,10 +155,12 @@ val evaluate_k :
     * Cals_place.Placement.mapped_placement option
     * Cals_route.Router.result option)
 (** One K point against a precomputed companion placement — the primitive
-    the K search and the bench tables are built from. With [session] the
-    mapping phase is served by {!Incremental.map}; without it the point
-    maps cold with {!Mapper.congestion_aware} (PDP). The session must
-    have been created from the same [subject], [positions] and library.
+    the K search and the bench tables are built from. The point maps
+    through [session], or without one through a fresh session with the
+    default options ({!Mapper.congestion_aware}, PDP). A passed session
+    must have been created from the same [subject], [positions] and
+    library; its options, bar K and [t], are the ones the point maps
+    with.
 
     [estimate] (default [Prune]) runs the millisecond congestion forecast
     ({!Cals_estimate.Estimate}) on the placed point before routing. Under
@@ -165,8 +170,8 @@ val evaluate_k :
     certificate's lower bound on the violations (>= 1), so a pruned
     point is never accepted. [Triage] routes nothing and records the forecast; [Off]
     always routes. [t] (default [0.]) is the timing weight of
-    {!Mapper.options.t}, forwarded to the mapper on both the session and
-    the cold path; the equivalence stimulus stays derived from K alone
+    {!Mapper.options.t}, forwarded to {!Incremental.map}; the equivalence
+    stimulus stays derived from K alone
     (see {!equiv_seed}), which remains sound because the stimulus never
     depends on the netlist under check.
 

@@ -50,9 +50,12 @@ let check_params ?(level = Check.Full) (p : Fuzz.params) =
     in
     let rng = Cals_util.Rng.create (p.Fuzz.seed + 1) in
     let positions = Cals_place.Placement.place_subject subject ~floorplan ~rng in
+    (* One session serves the search and the re-routes below. *)
+    let session = Incremental.create ~subject ~library ~positions () in
+    Incremental.warm session;
     let outcome, _ =
-      Flow.run_adaptive ~router_config ~checks:level ~positions ~subject
-        ~library ~floorplan ~rng ()
+      Flow.run_adaptive ~router_config ~checks:level ~session ~positions
+        ~subject ~library ~floorplan ~rng ()
     in
     (* Every point skipped on a cut certificate must really fail to
        route, with at least the violations its report claims. *)
@@ -64,7 +67,7 @@ let check_params ?(level = Check.Full) (p : Fuzz.params) =
       else begin
         let real, _ =
           Flow.evaluate_k ~router_config ~estimate:Cals_estimate.Estimate.Off
-            ~subject ~library ~floorplan ~positions ~k:it.Flow.k ()
+            ~session ~subject ~library ~floorplan ~positions ~k:it.Flow.k ()
         in
         if violations real < violations it then Some (it, real) else None
       end

@@ -14,6 +14,12 @@ let m_misses =
     ~help:"Tree match sets enumerated from scratch by the incremental engine"
     "mapper_cache_miss"
 
+let m_matches =
+  Metrics.counter ~help:"Pattern matches evaluated by the tree coverer"
+    "mapper_matches_evaluated"
+
+let m_runs = Metrics.counter ~help:"Technology-mapping runs" "mapper_runs"
+
 type stats = {
   trees : int;
   hits : int;
@@ -35,8 +41,6 @@ type session = {
   partition : Partition.t;
   trees : tree array;
   cache : (int64, (int * Cover.node_matches) list) Hashtbl.t;
-  lock : Mutex.t;
-  sealed : bool Atomic.t;
   hits : int Atomic.t;
   misses : int Atomic.t;
   maps : int Atomic.t;
@@ -119,15 +123,16 @@ let create ?options ~subject ~library ~positions () =
     partition;
     trees = trees_of subject partition;
     cache = Hashtbl.create 256;
-    lock = Mutex.create ();
-    sealed = Atomic.make false;
     hits = Atomic.make 0;
     misses = Atomic.make 0;
     maps = Atomic.make 0;
     route_session = Cals_route.Router.Session.create ();
   }
 
+(* Enumerate one tree from scratch, counted as a miss. *)
 let enumerate_tree session t =
+  Atomic.incr session.misses;
+  Metrics.incr m_misses;
   List.map
     (fun v ->
       ( v,
@@ -135,24 +140,16 @@ let enumerate_tree session t =
           ~partition:session.partition v ))
     t.nodes
 
-(* Look one tree up, enumerating (and, unless sealed, inserting) on miss. *)
+(* Look one tree up. A miss enumerates the tree and drops the result:
+   only [warm] and [preload] write the cache, so lookups from several
+   domains never race with an insert. *)
 let tree_matches session t =
   match Hashtbl.find_opt session.cache t.fp with
   | Some entries ->
     Atomic.incr session.hits;
     Metrics.incr m_hits;
     entries
-  | None ->
-    Atomic.incr session.misses;
-    Metrics.incr m_misses;
-    let entries = enumerate_tree session t in
-    if not (Atomic.get session.sealed) then begin
-      Mutex.lock session.lock;
-      if not (Hashtbl.mem session.cache t.fp) then
-        Hashtbl.add session.cache t.fp entries;
-      Mutex.unlock session.lock
-    end;
-    entries
+  | None -> enumerate_tree session t
 
 let assemble session =
   let ms : Cover.matchset =
@@ -167,28 +164,51 @@ let assemble session =
   ms
 
 let map ?(verify = false) ?(t = 0.0) session ~k =
-  Span.with_ ~cat:"map" ~meta:(Printf.sprintf "K=%g" k) "incremental.map"
+  Span.with_ ~cat:"map" ~meta:(Printf.sprintf "K=%g" k) "mapper.map"
   @@ fun () ->
   Atomic.incr session.maps;
-  let options = { session.options with Mapper.k; t } in
+  Metrics.incr m_runs;
   let matchsets =
     Span.with_ ~cat:"map" "incremental.assemble" @@ fun () -> assemble session
   in
-  Mapper.map ~verify ~partition:session.partition ~matchsets session.subject
-    ~library:session.library ~positions:session.positions options
+  let { Mapper.wire_scale; distance; incremental_update; include_wire2;
+        transitive_wire; _ } =
+    session.options
+  in
+  let partition = session.partition in
+  let cover =
+    Span.with_ ~cat:"map" "mapper.cover" @@ fun () ->
+    Cover.run ~matchsets session.subject ~library:session.library ~partition
+      ~positions:session.positions
+      { Cover.k = k *. wire_scale; t; distance; incremental_update;
+        include_wire2; transitive_wire }
+  in
+  if verify then
+    Cals_verify.Check.record ~stage:"cover" (Cover.check_coverage cover);
+  let extraction =
+    Span.with_ ~cat:"map" "mapper.extract" @@ fun () -> Cover.extract cover
+  in
+  let mapped = extraction.Cover.mapped in
+  Metrics.add m_matches (Cover.matches_evaluated cover);
+  let stats =
+    {
+      Mapper.cells = Cals_netlist.Mapped.num_cells mapped;
+      cell_area = Cals_netlist.Mapped.total_area mapped;
+      matches_evaluated = Cover.matches_evaluated cover;
+      duplicated_gates = extraction.Cover.duplicated_gates;
+      taps = extraction.Cover.taps;
+      trees = List.length partition.Partition.roots;
+    }
+  in
+  { Mapper.mapped; stats; cover; partition }
 
 let warm session =
   Span.with_ ~cat:"map" "incremental.warm" @@ fun () ->
   Array.iter
     (fun t ->
-      if not (Hashtbl.mem session.cache t.fp) then begin
-        Atomic.incr session.misses;
-        Metrics.incr m_misses;
-        Hashtbl.replace session.cache t.fp (enumerate_tree session t)
-      end)
+      if not (Hashtbl.mem session.cache t.fp) then
+        Hashtbl.replace session.cache t.fp (enumerate_tree session t))
     session.trees
-
-let seal session = Atomic.set session.sealed true
 
 let stats session =
   {
@@ -212,12 +232,9 @@ let export session =
            (Hashtbl.find_opt session.cache t.fp))
 
 let preload session entries =
-  if Atomic.get session.sealed then
-    invalid_arg "Incremental.preload: session is sealed";
   let wanted = Hashtbl.create (Array.length session.trees) in
   Array.iter (fun t -> Hashtbl.replace wanted t.fp ()) session.trees;
   let installed = ref 0 in
-  Mutex.lock session.lock;
   List.iter
     (fun (fp, matches) ->
       if Hashtbl.mem wanted fp && not (Hashtbl.mem session.cache fp) then begin
@@ -225,5 +242,4 @@ let preload session entries =
         incr installed
       end)
     entries;
-  Mutex.unlock session.lock;
   !installed

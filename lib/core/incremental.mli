@@ -17,27 +17,25 @@
     fingerprint over the tree's node ids, gate kinds, fanins and father
     edges. The match cache maps fingerprint → per-node candidate sets, so
 
-    - a second {!map} call at a different K hits on every tree;
+    - after {!warm}, a {!map} call at any K hits on every tree;
     - a tree whose structure or father edges changed (e.g. a different
       partition in some future re-partitioning session) fingerprints
       differently and is re-enumerated, invalidating exactly the stale
       entry and nothing else.
 
-    Results are bit-identical to a cold {!Mapper.map}: cached candidates
-    are stored in exact enumeration order, so the DP sees the same
-    sequence of matches and breaks ties identically (see
-    {!Cover.run}).
+    {!map} is the one mapping path; the cold mapper survives only as a
+    test oracle. Cached candidates keep their exact enumeration order,
+    so a cached tree and a freshly enumerated one give the DP the same
+    candidate sequence and the same tie-breaks (see {!Cover.run}).
 
-    {2 Domain safety}
+    {2 Cache discipline and domain safety}
 
-    Cache insertion is mutex-protected, but concurrent lookups during
-    insertion are not safe on a shared [Hashtbl]. A session used from
-    several domains must first be {!warm}ed sequentially (one match
-    phase) and {!seal}ed, then shared read-only — what the serve
-    scheduler does with each cached design's session before its worker
-    domains map jobs against it. A sealed session never mutates the cache (a miss is
-    recomputed on the fly and dropped), so sealed lookups are race-free.
-    Hit/miss statistics are atomics and always safe. *)
+    The cache fills only through {!warm} and {!preload}; a lookup that
+    misses enumerates the tree and drops the result. As {!map} never
+    writes, any number of domains may share a session with no lock, once
+    its filling is done ({!warm} and {!preload} must not overlap a
+    {!map}). An unwarmed session is just as safe, only slower. The
+    hit/miss statistics are atomics. *)
 
 type stats = {
   trees : int;  (** Partition trees in the session's subject. *)
@@ -61,24 +59,19 @@ val create :
     its own K. *)
 
 val map : ?verify:bool -> ?t:float -> session -> k:float -> Mapper.result
-(** One K point: assemble the cached match sets (enumerating any missing
-    tree) and run the cost-combination DP + extraction via {!Mapper.map}.
-    Bit-identical to the equivalent cold call
-    [Mapper.map ?verify subject ~library ~positions { options with k; t }].
-    [t] (default [0.]) is the timing weight of
-    {!Mapper.options.t}; like K it only affects the cost-combination DP,
-    never the cached structural matches, so one session serves timing
-    and non-timing calls from the same cache. *)
+(** One K point: assemble the tree match sets, run the cost-combination
+    DP ({!Cover.run}) and extract the netlist, under the session's
+    options with [k] and [t] substituted. [t] (default [0.]) is the
+    timing weight of {!Mapper.options.t}; like K it never touches the
+    structural matches, so timing and non-timing calls share one cache.
+    With [verify] (default [false]) the cover is checked for legality
+    before extraction; a violation raises
+    {!Cals_verify.Check.Violation} with stage ["cover"]. *)
 
 val warm : session -> unit
 (** Sequential match phase: enumerate and cache every tree that is not
     cached yet (counted as misses). After [warm], every {!map} lookup
-    hits. *)
-
-val seal : session -> unit
-(** Freeze the cache so the session can be shared read-only across
-    domains. Subsequent misses (impossible after {!warm} within one
-    session) are recomputed without being inserted. *)
+    hits. Must not overlap a {!map} on the same session. *)
 
 val stats : session -> stats
 (** Snapshot of the session-local counters. The global telemetry
@@ -112,11 +105,10 @@ val export : session -> (int64 * (int * Cover.node_matches) list) list
 
 val preload : session -> (int64 * (int * Cover.node_matches) list) list -> int
 (** Install previously {!export}ed match sets into a fresh session's
-    cache, before {!warm}/{!seal}. Only entries whose fingerprint matches
-    one of the session's own trees are installed — anything else (a
+    cache, before {!warm}. Only entries whose fingerprint matches one of
+    the session's own trees are installed — anything else (a
     different subject, partition or library vintage) is silently ignored,
     so a stale store can only produce cold misses, never wrong matches.
     Returns the number of entries installed. Installed trees are skipped
     by {!warm} (no miss is counted), so subsequent {!map} lookups count as
-    cache hits. Raises [Invalid_argument] if the session is already
-    sealed. *)
+    cache hits. Like {!warm}, must not overlap a {!map}. *)

@@ -1,7 +1,8 @@
-(** Technology-mapping driver: partition, cover, instantiate.
+(** Technology-mapping options, statistics and results.
 
-    Bundles the paper's Section 3 pipeline behind one call and reports the
-    statistics the evaluation tables need. *)
+    The paper's Section 3 pipeline (partition, cover, instantiate) runs
+    in {!Incremental}: a session partitions once and {!Incremental.map}
+    covers and extracts at one K, returning a [result]. *)
 
 type options = {
   k : float;  (** Congestion minimization factor (Eq. 5). *)
@@ -58,26 +59,3 @@ type result = {
   cover : Cover.t;
   partition : Partition.t;
 }
-
-val map :
-  ?verify:bool ->
-  ?partition:Partition.t ->
-  ?matchsets:Cover.matchset ->
-  Cals_netlist.Subject.t ->
-  library:Cals_cell.Library.t ->
-  positions:Cals_util.Geom.point array ->
-  options ->
-  result
-(** [positions] is the companion placement of the subject graph (one point
-    per subject node, produced once per circuit). With [verify] (default
-    [false]) the cover is checked for legality — every live gate covered by
-    exactly the chosen matches — before extraction, and a violation raises
-    {!Cals_verify.Check.Violation} with stage ["cover"].
-
-    [partition] and [matchsets] are the warm-start inputs threaded by
-    {!Incremental} sessions: a precomputed partition skips
-    {!Partition.run}, and a precomputed matchset skips pattern
-    enumeration inside {!Cover.run}. Both must have been derived from the
-    same [subject], [positions], library and [options] (modulo [k] and
-    [t], which neither depends on); the result is then bit-identical to a
-    cold call. *)

@@ -239,9 +239,12 @@ let collect memo ~offers ~cubes_of t =
   done;
   Hashtbl.fold (fun _ c acc -> c :: acc) tbl []
 
+(* Extraction rounds per pass. *)
+let max_rounds = 64
+
 (* Exact evaluation is expensive (trial division against every node), so
-   rank candidates by a cheap score first and only evaluate the best few. *)
-let best_candidate ?(exact_budget = 48) t cands =
+   rank candidates by a cheap score first and only evaluate the best 48. *)
+let best_candidate t cands =
   let cheap c =
     let lits = List.fold_left (fun acc cu -> acc + List.length cu) 0 c.cubes in
     c.hits * (lits - 1)
@@ -253,7 +256,7 @@ let best_candidate ?(exact_budget = 48) t cands =
       (fun (a, _) (b, _) -> Int.compare b a)
       (List.map (fun c -> (cheap c, c)) cands)
   in
-  let shortlist = List.filteri (fun i _ -> i < exact_budget) (List.map snd ranked) in
+  let shortlist = List.filteri (fun i _ -> i < 48) (List.map snd ranked) in
   let readers = readers t in
   List.iter (evaluate_candidate t readers) shortlist;
   List.fold_left
@@ -263,7 +266,7 @@ let best_candidate ?(exact_budget = 48) t cands =
       | Some _ | None -> if c.value > 0 && List.length c.users >= 1 then Some c else best)
     None shortlist
 
-let extract_common_cubes ?(max_rounds = 64) t =
+let extract_common_cubes t =
   let memo = Hashtbl.create 256 in
   let rec go round created =
     if round >= max_rounds then created
@@ -281,9 +284,9 @@ let extract_common_cubes ?(max_rounds = 64) t =
 (* Kernel extraction                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* Kernels with 2 to 12 cubes of a node with at most [max_node_cubes]. *)
-let kernel_offers ~max_node_cubes (n : Network.node) =
-  if Sop.num_cubes n.Network.sop > max_node_cubes then []
+(* Kernels with 2 to 12 cubes of a node with at most 40 cubes. *)
+let kernel_offers (n : Network.node) =
+  if Sop.num_cubes n.Network.sop > 40 then []
   else
     List.filter_map
       (fun k ->
@@ -293,13 +296,15 @@ let kernel_offers ~max_node_cubes (n : Network.node) =
         else None)
       (Kernel.all n.Network.sop)
 
-let extract_kernels ?(max_rounds = 64) ?(max_node_cubes = 40) t =
+let extract_kernels t =
   let memo = Hashtbl.create 256 in
-  let offers = kernel_offers ~max_node_cubes in
   let rec go round created =
     if round >= max_rounds then created
     else
-      match best_candidate t (collect memo ~offers ~cubes_of:Fun.id t) with
+      match
+        best_candidate t
+          (collect memo ~offers:kernel_offers ~cubes_of:Fun.id t)
+      with
       | None -> created
       | Some c -> if materialize t c then go (round + 1) (created + 1) else created
   in

@@ -21,15 +21,16 @@ val eliminate : ?value_threshold:int -> Network.t -> int
     collapsing) is at most the threshold (default 0) into their consumers.
     Returns the number of nodes eliminated. *)
 
-val extract_common_cubes : ?max_rounds:int -> Network.t -> int
-(** Repeatedly extract the best-value common cube as a new AND node.
+val extract_common_cubes : Network.t -> int
+(** Repeatedly (at most 64 rounds) extract the best-value common cube as
+    a new AND node.
     Considers both identical cubes shared across nodes (PLA product terms)
     and pairwise cube intersections within a node. Returns the number of
     divisor nodes created. *)
 
-val extract_kernels : ?max_rounds:int -> ?max_node_cubes:int -> Network.t -> int
-(** Repeatedly extract the best-value multi-cube kernel as a new node.
-    Nodes with more than [max_node_cubes] cubes (default 40) are skipped as
+val extract_kernels : Network.t -> int
+(** Repeatedly (at most 64 rounds) extract the best-value multi-cube
+    kernel as a new node. Nodes with more than 40 cubes are skipped as
     kernel sources (but still rewritten as uses). Returns the number of
     divisor nodes created. *)
 

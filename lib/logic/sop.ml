@@ -144,7 +144,8 @@ let split_on_var t v =
     t;
   (of_cubes !qpos, of_cubes !qneg, of_cubes !free)
 
-let can_substitute ?(max_cubes = 512) t v g =
+let can_substitute t v g =
+  let max_cubes = 512 in
   let _, qneg, _ = split_on_var t v in
   (is_zero qneg || complement ~max_cubes g <> None)
   && num_cubes g * num_cubes t <= max_cubes

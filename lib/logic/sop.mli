@@ -79,8 +79,9 @@ val substitute : t -> int -> t -> t
     (both phases; uses {!complement} internally, falling back to expanding
     the positive phase only — callers must check with [can_substitute]). *)
 
-val can_substitute : ?max_cubes:int -> t -> int -> t -> bool
-(** True when [substitute] can be performed exactly within the size cap. *)
+val can_substitute : t -> int -> t -> bool
+(** True when [substitute] can be performed exactly within a 512-cube cap
+    (on the complement and on the product). *)
 
 val eval64 : t -> int64 array -> int64
 (** Evaluate over 64 assignments at once: bit [i] of input word [v] is

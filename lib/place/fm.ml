@@ -87,7 +87,10 @@ let bucket_best b ok =
   in
   scan b.max_gain
 
-let bipartition ?(max_passes = 8) ?(balance_tolerance = 0.1) ~rng p =
+let max_passes = 8
+let balance_tolerance = 0.1 (* either side may hold 60 % of the weight *)
+
+let bipartition ~rng p =
   let n = Array.length p.weights in
   let side = Array.make n 0 in
   let total_weight = Array.fold_left ( + ) 0 p.weights in

@@ -11,15 +11,10 @@ type problem = {
   locked : int option array;  (** [Some side] pins the node to side 0/1. *)
 }
 
-val bipartition :
-  ?max_passes:int ->
-  ?balance_tolerance:float ->
-  rng:Cals_util.Rng.t ->
-  problem ->
-  int array
-(** Returns the side (0 or 1) of every node. [balance_tolerance] is the
-    allowed deviation of either side from half the total weight (default
-    0.1, i.e. 40/60 splits are acceptable). *)
+val bipartition : rng:Cals_util.Rng.t -> problem -> int array
+(** Returns the side (0 or 1) of every node. Either side may deviate
+    from half the total weight by 0.1 (40/60 splits are acceptable), and
+    at most 8 improving passes run. *)
 
 val cut_size : problem -> int array -> int
 (** Number of nets with pins on both sides. *)

@@ -296,7 +296,7 @@ let input_of_json json =
   match (blif, preset, workload) with
   | Some path, None, None -> Ok (Blif path)
   | None, Some name, None ->
-    if not (List.mem name [ "spla"; "pdc"; "too_large" ]) then
+    if not (List.mem_assoc name Cals_workload.Presets.named) then
       Error (Printf.sprintf "unknown preset %S" name)
     else
       let* scale =

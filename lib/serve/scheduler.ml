@@ -76,8 +76,9 @@ type summary = Ledger.summary = {
 
 (* Everything about one distinct circuit that K, checks and deadlines do
    not change — shared by every job with the same design key. The session
-   is warmed and sealed at construction so worker domains may use it
-   concurrently (see Incremental's domain-safety protocol). *)
+   is warmed at construction, before any worker domain sees it; lookups
+   never write its cache, so the domains may then map it concurrently
+   (see Incremental's cache discipline). *)
 type design = {
   subject : Subject.t;
   floorplan : Floorplan.t;
@@ -138,6 +139,8 @@ let network_of_input = function
   | Proto.Preset { name; scale; seed } -> (
     match List.assoc_opt name Cals_workload.Presets.named with
     | Some preset -> Ok (preset ~scale ~seed)
+    (* Parsed specs name a known preset already ([Proto.input_of_json]
+       checks the same table); only a spec built in code lands here. *)
     | None -> Error (Printf.sprintf "unknown preset %s" name))
   | Proto.Workload p ->
     let family =
@@ -223,7 +226,6 @@ let build_design ~cache_dir (spec : Proto.spec) =
       cache_dir
   in
   Incremental.warm session;
-  Incremental.seal session;
   (match (cache_dir, preloaded) with
   | Some dir, Some n
     when n < (Incremental.stats session).Incremental.trees -> (
@@ -237,8 +239,8 @@ let build_design ~cache_dir (spec : Proto.spec) =
 
 (* Racing builders waste work but stay correct: the design is built
    outside the lock and the first insert wins, so every job with the same
-   key ends up reading one session (warmed and sealed above, hence safe
-   to share read-only across domains). *)
+   key ends up reading one session (warmed above, and never written
+   after, hence safe to share across domains). *)
 let get_design t spec =
   let key = Proto.design_key spec in
   let lookup () =

@@ -3,10 +3,9 @@
     A scheduler owns one {!Queue}, one shared {!Cals_util.Pool} of
     worker domains, a {!Ledger}, and a {e design cache}: per distinct
     circuit ({!Proto.design_key}) the subject graph, floorplan, companion
-    placement and a warmed-and-sealed {!Cals_core.Incremental} session
-    ({!Cals_core.Incremental.warm} once, then
-    {!Cals_core.Incremental.seal} so worker domains can share it
-    read-only), kept alive across jobs so repeated designs skip
+    placement and a {!Cals_core.Incremental} session, warmed once
+    ({!Cals_core.Incremental.warm}) before worker domains share it (its
+    lookups never write, so sharing needs no lock), kept alive across jobs so repeated designs skip
     decomposition, placement and pattern matching entirely. Telemetry
     rings and metric counters likewise persist for the life of the
     process — one trace covers the whole drain.

@@ -1,4 +1,4 @@
-(** Persistent match-cache store: sealed {!Cals_core.Incremental} sessions
+(** Persistent match-cache store: warmed {!Cals_core.Incremental} sessions
     on disk, so warm mapper hits survive scheduler restarts and can be
     shared across fleet workers.
 
@@ -51,7 +51,7 @@ val path : dir:string -> key:string -> string
 
 val load :
   dir:string -> key:string -> Cals_core.Incremental.session -> load_result
-(** Preload a fresh (unsealed, unwarmed) session from the store. Cells
+(** Preload a fresh (unwarmed, not yet shared) session from the store. Cells
     are resolved by name against the session's library; an unresolvable
     cell marks the whole file corrupt. Never raises. *)
 

@@ -9,6 +9,7 @@
 
 module Cover = Cals_core.Cover
 module Mapper = Cals_core.Mapper
+module Incremental = Cals_core.Incremental
 module Flow = Cals_core.Flow
 module Subject = Cals_netlist.Subject
 module Mapped = Cals_netlist.Mapped
@@ -62,11 +63,17 @@ let variants : (string * (float -> Mapper.options)) list =
     ("t = 0.5", fun k -> { (base k) with t = 0.5 });
   ]
 
-(* Every (K, mapping) of one subject under one variant, in ladder order. *)
+(* Every (K, mapping) of one subject under one variant, in ladder order,
+   through one warmed session: the pins hold the shipped mapping path. *)
 let maps s options =
+  let base = options 0.0 in
+  let session =
+    Incremental.create ~options:base ~subject:s.subject ~library:lib
+      ~positions:s.positions ()
+  in
+  Incremental.warm session;
   List.map
-    (fun k ->
-      (k, Mapper.map s.subject ~library:lib ~positions:s.positions (options k)))
+    (fun k -> (k, Incremental.map ~t:base.Mapper.t session ~k))
     Flow.default_k_schedule
 
 let add_int b i =

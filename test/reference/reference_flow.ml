@@ -10,7 +10,11 @@ let run ?(k_schedule = Flow.default_k_schedule) ?router_config
     ?(session = true) ~subject ~library ~floorplan ~rng () =
   let positions = Cals_place.Placement.place_subject subject ~floorplan ~rng in
   let session =
-    if session then Some (Incremental.create ~subject ~library ~positions ())
+    if session then begin
+      let s = Incremental.create ~subject ~library ~positions () in
+      Incremental.warm s;
+      Some s
+    end
     else None
   in
   let route_session = Option.map Incremental.route_session session in

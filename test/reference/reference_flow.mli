@@ -29,10 +29,10 @@ val run :
     every point, [Prune] skips the routes the forecast confidently calls
     unroutable, [Triage] routes nothing.
 
-    [session] (default [true]) walks the schedule through one
+    [session] (default [true]) walks the schedule through one warmed
     {!Cals_core.Incremental} session and its route session, as the
-    shipped search does; [false] maps and routes cold at every K. The
-    outcome is the same either way.
+    shipped search does; [false] maps each K through a fresh session and
+    routes it cold. The outcome is the same either way.
 
     [checks] runs the verification layer as the shipped search does: a
     [Cheap] run miters only the accepted netlist, a [Full] run every K

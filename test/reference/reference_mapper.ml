@@ -1,0 +1,51 @@
+module Subject = Cals_netlist.Subject
+module Mapped = Cals_netlist.Mapped
+module Mapper = Cals_core.Mapper
+module Cover = Cals_core.Cover
+module Partition = Cals_core.Partition
+
+let matchset subject ~library ~partition =
+  Array.init (Subject.num_nodes subject) (fun v ->
+      match subject.Subject.gates.(v) with
+      | Subject.Pi _ -> None
+      | Subject.Inv _ | Subject.Nand2 _ ->
+        if partition.Partition.live.(v) then
+          Some (Cover.match_node subject ~library ~partition v)
+        else None)
+
+let map ?(verify = false) subject ~library ~positions (options : Mapper.options)
+    =
+  let partition =
+    Partition.run options.strategy subject ~positions
+      ~distance:options.distance
+  in
+  let cover_options =
+    {
+      Cover.k = options.k *. options.wire_scale;
+      t = options.t;
+      distance = options.distance;
+      incremental_update = options.incremental_update;
+      include_wire2 = options.include_wire2;
+      transitive_wire = options.transitive_wire;
+    }
+  in
+  let cover =
+    Cover.run
+      ~matchsets:(matchset subject ~library ~partition)
+      subject ~library ~partition ~positions cover_options
+  in
+  if verify then
+    Cals_verify.Check.record ~stage:"cover" (Cover.check_coverage cover);
+  let extraction = Cover.extract cover in
+  let mapped = extraction.Cover.mapped in
+  let stats =
+    {
+      Mapper.cells = Mapped.num_cells mapped;
+      cell_area = Mapped.total_area mapped;
+      matches_evaluated = Cover.matches_evaluated cover;
+      duplicated_gates = extraction.Cover.duplicated_gates;
+      taps = extraction.Cover.taps;
+      trees = List.length partition.Partition.roots;
+    }
+  in
+  { Mapper.mapped; stats; cover; partition }

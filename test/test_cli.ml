@@ -94,6 +94,14 @@ let test_sta () =
   Alcotest.(check bool) "prints a critical path" true
     (contains ~needle:"critical path:" (logged ()))
 
+(* A netlist that does not legalize is reported in one line naming K,
+   exit 1, not an uncaught exception. *)
+let test_sta_overflow () =
+  check_exit "sta, no fit" 1
+    (Printf.sprintf "%s sta spla --scale 0.03 --utilization 0.95 -k 1.0" cals);
+  Alcotest.(check bool) "names K and the failure" true
+    (contains ~needle:"K=1: the mapped netlist does not legalize" (logged ()))
+
 let test_lib () =
   check_exit "lib" 0 (Printf.sprintf "%s lib -o cli-lib.lib" cals);
   check_file "lib" "cli-lib.lib"
@@ -256,6 +264,7 @@ let () =
           Alcotest.test_case "flow" `Quick test_flow;
           Alcotest.test_case "flow-orchestrate" `Quick test_flow_orchestrate;
           Alcotest.test_case "sta" `Quick test_sta;
+          Alcotest.test_case "sta-overflow" `Quick test_sta_overflow;
           Alcotest.test_case "lib" `Quick test_lib;
           Alcotest.test_case "fuzz" `Quick test_fuzz;
           Alcotest.test_case "serve" `Quick test_serve;

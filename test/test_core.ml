@@ -1,6 +1,7 @@
 module Partition = Cals_core.Partition
 module Cover = Cals_core.Cover
 module Mapper = Cals_core.Mapper
+module Reference_mapper = Cals_reference.Reference_mapper
 module Subject = Cals_netlist.Subject
 module Mapped = Cals_netlist.Mapped
 module Floorplan = Cals_place.Floorplan
@@ -187,7 +188,7 @@ let test_partition_pdp_bigger_trees_than_dagon () =
 
 let test_cover_min_area_beats_naive () =
   let subject, _, positions = placed_subject 5 in
-  let r = Mapper.map subject ~library:lib ~positions Mapper.min_area in
+  let r = Reference_mapper.map subject ~library:lib ~positions Mapper.min_area in
   (* Naive 1:1 mapping cost: every gate its own INV/NAND2 cell. *)
   let inv_area = (Cals_cell.Library.find lib "INV").Cell.area in
   let nand_area = (Cals_cell.Library.find lib "NAND2").Cell.area in
@@ -215,7 +216,7 @@ let test_cover_preserves_function_all_strategies () =
       List.iter
         (fun k ->
           let opts = { (Mapper.congestion_aware ~k) with strategy } in
-          let r = Mapper.map subject ~library:lib ~positions opts in
+          let r = Reference_mapper.map subject ~library:lib ~positions opts in
           let rng = Rng.create 123 in
           for _ = 1 to 8 do
             let stimulus = Subject.random_vectors rng subject in
@@ -232,12 +233,24 @@ let test_cover_full_coverage () =
   List.iter
     (fun strategy ->
       let partition = Partition.run strategy subject ~positions ~distance:Geom.manhattan in
+      let matchsets = Reference_mapper.matchset subject ~library:lib ~partition in
       let cover =
-        Cover.run subject ~library:lib ~partition ~positions cover_options
+        Cover.run ~matchsets subject ~library:lib ~partition ~positions
+          cover_options
       in
-      match Cover.check_coverage cover with
+      (match Cover.check_coverage cover with
       | Ok () -> ()
-      | Error e -> Alcotest.fail e)
+      | Error e -> Alcotest.fail e);
+      (* The DP never enumerates: a live gate without a match set is the
+         caller's error. *)
+      let v = Option.get (Array.find_index Option.is_some matchsets) in
+      matchsets.(v) <- None;
+      match
+        Cover.run ~matchsets subject ~library:lib ~partition ~positions
+          cover_options
+      with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "a hole at live gate %d was not refused" v)
     [ Partition.Dagon; Partition.Cone; Partition.Pdp ]
 
 let test_cover_dp_optimal_vs_bruteforce () =
@@ -255,7 +268,7 @@ let test_cover_dp_optimal_vs_bruteforce () =
   Subject.set_output b "f" i2;
   let subject = Subject.freeze b in
   let positions = Array.make (Subject.num_nodes subject) (Geom.point 0.0 0.0) in
-  let r = Mapper.map subject ~library:lib ~positions Mapper.min_area in
+  let r = Reference_mapper.map subject ~library:lib ~positions Mapper.min_area in
   (* Optimal cover is a single AND3 cell. *)
   let and3 = Cals_cell.Library.find lib "AND3" in
   Alcotest.(check int) "one cell" 1 r.Mapper.stats.Mapper.cells;
@@ -279,7 +292,7 @@ let test_cover_duplication_on_swallowed_fanout () =
   List.iter
     (fun strategy ->
       let opts = { Mapper.min_area with strategy } in
-      let r = Mapper.map subject ~library:lib ~positions opts in
+      let r = Reference_mapper.map subject ~library:lib ~positions opts in
       let rng = Rng.create 9 in
       for _ = 1 to 8 do
         let stimulus = Subject.random_vectors rng subject in
@@ -291,7 +304,7 @@ let test_cover_duplication_on_swallowed_fanout () =
 let test_cover_k_monotone_area () =
   let subject, _, positions = placed_subject 8 in
   let area k =
-    let r = Mapper.map subject ~library:lib ~positions (Mapper.congestion_aware ~k) in
+    let r = Reference_mapper.map subject ~library:lib ~positions (Mapper.congestion_aware ~k) in
     r.Mapper.stats.Mapper.cell_area
   in
   let a0 = area 0.0 and a1 = area 0.01 and a2 = area 1.0 in
@@ -301,7 +314,7 @@ let test_cover_k_monotone_area () =
 let test_cover_k_reduces_seed_wirelength () =
   let subject, fp, positions = placed_subject 9 in
   let hpwl k =
-    let r = Mapper.map subject ~library:lib ~positions (Mapper.congestion_aware ~k) in
+    let r = Reference_mapper.map subject ~library:lib ~positions (Mapper.congestion_aware ~k) in
     (Placement.place_mapped_seeded r.Mapper.mapped ~floorplan:fp).Placement.hpwl
   in
   let h0 = hpwl 0.0 and h1 = hpwl 0.005 in
@@ -309,7 +322,7 @@ let test_cover_k_reduces_seed_wirelength () =
 
 let test_cover_seeds_inside_die () =
   let subject, fp, positions = placed_subject 10 in
-  let r = Mapper.map subject ~library:lib ~positions (Mapper.congestion_aware ~k:0.001) in
+  let r = Reference_mapper.map subject ~library:lib ~positions (Mapper.congestion_aware ~k:0.001) in
   Array.iter
     (fun inst ->
       if not (Floorplan.contains fp inst.Mapped.seed) then
@@ -320,7 +333,7 @@ let test_cover_ablation_options_run () =
   let subject, _, positions = placed_subject 11 in
   List.iter
     (fun opts ->
-      let r = Mapper.map subject ~library:lib ~positions opts in
+      let r = Reference_mapper.map subject ~library:lib ~positions opts in
       let rng = Rng.create 77 in
       let stimulus = Subject.random_vectors rng subject in
       if Subject.simulate subject stimulus <> Mapped.simulate r.Mapper.mapped stimulus
@@ -337,7 +350,7 @@ let test_transitive_wire_grows_area_faster () =
      paper's bounded cost at the same K (Section 3.3's argument). *)
   let subject, _, positions = placed_subject 12 in
   let area opts =
-    (Mapper.map subject ~library:lib ~positions opts).Mapper.stats.Mapper.cell_area
+    (Reference_mapper.map subject ~library:lib ~positions opts).Mapper.stats.Mapper.cell_area
   in
   let ours = area (Mapper.congestion_aware ~k:0.005) in
   let pedram =

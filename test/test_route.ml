@@ -553,7 +553,7 @@ let test_route_pinned_pdc () =
     Cals_place.Placement.place_subject subject ~floorplan ~rng:(Rng.create 7)
   in
   let mapped =
-    (Cals_core.Mapper.map subject ~library:lib ~positions
+    (Cals_reference.Reference_mapper.map subject ~library:lib ~positions
        (Cals_core.Mapper.congestion_aware ~k:0.0))
       .Cals_core.Mapper.mapped
   in
@@ -581,7 +581,7 @@ let agreement_fixture =
      let floorplan = Floorplan.of_rows ~num_rows:10 ~sites_per_row:60 ~geometry in
      let positions = Placement.place_subject subject ~floorplan ~rng:(Rng.create 3) in
      let mapped =
-       (Cals_core.Mapper.map subject ~library:lib ~positions
+       (Cals_reference.Reference_mapper.map subject ~library:lib ~positions
           (Cals_core.Mapper.congestion_aware ~k:0.0))
          .Cals_core.Mapper.mapped
      in

@@ -340,6 +340,40 @@ let test_drain_mixed () =
   Alcotest.(check int) "summary.json completed" 7
     (int_of_float (num_member "completed" summary))
 
+(* A spec built in code skips the parser's preset check; the scheduler
+   still refuses the unknown preset as an input error, quarantined on its
+   first attempt. *)
+let test_unknown_preset () =
+  let out = fresh_out () in
+  let scheduler =
+    Scheduler.create
+      { Scheduler.default_config with Scheduler.out_dir = out; max_attempts = 3 }
+  in
+  submit scheduler
+    {
+      Proto.id = "bad-preset";
+      input = Proto.Preset { name = "zzz"; scale = 0.02; seed = 1 };
+      k_schedule = Some [ 0.0 ];
+      checks = Check.Off;
+      utilization = 0.55;
+      optimize = false;
+      timing = None;
+      orchestrate = None;
+      deadline_s = None;
+    };
+  let s = Scheduler.drain scheduler () in
+  Alcotest.(check int) "quarantined" 1 s.Scheduler.quarantined;
+  Alcotest.(check int) "never retried" 0 s.Scheduler.retries;
+  match
+    String.split_on_char '\n'
+      (read_file (Filename.concat out "quarantine/bad-preset/failure.txt"))
+  with
+  | _ :: attempts :: fault :: _ ->
+    Alcotest.(check string) "one attempt" "attempts: 1" attempts;
+    Alcotest.(check bool) "input error" true
+      (String.starts_with ~prefix:"fault: input error: " fault)
+  | _ -> Alcotest.fail "failure.txt has fewer than three lines"
+
 (* An undegraded timing job ships the post-route critical path in its
    artifact metrics; a twin without timing carries no timing fields at
    all (and both ride the same warmed design session). *)
@@ -662,6 +696,7 @@ let () =
       ( "scheduler",
         [
           Alcotest.test_case "drain-mixed" `Quick test_drain_mixed;
+          Alcotest.test_case "unknown-preset" `Quick test_unknown_preset;
           Alcotest.test_case "timing-metrics" `Quick test_timing_metrics;
           Alcotest.test_case "degradation" `Quick test_degradation;
           Alcotest.test_case "triage" `Quick test_triage;

@@ -143,7 +143,7 @@ let test_full_analysis_on_mapped_circuit () =
       ~utilization:0.5 ~aspect:1.0 ~geometry
   in
   let positions = Placement.place_subject subject ~floorplan:fp2 ~rng:(Rng.create 56) in
-  let r = Cals_core.Mapper.map subject ~library:lib ~positions Cals_core.Mapper.min_area in
+  let r = Cals_reference.Reference_mapper.map subject ~library:lib ~positions Cals_core.Mapper.min_area in
   let mapped = r.Cals_core.Mapper.mapped in
   let pl = Placement.place_mapped_seeded mapped ~floorplan:fp2 in
   let report = Sta.analyze mapped ~wire ~placement:pl in

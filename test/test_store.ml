@@ -1,4 +1,4 @@
-(* The persistent match-cache store: a sealed session's matches must
+(* The persistent match-cache store: a warmed session's matches must
    round-trip through the on-disk format bit-identically (qcheck over
    random workloads), and every damaged file — truncated, bit-flipped,
    version-bumped, mis-keyed — must degrade to a counted cold miss that
@@ -86,7 +86,7 @@ let workload_arb =
       let* size = 8 -- 24 in
       return (family, seed, inputs, outputs, size))
 
-(* Warm+seal a session, save it, load it into a fresh session of the
+(* Warm a session, save it, load it into a fresh session of the
    same design: every tree preloads, the store reports a hit, and
    mapping from the preloaded cache is bit-identical to mapping from
    the warmed one — with zero cache misses. *)
@@ -98,7 +98,6 @@ let store_roundtrip =
       let key = Printf.sprintf "rt-%d-%d" seed size in
       let warmed = make () in
       Incremental.warm warmed;
-      Incremental.seal warmed;
       (match Store.save ~dir ~key warmed with
       | Ok bytes ->
         if bytes <= 28 then
@@ -114,7 +113,6 @@ let store_roundtrip =
       | Store.Cold _ -> QCheck.Test.fail_reportf "unexpected cold load");
       if counter "serve_cache_store_hit" <> hits0 + 1 then
         QCheck.Test.fail_reportf "hit counter did not advance";
-      Incremental.seal loaded;
       let a = Incremental.map warmed ~k:4.0 in
       let b = Incremental.map loaded ~k:4.0 in
       if not (mapped_identical a.Mapper.mapped b.Mapper.mapped) then
@@ -156,7 +154,6 @@ let test_damage_degrades_to_cold_miss () =
   let key = "damage" in
   let warmed = make () in
   Incremental.warm warmed;
-  Incremental.seal warmed;
   (match Store.save ~dir ~key warmed with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "save failed: %s" e);
@@ -202,7 +199,6 @@ let test_damage_degrades_to_cold_miss () =
         (counter "serve_cache_store_corrupt");
       (* The cold miss is survivable: warming still works, identically. *)
       Incremental.warm session;
-      Incremental.seal session;
       Alcotest.(check bool)
         (name ^ ": session still maps identically")
         true
@@ -232,7 +228,6 @@ let test_save_then_load_immediately () =
   let dir = fresh_dir () in
   let warmed = make () in
   Incremental.warm warmed;
-  Incremental.seal warmed;
   (match Store.save ~dir ~key:"atomic" warmed with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "save failed: %s" e);
@@ -248,7 +243,6 @@ let test_unwritable_dir_is_an_error () =
     session_of ~family:`Pla ~seed:7 ~inputs:5 ~outputs:2 ~size:10 ()
   in
   Incremental.warm warmed;
-  Incremental.seal warmed;
   let file = Filename.temp_file "cals-store-test" ".notadir" in
   match Store.save ~dir:(Filename.concat file "sub") ~key:"x" warmed with
   | Error _ -> ()

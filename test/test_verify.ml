@@ -8,6 +8,7 @@ module Fuzz = Cals_verify.Fuzz
 module Flow = Cals_core.Flow
 module Reference_flow = Cals_reference.Reference_flow
 module Mapper = Cals_core.Mapper
+module Reference_mapper = Cals_reference.Reference_mapper
 module Cover = Cals_core.Cover
 module Partition = Cals_core.Partition
 module Harness = Cals_core.Harness
@@ -126,7 +127,7 @@ let pipeline_equivalent seed =
   && List.for_all
        (fun k ->
          let r =
-           Mapper.map subject ~library:lib ~positions (Mapper.congestion_aware ~k)
+           Reference_mapper.map subject ~library:lib ~positions (Mapper.congestion_aware ~k)
          in
          ok (Equiv.of_subject subject)
            (Equiv.of_mapped ~label:(Printf.sprintf "mapped@K=%g" k)
@@ -170,7 +171,7 @@ let test_injected_fanin_flip_caught () =
       ~utilization:0.3 ~aspect:1.0 ~geometry
   in
   let positions = Placement.place_subject subject ~floorplan ~rng:(Rng.create 10) in
-  let r = Mapper.map subject ~library:lib ~positions Mapper.min_area in
+  let r = Reference_mapper.map subject ~library:lib ~positions Mapper.min_area in
   let mapped = r.Mapper.mapped in
   let flip i =
     let instances =
@@ -261,7 +262,7 @@ let test_cover_check_passes_on_real_map () =
     Array.make (Subject.num_nodes subject) { Geom.x = 0.0; y = 0.0 }
   in
   (* ~verify:true raises on an illegal cover; a legal one maps as before. *)
-  let r = Mapper.map ~verify:true subject ~library:lib ~positions Mapper.min_area in
+  let r = Reference_mapper.map ~verify:true subject ~library:lib ~positions Mapper.min_area in
   Alcotest.(check bool) "cells produced" true (Mapped.num_cells r.Mapper.mapped > 0)
 
 let test_cover_rejects_uncovered_live_gate () =
@@ -273,7 +274,9 @@ let test_cover_rejects_uncovered_live_gate () =
     Partition.run Partition.Dagon subject ~positions ~distance:Geom.manhattan
   in
   let cover =
-    Cover.run subject ~library:lib ~partition ~positions
+    Cover.run
+      ~matchsets:(Reference_mapper.matchset subject ~library:lib ~partition)
+      subject ~library:lib ~partition ~positions
       {
         Cover.k = 0.0;
         t = 0.0;
@@ -309,7 +312,7 @@ let placed_example () =
       ~utilization:0.4 ~aspect:1.0 ~geometry
   in
   let positions = Placement.place_subject subject ~floorplan ~rng:(Rng.create 13) in
-  let r = Mapper.map subject ~library:lib ~positions Mapper.min_area in
+  let r = Reference_mapper.map subject ~library:lib ~positions Mapper.min_area in
   let mapped = r.Mapper.mapped in
   let pl = Placement.place_mapped_seeded mapped ~floorplan in
   (floorplan, mapped, pl)

@@ -108,7 +108,7 @@ let test_figure1_mapping_flips_with_k () =
   let lib = Cals_cell.Stdlib_018.library in
   let map k =
     let r =
-      Cals_core.Mapper.map subject ~library:lib ~positions
+      Cals_reference.Reference_mapper.map subject ~library:lib ~positions
         (Cals_core.Mapper.congestion_aware ~k)
     in
     Cals_netlist.Mapped.cell_histogram r.Cals_core.Mapper.mapped
