@@ -184,15 +184,15 @@ let sta_table ~scale ~circuit_of ~make_network ~seed =
   let circuit = circuit_of ~scale in
   let sis = sis_variant circuit make_network ~seed ~scale in
   let k_star = 0.001 in
-  let named =
-    [
-      ("0.0", circuit, 0.0);
-      (Printf.sprintf "%g" k_star, circuit, k_star);
-      ("SIS", sis, 0.0);
-    ]
-  in
   (* Reference path: endpoints of the K = 0 critical path. *)
   let reference = sta_point circuit 0.0 in
+  let named =
+    [
+      ("0.0", fun () -> reference);
+      (Printf.sprintf "%g" k_star, fun () -> sta_point circuit k_star);
+      ("SIS", fun () -> sta_point sis 0.0);
+    ]
+  in
   let ref_pi, ref_po =
     match reference with
     | Some (_, _, _, r) -> (r.Sta.critical.Sta.through_pi, r.Sta.critical.Sta.po)
@@ -200,8 +200,8 @@ let sta_table ~scale ~circuit_of ~make_network ~seed =
   in
   let rows =
     List.filter_map
-      (fun (label, c, k) ->
-        match sta_point c k with
+      (fun (label, point) ->
+        match point () with
         | None -> Some [ label; "does not fit"; "-"; "-"; "-" ]
         | Some (p, placement, routing, report) ->
           let same_path =

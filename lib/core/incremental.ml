@@ -197,10 +197,9 @@ let map ?(verify = false) ?(t = 0.0) session ~k =
       matches_evaluated = Cover.matches_evaluated cover;
       duplicated_gates = extraction.Cover.duplicated_gates;
       taps = extraction.Cover.taps;
-      trees = List.length partition.Partition.roots;
     }
   in
-  { Mapper.mapped; stats; cover; partition }
+  { Mapper.mapped; stats; cover }
 
 let warm session =
   Span.with_ ~cat:"map" "incremental.warm" @@ fun () ->

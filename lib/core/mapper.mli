@@ -50,12 +50,10 @@ type stats = {
   matches_evaluated : int;
   duplicated_gates : int;
   taps : int;
-  trees : int;
 }
 
 type result = {
   mapped : Cals_netlist.Mapped.t;
   stats : stats;
   cover : Cover.t;
-  partition : Partition.t;
 }

@@ -45,7 +45,6 @@ let map ?(verify = false) subject ~library ~positions (options : Mapper.options)
       matches_evaluated = Cover.matches_evaluated cover;
       duplicated_gates = extraction.Cover.duplicated_gates;
       taps = extraction.Cover.taps;
-      trees = List.length partition.Partition.roots;
     }
   in
-  { Mapper.mapped; stats; cover; partition }
+  { Mapper.mapped; stats; cover }

@@ -91,7 +91,7 @@ let test_fm_beats_random () =
   nets := [| 5; 45 |] :: [| 20; 60 |] :: !nets;
   let p = { Fm.weights; nets = Array.of_list !nets; locked = Array.make n None } in
   let side = Fm.bipartition ~rng p in
-  let cut = Fm.cut_size p side in
+  let cut = Cals_reference.Reference_place.cut_size p side in
   Alcotest.(check bool) (Printf.sprintf "small cut (%d)" cut) true (cut <= 6)
 
 let test_fm_pass_never_worsens () =
@@ -99,11 +99,37 @@ let test_fm_pass_never_worsens () =
   for trial = 1 to 10 do
     let p = random_problem rng 60 120 in
     let side = Fm.bipartition ~rng p in
-    let cut = Fm.cut_size p side in
+    let cut = Cals_reference.Reference_place.cut_size p side in
     (* Rerunning from the result must not be worse than a fresh random
        assignment's final cut by construction; sanity: cut is bounded. *)
     if cut > Array.length p.Fm.nets then Alcotest.failf "trial %d: impossible cut" trial
   done
+
+(* The flat kernel against the list-based oracle: same sides, and the
+   same number of RNG draws, on problems with non-unit and zero weights,
+   locked nodes, duplicate pins, and one-pin and empty nets. *)
+let arb_seed = QCheck.make ~print:string_of_int QCheck.Gen.(0 -- 1_000_000)
+
+let same_stream r1 r2 = Rng.bits64 r1 = Rng.bits64 r2
+
+let prop_fm_oracle =
+  QCheck.Test.make ~name:"bipartition == oracle" ~count:300 arb_seed
+    (fun seed ->
+      let rng = Rng.create seed in
+      let n = Rng.range rng 1 40 in
+      let weights = Array.init n (fun _ -> Rng.range rng 0 4) in
+      let locked =
+        Array.init n (fun _ ->
+            match Rng.int rng 6 with 0 -> Some 0 | 1 -> Some 1 | _ -> None)
+      in
+      let nets =
+        Array.init (Rng.range rng 0 60) (fun _ ->
+            Array.init (Rng.range rng 0 6) (fun _ -> Rng.int rng n))
+      in
+      let p = { Fm.weights; nets; locked } in
+      let r1 = Rng.create (seed + 1) and r2 = Rng.create (seed + 1) in
+      Fm.bipartition ~rng:r1 p = Cals_reference.Reference_place.bipartition ~rng:r2 p
+      && same_stream r1 r2)
 
 (* ------------------------- Bisect ------------------------- *)
 
@@ -171,6 +197,44 @@ let test_bisect_deterministic () =
   let p1 = Placement.place_subject subject ~floorplan:fp ~rng:(Rng.create 5) in
   let p2 = Placement.place_subject subject ~floorplan:fp ~rng:(Rng.create 5) in
   Alcotest.(check bool) "same seed, same placement" true (p1 = p2)
+
+(* Positions bit for bit against the oracle on random hypergraphs:
+   pads anywhere on the die, zero weights, duplicate pins, one-pin nets,
+   and enough nodes for several levels of bisection. *)
+let prop_bisect_oracle =
+  QCheck.Test.make ~name:"place == oracle" ~count:100 arb_seed (fun seed ->
+      let rng = Rng.create seed in
+      let fp =
+        Floorplan.of_rows ~num_rows:(Rng.range rng 1 12)
+          ~sites_per_row:(Rng.range rng 5 80) ~geometry
+      in
+      let n = Rng.range rng 1 150 in
+      let fixed =
+        Array.init n (fun _ ->
+            if Rng.int rng 8 = 0 then
+              Some
+                (Geom.point
+                   (Rng.float rng fp.Floorplan.die_width)
+                   (Rng.float rng fp.Floorplan.die_height))
+            else None)
+      in
+      let hg =
+        {
+          Hypergraph.weights = Array.init n (fun _ -> Rng.range rng 0 3);
+          fixed;
+          nets =
+            Array.init (Rng.range rng 0 (2 * n)) (fun _ ->
+                Array.init (Rng.range rng 1 6) (fun _ -> Rng.int rng n));
+        }
+      in
+      let r1 = Rng.create (seed + 1) and r2 = Rng.create (seed + 1) in
+      let bits (p : Geom.point) =
+        (Int64.bits_of_float p.Geom.x, Int64.bits_of_float p.Geom.y)
+      in
+      Array.map bits (Bisect.place hg ~floorplan:fp ~rng:r1)
+      = Array.map bits
+          (Cals_reference.Reference_place.place hg ~floorplan:fp ~rng:r2)
+      && same_stream r1 r2)
 
 (* ------------------------- Legalize ------------------------- *)
 
@@ -303,6 +367,71 @@ let test_placement_pinned () =
   Pinned_kernels.check "placement" placement_pins
     Pinned_kernels.placement_digest
 
+(* The companion placement of the benchmark's designs, built as the
+   benchmark and the fuzz harness build them: the [congested] circuits
+   under their placement streams, the [orchestrate] circuit, and two fuzz
+   circuits. The digests hold the float bits of every position. *)
+let companion_cases =
+  let preset name ~scale ~utilization ~seed () =
+    let net = List.assoc name Cals_workload.Presets.named ~scale ~seed:1 in
+    Cals_logic.Optimize.script_light net;
+    (net, utilization, seed)
+  and fuzz family ~seed ~inputs ~outputs ~size ~utilization () =
+    let net = Cals_workload.Gen.of_fuzz ~family ~seed ~inputs ~outputs ~size in
+    Cals_logic.Optimize.script_area net;
+    (net, utilization, seed + 1)
+  in
+  let stream i = 7919 + i (* the benchmark's stream i of seed 1 *) in
+  [
+    ("pdc/0", preset "pdc" ~scale:0.05 ~utilization:0.85 ~seed:(stream 0));
+    ("pdc/1", preset "pdc" ~scale:0.05 ~utilization:0.85 ~seed:(stream 1));
+    ("spla/0", preset "spla" ~scale:0.05 ~utilization:0.85 ~seed:(stream 2));
+    ("spla/1", preset "spla" ~scale:0.05 ~utilization:0.85 ~seed:(stream 3));
+    ("spla-settling/0", preset "spla" ~scale:0.1 ~utilization:0.55 ~seed:(stream 100));
+    ("spla-settling/1", preset "spla" ~scale:0.1 ~utilization:0.55 ~seed:(stream 101));
+    ("spla-settling/2", preset "spla" ~scale:0.1 ~utilization:0.55 ~seed:(stream 102));
+    ("too_large", preset "too_large" ~scale:0.25 ~utilization:0.30 ~seed:2);
+    ( "fuzz pla",
+      fuzz `Pla ~seed:3 ~inputs:8 ~outputs:4 ~size:24 ~utilization:0.85 );
+    ( "fuzz multilevel",
+      fuzz `Multilevel ~seed:4 ~inputs:10 ~outputs:5 ~size:40
+        ~utilization:0.45 );
+  ]
+
+let companion_pins =
+  [
+    ("pdc/0", "ab9391ebd509b994cbe4a60d79014748");
+    ("pdc/1", "4b29370e2dbd18cd25ba1398463133a3");
+    ("spla/0", "7d79caa105d6b34bece22aeb395d25aa");
+    ("spla/1", "3caad41b3035883e5af9a5ca64ac4eb9");
+    ("spla-settling/0", "c343daaae8061c581c25659a2d3d0a7d");
+    ("spla-settling/1", "cce9a1accc2aa665633fb955207f4951");
+    ("spla-settling/2", "0f74f3c4fc6cfcbac60b23843249d13a");
+    ("too_large", "c0ca5cf09e49ca2c5305060b12e97e9f");
+    ("fuzz pla", "fdc9d4c268d722e727e0f29637640063");
+    ("fuzz multilevel", "ab3032a801a9765a40298368b1f0bee5");
+  ]
+
+(* A failing pin prints every digest it got, which are the values to
+   record when a change is meant to move the placement. *)
+let test_companion_pinned () =
+  let digest (name, build) =
+    let net, utilization, seed = build () in
+    let subject = Cals_logic.Decompose.subject_of_network net in
+    let floorplan =
+      Floorplan.for_area
+        ~core_area:(float_of_int (Subject.num_gates subject) *. 5.0)
+        ~utilization ~aspect:1.0 ~geometry
+    in
+    let pos = Placement.place_subject subject ~floorplan ~rng:(Rng.create seed) in
+    let b = Buffer.create 65536 in
+    Array.iter (Pinned_kernels.add_point b) pos;
+    (name, Digest.to_hex (Digest.string (Buffer.contents b)))
+  in
+  Alcotest.(check (list (pair string string)))
+    "companion placements" companion_pins
+    (List.map digest companion_cases)
+
 let () =
   Alcotest.run "place"
     [
@@ -318,12 +447,14 @@ let () =
           Alcotest.test_case "locks" `Quick test_fm_respects_locks;
           Alcotest.test_case "beats random" `Quick test_fm_beats_random;
           Alcotest.test_case "sane cuts" `Quick test_fm_pass_never_worsens;
+          QCheck_alcotest.to_alcotest prop_fm_oracle;
         ] );
       ( "bisect",
         [
           Alcotest.test_case "inside die" `Quick test_bisect_inside_die;
           Alcotest.test_case "beats random" `Quick test_bisect_better_than_random;
           Alcotest.test_case "deterministic" `Quick test_bisect_deterministic;
+          QCheck_alcotest.to_alcotest prop_bisect_oracle;
         ] );
       ( "legalize",
         [
@@ -340,5 +471,6 @@ let () =
         [
           Alcotest.test_case "seeded placements, 14 K x 6 variants" `Quick
             test_placement_pinned;
+          Alcotest.test_case "companion pinned" `Quick test_companion_pinned;
         ] );
     ]
