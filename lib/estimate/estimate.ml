@@ -89,9 +89,13 @@ let verdict_to_string = function
 (* ------------------------- the forecast ------------------------- *)
 
 let forecast (req : Router.Request.t) =
-  let { Router.Request.config; cols; rows; gcell_um; pins; _ } = req in
+  let { Router.Request.config; cols; rows; gcell_um; pin_start; pins;
+        pin_gcells; gcell_start; _ } =
+    req
+  in
+  let num_nets = Router.Request.num_nets req in
   Span.with_ ~cat:"estimate"
-    ~meta:(Printf.sprintf "%d nets" (Array.length pins))
+    ~meta:(Printf.sprintf "%d nets" num_nets)
     "estimate.forecast"
   @@ fun () ->
   let t0 = Unix.gettimeofday () in
@@ -116,60 +120,55 @@ let forecast (req : Router.Request.t) =
   done;
   let hpwl_total = ref 0.0 in
   let routable_nets = ref 0 in
-  Array.iteri
-    (fun net pins ->
-      match pins with
-      | [] -> ()
-      | first :: rest ->
-        let x0 = ref first.Geom.x and x1 = ref first.Geom.x in
-        let y0 = ref first.Geom.y and y1 = ref first.Geom.y in
-        List.iter
-          (fun (p : Geom.point) ->
-            if p.Geom.x < !x0 then x0 := p.Geom.x;
-            if p.Geom.x > !x1 then x1 := p.Geom.x;
-            if p.Geom.y < !y0 then y0 := p.Geom.y;
-            if p.Geom.y > !y1 then y1 := p.Geom.y)
-          rest;
-        List.iter
-          (fun (c, r) ->
-            Grid2d.add pin_density c r 1.0;
-            Grid2d.add wire_density c r pin_track_cost)
-          req.Router.Request.pin_gcells.(net);
-        (match req.Router.Request.net_gcells.(net) with
-        | _ :: _ :: _ -> incr routable_nets
-        | _ -> ());
-        let hpwl = !x1 -. !x0 +. (!y1 -. !y0) in
-        hpwl_total := !hpwl_total +. hpwl;
-        if hpwl > 0.0 then begin
-          (* RUDY spread: the net's HPWL worth of wire, uniform over its
-             bounding box inflated by half a gcell per side (so zero-area
-             boxes — straight-line nets — still cover real area). *)
-          let half = gcell_um /. 2.0 in
-          let bx0 = !x0 -. half and bx1 = !x1 +. half in
-          let by0 = !y0 -. half and by1 = !y1 +. half in
-          let area = (bx1 -. bx0) *. (by1 -. by0) in
-          let c_lo = Rgrid.gcell_index ~gcell_um ~n:cols bx0 in
-          let c_hi = Rgrid.gcell_index ~gcell_um ~n:cols bx1 in
-          let r_lo = Rgrid.gcell_index ~gcell_um ~n:rows by0 in
-          let r_hi = Rgrid.gcell_index ~gcell_um ~n:rows by1 in
-          let per_area = hpwl /. max 1e-9 area /. gcell_um in
-          for r = r_lo to r_hi do
-            let gy0 = float_of_int r *. gcell_um in
-            let oy =
-              Float.min by1 (gy0 +. gcell_um) -. Float.max by0 gy0
-            in
-            if oy > 0.0 then
-              for c = c_lo to c_hi do
-                let gx0 = float_of_int c *. gcell_um in
-                let ox =
-                  Float.min bx1 (gx0 +. gcell_um) -. Float.max bx0 gx0
-                in
-                if ox > 0.0 then
-                  Grid2d.add wire_density c r (ox *. oy *. per_area)
-              done
-          done
-        end)
-    pins;
+  for net = 0 to num_nets - 1 do
+    let lo = pin_start.(net) and hi = pin_start.(net + 1) in
+    if lo < hi then begin
+      let first = pins.(lo) in
+      let x0 = ref first.Geom.x and x1 = ref first.Geom.x in
+      let y0 = ref first.Geom.y and y1 = ref first.Geom.y in
+      for i = lo + 1 to hi - 1 do
+        let p = pins.(i) in
+        if p.Geom.x < !x0 then x0 := p.Geom.x;
+        if p.Geom.x > !x1 then x1 := p.Geom.x;
+        if p.Geom.y < !y0 then y0 := p.Geom.y;
+        if p.Geom.y > !y1 then y1 := p.Geom.y
+      done;
+      for i = lo to hi - 1 do
+        let g = pin_gcells.(i) in
+        let c = g / rows and r = g mod rows in
+        Grid2d.add pin_density c r 1.0;
+        Grid2d.add wire_density c r pin_track_cost
+      done;
+      if gcell_start.(net + 1) - gcell_start.(net) >= 2 then incr routable_nets;
+      let hpwl = !x1 -. !x0 +. (!y1 -. !y0) in
+      hpwl_total := !hpwl_total +. hpwl;
+      if hpwl > 0.0 then begin
+        (* RUDY spread: the net's HPWL worth of wire, uniform over its
+           bounding box inflated by half a gcell per side (so zero-area
+           boxes — straight-line nets — still cover real area). *)
+        let half = gcell_um /. 2.0 in
+        let bx0 = !x0 -. half and bx1 = !x1 +. half in
+        let by0 = !y0 -. half and by1 = !y1 +. half in
+        let area = (bx1 -. bx0) *. (by1 -. by0) in
+        let c_lo = Rgrid.gcell_index ~gcell_um ~n:cols bx0 in
+        let c_hi = Rgrid.gcell_index ~gcell_um ~n:cols bx1 in
+        let r_lo = Rgrid.gcell_index ~gcell_um ~n:rows by0 in
+        let r_hi = Rgrid.gcell_index ~gcell_um ~n:rows by1 in
+        let per_area = hpwl /. max 1e-9 area /. gcell_um in
+        for r = r_lo to r_hi do
+          let gy0 = float_of_int r *. gcell_um in
+          let oy = Float.min by1 (gy0 +. gcell_um) -. Float.max by0 gy0 in
+          if oy > 0.0 then
+            for c = c_lo to c_hi do
+              let gx0 = float_of_int c *. gcell_um in
+              let ox = Float.min bx1 (gx0 +. gcell_um) -. Float.max bx0 gx0 in
+              if ox > 0.0 then
+                Grid2d.add wire_density c r (ox *. oy *. per_area)
+            done
+        done
+      end
+    end
+  done;
   let utilization = Grid2d.create ~cols ~rows 0.0 in
   let overflow = ref 0.0 in
   let total_supply = ref 0.0 in

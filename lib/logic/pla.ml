@@ -2,6 +2,11 @@ exception Parse_error of string
 
 let fail line msg = raise (Parse_error (Printf.sprintf "line %d: %s" line msg))
 
+let count line key n =
+  match int_of_string_opt n with
+  | Some v -> v
+  | None -> fail line (Printf.sprintf "%s expects a count, got %S" key n)
+
 let tokens s =
   String.split_on_char ' ' s
   |> List.concat_map (String.split_on_char '\t')
@@ -23,8 +28,8 @@ let parse text =
          let line = String.trim line in
          if line <> "" then begin
            match tokens line with
-           | ".i" :: [ n ] -> ni := int_of_string n
-           | ".o" :: [ n ] -> no := int_of_string n
+           | ".i" :: [ n ] -> ni := count !lineno ".i" n
+           | ".o" :: [ n ] -> no := count !lineno ".o" n
            | ".p" :: [ _ ] -> ()
            | ".ilb" :: names -> ilb := Some (Array.of_list names)
            | ".ob" :: names -> ob := Some (Array.of_list names)
@@ -36,6 +41,9 @@ let parse text =
          end);
   if !ni <= 0 || !no <= 0 then raise (Parse_error "missing .i or .o");
   if !ni > Cube.max_vars then raise (Parse_error "too many inputs (limit 60)");
+  (* Every output is a column of each product and an [.ob] name: a count
+     past the text's length is malformed, and would be allocated below. *)
+  if !no > String.length text then raise (Parse_error "more outputs than bytes");
   let in_names =
     match !ilb with
     | Some names when Array.length names = !ni -> names

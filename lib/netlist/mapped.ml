@@ -52,39 +52,44 @@ let cell_histogram t =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-type sink =
-  | Cell_pin of int * int
-  | Po of int
-
-type net = {
-  driver : signal;
-  sinks : sink list;
+type net_table = {
+  first : int array;
+  pins : int array;
 }
 
 let signal_index t = function
   | Of_pi i -> i
   | Of_inst i -> Array.length t.pi_names + i
 
-let nets t =
-  let npis = Array.length t.pi_names in
-  let n = npis + Array.length t.instances in
-  let sinks = Array.make n [] in
-  (* Collect in reverse so each list ends up in increasing order. *)
-  for idx = Array.length t.instances - 1 downto 0 do
-    let inst = t.instances.(idx) in
-    for pin = Array.length inst.fanins - 1 downto 0 do
-      let s = signal_index t inst.fanins.(pin) in
-      sinks.(s) <- Cell_pin (idx, pin) :: sinks.(s)
-    done
+(* Count each net's sinks, lay the nets out (a driver slot before any
+   sinks), then fill the sinks in the order they are listed. *)
+let net_table t =
+  let npis = Array.length t.pi_names and ncells = Array.length t.instances in
+  let n = npis + ncells in
+  let sinks = Array.make n 0 in
+  let count s = sinks.(signal_index t s) <- sinks.(signal_index t s) + 1 in
+  Array.iter (fun inst -> Array.iter count inst.fanins) t.instances;
+  Array.iter (fun (_, s) -> count s) t.outputs;
+  let first = Array.make (n + 1) 0 in
+  for s = 0 to n - 1 do
+    first.(s + 1) <- first.(s) + (if sinks.(s) = 0 then 0 else sinks.(s) + 1)
   done;
-  Array.iteri
-    (fun oi (_, sg) ->
-      let s = signal_index t sg in
-      sinks.(s) <- sinks.(s) @ [ Po oi ])
-    t.outputs;
-  Array.init n (fun i ->
-      let driver = if i < npis then Of_pi i else Of_inst (i - npis) in
-      { driver; sinks = sinks.(i) })
+  let pins = Array.make first.(n) 0 in
+  let next = Array.make n 0 in
+  for s = 0 to n - 1 do
+    if sinks.(s) > 0 then begin
+      pins.(first.(s)) <- (if s < npis then ncells + s else s - npis);
+      next.(s) <- first.(s) + 1
+    end
+  done;
+  let push s pin =
+    let s = signal_index t s in
+    pins.(next.(s)) <- pin;
+    next.(s) <- next.(s) + 1
+  in
+  Array.iteri (fun i inst -> Array.iter (fun s -> push s i) inst.fanins) t.instances;
+  Array.iteri (fun o (_, s) -> push s (ncells + npis + o)) t.outputs;
+  { first; pins }
 
 let simulate t pi_vectors =
   if Array.length pi_vectors <> Array.length t.pi_names then

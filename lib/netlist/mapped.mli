@@ -39,21 +39,27 @@ val cell_histogram : t -> (string * int) list
 
 (** {1 Connectivity} *)
 
-type sink =
-  | Cell_pin of int * int  (** Instance index, input-pin index. *)
-  | Po of int  (** Index into [outputs]. *)
-
-type net = {
-  driver : signal;
-  sinks : sink list;
+type net_table = private {
+  first : int array;
+      (** Length [num_pis + num_cells + 1]: net [n]'s pins are
+          [pins.(first.(n)) .. pins.(first.(n + 1) - 1)]. *)
+  pins : int array;
+      (** Pin ids, net after net: the driver first, then the cell-pin
+          sinks by (instance, input pin), then the output sinks by
+          output index; a cell reading a net on two pins appears twice.
+          A sinkless net has no pins, not even its driver. A pin id is
+          a placement node: [i] for instance [i], [num_cells + i] for
+          PI [i]'s pad, [num_cells + num_pis + o] for output [o]'s
+          pad. *)
 }
+(** Every net of the netlist in one flat (CSR) table, one net per
+    signal in {!signal_index} order: PI nets first, then one per
+    instance. *)
 
-val nets : t -> net array
-(** One entry per signal: indices [0 .. num_pis-1] are PI nets, then one
-    per instance. Nets with no sinks are included (empty sink list). *)
+val net_table : t -> net_table
 
 val signal_index : t -> signal -> int
-(** Position of a signal's net inside [nets]. *)
+(** Position of a signal's net inside {!net_table}. *)
 
 (** {1 Simulation} *)
 

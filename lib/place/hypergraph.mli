@@ -1,8 +1,9 @@
 (** Placement hypergraph: movable cells, fixed terminals (pads), nets.
 
-    Built either from the technology-independent subject graph (the paper's
-    companion placement of base gates, all of comparable size) or from a
-    mapped netlist (cells with real widths). *)
+    Built from the technology-independent subject graph: the paper's
+    companion placement of base gates, all of comparable size. (A mapped
+    netlist is legalized, not bisected; {!Placement.place_mapped_seeded}
+    reads its {!Cals_netlist.Mapped.net_table} directly.) *)
 
 type t = {
   weights : int array;  (** Width in sites per node. *)
@@ -21,13 +22,7 @@ val of_subject :
     one extra fixed node per primary output (its pad). The returned array
     maps each primary-output index to its pad node id. *)
 
-val of_mapped :
-  Cals_netlist.Mapped.t ->
-  floorplan:Floorplan.t ->
-  t * int array * int array
-(** Node layout: first all cell instances (movable), then PI pads, then PO
-    pads (both fixed). Returns [(graph, pi_pad_ids, po_pad_ids)]. *)
-
-val hpwl : t -> Cals_util.Geom.point array -> float
-(** Total half-perimeter wirelength of all nets under the given positions:
-    each net's bounding-box half-perimeter, summed from [0.] in net order. *)
+val span_hpwl : Cals_util.Geom.point array -> int array -> int -> int -> float
+(** [span_hpwl pos pins lo hi]: the half-perimeter of the bounding box of
+    [pos.(pins.(i))] for [lo <= i < hi] (at least one pin), folded as
+    [Geom.bbox_add] would, so it is bit-identical to that fold. *)

@@ -12,6 +12,9 @@ type mapped_placement = {
   po_pos : Cals_util.Geom.point array;  (** Pad per primary output. *)
   hpwl : float;  (** Half-perimeter wirelength, µm. *)
   row_fill : int array;  (** Occupied sites per row. *)
+  nets : Cals_netlist.Mapped.net_table;
+      (** The placed netlist's nets, built once: its HPWL, route request
+          and timing all read this table. *)
 }
 
 val place_subject :
@@ -25,5 +28,10 @@ val place_subject :
 
 val place_mapped_seeded :
   Cals_netlist.Mapped.t -> floorplan:Floorplan.t -> mapped_placement
-(** Legalize the mapper's seed positions onto rows. Raises
-    {!Legalize.Overflow} when the netlist does not fit. *)
+(** Legalize the mapper's seed positions onto rows (pads fixed at
+    {!Floorplan.pad_positions}). Raises {!Legalize.Overflow} when the
+    netlist does not fit. *)
+
+val pin_position : mapped_placement -> int -> Cals_util.Geom.point
+(** The position of a {!Cals_netlist.Mapped.net_table} pin id, read from
+    [cell_pos], [pi_pos] or [po_pos]. *)

@@ -47,6 +47,10 @@ let gcell_at ~cols ~rows ~gcell_um (p : Geom.point) =
   ( gcell_index ~gcell_um ~n:cols p.Geom.x,
     gcell_index ~gcell_um ~n:rows p.Geom.y )
 
+let gcell_id ~cols ~rows ~gcell_um (p : Geom.point) =
+  (gcell_index ~gcell_um ~n:cols p.Geom.x * rows)
+  + gcell_index ~gcell_um ~n:rows p.Geom.y
+
 type track_model = {
   tracks : float;
   nh : float;

@@ -43,6 +43,11 @@ val gcell_at :
 (** {!gcell_index} on both axes: the gcell of a point on a [cols] x
     [rows] grid, before any grid exists. *)
 
+val gcell_id :
+  cols:int -> rows:int -> gcell_um:float -> Cals_util.Geom.point -> int
+(** {!gcell_at} as one id [c * rows + r] ([g / rows] and [g mod rows]
+    recover the pair): ids sort by column, then row, as the pairs do. *)
+
 type track_model = {
   tracks : float;  (** Tracks per layer across a gcell: [gcell_um / pitch]. *)
   nh : float;  (** Routing layers above M1 running horizontally. *)

@@ -80,7 +80,8 @@ type result = {
   num_segments : int;
   net_length_um : float array;
   routes : route array;
-  net_gcells : (int * int) list array;
+  gcell_start : int array;
+  net_gcells : int array;
 }
 
 (* A segment's committed path lives as a slice [off, off+len) of flat edge
@@ -702,7 +703,8 @@ let negotiate cfg grid cancel pool state segs =
     overflow := Rgrid.total_overflow grid
   done
 
-let build_result grid state segments net_gcells num_nets =
+let build_result grid state segments ~gcell_start ~net_gcells =
+  let num_nets = Array.length gcell_start - 1 in
   let cols = grid.Rgrid.cols in
   let nh = Rgrid.num_hedges grid in
   let data = Arena.data state.arena in
@@ -742,6 +744,7 @@ let build_result grid state segments net_gcells num_nets =
     num_segments = Array.length segments;
     net_length_um = net_length;
     routes;
+    gcell_start;
     net_gcells;
   }
 
@@ -755,53 +758,84 @@ module Request = struct
     cols : int;
     rows : int;
     gcell_um : float;
-    pins : Geom.point list array;
-    pin_gcells : (int * int) list array;
-    net_gcells : (int * int) list array;
+    pin_start : int array;
+    pins : Geom.point array;
+    pin_gcells : int array;
+    gcell_start : int array;
+    net_gcells : int array;
     density : Grid2d.t option;
   }
 
-  let of_pins ?(config = default_config) ?density ~floorplan ~wire pins =
+  let num_nets req = Array.length req.pin_start - 1
+
+  (* Insertion sort for the at most a few dozen gcells of nearly every
+     net; [Array.sort] past 64, where a high-fanout net would make it
+     quadratic. *)
+  let sort_gcells (a : int array) =
+    if Array.length a > 64 then Array.sort Int.compare a
+    else
+      for i = 1 to Array.length a - 1 do
+        let x = a.(i) in
+        let j = ref (i - 1) in
+        while !j >= 0 && a.(!j) > x do
+          a.(!j + 1) <- a.(!j);
+          decr j
+        done;
+        a.(!j + 1) <- x
+      done
+
+  (* The one place pins become gcells: each pin's id, then each net's
+     sorted distinct ids, compacted into one array. *)
+  let make ?(config = default_config) ?density ~floorplan ~wire pin_start pins
+      =
     let cols, rows, gcell_um =
       Rgrid.dims ~floorplan ~gcell_rows:config.gcell_rows
     in
-    let gcell = Rgrid.gcell_at ~cols ~rows ~gcell_um in
-    let pin_gcells = Array.map (List.map gcell) pins in
-    let compare_gcell (c1, r1) (c2, r2) =
-      let c = Int.compare c1 c2 in
-      if c <> 0 then c else Int.compare r1 r2
-    in
-    let net_gcells = Array.map (List.sort_uniq compare_gcell) pin_gcells in
-    { config; floorplan; wire; cols; rows; gcell_um; pins; pin_gcells;
-      net_gcells; density }
+    let pin_gcells = Array.map (Rgrid.gcell_id ~cols ~rows ~gcell_um) pins in
+    let n = Array.length pin_start - 1 in
+    let cells = Array.make (Array.length pins) 0 in
+    let gcell_start = Array.make (n + 1) 0 in
+    let k = ref 0 in
+    for net = 0 to n - 1 do
+      let lo = pin_start.(net) in
+      let sorted = Array.sub pin_gcells lo (pin_start.(net + 1) - lo) in
+      sort_gcells sorted;
+      Array.iteri
+        (fun i g ->
+          if i = 0 || g <> sorted.(i - 1) then begin
+            cells.(!k) <- g;
+            incr k
+          end)
+        sorted;
+      gcell_start.(net + 1) <- !k
+    done;
+    { config; floorplan; wire; cols; rows; gcell_um; pin_start; pins;
+      pin_gcells; gcell_start; net_gcells = Array.sub cells 0 !k; density }
+
+  let of_pins ?config ?density ~floorplan ~wire nets =
+    let pin_start = Array.make (Array.length nets + 1) 0 in
+    Array.iteri
+      (fun i pins -> pin_start.(i + 1) <- pin_start.(i) + List.length pins)
+      nets;
+    let pins = Array.of_list (List.concat (Array.to_list nets)) in
+    make ?config ?density ~floorplan ~wire pin_start pins
 
   let of_mapped ?config mapped ~floorplan ~wire
       ~(placement : Cals_place.Placement.mapped_placement) =
-    let { Cals_place.Placement.cell_pos; pi_pos; po_pos; _ } = placement in
-    (* Driver pin first, then the sinks; sinkless nets route nothing. *)
-    let driver_pos = function
-      | Mapped.Of_pi i -> pi_pos.(i)
-      | Mapped.Of_inst i -> cell_pos.(i)
-    in
-    let sink_pos = function
-      | Mapped.Cell_pin (i, _) -> cell_pos.(i)
-      | Mapped.Po oi -> po_pos.(oi)
-    in
+    let nets = placement.Cals_place.Placement.nets in
     let pins =
-      Array.map
-        (fun net ->
-          match net.Mapped.sinks with
-          | [] -> []
-          | sinks -> driver_pos net.Mapped.driver :: List.map sink_pos sinks)
-        (Mapped.nets mapped)
+      Array.map (Cals_place.Placement.pin_position placement) nets.Mapped.pins
     in
-    let req = of_pins ?config ~floorplan ~wire pins in
+    let req = make ?config ~floorplan ~wire nets.Mapped.first pins in
     let { cols; rows; gcell_um; _ } = req in
     (* Cell-area fraction per gcell, for the M1 blockage model. *)
     let density = Grid2d.create ~cols ~rows 0.0 in
     Array.iteri
       (fun i inst ->
-        let c, r = Rgrid.gcell_at ~cols ~rows ~gcell_um cell_pos.(i) in
+        let c, r =
+          Rgrid.gcell_at ~cols ~rows ~gcell_um
+            placement.Cals_place.Placement.cell_pos.(i)
+        in
         Grid2d.add density c r inst.Mapped.cell.Cals_cell.Cell.area)
       mapped.Mapped.instances;
     Grid2d.map_inplace (fun a -> a /. (gcell_um *. gcell_um)) density;
@@ -833,16 +867,18 @@ module Request = struct
       h := Fnv.int !h (Grid2d.cols g);
       h := Fnv.int !h (Grid2d.rows g);
       h := Grid2d.fold (fun _ _ v acc -> Fnv.int acc (float_bits v)) g !h);
-    h := Fnv.int !h (Array.length req.net_gcells);
-    Array.iteri
-      (fun i cells ->
-        h := Fnv.int !h (List.length cells);
-        List.iter (fun (c, r) -> h := Fnv.int (Fnv.int !h c) r) cells;
-        if config.star_topology then
-          match req.pin_gcells.(i) with
-          | (c, r) :: _ -> h := Fnv.int (Fnv.int (Fnv.int !h 1) c) r
-          | [] -> h := Fnv.int !h 0)
-      req.net_gcells;
+    h := Fnv.int !h (num_nets req);
+    for net = 0 to num_nets req - 1 do
+      let lo = req.gcell_start.(net) and hi = req.gcell_start.(net + 1) in
+      h := Fnv.int !h (hi - lo);
+      for i = lo to hi - 1 do
+        h := Fnv.int !h req.net_gcells.(i)
+      done;
+      if config.star_topology then
+        if req.pin_start.(net) < req.pin_start.(net + 1) then
+          h := Fnv.int (Fnv.int !h 1) req.pin_gcells.(req.pin_start.(net))
+        else h := Fnv.int !h 0
+    done;
     !h
 end
 
@@ -924,21 +960,30 @@ module Session = struct
     }
 end
 
-(* Every net's two-pin segments, in net order: the MST of its distinct
-   pin gcells, or a star from its driver's gcell, derived on demand. The
-   router and the cut certificate both take their segments from here, so
-   they cannot diverge. *)
+(* Every net's two-pin segments, in net order, as [f net src dst] on
+   gcell ids: the MST of its distinct pin gcells, or a star from its
+   driver's gcell, derived on demand. The router and the cut
+   certificate both take their segments from here, so they cannot
+   diverge. *)
 let iter_segments (req : Request.t) f =
+  let { Request.pin_start; pin_gcells; gcell_start; net_gcells; rows; _ } =
+    req
+  in
   let star = req.Request.config.star_topology in
-  Array.iteri
-    (fun net cells ->
-      match req.Request.pin_gcells.(net) with
-      | [] -> ()
-      | driver :: _ ->
-        List.iter (f net)
-          (if star then Topology.star_segments driver cells
-           else Topology.mst_segments_sorted cells))
-    req.Request.net_gcells
+  let widest = ref 0 in
+  for net = 0 to Request.num_nets req - 1 do
+    widest := max !widest (gcell_start.(net + 1) - gcell_start.(net))
+  done;
+  let scratch = Topology.scratch !widest in
+  for net = 0 to Request.num_nets req - 1 do
+    let lo = gcell_start.(net) and hi = gcell_start.(net + 1) in
+    if star then begin
+      if pin_start.(net) < pin_start.(net + 1) then
+        Topology.iter_star ~driver:pin_gcells.(pin_start.(net)) net_gcells lo
+          hi (f net)
+    end
+    else Topology.iter_mst scratch ~rows net_gcells lo hi (f net)
+  done
 
 module Cut = struct
   type axis = Column | Row
@@ -972,8 +1017,9 @@ module Cut = struct
     (* Difference arrays: a segment spanning columns [lo, hi) crosses
        column lines lo .. hi-1. *)
     let dcol = Array.make cols 0 and drow = Array.make rows 0 in
-    iter_segments req (fun _ sgm ->
-        let (c1, r1), (c2, r2) = (sgm.Topology.src, sgm.Topology.dst) in
+    iter_segments req (fun _ src dst ->
+        let c1 = src / rows and r1 = src mod rows in
+        let c2 = dst / rows and r2 = dst mod rows in
         if c1 <> c2 then begin
           dcol.(min c1 c2) <- dcol.(min c1 c2) + 1;
           dcol.(max c1 c2) <- dcol.(max c1 c2) - 1
@@ -1035,11 +1081,16 @@ let route_cold ~cancel ~pool (req : Request.t) =
       ~layers:config.layers ~gcell_rows:config.gcell_rows
       ~m1_free:config.m1_free ?density:req.Request.density ()
   in
-  let net_gcells = req.Request.net_gcells in
+  let rows = req.Request.rows in
   let segments = ref [] in
-  iter_segments req (fun net sgm ->
+  iter_segments req (fun net src dst ->
       segments :=
-        { net; ends = (sgm.Topology.src, sgm.Topology.dst); off = 0; len = 0 }
+        {
+          net;
+          ends = ((src / rows, src mod rows), (dst / rows, dst mod rows));
+          off = 0;
+          len = 0;
+        }
         :: !segments);
   let segments = Array.of_list (List.rev !segments) in
   (* Initial pattern routing, long segments first (they are the hardest to
@@ -1059,10 +1110,11 @@ let route_cold ~cancel ~pool (req : Request.t) =
   let negotiate_token = Span.enter ~cat:"route" "route.negotiate" in
   Fun.protect ~finally:(fun () -> Span.exit negotiate_token) @@ fun () ->
   negotiate config grid cancel pool state segments;
-  build_result grid state segments net_gcells (Array.length net_gcells)
+  build_result grid state segments ~gcell_start:req.Request.gcell_start
+    ~net_gcells:req.Request.net_gcells
 
 let route ?(cancel = Cancel.never) ?session ?pool (req : Request.t) =
-  let num_nets = Array.length req.Request.pins in
+  let num_nets = Request.num_nets req in
   Span.with_ ~cat:"route"
     ~meta:(Printf.sprintf "%d nets" num_nets)
     "route.route_pins"

@@ -48,8 +48,10 @@ type result = {
   num_segments : int;
   net_length_um : float array;  (** Routed length per input net. *)
   routes : route array;  (** One entry per segment, in commit order. *)
-  net_gcells : (int * int) list array;
-      (** Distinct pin gcells per input net (the vertices the net's
+  gcell_start : int array;  (** The request's {!Request.t.gcell_start}. *)
+  net_gcells : int array;
+      (** The request's {!Request.t.net_gcells}: each input net's distinct
+          pin gcell ids [c * grid.rows + r] (the vertices the net's
           segments must connect). *)
 }
 
@@ -58,7 +60,13 @@ type result = {
     all read it, so they can never disagree on a pin gcell, the grid
     dimensions or a density bin: {!Request.of_pins} and
     {!Request.of_mapped} are the only places that clamp pins to gcells,
-    build pin clusters and bin cell area. *)
+    build pin clusters and bin cell area.
+
+    Nets are flat (CSR): net [n]'s pins are [pin_start.(n)] to
+    [pin_start.(n + 1) - 1] of [pins] and [pin_gcells], its distinct
+    gcells [gcell_start.(n)] to [gcell_start.(n + 1) - 1] of
+    [net_gcells]. A gcell id is [c * rows + r] ({!Rgrid.gcell_id}), so
+    sorted ids are sorted by column, then row. *)
 module Request : sig
   type t = private {
     config : config;
@@ -67,14 +75,16 @@ module Request : sig
     cols : int;  (** Grid geometry, from {!Rgrid.dims}. *)
     rows : int;
     gcell_um : float;
-    pins : Cals_util.Geom.point list array;  (** Per net, driver first. *)
-    pin_gcells : (int * int) list array;
-        (** Each pin's {!Rgrid.gcell_at} gcell, in [pins] order. *)
-    net_gcells : (int * int) list array;
-        (** Each net's sorted distinct pin gcells. *)
+    pin_start : int array;  (** Length [num_nets + 1]. *)
+    pins : Cals_util.Geom.point array;  (** Net after net, driver first. *)
+    pin_gcells : int array;  (** Each pin's gcell id, in [pins] order. *)
+    gcell_start : int array;  (** Length [num_nets + 1]. *)
+    net_gcells : int array;  (** Each net's sorted distinct pin gcell ids. *)
     density : Cals_util.Grid2d.t option;
         (** Cell-area fraction per gcell (see {!Rgrid.create}). *)
   }
+
+  val num_nets : t -> int
 
   val of_pins :
     ?config:config ->
@@ -83,7 +93,8 @@ module Request : sig
     wire:Cals_cell.Library.wire_model ->
     Cals_util.Geom.point list array ->
     t
-  (** One net per array slot; off-die pins clamp into the grid. *)
+  (** One net per array slot, driver first; off-die pins clamp into the
+      grid. *)
 
   val of_mapped :
     ?config:config ->
@@ -92,11 +103,19 @@ module Request : sig
     wire:Cals_cell.Library.wire_model ->
     placement:Cals_place.Placement.mapped_placement ->
     t
-  (** Nets in {!Cals_netlist.Mapped.nets} order, so a result's
-      [net_length_um] can be indexed by
+  (** The placement's {!Cals_netlist.Mapped.net_table}, its pins read from
+      the placement's [cell_pos], [pi_pos] and [po_pos] now, so a
+      result's [net_length_um] can be indexed by
       {!Cals_netlist.Mapped.signal_index}; sinkless nets have no pins.
       The density map bins each placed cell's area into its gcell. *)
 end
+
+val iter_segments : Request.t -> (int -> int -> int -> unit) -> unit
+(** [iter_segments req f] calls [f net src dst] for every two-pin segment
+    of the request, net by net, on gcell ids: the {!Topology.iter_mst}
+    of each net's distinct gcells, or with [star_topology] the
+    {!Topology.iter_star} from its driver pin's gcell. {!val:route} and
+    {!Cut} take their segments from here. *)
 
 (** A replay cache over whole route requests.
 

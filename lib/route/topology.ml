@@ -1,50 +1,54 @@
-type segment = {
-  src : int * int;
-  dst : int * int;
+type scratch = {
+  col : int array;
+  row : int array;
+  dist : int array;  (** [-1] once in the tree. *)
+  parent : int array;
 }
 
-let manhattan (c1, r1) (c2, r2) = abs (c1 - c2) + abs (r1 - r2)
+let scratch n =
+  {
+    col = Array.make n 0;
+    row = Array.make n 0;
+    dist = Array.make n 0;
+    parent = Array.make n 0;
+  }
 
-(* Prim over pins that are already distinct and sorted — the router holds
-   them in that form (its per-net gcell lists), so re-sorting here would
-   be pure waste on the hot path. *)
-let mst_segments_sorted pins =
-  match pins with
-  | [] | [ _ ] -> []
-  | first :: _ ->
-    let arr = Array.of_list pins in
-    let n = Array.length arr in
-    let in_tree = Array.make n false in
-    let dist = Array.make n max_int in
-    let parent = Array.make n (-1) in
-    let first_idx = ref 0 in
-    Array.iteri (fun i p -> if p = first then first_idx := i) arr;
-    dist.(!first_idx) <- 0;
-    let segments = ref [] in
+(* Prim, O(n^2) over the slice: pick the closest gcell not yet in the
+   tree (the first on ties), join it to its parent, relax the rest. *)
+let iter_mst s ~rows cells lo hi f =
+  let n = hi - lo in
+  if n >= 2 then begin
+    let col = s.col and row = s.row and dist = s.dist and parent = s.parent in
+    for i = 0 to n - 1 do
+      let g = cells.(lo + i) in
+      col.(i) <- g / rows;
+      row.(i) <- g mod rows;
+      dist.(i) <- max_int;
+      parent.(i) <- -1
+    done;
+    dist.(0) <- 0;
     for _ = 1 to n do
-      (* Pick the closest node not yet in the tree. *)
-      let best = ref (-1) in
+      let u = ref (-1) in
       for i = 0 to n - 1 do
-        if (not in_tree.(i)) && (!best < 0 || dist.(i) < dist.(!best)) then best := i
+        if dist.(i) >= 0 && (!u < 0 || dist.(i) < dist.(!u)) then u := i
       done;
-      let u = !best in
-      in_tree.(u) <- true;
-      if parent.(u) >= 0 then
-        segments := { src = arr.(parent.(u)); dst = arr.(u) } :: !segments;
+      let u = !u in
+      dist.(u) <- -1;
+      if parent.(u) >= 0 then f cells.(lo + parent.(u)) cells.(lo + u);
+      let cu = col.(u) and ru = row.(u) in
       for v = 0 to n - 1 do
-        if not in_tree.(v) then begin
-          let d = manhattan arr.(u) arr.(v) in
+        if dist.(v) >= 0 then begin
+          let d = abs (cu - col.(v)) + abs (ru - row.(v)) in
           if d < dist.(v) then begin
             dist.(v) <- d;
             parent.(v) <- u
           end
         end
       done
-    done;
-    List.rev !segments
+    done
+  end
 
-let star_segments driver pins =
-  pins
-  |> List.sort_uniq compare
-  |> List.filter (fun p -> p <> driver)
-  |> List.map (fun p -> { src = driver; dst = p })
+let iter_star ~driver cells lo hi f =
+  for i = lo to hi - 1 do
+    if cells.(i) <> driver then f driver cells.(i)
+  done

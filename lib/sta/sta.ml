@@ -36,57 +36,41 @@ type net_info = {
   load_pf : float;  (** Wire cap + sum of sink pin caps. *)
 }
 
-let sink_cap mapped = function
-  | Mapped.Cell_pin (i, _) ->
-    mapped.Mapped.instances.(i).Mapped.cell.Cell.input_cap_pf
-  | Mapped.Po _ -> 0.0
-
-let signal_pos mapped (placement : Cals_place.Placement.mapped_placement) = function
-  | Mapped.Of_pi i -> placement.Cals_place.Placement.pi_pos.(i)
-  | Mapped.Of_inst i ->
-    ignore mapped;
-    placement.Cals_place.Placement.cell_pos.(i)
-
-let sink_pos (placement : Cals_place.Placement.mapped_placement) = function
-  | Mapped.Cell_pin (i, _) -> placement.Cals_place.Placement.cell_pos.(i)
-  | Mapped.Po oi -> placement.Cals_place.Placement.po_pos.(oi)
-
+(* One info per net of the placement's table, in its order. A sink pin
+   id below [num_cells] is a cell input, any other an output pad (a PI
+   pad only ever drives). *)
 let build_net_infos cfg ?net_length_um mapped ~wire ~placement =
-  let nets = Mapped.nets mapped in
-  let infos =
-    Array.mapi
-      (fun ni net ->
-        let driver_pos = signal_pos mapped placement net.Mapped.driver in
-        let length =
-          match net_length_um with
-          | Some lengths when ni < Array.length lengths && lengths.(ni) > 0.0 ->
-            lengths.(ni)
-          | Some _ | None ->
-            (* HPWL of the placed net. *)
-            let box =
-              List.fold_left
-                (fun b s -> Geom.bbox_add b (sink_pos placement s))
-                (Geom.bbox_add Geom.bbox_empty driver_pos)
-                net.Mapped.sinks
-            in
-            if net.Mapped.sinks = [] then 0.0 else Geom.half_perimeter box
-        in
-        let pin_caps =
-          List.fold_left (fun acc s -> acc +. sink_cap mapped s) 0.0 net.Mapped.sinks
-        in
-        let po_loads =
-          List.fold_left
-            (fun acc s ->
-              match s with
-              | Mapped.Po _ -> acc +. cfg.output_load_pf
-              | Mapped.Cell_pin _ -> acc)
-            0.0 net.Mapped.sinks
-        in
-        let wire_cap = length *. wire.Cals_cell.Library.cap_pf_per_um in
-        { driver_pos; length_um = length; load_pf = wire_cap +. pin_caps +. po_loads })
-      nets
-  in
-  (nets, infos)
+  let { Mapped.first; pins } = placement.Cals_place.Placement.nets in
+  let instances = mapped.Mapped.instances in
+  let n_cells = Array.length instances in
+  let pos = Cals_place.Placement.pin_position placement in
+  Array.init (Array.length first - 1) (fun ni ->
+      let lo = first.(ni) and hi = first.(ni + 1) in
+      let driver_pos =
+        let n_pi = Array.length mapped.Mapped.pi_names in
+        pos (if ni < n_pi then n_cells + ni else ni - n_pi)
+      in
+      let length =
+        match net_length_um with
+        | Some lengths when ni < Array.length lengths && lengths.(ni) > 0.0 ->
+          lengths.(ni)
+        | Some _ | None ->
+          (* HPWL of the placed net. *)
+          let box = ref Geom.bbox_empty in
+          for i = lo to hi - 1 do
+            box := Geom.bbox_add !box (pos pins.(i))
+          done;
+          if lo = hi then 0.0 else Geom.half_perimeter !box
+      in
+      let pin_caps = ref 0.0 and po_loads = ref 0.0 in
+      for i = lo + 1 to hi - 1 do
+        let p = pins.(i) in
+        if p < n_cells then
+          pin_caps := !pin_caps +. instances.(p).Mapped.cell.Cell.input_cap_pf
+        else po_loads := !po_loads +. cfg.output_load_pf
+      done;
+      let wire_cap = length *. wire.Cals_cell.Library.cap_pf_per_um in
+      { driver_pos; length_um = length; load_pf = wire_cap +. !pin_caps +. !po_loads })
 
 (* Elmore wire delay from a net's driver to one sink. *)
 let wire_delay cfg wire (info : net_info) ~sink_pos:sp ~sink_cap:sc =
@@ -101,8 +85,7 @@ let wire_delay cfg wire (info : net_info) ~sink_pos:sp ~sink_cap:sc =
    exclude that PI (used by the single-path query). Returns per-instance
    output arrivals, each PO's arrival, and the latest-fanin trace. *)
 let propagate cfg ?net_length_um mapped ~wire ~placement ~pi_arrival =
-  let nets, infos = build_net_infos cfg ?net_length_um mapped ~wire ~placement in
-  ignore nets;
+  let infos = build_net_infos cfg ?net_length_um mapped ~wire ~placement in
   let n_inst = Array.length mapped.Mapped.instances in
   let inst_arrival = Array.make n_inst neg_infinity in
   let best_fanin = Array.make n_inst (-1) in

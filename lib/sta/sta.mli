@@ -32,7 +32,8 @@ val analyze :
   wire:Cals_cell.Library.wire_model ->
   placement:Cals_place.Placement.mapped_placement ->
   report
-(** [net_length_um], indexed like {!Cals_netlist.Mapped.nets}, supplies
+(** [net_length_um], indexed like {!Cals_netlist.Mapped.net_table} (the
+    placement's [nets]), supplies
     routed lengths (e.g. {!Cals_route.Router.result.net_length_um});
     otherwise the half-perimeter of each placed net is used. *)
 

@@ -98,11 +98,17 @@ let check_routing ?(usage = true) (res : Router.result) =
   let cols = grid.Rgrid.cols and rows = grid.Rgrid.rows in
   let node (c, r) = (r * cols) + c in
   let num_nets = res.Router.num_nets in
+  let gcell_start = res.Router.gcell_start and gcells = res.Router.net_gcells in
   let* () =
-    if Array.length res.Router.net_gcells <> num_nets then
-      errf "net_gcells has %d entries for %d nets"
-        (Array.length res.Router.net_gcells)
-        num_nets
+    if Array.length gcell_start <> num_nets + 1 then
+      errf "gcell_start has %d entries for %d nets"
+        (Array.length gcell_start) num_nets
+    else if
+      gcell_start.(0) <> 0
+      || gcell_start.(num_nets) <> Array.length gcells
+      || not (Seq.for_all (fun n -> gcell_start.(n) <= gcell_start.(n + 1))
+                (Seq.init num_nets Fun.id))
+    then errf "gcell_start does not slice net_gcells"
     else if Array.length res.Router.net_length_um <> num_nets then
       errf "net_length_um has %d entries for %d nets"
         (Array.length res.Router.net_length_um)
@@ -126,7 +132,10 @@ let check_routing ?(usage = true) (res : Router.result) =
   let* () = bucket 0 in
   let check_net net =
     let segments = List.rev by_net.(net) in
-    let pins = res.Router.net_gcells.(net) in
+    let lo = gcell_start.(net) and hi = gcell_start.(net + 1) in
+    let pins =
+      List.init (hi - lo) (fun i -> (gcells.(lo + i) / rows, gcells.(lo + i) mod rows))
+    in
     match (segments, pins) with
     | [], ([] | [ _ ]) -> Ok ()
     | _ ->

@@ -220,6 +220,7 @@ let test_bad_input () =
   in
   write "cli-bad.blif" "11 1\n.model x\n";
   write "cli-bad.pla" ".i 2\n.o 1\nzz 1\n.e\n";
+  write "cli-bad-header.pla" ".i x\n.o 1\n.e\n";
   List.iter
     (fun (cmd, input, reason) ->
       check_exit (cmd ^ " " ^ input) 2
@@ -237,6 +238,7 @@ let test_bad_input () =
       ("flow", "cli-bad.blif", "line 1");
       ("sta", "cli-bad.pla", "line 3");
       ("map", "cli-bad.pla", "line 3");
+      ("flow", "cli-bad-header.pla", "line 1");
     ]
 
 let test_bad_usage () =

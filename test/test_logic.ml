@@ -618,6 +618,76 @@ let prop_complement =
         let inputs = Array.init 6 (fun _ -> Rng.bits64 rng) in
         Sop.eval64 g inputs = Int64.lognot (Sop.eval64 f inputs))
 
+(* ------------------------- parser fuzz ------------------------- *)
+
+(* Up to four byte edits (replace, delete or insert; half the new bytes
+   from the formats' own punctuation and digits). *)
+let mutate rng text =
+  let pool = "0123456789.-x \n\t#\\{}[]\":,e" in
+  let byte () =
+    if Rng.bool rng then pool.[Rng.int rng (String.length pool)]
+    else Char.chr (Rng.int rng 256)
+  in
+  let s = ref text in
+  for _ = 0 to Rng.int rng 4 do
+    let t = !s in
+    let n = String.length t in
+    let pos = if n = 0 then 0 else Rng.int rng n in
+    let head = String.sub t 0 pos in
+    s :=
+      match Rng.int rng 3 with
+      | 0 when n > 0 ->
+        head ^ String.make 1 (byte ()) ^ String.sub t (pos + 1) (n - pos - 1)
+      | 1 when n > 0 -> head ^ String.sub t (pos + 1) (n - pos - 1)
+      | _ -> head ^ String.make 1 (byte ()) ^ String.sub t pos (n - pos)
+  done;
+  !s
+
+let golden_blifs =
+  lazy
+    (Sys.readdir "golden" |> Array.to_list |> List.sort compare
+    |> List.filter (fun f -> Filename.check_suffix f ".blif")
+    |> List.map (fun f -> In_channel.with_open_bin (Filename.concat "golden" f) In_channel.input_all))
+
+let job_line =
+  {|{"id":"a","workload":{"family":"pla","seed":3,"inputs":6,"outputs":3,"size":12},"k_schedule":[0,0.001],"deadline_s":2.5}|}
+
+(* Each parser returns, or raises its own [Parse_error], on any input;
+   nothing else may escape. *)
+let parse_cleanly name parse text =
+  match parse text with
+  | () -> ()
+  | exception e ->
+    QCheck.Test.fail_reportf "%s: %s escaped on %S" name (Printexc.to_string e) text
+
+let parse_blif t = try ignore (Blif.parse t) with Blif.Parse_error _ -> ()
+let parse_pla t = try ignore (Pla.parse t) with Pla.Parse_error _ -> ()
+let parse_job t = ignore (Cals_serve.Proto.spec_of_string ~default_id:"d" t)
+
+let prop_parsers_fail_cleanly =
+  QCheck.Test.make ~count:3000 ~name:"byte-mutated inputs parse or fail cleanly"
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let blifs = Lazy.force golden_blifs in
+      parse_cleanly "Blif.parse" parse_blif
+        (mutate rng (List.nth blifs (Rng.int rng (List.length blifs))));
+      parse_cleanly "Pla.parse" parse_pla (mutate rng sample_pla);
+      parse_cleanly "Proto.spec_of_string" parse_job (mutate rng job_line);
+      true)
+
+(* The shrunk escape the property found: a non-numeric [.o] count ended
+   in [int_of_string]'s [Failure]; [.i x] is the same fault. A huge
+   [.o] count was allocated: [Invalid_argument] or [Out_of_memory]. *)
+let test_pla_header_regression () =
+  List.iter (parse_cleanly "Pla.parse" parse_pla)
+    [
+      ".i 3\n.o }2\n.ilb a b c\n.ob f g\n\n.p 3\n11- 10\nv-1 10\n0-- 01\n.e\n";
+      ".i x\n.o 1\n.e\n";
+      ".i 2\n.o 4611686018427387903\n.e\n";
+      ".i 2\n.o 1000000000000\n.e\n";
+    ]
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "logic"
@@ -715,5 +785,11 @@ let () =
           Alcotest.test_case "parse" `Quick test_pla_parse;
           Alcotest.test_case "roundtrip" `Quick test_pla_roundtrip;
           Alcotest.test_case "errors" `Quick test_pla_errors;
+        ] );
+      ( "parsers",
+        [
+          qc prop_parsers_fail_cleanly;
+          Alcotest.test_case "pla header regression" `Quick
+            test_pla_header_regression;
         ] );
     ]

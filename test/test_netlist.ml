@@ -143,20 +143,21 @@ let test_mapped_simulate () =
 
 let test_mapped_nets () =
   let m = small_mapped () in
-  let nets = Mapped.nets m in
-  Alcotest.(check int) "net count" 4 (Array.length nets);
+  let { Mapped.first; pins } = Mapped.net_table m in
+  let net s =
+    let n = Mapped.signal_index m s in
+    Array.to_list (Array.sub pins first.(n) (first.(n + 1) - first.(n)))
+  in
+  (* Pin ids: instances 0-1, PI pads 2-3, PO pads 4-5. *)
+  Alcotest.(check int) "net count" 4 (Array.length first - 1);
   (* PI a drives pin 0 of instance 0. *)
-  (match nets.(0).Mapped.sinks with
-  | [ Mapped.Cell_pin (0, 0) ] -> ()
-  | _ -> Alcotest.fail "pi net sinks");
+  Alcotest.(check (list int)) "pi net sinks" [ 2; 0 ] (net (Mapped.Of_pi 0));
   (* Instance 0 drives instance 1 pin 0 and PO g. *)
-  (match nets.(Mapped.signal_index m (Mapped.Of_inst 0)).Mapped.sinks with
-  | [ Mapped.Cell_pin (1, 0); Mapped.Po 1 ] -> ()
-  | _ -> Alcotest.fail "inst net sinks");
+  Alcotest.(check (list int)) "inst net sinks" [ 0; 1; 5 ] (net (Mapped.Of_inst 0));
   (* Instance 1 drives PO f only. *)
-  match nets.(Mapped.signal_index m (Mapped.Of_inst 1)).Mapped.sinks with
-  | [ Mapped.Po 0 ] -> ()
-  | _ -> Alcotest.fail "po sink"
+  Alcotest.(check (list int)) "po sink" [ 1; 4 ] (net (Mapped.Of_inst 1));
+  (* PI b drives pin 1 of instance 0. *)
+  Alcotest.(check (list int)) "second pi net" [ 3; 0 ] (net (Mapped.Of_pi 1))
 
 let contains_substring haystack needle =
   let nl = String.length needle and hl = String.length haystack in

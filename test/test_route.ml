@@ -72,9 +72,28 @@ let test_rgrid_point_mapping () =
 
 (* ------------------------- Topology ------------------------- *)
 
+(* The flat topologies over a sorted distinct (c, r) list, back as
+   (c, r) pairs: gcell ids here take 100 rows. *)
+let topo_rows = 100
+let of_id g = (g / topo_rows, g mod topo_rows)
+
+let topo_segments iter distinct =
+  let cells = Array.of_list (List.map (fun (c, r) -> (c * topo_rows) + r) distinct) in
+  let acc = ref [] in
+  iter cells (Array.length cells) (fun s d -> acc := (of_id s, of_id d) :: !acc);
+  List.rev !acc
+
+let mst_segments =
+  topo_segments (fun cells n f ->
+      Topology.iter_mst (Topology.scratch n) ~rows:topo_rows cells 0 n f)
+
+let star_segments (c, r) =
+  topo_segments (fun cells n f ->
+      Topology.iter_star ~driver:((c * topo_rows) + r) cells 0 n f)
+
 let test_mst_tree_properties () =
   let pins = [ (0, 0); (5, 0); (0, 5); (9, 9); (5, 0) ] in
-  let segs = Topology.mst_segments_sorted (List.sort_uniq compare pins) in
+  let segs = mst_segments (List.sort_uniq compare pins) in
   (* 4 distinct pins -> 3 edges. *)
   Alcotest.(check int) "spanning edges" 3 (List.length segs);
   (* Connectivity via union-find over pin indices. *)
@@ -82,14 +101,13 @@ let test_mst_tree_properties () =
   let idx p = Option.get (List.find_index (( = ) p) distinct) in
   let uf = Cals_util.Union_find.create (List.length distinct) in
   List.iter
-    (fun s -> ignore (Cals_util.Union_find.union uf (idx s.Topology.src) (idx s.Topology.dst)))
+    (fun (src, dst) -> ignore (Cals_util.Union_find.union uf (idx src) (idx dst)))
     segs;
   Alcotest.(check int) "connected" 1 (Cals_util.Union_find.count uf)
 
 let test_mst_short () =
-  Alcotest.(check int) "empty" 0 (List.length (Topology.mst_segments_sorted []));
-  Alcotest.(check int) "single" 0
-    (List.length (Topology.mst_segments_sorted [ (1, 1) ]))
+  Alcotest.(check int) "empty" 0 (List.length (mst_segments []));
+  Alcotest.(check int) "single" 0 (List.length (mst_segments [ (1, 1) ]))
 
 let test_mst_shorter_than_star () =
   let rng = Rng.create 31 in
@@ -100,12 +118,11 @@ let test_mst_shorter_than_star () =
     | (driver :: _) as distinct ->
       let len segs =
         List.fold_left
-          (fun acc { Topology.src = c1, r1; dst = c2, r2 } ->
-            acc + abs (c1 - c2) + abs (r1 - r2))
+          (fun acc ((c1, r1), (c2, r2)) -> acc + abs (c1 - c2) + abs (r1 - r2))
           0 segs
       in
-      let mst = len (Topology.mst_segments_sorted distinct) in
-      let star = len (Topology.star_segments driver distinct) in
+      let mst = len (mst_segments distinct) in
+      let star = len (star_segments driver distinct) in
       if mst > star then Alcotest.failf "mst %d > star %d" mst star
   done
 
@@ -613,18 +630,20 @@ let prop_request_agreement =
         let g = r.Router.grid in
         if (req.Request.cols, req.Request.rows) <> dims_of g then
           QCheck.Test.fail_reportf "%s: request dims differ from the grid" what;
-        Array.iteri
-          (fun net pins ->
-            List.iter2
-              (fun p cell ->
-                if gcell_of_point g p <> cell then
-                  QCheck.Test.fail_reportf
-                    "%s: net %d pin (%g, %g) disagrees with the grid" what net
-                    p.Geom.x p.Geom.y)
-              pins req.Request.pin_gcells.(net))
-          req.Request.pins;
-        if r.Router.net_gcells <> req.Request.net_gcells then
-          QCheck.Test.fail_reportf "%s: result net gcells differ" what;
+        for net = 0 to Request.num_nets req - 1 do
+          for i = req.Request.pin_start.(net) to req.Request.pin_start.(net + 1) - 1 do
+            let p = req.Request.pins.(i) and cell = req.Request.pin_gcells.(i) in
+            if gcell_of_point g p <> (cell / req.Request.rows, cell mod req.Request.rows)
+            then
+              QCheck.Test.fail_reportf
+                "%s: net %d pin (%g, %g) disagrees with the grid" what net
+                p.Geom.x p.Geom.y
+          done
+        done;
+        if
+          r.Router.gcell_start <> req.Request.gcell_start
+          || r.Router.net_gcells <> req.Request.net_gcells
+        then QCheck.Test.fail_reportf "%s: result net gcells differ" what;
         (match req.Request.density with
         | Some d when (Grid2d.cols d, Grid2d.rows d) <> dims_of g ->
           QCheck.Test.fail_reportf "%s: density dims differ from the grid" what
@@ -648,6 +667,142 @@ let prop_request_agreement =
       if req.Request.density = None then
         QCheck.Test.fail_report "of_mapped built no density map";
       check "mapped" req;
+      true)
+
+(* A random mapped netlist: up to 25 cells of any library cell, fanins
+   from any earlier signal (PI 0 favoured, for a high-fanout net), up to
+   six outputs that may share a signal. Sinkless nets, cells reading one
+   net on two pins and PIs wired straight to outputs all occur. *)
+let random_mapped rng =
+  let module Mapped = Cals_netlist.Mapped in
+  let cells = Array.of_list (Cals_cell.Library.cells lib) in
+  let n_pi = 1 + Rng.int rng 6 in
+  let signal before =
+    if Rng.int rng 4 = 0 then Mapped.Of_pi 0
+    else
+      let k = Rng.int rng (n_pi + before) in
+      if k < n_pi then Mapped.Of_pi k else Mapped.Of_inst (k - n_pi)
+  in
+  let instances =
+    Array.init (Rng.int rng 26) (fun i ->
+        let cell = cells.(Rng.int rng (Array.length cells)) in
+        {
+          Mapped.cell;
+          fanins =
+            Array.init (Cals_cell.Cell.num_inputs cell) (fun _ -> signal i);
+          seed = Geom.point 0.0 0.0;
+        })
+  in
+  let n_inst = Array.length instances in
+  Mapped.make
+    ~pi_names:(Array.init n_pi (Printf.sprintf "i%d"))
+    ~instances
+    ~outputs:(Array.init (Rng.int rng 7) (fun o -> (Printf.sprintf "o%d" o, signal n_inst)))
+
+(* The flat request against the list-based one it replaced
+   (test/reference/reference_request.ml): the net table, every pin's
+   gcell, each net's sorted distinct gcells, the density bits and the
+   segments of both topologies, for [of_mapped] and [of_pins]. *)
+let prop_request_oracle =
+  QCheck.Test.make ~count:200 ~name:"flat request == list oracle"
+    QCheck.(
+      quad (int_range 1 12) (int_range 1 80) (int_range 1 4)
+        (int_range 0 10_000))
+    (fun (num_rows, sites_per_row, gcell_rows, seed) ->
+      let module Mapped = Cals_netlist.Mapped in
+      let module Ref = Cals_reference.Reference_request in
+      let floorplan = Floorplan.of_rows ~num_rows ~sites_per_row ~geometry in
+      let rng = Rng.create seed in
+      let point _ =
+        Geom.point
+          ((Rng.float rng 2.0 -. 0.5) *. floorplan.Floorplan.die_width)
+          ((Rng.float rng 2.0 -. 0.5) *. floorplan.Floorplan.die_height)
+      in
+      let fail fmt = QCheck.Test.fail_reportf fmt in
+      let cell (req : Request.t) g = (g / req.Request.rows, g mod req.Request.rows) in
+      let slice a lo hi = Array.to_list (Array.sub a lo (hi - lo)) in
+      let check what (req : Request.t) (oracle : Ref.t) =
+        let n = Request.num_nets req in
+        if (req.Request.cols, req.Request.rows) <> (oracle.Ref.cols, oracle.Ref.rows)
+        then fail "%s: grid dims differ" what;
+        if n <> Array.length oracle.Ref.pins then fail "%s: net count differs" what;
+        for net = 0 to n - 1 do
+          let lo = req.Request.pin_start.(net) and hi = req.Request.pin_start.(net + 1) in
+          if slice req.Request.pins lo hi <> oracle.Ref.pins.(net) then
+            fail "%s: net %d pins differ" what net;
+          if
+            List.map (cell req) (slice req.Request.pin_gcells lo hi)
+            <> oracle.Ref.pin_gcells.(net)
+          then fail "%s: net %d pin gcells differ" what net;
+          if
+            List.map (cell req)
+              (slice req.Request.net_gcells req.Request.gcell_start.(net)
+                 req.Request.gcell_start.(net + 1))
+            <> oracle.Ref.net_gcells.(net)
+          then fail "%s: net %d distinct gcells differ" what net
+        done;
+        let bits = function
+          | None -> []
+          | Some g ->
+            Grid2d.fold (fun c r v acc -> (c, r, Int64.bits_of_float v) :: acc) g []
+        in
+        if bits req.Request.density <> bits oracle.Ref.density then
+          fail "%s: density bits differ" what;
+        let segments = ref [] in
+        Router.iter_segments req (fun net src dst ->
+            segments := (net, cell req src, cell req dst) :: !segments);
+        if List.rev !segments <> Ref.segments oracle then
+          fail "%s: segments differ" what
+      in
+      List.iter
+        (fun star_topology ->
+          let config = { Router.default_config with Router.gcell_rows; star_topology } in
+          let topo = if star_topology then "star" else "mst" in
+          let mapped = random_mapped rng in
+          let table = Mapped.net_table mapped in
+          let n_cells = Array.length mapped.Mapped.instances in
+          let node = function
+            | Mapped.Of_pi i -> n_cells + i
+            | Mapped.Of_inst i -> i
+          in
+          Array.iteri
+            (fun net { Ref.driver; sinks } ->
+              let want =
+                if sinks = [] then []
+                else
+                  node driver
+                  :: List.map
+                       (function
+                         | Ref.Cell_pin (i, _) -> i
+                         | Ref.Po o -> n_cells + Array.length mapped.Mapped.pi_names + o)
+                       sinks
+              in
+              if slice table.Mapped.pins table.Mapped.first.(net) table.Mapped.first.(net + 1) <> want
+              then fail "net table: net %d differs" net)
+            (Ref.nets mapped);
+          let placement =
+            {
+              Placement.cell_pos = Array.init n_cells point;
+              pi_pos = Array.init (Array.length mapped.Mapped.pi_names) point;
+              po_pos = Array.init (Array.length mapped.Mapped.outputs) point;
+              hpwl = 0.0;
+              row_fill = [||];
+              nets = table;
+            }
+          in
+          check ("mapped " ^ topo)
+            (Request.of_mapped ~config mapped ~floorplan ~wire ~placement)
+            (Ref.of_mapped ~config mapped ~floorplan ~placement);
+          (* Few distinct points, so nets repeat gcells and pins. *)
+          let points = Array.init 6 point in
+          let nets =
+            Array.init (Rng.int rng 30) (fun _ ->
+                List.init (Rng.int rng 25) (fun _ -> points.(Rng.int rng 6)))
+          in
+          check ("pins " ^ topo)
+            (Request.of_pins ~config ~floorplan ~wire nets)
+            (Ref.of_pins ~config ~floorplan nets))
+        [ false; true ];
       true)
 
 (* ------------------------- Congestion ------------------------- *)
@@ -725,6 +880,10 @@ let () =
             test_route_pinned_congested;
           Alcotest.test_case "pdc 0.05 @ 85%" `Quick test_route_pinned_pdc;
         ] );
-      ("request", [ QCheck_alcotest.to_alcotest prop_request_agreement ]);
+      ( "request",
+        [
+          QCheck_alcotest.to_alcotest prop_request_agreement;
+          QCheck_alcotest.to_alcotest prop_request_oracle;
+        ] );
       ("congestion", [ Alcotest.test_case "report" `Quick test_congestion_report ]);
     ]

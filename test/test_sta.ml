@@ -97,9 +97,9 @@ let test_wire_length_increases_delay () =
 let test_routed_lengths_override () =
   let m = chain_mapped 4 in
   let pl = place m in
-  let nets = Mapped.nets m in
+  let nets = Array.length pl.Placement.nets.Mapped.first - 1 in
   (* Pretend every net meanders 500 um. *)
-  let lengths = Array.map (fun _ -> 500.0) nets in
+  let lengths = Array.make nets 500.0 in
   let r0 = Sta.analyze m ~wire ~placement:pl in
   let r1 = Sta.analyze ~net_length_um:lengths m ~wire ~placement:pl in
   Alcotest.(check bool) "meandering slows the path" true

@@ -405,7 +405,9 @@ let test_routing_checker_rejects_handbuilt_broken_route () =
             edges = [ Rgrid.H (0, 0) ];
           };
         |];
-      net_gcells = [| [ (0, 0); (2, 0) ] |];
+      (* Net 0's gcells (0, 0) and (2, 0), as ids [c * rows + r]. *)
+      gcell_start = [| 0; 2 |];
+      net_gcells = [| 0; 2 * grid.Rgrid.rows |];
     }
   in
   (match Invariant.check_routing ~usage:false res with
