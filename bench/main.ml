@@ -406,7 +406,7 @@ let ablations ~scale =
       evaluate "PDP + Eq.5 (paper)" base;
       evaluate "DAGON partitioning" { base with Mapper.strategy = Partition.Dagon };
       evaluate "MIS cones" { base with Mapper.strategy = Partition.Cone };
-      evaluate "Euclidean distance" { base with Mapper.distance = Geom.euclidean };
+      evaluate "Euclidean distance" { base with Mapper.distance = Geom.Euclidean };
       evaluate "no WIRE2 (Eq.3 off)" { base with Mapper.include_wire2 = false };
       evaluate "no incremental update" { base with Mapper.incremental_update = false };
       evaluate "transitive wire [9]" { base with Mapper.transitive_wire = true };

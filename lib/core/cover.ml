@@ -2,7 +2,6 @@ module Geom = Cals_util.Geom
 module Subject = Cals_netlist.Subject
 module Mapped = Cals_netlist.Mapped
 module Cell = Cals_cell.Cell
-module Pattern = Cals_cell.Pattern
 module Library = Cals_cell.Library
 module Metrics = Cals_telemetry.Metrics
 
@@ -14,7 +13,7 @@ let m_matches_per_vertex =
 type options = {
   k : float;
   t : float;
-  distance : Geom.point -> Geom.point -> float;
+  distance : Geom.metric;
   incremental_update : bool;
   include_wire2 : bool;
   transitive_wire : bool;
@@ -32,107 +31,21 @@ type solution = {
 }
 
 type t = {
-  subject : Subject.t;
+  table : Matches.table;
   partition : Partition.t;
-  sols : solution option array;
+  chosen : int array;
+  area : float array;
+  wire : float array;
+  arrival : float array;
+  cost : float array;
+  com_x : float array;
+  com_y : float array;
   evaluated : int;
 }
 
-(* ---------------- Match enumeration ---------------- *)
-
-(* A candidate is a consistent binding of pattern variables to subject
-   nodes plus the list of base gates the pattern consumes. Internal
-   pattern nodes may only descend along tree-internal edges; leaves bind
-   anywhere (the fanin becomes an input of the cell). *)
-let enumerate_matches subject (partition : Partition.t) pattern v =
-  let gates = subject.Subject.gates in
-  let rec go pattern v bind =
-    match pattern with
-    | Pattern.Var i -> (
-      match List.assoc_opt i bind with
-      | Some u -> if u = v then [ (bind, []) ] else []
-      | None -> [ ((i, v) :: bind, []) ])
-    | Pattern.Inv q -> (
-      match gates.(v) with
-      | Subject.Inv a ->
-        descend q a v bind |> List.map (fun (b, cov) -> (b, v :: cov))
-      | Subject.Pi _ | Subject.Nand2 _ -> [])
-    | Pattern.Nand (q1, q2) -> (
-      match gates.(v) with
-      | Subject.Nand2 (a, b) ->
-        let orient x y =
-          List.concat_map
-            (fun (b1, cov1) ->
-              descend q2 y v b1
-              |> List.map (fun (b2, cov2) -> (b2, (v :: cov1) @ cov2)))
-            (descend q1 x v bind)
-        in
-        if a = b then orient a a else orient a b @ orient b a
-      | Subject.Pi _ | Subject.Inv _ -> [])
-  and descend q child parent bind =
-    match q with
-    | Pattern.Var _ -> go q child bind
-    | Pattern.Inv _ | Pattern.Nand _ ->
-      if partition.Partition.father.(child) = Some parent then go q child bind
-      else []
-  in
-  go pattern v []
-
-(* ---------------- K-independent match sets ---------------- *)
-
-(* A structural candidate: a cell whose pattern binds at a vertex. The
-   binding depends only on the subject graph, the partition and the
-   library — never on K, the companion placement or the DP state — so it
-   can be computed once per tree and reused across a whole K schedule. *)
-type candidate = {
-  cand_cell : Cell.t;
-  cand_leaves : int array;  (** Subject node per pattern variable. *)
-  cand_covered : int list;  (** Base gates the match consumes. *)
-}
-
-type node_matches = {
-  candidates : candidate array;
-      (** In exact (cell, pattern, binding) enumeration order — the DP's
-          tie-breaking depends on this order, so cached and freshly
-          enumerated candidates must agree element for element. *)
-  enumerated : int;
-      (** Raw bindings enumerated, including ones rejected for unbound
-          variables; keeps [matches_evaluated] identical to a cold run. *)
-}
-
-type matchset = node_matches option array
-
-let match_node subject ~library ~(partition : Partition.t) v =
-  let enumerated = ref 0 in
-  let acc = ref [] in
-  List.iter
-    (fun (cell : Cell.t) ->
-      List.iter
-        (fun pattern ->
-          List.iter
-            (fun (binding, covered) ->
-              incr enumerated;
-              let nvars = Pattern.num_vars pattern in
-              let leaves = Array.make nvars (-1) in
-              List.iter (fun (var, node) -> leaves.(var) <- node) binding;
-              if not (Array.exists (fun l -> l < 0) leaves) then
-                acc :=
-                  { cand_cell = cell; cand_leaves = leaves;
-                    cand_covered = covered }
-                  :: !acc)
-            (enumerate_matches subject partition pattern v))
-        cell.Cell.patterns)
-    (Library.cells library);
-  { candidates = Array.of_list (List.rev !acc); enumerated = !enumerated }
-
-let is_gate subject v =
-  match subject.Subject.gates.(v) with
-  | Subject.Pi _ -> false
-  | Subject.Inv _ | Subject.Nand2 _ -> true
-
 (* Wire cost of the Pedram-Bhat-style transitive variant: total original
    edge length of the full fanin cone below a node. *)
-let tfi_wire subject ~positions ~distance =
+let tfi_wire subject ~positions ~metric =
   let n = Subject.num_nodes subject in
   let memo = Array.make n nan in
   let rec go v =
@@ -140,7 +53,8 @@ let tfi_wire subject ~positions ~distance =
     else begin
       let total =
         List.fold_left
-          (fun acc c -> acc +. distance positions.(v) positions.(c) +. go c)
+          (fun acc c ->
+            acc +. Geom.distance metric positions.(v) positions.(c) +. go c)
           0.0
           (Subject.fanins subject.Subject.gates.(v))
       in
@@ -153,189 +67,216 @@ let tfi_wire subject ~positions ~distance =
   done;
   memo
 
-(* The DP prices every cached candidate in one pass over flat state and
-   builds a [solution] only for each vertex's winner, so a K point
-   allocates little beyond its output. The float operations are those of
-   the plain definitions, in the same order, so results are bit-identical
-   to them (test_core "cover pinned"):
+(* The DP prices every candidate of the table in flat loops: no record,
+   point or boxed float per candidate, and the metric chosen by a branch
+   rather than a closure. The float operations are those of the plain
+   definitions, in the same order, so results are bit-identical to them
+   (test_core "cover pinned", and the list oracle in test/reference):
    - area: [cell.area] plus each leaf's area, in leaf order;
-   - center of mass: the x and y sums over [covered] in order, each
-     divided by the count;
+   - center of mass: the x and y sums over the covered gates in order,
+     each divided by the count;
    - WIRE1: from 0, each leaf's distance in leaf order; WIRE2 then adds
      each leaf's memoized wire cost onto it, in leaf order;
    - arrival: the maximum from 0 under a strict [>] of each leaf's
-     arrival plus its Elmore wire delay, plus the cell delay.
-   [distance] is called once per leaf, and that value feeds both WIRE1
-   and the arrival. The incumbent is kept on
-   [b.cost < cost || (b.cost = cost && b.area_cost <= area_cost)], so the
-   first of equally priced candidates in enumeration order wins. *)
-let run ~matchsets subject ~library ~partition ~positions options =
+     arrival plus its Elmore wire delay, plus the cell delay
+     [intrinsic +. drive *. load].
+   One distance per leaf feeds both WIRE1 and the arrival. The incumbent
+   is kept on [b.cost < cost || (b.cost = cost && b.area <= area)], so
+   the first of equally priced candidates in enumeration order wins. *)
+let run (tbl : Matches.table) ~(partition : Partition.t) ~positions options =
+  let subject = tbl.Matches.subject in
   let n = Subject.num_nodes subject in
-  let wire = Library.wire library in
-  let res = wire.Library.res_kohm_per_um and cap = wire.Library.cap_pf_per_um in
-  (* Current companion positions (collapsed to centers of mass as matches
-     are chosen), as flat coordinate arrays. *)
+  let wire_model = Library.wire tbl.Matches.library in
+  let res = wire_model.Library.res_kohm_per_um in
+  let cap = wire_model.Library.cap_pf_per_um in
+  (* Current companion positions, collapsed to centers of mass as
+     matches are chosen. *)
   let cur_x = Array.map (fun p -> p.Geom.x) positions in
   let cur_y = Array.map (fun p -> p.Geom.y) positions in
-  let sols : solution option array = Array.make n None in
-  (* Per-node memoized figures for fanin lookups (Eqs. 1 and 3). PIs keep
-     zero cost and their pad position. *)
-  let node_com = Array.copy positions in
-  let node_wire = Array.make n 0.0 in
-  let node_area = Array.make n 0.0 in
-  let node_arrival = Array.make n 0.0 in
+  (* The per-node results double as the memoized fanin figures of
+     Eqs. 1 and 3; PIs keep zero cost and their pad position. *)
+  let com_x = Array.copy cur_x and com_y = Array.copy cur_y in
+  let chosen = Array.make n (-1) in
+  let area = Array.make n 0.0 in
+  let wire = Array.make n 0.0 in
+  let arrival = Array.make n 0.0 in
+  let cost = Array.make n 0.0 in
+  let transitive = options.transitive_wire in
+  let wire2 = options.include_wire2 in
+  let euclidean =
+    match options.distance with
+    | Geom.Euclidean -> true
+    | Geom.Manhattan -> false
+  in
   let tfi =
-    if options.transitive_wire then
-      tfi_wire subject ~positions ~distance:options.distance
+    if transitive then tfi_wire subject ~positions ~metric:options.distance
     else [||]
   in
+  let k = options.k and tw = options.t in
+  let live = partition.Partition.live and gates = subject.Subject.gates in
+  let { Matches.first; stop; cell; leaf_first; leaves; cov_first; covered;
+        cell_area; cell_input_cap; cell_intrinsic; cell_drive; load;
+        enumerated; _ } =
+    tbl
+  in
   let evaluated = ref 0 in
-  let fanout_counts = Subject.fanout_counts subject in
   for v = 0 to n - 1 do
-    if partition.Partition.live.(v) && is_gate subject v then begin
-      let nm =
-        match matchsets.(v) with
-        | Some nm -> nm
-        | None ->
-          invalid_arg
-            (Printf.sprintf "Cover.run: no match set at live gate %d" v)
-      in
-      evaluated := !evaluated + nm.enumerated;
-      (* Each reader of the match root is roughly one standard sink; a
-         sink-less root still drives a primary-output load. *)
-      let load = 0.01 *. float_of_int (Int.max 1 fanout_counts.(v)) in
-      (* The incumbent: its candidate index (-1 before the first) and
-         figures. *)
+    match gates.(v) with
+    | Subject.Pi _ -> ()
+    | (Subject.Inv _ | Subject.Nand2 _) when live.(v) ->
+      let lo = first.(v) in
+      if lo < 0 then
+        invalid_arg (Printf.sprintf "Cover.run: no candidates at live gate %d" v);
+      evaluated := !evaluated + enumerated.(v);
+      let load = load.(v) in
       let best = ref (-1) in
       let best_area = ref 0.0 and best_wire = ref 0.0 in
       let best_arrival = ref 0.0 and best_cost = ref 0.0 in
-      let best_com = ref Geom.{ x = 0.0; y = 0.0 } in
-      let cands = nm.candidates in
-      for ci = 0 to Array.length cands - 1 do
-        let { cand_cell = cell; cand_leaves = leaves; cand_covered = covered } =
-          cands.(ci)
-        in
-        (* A loop, not a closure, keeps the float sums unboxed. *)
-        let sx = ref 0.0 and sy = ref 0.0 and count = ref 0 in
-        let rest = ref covered in
-        while
-          match !rest with
-          | [] -> false
-          | u :: tl ->
-            sx := !sx +. cur_x.(u);
-            sy := !sy +. cur_y.(u);
-            incr count;
-            rest := tl;
-            true
-        do
-          ()
+      let best_x = ref 0.0 and best_y = ref 0.0 in
+      for c = lo to stop.(v) - 1 do
+        let ci = cell.(c) in
+        let sx = ref 0.0 and sy = ref 0.0 in
+        let c0 = cov_first.(c) and c1 = cov_first.(c + 1) in
+        for j = c0 to c1 - 1 do
+          let u = covered.(j) in
+          sx := !sx +. cur_x.(u);
+          sy := !sy +. cur_y.(u)
         done;
-        let m = float_of_int !count in
-        let com = Geom.{ x = !sx /. m; y = !sy /. m } in
-        let area = ref cell.Cell.area in
+        let m = float_of_int (c1 - c0) in
+        let cx = !sx /. m and cy = !sy /. m in
+        let in_cap = cell_input_cap.(ci) in
+        let a = ref cell_area.(ci) in
         let wire1 = ref 0.0 in
         let latest = ref 0.0 in
-        for li = 0 to Array.length leaves - 1 do
-          let l = leaves.(li) in
-          area := !area +. node_area.(l);
+        let l0 = leaf_first.(c) and l1 = leaf_first.(c + 1) in
+        for j = l0 to l1 - 1 do
+          let l = leaves.(j) in
+          a := !a +. area.(l);
+          let dx = cx -. com_x.(l) and dy = cy -. com_y.(l) in
+          let d =
+            if euclidean then sqrt ((dx *. dx) +. (dy *. dy))
+            else abs_float dx +. abs_float dy
+          in
+          if not transitive then wire1 := !wire1 +. d;
           (* Elmore wire delay on each leaf-to-match edge (the model
              {!Cals_sta.Sta} uses post-route), so the DP ranks covers by
-             the arrival the routed netlist will actually see — a
-             constant-load estimate ties covers that the wire then unties
-             the wrong way. *)
-          let d = options.distance com node_com.(l) in
-          if not options.transitive_wire then wire1 := !wire1 +. d;
+             the arrival the routed netlist will actually see. *)
           let r = d *. res in
-          let c = d *. cap in
-          let t_wire = r *. ((c /. 2.0) +. cell.Cell.input_cap_pf) in
-          let t = node_arrival.(l) +. t_wire in
+          let cw = d *. cap in
+          let t_wire = r *. ((cw /. 2.0) +. in_cap) in
+          let t = arrival.(l) +. t_wire in
           if t > !latest then latest := t
         done;
-        let wire_cost =
-          if options.transitive_wire then begin
-            (* Charge every leaf at its original position plus its whole
-               cone: the uncontrolled variant of Section 3.3. *)
-            let w = ref 0.0 in
-            for li = 0 to Array.length leaves - 1 do
-              let l = leaves.(li) in
-              w := !w +. options.distance com positions.(l) +. tfi.(l)
-            done;
-            !w
-          end
-          else if options.include_wire2 then begin
-            let w = ref !wire1 in
-            for li = 0 to Array.length leaves - 1 do
-              w := !w +. node_wire.(leaves.(li))
-            done;
-            !w
-          end
-          else !wire1
+        let w = ref !wire1 in
+        if transitive then begin
+          (* Charge every leaf at its original position plus its whole
+             cone: the uncontrolled variant of Section 3.3. *)
+          w := 0.0;
+          for j = l0 to l1 - 1 do
+            let l = leaves.(j) in
+            let p = positions.(l) in
+            let dx = cx -. p.Geom.x and dy = cy -. p.Geom.y in
+            let d =
+              if euclidean then sqrt ((dx *. dx) +. (dy *. dy))
+              else abs_float dx +. abs_float dy
+            in
+            w := !w +. d +. tfi.(l)
+          done
+        end
+        else if wire2 then
+          for j = l0 to l1 - 1 do
+            w := !w +. wire.(leaves.(j))
+          done;
+        let area_c = !a and wire_c = !w in
+        let arrival_c =
+          !latest +. (cell_intrinsic.(ci) +. (cell_drive.(ci) *. load))
         in
-        let area_cost = !area in
-        let arrival_ns = !latest +. Cell.delay_ns cell ~load_pf:load in
-        let cost =
-          area_cost +. (options.k *. wire_cost) +. (options.t *. arrival_ns)
-        in
+        let cost_c = area_c +. (k *. wire_c) +. (tw *. arrival_c) in
         if
           !best < 0
           || not
-               (!best_cost < cost
-               || (!best_cost = cost && !best_area <= area_cost))
+               (!best_cost < cost_c
+               || (!best_cost = cost_c && !best_area <= area_c))
         then begin
-          best := ci;
-          best_area := area_cost;
-          best_wire := wire_cost;
-          best_arrival := arrival_ns;
-          best_cost := cost;
-          best_com := com
+          best := c;
+          best_area := area_c;
+          best_wire := wire_c;
+          best_arrival := arrival_c;
+          best_cost := cost_c;
+          best_x := cx;
+          best_y := cy
         end
       done;
-      if !best < 0 then
-        (* Cannot happen: INV and NAND2 always match. *)
-        failwith "Cover.run: no match at a live gate";
-      let { cand_cell; cand_leaves; cand_covered } = cands.(!best) in
-      let com = !best_com in
-      Metrics.observe m_matches_per_vertex (float_of_int nm.enumerated);
-      sols.(v) <-
-        Some
-          { cell = cand_cell; leaves = cand_leaves; covered = cand_covered;
-            area_cost = !best_area; wire_cost = !best_wire;
-            arrival_ns = !best_arrival; cost = !best_cost; com };
-      node_com.(v) <- com;
-      node_wire.(v) <- !best_wire;
-      node_area.(v) <- !best_area;
-      node_arrival.(v) <- !best_arrival;
+      let b = !best in
+      if b < 0 then failwith "Cover.run: no match at a live gate";
+      Metrics.observe m_matches_per_vertex (float_of_int enumerated.(v));
+      chosen.(v) <- b;
+      area.(v) <- !best_area;
+      wire.(v) <- !best_wire;
+      arrival.(v) <- !best_arrival;
+      cost.(v) <- !best_cost;
+      let bx = !best_x and by = !best_y in
+      com_x.(v) <- bx;
+      com_y.(v) <- by;
       if options.incremental_update then
-        List.iter
-          (fun u ->
-            cur_x.(u) <- com.Geom.x;
-            cur_y.(u) <- com.Geom.y)
-          cand_covered
-    end
+        for j = cov_first.(b) to cov_first.(b + 1) - 1 do
+          let u = covered.(j) in
+          cur_x.(u) <- bx;
+          cur_y.(u) <- by
+        done
+    | Subject.Inv _ | Subject.Nand2 _ -> ()
   done;
-  { subject; partition; sols; evaluated = !evaluated }
+  { table = tbl; partition; chosen; area; wire; arrival; cost; com_x; com_y;
+    evaluated = !evaluated }
 
-let solution t v = t.sols.(v)
+let solution t v =
+  let c = t.chosen.(v) in
+  if c < 0 then None
+  else begin
+    let tbl = t.table in
+    let l0 = tbl.Matches.leaf_first.(c) and c0 = tbl.Matches.cov_first.(c) in
+    Some
+      {
+        cell = tbl.Matches.cells.(tbl.Matches.cell.(c));
+        leaves = Array.sub tbl.Matches.leaves l0 (tbl.Matches.leaf_first.(c + 1) - l0);
+        covered =
+          List.init
+            (tbl.Matches.cov_first.(c + 1) - c0)
+            (fun j -> tbl.Matches.covered.(c0 + j));
+        area_cost = t.area.(v);
+        wire_cost = t.wire.(v);
+        arrival_ns = t.arrival.(v);
+        cost = t.cost.(v);
+        com = { Geom.x = t.com_x.(v); y = t.com_y.(v) };
+      }
+  end
+
 let matches_evaluated t = t.evaluated
 
 type extraction = {
   mapped : Mapped.t;
   duplicated_gates : int;
   taps : int;
+  cover_counts : int array;
 }
 
 (* Instantiate cells for all needed signals, memoized per subject node:
    [inst_of.(v)] is the instance built for [v] (-1 before it is), and
-   [cover_count.(u)] how many instances cover base gate [u]. *)
-let extract_internal t =
-  let n = Subject.num_nodes t.subject in
+   [cover_counts.(u)] how many instances cover base gate [u]. *)
+let extract t =
+  let tbl = t.table in
+  let subject = tbl.Matches.subject in
+  let { Matches.cells; cell; leaf_first; leaves; cov_first; covered; _ } =
+    tbl
+  in
+  let n = Subject.num_nodes subject in
   let inst_of = Array.make n (-1) in
-  let cover_count = Array.make n 0 in
+  let cover_counts = Array.make n 0 in
   let instances = ref [] in
   let count = ref 0 in
   let taps = ref 0 in
   let rec inst v =
-    match t.subject.Subject.gates.(v) with
+    match subject.Subject.gates.(v) with
     | Subject.Pi idx -> Mapped.Of_pi idx
     | Subject.Inv _ | Subject.Nand2 _ ->
       if inst_of.(v) >= 0 then begin
@@ -343,49 +284,49 @@ let extract_internal t =
         Mapped.Of_inst inst_of.(v)
       end
       else begin
-        let sol =
-          match t.sols.(v) with
-          | Some s -> s
-          | None -> failwith "Cover.extract: no solution at needed gate"
+        let c = t.chosen.(v) in
+        if c < 0 then failwith "Cover.extract: no solution at needed gate";
+        let l0 = leaf_first.(c) in
+        let fanins =
+          Array.init (leaf_first.(c + 1) - l0) (fun j -> inst leaves.(l0 + j))
         in
-        let fanins = Array.map inst sol.leaves in
         let idx = !count in
         incr count;
         instances :=
-          { Mapped.cell = sol.cell; fanins; seed = sol.com } :: !instances;
-        List.iter (fun u -> cover_count.(u) <- cover_count.(u) + 1) sol.covered;
+          { Mapped.cell = cells.(cell.(c)); fanins;
+            seed = { Geom.x = t.com_x.(v); y = t.com_y.(v) } }
+          :: !instances;
+        for j = cov_first.(c) to cov_first.(c + 1) - 1 do
+          let u = covered.(j) in
+          cover_counts.(u) <- cover_counts.(u) + 1
+        done;
         inst_of.(v) <- idx;
         Mapped.Of_inst idx
       end
   in
   let outputs =
-    Array.map (fun (name, v) -> (name, inst v)) t.subject.Subject.outputs
+    Array.map (fun (name, v) -> (name, inst v)) subject.Subject.outputs
   in
   let mapped =
-    Mapped.make ~pi_names:t.subject.Subject.pi_names
+    Mapped.make ~pi_names:subject.Subject.pi_names
       ~instances:(Array.of_list (List.rev !instances))
       ~outputs
   in
-  let duplicated =
-    Array.fold_left (fun acc c -> acc + Int.max 0 (c - 1)) 0 cover_count
+  let duplicated_gates =
+    Array.fold_left (fun acc c -> acc + Int.max 0 (c - 1)) 0 cover_counts
   in
-  (mapped, duplicated, !taps, cover_count)
+  { mapped; duplicated_gates; taps = !taps; cover_counts }
 
-let extract t =
-  let mapped, duplicated_gates, taps, _ = extract_internal t in
-  { mapped; duplicated_gates; taps }
-
-let check_coverage t =
-  let _, _, _, cover_count = extract_internal t in
+let check_coverage t extraction =
   let missing = ref [] in
   Array.iteri
     (fun v g ->
       match g with
       | Subject.Pi _ -> ()
       | Subject.Inv _ | Subject.Nand2 _ ->
-        if t.partition.Partition.live.(v) && cover_count.(v) = 0 then
-          missing := v :: !missing)
-    t.subject.Subject.gates;
+        if t.partition.Partition.live.(v) && extraction.cover_counts.(v) = 0
+        then missing := v :: !missing)
+    t.table.Matches.subject.Subject.gates;
   match !missing with
   | [] -> Ok ()
   | vs ->

@@ -31,7 +31,7 @@ type options = {
           pure Eq. 5 and is bit-identical to the pre-timing DP — the
           arrival term is [t *. arrival_ns], which is exactly [0.] then,
           and adding [0.] never changes a finite positive cost. *)
-  distance : Cals_util.Geom.point -> Cals_util.Geom.point -> float;
+  distance : Cals_util.Geom.metric;
   incremental_update : bool;  (** Center-of-mass position collapsing. *)
   include_wire2 : bool;  (** Eq. 3 term (off = WIRE1-only ablation). *)
   transitive_wire : bool;
@@ -52,76 +52,43 @@ type solution = {
 }
 
 type t
-(** Covering state: one chosen solution per live gate. *)
-
-(** {2 K-independent match sets}
-
-    Pattern matching is purely structural: a candidate binding depends on
-    the subject graph, the partition and the library, but not on K, the
-    companion placement or the DP state. A K-schedule sweep can therefore
-    enumerate matches once and re-run only the cost-combination DP per K
-    point — the incremental engine ({!Incremental}) caches these per
-    partition tree. *)
-
-type candidate = {
-  cand_cell : Cals_cell.Cell.t;
-  cand_leaves : int array;  (** Subject node per pattern variable. *)
-  cand_covered : int list;  (** Base gates the match consumes. *)
-}
-
-type node_matches = {
-  candidates : candidate array;
-      (** In exact (cell, pattern, binding) enumeration order; the DP's
-          tie-breaking depends on this order. *)
-  enumerated : int;
-      (** Raw bindings enumerated (including rejected ones), so that
-          {!matches_evaluated} is identical whether or not a cache was
-          used. *)
-}
-
-type matchset = node_matches option array
-(** Indexed by subject node; [None] for primary inputs and dead gates. *)
-
-val match_node :
-  Cals_netlist.Subject.t ->
-  library:Cals_cell.Library.t ->
-  partition:Partition.t ->
-  int ->
-  node_matches
-(** All structural candidates at one live gate. *)
+(** Covering state: per subject node, the chosen candidate of the table
+    ([-1] for PIs and dead gates) and its area, wire, arrival and cost
+    figures and center of mass, each in a flat array. *)
 
 val run :
-  matchsets:matchset ->
-  Cals_netlist.Subject.t ->
-  library:Cals_cell.Library.t ->
+  Matches.table ->
   partition:Partition.t ->
   positions:Cals_util.Geom.point array ->
   options ->
   t
-(** The cost-combination DP over precomputed match sets: [matchsets]
-    holds {!match_node}'s result for every live gate of [partition]
-    (computed against the same subject and library); a missing entry
-    raises [Invalid_argument]. The result depends only on the candidates
-    and their order, so a cached matchset maps bit-identically to a
-    fresh one. *)
+(** The cost-combination DP over a candidate table: the table must hold
+    every live gate of [partition] (enumerated against the same
+    partition); a missing one raises [Invalid_argument]. The result
+    depends only on the candidates and their order, so a table filled
+    from the store maps bit-identically to a freshly enumerated one. *)
 
 val solution : t -> int -> solution option
-(** The chosen match at a live gate ([None] for PIs / dead gates). *)
+(** The chosen match at a node ([None] for PIs / dead gates), built on
+    demand. *)
 
 val matches_evaluated : t -> int
-(** Raw pattern bindings enumerated during the run (the paper's Table 2
-    "matches" column) — identical with and without a warm match cache,
-    see {!node_matches.enumerated}. *)
+(** Raw pattern bindings enumerated for the covered gates (the paper's
+    Table 2 "matches" column) — the same however the table was filled,
+    see {!Matches.node_matches.enumerated}. *)
 
 type extraction = {
   mapped : Cals_netlist.Mapped.t;
   duplicated_gates : int;
       (** Base gates materialized more than once (logic duplication). *)
   taps : int;  (** Cross-tree references served without duplication. *)
+  cover_counts : int array;
+      (** Per subject node: instances whose match covers it. *)
 }
 
 val extract : t -> extraction
 (** Instantiate cells for every needed signal. *)
 
-val check_coverage : t -> (unit, string) result
-(** Every live gate must be covered by some instantiated match. *)
+val check_coverage : t -> extraction -> (unit, string) result
+(** Every live gate must be covered by some instantiated match of the
+    extraction. *)

@@ -29,7 +29,7 @@ type stats = {
 
 type tree = {
   root : int;
-  nodes : int list;  (** Live gates of the tree, increasing node order. *)
+  nodes : int array;  (** Live gates of the tree, increasing node order. *)
   fp : int64;
 }
 
@@ -40,7 +40,10 @@ type session = {
   options : Mapper.options;
   partition : Partition.t;
   trees : tree array;
-  cache : (int64, (int * Cover.node_matches) list) Hashtbl.t;
+  table : Matches.table;
+      (** The session's candidates: every tree with [cached] set. *)
+  cached : bool array;  (** Per tree. *)
+  mutable uncached : int;  (** Trees not in [table]. *)
   hits : int Atomic.t;
   misses : int Atomic.t;
   maps : int Atomic.t;
@@ -58,7 +61,7 @@ let is_gate subject v =
    a different tree shape. *)
 let tree_fingerprint subject (partition : Partition.t) ~root ~nodes =
   let h = ref (Fnv.int Fnv.empty root) in
-  List.iter
+  Array.iter
     (fun v ->
       h := Fnv.int !h v;
       (match subject.Subject.gates.(v) with
@@ -99,7 +102,10 @@ let trees_of subject (partition : Partition.t) =
   done;
   partition.Partition.roots
   |> List.map (fun root ->
-         let nodes = Option.value ~default:[] (Hashtbl.find_opt members root) in
+         let nodes =
+           Array.of_list
+             (Option.value ~default:[] (Hashtbl.find_opt members root))
+         in
          { root; nodes; fp = tree_fingerprint subject partition ~root ~nodes })
   |> Array.of_list
 
@@ -115,79 +121,75 @@ let create ?options ~subject ~library ~positions () =
     Partition.run options.Mapper.strategy subject ~positions
       ~distance:options.Mapper.distance
   in
+  let trees = trees_of subject partition in
   {
     subject;
     library;
     positions;
     options;
     partition;
-    trees = trees_of subject partition;
-    cache = Hashtbl.create 256;
+    trees;
+    table = Matches.create subject ~library;
+    cached = Array.make (Array.length trees) false;
+    uncached = Array.length trees;
     hits = Atomic.make 0;
     misses = Atomic.make 0;
     maps = Atomic.make 0;
     route_session = Cals_route.Router.Session.create ();
   }
 
-(* Enumerate one tree from scratch, counted as a miss. *)
-let enumerate_tree session t =
+(* Enumerate one tree into [table], counted as a miss. *)
+let enumerate_tree session table t =
   Atomic.incr session.misses;
   Metrics.incr m_misses;
-  List.map
-    (fun v ->
-      ( v,
-        Cover.match_node session.subject ~library:session.library
-          ~partition:session.partition v ))
-    t.nodes
+  Array.iter (Matches.add_node table ~partition:session.partition) t.nodes
 
-(* Look one tree up. A miss enumerates the tree and drops the result:
-   only [warm] and [preload] write the cache, so lookups from several
-   domains never race with an insert. *)
-let tree_matches session t =
-  match Hashtbl.find_opt session.cache t.fp with
-  | Some entries ->
-    Atomic.incr session.hits;
-    Metrics.incr m_hits;
-    entries
-  | None -> enumerate_tree session t
-
-let assemble session =
-  let ms : Cover.matchset =
-    Array.make (Subject.num_nodes session.subject) None
-  in
-  Array.iter
-    (fun t ->
-      List.iter
-        (fun (v, nm) -> ms.(v) <- Some nm)
-        (tree_matches session t))
-    session.trees;
-  ms
+(* The table one map reads, counting one hit or miss per tree. Once every
+   tree is cached that is the session's own; otherwise the missing trees
+   are enumerated into a copy that the call drops, so [map] never writes
+   the session and domains may share it without a lock. *)
+let map_table session =
+  let ntrees = Array.length session.trees in
+  if session.uncached = 0 then begin
+    ignore (Atomic.fetch_and_add session.hits ntrees);
+    Metrics.add m_hits ntrees;
+    session.table
+  end
+  else begin
+    let scratch = Matches.copy session.table in
+    Array.iteri
+      (fun i t ->
+        if session.cached.(i) then begin
+          Atomic.incr session.hits;
+          Metrics.incr m_hits
+        end
+        else enumerate_tree session scratch t)
+      session.trees;
+    scratch
+  end
 
 let map ?(verify = false) ?(t = 0.0) session ~k =
   Span.with_ ~cat:"map" ~meta:(Printf.sprintf "K=%g" k) "mapper.map"
   @@ fun () ->
   Atomic.incr session.maps;
   Metrics.incr m_runs;
-  let matchsets =
-    Span.with_ ~cat:"map" "incremental.assemble" @@ fun () -> assemble session
-  in
+  let table = map_table session in
   let { Mapper.wire_scale; distance; incremental_update; include_wire2;
         transitive_wire; _ } =
     session.options
   in
-  let partition = session.partition in
   let cover =
     Span.with_ ~cat:"map" "mapper.cover" @@ fun () ->
-    Cover.run ~matchsets session.subject ~library:session.library ~partition
-      ~positions:session.positions
+    Cover.run table ~partition:session.partition ~positions:session.positions
       { Cover.k = k *. wire_scale; t; distance; incremental_update;
         include_wire2; transitive_wire }
   in
-  if verify then
-    Cals_verify.Check.record ~stage:"cover" (Cover.check_coverage cover);
   let extraction =
     Span.with_ ~cat:"map" "mapper.extract" @@ fun () -> Cover.extract cover
   in
+  if verify then
+    Cals_verify.Check.record ~stage:"cover"
+      (Cover.check_coverage cover extraction);
   let mapped = extraction.Cover.mapped in
   Metrics.add m_matches (Cover.matches_evaluated cover);
   let stats =
@@ -201,12 +203,18 @@ let map ?(verify = false) ?(t = 0.0) session ~k =
   in
   { Mapper.mapped; stats; cover }
 
+let install session i =
+  session.cached.(i) <- true;
+  session.uncached <- session.uncached - 1
+
 let warm session =
   Span.with_ ~cat:"map" "incremental.warm" @@ fun () ->
-  Array.iter
-    (fun t ->
-      if not (Hashtbl.mem session.cache t.fp) then
-        Hashtbl.replace session.cache t.fp (enumerate_tree session t))
+  Array.iteri
+    (fun i t ->
+      if not session.cached.(i) then begin
+        enumerate_tree session session.table t;
+        install session i
+      end)
     session.trees
 
 let stats session =
@@ -225,20 +233,41 @@ let fingerprints session =
 
 let export session =
   Array.to_list session.trees
-  |> List.filter_map (fun t ->
-         Option.map
-           (fun entries -> (t.fp, entries))
-           (Hashtbl.find_opt session.cache t.fp))
+  |> List.filteri (fun i _ -> session.cached.(i))
+  |> List.map (fun t ->
+         ( t.fp,
+           Array.to_list
+             (Array.map (fun v -> (v, Matches.node_matches session.table v))
+                t.nodes) ))
+
+(* An entry is installed only if it lists exactly the tree's live gates,
+   in order, each with candidates that are genuine matches there: a store
+   file that passes its checksum yet disagrees with the session can then
+   only leave a tree cold, never crash or skew a map. *)
+let valid_entry session t nodes =
+  let rec go i = function
+    | [] -> i = Array.length t.nodes
+    | (v, nm) :: rest ->
+      i < Array.length t.nodes
+      && v = t.nodes.(i)
+      && Matches.valid session.table ~partition:session.partition v nm
+      && go (i + 1) rest
+  in
+  go 0 nodes
 
 let preload session entries =
-  let wanted = Hashtbl.create (Array.length session.trees) in
-  Array.iter (fun t -> Hashtbl.replace wanted t.fp ()) session.trees;
+  let by_fp = Hashtbl.create (Array.length session.trees) in
+  Array.iteri (fun i t -> Hashtbl.replace by_fp t.fp i) session.trees;
   let installed = ref 0 in
   List.iter
-    (fun (fp, matches) ->
-      if Hashtbl.mem wanted fp && not (Hashtbl.mem session.cache fp) then begin
-        Hashtbl.add session.cache fp matches;
+    (fun (fp, nodes) ->
+      match Hashtbl.find_opt by_fp fp with
+      | Some i
+        when (not session.cached.(i))
+             && valid_entry session session.trees.(i) nodes ->
+        List.iter (fun (v, nm) -> Matches.add_matches session.table v nm) nodes;
+        install session i;
         incr installed
-      end)
+      | Some _ | None -> ())
     entries;
   !installed

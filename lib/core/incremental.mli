@@ -4,8 +4,8 @@
     increment while the subject DAG, its PDP trees and the companion
     placement are produced exactly once. Structural pattern matches are
     K-independent — only the AREA/WIRE cost combination changes with K —
-    so a session computes the matches once per partition tree, caches them
-    keyed by a subject-tree fingerprint, and re-runs only the
+    so a session enumerates the matches once per partition tree into one
+    flat candidate table ({!Matches.table}) and re-runs only the
     cost-combination DP per K point.
 
     {2 Cache keying and invalidation}
@@ -15,32 +15,30 @@
     weight T, which are per-{!map}-call). The partition is
     computed once at {!create}; each of its trees gets a 64-bit FNV-1a
     fingerprint over the tree's node ids, gate kinds, fanins and father
-    edges. The match cache maps fingerprint → per-node candidate sets, so
-
-    - after {!warm}, a {!map} call at any K hits on every tree;
-    - a tree whose structure or father edges changed (e.g. a different
-      partition in some future re-partitioning session) fingerprints
-      differently and is re-enumerated, invalidating exactly the stale
-      entry and nothing else.
+    edges. The fingerprint keys the store ({!export}, {!preload}): a tree
+    whose structure or father edges changed (e.g. a different partition)
+    fingerprints differently and is enumerated afresh. After {!warm}, a
+    {!map} call at any K hits on every tree.
 
     {!map} is the one mapping path; the cold mapper survives only as a
-    test oracle. Cached candidates keep their exact enumeration order,
-    so a cached tree and a freshly enumerated one give the DP the same
+    test oracle. Candidates keep their exact enumeration order, so a
+    cached tree and a freshly enumerated one give the DP the same
     candidate sequence and the same tie-breaks (see {!Cover.run}).
 
     {2 Cache discipline and domain safety}
 
-    The cache fills only through {!warm} and {!preload}; a lookup that
-    misses enumerates the tree and drops the result. As {!map} never
-    writes, any number of domains may share a session with no lock, once
-    its filling is done ({!warm} and {!preload} must not overlap a
-    {!map}). An unwarmed session is just as safe, only slower. The
-    hit/miss statistics are atomics. *)
+    The table fills only through {!warm} and {!preload}. A {!map} on a
+    session with uncached trees enumerates them into a per-call copy of
+    the table and drops it. As {!map} never writes, any number of
+    domains may share a session with no lock, once its filling is done
+    ({!warm} and {!preload} must not overlap a {!map}). An unwarmed
+    session is just as safe, only slower. The hit/miss statistics are
+    atomics. *)
 
 type stats = {
   trees : int;  (** Partition trees in the session's subject. *)
-  hits : int;  (** Tree match sets served from the cache. *)
-  misses : int;  (** Tree match sets enumerated from scratch. *)
+  hits : int;  (** Trees a {!map} found in the session's table. *)
+  misses : int;  (** Tree enumerations, by {!warm} or an unwarmed {!map}. *)
   maps : int;  (** {!map} calls executed so far. *)
 }
 
@@ -59,18 +57,18 @@ val create :
     its own K. *)
 
 val map : ?verify:bool -> ?t:float -> session -> k:float -> Mapper.result
-(** One K point: assemble the tree match sets, run the cost-combination
-    DP ({!Cover.run}) and extract the netlist, under the session's
+(** One K point: run the cost-combination DP ({!Cover.run}) over the
+    session's table and extract the netlist, under the session's
     options with [k] and [t] substituted. [t] (default [0.]) is the
     timing weight of {!Mapper.options.t}; like K it never touches the
-    structural matches, so timing and non-timing calls share one cache.
-    With [verify] (default [false]) the cover is checked for legality
-    before extraction; a violation raises
+    structural matches, so timing and non-timing calls share one table.
+    With [verify] (default [false]) the extraction is checked to cover
+    every live gate; a violation raises
     {!Cals_verify.Check.Violation} with stage ["cover"]. *)
 
 val warm : session -> unit
-(** Sequential match phase: enumerate and cache every tree that is not
-    cached yet (counted as misses). After [warm], every {!map} lookup
+(** Sequential match phase: enumerate every tree that is not in the
+    table yet into it (counted as misses). After [warm], every {!map} lookup
     hits. Must not overlap a {!map} on the same session. *)
 
 val stats : session -> stats
@@ -83,7 +81,7 @@ val library : session -> Cals_cell.Library.t
 
 val route_session : session -> Cals_route.Router.Session.t
 (** The session's router companion: a {!Cals_route.Router.Session}
-    created alongside the match cache, so the K loop that reuses match
+    created alongside the match table, so the K loop that reuses match
     sets also replays unchanged route requests. {!Flow.evaluate_k} does
     not take it from the session: callers pass it explicitly as
     [~route_session] next to [~session] (as {!Flow.run_adaptive} does).
@@ -95,20 +93,25 @@ val fingerprints : session -> (int * int64) list
 (** [(root, fingerprint)] per tree, in root order — exposed for tests and
     diagnostics. *)
 
-val export : session -> (int64 * (int * Cover.node_matches) list) list
-(** The cached match sets, one [(fingerprint, per-node candidates)] pair
-    per cached tree in tree order. Candidate lists keep their exact
+val export : session -> (int64 * (int * Matches.node_matches) list) list
+(** The cached match sets in portable form, one
+    [(fingerprint, per-node candidates)] pair per cached tree in tree
+    order. Candidate lists keep their exact
     enumeration order, so a session rebuilt from an export maps
     bit-identically (see {!Cover.run}). Intended for the persistent
     match-cache store ({!Cals_serve.Store}); call after {!warm} to export
     the complete cache. *)
 
-val preload : session -> (int64 * (int * Cover.node_matches) list) list -> int
+val preload :
+  session -> (int64 * (int * Matches.node_matches) list) list -> int
 (** Install previously {!export}ed match sets into a fresh session's
-    cache, before {!warm}. Only entries whose fingerprint matches one of
-    the session's own trees are installed — anything else (a
-    different subject, partition or library vintage) is silently ignored,
-    so a stale store can only produce cold misses, never wrong matches.
+    table, before {!warm}. An entry is installed only if its fingerprint
+    is one of the session's own uncached trees, its node ids are exactly
+    that tree's live gates in increasing order, and every node's
+    candidates are {!Matches.valid} there. Anything else (a different
+    subject, partition or library vintage, or a damaged file) is
+    silently skipped, so a stale store can only produce cold misses,
+    never wrong matches or a failing {!map}.
     Returns the number of entries installed. Installed trees are skipped
     by {!warm} (no miss is counted), so subsequent {!map} lookups count as
     cache hits. Like {!warm}, must not overlap a {!map}. *)

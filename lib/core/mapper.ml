@@ -3,7 +3,7 @@ type options = {
   t : float;
   wire_scale : float;
   strategy : Partition.strategy;
-  distance : Cals_util.Geom.point -> Cals_util.Geom.point -> float;
+  distance : Cals_util.Geom.metric;
   incremental_update : bool;
   include_wire2 : bool;
   transitive_wire : bool;
@@ -18,7 +18,7 @@ let min_area =
     t = 0.0;
     wire_scale = default_wire_scale;
     strategy = Partition.Dagon;
-    distance = Cals_util.Geom.manhattan;
+    distance = Cals_util.Geom.Manhattan;
     incremental_update = true;
     include_wire2 = true;
     transitive_wire = false;

@@ -21,7 +21,8 @@ type options = {
           200 ({!min_area}) to make the paper's K values land in the
           same sensitivity range here. *)
   strategy : Partition.strategy;
-  distance : Cals_util.Geom.point -> Cals_util.Geom.point -> float;
+  distance : Cals_util.Geom.metric;
+      (** Metric of WIRE (Eq. 2) and of PDP's nearest-father choice. *)
   incremental_update : bool;
   include_wire2 : bool;
   transitive_wire : bool;

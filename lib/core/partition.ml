@@ -52,7 +52,7 @@ let run strategy subject ~positions ~distance =
     | Pdp ->
       List.fold_left
         (fun best u ->
-          let d = distance positions.(u) positions.(w) in
+          let d = Cals_util.Geom.distance distance positions.(u) positions.(w) in
           match best with
           | Some (_, bd) when bd <= d -> best
           | Some _ | None -> Some (u, d))

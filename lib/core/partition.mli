@@ -32,6 +32,6 @@ val run :
   strategy ->
   Cals_netlist.Subject.t ->
   positions:Cals_util.Geom.point array ->
-  distance:(Cals_util.Geom.point -> Cals_util.Geom.point -> float) ->
+  distance:Cals_util.Geom.metric ->
   t
 (** [positions] and [distance] are only consulted by [Pdp]. *)

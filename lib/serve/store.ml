@@ -1,5 +1,5 @@
 module Incremental = Cals_core.Incremental
-module Cover = Cals_core.Cover
+module Matches = Cals_core.Matches
 module Library = Cals_cell.Library
 module Fnv = Cals_util.Tables.Fnv64
 module Metrics = Cals_telemetry.Metrics
@@ -58,18 +58,18 @@ let payload_of ~key session =
       Buffer.add_int64_le b fp;
       add_int b (List.length nodes);
       List.iter
-        (fun (v, (nm : Cover.node_matches)) ->
+        (fun (v, (nm : Matches.node_matches)) ->
           add_int b v;
-          add_int b nm.Cover.enumerated;
-          add_int b (Array.length nm.Cover.candidates);
+          add_int b nm.Matches.enumerated;
+          add_int b (Array.length nm.Matches.candidates);
           Array.iter
-            (fun (c : Cover.candidate) ->
-              add_str b c.Cover.cand_cell.Cals_cell.Cell.name;
-              add_int b (Array.length c.Cover.cand_leaves);
-              Array.iter (add_int b) c.Cover.cand_leaves;
-              add_int b (List.length c.Cover.cand_covered);
-              List.iter (add_int b) c.Cover.cand_covered)
-            nm.Cover.candidates)
+            (fun (c : Matches.candidate) ->
+              add_str b c.Matches.cand_cell.Cals_cell.Cell.name;
+              add_int b (Array.length c.Matches.cand_leaves);
+              Array.iter (add_int b) c.Matches.cand_leaves;
+              add_int b (List.length c.Matches.cand_covered);
+              List.iter (add_int b) c.Matches.cand_covered)
+            nm.Matches.candidates)
         nodes)
     entries;
   Buffer.contents b
@@ -97,6 +97,15 @@ let get_int64 cur what =
   cur.pos <- cur.pos + 8;
   v
 
+(* A count of items that each take at least one byte: more than the bytes
+   left cannot be right, and checking first keeps [Array.init] and
+   [List.init] from sizing anything by a damaged count. *)
+let get_count cur what =
+  let n = get_int cur what in
+  if n > String.length cur.data - cur.pos then
+    raise (Bad (Printf.sprintf "%s %d exceeds the payload" what n));
+  n
+
 let get_str cur what =
   let n = get_int cur what in
   need cur n what;
@@ -116,32 +125,32 @@ let parse_payload ~key ~library data =
     | Some c -> c
     | None -> raise (Bad (Printf.sprintf "unknown cell %S" name))
   in
-  let n_entries = get_int cur "entry count" in
+  let n_entries = get_count cur "entry count" in
   let entries =
     List.init n_entries (fun _ ->
         let fp = get_int64 cur "fingerprint" in
-        let n_nodes = get_int cur "node count" in
+        let n_nodes = get_count cur "node count" in
         let nodes =
           List.init n_nodes (fun _ ->
               let v = get_int cur "node id" in
               let enumerated = get_int cur "enumerated" in
-              let n_cands = get_int cur "candidate count" in
+              let n_cands = get_count cur "candidate count" in
               (* Candidates are read back in exactly the order they were
                  enumerated in; the DP's tie-breaking depends on it. *)
               let candidates =
                 Array.init n_cands (fun _ ->
                     let cand_cell = cell (get_str cur "cell name") in
-                    let n_leaves = get_int cur "leaf count" in
+                    let n_leaves = get_count cur "leaf count" in
                     let cand_leaves =
                       Array.init n_leaves (fun _ -> get_int cur "leaf")
                     in
-                    let n_cov = get_int cur "covered count" in
+                    let n_cov = get_count cur "covered count" in
                     let cand_covered =
                       List.init n_cov (fun _ -> get_int cur "covered")
                     in
-                    { Cover.cand_cell; cand_leaves; cand_covered })
+                    { Matches.cand_cell; cand_leaves; cand_covered })
               in
-              (v, { Cover.candidates; enumerated }))
+              (v, { Matches.candidates; enumerated }))
         in
         (fp, nodes))
   in

@@ -26,10 +26,12 @@
     truncated, bit-flipped, version-skewed or otherwise unparsable file —
     or one whose design key or library vintage disagrees — degrades to a
     cold miss ({!Cold}), counted on the [serve_cache_store_*] telemetry
-    counters. Per-tree fingerprints are additionally re-checked against
-    the live session by {!Cals_core.Incremental.preload}, so even a stale
-    file that passes every file-level check can only ever fail to warm a
-    tree, never poison it. *)
+    counters. A count larger than the bytes left is corrupt before
+    anything is sized by it. Each entry is then checked against the live
+    session by {!Cals_core.Incremental.preload} (fingerprint, node ids,
+    and every candidate a genuine match, see {!Cals_core.Matches.valid}),
+    so even a file that passes every file-level check can only ever fail
+    to warm a tree, never poison it or make a map fail. *)
 
 val version : int
 (** Current format version; bump on any layout change. *)

@@ -3,9 +3,14 @@ type point = { x : float; y : float }
 let point x y = { x; y }
 let manhattan a b = abs_float (a.x -. b.x) +. abs_float (a.y -. b.y)
 
-let euclidean a b =
-  let dx = a.x -. b.x and dy = a.y -. b.y in
-  sqrt ((dx *. dx) +. (dy *. dy))
+type metric = Manhattan | Euclidean
+
+let distance metric a b =
+  match metric with
+  | Manhattan -> manhattan a b
+  | Euclidean ->
+    let dx = a.x -. b.x and dy = a.y -. b.y in
+    sqrt ((dx *. dx) +. (dy *. dy))
 
 type bbox = { lx : float; ly : float; hx : float; hy : float }
 

@@ -9,8 +9,14 @@ val point : float -> float -> point
 val manhattan : point -> point -> float
 (** L1 distance — the routing-relevant metric and the library default. *)
 
-val euclidean : point -> point -> float
-(** L2 distance — available for the distance-metric ablation. *)
+type metric =
+  | Manhattan  (** L1 — the routing-relevant metric and the mapper default. *)
+  | Euclidean  (** L2 — available for the distance-metric ablation. *)
+
+val distance : metric -> point -> point -> float
+(** [distance Manhattan] is {!manhattan}; [distance Euclidean a b] is
+    [sqrt (dx *. dx +. dy *. dy)] with [dx = a.x -. b.x] and
+    [dy = a.y -. b.y]. *)
 
 type bbox = { lx : float; ly : float; hx : float; hy : float }
 (** Axis-aligned bounding box with [lx <= hx] and [ly <= hy]. *)

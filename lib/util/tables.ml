@@ -82,8 +82,12 @@ module Fnv64 = struct
     done;
     !h
 
+  (* A loop rather than [String.iter]: a closure would box the state
+     once per byte. *)
   let string h s =
     let h = ref h in
-    String.iter (fun c -> h := byte !h (Char.code c)) s;
+    for i = 0 to String.length s - 1 do
+      h := byte !h (Char.code (String.unsafe_get s i))
+    done;
     !h
 end

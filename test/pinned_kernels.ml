@@ -59,7 +59,7 @@ let variants : (string * (float -> Mapper.options)) list =
     ("no incremental update", fun k -> { (base k) with incremental_update = false });
     ("no wire2", fun k -> { (base k) with include_wire2 = false });
     ("transitive wire", fun k -> { (base k) with transitive_wire = true });
-    ("euclidean", fun k -> { (base k) with distance = Geom.euclidean });
+    ("euclidean", fun k -> { (base k) with distance = Geom.Euclidean });
     ("t = 0.5", fun k -> { (base k) with t = 0.5 });
   ]
 

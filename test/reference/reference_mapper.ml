@@ -1,17 +1,25 @@
 module Subject = Cals_netlist.Subject
 module Mapped = Cals_netlist.Mapped
 module Mapper = Cals_core.Mapper
+module Matches = Cals_core.Matches
 module Cover = Cals_core.Cover
 module Partition = Cals_core.Partition
 
-let matchset subject ~library ~partition =
-  Array.init (Subject.num_nodes subject) (fun v ->
-      match subject.Subject.gates.(v) with
-      | Subject.Pi _ -> None
+let table subject ~library ~partition =
+  let table = Matches.create subject ~library in
+  Array.iteri
+    (fun v g ->
+      match g with
+      | Subject.Pi _ -> ()
       | Subject.Inv _ | Subject.Nand2 _ ->
-        if partition.Partition.live.(v) then
-          Some (Cover.match_node subject ~library ~partition v)
-        else None)
+        if partition.Partition.live.(v) then Matches.add_node table ~partition v)
+    subject.Subject.gates;
+  table
+
+let matchset subject ~library ~partition =
+  let table = table subject ~library ~partition in
+  Array.init (Subject.num_nodes subject) (fun v ->
+      if Matches.mem table v then Some (Matches.node_matches table v) else None)
 
 let map ?(verify = false) subject ~library ~positions (options : Mapper.options)
     =
@@ -31,12 +39,13 @@ let map ?(verify = false) subject ~library ~positions (options : Mapper.options)
   in
   let cover =
     Cover.run
-      ~matchsets:(matchset subject ~library ~partition)
-      subject ~library ~partition ~positions cover_options
+      (table subject ~library ~partition)
+      ~partition ~positions cover_options
   in
-  if verify then
-    Cals_verify.Check.record ~stage:"cover" (Cover.check_coverage cover);
   let extraction = Cover.extract cover in
+  if verify then
+    Cals_verify.Check.record ~stage:"cover"
+      (Cover.check_coverage cover extraction);
   let mapped = extraction.Cover.mapped in
   let stats =
     {

@@ -1,5 +1,6 @@
 module Partition = Cals_core.Partition
 module Cover = Cals_core.Cover
+module Matches = Cals_core.Matches
 module Mapper = Cals_core.Mapper
 module Reference_mapper = Cals_reference.Reference_mapper
 module Subject = Cals_netlist.Subject
@@ -18,7 +19,7 @@ let cover_options =
   {
     Cover.k = 0.0;
     t = 0.0;
-    distance = Geom.manhattan;
+    distance = Geom.Manhattan;
     incremental_update = true;
     include_wire2 = true;
     transitive_wire = false;
@@ -80,7 +81,7 @@ let test_partition_forest_all_strategies () =
   let subject, _, positions = placed_subject 1 in
   List.iter
     (fun strategy ->
-      let p = Partition.run strategy subject ~positions ~distance:Geom.manhattan in
+      let p = Partition.run strategy subject ~positions ~distance:Geom.Manhattan in
       check_forest subject p;
       (* Roots have no father; live gates are covered. *)
       List.iter
@@ -91,7 +92,7 @@ let test_partition_forest_all_strategies () =
 
 let test_partition_dagon_splits_multifanout () =
   let subject, _, positions = placed_subject 2 in
-  let p = Partition.run Partition.Dagon subject ~positions ~distance:Geom.manhattan in
+  let p = Partition.run Partition.Dagon subject ~positions ~distance:Geom.Manhattan in
   let fanouts = Subject.fanouts subject in
   let refs = Subject.output_refs subject in
   Array.iteri
@@ -108,7 +109,7 @@ let test_partition_dagon_splits_multifanout () =
 
 let test_partition_pdp_nearest () =
   let subject, _, positions = placed_subject 3 in
-  let p = Partition.run Partition.Pdp subject ~positions ~distance:Geom.manhattan in
+  let p = Partition.run Partition.Pdp subject ~positions ~distance:Geom.Manhattan in
   let fanouts = Subject.fanouts subject in
   Array.iteri
     (fun v father ->
@@ -172,8 +173,8 @@ let duplication_refs (p : Partition.t) subject =
 
 let test_partition_pdp_bigger_trees_than_dagon () =
   let subject, _, positions = placed_subject 4 in
-  let dagon = Partition.run Partition.Dagon subject ~positions ~distance:Geom.manhattan in
-  let pdp = Partition.run Partition.Pdp subject ~positions ~distance:Geom.manhattan in
+  let dagon = Partition.run Partition.Dagon subject ~positions ~distance:Geom.Manhattan in
+  let pdp = Partition.run Partition.Pdp subject ~positions ~distance:Geom.Manhattan in
   (* PDP keeps multi-fanout nodes inside trees, so it has at most as many
      boundary references. *)
   Alcotest.(check bool) "pdp fewer or equal cross-tree refs" true
@@ -193,7 +194,7 @@ let test_cover_min_area_beats_naive () =
   let inv_area = (Cals_cell.Library.find lib "INV").Cell.area in
   let nand_area = (Cals_cell.Library.find lib "NAND2").Cell.area in
   let live =
-    Partition.run Partition.Dagon subject ~positions ~distance:Geom.manhattan
+    Partition.run Partition.Dagon subject ~positions ~distance:Geom.Manhattan
   in
   let naive = ref 0.0 in
   Array.iteri
@@ -232,23 +233,21 @@ let test_cover_full_coverage () =
   let subject, _, positions = placed_subject 7 in
   List.iter
     (fun strategy ->
-      let partition = Partition.run strategy subject ~positions ~distance:Geom.manhattan in
-      let matchsets = Reference_mapper.matchset subject ~library:lib ~partition in
-      let cover =
-        Cover.run ~matchsets subject ~library:lib ~partition ~positions
-          cover_options
-      in
-      (match Cover.check_coverage cover with
+      let partition = Partition.run strategy subject ~positions ~distance:Geom.Manhattan in
+      let table = Reference_mapper.table subject ~library:lib ~partition in
+      let cover = Cover.run table ~partition ~positions cover_options in
+      (match Cover.check_coverage cover (Cover.extract cover) with
       | Ok () -> ()
       | Error e -> Alcotest.fail e);
-      (* The DP never enumerates: a live gate without a match set is the
-         caller's error. *)
-      let v = Option.get (Array.find_index Option.is_some matchsets) in
-      matchsets.(v) <- None;
-      match
-        Cover.run ~matchsets subject ~library:lib ~partition ~positions
-          cover_options
-      with
+      (* The DP never enumerates: a live gate missing from the table is
+         the caller's error. *)
+      let n = Subject.num_nodes subject in
+      let v = Option.get (List.find_opt (Matches.mem table) (List.init n Fun.id)) in
+      let holed = Matches.create subject ~library:lib in
+      for u = 0 to n - 1 do
+        if u <> v && Matches.mem table u then Matches.add_node holed ~partition u
+      done;
+      match Cover.run holed ~partition ~positions cover_options with
       | exception Invalid_argument _ -> ()
       | _ -> Alcotest.failf "a hole at live gate %d was not refused" v)
     [ Partition.Dagon; Partition.Cone; Partition.Pdp ]
@@ -342,7 +341,7 @@ let test_cover_ablation_options_run () =
       { (Mapper.congestion_aware ~k:0.001) with incremental_update = false };
       { (Mapper.congestion_aware ~k:0.001) with include_wire2 = false };
       { (Mapper.congestion_aware ~k:0.001) with transitive_wire = true };
-      { (Mapper.congestion_aware ~k:0.001) with distance = Geom.euclidean };
+      { (Mapper.congestion_aware ~k:0.001) with distance = Geom.Euclidean };
     ]
 
 let test_transitive_wire_grows_area_faster () =
@@ -359,6 +358,137 @@ let test_transitive_wire_grows_area_faster () =
   Alcotest.(check bool)
     (Printf.sprintf "transitive %.0f >= bounded %.0f" pedram ours)
     true (pedram >= ours -. 1e-6)
+
+(* ------------------------- Flat cover == list oracle ------------------------- *)
+
+module Incremental = Cals_core.Incremental
+module Reference_cover = Cals_reference.Reference_cover
+
+type session_state = Unwarmed | Partly_preloaded | Warm
+
+let state_name = function
+  | Unwarmed -> "unwarmed"
+  | Partly_preloaded -> "partly preloaded"
+  | Warm -> "warm"
+
+let bits x = Int64.bits_of_float x
+
+let same_solution (a : Cover.solution) (b : Cover.solution) =
+  a.Cover.cell.Cell.name = b.Cover.cell.Cell.name
+  && a.Cover.leaves = b.Cover.leaves
+  && a.Cover.covered = b.Cover.covered
+  && List.for_all2
+       (fun x y -> bits x = bits y)
+       [ a.Cover.area_cost; a.Cover.wire_cost; a.Cover.arrival_ns; a.Cover.cost;
+         a.Cover.com.Geom.x; a.Cover.com.Geom.y ]
+       [ b.Cover.area_cost; b.Cover.wire_cost; b.Cover.arrival_ns; b.Cover.cost;
+         b.Cover.com.Geom.x; b.Cover.com.Geom.y ]
+
+let mapped_digest m =
+  let b = Buffer.create 4096 in
+  Pinned_kernels.add_mapped b m;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* A session over [subject] in the given state: unwarmed, preloaded with
+   every other tree a warmed twin exported, or warmed. *)
+let session_in state options subject positions =
+  let make () =
+    Incremental.create ~options ~subject ~library:lib ~positions ()
+  in
+  let s = make () in
+  (match state with
+  | Unwarmed -> ()
+  | Warm -> Incremental.warm s
+  | Partly_preloaded ->
+    let twin = make () in
+    Incremental.warm twin;
+    ignore
+      (Incremental.preload s
+         (List.filteri (fun i _ -> i mod 2 = 0) (Incremental.export twin))));
+  s
+
+let flat_vs_oracle_arb =
+  QCheck.make
+    ~print:(fun (seed, size, strategy, metric, flags, t, k, state) ->
+      let inc, w2, tr = flags in
+      Printf.sprintf
+        "seed=%d size=%d strategy=%s metric=%s incremental_update=%b \
+         include_wire2=%b transitive_wire=%b t=%g k=%g session=%s"
+        seed size
+        (match strategy with
+        | Partition.Dagon -> "dagon"
+        | Partition.Cone -> "cone"
+        | Partition.Pdp -> "pdp")
+        (match metric with Geom.Manhattan -> "manhattan" | Geom.Euclidean -> "euclidean")
+        inc w2 tr t k (state_name state))
+    QCheck.Gen.(
+      let* seed = 0 -- 10_000 in
+      let* size = 6 -- 30 in
+      let* strategy = oneofl [ Partition.Dagon; Partition.Cone; Partition.Pdp ] in
+      let* metric = oneofl [ Geom.Manhattan; Geom.Euclidean ] in
+      let* flags = triple bool bool bool in
+      let* t = oneofl [ 0.0; 0.5; 50.0 ] in
+      let* k = oneofl (0.0 :: Cals_core.Flow.default_k_schedule) in
+      let* state = oneofl [ Unwarmed; Partly_preloaded; Warm ] in
+      return (seed, size, strategy, metric, flags, t, k, state))
+
+(* Every gate's chosen candidate and the bits of its figures, the counts
+   and the extracted netlist of an [Incremental.map] must equal the list
+   oracle's over the same subject, positions and partition. Positions
+   are uniform over a 100 um square, so ties and collapsed centers of
+   mass are as likely as on a real placement. *)
+let flat_cover_matches_list_oracle =
+  QCheck.Test.make ~count:120 ~name:"flat cover == list oracle"
+    flat_vs_oracle_arb
+    (fun (seed, size, strategy, metric, (incremental_update, include_wire2,
+                                         transitive_wire), t, k, state) ->
+      let net =
+        Cals_workload.Gen.of_fuzz
+          ~family:(if seed mod 2 = 0 then `Pla else `Multilevel)
+          ~seed ~inputs:(4 + (seed mod 5)) ~outputs:(2 + (seed mod 3)) ~size
+      in
+      Cals_logic.Network.sweep net;
+      let subject = Cals_logic.Decompose.subject_of_network net in
+      let rng = Rng.create (seed + 1) in
+      let positions =
+        Array.init (Subject.num_nodes subject) (fun _ ->
+            Geom.point (Rng.float rng 100.0) (Rng.float rng 100.0))
+      in
+      let options =
+        { (Mapper.congestion_aware ~k:0.0) with
+          strategy; distance = metric; incremental_update; include_wire2;
+          transitive_wire; t }
+      in
+      let session = session_in state options subject positions in
+      let r = Incremental.map ~t session ~k in
+      let partition =
+        Partition.run strategy subject ~positions ~distance:metric
+      in
+      let oracle =
+        Reference_cover.run
+          ~matchsets:(Reference_mapper.matchset subject ~library:lib ~partition)
+          subject ~library:lib ~partition ~positions
+          { Cover.k = k *. options.Mapper.wire_scale; t; distance = metric;
+            incremental_update; include_wire2; transitive_wire }
+      in
+      for v = 0 to Subject.num_nodes subject - 1 do
+        match (Cover.solution r.Mapper.cover v, Reference_cover.solution oracle v) with
+        | None, None -> ()
+        | Some a, Some b when same_solution a b -> ()
+        | Some _, Some _ -> QCheck.Test.fail_reportf "gate %d: solutions differ" v
+        | Some _, None | None, Some _ ->
+          QCheck.Test.fail_reportf "gate %d: covered on one side only" v
+      done;
+      let ex = Reference_cover.extract oracle in
+      if Reference_cover.matches_evaluated oracle
+         <> r.Mapper.stats.Mapper.matches_evaluated
+      then QCheck.Test.fail_reportf "matches evaluated differ";
+      if ex.Cover.duplicated_gates <> r.Mapper.stats.Mapper.duplicated_gates
+         || ex.Cover.taps <> r.Mapper.stats.Mapper.taps
+      then QCheck.Test.fail_reportf "duplication or tap counts differ";
+      if mapped_digest ex.Cover.mapped <> mapped_digest r.Mapper.mapped then
+        QCheck.Test.fail_reportf "netlist digests differ";
+      true)
 
 (* ------------------------- Pinned covers ------------------------- *)
 
@@ -418,4 +548,7 @@ let () =
         ] );
       ( "cover pinned",
         [ Alcotest.test_case "14 K x 6 variants" `Quick test_cover_pinned ] );
+      ( "oracle",
+        [ QCheck_alcotest.to_alcotest ~long:false flat_cover_matches_list_oracle ]
+      );
     ]

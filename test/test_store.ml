@@ -248,6 +248,249 @@ let test_unwritable_dir_is_an_error () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "saving under a file must fail gracefully"
 
+(* ---------------- files that pass their checksum ---------------- *)
+
+module Matches = Cals_core.Matches
+
+let header_len = 8 + 4 + 8 + 8
+
+let add_int b i = Buffer.add_int32_le b (Int32.of_int i)
+
+let add_str b s =
+  add_int b (String.length s);
+  Buffer.add_string b s
+
+(* The store's payload layout (see store.mli), written from entries, so a
+   test can hand [Store.load] a well-formed, correctly checksummed file
+   whose entries disagree with the session. *)
+let payload_of_entries ~key entries =
+  let b = Buffer.create 4096 in
+  add_str b key;
+  add_str b (Cals_cell.Library.name lib);
+  add_int b (List.length entries);
+  List.iter
+    (fun (fp, nodes) ->
+      Buffer.add_int64_le b fp;
+      add_int b (List.length nodes);
+      List.iter
+        (fun (v, (nm : Matches.node_matches)) ->
+          add_int b v;
+          add_int b nm.Matches.enumerated;
+          add_int b (Array.length nm.Matches.candidates);
+          Array.iter
+            (fun (c : Matches.candidate) ->
+              add_str b c.Matches.cand_cell.Cals_cell.Cell.name;
+              add_int b (Array.length c.Matches.cand_leaves);
+              Array.iter (add_int b) c.Matches.cand_leaves;
+              add_int b (List.length c.Matches.cand_covered);
+              List.iter (add_int b) c.Matches.cand_covered)
+            nm.Matches.candidates)
+        nodes)
+    entries;
+  Buffer.contents b
+
+let file_of_payload payload =
+  let b = Buffer.create (header_len + String.length payload) in
+  Buffer.add_string b "CALS-MCS";
+  add_int b Store.version;
+  Buffer.add_int64_le b
+    (Cals_util.Tables.Fnv64.string Cals_util.Tables.Fnv64.empty payload);
+  Buffer.add_int64_le b (Int64.of_int (String.length payload));
+  Buffer.add_string b payload;
+  Buffer.contents b
+
+(* A saved store of a small design, the entries it holds, and the netlist
+   a cold session of that design maps at K = 4. *)
+type saved = {
+  make : unit -> Incremental.session;
+  dir : string;
+  key : string;
+  good : string;  (** The saved file. *)
+  entries : (int64 * (int * Matches.node_matches) list) list;
+  reference : Mapped.t;
+}
+
+let saved ~key make =
+  let dir = fresh_dir () in
+  let warmed = make () in
+  Incremental.warm warmed;
+  (match Store.save ~dir ~key warmed with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "save failed: %s" e);
+  {
+    make;
+    dir;
+    key;
+    good = read_file (Store.path ~dir ~key);
+    entries = Incremental.export warmed;
+    reference = (Incremental.map (make ()) ~k:4.0).Mapper.mapped;
+  }
+
+(* An entry that lists the wrong nodes, or candidates that are no match
+   at their node, is skipped on its own: the file loads every other
+   tree, and the map neither raises nor differs from a cold session's.
+   Before entries were checked, out-of-range node ids raised
+   [Invalid_argument] in the cover and swapped ones [Stack_overflow] in
+   the extraction. *)
+let test_inconsistent_entries_are_skipped () =
+  let st =
+    saved ~key:"inconsistent"
+      (session_of ~family:`Pla ~seed:11 ~inputs:6 ~outputs:3 ~size:14)
+  in
+  Alcotest.(check bool)
+    "the test writer reproduces the saved file" true
+    (String.equal st.good
+       (file_of_payload (payload_of_entries ~key:st.key st.entries)));
+  let trees = List.length st.entries in
+  let target =
+    Option.get
+      (List.find_index (fun (_, nodes) -> List.length nodes >= 2) st.entries)
+  in
+  let damage name f =
+    let entries =
+      List.mapi
+        (fun i (fp, nodes) -> if i = target then (fp, f nodes) else (fp, nodes))
+        st.entries
+    in
+    write_file
+      (Store.path ~dir:st.dir ~key:st.key)
+      (file_of_payload (payload_of_entries ~key:st.key entries));
+    let session = st.make () in
+    (match Store.load ~dir:st.dir ~key:st.key session with
+    | Store.Loaded n ->
+      Alcotest.(check int) (name ^ ": every other tree installed") (trees - 1) n
+    | Store.Cold _ -> Alcotest.failf "%s: cold load" name);
+    let r = Incremental.map session ~k:4.0 in
+    Alcotest.(check bool)
+      (name ^ ": maps as a cold session")
+      true
+      (mapped_identical st.reference r.Mapper.mapped)
+  in
+  (* Rewrite the first candidate of the tree's first node. *)
+  let first_candidate f = function
+    | (v, (nm : Matches.node_matches)) :: rest ->
+      let candidates = Array.copy nm.Matches.candidates in
+      candidates.(0) <- f candidates.(0);
+      (v, { nm with Matches.candidates }) :: rest
+    | [] -> []
+  in
+  damage "node ids out of range"
+    (List.map (fun (v, nm) -> (v + 100_000, nm)));
+  damage "node ids swapped" (function
+    | (v1, nm1) :: (v2, nm2) :: rest -> (v2, nm1) :: (v1, nm2) :: rest
+    | nodes -> nodes);
+  damage "node missing" List.tl;
+  damage "no candidates" (function
+    | (v, nm) :: rest -> (v, { nm with Matches.candidates = [||] }) :: rest
+    | [] -> []);
+  damage "leaf out of range"
+    (first_candidate (fun c ->
+         let leaves = Array.copy c.Matches.cand_leaves in
+         leaves.(0) <- 100_000;
+         { c with Matches.cand_leaves = leaves }));
+  damage "leaf at its own node"
+    (fun nodes ->
+      let v = fst (List.hd nodes) in
+      first_candidate
+        (fun c ->
+          { c with
+            Matches.cand_leaves = Array.map (fun _ -> v) c.Matches.cand_leaves })
+        nodes);
+  damage "leaf count not the arity"
+    (first_candidate (fun c ->
+         { c with
+           Matches.cand_leaves = Array.append c.Matches.cand_leaves [| 0 |] }));
+  damage "covered gate outside the tree"
+    (first_candidate (fun c ->
+         { c with Matches.cand_covered = c.Matches.cand_covered @ [ 0 ] }))
+
+(* A count larger than the bytes left is refused before anything is sized
+   by it: each of the five counts set to 2^31 - 1 reads as corrupt. *)
+let test_huge_counts_are_corrupt () =
+  let make = session_of ~family:`Pla ~seed:5 ~inputs:5 ~outputs:2 ~size:10 in
+  let dir = fresh_dir () and key = "huge" in
+  let huge = 0x7fff_ffff in
+  let prefix ints =
+    let b = Buffer.create 64 in
+    add_str b key;
+    add_str b (Cals_cell.Library.name lib);
+    List.iter
+      (function
+        | `I i -> add_int b i
+        | `L l -> Buffer.add_int64_le b l
+        | `S s -> add_str b s)
+      ints;
+    Buffer.contents b
+  in
+  let node = [ `I 1; `L 0L; `I 1; `I 0; `I 1 ] in
+  List.iter
+    (fun (name, payload) ->
+      write_file (Store.path ~dir ~key) (file_of_payload payload);
+      match Store.load ~dir ~key (make ()) with
+      | Store.Cold (Store.Corrupt _) -> ()
+      | Store.Cold _ | Store.Loaded _ ->
+        Alcotest.failf "%s: a huge count was not refused as corrupt" name)
+    [
+      ("entry count", prefix [ `I huge ]);
+      ("node count", prefix [ `I 1; `L 0L; `I huge ]);
+      ("candidate count", prefix [ `I 1; `L 0L; `I 1; `I 0; `I 1; `I huge ]);
+      ("leaf count", prefix (node @ [ `S "INV"; `I huge ]));
+      ("covered count", prefix (node @ [ `S "INV"; `I 1; `I 0; `I huge ]));
+    ]
+
+(* Byte mutations of a saved file, raw or with the checksum recomputed so
+   that they reach the parser and [preload]: [Store.load] returns and
+   never raises, and a map after [Loaded] neither raises nor yields
+   another netlist than a cold session's. *)
+let fuzz_store =
+  lazy
+    (saved ~key:"fuzz"
+       (session_of ~family:`Multilevel ~seed:3 ~inputs:6 ~outputs:3 ~size:16))
+
+let mutation_arb =
+  QCheck.make
+    ~print:(fun (rechecksum, edits) ->
+      Printf.sprintf "rechecksum=%b edits=[%s]" rechecksum
+        (String.concat "; "
+           (List.map (fun (p, c) -> Printf.sprintf "%d:%d" p c) edits)))
+    QCheck.Gen.(
+      pair bool (list_size (1 -- 4) (pair (0 -- 1_000_000) (0 -- 255))))
+
+let mutate data edits =
+  let b = Bytes.of_string data in
+  List.iter
+    (fun (p, c) -> Bytes.set b (p mod Bytes.length b) (Char.chr c))
+    edits;
+  Bytes.to_string b
+
+let store_fuzz =
+  QCheck.Test.make ~count:300 ~name:"byte-mutated store loads or stays cold"
+    mutation_arb (fun (rechecksum, edits) ->
+      let st = Lazy.force fuzz_store in
+      let data =
+        if rechecksum then
+          file_of_payload
+            (mutate
+               (String.sub st.good header_len
+                  (String.length st.good - header_len))
+               edits)
+        else mutate st.good edits
+      in
+      write_file (Store.path ~dir:st.dir ~key:st.key) data;
+      let session = st.make () in
+      match Store.load ~dir:st.dir ~key:st.key session with
+      | exception e ->
+        QCheck.Test.fail_reportf "load raised %s" (Printexc.to_string e)
+      | Store.Cold _ -> true
+      | Store.Loaded _ -> (
+        match Incremental.map session ~k:4.0 with
+        | exception e ->
+          QCheck.Test.fail_reportf "map after Loaded raised %s"
+            (Printexc.to_string e)
+        | r ->
+          mapped_identical st.reference r.Mapper.mapped
+          || QCheck.Test.fail_reportf "map after Loaded differs from cold"))
+
 let () =
   Alcotest.run "store"
     [
@@ -261,5 +504,10 @@ let () =
             test_save_then_load_immediately;
           Alcotest.test_case "unwritable-dir" `Quick
             test_unwritable_dir_is_an_error;
+          Alcotest.test_case "inconsistent-entries-skipped" `Quick
+            test_inconsistent_entries_are_skipped;
+          Alcotest.test_case "huge-counts-corrupt" `Quick
+            test_huge_counts_are_corrupt;
         ] );
+      ("fuzz", [ QCheck_alcotest.to_alcotest ~long:false store_fuzz ]);
     ]

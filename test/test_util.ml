@@ -74,7 +74,7 @@ let test_manhattan () =
   check_float "manhattan" 7.0 (Geom.manhattan (Geom.point 1.0 2.0) (Geom.point 4.0 6.0))
 
 let test_euclidean () =
-  check_float "euclidean" 5.0 (Geom.euclidean (Geom.point 0.0 0.0) (Geom.point 3.0 4.0))
+  check_float "euclidean" 5.0 (Geom.distance Geom.Euclidean (Geom.point 0.0 0.0) (Geom.point 3.0 4.0))
 
 let test_bbox () =
   let b =

@@ -271,28 +271,29 @@ let test_cover_rejects_uncovered_live_gate () =
     Array.make (Subject.num_nodes subject) { Geom.x = 0.0; y = 0.0 }
   in
   let partition =
-    Partition.run Partition.Dagon subject ~positions ~distance:Geom.manhattan
+    Partition.run Partition.Dagon subject ~positions ~distance:Geom.Manhattan
   in
   let cover =
     Cover.run
-      ~matchsets:(Reference_mapper.matchset subject ~library:lib ~partition)
-      subject ~library:lib ~partition ~positions
+      (Reference_mapper.table subject ~library:lib ~partition)
+      ~partition ~positions
       {
         Cover.k = 0.0;
         t = 0.0;
-        distance = Geom.manhattan;
+        distance = Geom.Manhattan;
         incremental_update = true;
         include_wire2 = true;
         transitive_wire = false;
       }
   in
+  let extraction = Cover.extract cover in
   Alcotest.(check bool) "legal cover accepted" true
-    (Result.is_ok (Cover.check_coverage cover));
+    (Result.is_ok (Cover.check_coverage cover extraction));
   (* Declare the dead inverter live after covering: now a "live" gate has
      no cover, which the checker must report. *)
   Alcotest.(check bool) "gate was dead" false partition.Partition.live.(dead);
   partition.Partition.live.(dead) <- true;
-  match Cover.check_coverage cover with
+  match Cover.check_coverage cover extraction with
   | Ok () -> Alcotest.fail "uncovered live gate accepted"
   | Error msg ->
     Alcotest.(check bool)
