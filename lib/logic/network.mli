@@ -2,8 +2,8 @@
 
     Nodes carry a sum-of-products function over their fanins (local variable
     [i] of a node is its [i]-th fanin). The network is mutable: the
-    optimization passes in {!Optimize} rewrite node functions in place, add
-    divisor nodes and remove dead ones. *)
+    optimization passes in {!Optimize} rewrite node functions, add divisor
+    nodes and remove dead ones. *)
 
 type signal =
   | Pi of int  (** Primary input index. *)
@@ -13,6 +13,12 @@ type node = {
   mutable fanins : signal array;
   mutable sop : Sop.t;  (** Over local fanin positions. *)
 }
+(** Passes change a node by replacing its [fanins] array or its [sop]
+    with a new value, never by writing into the array in place, so a node
+    whose two fields are physically unchanged computes the same function
+    over the same signals. {!Optimize}'s extraction memos (each node's
+    offered divisors and the literals each divisor saves on it) rely on
+    this; a pass that mutates a fanin array in place must drop them. *)
 
 type t
 

@@ -113,18 +113,109 @@ let rewrite_with_divisor t node_id (cubes : slit list list) new_node =
 (* Candidate collection                                                *)
 (* ------------------------------------------------------------------ *)
 
-type candidate = {
+(* One divisor key of an extraction call, interned: every distinct key a
+   node offers gets one record, so the rounds count, rank and evaluate
+   records instead of hashing and comparing cube lists again. *)
+type divisor = {
+  id : int;
+  hash : int;  (** [Hashtbl.hash] of the offered key. *)
   cubes : slit list list;  (** Canonical signal-space divisor. *)
-  mutable hits : int;  (** Cheap occurrence count from collection. *)
+  lits : int;  (** Literals of [cubes], repeats counted. *)
+  shape : shape Lazy.t;
+  mutable round : int;  (** Last round that counted it. *)
+  mutable hits : int;  (** Cheap occurrence count of [round]. *)
   mutable value : int;
-  mutable users : int list;  (** Node ids where it divides. *)
+  mutable users : int list;  (** Node ids where it divides, decreasing. *)
 }
+
+and shape = {
+  signals : Network.signal list;  (** [divisor_signals cubes]. *)
+  body : Sop.t;  (** The new node's SOP over [signals]. *)
+  overhead : int;  (** Literals of [body], plus one for the node. *)
+}
+
+(* What one node offers and what each evaluated divisor saves on it. Both
+   depend only on the node's fanins and SOP, which [materialize] replaces
+   (never mutates) on the nodes it rewrites, so an entry holds while both
+   are physically the ones it was made from. *)
+type entry = {
+  fanins : Network.signal array;
+  sop : Sop.t;
+  offers : divisor list;  (** In registration order. *)
+  savings : (int, int) Hashtbl.t;  (** Divisor id to literals saved. *)
+}
+
+(* The memos of one extraction call. Node ids are stable until the call's
+   final sweep, which compacts them, so nothing outlives the call. *)
+type 'k memo = {
+  offers_of : Network.node -> 'k list;
+  cubes_of : 'k -> slit list list;
+  interned : ('k, divisor) Hashtbl.t;
+  mutable entries : entry option array;  (** By node id. *)
+  mutable computed : int;  (** Trial divisions run. *)
+  mutable reused : int;  (** Savings read back from an entry. *)
+}
+
+let m_savings_computed =
+  Metrics.counter ~help:"Divisor savings computed by trial division"
+    "optimize_savings_computed"
+
+let m_savings_reused =
+  Metrics.counter ~help:"Divisor savings reused from an earlier round"
+    "optimize_savings_reused"
+
+let intern memo key =
+  match Hashtbl.find_opt memo.interned key with
+  | Some d -> d
+  | None ->
+    let cubes = memo.cubes_of key in
+    let shape =
+      lazy
+        (let signals = divisor_signals cubes in
+         let body = divisor_node_sop cubes signals in
+         { signals; body; overhead = Sop.num_literals body + 1 })
+    in
+    let d =
+      {
+        id = Hashtbl.length memo.interned;
+        hash = Hashtbl.hash key;
+        cubes;
+        lits = List.fold_left (fun acc cu -> acc + List.length cu) 0 cubes;
+        shape;
+        round = -1;
+        hits = 0;
+        value = 0;
+        users = [];
+      }
+    in
+    Hashtbl.add memo.interned key d;
+    d
+
+let entry memo t i =
+  let n = Network.node t i in
+  if i >= Array.length memo.entries then begin
+    let grown = Array.make (max 64 (2 * i)) None in
+    Array.blit memo.entries 0 grown 0 (Array.length memo.entries);
+    memo.entries <- grown
+  end;
+  match memo.entries.(i) with
+  | Some e when e.fanins == n.Network.fanins && e.sop == n.Network.sop -> e
+  | Some _ | None ->
+    let e =
+      {
+        fanins = n.Network.fanins;
+        sop = n.Network.sop;
+        offers = List.map (intern memo) (memo.offers_of n);
+        savings = Hashtbl.create 8;
+      }
+    in
+    memo.entries.(i) <- Some e;
+    e
 
 (* Live readers of every signal, each in increasing node id: the only nodes
    a divisor over that signal can divide. Built once per extraction round;
    evaluation never mutates the network. *)
-let readers t =
-  let live = Network.live_nodes t in
+let readers t live =
   let of_pi = Array.make (Network.num_pis t) [] in
   let of_node = Array.make (Network.num_nodes t) [] in
   for i = Network.num_nodes t - 1 downto 0 do
@@ -141,10 +232,43 @@ let readers t =
   done;
   function Network.Pi j -> of_pi.(j) | Network.Node j -> of_node.(j)
 
-let evaluate_candidate t readers cand =
-  let signals = divisor_signals cand.cubes in
-  let body = divisor_node_sop cand.cubes signals in
-  let overhead = Sop.num_literals body + 1 in
+(* Literals [d] saves on node [i] (0 when it does not divide), by trial
+   division the first time and from [i]'s entry after that. *)
+let savings memo t i d =
+  let e = entry memo t i in
+  match Hashtbl.find e.savings d.id with
+  | s ->
+    memo.reused <- memo.reused + 1;
+    s
+  | exception Not_found ->
+    memo.computed <- memo.computed + 1;
+    let n = Network.node t i in
+    let s =
+      match divisor_in_local_space n d.cubes with
+      | None -> 0
+      | Some d_local -> node_savings n d_local
+    in
+    Hashtbl.add e.savings d.id s;
+    s
+
+(* Whether [fanins] holds every signal of [signals]. It runs for every
+   reader of every shortlisted candidate, so it compares signals without
+   the polymorphic compare and allocates no closure. *)
+let rec has_signal fanins s k =
+  k < Array.length fanins
+  &&
+  match (s, fanins.(k)) with
+  | Network.Pi i, Network.Pi j | Network.Node i, Network.Node j ->
+    i = j || has_signal fanins s (k + 1)
+  | Network.Pi _, Network.Node _ | Network.Node _, Network.Pi _ ->
+    has_signal fanins s (k + 1)
+
+let rec reads_all fanins = function
+  | [] -> true
+  | s :: rest -> has_signal fanins s 0 && reads_all fanins rest
+
+let evaluate_candidate memo t readers d =
+  let { signals; overhead; _ } = Lazy.force d.shape in
   let value = ref (-overhead) in
   let users = ref [] in
   (* A divisor over a non-fanin signal has no local form: only nodes reading
@@ -159,31 +283,131 @@ let evaluate_candidate t readers cand =
   in
   List.iter
     (fun i ->
-      let n = Network.node t i in
-      let reads s = Array.exists (( = ) s) n.Network.fanins in
-      if List.for_all reads signals then
-        match divisor_in_local_space n cand.cubes with
-        | None -> ()
-        | Some d_local ->
-          let s = node_savings n d_local in
-          if s > 0 then begin
-            value := !value + s;
-            users := i :: !users
-          end)
+      if reads_all (Network.node t i).Network.fanins signals then begin
+        let s = savings memo t i d in
+        if s > 0 then begin
+          value := !value + s;
+          users := i :: !users
+        end
+      end)
     fewest;
-  cand.value <- !value;
-  cand.users <- !users
+  d.value <- !value;
+  d.users <- !users
 
-let materialize t cand =
-  let signals = divisor_signals cand.cubes in
-  let body = divisor_node_sop cand.cubes signals in
+let materialize t d =
+  let { signals; body; _ } = Lazy.force d.shape in
   let new_node = Network.add_node t (Array.of_list signals) body in
   let applied =
     List.fold_left
-      (fun acc i -> if rewrite_with_divisor t i cand.cubes new_node then acc + 1 else acc)
-      0 cand.users
+      (fun acc i -> if rewrite_with_divisor t i d.cubes new_node then acc + 1 else acc)
+      0 d.users
   in
   applied > 0
+
+(* A round's count table: interned divisors, hashed by their stored
+   [Hashtbl.hash]. *)
+module Count = Hashtbl.Make (struct
+  type t = divisor
+
+  let equal = ( == )
+  let hash d = d.hash
+end)
+
+(* Candidates of one round: every live node's offers, counted by key, and
+   registered in node-id order into a fresh table. With the same hashes,
+   the same initial size and the same sequence of adds as a generic table
+   keyed by the cube lists, its buckets, resizes and fold order are the
+   same, and so is the order ties break in. *)
+let collect memo t live round =
+  let tbl = Count.create 256 in
+  let count d =
+    if d.round = round then d.hits <- d.hits + 1
+    else begin
+      d.round <- round;
+      d.hits <- 1;
+      Count.add tbl d ()
+    end
+  in
+  for i = 0 to Network.num_nodes t - 1 do
+    if live.(i) then List.iter count (entry memo t i).offers
+  done;
+  tbl
+
+(* Extraction rounds per pass. *)
+let max_rounds = 64
+
+(* Exact evaluation is expensive (trial division against every node), so
+   rank candidates by a cheap score first and only evaluate the best 48. *)
+let shortlist_size = 48
+
+(* The best [shortlist_size] candidates by cheap score, in the order a
+   stable sort of the reversed fold order ranks them: since the fold
+   visits them in reverse, a candidate ranks ahead of every kept one of
+   equal score. *)
+let shortlist tbl =
+  let top = ref [||] in
+  let scores = Array.make shortlist_size 0 in
+  let n = ref 0 in
+  Count.iter
+    (fun d () ->
+      let s = d.hits * (d.lits - 1) in
+      if !n < shortlist_size || s >= scores.(shortlist_size - 1) then begin
+        if !n = 0 then top := Array.make shortlist_size d;
+        let p = ref 0 in
+        while !p < !n && scores.(!p) > s do
+          incr p
+        done;
+        for j = min !n (shortlist_size - 1) downto !p + 1 do
+          !top.(j) <- !top.(j - 1);
+          scores.(j) <- scores.(j - 1)
+        done;
+        !top.(!p) <- d;
+        scores.(!p) <- s;
+        n := min (!n + 1) shortlist_size
+      end)
+    tbl;
+  Array.sub !top 0 !n
+
+let best_candidate memo t live tbl =
+  let shortlist = shortlist tbl in
+  let readers = readers t live in
+  Array.iter (evaluate_candidate memo t readers) shortlist;
+  Array.fold_left
+    (fun best d ->
+      match best with
+      | Some b when b.value >= d.value -> best
+      | Some _ | None -> if d.value > 0 && d.users <> [] then Some d else best)
+    None shortlist
+
+(* Up to [max_rounds] extractions of the best candidate, then a sweep. The
+   memos are scoped to the rounds, so the sweep runs without them. *)
+let extract ~offers ~cubes_of t =
+  let created =
+    let memo =
+      {
+        offers_of = offers;
+        cubes_of;
+        interned = Hashtbl.create 256;
+        entries = [||];
+        computed = 0;
+        reused = 0;
+      }
+    in
+    let rec go round created =
+      if round >= max_rounds then created
+      else
+        let live = Network.live_nodes t in
+        match best_candidate memo t live (collect memo t live round) with
+        | None -> created
+        | Some d -> if materialize t d then go (round + 1) (created + 1) else created
+    in
+    let created = go 0 0 in
+    Metrics.add m_savings_computed memo.computed;
+    Metrics.add m_savings_reused memo.reused;
+    created
+  in
+  Network.sweep t;
+  created
 
 (* ------------------------------------------------------------------ *)
 (* Cube extraction                                                     *)
@@ -206,79 +430,9 @@ let cube_offers (n : Network.node) =
   done;
   List.rev !out
 
-(* Candidates of one round: every live node's offers, counted by key. A
-   node's offers depend only on its fanins and SOP, which [materialize]
-   replaces (never mutates) on the nodes it rewrites, so [memo] keeps them
-   per node id across the rounds of one extraction while both are
-   physically unchanged. Registration runs in node-id order into a fresh
-   table, so [memo] changes neither the table nor the order it folds in. *)
-let collect memo ~offers ~cubes_of t =
-  let tbl = Hashtbl.create 256 in
-  let live = Network.live_nodes t in
-  for i = 0 to Network.num_nodes t - 1 do
-    if live.(i) then begin
-      let n = Network.node t i in
-      let keys =
-        match Hashtbl.find_opt memo i with
-        | Some (fanins, sop, keys)
-          when fanins == n.Network.fanins && sop == n.Network.sop ->
-          keys
-        | Some _ | None ->
-          let keys = offers n in
-          Hashtbl.replace memo i (n.Network.fanins, n.Network.sop, keys);
-          keys
-      in
-      List.iter
-        (fun key ->
-          match Hashtbl.find_opt tbl key with
-          | Some c -> c.hits <- c.hits + 1
-          | None ->
-            Hashtbl.add tbl key { cubes = cubes_of key; hits = 1; value = 0; users = [] })
-        keys
-    end
-  done;
-  Hashtbl.fold (fun _ c acc -> c :: acc) tbl []
-
-(* Extraction rounds per pass. *)
-let max_rounds = 64
-
-(* Exact evaluation is expensive (trial division against every node), so
-   rank candidates by a cheap score first and only evaluate the best 48. *)
-let best_candidate t cands =
-  let cheap c =
-    let lits = List.fold_left (fun acc cu -> acc + List.length cu) 0 c.cubes in
-    c.hits * (lits - 1)
-  in
-  (* Scores are computed once; a stable sort keeps equal scores in
-     collection order. *)
-  let ranked =
-    List.stable_sort
-      (fun (a, _) (b, _) -> Int.compare b a)
-      (List.map (fun c -> (cheap c, c)) cands)
-  in
-  let shortlist = List.filteri (fun i _ -> i < 48) (List.map snd ranked) in
-  let readers = readers t in
-  List.iter (evaluate_candidate t readers) shortlist;
-  List.fold_left
-    (fun best c ->
-      match best with
-      | Some b when b.value >= c.value -> best
-      | Some _ | None -> if c.value > 0 && List.length c.users >= 1 then Some c else best)
-    None shortlist
-
 let extract_common_cubes t =
-  let memo = Hashtbl.create 256 in
-  let rec go round created =
-    if round >= max_rounds then created
-    else
-      let cands = collect memo ~offers:cube_offers ~cubes_of:(fun k -> [ k ]) t in
-      match best_candidate t cands with
-      | None -> created
-      | Some c -> if materialize t c then go (round + 1) (created + 1) else created
-  in
-  let n = go 0 0 in
-  Network.sweep t;
-  n
+  Span.with_ ~cat:"logic" "logic.extract_cubes" @@ fun () ->
+  extract ~offers:cube_offers ~cubes_of:(fun k -> [ k ]) t
 
 (* ------------------------------------------------------------------ *)
 (* Kernel extraction                                                   *)
@@ -297,26 +451,15 @@ let kernel_offers (n : Network.node) =
       (Kernel.all n.Network.sop)
 
 let extract_kernels t =
-  let memo = Hashtbl.create 256 in
-  let rec go round created =
-    if round >= max_rounds then created
-    else
-      match
-        best_candidate t
-          (collect memo ~offers:kernel_offers ~cubes_of:Fun.id t)
-      with
-      | None -> created
-      | Some c -> if materialize t c then go (round + 1) (created + 1) else created
-  in
-  let n = go 0 0 in
-  Network.sweep t;
-  n
+  Span.with_ ~cat:"logic" "logic.extract_kernels" @@ fun () ->
+  extract ~offers:kernel_offers ~cubes_of:Fun.id t
 
 (* ------------------------------------------------------------------ *)
 (* Eliminate                                                           *)
 (* ------------------------------------------------------------------ *)
 
 let eliminate ?(value_threshold = 0) t =
+  Span.with_ ~cat:"logic" "logic.eliminate" @@ fun () ->
   let eliminated = ref 0 in
   let fanouts = Network.fanout_table t in
   let po_refs = Hashtbl.create 16 in

@@ -19,20 +19,25 @@ val stats : Network.t -> stats
 val eliminate : ?value_threshold:int -> Network.t -> int
 (** Collapse nodes whose elimination "value" (extra literals created by
     collapsing) is at most the threshold (default 0) into their consumers.
-    Returns the number of nodes eliminated. *)
+    Returns the number of nodes eliminated. Runs under the
+    [logic.eliminate] span. *)
 
 val extract_common_cubes : Network.t -> int
 (** Repeatedly (at most 64 rounds) extract the best-value common cube as
     a new AND node.
     Considers both identical cubes shared across nodes (PLA product terms)
     and pairwise cube intersections within a node. Returns the number of
-    divisor nodes created. *)
+    divisor nodes created. Runs under the [logic.extract_cubes] span; the
+    trial divisions it runs and the savings it reuses from an earlier
+    round are added to the [optimize_savings_computed] and
+    [optimize_savings_reused] counters. *)
 
 val extract_kernels : Network.t -> int
 (** Repeatedly (at most 64 rounds) extract the best-value multi-cube
     kernel as a new node. Nodes with more than 40 cubes are skipped as
     kernel sources (but still rewritten as uses). Returns the number of
-    divisor nodes created. *)
+    divisor nodes created. Runs under the [logic.extract_kernels] span,
+    with the same two counters as {!extract_common_cubes}. *)
 
 val script_area : ?rounds:int -> Network.t -> unit
 (** The aggressive area script, in place, under a telemetry span: a

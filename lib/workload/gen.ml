@@ -34,19 +34,23 @@ let multilevel ~rng ~inputs ~outputs ~internal_nodes ?(fanins_lo = 2)
   if inputs < 2 then invalid_arg "Gen.multilevel: inputs";
   let pi_names = Array.init inputs (fun i -> Printf.sprintf "i%d" i) in
   let net = Network.create ~pi_names in
-  let signals = ref (Array.to_list (Array.init inputs (fun i -> Network.Pi i))) in
+  (* Every signal in creation order: the PIs, then each node as it is
+     added. *)
+  let signals = Array.make (inputs + max 0 internal_nodes) (Network.Pi 0) in
+  for i = 0 to inputs - 1 do
+    signals.(i) <- Network.Pi i
+  done;
   let n_signals = ref inputs in
   (* Bias fanin choice toward recent signals so the circuit has depth and
      locality rather than being a flat fan-in cone. *)
   let pick_signal () =
-    let arr = Array.of_list !signals in
-    let n = Array.length arr in
+    let n = !n_signals in
     let r = Rng.float rng 1.0 in
     let idx =
       if r < 0.6 then n - 1 - Rng.int rng (max 1 (n / 4))
       else Rng.int rng n
     in
-    arr.(max 0 (min (n - 1) idx))
+    signals.(max 0 (min (n - 1) idx))
   in
   for _ = 1 to internal_nodes do
     let nf = Rng.range rng fanins_lo fanins_hi in
@@ -71,14 +75,13 @@ let multilevel ~rng ~inputs ~outputs ~internal_nodes ?(fanins_lo = 2)
     (* Avoid degenerate constants. *)
     let sop = if Sop.is_one sop || Sop.is_zero sop then Sop.var 0 else sop in
     let id = Network.add_node net fanins sop in
-    signals := !signals @ [ Network.Node id ];
+    signals.(!n_signals) <- Network.Node id;
     incr n_signals
   done;
-  let arr = Array.of_list !signals in
-  let n = Array.length arr in
+  let n = !n_signals in
   for o = 0 to outputs - 1 do
     (* Outputs tap the deepest signals, round-robin from the end. *)
-    let s = arr.(n - 1 - (o mod max 1 (min n internal_nodes))) in
+    let s = signals.(n - 1 - (o mod max 1 (min n internal_nodes))) in
     Network.set_output net (Printf.sprintf "o%d" o) s
   done;
   net

@@ -370,6 +370,35 @@ let test_optimize_script_reduces_literals () =
     true (after < before);
   spot_check_equiv reference net 104 "script_area"
 
+(* The memoized extraction against the rebuild-every-round oracle on
+   both fuzz families: the same count and a byte-identical network from
+   each pass. These networks offer at most a few hundred keys a round, so
+   the count table keeps its initial size here; test_identity's
+   TOO_LARGE-like 0.25 pin covers the resized table. *)
+let qcheck_extraction_oracle =
+  QCheck.Test.make ~name:"extraction == oracle" ~count:40
+    (QCheck.make ~print:string_of_int QCheck.Gen.(0 -- 100_000))
+    (fun seed ->
+      let family = if seed land 1 = 0 then `Pla else `Multilevel in
+      let net =
+        Cals_workload.Gen.of_fuzz ~family ~seed ~inputs:(4 + (seed mod 9))
+          ~outputs:(2 + (seed mod 4)) ~size:(8 + (seed mod 32))
+      in
+      let same name pass oracle =
+        let a = Network.copy net and b = Network.copy net in
+        let na = pass a and nb = oracle b in
+        if na <> nb || Blif.print a <> Blif.print b then
+          QCheck.Test.fail_reportf "%s: %d vs %d extractions on seed %d"
+            name na nb seed
+      in
+      let module R = Cals_reference.Reference_optimize in
+      same "cubes" Optimize.extract_common_cubes R.extract_common_cubes;
+      same "kernels" Optimize.extract_kernels R.extract_kernels;
+      same "script_area"
+        (fun t -> Optimize.script_area t; 0)
+        (fun t -> R.script_area t; 0);
+      true)
+
 (* ------------------------- Decompose ------------------------- *)
 
 let test_decompose_preserves_function () =
@@ -759,6 +788,7 @@ let () =
           Alcotest.test_case "eliminate" `Quick test_optimize_eliminate_preserves;
           Alcotest.test_case "script reduces literals" `Quick
             test_optimize_script_reduces_literals;
+          qc qcheck_extraction_oracle;
         ] );
       ( "decompose",
         [
