@@ -51,11 +51,8 @@ let build_circuit ~name ~seed ~scale ~make_network =
   let network = make_network ~seed ~scale in
   Network.sweep network;
   let subject = Decompose.subject_of_network network in
-  (* ~5 um2 of mapped cell area per base gate under min-area covering. *)
   let floorplan =
-    Floorplan.for_area
-      ~core_area:(float_of_int (Subject.num_gates subject) *. 5.0)
-      ~utilization:target_utilization ~aspect:1.0 ~geometry
+    Floorplan.for_subject ~utilization:target_utilization ~geometry subject
   in
   let rng = Rng.create (seed * 7919) in
   let positions = Placement.place_subject subject ~floorplan ~rng in
@@ -346,11 +343,7 @@ let figure3 ~scale =
   let network = Presets.spla_like ~scale:(scale *. 0.6) ~seed:21 () in
   Network.sweep network;
   let subject = Decompose.subject_of_network network in
-  let floorplan =
-    Floorplan.for_area
-      ~core_area:(float_of_int (Subject.num_gates subject) *. 5.0)
-      ~utilization:0.5 ~aspect:1.0 ~geometry
-  in
+  let floorplan = Floorplan.for_subject ~utilization:0.5 ~geometry subject in
   let outcome, _ =
     Flow.run_adaptive ~router_config ~subject ~library ~floorplan
       ~rng:(Rng.create 22) ()

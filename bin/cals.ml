@@ -67,9 +67,7 @@ let prepare input scale seed optimize =
   (network, subject)
 
 let floorplan_of subject utilization =
-  Floorplan.for_area
-    ~core_area:(float_of_int (Subject.num_gates subject) *. 5.0)
-    ~utilization ~aspect:1.0 ~geometry
+  Floorplan.for_subject ~utilization ~geometry subject
 
 (* ------------------------- stats ------------------------- *)
 

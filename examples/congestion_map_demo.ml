@@ -17,11 +17,7 @@ let () =
   let network = Cals_workload.Presets.spla_like ~scale:0.15 ~seed:9 () in
   Cals_logic.Network.sweep network;
   let subject = Cals_logic.Decompose.subject_of_network network in
-  let floorplan =
-    Floorplan.for_area
-      ~core_area:(float_of_int (Subject.num_gates subject) *. 5.0)
-      ~utilization:0.6 ~aspect:1.0 ~geometry
-  in
+  let floorplan = Floorplan.for_subject ~utilization:0.6 ~geometry subject in
   let positions =
     Placement.place_subject subject ~floorplan ~rng:(Cals_util.Rng.create 4)
   in

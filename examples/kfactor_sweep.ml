@@ -20,11 +20,7 @@ let () =
   let network = Cals_workload.Presets.spla_like ~scale ~seed:7 () in
   Cals_logic.Network.sweep network;
   let subject = Cals_logic.Decompose.subject_of_network network in
-  let floorplan =
-    Floorplan.for_area
-      ~core_area:(float_of_int (Subject.num_gates subject) *. 5.0)
-      ~utilization:0.58 ~aspect:1.0 ~geometry
-  in
+  let floorplan = Floorplan.for_subject ~utilization:0.58 ~geometry subject in
   Printf.printf "circuit: %d base gates, die %s\n\n"
     (Subject.num_gates subject)
     (Floorplan.describe floorplan);

@@ -24,11 +24,7 @@ let () =
     (Array.length subject.Subject.outputs);
 
   print_endline "2. Floorplan and congestion-aware mapping loop (Figure 3)";
-  let floorplan =
-    Floorplan.for_area
-      ~core_area:(float_of_int (Subject.num_gates subject) *. 5.0)
-      ~utilization:0.55 ~aspect:1.0 ~geometry
-  in
+  let floorplan = Floorplan.for_subject ~utilization:0.55 ~geometry subject in
   Printf.printf "   die: %s\n" (Floorplan.describe floorplan);
   let outcome, _ =
     Flow.run_adaptive ~subject ~library ~floorplan

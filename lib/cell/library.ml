@@ -34,5 +34,4 @@ let geometry t = t.geometry
 let wire t = t.wire
 let cells t = t.cells
 let find t n = Hashtbl.find t.by_name n
-let find_opt t n = Hashtbl.find_opt t.by_name n
 let size t = List.length t.cells

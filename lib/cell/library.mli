@@ -29,6 +29,5 @@ val cells : t -> Cell.t list
 val find : t -> string -> Cell.t
 (** Raises [Not_found]. *)
 
-val find_opt : t -> string -> Cell.t option
 val size : t -> int
 (** Number of cells. *)

@@ -75,7 +75,7 @@ val solution : t -> int -> solution option
 val matches_evaluated : t -> int
 (** Raw pattern bindings enumerated for the covered gates (the paper's
     Table 2 "matches" column) — the same however the table was filled,
-    see {!Matches.node_matches.enumerated}. *)
+    see the [enumerated] field of {!Matches.table}. *)
 
 type extraction = {
   mapped : Cals_netlist.Mapped.t;

@@ -43,11 +43,7 @@ let check_params ?(level = Check.Full) (p : Fuzz.params) =
       ~stage:"equiv"
       (Equiv.of_network ~label:"optimized" network)
       (Equiv.of_subject ~label:"subject" subject);
-    let floorplan =
-      Floorplan.for_area
-        ~core_area:(float_of_int (Subject.num_gates subject) *. 5.0)
-        ~utilization ~aspect:1.0 ~geometry
-    in
+    let floorplan = Floorplan.for_subject ~utilization ~geometry subject in
     let rng = Cals_util.Rng.create (p.Fuzz.seed + 1) in
     let positions = Cals_place.Placement.place_subject subject ~floorplan ~rng in
     (* One session serves the search and the re-routes below. *)

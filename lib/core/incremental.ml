@@ -28,7 +28,6 @@ type stats = {
 }
 
 type tree = {
-  root : int;
   nodes : int array;  (** Live gates of the tree, increasing node order. *)
   fp : int64;
 }
@@ -41,9 +40,10 @@ type session = {
   partition : Partition.t;
   trees : tree array;
   table : Matches.table;
-      (** The session's candidates: every tree with [cached] set. *)
-  cached : bool array;  (** Per tree. *)
-  mutable uncached : int;  (** Trees not in [table]. *)
+      (** The session's candidates: a tree is cached once its live gates
+          are in it. Outside a store load, a tree is in it whole or not
+          at all. *)
+  by_fp : (int64, int) Hashtbl.t;  (** Tree index per fingerprint. *)
   hits : int Atomic.t;
   misses : int Atomic.t;
   maps : int Atomic.t;
@@ -106,7 +106,7 @@ let trees_of subject (partition : Partition.t) =
            Array.of_list
              (Option.value ~default:[] (Hashtbl.find_opt members root))
          in
-         { root; nodes; fp = tree_fingerprint subject partition ~root ~nodes })
+         { nodes; fp = tree_fingerprint subject partition ~root ~nodes })
   |> Array.of_list
 
 let create ?options ~subject ~library ~positions () =
@@ -122,6 +122,8 @@ let create ?options ~subject ~library ~positions () =
       ~distance:options.Mapper.distance
   in
   let trees = trees_of subject partition in
+  let by_fp = Hashtbl.create (Array.length trees) in
+  Array.iteri (fun i t -> Hashtbl.replace by_fp t.fp i) trees;
   {
     subject;
     library;
@@ -130,13 +132,14 @@ let create ?options ~subject ~library ~positions () =
     partition;
     trees;
     table = Matches.create subject ~library;
-    cached = Array.make (Array.length trees) false;
-    uncached = Array.length trees;
+    by_fp;
     hits = Atomic.make 0;
     misses = Atomic.make 0;
     maps = Atomic.make 0;
     route_session = Cals_route.Router.Session.create ();
   }
+
+let in_table session t = Matches.mem session.table t.nodes.(0)
 
 (* Enumerate one tree into [table], counted as a miss. *)
 let enumerate_tree session table t =
@@ -150,16 +153,16 @@ let enumerate_tree session table t =
    the session and domains may share it without a lock. *)
 let map_table session =
   let ntrees = Array.length session.trees in
-  if session.uncached = 0 then begin
+  if Array.for_all (in_table session) session.trees then begin
     ignore (Atomic.fetch_and_add session.hits ntrees);
     Metrics.add m_hits ntrees;
     session.table
   end
   else begin
     let scratch = Matches.copy session.table in
-    Array.iteri
-      (fun i t ->
-        if session.cached.(i) then begin
+    Array.iter
+      (fun t ->
+        if in_table session t then begin
           Atomic.incr session.hits;
           Metrics.incr m_hits
         end
@@ -203,18 +206,11 @@ let map ?(verify = false) ?(t = 0.0) session ~k =
   in
   { Mapper.mapped; stats; cover }
 
-let install session i =
-  session.cached.(i) <- true;
-  session.uncached <- session.uncached - 1
-
 let warm session =
   Span.with_ ~cat:"map" "incremental.warm" @@ fun () ->
-  Array.iteri
-    (fun i t ->
-      if not session.cached.(i) then begin
-        enumerate_tree session session.table t;
-        install session i
-      end)
+  Array.iter
+    (fun t ->
+      if not (in_table session t) then enumerate_tree session session.table t)
     session.trees
 
 let stats session =
@@ -228,46 +224,15 @@ let stats session =
 let library session = session.library
 let route_session session = session.route_session
 
-let fingerprints session =
-  Array.to_list (Array.map (fun t -> (t.root, t.fp)) session.trees)
+let table session = session.table
+let partition session = session.partition
 
-let export session =
-  Array.to_list session.trees
-  |> List.filteri (fun i _ -> session.cached.(i))
-  |> List.map (fun t ->
-         ( t.fp,
-           Array.to_list
-             (Array.map (fun v -> (v, Matches.node_matches session.table v))
-                t.nodes) ))
+let cached session =
+  List.filter (in_table session) (Array.to_list session.trees)
+  |> List.map (fun t -> (t.fp, t.nodes))
 
-(* An entry is installed only if it lists exactly the tree's live gates,
-   in order, each with candidates that are genuine matches there: a store
-   file that passes its checksum yet disagrees with the session can then
-   only leave a tree cold, never crash or skew a map. *)
-let valid_entry session t nodes =
-  let rec go i = function
-    | [] -> i = Array.length t.nodes
-    | (v, nm) :: rest ->
-      i < Array.length t.nodes
-      && v = t.nodes.(i)
-      && Matches.valid session.table ~partition:session.partition v nm
-      && go (i + 1) rest
-  in
-  go 0 nodes
-
-let preload session entries =
-  let by_fp = Hashtbl.create (Array.length session.trees) in
-  Array.iteri (fun i t -> Hashtbl.replace by_fp t.fp i) session.trees;
-  let installed = ref 0 in
-  List.iter
-    (fun (fp, nodes) ->
-      match Hashtbl.find_opt by_fp fp with
-      | Some i
-        when (not session.cached.(i))
-             && valid_entry session session.trees.(i) nodes ->
-        List.iter (fun (v, nm) -> Matches.add_matches session.table v nm) nodes;
-        install session i;
-        incr installed
-      | Some _ | None -> ())
-    entries;
-  !installed
+let missing session fp =
+  match Hashtbl.find_opt session.by_fp fp with
+  | Some i when not (in_table session session.trees.(i)) ->
+    Some session.trees.(i).nodes
+  | Some _ | None -> None

@@ -15,7 +15,7 @@
     weight T, which are per-{!map}-call). The partition is
     computed once at {!create}; each of its trees gets a 64-bit FNV-1a
     fingerprint over the tree's node ids, gate kinds, fanins and father
-    edges. The fingerprint keys the store ({!export}, {!preload}): a tree
+    edges. The fingerprint keys the store ({!missing}): a tree
     whose structure or father edges changed (e.g. a different partition)
     fingerprints differently and is enumerated afresh. After {!warm}, a
     {!map} call at any K hits on every tree.
@@ -27,13 +27,13 @@
 
     {2 Cache discipline and domain safety}
 
-    The table fills only through {!warm} and {!preload}. A {!map} on a
-    session with uncached trees enumerates them into a per-call copy of
-    the table and drops it. As {!map} never writes, any number of
-    domains may share a session with no lock, once its filling is done
-    ({!warm} and {!preload} must not overlap a {!map}). An unwarmed
-    session is just as safe, only slower. The hit/miss statistics are
-    atomics. *)
+    The table fills only through {!warm} and the store ({!missing}). A
+    {!map} on a session with uncached trees enumerates them into a
+    per-call copy of the table and drops it. As {!map} never writes, any
+    number of domains may share a session with no lock, once its filling
+    is done ({!warm} and a store load must not overlap a {!map}). An
+    unwarmed session is just as safe, only slower. The hit/miss
+    statistics are atomics. *)
 
 type stats = {
   trees : int;  (** Partition trees in the session's subject. *)
@@ -89,29 +89,22 @@ val route_session : session -> Cals_route.Router.Session.t
     never re-uses a session across subjects, so the route cache can only
     ever see requests from one design). *)
 
-val fingerprints : session -> (int * int64) list
-(** [(root, fingerprint)] per tree, in root order — exposed for tests and
-    diagnostics. *)
+(** {2 The store's view}
 
-val export : session -> (int64 * (int * Matches.node_matches) list) list
-(** The cached match sets in portable form, one
-    [(fingerprint, per-node candidates)] pair per cached tree in tree
-    order. Candidate lists keep their exact
-    enumeration order, so a session rebuilt from an export maps
-    bit-identically (see {!Cover.run}). Intended for the persistent
-    match-cache store ({!Cals_serve.Store}); call after {!warm} to export
-    the complete cache. *)
+    [Cals_serve.Store] saves the table of a session's {!cached} trees
+    and loads a saved one straight into a fresh session's table (through
+    {!Matches.add_candidate}, {!Matches.add_stored} and
+    {!Matches.truncate}, only for {!missing} trees), tree by tree under
+    the fingerprints. None of this may overlap a {!map}. *)
 
-val preload :
-  session -> (int64 * (int * Matches.node_matches) list) list -> int
-(** Install previously {!export}ed match sets into a fresh session's
-    table, before {!warm}. An entry is installed only if its fingerprint
-    is one of the session's own uncached trees, its node ids are exactly
-    that tree's live gates in increasing order, and every node's
-    candidates are {!Matches.valid} there. Anything else (a different
-    subject, partition or library vintage, or a damaged file) is
-    silently skipped, so a stale store can only produce cold misses,
-    never wrong matches or a failing {!map}.
-    Returns the number of entries installed. Installed trees are skipped
-    by {!warm} (no miss is counted), so subsequent {!map} lookups count as
-    cache hits. Like {!warm}, must not overlap a {!map}. *)
+val table : session -> Matches.table
+val partition : session -> Partition.t
+
+val cached : session -> (int64 * int array) list
+(** [(fingerprint, live gates)] per tree in the table, in tree order
+    (each tree's live gates in increasing order). *)
+
+val missing : session -> int64 -> int array option
+(** The live gates of the tree with this fingerprint, if it is not in the
+    table yet. Once the store has added all of them the tree is cached:
+    {!warm} skips it and {!map} counts it a hit. *)

@@ -3,21 +3,19 @@ module Cell = Cals_cell.Cell
 module Pattern = Cals_cell.Pattern
 module Library = Cals_cell.Library
 
-type candidate = {
-  cand_cell : Cell.t;
-  cand_leaves : int array;
-  cand_covered : int list;
-}
-
-type node_matches = {
-  candidates : candidate array;
-  enumerated : int;
-}
+(* A cell pattern flattened to pre-order, so that the enumeration walks
+   it by index. Per pattern node: its operator, its parent's index ([-1]
+   at the root), whether it is the parent's second operand, and for a
+   gate its place among the covered gates. *)
+type op = Var of int | Inv | Nand
+type pnode = { op : op; up : int; second : bool; slot : int }
+type shape = { cell : int; nodes : pnode array; nvars : int; ngates : int }
 
 type table = {
   subject : Subject.t;
   library : Library.t;
   cells : Cell.t array;
+  shapes : shape array array;
   cell_area : float array;
   cell_input_cap : float array;
   cell_intrinsic : float array;
@@ -34,83 +32,27 @@ type table = {
   mutable covered : int array;
 }
 
-(* ---------------- Enumeration ---------------- *)
-
-(* A candidate is a consistent binding of pattern variables to subject
-   nodes plus the list of base gates the pattern consumes. Internal
-   pattern nodes may only descend along tree-internal edges; leaves bind
-   anywhere (the fanin becomes an input of the cell). *)
-let enumerate_matches subject (partition : Partition.t) pattern v =
-  let gates = subject.Subject.gates in
-  let rec go pattern v bind =
-    match pattern with
-    | Pattern.Var i -> (
-      match List.assoc_opt i bind with
-      | Some u -> if u = v then [ (bind, []) ] else []
-      | None -> [ ((i, v) :: bind, []) ])
-    | Pattern.Inv q -> (
-      match gates.(v) with
-      | Subject.Inv a ->
-        descend q a v bind |> List.map (fun (b, cov) -> (b, v :: cov))
-      | Subject.Pi _ | Subject.Nand2 _ -> [])
-    | Pattern.Nand (q1, q2) -> (
-      match gates.(v) with
-      | Subject.Nand2 (a, b) ->
-        let orient x y =
-          List.concat_map
-            (fun (b1, cov1) ->
-              descend q2 y v b1
-              |> List.map (fun (b2, cov2) -> (b2, (v :: cov1) @ cov2)))
-            (descend q1 x v bind)
-        in
-        if a = b then orient a a else orient a b @ orient b a
-      | Subject.Pi _ | Subject.Inv _ -> [])
-  and descend q child parent bind =
+let shape_of cell pattern =
+  let nodes = ref [] and next = ref 0 and gates = ref 0 in
+  let rec fill q up second =
+    let k = !next in
+    incr next;
+    let node op = nodes := { op; up; second; slot = !gates } :: !nodes in
     match q with
-    | Pattern.Var _ -> go q child bind
-    | Pattern.Inv _ | Pattern.Nand _ ->
-      if partition.Partition.father.(child) = Some parent then go q child bind
-      else []
+    | Pattern.Var i -> node (Var i)
+    | Pattern.Inv q1 ->
+      node Inv;
+      incr gates;
+      fill q1 k false
+    | Pattern.Nand (q1, q2) ->
+      node Nand;
+      incr gates;
+      fill q1 k false;
+      fill q2 k true
   in
-  go pattern v []
-
-exception Mismatch
-
-(* Whether [leaves] and [covered] are the binding of [pattern] at [v] that
-   [enumerate_matches] would produce: covered gates in pre-order (the
-   root, then the first operand's gates, then the second's), each leaf
-   the node its variable lands on. At a NAND at most one operand order
-   can fit, since the two orders disagree on the first covered gate or
-   on the first operand's leaf. *)
-let binds subject (partition : Partition.t) pattern v leaves covered =
-  let gates = subject.Subject.gates in
-  let father = partition.Partition.father in
-  (* Match [q] at [u] against the covered gates [cov]; the gates left. *)
-  let rec go q u cov =
-    match q with
-    | Pattern.Var i -> if leaves.(i) = u then cov else raise Mismatch
-    | Pattern.Inv q1 -> (
-      match (gates.(u), cov) with
-      | Subject.Inv a, w :: rest when w = u -> descend q1 a u rest
-      | (Subject.Inv _ | Subject.Pi _ | Subject.Nand2 _), _ -> raise Mismatch)
-    | Pattern.Nand (q1, q2) -> (
-      match (gates.(u), cov) with
-      | Subject.Nand2 (a, b), w :: rest when w = u -> (
-        let orient x y = descend q2 y u (descend q1 x u rest) in
-        try orient a b with Mismatch when a <> b -> orient b a)
-      | (Subject.Nand2 _ | Subject.Pi _ | Subject.Inv _), _ -> raise Mismatch)
-  and descend q child parent cov =
-    match (q, father.(child)) with
-    | Pattern.Var _, _ -> go q child cov
-    | (Pattern.Inv _ | Pattern.Nand _), Some f when f = parent -> go q child cov
-    | (Pattern.Inv _ | Pattern.Nand _), (Some _ | None) -> raise Mismatch
-  in
-  Pattern.num_vars pattern = Array.length leaves
-  &&
-  match go pattern v covered with
-  | [] -> true
-  | _ :: _ -> false
-  | exception Mismatch -> false
+  fill pattern (-1) false;
+  let nodes = Array.of_list (List.rev !nodes) in
+  { cell; nodes; nvars = Pattern.num_vars pattern; ngates = !gates }
 
 (* ---------------- The table ---------------- *)
 
@@ -127,6 +69,11 @@ let create subject ~library =
     subject;
     library;
     cells;
+    shapes =
+      Array.mapi
+        (fun i (c : Cell.t) ->
+          Array.of_list (List.map (shape_of i) c.Cell.patterns))
+        cells;
     cell_area = per_cell (fun c -> c.Cell.area);
     cell_input_cap = per_cell (fun c -> c.Cell.input_cap_pf);
     cell_intrinsic = per_cell (fun c -> c.Cell.intrinsic_ns);
@@ -170,110 +117,182 @@ let ensure a n =
     b
   end
 
-(* A candidate's leaves and covered gates are written past the last
-   candidate first, in place (no array per binding); [close] then makes
-   them candidate [count]. *)
-let reserve_leaves t n =
-  let at = t.leaf_first.(t.count) in
-  t.leaves <- ensure t.leaves (at + n);
-  at
-
-let reserve_covered t n =
-  let at = t.cov_first.(t.count) in
-  t.covered <- ensure t.covered (at + n);
-  at
-
-let close t ci ~leaves ~covered =
+let add_candidate t ~cell ~leaves ~nleaves ~covered ~ncovered =
   let c = t.count in
+  let l0 = t.leaf_first.(c) and c0 = t.cov_first.(c) in
+  t.leaves <- ensure t.leaves (l0 + nleaves);
+  Array.blit leaves 0 t.leaves l0 nleaves;
+  t.covered <- ensure t.covered (c0 + ncovered);
+  Array.blit covered 0 t.covered c0 ncovered;
   t.cell <- ensure t.cell (c + 1);
   t.leaf_first <- ensure t.leaf_first (c + 2);
   t.cov_first <- ensure t.cov_first (c + 2);
-  t.cell.(c) <- ci;
-  t.leaf_first.(c + 1) <- t.leaf_first.(c) + leaves;
-  t.cov_first.(c + 1) <- t.cov_first.(c) + covered;
+  t.cell.(c) <- cell;
+  t.leaf_first.(c + 1) <- l0 + nleaves;
+  t.cov_first.(c + 1) <- c0 + ncovered;
   t.count <- c + 1
 
-let add_node t ~partition v =
-  let lo = t.count in
-  let enumerated = ref 0 in
+let truncate t count =
   Array.iteri
-    (fun ci (cell : Cell.t) ->
-      List.iter
-        (fun pattern ->
-          let nvars = Pattern.num_vars pattern in
-          List.iter
-            (fun (binding, covered) ->
-              incr enumerated;
-              let at = reserve_leaves t nvars in
-              Array.fill t.leaves at nvars (-1);
-              List.iter (fun (var, node) -> t.leaves.(at + var) <- node) binding;
-              let bound = ref true in
-              for i = at to at + nvars - 1 do
-                if t.leaves.(i) < 0 then bound := false
-              done;
-              if !bound then begin
-                let ncov = List.length covered in
-                let at = reserve_covered t ncov in
-                List.iteri (fun i u -> t.covered.(at + i) <- u) covered;
-                close t ci ~leaves:nvars ~covered:ncov
-              end)
-            (enumerate_matches t.subject partition pattern v))
-        cell.Cell.patterns)
-    t.cells;
-  t.first.(v) <- lo;
-  t.stop.(v) <- t.count;
-  t.enumerated.(v) <- !enumerated
+    (fun v stop ->
+      if stop > count then begin
+        t.first.(v) <- -1;
+        t.stop.(v) <- -1;
+        t.enumerated.(v) <- 0
+      end)
+    t.stop;
+  t.count <- count
 
-(* The cell's index in [t.cells], or -1. By identity: the store resolves
-   cell names through the session's own library. *)
-let cell_index t (cell : Cell.t) =
-  let rec find i =
-    if i = Array.length t.cells then -1
-    else if t.cells.(i) == cell then i
-    else find (i + 1)
+(* ---------------- Enumeration ---------------- *)
+
+(* One backtracking walk over a shape's pattern nodes in pre-order. The
+   root binds [root]; an internal pattern node descends only along a
+   father edge of the partition; a variable binds anywhere, and one met
+   again must land on the same node. A NAND tries its operands as
+   [(a, b)], then, unless [a = b], as [(b, a)]; so bindings come out in
+   the lexicographic order of these choices in pre-order, and covered
+   gates in pre-order. The state is per call: per gate pattern node its
+   operands [lo] and [hi], per variable its binding ([-1] while
+   unbound), and per covered slot its gate. When [checking], the walk
+   compares each variable and gate it binds with the stored candidate
+   whose leaves start at [l0] and covered gates at [c0], so a wrong
+   operand order is cut at its first node, and [found] ends it. *)
+type walk = {
+  t : table;
+  father : int option array;
+  root : int;
+  lo : int array;
+  hi : int array;
+  bind : int array;
+  cov : int array;
+  mutable shape : shape;
+  mutable checking : bool;
+  mutable l0 : int;
+  mutable c0 : int;
+  mutable found : bool;
+  mutable bindings : int;  (** Complete bindings met. *)
+}
+
+(* Every variable is a pattern node, so the widest pattern bounds all
+   four arrays. *)
+let walker t ~(partition : Partition.t) root =
+  let width =
+    Array.fold_left
+      (Array.fold_left (fun m s -> Int.max m (Array.length s.nodes)))
+      0 t.shapes
   in
-  find 0
+  let scratch () = Array.make width (-1) in
+  {
+    t;
+    father = partition.Partition.father;
+    root;
+    lo = scratch ();
+    hi = scratch ();
+    bind = scratch ();
+    cov = scratch ();
+    shape = t.shapes.(0).(0);
+    checking = false;
+    l0 = 0;
+    c0 = 0;
+    found = false;
+    bindings = 0;
+  }
 
-let valid t ~partition v nm =
-  Array.length nm.candidates > 0
-  && Array.for_all
-       (fun c ->
-         let ci = cell_index t c.cand_cell in
-         ci >= 0
-         && List.exists
-              (fun p ->
-                binds t.subject partition p v c.cand_leaves c.cand_covered)
-              t.cells.(ci).Cell.patterns)
-       nm.candidates
+let complete w =
+  let s = w.shape in
+  let bound = ref true in
+  for i = 0 to s.nvars - 1 do
+    if w.bind.(i) < 0 then bound := false
+  done;
+  w.bindings <- w.bindings + 1;
+  if !bound then
+    if w.checking then w.found <- true
+    else
+      add_candidate w.t ~cell:s.cell ~leaves:w.bind ~nleaves:s.nvars
+        ~covered:w.cov ~ncovered:s.ngates
 
-let add_matches t v nm =
-  let lo = t.count in
+let rec walk w k =
+  let s = w.shape in
+  if k = Array.length s.nodes then complete w
+  else if not w.found then begin
+    let n = s.nodes.(k) in
+    let u =
+      if n.up < 0 then w.root else if n.second then w.hi.(n.up) else w.lo.(n.up)
+    in
+    match n.op with
+    | Var i ->
+      let b = w.bind.(i) in
+      if b = u then walk w (k + 1)
+      else if b < 0 && ((not w.checking) || w.t.leaves.(w.l0 + i) = u)
+      then begin
+        w.bind.(i) <- u;
+        walk w (k + 1);
+        w.bind.(i) <- -1
+      end
+    | Inv | Nand ->
+      if
+        (n.up < 0
+        ||
+        match w.father.(u) with
+        | Some f -> f = w.cov.(s.nodes.(n.up).slot)
+        | None -> false)
+        && ((not w.checking) || w.t.covered.(w.c0 + n.slot) = u)
+      then begin
+        w.cov.(n.slot) <- u;
+        match (n.op, w.t.subject.Subject.gates.(u)) with
+        | Inv, Subject.Inv a ->
+          w.lo.(k) <- a;
+          walk w (k + 1)
+        | Nand, Subject.Nand2 (a, b) ->
+          w.lo.(k) <- a;
+          w.hi.(k) <- b;
+          walk w (k + 1);
+          if a <> b then begin
+            w.lo.(k) <- b;
+            w.hi.(k) <- a;
+            walk w (k + 1)
+          end
+        | _, (Subject.Pi _ | Subject.Inv _ | Subject.Nand2 _) -> ()
+      end
+  end
+
+let set_node t v ~first ~enumerated =
+  t.first.(v) <- first;
+  t.stop.(v) <- t.count;
+  t.enumerated.(v) <- enumerated
+
+let add_node t ~partition v =
+  let w = walker t ~partition v in
+  let first = t.count in
   Array.iter
-    (fun c ->
-      let nl = Array.length c.cand_leaves in
-      let at = reserve_leaves t nl in
-      Array.blit c.cand_leaves 0 t.leaves at nl;
-      let ncov = List.length c.cand_covered in
-      let at = reserve_covered t ncov in
-      List.iteri (fun i u -> t.covered.(at + i) <- u) c.cand_covered;
-      close t (cell_index t c.cand_cell) ~leaves:nl ~covered:ncov)
-    nm.candidates;
-  t.first.(v) <- lo;
-  t.stop.(v) <- t.count;
-  t.enumerated.(v) <- nm.enumerated
+    (Array.iter (fun s ->
+         w.shape <- s;
+         walk w 0))
+    t.shapes;
+  set_node t v ~first ~enumerated:w.bindings
 
-let node_matches t v =
-  let candidates =
-    Array.init
-      (t.stop.(v) - t.first.(v))
-      (fun i ->
-        let c = t.first.(v) + i in
-        let l0 = t.leaf_first.(c) and c0 = t.cov_first.(c) in
-        {
-          cand_cell = t.cells.(t.cell.(c));
-          cand_leaves = Array.sub t.leaves l0 (t.leaf_first.(c + 1) - l0);
-          cand_covered =
-            List.init (t.cov_first.(c + 1) - c0) (fun j -> t.covered.(c0 + j));
-        })
-  in
-  { candidates; enumerated = t.enumerated.(v) }
+(* Each candidate is walked with those of its cell's patterns that have
+   its leaf and covered counts. *)
+let add_stored t ~partition v ~first ~enumerated =
+  let w = walker t ~partition v in
+  w.checking <- true;
+  w.found <- first < t.count;
+  for c = first to t.count - 1 do
+    if w.found then begin
+      w.l0 <- t.leaf_first.(c);
+      w.c0 <- t.cov_first.(c);
+      w.found <- false;
+      Array.iter
+        (fun s ->
+          if
+            s.nvars = t.leaf_first.(c + 1) - w.l0
+            && s.ngates = t.cov_first.(c + 1) - w.c0
+          then begin
+            w.shape <- s;
+            walk w 0
+          end)
+        t.shapes.(t.cell.(c))
+    end
+  done;
+  if w.found then set_node t v ~first ~enumerated;
+  w.found

@@ -5,28 +5,12 @@
     companion placement or the DP state. A K-schedule sweep therefore
     enumerates matches once into a {!table} and re-runs only the
     cost-combination DP ({!Cover.run}) per K point; an {!Incremental}
-    session keeps one table. *)
+    session keeps one table, and the persistent store
+    ([Cals_serve.Store]) saves and loads it. The list enumerator is the
+    test oracle [test/reference/reference_matches.ml]. *)
 
-(** {2 Portable form}
-
-    One node's candidates as records, for the persistent store
-    ({!Cals_serve.Store}) and for the list-based test oracle. *)
-
-type candidate = {
-  cand_cell : Cals_cell.Cell.t;
-  cand_leaves : int array;  (** Subject node per pattern variable. *)
-  cand_covered : int list;  (** Base gates the match consumes. *)
-}
-
-type node_matches = {
-  candidates : candidate array;
-      (** In exact (cell, pattern, binding) enumeration order; the DP's
-          tie-breaking depends on this order. *)
-  enumerated : int;
-      (** Raw bindings enumerated, including ones rejected for unbound
-          variables, so that {!Cover.matches_evaluated} is the same
-          however the table was filled. *)
-}
+type shape
+(** One cell pattern, flattened for the enumeration walk. *)
 
 (** {2 The table}
 
@@ -43,6 +27,7 @@ type table = private {
   subject : Cals_netlist.Subject.t;
   library : Cals_cell.Library.t;
   cells : Cals_cell.Cell.t array;  (** The library's cells, in order. *)
+  shapes : shape array array;  (** Per cell index: its patterns. *)
   cell_area : float array;  (** Per cell index. *)
   cell_input_cap : float array;  (** Per cell index, pF. *)
   cell_intrinsic : float array;  (** Per cell index, ns. *)
@@ -54,7 +39,11 @@ type table = private {
           primary-output load. *)
   first : int array;  (** Per subject node; [-1] if not in the table. *)
   stop : int array;  (** Per subject node. *)
-  enumerated : int array;  (** Per subject node; see {!node_matches}. *)
+  enumerated : int array;
+      (** Per subject node: raw bindings enumerated, including ones
+          rejected for unbound variables, so that
+          {!Cover.matches_evaluated} is the same however the table was
+          filled. *)
   mutable count : int;  (** Candidates in the table. *)
   mutable cell : int array;
   mutable leaf_first : int array;
@@ -74,22 +63,37 @@ val mem : table -> int -> bool
 
 val add_node : table -> partition:Partition.t -> int -> unit
 (** Enumerate every structural candidate at live gate [v] and append
-    them. Internal pattern nodes descend only along father edges of
-    [partition]; leaves bind anywhere. [v] must not be in the table. *)
+    them, cells and their patterns in library order. Internal pattern
+    nodes descend only along father edges of [partition]; leaves bind
+    anywhere; a NAND tries its operands as [(a, b)], then, unless
+    [a = b], as [(b, a)]. [v] must not be in the table. The walk's state
+    is per call, so calls on different tables may run on any domains. *)
 
-val valid : table -> partition:Partition.t -> int -> node_matches -> bool
-(** Whether [add_matches] may install these candidates at live gate [v]:
-    there is at least one, and each names a cell of the table's library
-    (the same record, as {!Cals_cell.Library.find_opt} returns it) and
-    is a binding of one of that cell's patterns at [v] — its leaves
-    and covered gates, in order, are what {!add_node} would produce for
+(** {2 Filling from stored candidates} *)
+
+val add_candidate :
+  table ->
+  cell:int ->
+  leaves:int array ->
+  nleaves:int ->
+  covered:int array ->
+  ncovered:int ->
+  unit
+(** Append a candidate of cell index [cell] with the first [nleaves]
+    [leaves] and the first [ncovered] [covered] gates; it belongs to no
+    node until {!add_stored} claims it. *)
+
+val add_stored :
+  table -> partition:Partition.t -> int -> first:int -> enumerated:int -> bool
+(** Make candidates [first] to [count - 1] those of live gate [v] (not yet
+    in the table), with [enumerated] raw bindings, if there is at least
+    one and each is a binding of one of its cell's patterns at [v]: its
+    leaves and covered gates, in order, are what {!add_node} writes for
     that binding. So every leaf is a primary input or a live gate below
     [v], every covered gate is in [v]'s tree, and the leaf count is the
-    cell's arity. *)
+    arity. Returns whether it did; on [false] the caller drops the
+    candidates with {!truncate}. *)
 
-val add_matches : table -> int -> node_matches -> unit
-(** Append portable candidates at node [v], in order. [v] must not be in
-    the table and the candidates must be {!valid}. *)
-
-val node_matches : table -> int -> node_matches
-(** Node [v]'s candidates in portable form; [v] must be in the table. *)
+val truncate : table -> int -> unit
+(** [truncate t count] drops the candidates from [count] on and forgets
+    every node whose candidates reach past it. *)

@@ -33,6 +33,11 @@ let for_area ~core_area ~utilization ~aspect ~geometry =
   let sites_per_row = max 1 (int_of_float (ceil (die_width /. site_width))) in
   of_rows ~num_rows ~sites_per_row ~geometry
 
+let for_subject ~utilization ~geometry subject =
+  for_area
+    ~core_area:(float_of_int (Cals_netlist.Subject.num_gates subject) *. 5.0)
+    ~utilization ~aspect:1.0 ~geometry
+
 let core_area t = t.die_width *. t.die_height
 let row_y t i = (float_of_int i +. 0.5) *. t.row_height
 

@@ -26,6 +26,15 @@ val for_area :
 (** Square-ish die sized so that [core_area] occupies [utilization] of it;
     [aspect] = width / height. *)
 
+val for_subject :
+  utilization:float ->
+  geometry:Cals_cell.Library.geometry ->
+  Cals_netlist.Subject.t ->
+  t
+(** The flow's square {!for_area} die for a subject graph: 5 µm² of
+    core per base gate (about what min-area covering yields) at
+    [utilization]. *)
+
 val row_y : t -> int -> float
 (** Center y of row [i]. *)
 

@@ -165,10 +165,8 @@ let build_design ~cache_dir (spec : Proto.spec) =
     | Ok network -> network
     | Error reason -> raise (Bad_input reason)
   in
-  let floorplan_of subject =
-    Floorplan.for_area
-      ~core_area:(float_of_int (Subject.num_gates subject) *. 5.0)
-      ~utilization:spec.Proto.utilization ~aspect:1.0 ~geometry
+  let floorplan_of =
+    Floorplan.for_subject ~utilization:spec.Proto.utilization ~geometry
   in
   let subject =
     match spec.Proto.orchestrate with

@@ -1,6 +1,7 @@
 module Incremental = Cals_core.Incremental
 module Matches = Cals_core.Matches
 module Library = Cals_cell.Library
+module Cell = Cals_cell.Cell
 module Fnv = Cals_util.Tables.Fnv64
 module Metrics = Cals_telemetry.Metrics
 
@@ -47,34 +48,43 @@ let add_str b s =
 
 let add_int b i = Buffer.add_int32_le b (Int32.of_int i)
 
+(* A candidate's leaves or covered gates: the count, then the slice. *)
+let add_slice b data first c =
+  let lo = first.(c) and hi = first.(c + 1) in
+  add_int b (hi - lo);
+  for i = lo to hi - 1 do
+    add_int b data.(i)
+  done
+
 let payload_of ~key session =
+  let t = Incremental.table session in
   let b = Buffer.create 65536 in
   add_str b key;
   add_str b (Library.name (Incremental.library session));
-  let entries = Incremental.export session in
-  add_int b (List.length entries);
+  let trees = Incremental.cached session in
+  add_int b (List.length trees);
   List.iter
     (fun (fp, nodes) ->
       Buffer.add_int64_le b fp;
-      add_int b (List.length nodes);
-      List.iter
-        (fun (v, (nm : Matches.node_matches)) ->
+      add_int b (Array.length nodes);
+      Array.iter
+        (fun v ->
+          let first = t.Matches.first.(v) and stop = t.Matches.stop.(v) in
           add_int b v;
-          add_int b nm.Matches.enumerated;
-          add_int b (Array.length nm.Matches.candidates);
-          Array.iter
-            (fun (c : Matches.candidate) ->
-              add_str b c.Matches.cand_cell.Cals_cell.Cell.name;
-              add_int b (Array.length c.Matches.cand_leaves);
-              Array.iter (add_int b) c.Matches.cand_leaves;
-              add_int b (List.length c.Matches.cand_covered);
-              List.iter (add_int b) c.Matches.cand_covered)
-            nm.Matches.candidates)
+          add_int b t.Matches.enumerated.(v);
+          add_int b (stop - first);
+          for c = first to stop - 1 do
+            add_str b t.Matches.cells.(t.Matches.cell.(c)).Cell.name;
+            add_slice b t.Matches.leaves t.Matches.leaf_first c;
+            add_slice b t.Matches.covered t.Matches.cov_first c
+          done)
         nodes)
-    entries;
+    trees;
   Buffer.contents b
 
 (* -- parsing ------------------------------------------------------------ *)
+
+let header_len = 8 + 4 + 8 + 8
 
 exception Bad of string
 
@@ -113,107 +123,129 @@ let get_str cur what =
   cur.pos <- cur.pos + n;
   s
 
-let parse_payload ~key ~library data =
-  let cur = { data; pos = 0 } in
-  let file_key = get_str cur "design key" in
-  if file_key <> key then raise (Bad "key");
+(* A cell name, as its index in [names] (the table's cells' names). *)
+let get_cell cur names =
+  let name = get_str cur "cell name" in
+  match Array.find_index (String.equal name) names with
+  | Some ci -> ci
+  | None -> raise (Bad (Printf.sprintf "unknown cell %S" name))
+
+(* A counted run of ints into [buf], grown to fit; the count. *)
+let get_ints cur buf what =
+  let n = get_count cur what in
+  if n > Array.length !buf then buf := Array.make (2 * n) 0;
+  for i = 0 to n - 1 do
+    !buf.(i) <- get_int cur what
+  done;
+  n
+
+(* Parse the payload straight into the session's table. A tree entry
+   fills the table only if it is one of the session's missing trees,
+   lists exactly that tree's live gates in order, and every node's
+   candidates are genuine matches there ({!Matches.add_stored});
+   otherwise its candidates are dropped and the tree stays cold, so a
+   file that passes its checksum yet disagrees with the session cannot
+   crash or skew a map. On [Bad] (or any other exception) every tree
+   this load filled is dropped again, and the session is as cold as it
+   was. Candidates are appended in the order they were saved in; the
+   DP's tie-breaking depends on it. *)
+let fill ~key session data =
+  let cur = { data; pos = header_len } in
+  if get_str cur "design key" <> key then raise (Bad "key");
   let lib_name = get_str cur "library name" in
-  if lib_name <> Library.name library then
+  if lib_name <> Library.name (Incremental.library session) then
     raise (Bad (Printf.sprintf "library %S" lib_name));
-  let cell name =
-    match Library.find_opt library name with
-    | Some c -> c
-    | None -> raise (Bad (Printf.sprintf "unknown cell %S" name))
-  in
-  let n_entries = get_count cur "entry count" in
-  let entries =
-    List.init n_entries (fun _ ->
-        let fp = get_int64 cur "fingerprint" in
-        let n_nodes = get_count cur "node count" in
-        let nodes =
-          List.init n_nodes (fun _ ->
-              let v = get_int cur "node id" in
-              let enumerated = get_int cur "enumerated" in
-              let n_cands = get_count cur "candidate count" in
-              (* Candidates are read back in exactly the order they were
-                 enumerated in; the DP's tie-breaking depends on it. *)
-              let candidates =
-                Array.init n_cands (fun _ ->
-                    let cand_cell = cell (get_str cur "cell name") in
-                    let n_leaves = get_count cur "leaf count" in
-                    let cand_leaves =
-                      Array.init n_leaves (fun _ -> get_int cur "leaf")
-                    in
-                    let n_cov = get_count cur "covered count" in
-                    let cand_covered =
-                      List.init n_cov (fun _ -> get_int cur "covered")
-                    in
-                    { Matches.cand_cell; cand_leaves; cand_covered })
-              in
-              (v, { Matches.candidates; enumerated }))
-        in
-        (fp, nodes))
-  in
-  if cur.pos <> String.length data then raise (Bad "trailing bytes");
-  entries
+  let table = Incremental.table session in
+  let partition = Incremental.partition session in
+  let names = Array.map (fun (c : Cell.t) -> c.Cell.name) table.Matches.cells in
+  let base = table.Matches.count in
+  let leaves = ref [||] and covered = ref [||] in
+  let filled = ref 0 in
+  match
+    for _ = 1 to get_count cur "entry count" do
+      let fp = get_int64 cur "fingerprint" in
+      let n_nodes = get_count cur "node count" in
+      let tree_first = table.Matches.count in
+      let nodes =
+        match Incremental.missing session fp with
+        | Some nodes when Array.length nodes = n_nodes -> nodes
+        | Some _ | None -> [||]
+      in
+      let keep = ref (nodes <> [||]) in
+      for i = 0 to n_nodes - 1 do
+        let v = get_int cur "node id" in
+        let enumerated = get_int cur "enumerated" in
+        let first = table.Matches.count in
+        for _ = 1 to get_count cur "candidate count" do
+          let cell = get_cell cur names in
+          let nleaves = get_ints cur leaves "leaf" in
+          let ncovered = get_ints cur covered "covered" in
+          Matches.add_candidate table ~cell ~leaves:!leaves ~nleaves
+            ~covered:!covered ~ncovered
+        done;
+        keep :=
+          !keep && v = nodes.(i)
+          && Matches.add_stored table ~partition v ~first ~enumerated
+      done;
+      if !keep then incr filled else Matches.truncate table tree_first
+    done;
+    if cur.pos <> String.length data then raise (Bad "trailing bytes")
+  with
+  | () -> !filled
+  | exception e ->
+    Matches.truncate table base;
+    raise e
 
 (* -- load/save ---------------------------------------------------------- *)
 
-let header_len = 8 + 4 + 8 + 8
+exception Skew of int
 
-let read_file file =
-  let ic = open_in_bin file in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+(* The header and checksum, then the payload; the trees filled. *)
+let fill_file ~key session file =
+  let data = In_channel.with_open_bin file In_channel.input_all in
+  if String.length data < header_len then raise (Bad "header");
+  if String.sub data 0 8 <> magic then raise (Bad "magic");
+  let v = Int32.to_int (String.get_int32_le data 8) in
+  if v <> version then raise (Skew v);
+  let plen = Int64.to_int (String.get_int64_le data 20) in
+  if plen < 0 || header_len + plen <> String.length data then
+    raise (Bad "length");
+  if
+    Fnv.string Fnv.empty (String.sub data header_len plen)
+    <> String.get_int64_le data 12
+  then raise (Bad "checksum");
+  fill ~key session data
 
 let load ~dir ~key session =
   let file = path ~dir ~key in
-  let cold reason =
-    (match reason with
-    | Absent -> Metrics.incr m_miss
-    | Corrupt _ | Version_skew _ | Key_mismatch -> Metrics.incr m_corrupt);
-    Cold reason
+  let result =
+    if not (Sys.file_exists file) then Cold Absent
+    else
+      match fill_file ~key session file with
+      | 0 -> Cold Absent
+      | n -> Loaded n
+      | exception Bad "key" -> Cold Key_mismatch
+      | exception Bad what -> Cold (Corrupt what)
+      | exception Skew v -> Cold (Version_skew v)
+      | exception _ -> Cold (Corrupt "unreadable")
   in
-  if not (Sys.file_exists file) then cold Absent
-  else
-    match
-      let data = read_file file in
-      if String.length data < header_len then Cold (Corrupt "header")
-      else if String.sub data 0 8 <> magic then Cold (Corrupt "magic")
-      else
-        let v = Int32.to_int (String.get_int32_le data 8) in
-        if v <> version then Cold (Version_skew v)
-        else
-          let chksum = String.get_int64_le data 12 in
-          let plen = Int64.to_int (String.get_int64_le data 20) in
-          if plen < 0 || header_len + plen <> String.length data then
-            Cold (Corrupt "length")
-          else
-            let payload = String.sub data header_len plen in
-            if Fnv.string Fnv.empty payload <> chksum then
-              Cold (Corrupt "checksum")
-            else begin
-              match
-                parse_payload ~key
-                  ~library:(Incremental.library session)
-                  payload
-              with
-              | exception Bad "key" -> Cold Key_mismatch
-              | exception Bad what -> Cold (Corrupt what)
-              | entries -> Loaded (Incremental.preload session entries)
-            end
-    with
-    | Loaded 0 -> cold Absent
-    | Loaded n ->
-      Metrics.incr m_hit;
-      Loaded n
-    | Cold reason -> cold reason
-    | exception _ -> cold (Corrupt "unreadable")
+  Metrics.incr
+    (match result with
+    | Loaded _ -> m_hit
+    | Cold Absent -> m_miss
+    | Cold (Corrupt _ | Version_skew _ | Key_mismatch) -> m_corrupt);
+  result
 
+(* The temp file goes on every error path, with its channel closed. *)
 let save ~dir ~key session =
+  let file = path ~dir ~key in
+  let tmp = Printf.sprintf "%s.%d.tmp" file (Unix.getpid ()) in
+  let fail msg =
+    (try Sys.remove tmp with Sys_error _ -> ());
+    Error msg
+  in
   try
-    if not (Sys.file_exists dir) then Cals_util.Fsutil.mkdir_p dir;
+    Cals_util.Fsutil.mkdir_p dir;
     let payload = payload_of ~key session in
     let b = Buffer.create (header_len + String.length payload) in
     Buffer.add_string b magic;
@@ -221,16 +253,14 @@ let save ~dir ~key session =
     Buffer.add_int64_le b (Fnv.string Fnv.empty payload);
     Buffer.add_int64_le b (Int64.of_int (String.length payload));
     Buffer.add_string b payload;
-    let file = path ~dir ~key in
-    let tmp = Printf.sprintf "%s.%d.tmp" file (Unix.getpid ()) in
-    let oc = open_out_bin tmp in
-    Buffer.output_buffer oc b;
-    close_out oc;
+    Out_channel.with_open_bin tmp (fun oc ->
+        Buffer.output_buffer oc b;
+        close_out oc);
     Sys.rename tmp file;
     Metrics.incr m_saved;
     Metrics.set m_bytes (float_of_int (Buffer.length b));
     Ok (Buffer.length b)
   with
-  | Sys_error msg -> Error msg
+  | Sys_error msg -> fail msg
   | Unix.Unix_error (e, fn, arg) ->
-    Error (Printf.sprintf "%s %s: %s" fn arg (Unix.error_message e))
+    fail (Printf.sprintf "%s %s: %s" fn arg (Unix.error_message e))

@@ -16,21 +16,25 @@
                      fingerprint + per-node candidate sets (cells by name)
     v}
 
-    Candidate arrays keep their exact enumeration order, so a session
-    preloaded from a store file maps bit-identically to a freshly warmed
-    one (the cover DP's tie-breaking depends on that order).
+    Candidates keep their exact enumeration order, so a session loaded
+    from a store file maps bit-identically to a freshly warmed one (the
+    cover DP's tie-breaking depends on that order). {!save} writes the
+    session's table slices; {!load} parses straight into the fresh
+    session's table.
 
     {2 Failure semantics}
 
-    Loading never raises and never produces wrong matches: a missing,
-    truncated, bit-flipped, version-skewed or otherwise unparsable file —
-    or one whose design key or library vintage disagrees — degrades to a
-    cold miss ({!Cold}), counted on the [serve_cache_store_*] telemetry
-    counters. A count larger than the bytes left is corrupt before
-    anything is sized by it. Each entry is then checked against the live
-    session by {!Cals_core.Incremental.preload} (fingerprint, node ids,
-    and every candidate a genuine match, see {!Cals_core.Matches.valid}),
-    so even a file that passes every file-level check can only ever fail
+    Loading never raises and never produces wrong matches. A missing,
+    truncated, bit-flipped, version-skewed or otherwise unparsable file,
+    or one whose design key or library vintage disagrees, is a cold miss
+    ({!Cold}), counted on the [serve_cache_store_*] counters, and leaves
+    the session exactly as cold as it was: what the load appended is
+    dropped again. A count larger than the bytes left is corrupt before
+    anything is sized by it. A tree entry is filled only if its
+    fingerprint names one of the session's uncached trees, it lists
+    exactly that tree's live gates, and every candidate is a genuine
+    match there ({!Cals_core.Matches.add_stored}); any other entry is
+    skipped, so a file that passes every file-level check can only fail
     to warm a tree, never poison it or make a map fail. *)
 
 val version : int
@@ -53,7 +57,7 @@ val path : dir:string -> key:string -> string
 
 val load :
   dir:string -> key:string -> Cals_core.Incremental.session -> load_result
-(** Preload a fresh (unwarmed, not yet shared) session from the store. Cells
+(** Fill a fresh (unwarmed, not yet shared) session from the store. Cells
     are resolved by name against the session's library; an unresolvable
     cell marks the whole file corrupt. Never raises. *)
 
@@ -64,4 +68,5 @@ val save :
   (int, string) result
 (** Serialize the session's cached match sets (call after
     {!Cals_core.Incremental.warm}). Creates [dir] if needed, writes
-    atomically, returns the file's byte size. *)
+    atomically, returns the file's byte size. On an error no temp file
+    is left behind. *)

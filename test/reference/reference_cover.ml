@@ -12,7 +12,18 @@ module Partition = Cals_core.Partition
 module Matches = Cals_core.Matches
 module Cover = Cals_core.Cover
 
-type matchset = Matches.node_matches option array
+type candidate = {
+  cell : Cell.t;
+  leaves : int array;
+  covered : int list;
+}
+
+type node_matches = {
+  candidates : candidate array;
+  enumerated : int;
+}
+
+type matchset = node_matches option array
 
 type t = {
   subject : Subject.t;
@@ -72,7 +83,7 @@ let run ~matchsets subject ~library ~partition ~positions
   let fanout_counts = Subject.fanout_counts subject in
   for v = 0 to n - 1 do
     if partition.Partition.live.(v) && is_gate subject v then begin
-      let (nm : Matches.node_matches) =
+      let nm =
         match matchsets.(v) with
         | Some nm -> nm
         | None ->
@@ -80,12 +91,11 @@ let run ~matchsets subject ~library ~partition ~positions
             (Printf.sprintf "Reference_cover.run: no match set at live gate %d"
                v)
       in
-      evaluated := !evaluated + nm.Matches.enumerated;
+      evaluated := !evaluated + nm.enumerated;
       let load = 0.01 *. float_of_int (Int.max 1 fanout_counts.(v)) in
       let best = ref None in
       Array.iter
-        (fun { Matches.cand_cell = cell; cand_leaves = leaves;
-               cand_covered = covered } ->
+        (fun { cell; leaves; covered } ->
           let m = float_of_int (List.length covered) in
           let com =
             Geom.
@@ -135,7 +145,7 @@ let run ~matchsets subject ~library ~partition ~positions
                  || (b.Cover.cost = cost && b.Cover.area_cost <= area) ->
             ()
           | Some _ | None -> best := Some sol)
-        nm.Matches.candidates;
+        nm.candidates;
       let sol =
         match !best with
         | Some s -> s

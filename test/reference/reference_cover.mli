@@ -5,7 +5,18 @@
     it bit for bit: same chosen candidate and float bits at every gate,
     same netlist. It ships in no library; test_core compares the two. *)
 
-type matchset = Cals_core.Matches.node_matches option array
+type candidate = {
+  cell : Cals_cell.Cell.t;
+  leaves : int array;  (** Subject node per pattern variable. *)
+  covered : int list;  (** Base gates the match consumes, in pre-order. *)
+}
+
+type node_matches = {
+  candidates : candidate array;  (** In enumeration order. *)
+  enumerated : int;  (** Raw bindings, as {!Cals_core.Matches.table}. *)
+}
+
+type matchset = node_matches option array
 (** Indexed by subject node; [None] for primary inputs and dead gates. *)
 
 type t

@@ -16,10 +16,29 @@ let table subject ~library ~partition =
     subject.Subject.gates;
   table
 
+(* Node [v]'s candidates read off the table's slices. *)
+let node_matches (t : Matches.table) v =
+  let candidate c =
+    let l0 = t.Matches.leaf_first.(c) and c0 = t.Matches.cov_first.(c) in
+    {
+      Reference_cover.cell = t.Matches.cells.(t.Matches.cell.(c));
+      leaves = Array.sub t.Matches.leaves l0 (t.Matches.leaf_first.(c + 1) - l0);
+      covered =
+        List.init (t.Matches.cov_first.(c + 1) - c0) (fun j ->
+            t.Matches.covered.(c0 + j));
+    }
+  in
+  {
+    Reference_cover.candidates =
+      Array.init (t.Matches.stop.(v) - t.Matches.first.(v)) (fun i ->
+          candidate (t.Matches.first.(v) + i));
+    enumerated = t.Matches.enumerated.(v);
+  }
+
 let matchset subject ~library ~partition =
   let table = table subject ~library ~partition in
   Array.init (Subject.num_nodes subject) (fun v ->
-      if Matches.mem table v then Some (Matches.node_matches table v) else None)
+      if Matches.mem table v then Some (node_matches table v) else None)
 
 let map ?(verify = false) subject ~library ~positions (options : Mapper.options)
     =

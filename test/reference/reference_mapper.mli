@@ -18,8 +18,9 @@ val matchset :
   library:Cals_cell.Library.t ->
   partition:Cals_core.Partition.t ->
   Reference_cover.matchset
-(** The same candidates in portable form, [None] at PIs and dead gates:
-    the input of the list oracle {!Reference_cover.run}. *)
+(** The same candidates as records read off the table's slices, [None]
+    at PIs and dead gates: the input of the list oracle
+    {!Reference_cover.run}. *)
 
 val map :
   ?verify:bool ->

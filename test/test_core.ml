@@ -363,6 +363,7 @@ let test_transitive_wire_grows_area_faster () =
 
 module Incremental = Cals_core.Incremental
 module Reference_cover = Cals_reference.Reference_cover
+module Reference_matches = Cals_reference.Reference_matches
 
 type session_state = Unwarmed | Partly_preloaded | Warm
 
@@ -389,8 +390,36 @@ let mapped_digest m =
   Pinned_kernels.add_mapped b m;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
+(* Copy every other tree of a warmed twin's table into [s], through the
+   calls a store load makes. *)
+let preload_alternate s twin =
+  let src = Incremental.table twin and dst = Incremental.table s in
+  let partition = Incremental.partition s in
+  let slice data first c = Array.sub data first.(c) (first.(c + 1) - first.(c)) in
+  List.iteri
+    (fun i (fp, nodes) ->
+      if i mod 2 = 0 && Incremental.missing s fp <> None then begin
+        Array.iter
+          (fun v ->
+            let first = dst.Matches.count in
+            for c = src.Matches.first.(v) to src.Matches.stop.(v) - 1 do
+              let leaves = slice src.Matches.leaves src.Matches.leaf_first c in
+              let covered = slice src.Matches.covered src.Matches.cov_first c in
+              Matches.add_candidate dst ~cell:src.Matches.cell.(c) ~leaves
+                ~nleaves:(Array.length leaves) ~covered
+                ~ncovered:(Array.length covered)
+            done;
+            if
+              not
+                (Matches.add_stored dst ~partition v ~first
+                   ~enumerated:src.Matches.enumerated.(v))
+            then Alcotest.failf "a warmed twin's node %d does not check" v)
+          nodes
+      end)
+    (Incremental.cached twin)
+
 (* A session over [subject] in the given state: unwarmed, preloaded with
-   every other tree a warmed twin exported, or warmed. *)
+   every other tree of a warmed twin, or warmed. *)
 let session_in state options subject positions =
   let make () =
     Incremental.create ~options ~subject ~library:lib ~positions ()
@@ -402,9 +431,7 @@ let session_in state options subject positions =
   | Partly_preloaded ->
     let twin = make () in
     Incremental.warm twin;
-    ignore
-      (Incremental.preload s
-         (List.filteri (fun i _ -> i mod 2 = 0) (Incremental.export twin))));
+    preload_alternate s twin);
   s
 
 let flat_vs_oracle_arb =
@@ -490,6 +517,119 @@ let flat_cover_matches_list_oracle =
         QCheck.Test.fail_reportf "netlist digests differ";
       true)
 
+(* The in-place walk of [Matches.add_node] must write exactly the list
+   enumerator's candidates: per live gate, in node order, the same
+   enumerated count and, candidate by candidate, the same cell, leaf
+   slice and covered slice, with the node slices back to back. The same
+   records appended through [Matches.add_candidate] must all pass
+   [Matches.add_stored] (whose check is the walk's other mode) and give
+   an equal table. *)
+let table_enumeration_matches_list_oracle =
+  QCheck.Test.make ~count:150 ~name:"table enumeration == list oracle"
+    QCheck.(
+      make
+        ~print:(fun (seed, size, strategy) ->
+          Printf.sprintf "seed=%d size=%d strategy=%s" seed size
+            (match strategy with
+            | Partition.Dagon -> "dagon"
+            | Partition.Cone -> "cone"
+            | Partition.Pdp -> "pdp"))
+        Gen.(
+          triple (0 -- 10_000) (6 -- 40)
+            (oneofl [ Partition.Dagon; Partition.Cone; Partition.Pdp ])))
+    (fun (seed, size, strategy) ->
+      let net =
+        Cals_workload.Gen.of_fuzz
+          ~family:(if seed mod 2 = 0 then `Pla else `Multilevel)
+          ~seed ~inputs:(4 + (seed mod 5)) ~outputs:(2 + (seed mod 3)) ~size
+      in
+      Cals_logic.Network.sweep net;
+      let subject = Cals_logic.Decompose.subject_of_network net in
+      let rng = Rng.create (seed + 1) in
+      let positions =
+        Array.init (Subject.num_nodes subject) (fun _ ->
+            Geom.point (Rng.float rng 100.0) (Rng.float rng 100.0))
+      in
+      let partition =
+        Partition.run strategy subject ~positions ~distance:Geom.Manhattan
+      in
+      let table = Reference_mapper.table subject ~library:lib ~partition in
+      let stored = Matches.create subject ~library:lib in
+      let cell_index (cell : Cell.t) =
+        let rec find i =
+          if table.Matches.cells.(i) == cell then i else find (i + 1)
+        in
+        find 0
+      in
+      let slice data first c =
+        Array.sub data first.(c) (first.(c + 1) - first.(c))
+      in
+      let next = ref 0 in
+      for v = 0 to Subject.num_nodes subject - 1 do
+        match subject.Subject.gates.(v) with
+        | Subject.Inv _ | Subject.Nand2 _ when partition.Partition.live.(v) ->
+          let nm =
+            Reference_matches.node_matches subject ~library:lib ~partition v
+          in
+          let first = table.Matches.first.(v) and stop = table.Matches.stop.(v) in
+          if first <> !next then
+            QCheck.Test.fail_reportf "gate %d: slice starts at %d, not %d" v
+              first !next;
+          if stop - first <> Array.length nm.Reference_cover.candidates then
+            QCheck.Test.fail_reportf "gate %d: %d candidates, oracle %d" v
+              (stop - first)
+              (Array.length nm.Reference_cover.candidates);
+          if table.Matches.enumerated.(v) <> nm.Reference_cover.enumerated then
+            QCheck.Test.fail_reportf "gate %d: enumerated %d, oracle %d" v
+              table.Matches.enumerated.(v) nm.Reference_cover.enumerated;
+          Array.iteri
+            (fun i (cand : Reference_cover.candidate) ->
+              let c = first + i in
+              if
+                table.Matches.cells.(table.Matches.cell.(c))
+                != cand.Reference_cover.cell
+                || slice table.Matches.leaves table.Matches.leaf_first c
+                   <> cand.Reference_cover.leaves
+                || Array.to_list
+                     (slice table.Matches.covered table.Matches.cov_first c)
+                   <> cand.Reference_cover.covered
+              then QCheck.Test.fail_reportf "gate %d: candidate %d differs" v i;
+              let covered = Array.of_list cand.Reference_cover.covered in
+              Matches.add_candidate stored
+                ~cell:(cell_index cand.Reference_cover.cell)
+                ~leaves:cand.Reference_cover.leaves
+                ~nleaves:(Array.length cand.Reference_cover.leaves)
+                ~covered ~ncovered:(Array.length covered))
+            nm.Reference_cover.candidates;
+          if
+            not
+              (Matches.add_stored stored ~partition v ~first
+                 ~enumerated:nm.Reference_cover.enumerated)
+          then QCheck.Test.fail_reportf "gate %d: oracle candidates refused" v;
+          next := stop
+        | Subject.Pi _ | Subject.Inv _ | Subject.Nand2 _ ->
+          if Matches.mem table v then
+            QCheck.Test.fail_reportf "node %d is no live gate but in the table" v
+      done;
+      let prefix a n = Array.sub a 0 n in
+      let n = table.Matches.count in
+      if
+        n <> !next || stored.Matches.count <> n
+        || stored.Matches.first <> table.Matches.first
+        || stored.Matches.stop <> table.Matches.stop
+        || stored.Matches.enumerated <> table.Matches.enumerated
+        || prefix stored.Matches.cell n <> prefix table.Matches.cell n
+        || prefix stored.Matches.leaf_first (n + 1)
+           <> prefix table.Matches.leaf_first (n + 1)
+        || prefix stored.Matches.cov_first (n + 1)
+           <> prefix table.Matches.cov_first (n + 1)
+        || prefix stored.Matches.leaves table.Matches.leaf_first.(n)
+           <> prefix table.Matches.leaves table.Matches.leaf_first.(n)
+        || prefix stored.Matches.covered table.Matches.cov_first.(n)
+           <> prefix table.Matches.covered table.Matches.cov_first.(n)
+      then QCheck.Test.fail_reportf "the stored table differs";
+      true)
+
 (* ------------------------- Pinned covers ------------------------- *)
 
 (* Digests recorded before the cover DP was rewritten over flat state:
@@ -549,6 +689,9 @@ let () =
       ( "cover pinned",
         [ Alcotest.test_case "14 K x 6 variants" `Quick test_cover_pinned ] );
       ( "oracle",
-        [ QCheck_alcotest.to_alcotest ~long:false flat_cover_matches_list_oracle ]
-      );
+        [
+          QCheck_alcotest.to_alcotest ~long:false flat_cover_matches_list_oracle;
+          QCheck_alcotest.to_alcotest ~long:false
+            table_enumeration_matches_list_oracle;
+        ] );
     ]

@@ -156,7 +156,7 @@ let test_cache_hit_rate () =
     (n * s.Incremental.trees) s.Incremental.misses;
   Alcotest.(check int) "and hits none" 0 s.Incremental.hits;
   Alcotest.(check int) "and inserts nothing" 0
-    (List.length (Incremental.export session));
+    (List.length (Incremental.cached session));
   Incremental.warm session;
   let s1 = Incremental.stats session in
   Alcotest.(check int) "warm then misses every tree"
@@ -226,16 +226,20 @@ let test_fingerprints_track_partition () =
      fingerprints must differ so a cache could never serve a Dagon tree
      to a PDP session (invalidation-by-keying). *)
   let w = workload_of ~family:`Pla ~seed:11 ~inputs:8 ~outputs:6 ~size:30 in
-  let make strategy =
-    Incremental.create
-      ~options:{ (Mapper.congestion_aware ~k:0.0) with Mapper.strategy }
-      ~subject:w.subject ~library:lib ~positions:w.positions ()
+  let fingerprints strategy =
+    let s =
+      Incremental.create
+        ~options:{ (Mapper.congestion_aware ~k:0.0) with Mapper.strategy }
+        ~subject:w.subject ~library:lib ~positions:w.positions ()
+    in
+    Incremental.warm s;
+    Incremental.cached s
   in
-  let pdp = Incremental.fingerprints (make Partition.Pdp) in
-  let dagon = Incremental.fingerprints (make Partition.Dagon) in
+  let pdp = fingerprints Partition.Pdp in
+  let dagon = fingerprints Partition.Dagon in
   Alcotest.(check bool) "strategies partition differently" true (pdp <> dagon);
   (* And per session the fingerprints are stable (pure in the inputs). *)
-  let pdp' = Incremental.fingerprints (make Partition.Pdp) in
+  let pdp' = fingerprints Partition.Pdp in
   Alcotest.(check bool) "fingerprints deterministic" true (pdp = pdp')
 
 (* ---------------- Route-session differential ---------------- *)

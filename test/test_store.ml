@@ -70,6 +70,116 @@ let counter name =
   | Some c -> c.Metrics.c_value
   | None -> 0
 
+(* ---------------- an independent v1 writer ---------------- *)
+
+(* The store's payload layout (see store.mli), written by the test from
+   its own records: the file [Store.save] writes must be byte for byte
+   the one this writer makes from the session's candidates, and a test
+   can hand [Store.load] a well-formed, correctly checksummed file whose
+   entries disagree with the session. *)
+
+module Matches = Cals_core.Matches
+
+type candidate = {
+  cell : string;
+  leaves : int array;
+  covered : int list;
+}
+
+type node = {
+  enumerated : int;
+  candidates : candidate array;
+}
+
+(* Per cached tree, its fingerprint and per live gate its candidates,
+   read off the session's table. *)
+let entries_of session =
+  let t = Incremental.table session in
+  let candidate c =
+    let l0 = t.Matches.leaf_first.(c) and c0 = t.Matches.cov_first.(c) in
+    {
+      cell = t.Matches.cells.(t.Matches.cell.(c)).Cals_cell.Cell.name;
+      leaves = Array.sub t.Matches.leaves l0 (t.Matches.leaf_first.(c + 1) - l0);
+      covered =
+        List.init (t.Matches.cov_first.(c + 1) - c0) (fun j ->
+            t.Matches.covered.(c0 + j));
+    }
+  in
+  List.map
+    (fun (fp, nodes) ->
+      ( fp,
+        Array.to_list nodes
+        |> List.map (fun v ->
+               ( v,
+                 {
+                   enumerated = t.Matches.enumerated.(v);
+                   candidates =
+                     Array.init (t.Matches.stop.(v) - t.Matches.first.(v))
+                       (fun i -> candidate (t.Matches.first.(v) + i));
+                 } )) ))
+    (Incremental.cached session)
+
+let header_len = 8 + 4 + 8 + 8
+
+let add_int b i = Buffer.add_int32_le b (Int32.of_int i)
+
+let add_str b s =
+  add_int b (String.length s);
+  Buffer.add_string b s
+
+let payload_of_entries ~key entries =
+  let b = Buffer.create 4096 in
+  add_str b key;
+  add_str b (Cals_cell.Library.name lib);
+  add_int b (List.length entries);
+  List.iter
+    (fun (fp, nodes) ->
+      Buffer.add_int64_le b fp;
+      add_int b (List.length nodes);
+      List.iter
+        (fun (v, nm) ->
+          add_int b v;
+          add_int b nm.enumerated;
+          add_int b (Array.length nm.candidates);
+          Array.iter
+            (fun c ->
+              add_str b c.cell;
+              add_int b (Array.length c.leaves);
+              Array.iter (add_int b) c.leaves;
+              add_int b (List.length c.covered);
+              List.iter (add_int b) c.covered)
+            nm.candidates)
+        nodes)
+    entries;
+  Buffer.contents b
+
+let file_of_payload payload =
+  let b = Buffer.create (header_len + String.length payload) in
+  Buffer.add_string b "CALS-MCS";
+  add_int b Store.version;
+  Buffer.add_int64_le b
+    (Cals_util.Tables.Fnv64.string Cals_util.Tables.Fnv64.empty payload);
+  Buffer.add_int64_le b (Int64.of_int (String.length payload));
+  Buffer.add_string b payload;
+  Buffer.contents b
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+let write_file path data =
+  let oc = open_out_bin path in
+  output_string oc data;
+  close_out oc
+
+(* Whether a session holds no candidates and no cached tree: what a cold
+   load must leave. *)
+let untouched session =
+  (Incremental.table session).Matches.count = 0
+  && Incremental.cached session = []
+
 (* ---------------- qcheck round-trip ---------------- *)
 
 let workload_arb =
@@ -103,6 +213,14 @@ let store_roundtrip =
         if bytes <= 28 then
           QCheck.Test.fail_reportf "saved only %d bytes" bytes
       | Error e -> QCheck.Test.fail_reportf "save failed: %s" e);
+      if
+        not
+          (String.equal
+             (read_file (Store.path ~dir ~key))
+             (file_of_payload (payload_of_entries ~key (entries_of warmed))))
+      then
+        QCheck.Test.fail_reportf
+          "the saved file is not the test writer's version-1 file";
       let trees = (Incremental.stats warmed).Incremental.trees in
       let hits0 = counter "serve_cache_store_hit" in
       let loaded = make () in
@@ -128,17 +246,6 @@ let store_roundtrip =
       true)
 
 (* ---------------- deterministic damage battery ---------------- *)
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let write_file path data =
-  let oc = open_out_bin path in
-  output_string oc data;
-  close_out oc
 
 let flip data pos =
   let b = Bytes.of_string data in
@@ -197,6 +304,13 @@ let test_damage_degrades_to_cold_miss () =
         (name ^ ": corrupt counter advanced")
         (corrupt0 + 1)
         (counter "serve_cache_store_corrupt");
+      Alcotest.(check bool)
+        (name ^ ": the session is as cold as it was")
+        true (untouched session);
+      Alcotest.(check bool)
+        (name ^ ": an unwarmed map is a cold session's")
+        true
+        (mapped_identical reference (Incremental.map session ~k:4.0).Mapper.mapped);
       (* The cold miss is survivable: warming still works, identically. *)
       Incremental.warm session;
       Alcotest.(check bool)
@@ -250,55 +364,6 @@ let test_unwritable_dir_is_an_error () =
 
 (* ---------------- files that pass their checksum ---------------- *)
 
-module Matches = Cals_core.Matches
-
-let header_len = 8 + 4 + 8 + 8
-
-let add_int b i = Buffer.add_int32_le b (Int32.of_int i)
-
-let add_str b s =
-  add_int b (String.length s);
-  Buffer.add_string b s
-
-(* The store's payload layout (see store.mli), written from entries, so a
-   test can hand [Store.load] a well-formed, correctly checksummed file
-   whose entries disagree with the session. *)
-let payload_of_entries ~key entries =
-  let b = Buffer.create 4096 in
-  add_str b key;
-  add_str b (Cals_cell.Library.name lib);
-  add_int b (List.length entries);
-  List.iter
-    (fun (fp, nodes) ->
-      Buffer.add_int64_le b fp;
-      add_int b (List.length nodes);
-      List.iter
-        (fun (v, (nm : Matches.node_matches)) ->
-          add_int b v;
-          add_int b nm.Matches.enumerated;
-          add_int b (Array.length nm.Matches.candidates);
-          Array.iter
-            (fun (c : Matches.candidate) ->
-              add_str b c.Matches.cand_cell.Cals_cell.Cell.name;
-              add_int b (Array.length c.Matches.cand_leaves);
-              Array.iter (add_int b) c.Matches.cand_leaves;
-              add_int b (List.length c.Matches.cand_covered);
-              List.iter (add_int b) c.Matches.cand_covered)
-            nm.Matches.candidates)
-        nodes)
-    entries;
-  Buffer.contents b
-
-let file_of_payload payload =
-  let b = Buffer.create (header_len + String.length payload) in
-  Buffer.add_string b "CALS-MCS";
-  add_int b Store.version;
-  Buffer.add_int64_le b
-    (Cals_util.Tables.Fnv64.string Cals_util.Tables.Fnv64.empty payload);
-  Buffer.add_int64_le b (Int64.of_int (String.length payload));
-  Buffer.add_string b payload;
-  Buffer.contents b
-
 (* A saved store of a small design, the entries it holds, and the netlist
    a cold session of that design maps at K = 4. *)
 type saved = {
@@ -306,7 +371,7 @@ type saved = {
   dir : string;
   key : string;
   good : string;  (** The saved file. *)
-  entries : (int64 * (int * Matches.node_matches) list) list;
+  entries : (int64 * (int * node) list) list;
   reference : Mapped.t;
 }
 
@@ -322,7 +387,7 @@ let saved ~key make =
     dir;
     key;
     good = read_file (Store.path ~dir ~key);
-    entries = Incremental.export warmed;
+    entries = entries_of warmed;
     reference = (Incremental.map (make ()) ~k:4.0).Mapper.mapped;
   }
 
@@ -368,10 +433,10 @@ let test_inconsistent_entries_are_skipped () =
   in
   (* Rewrite the first candidate of the tree's first node. *)
   let first_candidate f = function
-    | (v, (nm : Matches.node_matches)) :: rest ->
-      let candidates = Array.copy nm.Matches.candidates in
+    | (v, nm) :: rest ->
+      let candidates = Array.copy nm.candidates in
       candidates.(0) <- f candidates.(0);
-      (v, { nm with Matches.candidates }) :: rest
+      (v, { nm with candidates }) :: rest
     | [] -> []
   in
   damage "node ids out of range"
@@ -381,28 +446,95 @@ let test_inconsistent_entries_are_skipped () =
     | nodes -> nodes);
   damage "node missing" List.tl;
   damage "no candidates" (function
-    | (v, nm) :: rest -> (v, { nm with Matches.candidates = [||] }) :: rest
+    | (v, nm) :: rest -> (v, { nm with candidates = [||] }) :: rest
     | [] -> []);
   damage "leaf out of range"
     (first_candidate (fun c ->
-         let leaves = Array.copy c.Matches.cand_leaves in
+         let leaves = Array.copy c.leaves in
          leaves.(0) <- 100_000;
-         { c with Matches.cand_leaves = leaves }));
+         { c with leaves }));
   damage "leaf at its own node"
     (fun nodes ->
       let v = fst (List.hd nodes) in
       first_candidate
-        (fun c ->
-          { c with
-            Matches.cand_leaves = Array.map (fun _ -> v) c.Matches.cand_leaves })
+        (fun c -> { c with leaves = Array.map (fun _ -> v) c.leaves })
         nodes);
   damage "leaf count not the arity"
-    (first_candidate (fun c ->
-         { c with
-           Matches.cand_leaves = Array.append c.Matches.cand_leaves [| 0 |] }));
+    (first_candidate (fun c -> { c with leaves = Array.append c.leaves [| 0 |] }));
   damage "covered gate outside the tree"
     (first_candidate (fun c ->
-         { c with Matches.cand_covered = c.Matches.cand_covered @ [ 0 ] }))
+         { c with covered = c.covered @ [ 0 ] }))
+
+(* A file whose every tree checks but whose payload then goes wrong is
+   corrupt as a whole: the trees it filled are dropped again and the
+   session is exactly as cold as before the load. *)
+let test_bad_tail_rolls_back () =
+  let st =
+    saved ~key:"bad-tail"
+      (session_of ~family:`Pla ~seed:11 ~inputs:6 ~outputs:3 ~size:14)
+  in
+  let payload = payload_of_entries ~key:st.key st.entries in
+  List.iter
+    (fun (name, payload) ->
+      write_file (Store.path ~dir:st.dir ~key:st.key) (file_of_payload payload);
+      let session = st.make () in
+      (match Store.load ~dir:st.dir ~key:st.key session with
+      | Store.Cold (Store.Corrupt _) -> ()
+      | Store.Cold _ | Store.Loaded _ ->
+        Alcotest.failf "%s: not refused as corrupt" name);
+      Alcotest.(check bool)
+        (name ^ ": the session is as cold as it was")
+        true (untouched session);
+      Alcotest.(check bool)
+        (name ^ ": maps as a cold session")
+        true
+        (mapped_identical st.reference
+           (Incremental.map session ~k:4.0).Mapper.mapped);
+      Incremental.warm session;
+      Alcotest.(check bool)
+        (name ^ ": warms and maps as a cold session")
+        true
+        (mapped_identical st.reference
+           (Incremental.map session ~k:4.0).Mapper.mapped))
+    [
+      ("trailing bytes", payload ^ "\000");
+      ( "unknown cell in the last tree",
+        let entries =
+          List.mapi
+            (fun i (fp, nodes) ->
+              if i < List.length st.entries - 1 then (fp, nodes)
+              else
+                ( fp,
+                  List.map
+                    (fun (v, nm) ->
+                      ( v,
+                        { nm with
+                          candidates =
+                            Array.map
+                              (fun c -> { c with cell = "NO-SUCH-CELL" })
+                              nm.candidates } ))
+                    nodes ))
+            st.entries
+        in
+        payload_of_entries ~key:st.key entries );
+    ]
+
+(* A save that fails leaves no temp file behind: here the target path is
+   a directory, so the rename fails after the temp file is written. *)
+let test_failed_save_leaves_no_temp_file () =
+  let warmed =
+    session_of ~family:`Pla ~seed:7 ~inputs:5 ~outputs:2 ~size:10 ()
+  in
+  Incremental.warm warmed;
+  let dir = fresh_dir () in
+  Unix.mkdir (Store.path ~dir ~key:"x") 0o755;
+  (match Store.save ~dir ~key:"x" warmed with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "saving onto a directory must fail");
+  Alcotest.(check (list string))
+    "only the occupying directory is left"
+    [ Filename.basename (Store.path ~dir ~key:"x") ]
+    (Array.to_list (Sys.readdir dir))
 
 (* A count larger than the bytes left is refused before anything is sized
    by it: each of the five counts set to 2^31 - 1 reads as corrupt. *)
@@ -481,7 +613,11 @@ let store_fuzz =
       match Store.load ~dir:st.dir ~key:st.key session with
       | exception e ->
         QCheck.Test.fail_reportf "load raised %s" (Printexc.to_string e)
-      | Store.Cold _ -> true
+      | Store.Cold _ ->
+        if not (untouched session) then
+          QCheck.Test.fail_reportf "a cold load left candidates behind";
+        mapped_identical st.reference (Incremental.map session ~k:4.0).Mapper.mapped
+        || QCheck.Test.fail_reportf "map after Cold differs from cold"
       | Store.Loaded _ -> (
         match Incremental.map session ~k:4.0 with
         | exception e ->
@@ -508,6 +644,10 @@ let () =
             test_inconsistent_entries_are_skipped;
           Alcotest.test_case "huge-counts-corrupt" `Quick
             test_huge_counts_are_corrupt;
+          Alcotest.test_case "bad tail rolls back every tree" `Quick
+            test_bad_tail_rolls_back;
+          Alcotest.test_case "failed save leaves no temp file" `Quick
+            test_failed_save_leaves_no_temp_file;
         ] );
       ("fuzz", [ QCheck_alcotest.to_alcotest ~long:false store_fuzz ]);
     ]
