@@ -1,12 +1,18 @@
 (* Identity pins for the logic front end: the Optimize.script_area result
    and the Orchestrate.prepare candidate table on the three presets (scale
    0.05, seed 1) and every golden BLIF, and the script_area result alone
-   on TOO_LARGE-like 0.25. Speed-ups of the front end (shared work across
-   candidates, memoized extraction rounds, set-bit cube and kernel walks)
-   must leave every figure unchanged. Update the pins only for a
-   deliberate change in what the front end computes. *)
+   on TOO_LARGE-like 0.25. The subject pins add the
+   Decompose.subject_of_network gate array and the factored literal count
+   of each design after script_area and after script_light, of
+   TOO_LARGE-like 0.25 after script_area and of PDC-like 0.25 after
+   script_light. Speed-ups of the front end (shared work across
+   candidates, memoized extraction rounds, set-bit cube and kernel walks,
+   single-pass algebraic division) must leave every figure unchanged.
+   Update the pins only for a deliberate change in what the front end
+   computes. *)
 
 open Cals_logic
+module Subject = Cals_netlist.Subject
 module Presets = Cals_workload.Presets
 
 let golden_dir =
@@ -34,19 +40,43 @@ let designs =
 
 let opt_int = function None -> "-" | Some n -> string_of_int n
 
-(* The script_area line: live nodes, literals and the digest of the
-   written network. *)
-let script_line net =
+let area net =
   let opt = Network.copy net in
   Optimize.script_area opt;
+  opt
+
+let light net =
+  let opt = Network.copy net in
+  Optimize.script_light opt;
+  opt
+
+(* The script_area line: live nodes, literals and the digest of the
+   written network. *)
+let script_line opt =
   let s = Optimize.stats opt in
   Printf.sprintf "script_area live=%d lits=%d blif=%s" s.live_nodes
     s.literals (fnv64 (Blif.print opt))
 
+(* The subject line: base gates, factored literals and the digest of the
+   gate array and outputs. *)
+let subject_line net =
+  let s = Decompose.subject_of_network net in
+  let b = Buffer.create 4096 in
+  Array.iter
+    (function
+      | Subject.Pi i -> Printf.bprintf b "p%d;" i
+      | Subject.Inv x -> Printf.bprintf b "i%d;" x
+      | Subject.Nand2 (x, y) -> Printf.bprintf b "n%d,%d;" x y)
+    s.gates;
+  Array.iter (fun (name, d) -> Printf.bprintf b "o%s=%d;" name d) s.outputs;
+  Printf.sprintf "subject gates=%d flits=%d digest=%s" (Subject.num_gates s)
+    (Decompose.factored_literals net)
+    (fnv64 (Buffer.contents b))
+
 (* One line for the script_area result, then one per prepared candidate;
    [blif] is the digest of the written network. *)
 let table net =
-  let script = script_line net in
+  let script = script_line (area net) in
   let rows =
     List.map
       (fun (p : Orchestrate.prepared) ->
@@ -148,22 +178,67 @@ let pins =
         "aig:strash,cse gates=370 ands=219 depth=15 blif=154a0b9cf1f3ce95";
         "aig:strash,rewrite,cse,balance,rewrite gates=366 ands=217 depth=8 blif=c13e5d3c63933929" ] ) ]
 
-(* The calsbench orchestrate design, script_area line only (preparing its
-   candidates is slow for a unit test). Its second cube extraction hits
-   the 64-round cap with up to 2,381 candidates a round, most of them
-   evaluated as in the round before: the only pin whose count table
-   resizes and whose savings are mostly reused. It also pins
+(* The calsbench orchestrate design, script_area and subject lines only
+   (preparing its candidates is slow for a unit test). Its second cube
+   extraction hits the 64-round cap with up to 2,381 candidates a round,
+   most of them evaluated as in the round before: the only pin whose count
+   table resizes and whose savings are mostly reused. It also pins
    Gen.multilevel at this scale. *)
 let script_pins =
   [ ( "too_large 0.25",
       (fun () -> Presets.too_large_like ~scale:0.25 ~seed:1 ()),
-      "script_area live=562 lits=5962 blif=a2c379c053630790" ) ]
+      [ "script_area live=562 lits=5962 blif=a2c379c053630790";
+        "subject gates=6532 flits=3403 digest=d49ba2b3a28f2695" ] ) ]
 
 let test_script_pins () =
   List.iter
     (fun (name, make, want) ->
-      Alcotest.(check string) name want (script_line (make ())))
+      let opt = area (make ()) in
+      Alcotest.(check (list string)) name want [ script_line opt; subject_line opt ])
     script_pins
+
+(* Per design: the subject after script_area, then after script_light. *)
+let subject_pins =
+  [ ( "spla",
+      [ "subject gates=1467 flits=944 digest=0d292aa5900dde08";
+        "subject gates=2586 flits=1708 digest=5f67810fe057b82a" ] );
+    ( "pdc",
+      [ "subject gates=1488 flits=946 digest=675f65f89dff626c";
+        "subject gates=2441 flits=1559 digest=0eee2d92355521d5" ] );
+    ( "too_large",
+      [ "subject gates=1559 flits=800 digest=07cd107b03c5645d";
+        "subject gates=1527 flits=814 digest=a112abf93072a6e7" ] );
+    ( "ml_control_10.blif",
+      [ "subject gates=127 flits=65 digest=dcd4c81ed9733fc1";
+        "subject gates=205 flits=114 digest=4d3b6bd434daf0ca" ] );
+    ( "ml_deep_08.blif",
+      [ "subject gates=119 flits=63 digest=9a8fcc608781eca2";
+        "subject gates=181 flits=100 digest=6672d44f0ed55ecb" ] );
+    ( "pla_shared_08.blif",
+      [ "subject gates=402 flits=243 digest=462d6e1a7f6f4682";
+        "subject gates=566 flits=342 digest=1be3ab7b6a064d65" ] );
+    ( "pla_small_06.blif",
+      [ "subject gates=188 flits=144 digest=1df666abcd0ca766";
+        "subject gates=257 flits=186 digest=8a4e03d2b690a0d4" ] );
+    ( "pla_wide_10.blif",
+      [ "subject gates=490 flits=276 digest=a24c83fe9c08377d";
+        "subject gates=655 flits=346 digest=911d9545dbfeace7" ] ) ]
+
+(* The calsbench serve workload's heavy job, after script_light. *)
+let light_pin =
+  ("pdc 0.25", "subject gates=7788 flits=5017 digest=c6fdcf4214c6e621")
+
+let test_subject_pins () =
+  List.iter
+    (fun (name, make) ->
+      let net = make () in
+      let got = [ subject_line (area net); subject_line (light net) ] in
+      let want = Option.value ~default:[] (List.assoc_opt name subject_pins) in
+      Alcotest.(check (list string)) name want got)
+    designs;
+  let name, want = light_pin in
+  Alcotest.(check string) name want
+    (subject_line (light (Presets.pdc_like ~scale:0.25 ~seed:1 ())))
 
 let test_pins () =
   List.iter
@@ -177,4 +252,5 @@ let () =
   Alcotest.run "identity"
     [ ( "front end",
         [ Alcotest.test_case "pins" `Quick test_pins;
-          Alcotest.test_case "script_area pins" `Quick test_script_pins ] ) ]
+          Alcotest.test_case "script_area pins" `Quick test_script_pins;
+          Alcotest.test_case "subject pins" `Quick test_subject_pins ] ) ]
