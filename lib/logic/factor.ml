@@ -44,33 +44,34 @@ let rec factor f =
     match Sop.cubes f with
     | [ c ] -> of_cube c
     | _ -> (
-      (* Prefer a kernel divisor; otherwise the most common literal. *)
-      let divisor =
-        let kernels = Kernel.all f in
+      (* Prefer a kernel divisor; otherwise the most common literal. The
+         winning kernel's division from scoring is the one applied. *)
+      let division =
         let score k =
-          let q, _ = Sop.divide f k.Kernel.kernel in
-          (Sop.num_cubes q - 1) * (Sop.num_literals k.Kernel.kernel - 1)
+          let ((q, _) as qr) = Sop.divide f k.Kernel.kernel in
+          ((Sop.num_cubes q - 1) * (Sop.num_literals k.Kernel.kernel - 1), qr)
         in
         let best =
           List.fold_left
             (fun acc k ->
-              let s = score k in
+              let s, qr = score k in
               match acc with
-              | Some (_, bs) when bs >= s -> acc
-              | Some _ | None -> if s > 0 then Some (k.Kernel.kernel, s) else acc)
-            None kernels
+              | Some (_, _, bs) when bs >= s -> acc
+              | Some _ | None -> if s > 0 then Some (k.Kernel.kernel, qr, s) else acc)
+            None (Kernel.all f)
         in
         match best with
-        | Some (d, _) -> Some d
+        | Some (d, qr, _) -> Some (d, qr)
         | None -> (
           match best_literal f with
-          | Some ((v, ph), _) -> Some (Sop.lit v ph)
+          | Some ((v, ph), _) ->
+            let d = Sop.lit v ph in
+            Some (d, Sop.divide f d)
           | None -> None)
       in
-      match divisor with
+      match division with
       | None -> mk_or (List.map of_cube (Sop.cubes f))
-      | Some d ->
-        let q, r = Sop.divide f d in
+      | Some (d, (q, r)) ->
         if Sop.is_zero q then mk_or (List.map of_cube (Sop.cubes f))
         else begin
           (* f = d*q + r; factor the three pieces recursively. *)

@@ -1,5 +1,7 @@
 (* Reference implementations kept as test oracles: the straightforward
-   all-variable walks that Cube and Kernel replaced with set-bit walks.
+   all-variable walks that Cube and Kernel replaced with set-bit walks, and
+   the algebraic divisions that re-canonicalize every intermediate cube
+   list, which Sop replaced with single passes over the canonical form.
    The properties in test_logic assert that the library returns the same
    lists, in the same order. *)
 
@@ -78,3 +80,40 @@ let kernels f =
   in
   if Sop.num_cubes f >= 2 then go 0 (Sop.make_cube_free f) Cube.universe;
   List.rev !results
+
+(* Quotients and remainder each rebuilt with [Sop.of_cubes]. *)
+let divide_by_cube t c =
+  let q, r =
+    List.fold_left
+      (fun (q, r) cu ->
+        match Cube.divide cu c with
+        | Some quot -> (quot :: q, r)
+        | None -> (q, cu :: r))
+      ([], []) (Sop.cubes t)
+  in
+  (Sop.of_cubes q, Sop.of_cubes r)
+
+(* Weak division: intersect the quotients by every divisor cube, then
+   drop the cubes of [quotient * d] from [t]. *)
+let divide t d =
+  match Sop.cubes d with
+  | [] -> invalid_arg "Sop.divide: divisor is zero"
+  | first :: rest ->
+    let quotient_cubes c = Sop.cubes (fst (divide_by_cube t c)) in
+    let quotient =
+      List.fold_left
+        (fun acc c ->
+          let qi = quotient_cubes c in
+          List.filter (fun cu -> List.exists (Cube.equal cu) qi) acc)
+        (quotient_cubes first) rest
+      |> Sop.of_cubes
+    in
+    if Sop.is_zero quotient then (Sop.zero, t)
+    else
+      let covered = Sop.cubes (Sop.product quotient d) in
+      let remainder =
+        List.filter
+          (fun c -> not (List.exists (Cube.equal c) covered))
+          (Sop.cubes t)
+      in
+      (quotient, Sop.of_cubes remainder)
