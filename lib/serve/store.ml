@@ -172,6 +172,7 @@ let fill ~key session data =
         | Some _ | None -> [||]
       in
       let keep = ref (nodes <> [||]) in
+      let walker = Matches.walker table ~partition in
       for i = 0 to n_nodes - 1 do
         let v = get_int cur "node id" in
         let enumerated = get_int cur "enumerated" in
@@ -185,7 +186,7 @@ let fill ~key session data =
         done;
         keep :=
           !keep && v = nodes.(i)
-          && Matches.add_stored table ~partition v ~first ~enumerated
+          && Matches.add_stored walker v ~first ~enumerated
       done;
       if !keep then incr filled else Matches.truncate table tree_first
     done;

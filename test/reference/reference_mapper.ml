@@ -7,12 +7,13 @@ module Partition = Cals_core.Partition
 
 let table subject ~library ~partition =
   let table = Matches.create subject ~library in
+  let walker = Matches.walker table ~partition in
   Array.iteri
     (fun v g ->
       match g with
       | Subject.Pi _ -> ()
       | Subject.Inv _ | Subject.Nand2 _ ->
-        if partition.Partition.live.(v) then Matches.add_node table ~partition v)
+        if partition.Partition.live.(v) then Matches.add_node walker v)
     subject.Subject.gates;
   table
 

@@ -244,8 +244,9 @@ let test_cover_full_coverage () =
       let n = Subject.num_nodes subject in
       let v = Option.get (List.find_opt (Matches.mem table) (List.init n Fun.id)) in
       let holed = Matches.create subject ~library:lib in
+      let walker = Matches.walker holed ~partition in
       for u = 0 to n - 1 do
-        if u <> v && Matches.mem table u then Matches.add_node holed ~partition u
+        if u <> v && Matches.mem table u then Matches.add_node walker u
       done;
       match Cover.run holed ~partition ~positions cover_options with
       | exception Invalid_argument _ -> ()
@@ -399,6 +400,7 @@ let preload_alternate s twin =
   List.iteri
     (fun i (fp, nodes) ->
       if i mod 2 = 0 && Incremental.missing s fp <> None then begin
+        let walker = Matches.walker dst ~partition in
         Array.iter
           (fun v ->
             let first = dst.Matches.count in
@@ -411,7 +413,7 @@ let preload_alternate s twin =
             done;
             if
               not
-                (Matches.add_stored dst ~partition v ~first
+                (Matches.add_stored walker v ~first
                    ~enumerated:src.Matches.enumerated.(v))
             then Alcotest.failf "a warmed twin's node %d does not check" v)
           nodes
@@ -555,6 +557,7 @@ let table_enumeration_matches_list_oracle =
       in
       let table = Reference_mapper.table subject ~library:lib ~partition in
       let stored = Matches.create subject ~library:lib in
+      let walker = Matches.walker stored ~partition in
       let cell_index (cell : Cell.t) =
         let rec find i =
           if table.Matches.cells.(i) == cell then i else find (i + 1)
@@ -603,7 +606,7 @@ let table_enumeration_matches_list_oracle =
             nm.Reference_cover.candidates;
           if
             not
-              (Matches.add_stored stored ~partition v ~first
+              (Matches.add_stored walker v ~first
                  ~enumerated:nm.Reference_cover.enumerated)
           then QCheck.Test.fail_reportf "gate %d: oracle candidates refused" v;
           next := stop
