@@ -81,7 +81,7 @@ let check_equiv ~checks ~subject ~seed ~k mapped =
     (Equiv.of_mapped ~label:(Printf.sprintf "mapped@K=%g" k) mapped)
 
 let evaluate_k ?router_config ?(checks = Check.Off)
-    ?(estimate = Estimate.Prune) ?session ?route_session ?route_pool
+    ?(estimate = Estimate.Prune) ?session ?lookups ?route_session ?route_pool
     ?(t = 0.0) ?(cancel = Cals_util.Cancel.never) ~subject ~library ~floorplan
     ~positions ~k () =
   Span.with_ ~cat:"flow" ~meta:(Printf.sprintf "K=%g" k) "flow.k_eval"
@@ -95,7 +95,7 @@ let evaluate_k ?router_config ?(checks = Check.Off)
     | Some session -> session
     | None -> Incremental.create ~subject ~library ~positions ()
   in
-  let result = Incremental.map ~verify ~t session ~k in
+  let result = Incremental.map ~verify ~t ?lookups session ~k in
   let mapped = result.Mapper.mapped in
   Cals_util.Cancel.check cancel;
   if checks = Check.Full then check_equiv ~checks ~subject ~seed ~k mapped;
@@ -221,8 +221,8 @@ let established_rejected (it : iteration) =
 
 let run_adaptive ?(k_schedule = default_k_schedule) ?router_config
     ?(checks = Check.Off) ?(route_jobs = 1) ?(t = 0.0)
-    ?(cancel = Cals_util.Cancel.never) ?session ?positions ~subject ~library
-    ~floorplan ~rng () =
+    ?(cancel = Cals_util.Cancel.never) ?session ?lookups ?positions ~subject
+    ~library ~floorplan ~rng () =
   Span.with_ ~cat:"flow" "flow.run_adaptive" @@ fun () ->
   let positions =
     match positions with
@@ -258,7 +258,7 @@ let run_adaptive ?(k_schedule = default_k_schedule) ?router_config
     incr forecast_evals;
     let iteration, _ =
       evaluate_k ?router_config ~checks ~estimate:Estimate.Triage ~session
-        ~route_session ~t ~cancel ~subject ~library ~floorplan ~positions
+        ?lookups ~route_session ~t ~cancel ~subject ~library ~floorplan ~positions
         ~k:ks.(idx) ()
     in
     results.(idx) <- Some iteration;
@@ -313,7 +313,7 @@ let run_adaptive ?(k_schedule = default_k_schedule) ?router_config
     else begin
       let iteration, (mapped, placement, routing) =
         evaluate_k ?router_config ~checks ~estimate:Estimate.Prune ~session
-          ~route_session ?route_pool ~t ~cancel ~subject ~library
+          ?lookups ~route_session ?route_pool ~t ~cancel ~subject ~library
           ~floorplan ~positions ~k:ks.(idx) ()
       in
       results.(idx) <- Some iteration;

@@ -42,6 +42,11 @@ type stats = {
   maps : int;  (** {!map} calls executed so far. *)
 }
 
+type lookups = { mutable tree_hits : int; mutable tree_misses : int }
+(** One caller's own count of its {!map} calls' tree lookups. A session's
+    {!stats} sum every caller's; a job sharing the session with another
+    domain's jobs counts its own here. *)
+
 type session
 
 val create :
@@ -56,7 +61,13 @@ val create :
     tree. [options.k] is irrelevant here — each {!map} call substitutes
     its own K. *)
 
-val map : ?verify:bool -> ?t:float -> session -> k:float -> Mapper.result
+val map :
+  ?verify:bool ->
+  ?t:float ->
+  ?lookups:lookups ->
+  session ->
+  k:float ->
+  Mapper.result
 (** One K point: run the cost-combination DP ({!Cover.run}) over the
     session's table and extract the netlist, under the session's
     options with [k] and [t] substituted. [t] (default [0.]) is the
@@ -64,7 +75,8 @@ val map : ?verify:bool -> ?t:float -> session -> k:float -> Mapper.result
     structural matches, so timing and non-timing calls share one table.
     With [verify] (default [false]) the extraction is checked to cover
     every live gate; a violation raises
-    {!Cals_verify.Check.Violation} with stage ["cover"]. *)
+    {!Cals_verify.Check.Violation} with stage ["cover"]. The call's tree
+    hits and misses are also added to [lookups], when given. *)
 
 val warm : session -> unit
 (** Sequential match phase: enumerate every tree that is not in the

@@ -324,13 +324,13 @@ type run_result = Success of run_metrics | Fault of Job.fault
    is nothing for the adaptive search to save, so the rung walks the
    schedule in order under [Triage], against the cached session. Checks
    are always [Off] at this level (see [degraded_checks]). *)
-let run_schedule ~cancel ~t ~design schedule =
+let run_schedule ~cancel ~t ~lookups ~design schedule =
   let { subject; floorplan; positions; session; _ } = design in
   let rec loop acc = function
     | [] -> (List.rev acc, None, None)
     | k :: rest ->
       let iteration, artifacts =
-        Flow.evaluate_k ~estimate:Estimate.Triage ~session
+        Flow.evaluate_k ~estimate:Estimate.Triage ~session ~lookups
           ~route_session:(Incremental.route_session session)
           ~t ~cancel ~subject ~library ~floorplan ~positions ~k ()
       in
@@ -433,7 +433,9 @@ let run_job t ~level (job : Job.t) =
   try
     Span.with_ ~cat:"serve" ~meta:spec.Proto.id "serve.job" @@ fun () ->
     let design = get_design t spec in
-    let stats0 = Incremental.stats design.session in
+    (* The job's own lookups: the session's counters also count the
+       maps of jobs running on other domains. *)
+    let lookups = { Incremental.tree_hits = 0; tree_misses = 0 } in
     let checks = degraded_checks level spec.Proto.checks in
     let schedule =
       Option.value spec.Proto.k_schedule ~default:Flow.default_k_schedule
@@ -445,13 +447,13 @@ let run_job t ~level (job : Job.t) =
     let iterations, accepted, artifacts, forecast_evals =
       if triage then
         let iterations, accepted, artifacts =
-          run_schedule ~cancel ~t:timing_t ~design schedule
+          run_schedule ~cancel ~t:timing_t ~lookups ~design schedule
         in
         (iterations, accepted, artifacts, None)
       else begin
         let outcome, astats =
           Flow.run_adaptive ~k_schedule:schedule ~checks ~t:timing_t ~cancel
-            ~session:design.session ~positions:design.positions
+            ~session:design.session ~lookups ~positions:design.positions
             ~subject:design.subject ~library ~floorplan:design.floorplan
             ~rng:(Cals_util.Rng.create 0) ()
         in
@@ -485,7 +487,6 @@ let run_job t ~level (job : Job.t) =
         Some report.Sta.critical.Sta.arrival_ns
       | _ -> None
     in
-    let stats1 = Incremental.stats design.session in
     let m =
       {
         wall_s = Unix.gettimeofday () -. t0;
@@ -499,8 +500,8 @@ let run_job t ~level (job : Job.t) =
           Option.map
             (fun it -> it.Flow.report.Congestion.violations)
             accepted;
-        cache_hits = stats1.Incremental.hits - stats0.Incremental.hits;
-        cache_misses = stats1.Incremental.misses - stats0.Incremental.misses;
+        cache_hits = lookups.Incremental.tree_hits;
+        cache_misses = lookups.Incremental.tree_misses;
         checks_run = checks;
         degrade_level = level;
         k_capped;

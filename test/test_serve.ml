@@ -311,6 +311,20 @@ let test_drain_mixed () =
       "repeated design has a positive cache hit rate" true
       (num_member "hit_rate" cache > 0.0)
   | None -> Alcotest.fail "metrics.json has no cache object");
+  (* Each job counts its own lookups, however the jobs of its design
+     interleave on the four domains: equal jobs read equal counts. *)
+  let lookups id =
+    match Proto.member "cache" (parse_file (Filename.concat out (id ^ "/metrics.json"))) with
+    | Some cache -> (num_member "hits" cache, num_member "misses" cache)
+    | None -> Alcotest.failf "%s: metrics.json has no cache object" id
+  in
+  List.iter
+    (fun i ->
+      Alcotest.(check (pair (float 0.0) (float 0.0)))
+        (Printf.sprintf "wl-%d counts the lookups of wl-%d" (i + 2) i)
+        (lookups (Printf.sprintf "wl-%d" i))
+        (lookups (Printf.sprintf "wl-%d" (i + 2))))
+    [ 0; 1; 2; 3 ];
   (* The timed-out workload job quarantined with a replayable reproducer. *)
   let qdir = Filename.concat out "quarantine" in
   Alcotest.(check bool) "timeout quarantined" true
