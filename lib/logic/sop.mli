@@ -3,7 +3,13 @@
     This is the node representation of the technology-independent network,
     the input to kernel extraction and to factoring. The constructor removes
     duplicate and single-cube-contained cubes, so values are in a canonical
-    "minimal with respect to single-cube containment" form. *)
+    "minimal with respect to single-cube containment" form.
+
+    The invariant of every value: its cubes are sorted by {!Cube.compare}
+    and distinct, none covers another, and each is a consistent literal
+    set (no variable in both phases, which {!Cube.t}'s private type
+    guarantees). {!divide_by_cube} and {!divide} rely on it to work in one
+    pass without re-canonicalizing their results (DESIGN.md §4s). *)
 
 type t
 
@@ -57,10 +63,18 @@ val map_vars : (int -> int) -> t -> t
 
 val divide_by_cube : t -> Cube.t -> t * t
 (** Algebraic division [(quotient, remainder)]: [f = q*c + r] with no cube
-    of [r] divisible by [c]. *)
+    of [r] divisible by [c]. The quotient lists each divisible cube's
+    quotient, the remainder each other cube, both in [f]'s order. Linear
+    in the cube count. *)
 
 val divide : t -> t -> t * t
-(** Weak (algebraic) division by a multi-cube divisor. *)
+(** Weak (algebraic) division by a multi-cube divisor [d = d_1 + ... +
+    d_m] (cubes in order), [(zero, f)] when no cube divides: the quotient
+    is the cubes [q] of [f / d_1] such that, for every other [d_j], [q]
+    shares no literal with [d_j] and [q d_j] is a cube of [f]; the
+    remainder is [f] without the cubes of [q * d]. Raises
+    [Invalid_argument] on a zero divisor. O(n + |q| m log n) for [n]
+    cubes. *)
 
 val largest_common_cube : t -> Cube.t
 (** Largest cube dividing every cube ([universe] when none / empty sop). *)
