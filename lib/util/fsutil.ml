@@ -9,8 +9,10 @@ let sanitize name =
     | ('a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '-' | '_' | '.') as c -> c
     | _ -> '_'
   in
-  let s = String.map safe name in
-  if s = "" then "_" else s
+  match String.map safe name with
+  | "" | "." -> "_"
+  | ".." -> "__"
+  | s -> s
 
 let write_file path contents =
   mkdir_p (Filename.dirname path);

@@ -10,7 +10,9 @@ val mkdir_p : string -> unit
 val sanitize : string -> string
 (** Map a job or file identifier to a safe filename component:
     alphanumerics, ['-'], ['_'] and ['.'] pass through, everything else
-    becomes ['_']; the empty string becomes ["_"]. *)
+    becomes ['_']. The empty string and ["."] become ["_"], and [".."]
+    becomes ["__"], so the result always names an entry inside the
+    directory it is joined to. *)
 
 val write_file : string -> string -> unit
 (** Write a whole file (creating parent directories), truncating any

@@ -32,11 +32,13 @@ let num_member name json =
   | Some (Proto.Num n) -> n
   | _ -> Alcotest.failf "missing numeric field %s" name
 
+(* Unique per process, so a second run in the same directory never
+   finds the first run's artifacts or stores. *)
 let fresh_out =
   let n = ref 0 in
   fun () ->
     incr n;
-    Printf.sprintf "serve-test-out-%d" !n
+    Printf.sprintf "serve-test-out-%d-%d" (Unix.getpid ()) !n
 
 let workload_spec ?(id = "") ?(checks = Check.Off) ?deadline_s ?k_schedule
     ?timing ~seed () =
@@ -388,6 +390,42 @@ let test_unknown_preset () =
       (String.starts_with ~prefix:"fault: input error: " fault)
   | _ -> Alcotest.fail "failure.txt has fewer than three lines"
 
+(* Job ids are file names under [out_dir]: a completed job named ".."
+   and a quarantined one named "." keep every artifact inside it, each
+   in a directory of its own. *)
+let test_dot_ids () =
+  let parent = fresh_out () in
+  let out = Filename.concat parent "out" in
+  let scheduler =
+    Scheduler.create
+      { Scheduler.default_config with Scheduler.jobs = 1; out_dir = out }
+  in
+  submit scheduler (workload_spec ~id:".." ~seed:3 ~k_schedule:[ 0.0 ] ());
+  submit scheduler
+    {
+      (workload_spec ~id:"." ~seed:3 ()) with
+      Proto.input = Proto.Preset { name = "zzz"; scale = 0.02; seed = 1 };
+    };
+  let s = Scheduler.drain scheduler () in
+  Alcotest.(check int) "completed" 1 s.Scheduler.completed;
+  Alcotest.(check int) "quarantined" 1 s.Scheduler.quarantined;
+  Alcotest.(check (array string)) "nothing beside out_dir" [| "out" |]
+    (Sys.readdir parent);
+  let job_dir = Filename.concat out (Cals_util.Fsutil.sanitize "..") in
+  let quarantine = Filename.concat out "quarantine" in
+  List.iter
+    (fun (dir, file) ->
+      Alcotest.(check bool) (file ^ " in its job directory") true
+        (Sys.file_exists (Filename.concat dir file));
+      Alcotest.(check bool) (file ^ " not loose in its parent") false
+        (Sys.file_exists (Filename.concat (Filename.dirname dir) file)))
+    [
+      (job_dir, "job.json");
+      (job_dir, "metrics.json");
+      (job_dir, "mapped.v");
+      (Filename.concat quarantine (Cals_util.Fsutil.sanitize "."), "failure.txt");
+    ]
+
 (* An undegraded timing job ships the post-route critical path in its
    artifact metrics; a twin without timing carries no timing fields at
    all (and both ride the same warmed design session). *)
@@ -712,6 +750,7 @@ let () =
           Alcotest.test_case "drain-mixed" `Quick test_drain_mixed;
           Alcotest.test_case "unknown-preset" `Quick test_unknown_preset;
           Alcotest.test_case "timing-metrics" `Quick test_timing_metrics;
+          Alcotest.test_case "dot-ids" `Quick test_dot_ids;
           Alcotest.test_case "degradation" `Quick test_degradation;
           Alcotest.test_case "triage" `Quick test_triage;
           Alcotest.test_case "restart-warmth" `Quick test_restart_warmth;

@@ -16,11 +16,13 @@ module Probe = Cals_telemetry.Probe
 
 let cals = Filename.concat ".." "bin/cals.exe"
 
+(* Unique per process, so a second run in the same directory never
+   finds the first run's artifacts or stores. *)
 let fresh_out =
   let n = ref 0 in
   fun () ->
     incr n;
-    Printf.sprintf "shard-test-out-%d" !n
+    Printf.sprintf "shard-test-out-%d-%d" (Unix.getpid ()) !n
 
 let workload_spec ?(id = "") ?(checks = Check.Off) ?deadline_s ?k_schedule
     ~seed () =

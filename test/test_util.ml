@@ -4,6 +4,7 @@ module Union_find = Cals_util.Union_find
 module Pool = Cals_util.Pool
 module Grid2d = Cals_util.Grid2d
 module Tables = Cals_util.Tables
+module Fsutil = Cals_util.Fsutil
 
 let check_float = Alcotest.(check (float 1e-9))
 
@@ -194,6 +195,23 @@ let test_tables_render () =
   Alcotest.(check bool) "contains header" true
     (String.length s > 0 && String.contains s '|')
 
+(* ------------------------- Fsutil ------------------------- *)
+
+(* A sanitized id joined to a directory names an entry inside it: never
+   empty, never "." or "..", and never with a separator. *)
+let test_sanitize () =
+  let check id want =
+    Alcotest.(check string) (Printf.sprintf "%S" id) want (Fsutil.sanitize id)
+  in
+  check "job-1.v2" "job-1.v2";
+  check "a/b c" "a_b_c";
+  check "" "_";
+  check "." "_";
+  check ".." "__";
+  check "..." "...";
+  check "../x" ".._x";
+  check "/" "_"
+
 let () =
   Alcotest.run "util"
     [
@@ -244,4 +262,5 @@ let () =
           Alcotest.test_case "fmt_int" `Quick test_tables_fmt_int;
           Alcotest.test_case "render" `Quick test_tables_render;
         ] );
+      ("fsutil", [ Alcotest.test_case "sanitize" `Quick test_sanitize ]);
     ]
