@@ -28,7 +28,6 @@ module Estimate = Cals_estimate.Estimate
 let library = Cals_cell.Stdlib_018.library
 let geometry = Cals_cell.Library.geometry library
 let wire = Cals_cell.Library.wire library
-let router_config = { Router.default_config with reroute_iterations = 16 }
 
 let k_schedule = Flow.default_k_schedule
 
@@ -89,9 +88,8 @@ let session_of ?(options = Mapper.congestion_aware ~k:0.0) circuit =
 
 let run_point session circuit k =
   let _, (mapped, placement, routing) =
-    Flow.evaluate_k ~router_config ~estimate:Estimate.Off ~session
-      ~subject:circuit.subject ~library ~floorplan:circuit.floorplan
-      ~positions:circuit.positions ~k ()
+    Flow.evaluate_k ~estimate:Estimate.Off ~session ~subject:circuit.subject
+      ~library ~floorplan:circuit.floorplan ~positions:circuit.positions ~k ()
   in
   { k; mapped; placement; routing }
 
@@ -345,8 +343,7 @@ let figure3 ~scale =
   let subject = Decompose.subject_of_network network in
   let floorplan = Floorplan.for_subject ~utilization:0.5 ~geometry subject in
   let outcome, _ =
-    Flow.run_adaptive ~router_config ~subject ~library ~floorplan
-      ~rng:(Rng.create 22) ()
+    Flow.run_adaptive ~subject ~library ~floorplan ~rng:(Rng.create 22) ()
   in
   List.iter
     (fun it ->

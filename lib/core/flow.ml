@@ -401,7 +401,7 @@ let score_of_eval idx ev =
     | Some it -> (it.k, ev.gates, it.cell_area, idx))
 
 let orchestrate ?(budget = Cals_logic.Orchestrate.default_budget)
-    ?(optimize = true) ?k_schedule ?router_config ?(checks = Check.Off)
+    ?(optimize = true) ?k_schedule ?(checks = Check.Off)
     ?(jobs = 1) ?(route_jobs = 1) ?(t = 0.0)
     ?(cancel = Cals_util.Cancel.never) ~network ~library ~floorplan_of ~seed
     () =
@@ -445,8 +445,8 @@ let orchestrate ?(budget = Cals_logic.Orchestrate.default_budget)
       check_candidate idx p;
       Metrics.incr m_orch_evaluated;
       let result =
-        run_adaptive ?k_schedule ?router_config ~checks ~route_jobs ~t
-          ~cancel ~subject:p.subject ~library
+        run_adaptive ?k_schedule ~checks ~route_jobs ~t ~cancel
+          ~subject:p.subject ~library
           ~floorplan:(floorplan_of p.subject)
           ~rng:(Cals_util.Rng.create (seed + 1))
           ()

@@ -230,7 +230,6 @@ val orchestrate :
   ?budget:int ->
   ?optimize:bool ->
   ?k_schedule:float list ->
-  ?router_config:Cals_route.Router.config ->
   ?checks:Cals_verify.Check.level ->
   ?jobs:int ->
   ?route_jobs:int ->

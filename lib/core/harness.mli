@@ -13,9 +13,10 @@
 
     The flow's configuration follows the workload seed: odd seeds route
     on two metal layers at 85 % utilization, congested enough that
-    certificates fire; even seeds use {!Cals_route.Router.default_config}
-    at 45 %. The shrinker never changes the seed, so a reproducer replays
-    its configuration. *)
+    certificates fire; even seeds route on the default three at 45 %.
+    Only [layers] differs from {!Cals_route.Router.default_config}. The
+    shrinker never changes the seed, so a reproducer replays its
+    configuration. *)
 
 val check_params :
   ?level:Cals_verify.Check.level ->

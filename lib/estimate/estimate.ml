@@ -115,7 +115,7 @@ let forecast (req : Router.Request.t) =
       let d = density_at c r in
       Grid2d.set supply c r
         (tracks
-        *. (nh +. nv +. (2.0 *. config.Router.m1_free *. (1.0 -. d))))
+        *. (nh +. nv +. (2.0 *. Rgrid.m1_free *. (1.0 -. d))))
     done
   done;
   let hpwl_total = ref 0.0 in
@@ -230,8 +230,8 @@ let forecast (req : Router.Request.t) =
   Metrics.observe m_seconds (Unix.gettimeofday () -. t0);
   f
 
-let forecast_mapped ?config mapped ~floorplan ~wire ~placement =
-  forecast (Router.Request.of_mapped ?config mapped ~floorplan ~wire ~placement)
+let forecast_mapped mapped ~floorplan ~wire ~placement =
+  forecast (Router.Request.of_mapped mapped ~floorplan ~wire ~placement)
 
 let report f =
   {

@@ -99,13 +99,13 @@ val forecast : Cals_route.Router.Request.t -> forecast
     else. *)
 
 val forecast_mapped :
-  ?config:Cals_route.Router.config ->
   Cals_netlist.Mapped.t ->
   floorplan:Cals_place.Floorplan.t ->
   wire:Cals_cell.Library.wire_model ->
   placement:Cals_place.Placement.mapped_placement ->
   forecast
-(** {!forecast} of {!Cals_route.Router.Request.of_mapped}. *)
+(** {!forecast} of {!Cals_route.Router.Request.of_mapped} under
+    {!Cals_route.Router.default_config}. *)
 
 val report : forecast -> Cals_route.Congestion.report
 (** The forecast as a congestion report, so a skipped K point records in

@@ -25,9 +25,14 @@ type edge =
   | H of int * int
   | V of int * int
 
+(* A gcell is [gcell_rows] row heights on a side; M1 offers [m1_free]
+   tracks per direction over an empty one. *)
+let gcell_rows = 2
+let m1_free = 1.3
+
 (* Grid geometry alone — shared with callers (the router's session) that
    need gcell coordinates before any capacity array exists. *)
-let dims ~floorplan ~gcell_rows =
+let dims ~floorplan =
   let gcell_um = float_of_int gcell_rows *. floorplan.Floorplan.row_height in
   let cols =
     max 2 (int_of_float (ceil (floorplan.Floorplan.die_width /. gcell_um)))
@@ -78,29 +83,28 @@ let track_model ~gcell_um ~wire ~layers ?density () =
   { tracks; nh; nv = float_of_int (n_routing / 2); density_at }
 
 (* An edge offers the mean of its two gcells' free track share. *)
-let hcapacity { tracks; nh; density_at; _ } ~m1_free c r =
+let hcapacity { tracks; nh; density_at; _ } c r =
   let d = (density_at c r +. density_at (c + 1) r) /. 2.0 in
   tracks *. (nh +. (m1_free *. (1.0 -. d)))
 
-let vcapacity { tracks; nv; density_at; _ } ~m1_free c r =
+let vcapacity { tracks; nv; density_at; _ } c r =
   let d = (density_at c r +. density_at c (r + 1)) /. 2.0 in
   tracks *. (nv +. (m1_free *. (1.0 -. d)))
 
-let create ~floorplan ~wire ~layers ?(gcell_rows = 2) ?(m1_free = 1.3) ?density
-    () =
+let create ~floorplan ~wire ~layers ?density () =
   if layers < 2 then invalid_arg "Rgrid.create: need at least 2 metal layers";
-  let cols, rows, gcell_um = dims ~floorplan ~gcell_rows in
+  let cols, rows, gcell_um = dims ~floorplan in
   let model = track_model ~gcell_um ~wire ~layers ?density () in
   let hcap = Array.make ((cols - 1) * rows) 0.0 in
   let vcap = Array.make (cols * (rows - 1)) 0.0 in
   for r = 0 to rows - 1 do
     for c = 0 to cols - 2 do
-      hcap.((r * (cols - 1)) + c) <- hcapacity model ~m1_free c r
+      hcap.((r * (cols - 1)) + c) <- hcapacity model c r
     done
   done;
   for r = 0 to rows - 2 do
     for c = 0 to cols - 1 do
-      vcap.((r * cols) + c) <- vcapacity model ~m1_free c r
+      vcap.((r * cols) + c) <- vcapacity model c r
     done
   done;
   Metrics.incr m_grids;

@@ -27,8 +27,11 @@ type edge =
   | H of int * int  (** [H (c, r)]: between gcells (c,r) and (c+1,r). *)
   | V of int * int  (** [V (c, r)]: between (c,r) and (c,r+1). *)
 
-val dims :
-  floorplan:Cals_place.Floorplan.t -> gcell_rows:int -> int * int * float
+val m1_free : float
+(** The M1 track share per direction on an empty gcell: 1.3. It shrinks
+    linearly to 0 as the gcell's cell-area density approaches 1. *)
+
+val dims : floorplan:Cals_place.Floorplan.t -> int * int * float
 (** [(cols, rows, gcell_um)] of the grid {!create} would build for this
     floorplan — the geometry without the capacity arrays. A route
     request ([Router.Request]) takes its pin gcells from it before any
@@ -66,28 +69,25 @@ val track_model :
 (** The capacity model {!create} and the congestion forecast share: a
     direction offers [tracks * (nh or nv + m1_free * (1 - d))]. *)
 
-val hcapacity : track_model -> m1_free:float -> int -> int -> float
-(** [hcapacity m ~m1_free c r]: the capacity {!create} gives the
+val hcapacity : track_model -> int -> int -> float
+(** [hcapacity m c r]: the capacity {!create} gives the
     horizontal edge [H (c, r)], with [d] the mean density of its two
     gcells. The router's cut certificate reads the same bits. *)
 
-val vcapacity : track_model -> m1_free:float -> int -> int -> float
+val vcapacity : track_model -> int -> int -> float
 (** Same for the vertical edge [V (c, r)]. *)
 
 val create :
   floorplan:Cals_place.Floorplan.t ->
   wire:Cals_cell.Library.wire_model ->
   layers:int ->
-  ?gcell_rows:int ->
-  ?m1_free:float ->
   ?density:Cals_util.Grid2d.t ->
   unit ->
   t
-(** [gcell_rows] (default 2) sets the gcell edge to that many row heights.
-    [m1_free] (default 1.3) is the M1 track share per direction on an empty
-    gcell; it shrinks linearly to 0 as the local [density] (cell-area
-    fraction per gcell, clamped to [0,1]) approaches 1. Without a density
-    map M1 is fully available. *)
+(** Gcells two row heights on a side, with the capacities of
+    {!track_model}: M1 offers {!m1_free} tracks per direction, less the
+    local [density] (cell-area fraction per gcell, clamped to [0,1]).
+    Without a density map M1 is fully available. *)
 
 val capacity : t -> edge -> float
 (** Routing tracks the edge offers (fixed at {!create}). *)

@@ -45,24 +45,16 @@ let m_session_nets_rerouted =
 
 type config = {
   layers : int;
-  gcell_rows : int;
-  m1_free : float;
-  star_topology : bool;
   reroute_iterations : int;
-  overflow_penalty : float;
-  history_increment : float;
 }
 
-let default_config =
-  {
-    layers = 3;
-    gcell_rows = 2;
-    m1_free = 1.3;
-    star_topology = false;
-    reroute_iterations = 16;
-    overflow_penalty = 4.0;
-    history_increment = 1.0;
-  }
+let default_config = { layers = 3; reroute_iterations = 16 }
+
+(* Negotiation costs: an edge's cost grows by [overflow_penalty] per unit
+   it would overflow, and every overflowed edge's history by
+   [history_increment] per negotiation iteration. *)
+let overflow_penalty = 4.0
+let history_increment = 1.0
 
 type route = {
   net : int;
@@ -233,13 +225,13 @@ let rec heap_sift_down (qp : float array) (qd : int array) size i =
    unit it would overflow, plus its history. Only ints and arrays cross
    the call — [v]'s distance is read from [scratch.dist] — so nothing
    boxes whether or not it inlines. *)
-let[@inline] relax cfg scratch (usage : float array) (cap : float array)
+let[@inline] relax scratch (usage : float array) (cap : float array)
     (hist : float array) i v nidx h =
   let dist = scratch.dist and stamp = scratch.stamp in
   let over = usage.(i) +. 1.0 -. cap.(i) in
   let cost =
     dist.(v) +. 1.0
-    +. (if over > 0.0 then cfg.overflow_penalty *. over else 0.0)
+    +. (if over > 0.0 then overflow_penalty *. over else 0.0)
     +. hist.(i)
   in
   if stamp.(nidx) <> scratch.gen || cost < dist.(nidx) then begin
@@ -262,7 +254,7 @@ let[@inline] relax cfg scratch (usage : float array) (cap : float array)
    (lazy decrease-key) satisfy f > dist + h and are skipped. The whole
    search allocates nothing. On success the path's edge ids are left in
    [scratch.pathbuf] (dst-to-src order, length [scratch.pathlen]). *)
-let maze_route cfg grid scratch ~bc0 ~br0 ~bc1 ~br1 (src, dst) =
+let maze_route grid scratch ~bc0 ~br0 ~bc1 ~br1 (src, dst) =
   let cols = grid.Rgrid.cols and rows = grid.Rgrid.rows in
   let n = cols * rows in
   ensure_scratch scratch n;
@@ -308,16 +300,16 @@ let maze_route cfg grid scratch ~bc0 ~br0 ~bc1 ~br1 (src, dst) =
            raise Exit
          end;
          if c < bc1 then
-           relax cfg scratch husage hcap hhist ((r * (cols - 1)) + c) v (v + 1)
+           relax scratch husage hcap hhist ((r * (cols - 1)) + c) v (v + 1)
              (abs (c + 1 - dc) + abs (r - dr));
          if c > bc0 then
-           relax cfg scratch husage hcap hhist ((r * (cols - 1)) + c - 1) v (v - 1)
+           relax scratch husage hcap hhist ((r * (cols - 1)) + c - 1) v (v - 1)
              (abs (c - 1 - dc) + abs (r - dr));
          if r < br1 then
-           relax cfg scratch vusage vcap vhist ((r * cols) + c) v (v + cols)
+           relax scratch vusage vcap vhist ((r * cols) + c) v (v + cols)
              (abs (c - dc) + abs (r + 1 - dr));
          if r > br0 then
-           relax cfg scratch vusage vcap vhist (((r - 1) * cols) + c) v (v - cols)
+           relax scratch vusage vcap vhist (((r - 1) * cols) + c) v (v - cols)
              (abs (c - dc) + abs (r - 1 - dr))
        end
      done
@@ -353,7 +345,7 @@ let maze_route cfg grid scratch ~bc0 ~br0 ~bc1 ~br1 (src, dst) =
    soon as the sum reaches [cutoff]: edge costs are >= 1.0, so prefix
    sums are monotone and the early exit fires iff the total would lose
    anyway. *)
-let hleg cfg grid ~cutoff acc0 r ca cb =
+let hleg grid ~cutoff acc0 r ca cb =
   let lo = min ca cb and hi = max ca cb in
   if lo = hi then acc0
   else begin
@@ -361,7 +353,6 @@ let hleg cfg grid ~cutoff acc0 r ca cb =
     let husage = grid.Rgrid.husage
     and hcap = grid.Rgrid.hcap
     and hhist = grid.Rgrid.hhistory in
-    let penalty = cfg.overflow_penalty in
     let base = r * (cols - 1) in
     let acc = ref acc0 in
     try
@@ -370,7 +361,7 @@ let hleg cfg grid ~cutoff acc0 r ca cb =
         let over = husage.(i) +. 1.0 -. hcap.(i) in
         acc :=
           !acc +. 1.0
-          +. (if over > 0.0 then penalty *. over else 0.0)
+          +. (if over > 0.0 then overflow_penalty *. over else 0.0)
           +. hhist.(i);
         if !acc >= cutoff then raise Exit
       done;
@@ -378,7 +369,7 @@ let hleg cfg grid ~cutoff acc0 r ca cb =
     with Exit -> infinity
   end
 
-let vleg cfg grid ~cutoff acc0 c ra rb =
+let vleg grid ~cutoff acc0 c ra rb =
   let lo = min ra rb and hi = max ra rb in
   if lo = hi then acc0
   else begin
@@ -386,7 +377,6 @@ let vleg cfg grid ~cutoff acc0 c ra rb =
     let vusage = grid.Rgrid.vusage
     and vcap = grid.Rgrid.vcap
     and vhist = grid.Rgrid.vhistory in
-    let penalty = cfg.overflow_penalty in
     let acc = ref acc0 in
     try
       for r = lo to hi - 1 do
@@ -394,7 +384,7 @@ let vleg cfg grid ~cutoff acc0 c ra rb =
         let over = vusage.(i) +. 1.0 -. vcap.(i) in
         acc :=
           !acc +. 1.0
-          +. (if over > 0.0 then penalty *. over else 0.0)
+          +. (if over > 0.0 then overflow_penalty *. over else 0.0)
           +. vhist.(i);
         if !acc >= cutoff then raise Exit
       done;
@@ -405,24 +395,24 @@ let vleg cfg grid ~cutoff acc0 c ra rb =
 (* Candidate pattern paths by code, preserving the historical order:
    0 = L through (c2,r1), 1 = L through (c1,r2), 2 = Z bending at the
    column midpoint, 3 = Z bending at the row midpoint. *)
-let pattern_cost cfg grid ~cutoff code (c1, r1) (c2, r2) =
+let pattern_cost grid ~cutoff code (c1, r1) (c2, r2) =
   match code with
   | 0 ->
-    let a = hleg cfg grid ~cutoff 0.0 r1 c1 c2 in
-    if a = infinity then infinity else vleg cfg grid ~cutoff a c2 r1 r2
+    let a = hleg grid ~cutoff 0.0 r1 c1 c2 in
+    if a = infinity then infinity else vleg grid ~cutoff a c2 r1 r2
   | 1 ->
-    let a = vleg cfg grid ~cutoff 0.0 c1 r1 r2 in
-    if a = infinity then infinity else hleg cfg grid ~cutoff a r2 c1 c2
+    let a = vleg grid ~cutoff 0.0 c1 r1 r2 in
+    if a = infinity then infinity else hleg grid ~cutoff a r2 c1 c2
   | 2 ->
     let mid_c = (c1 + c2) / 2 in
-    let a = hleg cfg grid ~cutoff 0.0 r1 c1 mid_c in
-    let a = if a = infinity then a else vleg cfg grid ~cutoff a mid_c r1 r2 in
-    if a = infinity then infinity else hleg cfg grid ~cutoff a r2 mid_c c2
+    let a = hleg grid ~cutoff 0.0 r1 c1 mid_c in
+    let a = if a = infinity then a else vleg grid ~cutoff a mid_c r1 r2 in
+    if a = infinity then infinity else hleg grid ~cutoff a r2 mid_c c2
   | _ ->
     let mid_r = (r1 + r2) / 2 in
-    let a = vleg cfg grid ~cutoff 0.0 c1 r1 mid_r in
-    let a = if a = infinity then a else hleg cfg grid ~cutoff a mid_r c1 c2 in
-    if a = infinity then infinity else vleg cfg grid ~cutoff a c2 mid_r r2
+    let a = vleg grid ~cutoff 0.0 c1 r1 mid_r in
+    let a = if a = infinity then a else hleg grid ~cutoff a mid_r c1 c2 in
+    if a = infinity then infinity else vleg grid ~cutoff a c2 mid_r r2
 
 (* Claim (or release) every edge of a committed slice directly on the
    flat usage arrays. *)
@@ -507,7 +497,7 @@ let emit_pattern grid state seg code =
   seg.len <- len;
   add_usage_slice grid data nh off len 1.0
 
-let pattern_route cfg grid state seg =
+let pattern_route grid state seg =
   let ((c1, r1) as a), ((c2, r2) as b) = seg.ends in
   if a = b then begin
     seg.off <- 0;
@@ -516,9 +506,9 @@ let pattern_route cfg grid state seg =
   else begin
     let mid_c = (c1 + c2) / 2 and mid_r = (r1 + r2) / 2 in
     let best_code = ref 0 in
-    let best_cost = ref (pattern_cost cfg grid ~cutoff:infinity 0 a b) in
+    let best_cost = ref (pattern_cost grid ~cutoff:infinity 0 a b) in
     let consider code =
-      let c = pattern_cost cfg grid ~cutoff:!best_cost code a b in
+      let c = pattern_cost grid ~cutoff:!best_cost code a b in
       if c < !best_cost then begin
         best_cost := c;
         best_code := code
@@ -561,14 +551,14 @@ let commit_path state seg (src : int array) off len =
    retried sequentially with the margin doubling until the box covers the
    whole grid; a full-grid failure restores the old path. Runs after the
    wave's commits, so it sees the same grid in both execution modes. *)
-let reroute_fallback cfg grid cancel state seg =
+let reroute_fallback grid cancel state seg =
   let cols = grid.Rgrid.cols and rows = grid.Rgrid.rows in
   let nh = (cols - 1) * rows in
   let scratch = Domain.DLS.get scratch_key in
   let rec attempt m =
     Cancel.check cancel;
     let bc0, br0, bc1, br1 = seg_box grid seg m in
-    if maze_route cfg grid scratch ~bc0 ~br0 ~bc1 ~br1 seg.ends then true
+    if maze_route grid scratch ~bc0 ~br0 ~bc1 ~br1 seg.ends then true
     else if bc0 = 0 && br0 = 0 && bc1 = cols - 1 && br1 = rows - 1 then false
     else attempt (2 * m)
   in
@@ -590,7 +580,7 @@ let reroute_fallback cfg grid cancel state seg =
    slice, and commits are deferred past the barrier, so the search
    results cannot depend on ordering), then commit sequentially in wave
    order. *)
-let process_wave cfg grid cancel pool state segs first last =
+let process_wave grid cancel pool state segs first last =
   let nw = last - first in
   Metrics.incr m_waves;
   Metrics.add m_rerouted nw;
@@ -614,7 +604,7 @@ let process_wave cfg grid cancel pool state segs first last =
     let bx = 4 * si in
     let scratch = Domain.DLS.get scratch_key in
     if
-      maze_route cfg grid scratch ~bc0:boxes.(bx) ~br0:boxes.(bx + 1)
+      maze_route grid scratch ~bc0:boxes.(bx) ~br0:boxes.(bx + 1)
         ~bc1:boxes.(bx + 2) ~br1:boxes.(bx + 3) segs.(si).ends
     then begin
       let len = scratch.pathlen and o = state.path_off.(k) in
@@ -639,13 +629,12 @@ let process_wave cfg grid cancel pool state segs first last =
       commit_path state seg state.paths state.path_off.(k) len;
       add_usage_slice grid (Arena.data state.arena) nh seg.off seg.len 1.0
     end
-    else reroute_fallback cfg grid cancel state seg
+    else reroute_fallback grid cancel state seg
   done
 
-let negotiate cfg grid cancel pool state segs =
+let negotiate ~iterations grid cancel pool state segs =
   let nh = Rgrid.num_hedges grid in
   let cols = grid.Rgrid.cols and rows = grid.Rgrid.rows in
-  let hinc = cfg.history_increment in
   (* Default search boxes, once per negotiation: endpoints and margins
      never change (the fallback's widened boxes stay local to it). *)
   let nsegs = Array.length segs in
@@ -670,7 +659,7 @@ let negotiate cfg grid cancel pool state segs =
      histogram observes. *)
   let iteration = ref 0 in
   let overflow = ref (Rgrid.total_overflow grid) in
-  while !iteration < cfg.reroute_iterations && !overflow > 0.0 do
+  while !iteration < iterations && !overflow > 0.0 do
     Cancel.check cancel;
     incr iteration;
     Metrics.incr m_ripup_iterations;
@@ -680,10 +669,10 @@ let negotiate cfg grid cancel pool state segs =
     Rgrid.iter_overflowed grid
       ~h:(fun i ->
         Rgrid.mark_h grid i;
-        hh.(i) <- hh.(i) +. hinc)
+        hh.(i) <- hh.(i) +. history_increment)
       ~v:(fun i ->
         Rgrid.mark_v grid i;
-        vh.(i) <- vh.(i) +. hinc);
+        vh.(i) <- vh.(i) +. history_increment);
     vec_clear state.pend;
     let data = Arena.data state.arena in
     Array.iteri
@@ -697,7 +686,7 @@ let negotiate cfg grid cancel pool state segs =
     Wave.build waves ~cols ~rows ~boxes ~pend:state.pend.a state.pend.n;
     for w = 0 to Wave.count waves - 1 do
       Cancel.check cancel;
-      process_wave cfg grid cancel pool state segs (Wave.start waves w)
+      process_wave grid cancel pool state segs (Wave.start waves w)
         (Wave.start waves (w + 1))
     done;
     overflow := Rgrid.total_overflow grid
@@ -788,9 +777,7 @@ module Request = struct
      sorted distinct ids, compacted into one array. *)
   let make ?(config = default_config) ?density ~floorplan ~wire pin_start pins
       =
-    let cols, rows, gcell_um =
-      Rgrid.dims ~floorplan ~gcell_rows:config.gcell_rows
-    in
+    let cols, rows, gcell_um = Rgrid.dims ~floorplan in
     let pin_gcells = Array.map (Rgrid.gcell_id ~cols ~rows ~gcell_um) pins in
     let n = Array.length pin_start - 1 in
     let cells = Array.make (Array.length pins) 0 in
@@ -842,10 +829,9 @@ module Request = struct
     { req with density = Some density }
 
   (* Everything a route's result depends on: grid geometry, config, wire
-     pitch, density contents and the per-net gcell sets (plus star
-     drivers). Two requests with equal fingerprints route to
-     bit-identical results, because routing is deterministic in exactly
-     these inputs. *)
+     pitch, density contents and the per-net gcell sets. Two requests
+     with equal fingerprints route to bit-identical results, because
+     routing is deterministic in exactly these inputs. *)
   let fingerprint req =
     let config = req.config in
     let h = ref (Fnv.int Fnv.empty 0x726f757465) in
@@ -853,12 +839,7 @@ module Request = struct
     h := Fnv.int !h req.rows;
     h := Fnv.int !h (float_bits req.gcell_um);
     h := Fnv.int !h config.layers;
-    h := Fnv.int !h config.gcell_rows;
-    h := Fnv.int !h (float_bits config.m1_free);
-    h := Fnv.int !h (if config.star_topology then 1 else 0);
     h := Fnv.int !h config.reroute_iterations;
-    h := Fnv.int !h (float_bits config.overflow_penalty);
-    h := Fnv.int !h (float_bits config.history_increment);
     h := Fnv.int !h (float_bits req.wire.Cals_cell.Library.pitch_um);
     (match req.density with
     | None -> h := Fnv.int !h 0
@@ -873,11 +854,7 @@ module Request = struct
       h := Fnv.int !h (hi - lo);
       for i = lo to hi - 1 do
         h := Fnv.int !h req.net_gcells.(i)
-      done;
-      if config.star_topology then
-        if req.pin_start.(net) < req.pin_start.(net + 1) then
-          h := Fnv.int (Fnv.int !h 1) req.pin_gcells.(req.pin_start.(net))
-        else h := Fnv.int !h 0
+      done
     done;
     !h
 end
@@ -961,28 +938,19 @@ module Session = struct
 end
 
 (* Every net's two-pin segments, in net order, as [f net src dst] on
-   gcell ids: the MST of its distinct pin gcells, or a star from its
-   driver's gcell, derived on demand. The router and the cut
-   certificate both take their segments from here, so they cannot
-   diverge. *)
+   gcell ids: the MST of its distinct pin gcells, derived on demand. The
+   router and the cut certificate both take their segments from here, so
+   they cannot diverge. *)
 let iter_segments (req : Request.t) f =
-  let { Request.pin_start; pin_gcells; gcell_start; net_gcells; rows; _ } =
-    req
-  in
-  let star = req.Request.config.star_topology in
+  let { Request.gcell_start; net_gcells; rows; _ } = req in
   let widest = ref 0 in
   for net = 0 to Request.num_nets req - 1 do
     widest := max !widest (gcell_start.(net + 1) - gcell_start.(net))
   done;
   let scratch = Topology.scratch !widest in
   for net = 0 to Request.num_nets req - 1 do
-    let lo = gcell_start.(net) and hi = gcell_start.(net + 1) in
-    if star then begin
-      if pin_start.(net) < pin_start.(net + 1) then
-        Topology.iter_star ~driver:pin_gcells.(pin_start.(net)) net_gcells lo
-          hi (f net)
-    end
-    else Topology.iter_mst scratch ~rows net_gcells lo hi (f net)
+    Topology.iter_mst scratch ~rows net_gcells gcell_start.(net)
+      gcell_start.(net + 1) (f net)
   done
 
 module Cut = struct
@@ -1013,7 +981,6 @@ module Cut = struct
       Rgrid.track_model ~gcell_um ~wire:req.Request.wire ~layers:config.layers
         ?density:req.Request.density ()
     in
-    let m1_free = config.m1_free in
     (* Difference arrays: a segment spanning columns [lo, hi) crosses
        column lines lo .. hi-1. *)
     let dcol = Array.make cols 0 and drow = Array.make rows 0 in
@@ -1051,13 +1018,13 @@ module Cut = struct
     for c = 0 to cols - 2 do
       run := !run + dcol.(c);
       line Column c !run ~edges:rows ~capacity:(fun r ->
-          Rgrid.hcapacity model ~m1_free c r)
+          Rgrid.hcapacity model c r)
     done;
     run := 0;
     for r = 0 to rows - 2 do
       run := !run + drow.(r);
       line Row r !run ~edges:cols ~capacity:(fun c ->
-          Rgrid.vcapacity model ~m1_free c r)
+          Rgrid.vcapacity model c r)
     done;
     (* [Rgrid.dims] keeps at least two columns, so a column line exists. *)
     { certified = !certified; bound = !bound; worst = Option.get !worst }
@@ -1078,8 +1045,7 @@ let route_cold ~cancel ~pool (req : Request.t) =
   Arena.clear state.arena;
   let grid =
     Rgrid.create ~floorplan:req.Request.floorplan ~wire:req.Request.wire
-      ~layers:config.layers ~gcell_rows:config.gcell_rows
-      ~m1_free:config.m1_free ?density:req.Request.density ()
+      ~layers:config.layers ?density:req.Request.density ()
   in
   let rows = req.Request.rows in
   let segments = ref [] in
@@ -1106,10 +1072,11 @@ let route_cold ~cancel ~pool (req : Request.t) =
     order;
   Cancel.check cancel;
   Span.with_ ~cat:"route" "route.pattern" (fun () ->
-      Array.iter (fun i -> pattern_route config grid state segments.(i)) order);
+      Array.iter (fun i -> pattern_route grid state segments.(i)) order);
   let negotiate_token = Span.enter ~cat:"route" "route.negotiate" in
   Fun.protect ~finally:(fun () -> Span.exit negotiate_token) @@ fun () ->
-  negotiate config grid cancel pool state segments;
+  negotiate ~iterations:config.reroute_iterations grid cancel pool state
+    segments;
   build_result grid state segments ~gcell_start:req.Request.gcell_start
     ~net_gcells:req.Request.net_gcells
 
@@ -1135,7 +1102,5 @@ let route ?(cancel = Cancel.never) ?session ?pool (req : Request.t) =
         Session.retract s fp;
         raise e))
 
-let route_mapped ?config ?cancel ?session ?pool mapped ~floorplan ~wire
-    ~placement =
-  route ?cancel ?session ?pool
-    (Request.of_mapped ?config mapped ~floorplan ~wire ~placement)
+let route_mapped ?session mapped ~floorplan ~wire ~placement =
+  route ?session (Request.of_mapped mapped ~floorplan ~wire ~placement)

@@ -18,17 +18,14 @@
 
 type config = {
   layers : int;  (** Metal layers (the paper uses 3). *)
-  gcell_rows : int;  (** Gcell edge in row heights. *)
-  m1_free : float;  (** M1 track share per direction on an empty gcell. *)
-  star_topology : bool;  (** Use a driver star instead of the MST. *)
-  reroute_iterations : int;
-  overflow_penalty : float;  (** Cost slope per unit of overflow. *)
-  history_increment : float;
+  reroute_iterations : int;  (** Negotiation iterations at most. *)
 }
+(** The router's only settings. The gcell size and M1 share are
+    {!Rgrid}'s, and negotiation costs an edge 4.0 per unit of overflow
+    and raises an overflowed edge's history by 1.0 per iteration. *)
 
 val default_config : config
-(** 3 layers, 2-row gcells, MST topology, 16 negotiation iterations,
-    overflow penalty 4.0, history increment 1.0. *)
+(** 3 layers, 16 negotiation iterations. *)
 
 type route = {
   net : int;  (** Index into the input net array. *)
@@ -113,19 +110,18 @@ end
 val iter_segments : Request.t -> (int -> int -> int -> unit) -> unit
 (** [iter_segments req f] calls [f net src dst] for every two-pin segment
     of the request, net by net, on gcell ids: the {!Topology.iter_mst}
-    of each net's distinct gcells, or with [star_topology] the
-    {!Topology.iter_star} from its driver pin's gcell. {!val:route} and
-    {!Cut} take their segments from here. *)
+    of each net's distinct gcells. {!val:route} and {!Cut} take their
+    segments from here. *)
 
 (** A replay cache over whole route requests.
 
     A session fingerprints each {!Request.t} it routes (grid geometry,
-    config, wire pitch, density contents, per-net gcell sets and, for
-    star topologies, driver gcells) and replays the stored {!result} on
-    an exact match — the common case when a K search or a batch of jobs
-    re-evaluates an unchanged mapping. Replayed results are shared
-    structure: treat them as immutable. A miss routes cold, exactly as
-    without a session, so a session never changes a result.
+    config, wire pitch, density contents and per-net gcell sets) and
+    replays the stored {!result} on an exact match — the common case
+    when a K search or a batch of jobs re-evaluates an unchanged
+    mapping. Replayed results are shared structure: treat them as
+    immutable. A miss routes cold, exactly as without a session, so a
+    session never changes a result.
 
     All operations are domain-safe. Concurrent calls with the same
     fingerprint dedupe in flight: the second caller waits for the first
@@ -223,13 +219,10 @@ val route :
     on. *)
 
 val route_mapped :
-  ?config:config ->
-  ?cancel:Cals_util.Cancel.t ->
   ?session:Session.t ->
-  ?pool:Cals_util.Pool.t ->
   Cals_netlist.Mapped.t ->
   floorplan:Cals_place.Floorplan.t ->
   wire:Cals_cell.Library.wire_model ->
   placement:Cals_place.Placement.mapped_placement ->
   result
-(** {!val:route} of {!Request.of_mapped}. *)
+(** {!val:route} of {!Request.of_mapped} under {!default_config}. *)

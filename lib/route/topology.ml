@@ -47,8 +47,3 @@ let iter_mst s ~rows cells lo hi f =
       done
     done
   end
-
-let iter_star ~driver cells lo hi f =
-  for i = lo to hi - 1 do
-    if cells.(i) <> driver then f driver cells.(i)
-  done

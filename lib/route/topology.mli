@@ -19,8 +19,3 @@ val iter_mst :
     slice, grown from its first gcell; each new gcell joins the nearest
     tree gcell (Manhattan), ties going to the earlier slice position.
     Nothing for fewer than two gcells. *)
-
-val iter_star : driver:int -> int array -> int -> int -> (int -> int -> unit) -> unit
-(** Driver-rooted star (ablation alternative to the MST): [f driver g]
-    for every gcell [g] of the slice other than [driver], in slice
-    order. *)

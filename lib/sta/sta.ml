@@ -9,12 +9,10 @@ let m_analyses = Metrics.counter ~help:"Full STA analyses run" "sta_analyses"
 let m_endpoints =
   Metrics.counter ~help:"Timing endpoints propagated" "sta_endpoints"
 
-type config = {
-  input_drive_kohm : float;
-  output_load_pf : float;
-}
-
-let default_config = { input_drive_kohm = 1.0; output_load_pf = 0.01 }
+(* The pad driver's resistance into a primary input's net, and the load
+   every primary output drives. *)
+let input_drive_kohm = 1.0
+let output_load_pf = 0.01
 
 type endpoint = {
   po : string;
@@ -39,7 +37,7 @@ type net_info = {
 (* One info per net of the placement's table, in its order. A sink pin
    id below [num_cells] is a cell input, any other an output pad (a PI
    pad only ever drives). *)
-let build_net_infos cfg ?net_length_um mapped ~wire ~placement =
+let build_net_infos ?net_length_um mapped ~wire ~placement =
   let { Mapped.first; pins } = placement.Cals_place.Placement.nets in
   let instances = mapped.Mapped.instances in
   let n_cells = Array.length instances in
@@ -67,14 +65,13 @@ let build_net_infos cfg ?net_length_um mapped ~wire ~placement =
         let p = pins.(i) in
         if p < n_cells then
           pin_caps := !pin_caps +. instances.(p).Mapped.cell.Cell.input_cap_pf
-        else po_loads := !po_loads +. cfg.output_load_pf
+        else po_loads := !po_loads +. output_load_pf
       done;
       let wire_cap = length *. wire.Cals_cell.Library.cap_pf_per_um in
       { driver_pos; length_um = length; load_pf = wire_cap +. !pin_caps +. !po_loads })
 
 (* Elmore wire delay from a net's driver to one sink. *)
-let wire_delay cfg wire (info : net_info) ~sink_pos:sp ~sink_cap:sc =
-  ignore cfg;
+let wire_delay wire (info : net_info) ~sink_pos:sp ~sink_cap:sc =
   let d = Geom.manhattan info.driver_pos sp in
   (* Use the net length to scale distributed cap seen along the branch. *)
   let r = d *. wire.Cals_cell.Library.res_kohm_per_um in
@@ -84,8 +81,8 @@ let wire_delay cfg wire (info : net_info) ~sink_pos:sp ~sink_cap:sc =
 (* Forward propagation. [pi_arrival] gives each PI's start time, or None to
    exclude that PI (used by the single-path query). Returns per-instance
    output arrivals, each PO's arrival, and the latest-fanin trace. *)
-let propagate cfg ?net_length_um mapped ~wire ~placement ~pi_arrival =
-  let infos = build_net_infos cfg ?net_length_um mapped ~wire ~placement in
+let propagate ?net_length_um mapped ~wire ~placement ~pi_arrival =
+  let infos = build_net_infos ?net_length_um mapped ~wire ~placement in
   let n_inst = Array.length mapped.Mapped.instances in
   let inst_arrival = Array.make n_inst neg_infinity in
   let best_fanin = Array.make n_inst (-1) in
@@ -97,7 +94,7 @@ let propagate cfg ?net_length_um mapped ~wire ~placement ~pi_arrival =
       | Some t ->
         (* Pad driver delay into the PI net. *)
         let info = infos.(Mapped.signal_index mapped (Mapped.Of_pi i)) in
-        t +. (cfg.input_drive_kohm *. info.load_pf))
+        t +. (input_drive_kohm *. info.load_pf))
     | Mapped.Of_inst i -> inst_arrival.(i)
   in
   Array.iteri
@@ -111,7 +108,7 @@ let propagate cfg ?net_length_um mapped ~wire ~placement ~pi_arrival =
           if t0 > neg_infinity then begin
             let info = infos.(Mapped.signal_index mapped s) in
             let wd =
-              wire_delay cfg wire info ~sink_pos:my_pos
+              wire_delay wire info ~sink_pos:my_pos
                 ~sink_cap:cell.Cell.input_cap_pf
             in
             let t = t0 +. wd in
@@ -135,13 +132,8 @@ let propagate cfg ?net_length_um mapped ~wire ~placement ~pi_arrival =
         if t0 = neg_infinity then neg_infinity
         else
           let info = infos.(Mapped.signal_index mapped s) in
-          let oi =
-            (* Find this PO's pad position for the final wire hop. *)
-            s
-          in
-          ignore oi;
           t0 +. (info.length_um *. wire.Cals_cell.Library.res_kohm_per_um
-                 *. cfg.output_load_pf))
+                 *. output_load_pf))
       mapped.Mapped.outputs
   in
   (inst_arrival, best_fanin, po_arrival, infos)
@@ -157,7 +149,7 @@ let trace_start mapped best_fanin s =
   in
   go s
 
-let analyze ?(config = default_config) ?net_length_um mapped ~wire ~placement =
+let analyze ?net_length_um mapped ~wire ~placement =
   Span.with_ ~cat:"sta"
     ~meta:(Printf.sprintf "%d cells" (Array.length mapped.Mapped.instances))
     "sta.analyze"
@@ -165,7 +157,7 @@ let analyze ?(config = default_config) ?net_length_um mapped ~wire ~placement =
   Metrics.incr m_analyses;
   Metrics.add m_endpoints (Array.length mapped.Mapped.outputs);
   let inst_arrival, best_fanin, po_arrival, infos =
-    propagate config ?net_length_um mapped ~wire ~placement ~pi_arrival:(fun _ ->
+    propagate ?net_length_um mapped ~wire ~placement ~pi_arrival:(fun _ ->
         Some 0.0)
   in
   let endpoints =
@@ -212,14 +204,13 @@ let analyze ?(config = default_config) ?net_length_um mapped ~wire ~placement =
   in
   { endpoints; critical; critical_path; total_net_cap_pf = total_net_cap }
 
-let po_arrival_from_pi ?(config = default_config) ?net_length_um mapped ~wire
-    ~placement ~pi ~po =
+let po_arrival_from_pi ?net_length_um mapped ~wire ~placement ~pi ~po =
   let pi_idx = ref (-1) in
   Array.iteri (fun i n -> if n = pi then pi_idx := i) mapped.Mapped.pi_names;
   if !pi_idx < 0 then None
   else begin
     let _, _, po_arrival, _ =
-      propagate config ?net_length_um mapped ~wire ~placement ~pi_arrival:(fun i ->
+      propagate ?net_length_um mapped ~wire ~placement ~pi_arrival:(fun i ->
           if i = !pi_idx then Some 0.0 else None)
     in
     let result = ref None in

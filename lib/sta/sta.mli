@@ -3,13 +3,9 @@
     The PrimeTime role in the paper's Tables 3 and 5. Delay model:
     linear cell delay [intrinsic + drive * load] plus an Elmore wire term
     per net sink computed from placed distance (or routed net length when
-    provided). Combinational, single rising analysis — the paper's
-    circuits are combinational IWLS93 benchmarks. *)
-
-type config = {
-  input_drive_kohm : float;  (** Pad driver resistance for PI nets. *)
-  output_load_pf : float;  (** Load each primary output must drive. *)
-}
+    provided). Primary inputs are driven through a 1.0 kΩ pad and every
+    primary output drives 0.01 pF. Combinational, single rising analysis
+    — the paper's circuits are combinational IWLS93 benchmarks. *)
 
 type endpoint = {
   po : string;
@@ -26,7 +22,6 @@ type report = {
 }
 
 val analyze :
-  ?config:config ->
   ?net_length_um:float array ->
   Cals_netlist.Mapped.t ->
   wire:Cals_cell.Library.wire_model ->
@@ -38,7 +33,6 @@ val analyze :
     otherwise the half-perimeter of each placed net is used. *)
 
 val po_arrival_from_pi :
-  ?config:config ->
   ?net_length_um:float array ->
   Cals_netlist.Mapped.t ->
   wire:Cals_cell.Library.wire_model ->

@@ -1,14 +1,13 @@
 (* The list-based route request that Cals_netlist.Mapped.net_table and
    the flat Cals_route.Router.Request replaced: Mapped.nets, the list
    bodies of Request.of_pins and Request.of_mapped, and the list-based
-   Prim and star of Cals_route.Topology. Kept as written as the oracle
-   the flat request must reproduce exactly. *)
+   Prim of Cals_route.Topology. Kept as written as the oracle the flat
+   request must reproduce exactly. *)
 
 module Geom = Cals_util.Geom
 module Grid2d = Cals_util.Grid2d
 module Mapped = Cals_netlist.Mapped
 module Rgrid = Cals_route.Rgrid
-module Router = Cals_route.Router
 
 type sink =
   | Cell_pin of int * int
@@ -43,17 +42,14 @@ let nets (t : Mapped.t) =
 type t = {
   cols : int;
   rows : int;
-  star : bool;
   pins : Geom.point list array;
   pin_gcells : (int * int) list array;
   net_gcells : (int * int) list array;
   density : Grid2d.t option;
 }
 
-let of_pins ?(config = Router.default_config) ?density ~floorplan pins =
-  let cols, rows, gcell_um =
-    Rgrid.dims ~floorplan ~gcell_rows:config.Router.gcell_rows
-  in
+let of_pins ?density ~floorplan pins =
+  let cols, rows, gcell_um = Rgrid.dims ~floorplan in
   let gcell = Rgrid.gcell_at ~cols ~rows ~gcell_um in
   let pin_gcells = Array.map (List.map gcell) pins in
   let compare_gcell (c1, r1) (c2, r2) =
@@ -61,10 +57,9 @@ let of_pins ?(config = Router.default_config) ?density ~floorplan pins =
     if c <> 0 then c else Int.compare r1 r2
   in
   let net_gcells = Array.map (List.sort_uniq compare_gcell) pin_gcells in
-  { cols; rows; star = config.Router.star_topology; pins; pin_gcells;
-    net_gcells; density }
+  { cols; rows; pins; pin_gcells; net_gcells; density }
 
-let of_mapped ?config mapped ~floorplan
+let of_mapped mapped ~floorplan
     ~(placement : Cals_place.Placement.mapped_placement) =
   let { Cals_place.Placement.cell_pos; pi_pos; po_pos; _ } = placement in
   (* Driver pin first, then the sinks; sinkless nets route nothing. *)
@@ -84,12 +79,9 @@ let of_mapped ?config mapped ~floorplan
         | sinks -> driver_pos net.driver :: List.map sink_pos sinks)
       (nets mapped)
   in
-  let req = of_pins ?config ~floorplan pins in
+  let req = of_pins ~floorplan pins in
   let { cols; rows; _ } = req in
-  let _, _, gcell_um =
-    Rgrid.dims ~floorplan
-      ~gcell_rows:(Option.value config ~default:Router.default_config).Router.gcell_rows
-  in
+  let _, _, gcell_um = Rgrid.dims ~floorplan in
   (* Cell-area fraction per gcell, for the M1 blockage model. *)
   let density = Grid2d.create ~cols ~rows 0.0 in
   Array.iteri
@@ -137,21 +129,9 @@ let mst_segments_sorted pins =
     done;
     List.rev !segments
 
-let star_segments driver pins =
-  pins
-  |> List.sort_uniq compare
-  |> List.filter (fun p -> p <> driver)
-  |> List.map (fun p -> (driver, p))
-
 let segments req =
   List.concat
     (List.mapi
        (fun net cells ->
-         match req.pin_gcells.(net) with
-         | [] -> []
-         | driver :: _ ->
-           List.map
-             (fun (src, dst) -> (net, src, dst))
-             (if req.star then star_segments driver cells
-              else mst_segments_sorted cells))
+         List.map (fun (src, dst) -> (net, src, dst)) (mst_segments_sorted cells))
        (Array.to_list req.net_gcells))

@@ -1,7 +1,7 @@
 (** The list-based route request: {!Cals_netlist.Mapped.t}'s nets as
     per-net sink lists, each net's pins, pin gcells and sorted distinct
-    gcells as OCaml lists, and its segments from a list-based Prim or
-    star. {!Cals_netlist.Mapped.net_table},
+    gcells as OCaml lists, and its segments from a list-based Prim.
+    {!Cals_netlist.Mapped.net_table},
     {!Cals_route.Router.Request.of_pins},
     {!Cals_route.Router.Request.of_mapped} and
     {!Cals_route.Router.iter_segments} must reproduce it exactly. It
@@ -23,7 +23,6 @@ val nets : Cals_netlist.Mapped.t -> net array
 type t = {
   cols : int;
   rows : int;
-  star : bool;  (** The config's [star_topology]. *)
   pins : Cals_util.Geom.point list array;  (** Per net, driver first. *)
   pin_gcells : (int * int) list array;  (** Per pin, in [pins] order. *)
   net_gcells : (int * int) list array;  (** Sorted distinct, per net. *)
@@ -31,14 +30,12 @@ type t = {
 }
 
 val of_pins :
-  ?config:Cals_route.Router.config ->
   ?density:Cals_util.Grid2d.t ->
   floorplan:Cals_place.Floorplan.t ->
   Cals_util.Geom.point list array ->
   t
 
 val of_mapped :
-  ?config:Cals_route.Router.config ->
   Cals_netlist.Mapped.t ->
   floorplan:Cals_place.Floorplan.t ->
   placement:Cals_place.Placement.mapped_placement ->
@@ -48,4 +45,4 @@ val of_mapped :
 
 val segments : t -> (int * (int * int) * (int * int)) list
 (** Every two-pin segment as [(net, src, dst)], net by net: the MST of
-    the net's distinct gcells, or the star from its driver's gcell. *)
+    the net's distinct gcells. *)

@@ -494,32 +494,27 @@ let test_verdict_thresholds () =
 
 (* A certificate is a proof: whenever it fires, the real route of the
    same request has violations, at least as many as it reports. Random
-   floorplans, gcell sizes, layer counts, density maps, net counts and
-   pin spreads, under both the MST and the star decomposition. *)
+   floorplans, layer counts, density maps, net counts and pin spreads.
+   Up to 32 rows make grids of up to 16 gcell rows. *)
 let arb_cut_case =
   QCheck.(
     quad
-      (triple (int_range 2 16) (int_range 4 90) (int_range 1 3))
-      (pair (int_range 2 3) bool)
+      (pair (int_range 2 32) (int_range 4 90))
+      (int_range 2 3)
       (pair (int_range 0 300) (float_range 0.05 1.0))
       (int_range 0 10_000))
 
 (* Route the case's request when it is certified and fail unless the
    route violates, at least as often as the certificate reports.
    Returns whether the request was certified. *)
-let cut_case ((num_rows, sites_per_row, gcell_rows), (layers, star), (n, spread),
-    seed) =
+let cut_case ((num_rows, sites_per_row), layers, (n, spread), seed) =
   (* QCheck's shrinker may step outside the generator's ranges. *)
   let num_rows = max 1 num_rows and sites_per_row = max 1 sites_per_row in
-  let gcell_rows = max 1 gcell_rows and layers = max 2 layers in
-  let n = max 0 n in
+  let layers = max 2 layers and n = max 0 n in
   let floorplan = Floorplan.of_rows ~num_rows ~sites_per_row ~geometry in
-  let config =
-    { Router.default_config with
-      Router.gcell_rows; layers; star_topology = star }
-  in
+  let config = { Router.default_config with Router.layers } in
   let rng = Rng.create seed in
-  let cols, rows, _ = Rgrid.dims ~floorplan ~gcell_rows in
+  let cols, rows, _ = Rgrid.dims ~floorplan in
   let density =
     if seed mod 3 = 0 then None
     else begin
@@ -584,7 +579,7 @@ let test_gcell_accessor () =
     match routing with Some r -> r | None -> Alcotest.fail "did not route"
   in
   let map = Congestion.gcell_map routing in
-  let cols, rows, _ = Rgrid.dims ~floorplan ~gcell_rows:Router.default_config.Router.gcell_rows in
+  let cols, rows, _ = Rgrid.dims ~floorplan in
   Alcotest.(check int) "map cols match the router grid" cols (Grid2d.cols map);
   Alcotest.(check int) "map rows match the router grid" rows (Grid2d.rows map);
   Grid2d.fold
@@ -659,10 +654,7 @@ let congested_nets seed n =
 let congested_density seed =
   if seed <> 42 then None
   else begin
-    let cols, rows, _ =
-      Rgrid.dims ~floorplan:congested_floorplan
-        ~gcell_rows:Router.default_config.Router.gcell_rows
-    in
+    let cols, rows, _ = Rgrid.dims ~floorplan:congested_floorplan in
     let rng = Rng.create seed in
     let g = Grid2d.create ~cols:(cols - 1) ~rows 0.0 in
     Grid2d.map_inplace (fun _ -> Rng.float rng 1.4 -. 0.2) g;

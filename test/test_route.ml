@@ -87,10 +87,6 @@ let mst_segments =
   topo_segments (fun cells n f ->
       Topology.iter_mst (Topology.scratch n) ~rows:topo_rows cells 0 n f)
 
-let star_segments (c, r) =
-  topo_segments (fun cells n f ->
-      Topology.iter_star ~driver:((c * topo_rows) + r) cells 0 n f)
-
 let test_mst_tree_properties () =
   let pins = [ (0, 0); (5, 0); (0, 5); (9, 9); (5, 0) ] in
   let segs = mst_segments (List.sort_uniq compare pins) in
@@ -108,23 +104,6 @@ let test_mst_tree_properties () =
 let test_mst_short () =
   Alcotest.(check int) "empty" 0 (List.length (mst_segments []));
   Alcotest.(check int) "single" 0 (List.length (mst_segments [ (1, 1) ]))
-
-let test_mst_shorter_than_star () =
-  let rng = Rng.create 31 in
-  for _ = 1 to 20 do
-    let pins = List.init 8 (fun _ -> (Rng.int rng 30, Rng.int rng 30)) in
-    match List.sort_uniq compare pins with
-    | [] | [ _ ] -> ()
-    | (driver :: _) as distinct ->
-      let len segs =
-        List.fold_left
-          (fun acc ((c1, r1), (c2, r2)) -> acc + abs (c1 - c2) + abs (r1 - r2))
-          0 segs
-      in
-      let mst = len (mst_segments distinct) in
-      let star = len (star_segments driver distinct) in
-      if mst > star then Alcotest.failf "mst %d > star %d" mst star
-  done
 
 (* ------------------------- Router ------------------------- *)
 
@@ -202,21 +181,6 @@ let test_route_negotiation_helps () =
        r0.Router.violations)
     true
     (r1.Router.violations <= r0.Router.violations)
-
-let test_route_star_config () =
-  let rng = Rng.create 36 in
-  let nets =
-    Array.init 20 (fun _ ->
-        List.init 4 (fun _ ->
-            Geom.point
-              (Rng.float rng fp.Floorplan.die_width)
-              (Rng.float rng fp.Floorplan.die_height)))
-  in
-  let star = { Router.default_config with star_topology = true } in
-  let r_star = route_pins ~config:star ~floorplan:fp ~wire nets in
-  let r_mst = route_pins ~floorplan:fp ~wire nets in
-  Alcotest.(check bool) "star at least as long" true
-    (r_star.Router.wirelength_um >= r_mst.Router.wirelength_um -. 1e-6)
 
 (* ------------------------- Session & parallelism ------------------------- *)
 
@@ -605,18 +569,15 @@ let agreement_fixture =
      (mapped, Placement.place_mapped_seeded mapped ~floorplan))
 
 (* The router, the density map and the forecast share one request, so on
-   any floorplan and gcell size they agree on every pin gcell and on the
-   grid dimensions — pins off the die and at negative coordinates
-   included. *)
+   any floorplan they agree on every pin gcell and on the grid
+   dimensions — pins off the die and at negative coordinates included.
+   Up to 24 rows make grids of up to 12 gcell rows. *)
 let prop_request_agreement =
   QCheck.Test.make ~count:60
     ~name:"request, density, grid and forecast agree on gcells"
-    QCheck.(
-      quad (int_range 1 12) (int_range 1 80) (int_range 1 4)
-        (int_range 0 10_000))
-    (fun (num_rows, sites_per_row, gcell_rows, seed) ->
+    QCheck.(triple (int_range 1 24) (int_range 1 80) (int_range 0 10_000))
+    (fun (num_rows, sites_per_row, seed) ->
       let floorplan = Floorplan.of_rows ~num_rows ~sites_per_row ~geometry in
-      let config = { Router.default_config with Router.gcell_rows } in
       let rng = Rng.create seed in
       (* From half a die below the origin to half a die past the far edge. *)
       let point _ =
@@ -653,7 +614,7 @@ let prop_request_agreement =
           QCheck.Test.fail_reportf "%s: forecast dims differ from the grid" what
       in
       let pins = Array.init 24 (fun _ -> List.init (Rng.int rng 5) point) in
-      check "pins" (Request.of_pins ~config ~floorplan ~wire pins);
+      check "pins" (Request.of_pins ~floorplan ~wire pins);
       let mapped, placed = Lazy.force agreement_fixture in
       let placement =
         {
@@ -663,7 +624,7 @@ let prop_request_agreement =
           po_pos = Array.map point placed.Placement.po_pos;
         }
       in
-      let req = Request.of_mapped ~config mapped ~floorplan ~wire ~placement in
+      let req = Request.of_mapped mapped ~floorplan ~wire ~placement in
       if req.Request.density = None then
         QCheck.Test.fail_report "of_mapped built no density map";
       check "mapped" req;
@@ -702,13 +663,12 @@ let random_mapped rng =
 (* The flat request against the list-based one it replaced
    (test/reference/reference_request.ml): the net table, every pin's
    gcell, each net's sorted distinct gcells, the density bits and the
-   segments of both topologies, for [of_mapped] and [of_pins]. *)
+   segments, for [of_mapped] and [of_pins]. Up to 24 rows make grids of
+   up to 12 gcell rows. *)
 let prop_request_oracle =
-  QCheck.Test.make ~count:200 ~name:"flat request == list oracle"
-    QCheck.(
-      quad (int_range 1 12) (int_range 1 80) (int_range 1 4)
-        (int_range 0 10_000))
-    (fun (num_rows, sites_per_row, gcell_rows, seed) ->
+  QCheck.Test.make ~count:400 ~name:"flat request == list oracle"
+    QCheck.(triple (int_range 1 24) (int_range 1 80) (int_range 0 10_000))
+    (fun (num_rows, sites_per_row, seed) ->
       let module Mapped = Cals_netlist.Mapped in
       let module Ref = Cals_reference.Reference_request in
       let floorplan = Floorplan.of_rows ~num_rows ~sites_per_row ~geometry in
@@ -754,55 +714,50 @@ let prop_request_oracle =
         if List.rev !segments <> Ref.segments oracle then
           fail "%s: segments differ" what
       in
-      List.iter
-        (fun star_topology ->
-          let config = { Router.default_config with Router.gcell_rows; star_topology } in
-          let topo = if star_topology then "star" else "mst" in
-          let mapped = random_mapped rng in
-          let table = Mapped.net_table mapped in
-          let n_cells = Array.length mapped.Mapped.instances in
-          let node = function
-            | Mapped.Of_pi i -> n_cells + i
-            | Mapped.Of_inst i -> i
+      let mapped = random_mapped rng in
+      let table = Mapped.net_table mapped in
+      let n_cells = Array.length mapped.Mapped.instances in
+      let node = function
+        | Mapped.Of_pi i -> n_cells + i
+        | Mapped.Of_inst i -> i
+      in
+      Array.iteri
+        (fun net { Ref.driver; sinks } ->
+          let want =
+            if sinks = [] then []
+            else
+              node driver
+              :: List.map
+                   (function
+                     | Ref.Cell_pin (i, _) -> i
+                     | Ref.Po o -> n_cells + Array.length mapped.Mapped.pi_names + o)
+                   sinks
           in
-          Array.iteri
-            (fun net { Ref.driver; sinks } ->
-              let want =
-                if sinks = [] then []
-                else
-                  node driver
-                  :: List.map
-                       (function
-                         | Ref.Cell_pin (i, _) -> i
-                         | Ref.Po o -> n_cells + Array.length mapped.Mapped.pi_names + o)
-                       sinks
-              in
-              if slice table.Mapped.pins table.Mapped.first.(net) table.Mapped.first.(net + 1) <> want
-              then fail "net table: net %d differs" net)
-            (Ref.nets mapped);
-          let placement =
-            {
-              Placement.cell_pos = Array.init n_cells point;
-              pi_pos = Array.init (Array.length mapped.Mapped.pi_names) point;
-              po_pos = Array.init (Array.length mapped.Mapped.outputs) point;
-              hpwl = 0.0;
-              row_fill = [||];
-              nets = table;
-            }
-          in
-          check ("mapped " ^ topo)
-            (Request.of_mapped ~config mapped ~floorplan ~wire ~placement)
-            (Ref.of_mapped ~config mapped ~floorplan ~placement);
-          (* Few distinct points, so nets repeat gcells and pins. *)
-          let points = Array.init 6 point in
-          let nets =
-            Array.init (Rng.int rng 30) (fun _ ->
-                List.init (Rng.int rng 25) (fun _ -> points.(Rng.int rng 6)))
-          in
-          check ("pins " ^ topo)
-            (Request.of_pins ~config ~floorplan ~wire nets)
-            (Ref.of_pins ~config ~floorplan nets))
-        [ false; true ];
+          if slice table.Mapped.pins table.Mapped.first.(net) table.Mapped.first.(net + 1) <> want
+          then fail "net table: net %d differs" net)
+        (Ref.nets mapped);
+      let placement =
+        {
+          Placement.cell_pos = Array.init n_cells point;
+          pi_pos = Array.init (Array.length mapped.Mapped.pi_names) point;
+          po_pos = Array.init (Array.length mapped.Mapped.outputs) point;
+          hpwl = 0.0;
+          row_fill = [||];
+          nets = table;
+        }
+      in
+      check "mapped"
+        (Request.of_mapped mapped ~floorplan ~wire ~placement)
+        (Ref.of_mapped mapped ~floorplan ~placement);
+      (* Few distinct points, so nets repeat gcells and pins. *)
+      let points = Array.init 6 point in
+      let nets =
+        Array.init (Rng.int rng 30) (fun _ ->
+            List.init (Rng.int rng 25) (fun _ -> points.(Rng.int rng 6)))
+      in
+      check "pins"
+        (Request.of_pins ~floorplan ~wire nets)
+        (Ref.of_pins ~floorplan nets);
       true)
 
 (* ------------------------- Congestion ------------------------- *)
@@ -845,7 +800,6 @@ let () =
         [
           Alcotest.test_case "mst tree" `Quick test_mst_tree_properties;
           Alcotest.test_case "degenerate" `Quick test_mst_short;
-          Alcotest.test_case "mst <= star" `Quick test_mst_shorter_than_star;
         ] );
       ( "router",
         [
@@ -855,7 +809,6 @@ let () =
           Alcotest.test_case "net length sum" `Quick test_route_net_lengths_sum;
           Alcotest.test_case "overload detected" `Quick test_route_overload_detected;
           Alcotest.test_case "negotiation helps" `Quick test_route_negotiation_helps;
-          Alcotest.test_case "star topology" `Quick test_route_star_config;
         ] );
       ( "session",
         [
