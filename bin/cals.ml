@@ -59,6 +59,14 @@ let load_network input scale seed =
       Printf.eprintf "cals: %s: %s\n" input reason;
       exit 2)
 
+(* A file the user asked for: an unwritable path is the user's error as
+   well, so name it and exit 2. *)
+let write_output path contents =
+  try Out_channel.with_open_text path (fun oc -> output_string oc contents)
+  with Sys_error reason ->
+    Printf.eprintf "cals: %s\n" reason;
+    exit 2
+
 let prepare input scale seed optimize =
   let network = load_network input scale seed in
   if optimize then Cals_logic.Optimize.script_area network
@@ -106,9 +114,7 @@ let run_map input scale seed optimize k utilization output =
     (Mapped.cell_histogram mapped);
   (match output with
   | Some path ->
-    let oc = open_out path in
-    output_string oc (Mapped.to_verilog mapped);
-    close_out oc;
+    write_output path (Mapped.to_verilog mapped);
     Printf.printf "wrote %s\n" path
   | None -> ());
   0
@@ -180,10 +186,7 @@ let dump_congestion path ~subject ~floorplan ~positions ~k =
               ] );
         ]
     in
-    let oc = open_out path in
-    output_string oc (Proto.print_json json);
-    output_char oc '\n';
-    close_out oc;
+    write_output path (Proto.print_json json ^ "\n");
     Printf.printf "wrote %s (estimated + real congestion maps at K=%g)\n" path
       k
 
@@ -192,7 +195,7 @@ let dump_congestion path ~subject ~floorplan ~positions ~k =
 let export_telemetry trace metrics =
   (match trace with
   | Some path ->
-    Export.write_chrome_trace path;
+    write_output path (Export.chrome_trace ());
     Printf.printf "wrote %s (open in Perfetto or chrome://tracing)\n" path
   | None -> ());
   match metrics with
@@ -405,7 +408,7 @@ let run_fuzz verbosity iterations seed out replay level =
 
 (* ------------------------- serve ------------------------- *)
 
-let run_serve verbosity spool from_stdin jobs out deadline max_attempts
+let run_serve verbosity spool from_stdin out deadline max_attempts
     backoff high_watermark overload_watermark triage_watermark
     degraded_k_points watch tick trace metrics listen workers cache_dir
     worker_mode =
@@ -431,12 +434,18 @@ let run_serve verbosity spool from_stdin jobs out deadline max_attempts
       | Ok () -> Ok ()
       | Error e -> Error (Printf.sprintf "unusable --cache-dir %S: %s" d e))
   in
-  match (listen_addr, cache_ok) with
-  | Error msg, _ | _, Error msg -> fail msg
-  | Ok listen_addr, Ok () ->
+  let spool_ok =
+    match spool with
+    | Some d when not (Sys.file_exists d && Sys.is_directory d) ->
+      Error (Printf.sprintf "--spool %S is not a directory" d)
+    | _ -> Ok ()
+  in
+  match (listen_addr, cache_ok, spool_ok) with
+  | Error msg, _, _ | _, Error msg, _ | _, _, Error msg -> fail msg
+  | Ok listen_addr, Ok (), Ok () ->
     let config =
       {
-        Scheduler.jobs;
+        Scheduler.jobs = 1;
         out_dir = out;
         default_deadline_s = deadline;
         max_attempts;
@@ -461,9 +470,6 @@ let run_serve verbosity spool from_stdin jobs out deadline max_attempts
     else if workers > 0 && watch then
       fail "--watch needs the in-process drain; a --workers fleet reads its \
             spool once"
-    else if workers > 0 && jobs <> 1 then
-      fail "-j/--jobs sets in-process worker domains; with --workers each \
-            worker process runs one job at a time"
     else if spool = None && (not from_stdin) && listen_addr = None then
       fail
         "nothing to do — give a job source (--spool DIR, --stdin or --listen \
@@ -531,7 +537,7 @@ let run_serve verbosity spool from_stdin jobs out deadline max_attempts
 let run_lib output =
   match output with
   | Some path ->
-    Cals_cell.Liberty.write_file path library;
+    write_output path (Cals_cell.Liberty.print library);
     Printf.printf "wrote %s (%d cells)\n" path (Cals_cell.Library.size library);
     0
   | None ->
@@ -778,13 +784,6 @@ let serve_stdin_arg =
   let doc = "Read JSON-lines jobs from standard input until EOF." in
   Arg.(value & flag & info [ "stdin" ] ~doc)
 
-let serve_jobs_arg =
-  let doc =
-    "Worker domains the job rounds are spread over (in-process drain only; \
-     refused with $(b,--workers))."
-  in
-  Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
-
 let serve_out_arg =
   let doc =
     "Artifact root: one directory per job (job.json, metrics.json, \
@@ -883,9 +882,10 @@ let serve_cmd =
       `S Manpage.s_description;
       `P
         "Accepts mapping jobs as JSON lines — one object per line, either \
-         from $(b,--spool) files or $(b,--stdin) — and drains them over a \
-         shared pool of worker domains. Each job names its circuit (a \
-         $(b,blif) path, a $(b,preset), or a synthetic $(b,workload)) plus \
+         from $(b,--spool) files or $(b,--stdin) — and drains them one at \
+         a time, or in parallel over a $(b,--workers) process fleet. Each \
+         job names its circuit (a $(b,blif) path, a $(b,preset), or a \
+         synthetic $(b,workload)) plus \
          optional $(b,k_schedule), $(b,checks), $(b,utilization), \
          $(b,optimize) and $(b,deadline_s) fields.";
       `P
@@ -908,7 +908,7 @@ let serve_cmd =
   Cmd.v (Cmd.info "serve" ~doc ~man)
     Term.(
       const run_serve $ verbosity_arg $ serve_spool_arg $ serve_stdin_arg
-      $ serve_jobs_arg $ serve_out_arg $ serve_deadline_arg
+      $ serve_out_arg $ serve_deadline_arg
       $ serve_attempts_arg $ serve_backoff_arg $ serve_high_arg
       $ serve_overload_arg $ serve_triage_arg $ serve_degraded_k_arg
       $ serve_watch_arg $ serve_tick_arg $ trace_arg $ metrics_arg

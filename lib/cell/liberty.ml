@@ -62,8 +62,3 @@ let print library =
     (Library.cells library);
   Buffer.add_string buf "}\n";
   Buffer.contents buf
-
-let write_file path library =
-  let oc = open_out path in
-  output_string oc (print library);
-  close_out oc

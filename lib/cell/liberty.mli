@@ -8,8 +8,6 @@
 val print : Library.t -> string
 (** Render the whole library as Liberty text. *)
 
-val write_file : string -> Library.t -> unit
-
 val function_of_cell : Cell.t -> string
 (** Liberty boolean expression of a cell, e.g. ["!((a b) + c)"] for AOI21.
     Pin names are [a, b, c, d] in pattern-variable order. *)

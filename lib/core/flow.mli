@@ -58,7 +58,6 @@ val run_adaptive :
   ?t:float ->
   ?cancel:Cals_util.Cancel.t ->
   ?session:Incremental.session ->
-  ?lookups:Incremental.lookups ->
   ?positions:Cals_util.Geom.point array ->
   subject:Cals_netlist.Subject.t ->
   library:Cals_cell.Library.t ->
@@ -110,8 +109,7 @@ val run_adaptive :
     companion placement (the serve scheduler's per-design cache) thread
     them through instead of placing and warming from scratch; a passed
     session is not warmed here. When [positions] is given, [rng] is
-    unused. Every map's tree lookups are added to [lookups], when given
-    (see {!Incremental.map}).
+    unused.
 
     [t] (default [0.]) is the timing weight of the multi-objective match
     cost [AREA + K*WIRE + T*DELAY] — see {!Mapper.options.t}. It changes
@@ -142,7 +140,6 @@ val evaluate_k :
   ?checks:Cals_verify.Check.level ->
   ?estimate:Cals_estimate.Estimate.policy ->
   ?session:Incremental.session ->
-  ?lookups:Incremental.lookups ->
   ?route_session:Cals_route.Router.Session.t ->
   ?route_pool:Cals_util.Pool.t ->
   ?t:float ->
@@ -173,8 +170,7 @@ val evaluate_k :
     certificate's lower bound on the violations (>= 1), so a pruned
     point is never accepted. [Triage] routes nothing and records the forecast; [Off]
     always routes. [t] (default [0.]) is the timing weight of
-    {!Mapper.options.t}, forwarded to {!Incremental.map} with
-    [lookups]; the equivalence stimulus stays derived from K alone
+    {!Mapper.options.t}, forwarded to {!Incremental.map}; the equivalence stimulus stays derived from K alone
     (see {!equiv_seed}), which remains sound because the stimulus never
     depends on the netlist under check.
 

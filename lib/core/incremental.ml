@@ -27,8 +27,6 @@ type stats = {
   maps : int;
 }
 
-type lookups = { mutable tree_hits : int; mutable tree_misses : int }
-
 type tree = {
   nodes : int array;  (** Live gates of the tree, increasing node order. *)
   fp : int64;
@@ -46,9 +44,9 @@ type session = {
           are in it. Outside a store load, a tree is in it whole or not
           at all. *)
   by_fp : (int64, int) Hashtbl.t;  (** Tree index per fingerprint. *)
-  hits : int Atomic.t;
-  misses : int Atomic.t;
-  maps : int Atomic.t;
+  mutable hits : int;
+  mutable misses : int;
+  mutable maps : int;
   route_session : Cals_route.Router.Session.t;
 }
 
@@ -135,70 +133,47 @@ let create ?options ~subject ~library ~positions () =
     trees;
     table = Matches.create subject ~library;
     by_fp;
-    hits = Atomic.make 0;
-    misses = Atomic.make 0;
-    maps = Atomic.make 0;
+    hits = 0;
+    misses = 0;
+    maps = 0;
     route_session = Cals_route.Router.Session.create ();
   }
 
 let in_table session t = Matches.mem session.table t.nodes.(0)
 
-(* Enumerate one tree into [table] with one walker, counted as a miss. *)
-let enumerate_tree session table t =
-  Atomic.incr session.misses;
-  Metrics.incr m_misses;
-  Array.iter
-    (Matches.add_node (Matches.walker table ~partition:session.partition))
-    t.nodes
+(* Enumerate every tree not in the table yet into it, one walker per
+   tree, each counted as a miss. Returns the number of trees that were
+   in it already. *)
+let enumerate_missing session =
+  Array.fold_left
+    (fun hits t ->
+      if in_table session t then hits + 1
+      else begin
+        session.misses <- session.misses + 1;
+        Metrics.incr m_misses;
+        Array.iter
+          (Matches.add_node
+             (Matches.walker session.table ~partition:session.partition))
+          t.nodes;
+        hits
+      end)
+    0 session.trees
 
-(* The table one map reads, counting one hit or miss per tree. Once every
-   tree is cached that is the session's own; otherwise the missing trees
-   are enumerated into a copy that the call drops, so [map] never writes
-   the session and domains may share it without a lock. *)
-let map_table session lookups =
-  let ntrees = Array.length session.trees in
-  let count hits =
-    Option.iter
-      (fun l ->
-        l.tree_hits <- l.tree_hits + hits;
-        l.tree_misses <- l.tree_misses + ntrees - hits)
-      lookups
-  in
-  if Array.for_all (in_table session) session.trees then begin
-    ignore (Atomic.fetch_and_add session.hits ntrees);
-    Metrics.add m_hits ntrees;
-    count ntrees;
-    session.table
-  end
-  else begin
-    let scratch = Matches.copy session.table in
-    let hits = ref 0 in
-    Array.iter
-      (fun t ->
-        if in_table session t then begin
-          incr hits;
-          Atomic.incr session.hits;
-          Metrics.incr m_hits
-        end
-        else enumerate_tree session scratch t)
-      session.trees;
-    count !hits;
-    scratch
-  end
-
-let map ?(verify = false) ?(t = 0.0) ?lookups session ~k =
+let map ?(verify = false) ?(t = 0.0) session ~k =
   Span.with_ ~cat:"map" ~meta:(Printf.sprintf "K=%g" k) "mapper.map"
   @@ fun () ->
-  Atomic.incr session.maps;
+  session.maps <- session.maps + 1;
   Metrics.incr m_runs;
-  let table = map_table session lookups in
+  let hits = enumerate_missing session in
+  session.hits <- session.hits + hits;
+  Metrics.add m_hits hits;
   let { Mapper.wire_scale; distance; incremental_update; include_wire2;
         transitive_wire; _ } =
     session.options
   in
   let cover =
     Span.with_ ~cat:"map" "mapper.cover" @@ fun () ->
-    Cover.run table ~partition:session.partition ~positions:session.positions
+    Cover.run session.table ~partition:session.partition ~positions:session.positions
       { Cover.k = k *. wire_scale; t; distance; incremental_update;
         include_wire2; transitive_wire }
   in
@@ -223,17 +198,14 @@ let map ?(verify = false) ?(t = 0.0) ?lookups session ~k =
 
 let warm session =
   Span.with_ ~cat:"map" "incremental.warm" @@ fun () ->
-  Array.iter
-    (fun t ->
-      if not (in_table session t) then enumerate_tree session session.table t)
-    session.trees
+  ignore (enumerate_missing session)
 
 let stats session =
   {
     trees = Array.length session.trees;
-    hits = Atomic.get session.hits;
-    misses = Atomic.get session.misses;
-    maps = Atomic.get session.maps;
+    hits = session.hits;
+    misses = session.misses;
+    maps = session.maps;
   }
 
 let library session = session.library

@@ -25,27 +25,20 @@
     cached tree and a freshly enumerated one give the DP the same
     candidate sequence and the same tie-breaks (see {!Cover.run}).
 
-    {2 Cache discipline and domain safety}
+    {2 Cache discipline}
 
-    The table fills only through {!warm} and the store ({!missing}). A
-    {!map} on a session with uncached trees enumerates them into a
-    per-call copy of the table and drops it. As {!map} never writes, any
-    number of domains may share a session with no lock, once its filling
-    is done ({!warm} and a store load must not overlap a {!map}). An
-    unwarmed session is just as safe, only slower. The hit/miss
-    statistics are atomics. *)
+    The table fills through {!warm}, the store ({!missing}) and
+    {!map}: a {!map} on a session with uncached trees enumerates them
+    into the session's table (counted as misses), so every later
+    {!map} hits them. A session is not domain-safe: use it from one
+    domain at a time. *)
 
 type stats = {
   trees : int;  (** Partition trees in the session's subject. *)
   hits : int;  (** Trees a {!map} found in the session's table. *)
-  misses : int;  (** Tree enumerations, by {!warm} or an unwarmed {!map}. *)
+  misses : int;  (** Tree enumerations, by {!warm} or {!map}. *)
   maps : int;  (** {!map} calls executed so far. *)
 }
-
-type lookups = { mutable tree_hits : int; mutable tree_misses : int }
-(** One caller's own count of its {!map} calls' tree lookups. A session's
-    {!stats} sum every caller's; a job sharing the session with another
-    domain's jobs counts its own here. *)
 
 type session
 
@@ -64,7 +57,6 @@ val create :
 val map :
   ?verify:bool ->
   ?t:float ->
-  ?lookups:lookups ->
   session ->
   k:float ->
   Mapper.result
@@ -75,13 +67,12 @@ val map :
     structural matches, so timing and non-timing calls share one table.
     With [verify] (default [false]) the extraction is checked to cover
     every live gate; a violation raises
-    {!Cals_verify.Check.Violation} with stage ["cover"]. The call's tree
-    hits and misses are also added to [lookups], when given. *)
+    {!Cals_verify.Check.Violation} with stage ["cover"]. Trees not in
+    the table yet are enumerated into it first, as by {!warm}. *)
 
 val warm : session -> unit
-(** Sequential match phase: enumerate every tree that is not in the
-    table yet into it (counted as misses). After [warm], every {!map} lookup
-    hits. Must not overlap a {!map} on the same session. *)
+(** Match phase: enumerate every tree that is not in the table yet into
+    it (counted as misses). After [warm], every {!map} lookup hits. *)
 
 val stats : session -> stats
 (** Snapshot of the session-local counters. The global telemetry
@@ -107,7 +98,7 @@ val route_session : session -> Cals_route.Router.Session.t
     and loads a saved one straight into a fresh session's table (through
     {!Matches.add_candidate}, {!Matches.add_stored} and
     {!Matches.truncate}, only for {!missing} trees), tree by tree under
-    the fingerprints. None of this may overlap a {!map}. *)
+    the fingerprints. *)
 
 val table : session -> Matches.table
 val partition : session -> Partition.t

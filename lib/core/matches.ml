@@ -98,21 +98,6 @@ let create subject ~library =
     covered = Array.make (12 * n) 0;
   }
 
-(* Only the filled prefixes are copied; the copy grows on demand. *)
-let copy t =
-  let c = t.count in
-  {
-    t with
-    first = Array.copy t.first;
-    stop = Array.copy t.stop;
-    enumerated = Array.copy t.enumerated;
-    cell = Array.sub t.cell 0 c;
-    leaf_first = Array.sub t.leaf_first 0 (c + 1);
-    leaves = Array.sub t.leaves 0 t.leaf_first.(c);
-    cov_first = Array.sub t.cov_first 0 (c + 1);
-    covered = Array.sub t.covered 0 t.cov_first.(c);
-  }
-
 let mem t v = t.first.(v) >= 0
 
 (* [a] with room for [n] entries, doubled when it must grow. *)

@@ -56,9 +56,6 @@ type table = private {
 val create : Cals_netlist.Subject.t -> library:Cals_cell.Library.t -> table
 (** An empty table for [subject]. *)
 
-val copy : table -> table
-(** An independent copy: adding nodes to it leaves the original alone. *)
-
 val mem : table -> int -> bool
 (** Whether node [v]'s candidates are in the table. *)
 

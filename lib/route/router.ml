@@ -860,10 +860,6 @@ module Request = struct
 end
 
 module Session = struct
-  type entry =
-    | Done of result
-    | Inflight
-
   type stats = {
     route_calls : int;
     replays : int;
@@ -871,69 +867,20 @@ module Session = struct
   }
 
   type t = {
-    lock : Mutex.t;
-    cond : Condition.t;
-    full : (int64, entry) Hashtbl.t;
-    route_calls : int Atomic.t;
-    replays : int Atomic.t;
-    nets_rerouted : int Atomic.t;
+    full : (int64, result) Hashtbl.t;
+    mutable route_calls : int;
+    mutable replays : int;
+    mutable nets_rerouted : int;
   }
 
   let create () =
-    {
-      lock = Mutex.create ();
-      cond = Condition.create ();
-      full = Hashtbl.create 16;
-      route_calls = Atomic.make 0;
-      replays = Atomic.make 0;
-      nets_rerouted = Atomic.make 0;
-    }
-
-  (* Look the fingerprint up; [Some r] replays, [None] means this caller
-     inserted the Inflight marker and owns the cold route (it must
-     publish or retract). A concurrent caller with the same fingerprint
-     waits instead of routing the same request twice. *)
-  let claim s fp =
-    Atomic.incr s.route_calls;
-    Mutex.lock s.lock;
-    let rec loop () =
-      match Hashtbl.find_opt s.full fp with
-      | Some (Done r) ->
-        Mutex.unlock s.lock;
-        Atomic.incr s.replays;
-        Metrics.incr m_session_replays;
-        Some r
-      | Some Inflight ->
-        Condition.wait s.cond s.lock;
-        loop ()
-      | None ->
-        Hashtbl.replace s.full fp Inflight;
-        Mutex.unlock s.lock;
-        None
-    in
-    loop ()
-
-  let publish s fp r ~nets =
-    ignore (Atomic.fetch_and_add s.nets_rerouted nets);
-    Metrics.add m_session_nets_rerouted nets;
-    Mutex.lock s.lock;
-    Hashtbl.replace s.full fp (Done r);
-    Condition.broadcast s.cond;
-    Mutex.unlock s.lock
-
-  let retract s fp =
-    Mutex.lock s.lock;
-    (match Hashtbl.find_opt s.full fp with
-    | Some Inflight -> Hashtbl.remove s.full fp
-    | _ -> ());
-    Condition.broadcast s.cond;
-    Mutex.unlock s.lock
+    { full = Hashtbl.create 16; route_calls = 0; replays = 0; nets_rerouted = 0 }
 
   let stats s =
     {
-      route_calls = Atomic.get s.route_calls;
-      replays = Atomic.get s.replays;
-      nets_rerouted = Atomic.get s.nets_rerouted;
+      route_calls = s.route_calls;
+      replays = s.replays;
+      nets_rerouted = s.nets_rerouted;
     }
 end
 
@@ -1091,16 +1038,18 @@ let route ?(cancel = Cancel.never) ?session ?pool (req : Request.t) =
   | Some s -> (
     Cancel.check cancel;
     let fp = Request.fingerprint req in
-    match Session.claim s fp with
-    | Some r -> r
-    | None -> (
-      match route_cold ~cancel ~pool req with
-      | r ->
-        Session.publish s fp r ~nets:num_nets;
-        r
-      | exception e ->
-        Session.retract s fp;
-        raise e))
+    s.Session.route_calls <- s.Session.route_calls + 1;
+    match Hashtbl.find_opt s.Session.full fp with
+    | Some r ->
+      s.Session.replays <- s.Session.replays + 1;
+      Metrics.incr m_session_replays;
+      r
+    | None ->
+      let r = route_cold ~cancel ~pool req in
+      s.Session.nets_rerouted <- s.Session.nets_rerouted + num_nets;
+      Metrics.add m_session_nets_rerouted num_nets;
+      Hashtbl.replace s.Session.full fp r;
+      r)
 
 let route_mapped ?session mapped ~floorplan ~wire ~placement =
   route ?session (Request.of_mapped mapped ~floorplan ~wire ~placement)

@@ -121,11 +121,10 @@ val iter_segments : Request.t -> (int -> int -> int -> unit) -> unit
     when a K search or a batch of jobs re-evaluates an unchanged
     mapping. Replayed results are shared structure: treat them as
     immutable. A miss routes cold, exactly as without a session, so a
-    session never changes a result.
+    session never changes a result. A call that raises (a cancelled
+    route) stores nothing.
 
-    All operations are domain-safe. Concurrent calls with the same
-    fingerprint dedupe in flight: the second caller waits for the first
-    one's result instead of routing twice. *)
+    A session is not domain-safe: use one from one domain at a time. *)
 module Session : sig
   type t
 
@@ -213,7 +212,7 @@ val route :
     pattern phase, at the top of every negotiation iteration and before
     every ripped-up segment's maze search; a fired token unwinds with
     {!Cals_util.Cancel.Cancelled}, leaving only the result unbuilt: the
-    session forgets the call, and the domain's routing state is cleared
+    session stores nothing, and the domain's routing state is cleared
     by the next call, so a cancelled call leaks nothing. This is the
     router half of the deadline propagation the batch service relies
     on. *)

@@ -3,7 +3,7 @@
     A job is a {!Proto.spec} plus the mutable state the scheduler needs:
     how many times it ran, when it may run again (retry backoff), and
     how it ended. Jobs are owned by exactly one party at a time — the
-    {!Queue} while waiting, one worker domain while running — so the
+    {!Queue} while waiting, the scheduler while running — so the
     mutable fields need no locking of their own. *)
 
 (** Why a run of the job did not complete. *)

@@ -1,6 +1,6 @@
 (** The job ledger: the bookkeeping both serve drains share.
 
-    {!Scheduler.drain} (worker domains in one process) and {!Shard.drain}
+    {!Scheduler.drain} (one job at a time in one process) and {!Shard.drain}
     (a fleet of worker processes) differ only in how they dispatch runs.
     Everything around the dispatch lives here, once: job ids, admission
     of JSON-lines jobs and spool files, the degradation level read off

@@ -1,26 +1,15 @@
 type t = {
-  mutex : Mutex.t;
   mutable jobs : Job.t list;  (* FIFO: oldest first. *)
   max_attempts : int;
   backoff_s : float;
 }
 
 let create ?(max_attempts = 3) ?(backoff_s = 0.05) () =
-  {
-    mutex = Mutex.create ();
-    jobs = [];
-    max_attempts = max 1 max_attempts;
-    backoff_s;
-  }
+  { jobs = []; max_attempts = max 1 max_attempts; backoff_s }
 
-let locked t f =
-  Mutex.lock t.mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
-
-let push t job = locked t (fun () -> t.jobs <- t.jobs @ [ job ])
+let push t job = t.jobs <- t.jobs @ [ job ]
 
 let take_ready t ~now ~max =
-  locked t @@ fun () ->
   let rec split taken kept n = function
     | [] -> (List.rev taken, List.rev kept)
     | job :: rest ->
@@ -52,22 +41,20 @@ let record_fault t ~now (job : Job.t) fault =
     in
     job.Job.status <- Job.Pending;
     job.Job.not_before <- now +. delay;
-    locked t (fun () -> t.jobs <- t.jobs @ [ job ]);
+    push t job;
     `Retry
   end
 
-let depth t = locked t (fun () -> List.length t.jobs)
+let depth t = List.length t.jobs
 
 let shed_oldest t =
-  locked t (fun () ->
-      match t.jobs with
-      | [] -> None
-      | oldest :: rest ->
-        t.jobs <- rest;
-        Some oldest)
+  match t.jobs with
+  | [] -> None
+  | oldest :: rest ->
+    t.jobs <- rest;
+    Some oldest
 
 let next_gate t ~now =
-  locked t @@ fun () ->
   match t.jobs with
   | [] -> None
   | jobs ->

@@ -1,6 +1,6 @@
 (** A serve drain's job queue: FIFO order and retry backoff.
 
-    A mutex-protected FIFO of {!Job.t} with the backoff policy folded
+    A FIFO of {!Job.t} with the backoff policy folded
     in: a failed or timed-out run goes back in the queue behind an
     exponential backoff gate until its attempt budget is spent, after
     which {!record_fault} hands it back for quarantine. The queue never
@@ -8,11 +8,10 @@
     [Quarantined]. Counting, logging and quarantine artifacts are the
     {!Ledger}'s, which calls {!record_fault} from {!Ledger.fault}.
 
-    The in-process scheduler drains one queue in rounds (fork/join over
-    the pool), so pops happen from one domain at a time; the mutex
-    exists so that watch mode can keep admitting jobs while a round is
-    being assembled, and so depth gauges read consistently from
-    anywhere. A {!Shard} fleet keeps one queue per worker. *)
+    Every operation runs on the draining domain: the in-process
+    scheduler drains one queue in rounds, and a {!Shard} fleet keeps one
+    queue per worker in its front-end's select loop. The queue has no
+    lock. *)
 
 type t
 

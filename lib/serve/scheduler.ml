@@ -12,7 +12,6 @@ module Fuzz = Cals_verify.Fuzz
 module Metrics = Cals_telemetry.Metrics
 module Span = Cals_telemetry.Span
 module Cancel = Cals_util.Cancel
-module Pool = Cals_util.Pool
 
 let log_src = Logs.Src.create "cals.serve" ~doc:"Batch mapping service"
 
@@ -76,9 +75,7 @@ type summary = Ledger.summary = {
 
 (* Everything about one distinct circuit that K, checks and deadlines do
    not change — shared by every job with the same design key. The session
-   is warmed at construction, before any worker domain sees it; lookups
-   never write its cache, so the domains may then map it concurrently
-   (see Incremental's cache discipline). *)
+   is warmed at construction, so every job's maps hit. *)
 type design = {
   subject : Subject.t;
   floorplan : Floorplan.t;
@@ -93,11 +90,16 @@ type t = {
   config : config;
   queue : Queue.t;
   designs : (string, design) Hashtbl.t;
-  designs_mutex : Mutex.t;
   ledger : Ledger.t;
 }
 
 let create config =
+  if config.jobs <> 1 then
+    invalid_arg
+      (Printf.sprintf
+         "Scheduler.create: jobs = %d; a scheduler runs one job at a time \
+          (a Shard fleet runs jobs in parallel)"
+         config.jobs);
   let queue =
     Queue.create ~max_attempts:config.max_attempts ~backoff_s:config.backoff_s
       ()
@@ -106,7 +108,6 @@ let create config =
     config;
     queue;
     designs = Hashtbl.create 16;
-    designs_mutex = Mutex.create ();
     ledger =
       Ledger.create ~out_dir:config.out_dir ~fleet:false
         ~high_watermark:config.high_watermark
@@ -173,8 +174,7 @@ let build_design ~cache_dir (spec : Proto.spec) =
     | Some budget ->
       (* Orchestration is paid once per design key (jobs sharing the key
          share this build through the design cache) and selects the
-         subject every job of the design then maps. Deterministic in the
-         spec, so racing builders converge on one subject. *)
+         subject every job of the design then maps. *)
       let result =
         Flow.orchestrate ~budget ~optimize:spec.Proto.optimize
           ~t:(Option.value spec.Proto.timing ~default:0.0)
@@ -235,32 +235,14 @@ let build_design ~cache_dir (spec : Proto.spec) =
   | _ -> ());
   { subject; floorplan; positions; session; preloaded }
 
-(* Racing builders waste work but stay correct: the design is built
-   outside the lock and the first insert wins, so every job with the same
-   key ends up reading one session (warmed above, and never written
-   after, hence safe to share across domains). *)
 let get_design t spec =
   let key = Proto.design_key spec in
-  let lookup () =
-    Mutex.lock t.designs_mutex;
-    let found = Hashtbl.find_opt t.designs key in
-    Mutex.unlock t.designs_mutex;
-    found
-  in
-  match lookup () with
+  match Hashtbl.find_opt t.designs key with
   | Some design -> design
   | None ->
-    let built = build_design ~cache_dir:t.config.cache_dir spec in
-    Mutex.lock t.designs_mutex;
-    let winner =
-      match Hashtbl.find_opt t.designs key with
-      | Some earlier -> earlier
-      | None ->
-        Hashtbl.add t.designs key built;
-        built
-    in
-    Mutex.unlock t.designs_mutex;
-    winner
+    let design = build_design ~cache_dir:t.config.cache_dir spec in
+    Hashtbl.add t.designs key design;
+    design
 
 (* ------------------------- degradation ladder ------------------------- *)
 
@@ -324,13 +306,13 @@ type run_result = Success of run_metrics | Fault of Job.fault
    is nothing for the adaptive search to save, so the rung walks the
    schedule in order under [Triage], against the cached session. Checks
    are always [Off] at this level (see [degraded_checks]). *)
-let run_schedule ~cancel ~t ~lookups ~design schedule =
+let run_schedule ~cancel ~t ~design schedule =
   let { subject; floorplan; positions; session; _ } = design in
   let rec loop acc = function
     | [] -> (List.rev acc, None, None)
     | k :: rest ->
       let iteration, artifacts =
-        Flow.evaluate_k ~estimate:Estimate.Triage ~session ~lookups
+        Flow.evaluate_k ~estimate:Estimate.Triage ~session
           ~route_session:(Incremental.route_session session)
           ~t ~cancel ~subject ~library ~floorplan ~positions ~k ()
       in
@@ -433,9 +415,9 @@ let run_job t ~level (job : Job.t) =
   try
     Span.with_ ~cat:"serve" ~meta:spec.Proto.id "serve.job" @@ fun () ->
     let design = get_design t spec in
-    (* The job's own lookups: the session's counters also count the
-       maps of jobs running on other domains. *)
-    let lookups = { Incremental.tree_hits = 0; tree_misses = 0 } in
+    (* The job's lookups are the session's counts over the job, taken
+       after the design's build so that its warm is not counted. *)
+    let before = Incremental.stats design.session in
     let checks = degraded_checks level spec.Proto.checks in
     let schedule =
       Option.value spec.Proto.k_schedule ~default:Flow.default_k_schedule
@@ -447,13 +429,13 @@ let run_job t ~level (job : Job.t) =
     let iterations, accepted, artifacts, forecast_evals =
       if triage then
         let iterations, accepted, artifacts =
-          run_schedule ~cancel ~t:timing_t ~lookups ~design schedule
+          run_schedule ~cancel ~t:timing_t ~design schedule
         in
         (iterations, accepted, artifacts, None)
       else begin
         let outcome, astats =
           Flow.run_adaptive ~k_schedule:schedule ~checks ~t:timing_t ~cancel
-            ~session:design.session ~lookups ~positions:design.positions
+            ~session:design.session ~positions:design.positions
             ~subject:design.subject ~library ~floorplan:design.floorplan
             ~rng:(Cals_util.Rng.create 0) ()
         in
@@ -487,6 +469,7 @@ let run_job t ~level (job : Job.t) =
         Some report.Sta.critical.Sta.arrival_ns
       | _ -> None
     in
+    let after = Incremental.stats design.session in
     let m =
       {
         wall_s = Unix.gettimeofday () -. t0;
@@ -500,8 +483,8 @@ let run_job t ~level (job : Job.t) =
           Option.map
             (fun it -> it.Flow.report.Congestion.violations)
             accepted;
-        cache_hits = lookups.Incremental.tree_hits;
-        cache_misses = lookups.Incremental.tree_misses;
+        cache_hits = after.Incremental.hits - before.Incremental.hits;
+        cache_misses = after.Incremental.misses - before.Incremental.misses;
         checks_run = checks;
         degrade_level = level;
         k_capped;
@@ -526,8 +509,7 @@ let run_job t ~level (job : Job.t) =
 
 (* ------------------------- the drain loop ------------------------- *)
 
-let apply_result t ((job : Job.t), result) =
-  match result with
+let apply_result t (job : Job.t) = function
   | Success m ->
     Ledger.complete t.ledger job ~wall_s:m.wall_s;
     Log.info (fun f ->
@@ -549,8 +531,6 @@ let drain t ?spool () =
     Option.iter (fun dir -> ignore (Ledger.load_spool t.ledger ~dir)) spool
   in
   poll ();
-  let pool = Pool.create ~jobs:(max 1 t.config.jobs) in
-  Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
   let rec loop () =
     if t.config.watch then poll ();
     let now = Unix.gettimeofday () in
@@ -575,15 +555,8 @@ let drain t ?spool () =
             f "queue depth %d: degradation level %d for this round" depth
               level)
       end;
-      Log.info (fun f ->
-          f "round: %d jobs over %d domains" (List.length batch)
-            (Pool.jobs pool));
-      let results =
-        Pool.map_array pool
-          ~f:(fun _ job -> (job, run_job t ~level job))
-          (Array.of_list batch)
-      in
-      Array.iter (apply_result t) results;
+      Log.info (fun f -> f "round: %d jobs" (List.length batch));
+      List.iter (fun job -> apply_result t job (run_job t ~level job)) batch;
       loop ()
   in
   loop ();

@@ -1,24 +1,25 @@
-(** The in-process serve drain behind [cals serve] without [--workers].
+(** The in-process serve drain behind [cals serve] without [--workers],
+    and the body of every {!Shard} worker.
 
-    A scheduler owns one {!Queue}, one shared {!Cals_util.Pool} of
-    worker domains, a {!Ledger}, and a {e design cache}: per distinct
-    circuit ({!Proto.design_key}) the subject graph, floorplan, companion
-    placement and a {!Cals_core.Incremental} session, warmed once
-    ({!Cals_core.Incremental.warm}) before worker domains share it (its
-    lookups never write, so sharing needs no lock), kept alive across jobs so repeated designs skip
-    decomposition, placement and pattern matching entirely. Telemetry
-    rings and metric counters likewise persist for the life of the
-    process — one trace covers the whole drain.
+    A scheduler owns one {!Queue}, a {!Ledger}, and a {e design cache}:
+    per distinct circuit ({!Proto.design_key}) the subject graph,
+    floorplan, companion placement and a {!Cals_core.Incremental}
+    session, warmed once ({!Cals_core.Incremental.warm}) and kept alive
+    across jobs so repeated designs skip decomposition, placement and
+    pattern matching entirely. Telemetry rings and metric counters
+    likewise persist for the life of the process — one trace covers the
+    whole drain.
 
     {2 Execution model}
 
-    Jobs are drained in fork/join rounds: every queued job whose backoff
-    gate has passed is dispatched through {!Cals_util.Pool.map_array},
-    each worker searches its job's K schedule with
-    {!Cals_core.Flow.run_adaptive} against the design's shared session
-    and writes the job's artifact directory, and the main domain then
-    hands the round's outcomes to the ledger, which applies the
-    retry/quarantine policy ({!Ledger.fault}). A job's deadline becomes a
+    Jobs are drained in rounds on the calling domain: every queued job
+    whose backoff gate has passed is taken, and the round's jobs run one
+    after another. Each searches its job's K schedule with
+    {!Cals_core.Flow.run_adaptive} against its design's session, writes
+    the job's artifact directory and hands its outcome to the ledger,
+    which applies the retry/quarantine policy ({!Ledger.fault}). Jobs run
+    in parallel only in a {!Shard} fleet, one job per worker process at a
+    time. A job's deadline becomes a
     {!Cals_util.Cancel} token with a wall-clock expiry, checked
     cooperatively at every flow and router check point. Job ids, spool
     ingestion, quarantine artifacts and [summary.json] are the ledger's
@@ -39,7 +40,10 @@
     stragglers. *)
 
 type config = {
-  jobs : int;  (** Worker domains (>= 1). *)
+  jobs : int;
+      (** Must be 1: a scheduler runs one job at a time. The field stays
+          only because the benchmark harness still sets it; it goes with
+          the harness's next change. *)
   out_dir : string;  (** Artifact root; created on demand. *)
   default_deadline_s : float option;
       (** Deadline for jobs that specify none; [None] = unlimited. *)
@@ -87,6 +91,7 @@ type summary = Ledger.summary = {
 type t
 
 val create : config -> t
+(** Raises [Invalid_argument] unless [config.jobs = 1]. *)
 
 val ledger : t -> Ledger.t
 (** The drain's ledger: submit lines or spool directories through it. *)
@@ -95,7 +100,7 @@ val drain : t -> ?spool:string -> unit -> summary
 (** Load [spool], then run rounds until the queue is empty (or forever
     under [config.watch], re-polling [spool] between rounds). Every
     round's results are applied before the next is dispatched; on
-    return the pool is shut down, every submitted job is [Done] or
+    return every submitted job is [Done] or
     [Quarantined], and the ledger has written [out_dir/summary.json].
     Safe to call once per scheduler. *)
 
@@ -114,7 +119,9 @@ type run_metrics = {
   cells : int;
   cell_area : float;
   violations : int option;
-  cache_hits : int;  (** Match-cache hits during this run. *)
+  cache_hits : int;
+      (** Match-cache hits during this run: the design session's count
+          over the run, after the design was built and warmed. *)
   cache_misses : int;
   checks_run : Cals_verify.Check.level;
   degrade_level : int;

@@ -216,7 +216,7 @@ let starts_with ~prefix s =
   && String.sub s 0 (String.length prefix) = prefix
 
 let worker_main (config : Scheduler.config) =
-  let scheduler = Scheduler.create { config with Scheduler.jobs = 1 } in
+  let scheduler = Scheduler.create config in
   let respond json =
     print_string (Proto.print_json json);
     print_newline ();

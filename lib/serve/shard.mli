@@ -123,5 +123,5 @@ val worker_main : Scheduler.config -> unit
     EOF, writing one response line per request on stdout. Runs jobs via
     {!Scheduler.run_job} on a private scheduler (the design cache and
     [cache_dir] store behavior ride in [config]); never touches a queue
-    or a ledger. A worker runs one job at a time whatever
-    [config.jobs] says; parallelism comes from the process fleet. *)
+    or a ledger. A worker runs one job at a time; parallelism comes from
+    the process fleet. *)

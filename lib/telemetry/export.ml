@@ -79,11 +79,6 @@ let chrome_trace () =
        (Ring.dropped ()));
   Buffer.contents buf
 
-let write_chrome_trace path =
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) @@ fun () ->
-  output_string oc (chrome_trace ())
-
 (* ---------------- Prometheus text exposition ---------------- *)
 
 let fmt_value v =

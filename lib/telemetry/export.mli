@@ -23,9 +23,6 @@ val chrome_trace : unit -> string
 (** The full trace as a JSON object with a [traceEvents] array of
     complete ("ph":"X") events; [tid] is the recording domain's id. *)
 
-val write_chrome_trace : string -> unit
-(** [write_chrome_trace path] writes {!chrome_trace} to [path]. *)
-
 val prometheus : unit -> string
 (** Text exposition of every counter, gauge and histogram, with a
     [cals_] name prefix ([_total] on counters, [_bucket]/[_sum]/[_count]

@@ -139,7 +139,7 @@ let test_serve () =
        blif);
   close_out oc;
   check_exit "serve drain" 0
-    (Printf.sprintf "%s serve --spool %s --out cli-serve-out -j 2" cals spool);
+    (Printf.sprintf "%s serve --spool %s --out cli-serve-out" cals spool);
   Alcotest.(check bool) "prints the drain summary" true
     (contains ~needle:"2 submitted, 2 completed" (logged ()));
   List.iter (check_file "serve")
@@ -149,8 +149,13 @@ let test_serve () =
       "cli-serve-out/cli-wl/metrics.json";
       "cli-serve-out/summary.json";
     ];
-  (* No job source is a usage error. *)
-  check_exit "serve without a source" 2 (Printf.sprintf "%s serve" cals)
+  (* No job source is a usage error, and so is a spool that is not a
+     directory. *)
+  check_exit "serve without a source" 2 (Printf.sprintf "%s serve" cals);
+  check_exit "serve --spool missing" 2
+    (Printf.sprintf "%s serve --spool cli-no-such-spool" cals);
+  Alcotest.(check bool) "names the missing spool" true
+    (contains ~needle:"serve: --spool \"cli-no-such-spool\"" (logged ()))
 
 (* The fleet flags: a 2-worker sharded drain with a persistent cache
    dir works end to end twice (the second run restart-warm), and every
@@ -204,11 +209,7 @@ let test_serve_fleet () =
   check_exit "--watch with --workers" 2
     (Printf.sprintf "%s serve --spool cli-fleet-spool --workers 2 --watch" cals);
   Alcotest.(check bool) "says --watch is refused" true
-    (contains ~needle:"--watch" (logged ()));
-  check_exit "-j 2 with --workers" 2
-    (Printf.sprintf "%s serve --spool cli-fleet-spool --workers 2 -j 2" cals);
-  Alcotest.(check bool) "says -j is refused" true
-    (contains ~needle:"-j/--jobs" (logged ()))
+    (contains ~needle:"--watch" (logged ()))
 
 (* A missing or malformed circuit file is a clean error, exit 2, naming
    the file — for every subcommand that reads one. *)
@@ -239,6 +240,36 @@ let test_bad_input () =
       ("sta", "cli-bad.pla", "line 3");
       ("map", "cli-bad.pla", "line 3");
       ("flow", "cli-bad-header.pla", "line 1");
+    ]
+
+(* An output file that cannot be written is a clean error, exit 2,
+   naming the path: a path under a regular file fails even as root. *)
+let test_bad_output () =
+  let oc = open_out "cli-notadir" in
+  close_out oc;
+  let spool = "cli-out-spool" in
+  (try Unix.mkdir spool 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+  let oc = open_out (Filename.concat spool "jobs.json") in
+  output_string oc
+    "{\"id\":\"cli-out\",\"workload\":{\"family\":\"pla\",\"seed\":3,\"inputs\":6,\"outputs\":3,\"size\":12},\"k_schedule\":[0]}\n";
+  close_out oc;
+  List.iter
+    (fun (name, args, path) ->
+      let path = "cli-notadir/" ^ path in
+      check_exit name 2 (Printf.sprintf "%s %s %s" cals args path);
+      Alcotest.(check bool) (name ^ ": names the path") true
+        (contains ~needle:("cals: " ^ path) (logged ()));
+      Alcotest.(check bool) (name ^ ": no uncaught exception") false
+        (contains ~needle:"uncaught exception" (logged ())))
+    [
+      ("map -o", Printf.sprintf "map %s -o" blif, "x.v");
+      ("flow --dump-congestion", Printf.sprintf "flow %s --dump-congestion" blif,
+       "d.json");
+      ("flow --trace", Printf.sprintf "flow %s --trace" blif, "t.json");
+      ("lib -o", "lib -o", "l.lib");
+      ( "serve --trace",
+        Printf.sprintf "serve --spool %s --out cli-out-serve --trace" spool,
+        "s.json" );
     ]
 
 let test_bad_usage () =
@@ -273,5 +304,6 @@ let () =
           Alcotest.test_case "serve-fleet" `Quick test_serve_fleet;
           Alcotest.test_case "bad-usage" `Quick test_bad_usage;
           Alcotest.test_case "bad-input" `Quick test_bad_input;
+          Alcotest.test_case "bad-output" `Quick test_bad_output;
         ] );
     ]

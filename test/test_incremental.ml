@@ -1,9 +1,8 @@
 (* The incremental K-loop engine: session mapping must be bit-identical
-   to the cold reference mapper at every K, the cache must fill only
-   through [warm] (lookups never write, so an unwarmed session shared by
-   several domains stays correct), and the hoisted equivalence-seed
-   derivation must keep checked runs deterministic regardless of cache
-   reuse. *)
+   to the cold reference mapper at every K, an unwarmed session must
+   fill its cache on its first map (so later maps hit), and the hoisted
+   equivalence-seed derivation must keep checked runs deterministic
+   regardless of cache reuse. *)
 
 module Incremental = Cals_core.Incremental
 module Mapper = Cals_core.Mapper
@@ -139,9 +138,9 @@ let test_regression_seeds () =
 
 (* ---------------- Cache behavior ---------------- *)
 
-(* Lookups never write: an unwarmed sweep misses every tree at every K
-   and leaves the cache empty, so a later [warm] still misses every tree;
-   after it, every K hits every tree. *)
+(* The first map of an unwarmed session misses every tree and enumerates
+   it into the session's table; every later map hits every tree, and a
+   later [warm] enumerates nothing. *)
 let test_cache_hit_rate () =
   let w = workload_of ~family:`Pla ~seed:11 ~inputs:8 ~outputs:6 ~size:30 in
   let session =
@@ -149,24 +148,24 @@ let test_cache_hit_rate () =
   in
   let ks = Flow.default_k_schedule in
   let n = List.length ks in
-  List.iter (fun k -> ignore (Incremental.map session ~k)) ks;
+  ignore (Incremental.map session ~k:(List.hd ks));
+  let s0 = Incremental.stats session in
+  Alcotest.(check int) "the first map misses every tree" s0.Incremental.trees
+    s0.Incremental.misses;
+  Alcotest.(check int) "and hits none" 0 s0.Incremental.hits;
+  Alcotest.(check int) "and caches every tree" s0.Incremental.trees
+    (List.length (Incremental.cached session));
+  List.iter (fun k -> ignore (Incremental.map session ~k)) (List.tl ks);
   let s = Incremental.stats session in
   Alcotest.(check int) "one map per K" n s.Incremental.maps;
-  Alcotest.(check int) "the unwarmed sweep misses every tree at every K"
-    (n * s.Incremental.trees) s.Incremental.misses;
-  Alcotest.(check int) "and hits none" 0 s.Incremental.hits;
-  Alcotest.(check int) "and inserts nothing" 0
-    (List.length (Incremental.cached session));
+  Alcotest.(check int) "every later map hits every tree"
+    ((n - 1) * s.Incremental.trees) s.Incremental.hits;
+  Alcotest.(check int) "and misses none" s0.Incremental.misses
+    s.Incremental.misses;
   Incremental.warm session;
   let s1 = Incremental.stats session in
-  Alcotest.(check int) "warm then misses every tree"
-    (s.Incremental.misses + s.Incremental.trees) s1.Incremental.misses;
-  List.iter (fun k -> ignore (Incremental.map session ~k)) ks;
-  let s2 = Incremental.stats session in
-  Alcotest.(check int) "after warm every K hits every tree"
-    (n * s.Incremental.trees) s2.Incremental.hits;
-  Alcotest.(check int) "and misses none" s1.Incremental.misses
-    s2.Incremental.misses
+  Alcotest.(check int) "a later warm enumerates nothing" s.Incremental.misses
+    s1.Incremental.misses
 
 let test_warm_then_only_hits () =
   let w = workload_of ~family:`Multilevel ~seed:5 ~inputs:7 ~outputs:4 ~size:28 in
@@ -186,22 +185,16 @@ let test_warm_then_only_hits () =
   Alcotest.(check int) "post-warm lookups all hit" (4 * s.Incremental.trees)
     s.Incremental.hits
 
-(* Four domains map one unwarmed session at every K of the ladder at
-   once. Nothing locks the cache, so this is safe only because lookups
-   never write it: every result must equal the cold mapper's, and the
-   cache must still be empty afterwards. *)
-let test_unwarmed_shared_by_domains () =
+(* One unwarmed session mapped at every K of the ladder: the maps that
+   fill the table and the ones that read it must all equal the cold
+   mapper, and every tree is cached afterwards. *)
+let test_unwarmed_fills_on_map () =
   let w = workload_of ~family:`Pla ~seed:42 ~inputs:8 ~outputs:6 ~size:36 in
   let session =
     Incremental.create ~subject:w.subject ~library:lib ~positions:w.positions ()
   in
   let ks = Array.of_list Flow.default_k_schedule in
-  let pool = Cals_util.Pool.create ~jobs:4 in
-  let results =
-    Fun.protect ~finally:(fun () -> Cals_util.Pool.shutdown pool)
-    @@ fun () ->
-    Cals_util.Pool.map_array pool ~f:(fun _ k -> Incremental.map session ~k) ks
-  in
+  let results = Array.map (fun k -> Incremental.map session ~k) ks in
   Array.iteri
     (fun i (r : Mapper.result) ->
       let cold = cold_map w ~k:ks.(i) in
@@ -215,11 +208,8 @@ let test_unwarmed_shared_by_domains () =
         (r.Mapper.stats = cold.Mapper.stats))
     results;
   let s = Incremental.stats session in
-  Alcotest.(check int) "no lookup hit" 0 s.Incremental.hits;
-  Incremental.warm session;
-  let s' = Incremental.stats session in
-  Alcotest.(check int) "a later warm still misses every tree"
-    (s.Incremental.misses + s.Incremental.trees) s'.Incremental.misses
+  Alcotest.(check int) "every tree cached" s.Incremental.trees
+    (List.length (Incremental.cached session))
 
 let test_fingerprints_track_partition () =
   (* Different partition strategies carve different trees; their
@@ -425,8 +415,8 @@ let () =
           Alcotest.test_case "hit rate over a sweep" `Quick test_cache_hit_rate;
           Alcotest.test_case "warm then only hits" `Quick
             test_warm_then_only_hits;
-          Alcotest.test_case "unwarmed session shared by four domains" `Quick
-            test_unwarmed_shared_by_domains;
+          Alcotest.test_case "unwarmed session fills on map" `Quick
+            test_unwarmed_fills_on_map;
           Alcotest.test_case "fingerprints track the partition" `Quick
             test_fingerprints_track_partition;
         ] );

@@ -264,36 +264,6 @@ let test_route_session_replay () =
   Alcotest.(check int) "two calls" 2 s.Router.Session.route_calls;
   Alcotest.(check int) "one replay" 1 s.Router.Session.replays
 
-(* Four domains share one session, as the in-process serve drain's jobs
-   do: two distinct requests, each routed twice at once. The in-flight
-   wait makes the second caller of each request replay the first one's
-   result instead of routing it again, so the counts are exact. *)
-let test_route_session_concurrent () =
-  let requests =
-    Array.map
-      (fun seed ->
-        Router.Request.of_pins ~floorplan:congested_floorplan ~wire
-          (congested_nets seed 150))
-      [| 44; 45 |]
-  in
-  let colds = Array.map (fun req -> Router.route req) requests in
-  let session = Router.Session.create () in
-  let pool = Cals_util.Pool.create ~jobs:4 in
-  let results =
-    Fun.protect ~finally:(fun () -> Cals_util.Pool.shutdown pool) @@ fun () ->
-    Cals_util.Pool.map_array pool
-      ~f:(fun _ i -> Router.route ~session requests.(i))
-      [| 0; 1; 0; 1 |]
-  in
-  Array.iteri
-    (fun k r ->
-      check_same_result (Printf.sprintf "shared call %d==cold" k)
-        colds.(k mod 2) r)
-    results;
-  let s = Router.Session.stats session in
-  Alcotest.(check int) "four calls" 4 s.Router.Session.route_calls;
-  Alcotest.(check int) "two replays" 2 s.Router.Session.replays
-
 (* A cancellation fired mid-negotiation must unwind without corrupting
    the session: the next call on the same session (which reuses the
    routing state the cancelled call abandoned) must equal a fresh cold
@@ -815,8 +785,6 @@ let () =
           Alcotest.test_case "pool == sequential" `Quick
             test_route_pool_matches_sequential;
           Alcotest.test_case "session replay" `Quick test_route_session_replay;
-          Alcotest.test_case "concurrent shared session" `Quick
-            test_route_session_concurrent;
           Alcotest.test_case "cancel mid-negotiation" `Quick
             test_route_cancel_mid_negotiation;
         ] );

