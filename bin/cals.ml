@@ -208,7 +208,7 @@ let export_telemetry trace metrics =
    outcome. Candidate generation and selection live in
    [Cals_logic.Orchestrate] / [Flow.orchestrate]; this is presentation. *)
 let run_orchestrated input scale seed optimize utilization jobs checks timing
-    budget route_jobs =
+    budget =
   let network = load_network input scale seed in
   let t = Option.value timing ~default:0.0 in
   Printf.printf "orchestrating the front end: budget %d candidate orderings\n"
@@ -216,7 +216,7 @@ let run_orchestrated input scale seed optimize utilization jobs checks timing
   if jobs > 1 then
     Printf.printf "evaluating candidates on %d domains\n" jobs;
   match
-    Flow.orchestrate ~budget ~optimize ~checks ~jobs ~route_jobs ~t ~network
+    Flow.orchestrate ~budget ~optimize ~checks ~jobs ~t ~network
       ~library
       ~floorplan_of:(fun s -> floorplan_of s utilization)
       ~seed ()
@@ -254,8 +254,7 @@ let run_orchestrated input scale seed optimize utilization jobs checks timing
       print_endline "no K in the schedule was acceptable";
       1)
 
-let run_adaptive input scale seed optimize utilization checks timing dump
-    route_jobs =
+let run_adaptive input scale seed optimize utilization checks timing dump =
   let _, subject = prepare input scale seed optimize in
   let floorplan = floorplan_of subject utilization in
   let t = Option.value timing ~default:0.0 in
@@ -265,15 +264,13 @@ let run_adaptive input scale seed optimize utilization checks timing dump
       t;
   if checks <> Check.Off then
     Printf.printf "verification checks: %s\n" (Check.level_to_string checks);
-  if route_jobs > 1 then
-    Printf.printf "routing rip-up waves on %d domains\n" route_jobs;
   (* One companion placement serves the search and the congestion dump. *)
   let rng = Cals_util.Rng.create (seed + 1) in
   let positions = Placement.place_subject subject ~floorplan ~rng in
   let outcome =
     try
       Ok
-        (Flow.run_adaptive ~checks ~route_jobs ~t ~positions ~subject ~library
+        (Flow.run_adaptive ~checks ~t ~positions ~subject ~library
            ~floorplan ~rng ())
     with Check.Violation { stage; detail } -> Error (stage, detail)
   in
@@ -328,17 +325,16 @@ let run_adaptive input scale seed optimize utilization checks timing dump
       1)
 
 let run_flow verbosity input scale seed optimize utilization jobs checks
-    timing orchestrate dump route_jobs trace metrics =
+    timing orchestrate dump trace metrics =
   setup_logs verbosity;
   if trace <> None || metrics <> None then Probe.enable ();
   let code =
     match orchestrate with
     | Some budget ->
       run_orchestrated input scale seed optimize utilization jobs checks
-        timing budget route_jobs
+        timing budget
     | None ->
       run_adaptive input scale seed optimize utilization checks timing dump
-        route_jobs
   in
   export_telemetry trace metrics;
   code
@@ -601,6 +597,16 @@ let utilization_conv =
   in
   Arg.conv (parse, Format.pp_print_float)
 
+(* An integer flag with a lower bound: a smaller value is cmdliner's usage
+   error (exit 124) naming the value, as for [--utilization]. *)
+let int_at_least lo =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= lo -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected an integer >= %d, got %S" lo s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let utilization_arg =
   let doc =
     "Target core utilization used to derive the floorplan, in (0, 1]."
@@ -612,7 +618,7 @@ let jobs_arg =
     "Evaluate the $(b,--orchestrate) candidates on $(docv) OCaml domains \
      (1 = sequential). The result is identical to the sequential run."
   in
-  Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
+  Arg.(value & opt (int_at_least 1) 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
 let output_arg =
   let doc = "Write the mapped netlist as structural Verilog." in
@@ -664,16 +670,6 @@ let dump_congestion_arg =
     & opt (some string) None
     & info [ "dump-congestion" ] ~docv:"FILE" ~doc)
 
-let route_jobs_arg =
-  let doc =
-    "Worker domains for the router's rip-up waves: segments with disjoint \
-     search boxes maze-route concurrently inside one negotiation \
-     iteration. Ignored when $(b,--orchestrate) runs candidates on \
-     $(b,--jobs) > 1 domains (pools cannot nest); the result is identical \
-     for every value."
-  in
-  Arg.(value & opt int 1 & info [ "route-jobs" ] ~docv:"N" ~doc)
-
 let orchestrate_arg =
   let doc =
     "Explore tech-independent pass orderings before mapping: the legacy \
@@ -685,7 +681,10 @@ let orchestrate_arg =
   in
   Arg.(
     value
-    & opt ~vopt:(Some Cals_logic.Orchestrate.default_budget) (some int) None
+    & opt
+        ~vopt:(Some Cals_logic.Orchestrate.default_budget)
+        (some (int_at_least 0))
+        None
     & info [ "orchestrate" ] ~docv:"BUDGET" ~doc)
 
 let trace_arg =
@@ -728,12 +727,12 @@ let flow_cmd =
     Term.(
       const run_flow $ verbosity_arg $ input_arg $ scale_arg $ seed_arg
       $ optimize_arg $ utilization_arg $ jobs_arg $ check_arg $ timing_arg
-      $ orchestrate_arg $ dump_congestion_arg $ route_jobs_arg $ trace_arg
+      $ orchestrate_arg $ dump_congestion_arg $ trace_arg
       $ metrics_arg)
 
 let fuzz_iterations_arg =
   let doc = "Number of random workloads to check." in
-  Arg.(value & opt int 25 & info [ "iterations" ] ~doc)
+  Arg.(value & opt (int_at_least 0) 25 & info [ "iterations" ] ~doc)
 
 let fuzz_seed_arg =
   let doc = "Seed for the fuzzer's parameter sampler." in
@@ -800,7 +799,7 @@ let serve_deadline_arg =
 
 let serve_attempts_arg =
   let doc = "Runs per job before it is quarantined." in
-  Arg.(value & opt int 3 & info [ "max-attempts" ] ~docv:"N" ~doc)
+  Arg.(value & opt (int_at_least 1) 3 & info [ "max-attempts" ] ~docv:"N" ~doc)
 
 let serve_backoff_arg =
   let doc = "First retry delay in seconds (doubles per failure)." in
@@ -808,13 +807,13 @@ let serve_backoff_arg =
 
 let serve_high_arg =
   let doc = "Queue depth at which $(b,full) checks degrade to $(b,cheap)." in
-  Arg.(value & opt int 8 & info [ "high-watermark" ] ~docv:"N" ~doc)
+  Arg.(value & opt (int_at_least 0) 8 & info [ "high-watermark" ] ~docv:"N" ~doc)
 
 let serve_overload_arg =
   let doc =
     "Queue depth at which checks turn off and K schedules are capped."
   in
-  Arg.(value & opt int 16 & info [ "overload-watermark" ] ~docv:"N" ~doc)
+  Arg.(value & opt (int_at_least 0) 16 & info [ "overload-watermark" ] ~docv:"N" ~doc)
 
 let serve_triage_arg =
   let doc =
@@ -822,11 +821,12 @@ let serve_triage_arg =
      negotiated route, congestion forecasts decide acceptance, and job \
      metrics carry $(b,estimated: true)."
   in
-  Arg.(value & opt int 32 & info [ "triage-watermark" ] ~docv:"N" ~doc)
+  Arg.(value & opt (int_at_least 0) 32 & info [ "triage-watermark" ] ~docv:"N" ~doc)
 
 let serve_degraded_k_arg =
   let doc = "Maximum K-schedule points per job under overload." in
-  Arg.(value & opt int 6 & info [ "degraded-k-points" ] ~docv:"N" ~doc)
+  Arg.(
+    value & opt (int_at_least 1) 6 & info [ "degraded-k-points" ] ~docv:"N" ~doc)
 
 let serve_watch_arg =
   let doc =
@@ -856,7 +856,7 @@ let serve_workers_arg =
      queues shed their oldest job past the watermark. 0 disables the \
      fleet."
   in
-  Arg.(value & opt int 0 & info [ "workers" ] ~docv:"N" ~doc)
+  Arg.(value & opt (int_at_least 0) 0 & info [ "workers" ] ~docv:"N" ~doc)
 
 let serve_cache_dir_arg =
   let doc =

@@ -81,7 +81,7 @@ let check_equiv ~checks ~subject ~seed ~k mapped =
     (Equiv.of_mapped ~label:(Printf.sprintf "mapped@K=%g" k) mapped)
 
 let evaluate_k ?router_config ?(checks = Check.Off)
-    ?(estimate = Estimate.Prune) ?session ?route_session ?route_pool
+    ?(estimate = Estimate.Prune) ?session ?route_session
     ?(t = 0.0) ?(cancel = Cals_util.Cancel.never) ~subject ~library ~floorplan
     ~positions ~k () =
   Span.with_ ~cat:"flow" ~meta:(Printf.sprintf "K=%g" k) "flow.k_eval"
@@ -171,7 +171,7 @@ let evaluate_k ?router_config ?(checks = Check.Off)
         (mapped, Some placement, None) )
     | _ ->
       let routing =
-        Router.route ~cancel ?session:route_session ?pool:route_pool request
+        Router.route ~cancel ?session:route_session request
       in
       if verify then
         Check.record ~stage:"route"
@@ -219,10 +219,19 @@ let log_accepted (it : iteration) =
 let established_rejected (it : iteration) =
   it.hpwl_um = infinity || it.verdict = Some Estimate.Unroutable
 
+(* The router runs on one domain; [route_jobs] survives only as the
+   value 1 that calsbench passes. *)
+let check_route_jobs ~fn route_jobs =
+  if route_jobs <> 1 then
+    invalid_arg
+      (Printf.sprintf "Flow.%s: route_jobs = %d; the router runs on one domain"
+         fn route_jobs)
+
 let run_adaptive ?(k_schedule = default_k_schedule) ?router_config
     ?(checks = Check.Off) ?(route_jobs = 1) ?(t = 0.0)
     ?(cancel = Cals_util.Cancel.never) ?session ?positions ~subject
     ~library ~floorplan ~rng () =
+  check_route_jobs ~fn:"run_adaptive" route_jobs;
   Span.with_ ~cat:"flow" "flow.run_adaptive" @@ fun () ->
   let positions =
     match positions with
@@ -240,13 +249,6 @@ let run_adaptive ?(k_schedule = default_k_schedule) ?router_config
       s
   in
   let route_session = Incremental.route_session session in
-  let route_pool =
-    if route_jobs > 1 then Some (Cals_util.Pool.create ~jobs:route_jobs)
-    else None
-  in
-  Fun.protect
-    ~finally:(fun () -> Option.iter Cals_util.Pool.shutdown route_pool)
-  @@ fun () ->
   let ks = Array.of_list k_schedule in
   let n = Array.length ks in
   let results : iteration option array = Array.make n None in
@@ -313,7 +315,7 @@ let run_adaptive ?(k_schedule = default_k_schedule) ?router_config
     else begin
       let iteration, (mapped, placement, routing) =
         evaluate_k ?router_config ~checks ~estimate:Estimate.Prune ~session
-          ~route_session ?route_pool ~t ~cancel ~subject ~library
+          ~route_session ~t ~cancel ~subject ~library
           ~floorplan ~positions ~k:ks.(idx) ()
       in
       results.(idx) <- Some iteration;
@@ -405,6 +407,7 @@ let orchestrate ?(budget = Cals_logic.Orchestrate.default_budget)
     ?(jobs = 1) ?(route_jobs = 1) ?(t = 0.0)
     ?(cancel = Cals_util.Cancel.never) ~network ~library ~floorplan_of ~seed
     () =
+  check_route_jobs ~fn:"orchestrate" route_jobs;
   Span.with_ ~cat:"flow"
     ~meta:(Printf.sprintf "budget=%d" budget)
     "flow.orchestrate"
@@ -424,9 +427,6 @@ let orchestrate ?(budget = Cals_logic.Orchestrate.default_budget)
       (Equiv.of_network ~label:"baseline network" baseline_prep.network)
       (Equiv.of_subject ~label:(p.label ^ " subject") p.subject)
   in
-  (* route_jobs nests a second pool inside each candidate task; keep the
-     router sequential when the candidates themselves run on a pool. *)
-  let route_jobs = if jobs > 1 then 1 else route_jobs in
   let evaluate idx (p : Orchestrate.prepared) =
     let gates = Orchestrate.subject_gates p.subject in
     let guarded = idx > 0 && gates > baseline_gates in
@@ -445,7 +445,7 @@ let orchestrate ?(budget = Cals_logic.Orchestrate.default_budget)
       check_candidate idx p;
       Metrics.incr m_orch_evaluated;
       let result =
-        run_adaptive ?k_schedule ~checks ~route_jobs ~t ~cancel
+        run_adaptive ?k_schedule ~checks ~t ~cancel
           ~subject:p.subject ~library
           ~floorplan:(floorplan_of p.subject)
           ~rng:(Cals_util.Rng.create (seed + 1))

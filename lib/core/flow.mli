@@ -124,10 +124,9 @@ val run_adaptive :
     derived from K alone (see {!equiv_seed}), so checked runs stay
     deterministic.
 
-    [route_jobs] (default 1) sizes a worker pool for the router's rip-up
-    waves: segments with disjoint search boxes maze-route concurrently
-    within one negotiation iteration. The outcome is identical for every
-    [route_jobs] value (commits are deferred and ordered).
+    [route_jobs] must be 1 (the default): the router runs on one domain,
+    and the argument stays only because calsbench passes [~route_jobs:1].
+    Any other value raises [Invalid_argument].
 
     [cancel] (default {!Cals_util.Cancel.never}) makes the search
     cooperatively cancellable: it is forwarded into every {!evaluate_k}
@@ -141,7 +140,6 @@ val evaluate_k :
   ?estimate:Cals_estimate.Estimate.policy ->
   ?session:Incremental.session ->
   ?route_session:Cals_route.Router.Session.t ->
-  ?route_pool:Cals_util.Pool.t ->
   ?t:float ->
   ?cancel:Cals_util.Cancel.t ->
   subject:Cals_netlist.Subject.t ->
@@ -177,12 +175,10 @@ val evaluate_k :
     The placed point becomes one {!Cals_route.Router.Request.t}, built
     once and read by both the forecast and the route, so the estimator
     scores exactly the pins and density the router would take.
-    [route_session] and [route_pool] are handed to
-    {!val:Cals_route.Router.route} unchanged: the session replays
-    repeated route requests, the pool parallelizes rip-up waves (never
-    pass a pool this call itself runs on). Neither changes the result.
-    They are deliberately not derived from [session]; callers that want
-    the bundled route session pass
+    [route_session] is handed to {!val:Cals_route.Router.route}
+    unchanged: it replays repeated route requests and never changes the
+    result. It is deliberately not derived from [session]; callers that
+    want the bundled route session pass
     [~route_session:(Incremental.route_session s)] explicitly.
 
     [cancel] is checked on entry, between the map / place / route stages
@@ -259,8 +255,10 @@ val orchestrate :
     re-mitered against its subject before returning.
 
     [jobs > 1] evaluates candidates concurrently on a
-    {!Cals_util.Pool} ([route_jobs] is then forced to 1 — pools must
-    not nest); the result does not depend on [jobs]. Telemetry:
+    {!Cals_util.Pool}, each routing on its task's domain; the result
+    does not depend on [jobs]. [route_jobs]
+    must be 1, as in {!run_adaptive}; any other value raises
+    [Invalid_argument] before any candidate is prepared. Telemetry:
     [orchestrate_candidates_evaluated / _guarded / _improvements], plus
     the generation-side counters of {!Cals_logic.Orchestrate}.
 

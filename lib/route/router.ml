@@ -1,6 +1,5 @@
 module Geom = Cals_util.Geom
 module Arena = Cals_util.Arena
-module Pool = Cals_util.Pool
 module Cancel = Cals_util.Cancel
 module Fnv = Cals_util.Tables.Fnv64
 module Grid2d = Cals_util.Grid2d
@@ -18,11 +17,6 @@ let m_ripup_iterations =
 
 let m_rerouted =
   Metrics.counter ~help:"Segments ripped up and rerouted" "route_segments_rerouted"
-
-let m_waves =
-  Metrics.counter
-    ~help:"Rip-up waves processed (rerouted / waves = usable wave width)"
-    "route_waves"
 
 let m_overflow_per_iteration =
   Metrics.histogram ~help:"Total gcell overflow at each rip-up iteration"
@@ -110,7 +104,8 @@ let vec_push v x =
 (* Everything one routing call mutates besides the grid: the path arena,
    the negotiation work lists and the wave scratch. Each domain keeps one
    (see [state_key]) and clears it at the start of every call, so repeated
-   calls reuse the same storage and concurrent calls never share one. *)
+   calls reuse the same storage and concurrent calls (orchestrate
+   candidates on a pool) never share one. *)
 type state = {
   arena : Arena.t;
   pend : vec;  (** Segment indices crossing an overflowed edge. *)
@@ -119,12 +114,6 @@ type state = {
       (** Four ints (c0 r0 c1 r1) per segment: the default search box,
           precomputed once per negotiation and read by every wave
           colouring and search. *)
-  mutable paths : int array;
-      (** Wave search results: each member writes its src-to-dst path
-          into its own slice, sized by its box area. A wave's boxes are
-          disjoint, so [cols * rows] ints hold any wave. *)
-  mutable path_off : int array;  (** Slice offset per position in the wave order. *)
-  mutable path_len : int array;  (** Path length per position, -1 if none. *)
 }
 
 let create_state () =
@@ -133,9 +122,6 @@ let create_state () =
     pend = vec_make ();
     waves = Wave.create ();
     boxes = [||];
-    paths = [||];
-    path_off = [||];
-    path_len = [||];
   }
 
 let state_key = Domain.DLS.new_key create_state
@@ -143,7 +129,7 @@ let state_key = Domain.DLS.new_key create_state
 (* Per-domain maze scratch: distance/backtrack stamps, the frontier heap
    as parallel float/int arrays (floats only ever flow through these
    arrays, so nothing boxes on the hot path) and the edge-id path buffer.
-   Domain-local storage gives each pool worker its own copy for free. *)
+   Domain-local, like [state]. *)
 type scratch = {
   mutable dist : float array;
   mutable prev : int array;
@@ -536,25 +522,24 @@ let seg_box grid seg m =
   and br1 = min (grid.Rgrid.rows - 1) (max r1 r2 + m) in
   (bc0, br0, bc1, br1)
 
-(* Copy a src-to-dst path of [len] edge ids from [src.(off)] into the
-   segment's slice — in place when it fits the old slice, else appended
-   to the arena. *)
-let commit_path state seg (src : int array) off len =
+(* Commit the path a successful [maze_route] left in [scratch] (dst-to-src)
+   as the segment's src-to-dst slice — in place when it fits the old
+   slice, else appended to the arena — and claim its edges. *)
+let commit_search grid state scratch seg =
+  let len = scratch.pathlen and pb = scratch.pathbuf in
   if len > seg.len then seg.off <- Arena.alloc state.arena len;
   let data = Arena.data state.arena in
   for i = 0 to len - 1 do
-    Bigarray.Array1.set data (seg.off + i) src.(off + i)
+    Bigarray.Array1.set data (seg.off + i) pb.(len - 1 - i)
   done;
-  seg.len <- len
+  seg.len <- len;
+  add_usage_slice grid data (Rgrid.num_hedges grid) seg.off len 1.0
 
 (* A wave member whose in-box search failed (defensive — see seg_box) is
-   retried sequentially with the margin doubling until the box covers the
-   whole grid; a full-grid failure restores the old path. Runs after the
-   wave's commits, so it sees the same grid in both execution modes. *)
-let reroute_fallback grid cancel state seg =
+   retried with the margin doubling until the box covers the whole grid;
+   a full-grid failure restores the old path. *)
+let reroute_fallback grid cancel state scratch seg =
   let cols = grid.Rgrid.cols and rows = grid.Rgrid.rows in
-  let nh = (cols - 1) * rows in
-  let scratch = Domain.DLS.get scratch_key in
   let rec attempt m =
     Cancel.check cancel;
     let bc0, br0, bc1, br1 = seg_box grid seg m in
@@ -562,77 +547,42 @@ let reroute_fallback grid cancel state seg =
     else if bc0 = 0 && br0 = 0 && bc1 = cols - 1 && br1 = rows - 1 then false
     else attempt (2 * m)
   in
-  if attempt (2 * seg_margin seg) then begin
-    let pb = scratch.pathbuf and len = scratch.pathlen in
-    for i = 0 to (len / 2) - 1 do
-      let t = pb.(i) in
-      pb.(i) <- pb.(len - 1 - i);
-      pb.(len - 1 - i) <- t
-    done;
-    commit_path state seg pb 0 len
-  end;
-  let data = Arena.data state.arena in
-  add_usage_slice grid data nh seg.off seg.len 1.0
+  if attempt (2 * seg_margin seg) then commit_search grid state scratch seg
+  else
+    add_usage_slice grid (Arena.data state.arena) (Rgrid.num_hedges grid)
+      seg.off seg.len 1.0
 
 (* One wave, the members at wave-order positions [first, last): rip up
-   every member, search them all against the resulting frozen grid (in
-   parallel when a pool is given — each search writes only its own path
-   slice, and commits are deferred past the barrier, so the search
-   results cannot depend on ordering), then commit sequentially in wave
-   order. *)
-let process_wave grid cancel pool state segs first last =
-  let nw = last - first in
-  Metrics.incr m_waves;
-  Metrics.add m_rerouted nw;
+   every member, then search and commit each in wave order. A search
+   reads only edges inside its own box and a commit writes only edges of
+   its path, which lie inside its box; the wave's boxes are disjoint, so
+   no search sees another member's commit and every member finds the
+   path it would find on the grid right after the rip-up. Fallbacks run
+   after the whole wave. *)
+let process_wave grid cancel state segs first last =
+  Metrics.add m_rerouted (last - first);
   let nh = Rgrid.num_hedges grid in
   let order = Wave.order state.waves and boxes = state.boxes in
   let data = Arena.data state.arena in
-  let off = ref 0 in
-  for k = first to last - 1 do
-    let si = order.(k) in
-    let seg = segs.(si) in
-    add_usage_slice grid data nh seg.off seg.len (-1.0);
-    let bx = 4 * si in
-    state.path_off.(k) <- !off;
-    off :=
-      !off
-      + ((boxes.(bx + 2) - boxes.(bx) + 1) * (boxes.(bx + 3) - boxes.(bx + 1) + 1))
-  done;
-  let search k =
-    Cancel.check cancel;
-    let si = order.(k) in
-    let bx = 4 * si in
-    let scratch = Domain.DLS.get scratch_key in
-    if
-      maze_route grid scratch ~bc0:boxes.(bx) ~br0:boxes.(bx + 1)
-        ~bc1:boxes.(bx + 2) ~br1:boxes.(bx + 3) segs.(si).ends
-    then begin
-      let len = scratch.pathlen and o = state.path_off.(k) in
-      for i = 0 to len - 1 do
-        state.paths.(o + i) <- scratch.pathbuf.(len - 1 - i)
-      done;
-      state.path_len.(k) <- len
-    end
-    else state.path_len.(k) <- -1
-  in
-  (match pool with
-  | Some p when nw > 1 ->
-    ignore (Pool.map_array p ~f:(fun k () -> search (first + k)) (Array.make nw ()))
-  | _ ->
-    for k = first to last - 1 do
-      search k
-    done);
   for k = first to last - 1 do
     let seg = segs.(order.(k)) in
-    let len = state.path_len.(k) in
-    if len >= 0 then begin
-      commit_path state seg state.paths state.path_off.(k) len;
-      add_usage_slice grid (Arena.data state.arena) nh seg.off seg.len 1.0
-    end
-    else reroute_fallback grid cancel state seg
-  done
+    add_usage_slice grid data nh seg.off seg.len (-1.0)
+  done;
+  let scratch = Domain.DLS.get scratch_key in
+  let failed = ref [] in
+  for k = first to last - 1 do
+    Cancel.check cancel;
+    let si = order.(k) in
+    let seg = segs.(si) and bx = 4 * si in
+    if
+      maze_route grid scratch ~bc0:boxes.(bx) ~br0:boxes.(bx + 1)
+        ~bc1:boxes.(bx + 2) ~br1:boxes.(bx + 3) seg.ends
+    then commit_search grid state scratch seg
+    else failed := seg :: !failed
+  done;
+  List.iter (reroute_fallback grid cancel state scratch) (List.rev !failed)
 
-let negotiate ~iterations grid cancel pool state segs =
+let negotiate ~iterations grid cancel state segs =
   let nh = Rgrid.num_hedges grid in
   let cols = grid.Rgrid.cols and rows = grid.Rgrid.rows in
   (* Default search boxes, once per negotiation: endpoints and margins
@@ -640,12 +590,6 @@ let negotiate ~iterations grid cancel pool state segs =
   let nsegs = Array.length segs in
   if Array.length state.boxes < 4 * nsegs then
     state.boxes <- Array.make (4 * nsegs) 0;
-  if Array.length state.path_off < nsegs then begin
-    state.path_off <- Array.make nsegs 0;
-    state.path_len <- Array.make nsegs 0
-  end;
-  if Array.length state.paths < cols * rows then
-    state.paths <- Array.make (cols * rows) 0;
   let boxes = state.boxes in
   for si = 0 to nsegs - 1 do
     let bc0, br0, bc1, br1 = seg_box grid segs.(si) (seg_margin segs.(si)) in
@@ -686,7 +630,7 @@ let negotiate ~iterations grid cancel pool state segs =
     Wave.build waves ~cols ~rows ~boxes ~pend:state.pend.a state.pend.n;
     for w = 0 to Wave.count waves - 1 do
       Cancel.check cancel;
-      process_wave grid cancel pool state segs (Wave.start waves w)
+      process_wave grid cancel state segs (Wave.start waves w)
         (Wave.start waves (w + 1))
     done;
     overflow := Rgrid.total_overflow grid
@@ -986,7 +930,7 @@ module Cut = struct
   let axis_to_string = function Column -> "column" | Row -> "row"
 end
 
-let route_cold ~cancel ~pool (req : Request.t) =
+let route_cold ~cancel (req : Request.t) =
   let config = req.Request.config in
   let state = Domain.DLS.get state_key in
   Arena.clear state.arena;
@@ -1022,19 +966,18 @@ let route_cold ~cancel ~pool (req : Request.t) =
       Array.iter (fun i -> pattern_route grid state segments.(i)) order);
   let negotiate_token = Span.enter ~cat:"route" "route.negotiate" in
   Fun.protect ~finally:(fun () -> Span.exit negotiate_token) @@ fun () ->
-  negotiate ~iterations:config.reroute_iterations grid cancel pool state
-    segments;
+  negotiate ~iterations:config.reroute_iterations grid cancel state segments;
   build_result grid state segments ~gcell_start:req.Request.gcell_start
     ~net_gcells:req.Request.net_gcells
 
-let route ?(cancel = Cancel.never) ?session ?pool (req : Request.t) =
+let route ?(cancel = Cancel.never) ?session (req : Request.t) =
   let num_nets = Request.num_nets req in
   Span.with_ ~cat:"route"
     ~meta:(Printf.sprintf "%d nets" num_nets)
     "route.route_pins"
   @@ fun () ->
   match session with
-  | None -> route_cold ~cancel ~pool req
+  | None -> route_cold ~cancel req
   | Some s -> (
     Cancel.check cancel;
     let fp = Request.fingerprint req in
@@ -1045,7 +988,7 @@ let route ?(cancel = Cancel.never) ?session ?pool (req : Request.t) =
       Metrics.incr m_session_replays;
       r
     | None ->
-      let r = route_cold ~cancel ~pool req in
+      let r = route_cold ~cancel req in
       s.Session.nets_rerouted <- s.Session.nets_rerouted + num_nets;
       Metrics.add m_session_nets_rerouted num_nets;
       Hashtbl.replace s.Session.full fp r;

@@ -9,11 +9,10 @@
     Committed paths live in a flat integer arena rather than per-edge
     list cells, and the maze search runs over preallocated flat arrays;
     each domain keeps both and reuses them from call to call.
-    Rip-up proceeds in waves of segments with disjoint search boxes, so
-    the searches of one wave can run on a {!Cals_util.Pool} without
-    changing the result. Each negotiation iteration colours all of its
-    waves in one first-fit pass ({!Wave}), and each wave's searches
-    write their paths into disjoint slices of one reusable buffer (see
+    Rip-up proceeds in waves of segments with disjoint search boxes,
+    which fix the rip-up order: each negotiation iteration colours all
+    of its waves in one first-fit pass ({!Wave}), and each wave rips up
+    all of its members, then searches and commits them one by one (see
     DESIGN.md, Section 4j). *)
 
 type config = {
@@ -195,18 +194,15 @@ end
 val route :
   ?cancel:Cals_util.Cancel.t ->
   ?session:Session.t ->
-  ?pool:Cals_util.Pool.t ->
   Request.t ->
   result
 (** Route every net of the request (nets with fewer than two distinct
     gcells cost no routing). The result's [net_gcells] is the request's.
 
     [session] replays the result of an earlier call with an equal request
-    (see {!Session}); without one, every call routes cold. [pool]
-    parallelizes the maze searches of each rip-up wave; the result is
-    identical with or without it, because waves commit deferred and in a
-    fixed order. Do not pass a pool whose workers are the callers of
-    this function (the pool is not reentrant).
+    (see {!Session}); without one, every call routes cold. Calls on
+    different domains may run concurrently: each domain routes in its
+    own state.
 
     [cancel] (default {!Cals_util.Cancel.never}) is checked before the
     pattern phase, at the top of every negotiation iteration and before

@@ -1,9 +1,8 @@
 (** Rip-up waves of one negotiation iteration, by first-fit colouring.
 
     A wave is a set of pending segments whose search boxes are pairwise
-    disjoint (no shared gcell), so their maze searches touch disjoint
-    edges and can run in any order, or in parallel, against one frozen
-    grid. Taking the pending segments in order, each joins the
+    disjoint (no shared gcell), so their maze searches and commits touch
+    disjoint edges and no member's search sees another's commit. Taking the pending segments in order, each joins the
     lowest-numbered wave whose boxes all miss its own box, or opens a new
     wave. This is exactly the wave sequence of the greedy scan that
     builds wave 0 from the pending list, wave 1 from what wave 0

@@ -285,7 +285,23 @@ let test_bad_usage () =
         (Printf.sprintf "%s flow %s --utilization %s" cals blif u);
       Alcotest.(check bool) "names the bad value" true
         (contains ~needle:"(0, 1]" (logged ())))
-    [ "0"; "1.5"; "nan" ]
+    [ "0"; "1.5"; "nan" ];
+  (* So is an integer flag under its lower bound, and [--route-jobs]:
+     every route runs on one domain. *)
+  List.iter
+    (fun (args, needle) ->
+      check_exit args 124 (Printf.sprintf "%s %s" cals args);
+      Alcotest.(check bool) (args ^ ": names the bad value") true
+        (contains ~needle (logged ())))
+    [
+      ("serve --stdin --workers=-1", "got \"-1\"");
+      ("serve --stdin --max-attempts 0", "got \"0\"");
+      ("serve --stdin --high-watermark=-1", "got \"-1\"");
+      ("fuzz --iterations=-3", "got \"-3\"");
+      (Printf.sprintf "flow %s --orchestrate=-5" blif, "got \"-5\"");
+      (Printf.sprintf "flow %s --orchestrate -j 0" blif, "got \"0\"");
+      (Printf.sprintf "flow %s --route-jobs 2" blif, "route-jobs");
+    ]
 
 let () =
   Alcotest.run "cli"

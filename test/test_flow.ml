@@ -394,6 +394,23 @@ let test_orchestrate_jobs_parity () =
   in
   Alcotest.(check bool) "jobs=1 == jobs=4" true (go 1 = go 4)
 
+(* The router runs on one domain: [route_jobs] accepts only 1. *)
+let test_refuses_route_jobs () =
+  let net = small_circuit 1 in
+  let subject = Cals_logic.Decompose.subject_of_network net in
+  (match
+     Flow.run_adaptive ~route_jobs:2 ~subject ~library:lib
+       ~floorplan:(orchestrate_floorplan_of subject) ~rng:(Rng.create 2) ()
+   with
+  | _ -> Alcotest.fail "Flow.run_adaptive accepted route_jobs = 2"
+  | exception Invalid_argument _ -> ());
+  match
+    Flow.orchestrate ~route_jobs:2 ~budget:1 ~network:net ~library:lib
+      ~floorplan_of:orchestrate_floorplan_of ~seed:5 ()
+  with
+  | _ -> Alcotest.fail "Flow.orchestrate accepted route_jobs = 2"
+  | exception Invalid_argument _ -> ()
+
 let () =
   Alcotest.run "flow"
     [
@@ -424,5 +441,6 @@ let () =
           Alcotest.test_case "deterministic" `Quick
             test_orchestrate_deterministic;
           Alcotest.test_case "jobs parity" `Quick test_orchestrate_jobs_parity;
+          Alcotest.test_case "refuses-route-jobs" `Quick test_refuses_route_jobs;
         ] );
     ]

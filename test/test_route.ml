@@ -13,8 +13,8 @@ let wire = Cals_cell.Library.wire lib
 let fp = Floorplan.of_rows ~num_rows:20 ~sites_per_row:200 ~geometry
 
 (* {!Router.route} of the request built from per-net pin lists. *)
-let route_pins ?config ?cancel ?session ?pool ~floorplan ~wire nets =
-  Router.route ?cancel ?session ?pool
+let route_pins ?config ?cancel ?session ~floorplan ~wire nets =
+  Router.route ?cancel ?session
     (Router.Request.of_pins ?config ~floorplan ~wire nets)
 
 (* The grid's gcell under a point, through the router's one clamp. *)
@@ -238,17 +238,6 @@ let congested_nets seed n =
               (Rng.float rng congested_floorplan.Floorplan.die_width)
               (Rng.float rng congested_floorplan.Floorplan.die_height)))
 
-let test_route_pool_matches_sequential () =
-  let nets = congested_nets 40 240 in
-  let r_seq = route_pins ~floorplan:congested_floorplan ~wire nets in
-  Alcotest.(check bool) "workload is congested" true (r_seq.Router.violations > 0);
-  let pool = Cals_util.Pool.create ~jobs:4 in
-  Fun.protect ~finally:(fun () -> Cals_util.Pool.shutdown pool) @@ fun () ->
-  let r_par =
-    route_pins ~pool ~floorplan:congested_floorplan ~wire nets
-  in
-  check_same_result "pool==seq" r_seq r_par
-
 let test_route_session_replay () =
   let nets = congested_nets 41 150 in
   let session = Router.Session.create () in
@@ -267,7 +256,7 @@ let test_route_session_replay () =
 (* A cancellation fired mid-negotiation must unwind without corrupting
    the session: the next call on the same session (which reuses the
    routing state the cancelled call abandoned) must equal a fresh cold
-   route, with and without a pool. *)
+   route. *)
 let test_route_cancel_mid_negotiation () =
   let nets = congested_nets 42 240 in
   let session = Router.Session.create () in
@@ -290,27 +279,7 @@ let test_route_cancel_mid_negotiation () =
   let warm =
     route_pins ~session ~floorplan:congested_floorplan ~wire nets
   in
-  check_same_result "post-cancel session==cold" cold warm;
-  let pool = Cals_util.Pool.create ~jobs:3 in
-  Fun.protect ~finally:(fun () -> Cals_util.Pool.shutdown pool) @@ fun () ->
-  let checks2 = ref 0 in
-  let cancel2 =
-    Cals_util.Cancel.create
-      ~expires:(fun () ->
-        incr checks2;
-        !checks2 > 25)
-      ()
-  in
-  (match
-     route_pins ~session ~pool ~cancel:cancel2
-       ~floorplan:congested_floorplan ~wire (congested_nets 43 240)
-   with
-  | _ -> Alcotest.fail "expected cancellation under the pool"
-  | exception Cals_util.Cancel.Cancelled _ -> ());
-  let warm2 =
-    route_pins ~session ~floorplan:congested_floorplan ~wire nets
-  in
-  check_same_result "post-pool-cancel session==cold" cold warm2
+  check_same_result "post-cancel session==cold" cold warm
 
 (* ------------------------- Wave colouring ------------------------- *)
 
@@ -415,32 +384,6 @@ let test_wave_crosses_planes () =
     (got = Cals_reference.Reference_wave.waves ~boxes c.pend);
   let empty = colour_waves { c with pend = [||] } in
   Alcotest.(check int) "empty pending list, no waves" 0 (List.length empty)
-
-let counter name =
-  List.fold_left
-    (fun acc (v : Cals_telemetry.Metrics.counter_value) ->
-      if v.Cals_telemetry.Metrics.c_name = name then v.Cals_telemetry.Metrics.c_value
-      else acc)
-    0
-    (Cals_telemetry.Metrics.snapshot ()).Cals_telemetry.Metrics.counters
-
-(* The wave counter is the width [--route-jobs] can use: rerouted
-   segments per wave. *)
-let test_route_wave_counter () =
-  let module Probe = Cals_telemetry.Probe in
-  Probe.enable ();
-  Fun.protect ~finally:Probe.disable @@ fun () ->
-  let waves0 = counter "route_waves"
-  and rerouted0 = counter "route_segments_rerouted" in
-  ignore
-    (route_pins ~floorplan:congested_floorplan ~wire
-       (congested_nets 40 240));
-  let waves = counter "route_waves" - waves0
-  and rerouted = counter "route_segments_rerouted" - rerouted0 in
-  Alcotest.(check bool) "waves processed" true (waves > 0);
-  Alcotest.(check bool)
-    (Printf.sprintf "%d waves <= %d rerouted" waves rerouted)
-    true (waves <= rerouted)
 
 (* ------------------------- Pinned routes ------------------------- *)
 
@@ -782,8 +725,6 @@ let () =
         ] );
       ( "session",
         [
-          Alcotest.test_case "pool == sequential" `Quick
-            test_route_pool_matches_sequential;
           Alcotest.test_case "session replay" `Quick test_route_session_replay;
           Alcotest.test_case "cancel mid-negotiation" `Quick
             test_route_cancel_mid_negotiation;
@@ -793,7 +734,6 @@ let () =
           QCheck_alcotest.to_alcotest wave_oracle_property;
           Alcotest.test_case "crosses plane boundaries" `Quick
             test_wave_crosses_planes;
-          Alcotest.test_case "route_waves counter" `Quick test_route_wave_counter;
         ] );
       ( "pinned",
         [
