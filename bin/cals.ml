@@ -573,9 +573,28 @@ let input_arg =
   in
   Term.(ret (const combine $ input_pos $ preset_arg))
 
+(* A float flag with a range: a value outside it, [nan] or an infinity
+   is cmdliner's usage error (exit 124) naming the value. *)
+let float_conv ~expected ok =
+  let parse s =
+    match float_of_string_opt s with
+    | Some x when Float.is_finite x && ok x -> Ok x
+    | _ -> Error (`Msg (Printf.sprintf "expected %s, got %S" expected s))
+  in
+  Arg.conv (parse, Format.pp_print_float)
+
+let positive_float =
+  float_conv ~expected:"a finite number > 0" (fun x -> x > 0.0)
+
+let non_negative_float =
+  float_conv ~expected:"a finite number >= 0" (fun x -> x >= 0.0)
+
 let scale_arg =
-  let doc = "Scale factor for the synthetic workloads." in
-  Arg.(value & opt float Cals_workload.Presets.default_scale & info [ "scale" ] ~doc)
+  let doc = "Scale factor for the synthetic workloads, > 0." in
+  Arg.(
+    value
+    & opt positive_float Cals_workload.Presets.default_scale
+    & info [ "scale" ] ~doc)
 
 let seed_arg =
   let doc = "Random seed for synthetic workloads and placement." in
@@ -586,19 +605,11 @@ let optimize_arg =
   Arg.(value & flag & info [ "optimize" ] ~doc)
 
 let k_arg =
-  let doc = "Congestion minimization factor K (Eq. 5 of the paper)." in
-  Arg.(value & opt float 0.0 & info [ "k" ] ~doc)
-
-let utilization_conv =
-  let parse s =
-    match float_of_string_opt s with
-    | Some u when u > 0.0 && u <= 1.0 -> Ok u
-    | _ -> Error (`Msg (Printf.sprintf "expected a number in (0, 1], got %S" s))
-  in
-  Arg.conv (parse, Format.pp_print_float)
+  let doc = "Congestion minimization factor K (Eq. 5 of the paper), >= 0." in
+  Arg.(value & opt non_negative_float 0.0 & info [ "k" ] ~doc)
 
 (* An integer flag with a lower bound: a smaller value is cmdliner's usage
-   error (exit 124) naming the value, as for [--utilization]. *)
+   error (exit 124) naming the value, as for the float flags. *)
 let int_at_least lo =
   let parse s =
     match int_of_string_opt s with
@@ -611,7 +622,10 @@ let utilization_arg =
   let doc =
     "Target core utilization used to derive the floorplan, in (0, 1]."
   in
-  Arg.(value & opt utilization_conv 0.55 & info [ "utilization" ] ~doc)
+  let unit_interval =
+    float_conv ~expected:"a number in (0, 1]" (fun u -> u > 0.0 && u <= 1.0)
+  in
+  Arg.(value & opt unit_interval 0.55 & info [ "utilization" ] ~doc)
 
 let jobs_arg =
   let doc =
@@ -652,11 +666,13 @@ let timing_arg =
      estimated arrival (cost AREA + K*WIRE + T*DELAY). $(b,--timing) \
      without a value uses the fitted default weight; the post-route \
      critical path of the accepted K is reported. Off (T=0, the exact \
-     Eq. 5 cost) when absent."
+     Eq. 5 cost) when absent; $(docv) is finite and >= 0."
   in
   Arg.(
     value
-    & opt ~vopt:(Some Mapper.default_timing_weight) (some float) None
+    & opt
+        ~vopt:(Some Mapper.default_timing_weight)
+        (some non_negative_float) None
     & info [ "timing" ] ~docv:"T" ~doc)
 
 let dump_congestion_arg =

@@ -1,15 +1,10 @@
 module Metrics = Cals_telemetry.Metrics
 
-type problem = {
-  weights : int array;
-  nets : int array array;
-  locked : int option array;
-}
-
 let m_passes = Metrics.counter ~help:"FM bipartition passes run" "fm_passes"
 
 let m_moves =
-  Metrics.counter ~help:"FM gain-bucket moves applied (before rollback)"
+  Metrics.counter
+    ~help:"FM gain-bucket moves applied up to each pass's exit (before rollback)"
     "fm_moves"
 
 let m_improvement =
@@ -22,6 +17,10 @@ type work = {
   first : int array;  (** Node [v]'s nets: [incident.(first.(v) .. first.(v+1) - 1)]. *)
   incident : int array;
   counts : int array;  (** [counts.(2e + s)]: pins of net [e] on side [s]. *)
+  fixed : Bytes.t;
+      (** Byte [e]: bit [s] if net [e] has a pin on side [s] that cannot
+          move again in this pass (a locked node or one already moved),
+          bit [2 + s] if it has a locked pin on side [s]. *)
   mutable head : int array;  (** [head.(g + offset)]: first node of gain [g], or -1. *)
   prev : int array;
   next : int array;
@@ -57,6 +56,7 @@ let scratch ~nodes ~nets ~pins =
         first = ints (nodes + 1);
         incident = ints pins;
         counts = ints (2 * nets);
+        fixed = Bytes.make nets '\000';
         head = [||];
         prev = ints nodes;
         next = ints nodes;
@@ -98,6 +98,7 @@ let run s ~rng ~nodes:n ~nets:m =
   let w = s.work and side = s.side and weight = s.weight and lock = s.lock in
   let pins = s.pins and lo = s.net_lo and hi = s.net_hi in
   let first = w.first and incident = w.incident and counts = w.counts in
+  let fixed = w.fixed in
   (* Initial split: locked nodes first, then the free ones in an order
      shuffled as [Rng.shuffle] shuffles [0 .. n-1], each onto the lighter
      side. *)
@@ -125,25 +126,45 @@ let run s ~rng ~nodes:n ~nets:m =
       sw.(t) <- sw.(t) + weight.(v)
     end
   done;
-  (* Incidence in CSR form, each node's nets ascending; a duplicate pin
-     lists its net twice. *)
+  (* A net locked to both sides is dead in every pass: it is cut
+     whatever moves and changes no free node's gain, so it stays out of
+     the incidence and the passes and only counts in [lock_dead]. *)
+  let lock_dead = ref 0 in
+  for e = 0 to m - 1 do
+    let l = ref 0 in
+    for p = lo.(e) to hi.(e) - 1 do
+      let v = pins.(p) in
+      if lock.(v) >= 0 then l := !l lor (1 lsl lock.(v))
+    done;
+    Bytes.set_uint8 fixed e (!l lsl 2);
+    if !l = 3 then incr lock_dead
+  done;
+  let live e = Bytes.get_uint8 fixed e lsr 2 < 3 in
+  (* Incidence of the other nets in CSR form, each node's nets ascending;
+     a duplicate pin lists its net twice. *)
   Array.fill first 0 (n + 1) 0;
   for e = 0 to m - 1 do
-    for p = lo.(e) to hi.(e) - 1 do
-      first.(pins.(p)) <- first.(pins.(p)) + 1
-    done
+    if live e then
+      for p = lo.(e) to hi.(e) - 1 do
+        first.(pins.(p)) <- first.(pins.(p)) + 1
+      done
   done;
+  (* A free node's gain lies within its degree; locked nodes never enter
+     a bucket. *)
   let max_deg = ref 1 in
   for v = 0 to n - 1 do
-    max_deg := max !max_deg first.(v);
+    if lock.(v) < 0 then max_deg := max !max_deg first.(v)
+  done;
+  for v = 0 to n - 1 do
     first.(v + 1) <- first.(v + 1) + first.(v)
   done;
   for e = m - 1 downto 0 do
-    for p = hi.(e) - 1 downto lo.(e) do
-      let v = pins.(p) in
-      first.(v) <- first.(v) - 1;
-      incident.(first.(v)) <- e
-    done
+    if live e then
+      for p = hi.(e) - 1 downto lo.(e) do
+        let v = pins.(p) in
+        first.(v) <- first.(v) - 1;
+        incident.(first.(v)) <- e
+      done
   done;
   let max_deg = !max_deg in
   if Array.length w.head < (2 * max_deg) + 1 then
@@ -152,17 +173,24 @@ let run s ~rng ~nodes:n ~nets:m =
   let limit =
     int_of_float ((0.5 +. balance_tolerance) *. float_of_int !total)
   in
-  (* A node is free in a pass exactly while it sits in a bucket. *)
+  (* A node is free in a pass exactly while it sits in a bucket. A net
+     with a pin fixed on each side is dead: it stays cut for the rest of
+     the pass, so no later cut is below [dead]. Each pass starts a net's
+     fixed sides from its locked ones. *)
   let pass () =
-    let cut = ref 0 in
+    let cut = ref !lock_dead and dead = ref !lock_dead in
     for e = 0 to m - 1 do
-      counts.(2 * e) <- 0;
-      counts.((2 * e) + 1) <- 0;
-      for p = lo.(e) to hi.(e) - 1 do
-        let c = (2 * e) + side.(pins.(p)) in
-        counts.(c) <- counts.(c) + 1
-      done;
-      if counts.(2 * e) > 0 && counts.((2 * e) + 1) > 0 then incr cut
+      let l = Bytes.get_uint8 fixed e lsr 2 in
+      if l < 3 then begin
+        Bytes.set_uint8 fixed e ((l lsl 2) lor l);
+        counts.(2 * e) <- 0;
+        counts.((2 * e) + 1) <- 0;
+        for p = lo.(e) to hi.(e) - 1 do
+          let c = (2 * e) + side.(pins.(p)) in
+          counts.(c) <- counts.(c) + 1
+        done;
+        if counts.(2 * e) > 0 && counts.((2 * e) + 1) > 0 then incr cut
+      end
     done;
     Array.fill w.head 0 ((2 * max_deg) + 1) (-1);
     w.max_gain <- -max_deg;
@@ -180,7 +208,9 @@ let run s ~rng ~nodes:n ~nets:m =
     done;
     let start_cut = !cut in
     let best_cut = ref start_cut and best_prefix = ref 0 and nmoves = ref 0 in
-    let continue = ref true in
+    (* Once [dead] reaches the best cut no later prefix can beat it, and
+       the moves left would all be rolled back. *)
+    let continue = ref (!dead < start_cut) in
     while !continue do
       (* Pop the first node of the best bucket that stays balanced; the
          bound drops to the bucket the node came from. *)
@@ -207,32 +237,41 @@ let run s ~rng ~nodes:n ~nets:m =
         (* Gain updates around the move (standard FM increments). *)
         for q = first.(v) to first.(v + 1) - 1 do
           let e = incident.(q) in
-          let a = lo.(e) and b = hi.(e) - 1 in
-          let sc = counts.((2 * e) + s) and tc = counts.((2 * e) + t) in
-          if tc = 0 then
-            for p = a to b do
-              if w.in_bucket.(pins.(p)) then shift w pins.(p) 1
-            done
-          else if tc = 1 then
-            for p = a to b do
-              let u = pins.(p) in
-              if side.(u) = t && w.in_bucket.(u) then shift w u (-1)
-            done;
-          counts.((2 * e) + s) <- sc - 1;
-          counts.((2 * e) + t) <- tc + 1;
-          if sc = 1 then
-            for p = a to b do
-              if w.in_bucket.(pins.(p)) then shift w pins.(p) (-1)
-            done
-          else if sc = 2 then
-            for p = a to b do
-              let u = pins.(p) in
-              if side.(u) = s && w.in_bucket.(u) then shift w u 1
-            done;
-          (* After the move the to-side is non-empty, so the net is cut
-             iff pins remain on the from-side. *)
-          if sc > 0 && tc > 0 then (if sc = 1 then decr cut)
-          else if sc > 1 then incr cut
+          let f = Bytes.get_uint8 fixed e in
+          (* A dead net keeps a fixed pin on each side, so it stays cut
+             and adds nothing to a free node's gain: the move changes no
+             gain through it, and its counts are not read again in this
+             pass. *)
+          if f land 3 <> 3 then begin
+            let a = lo.(e) and b = hi.(e) - 1 in
+            let sc = counts.((2 * e) + s) and tc = counts.((2 * e) + t) in
+            if tc = 0 then
+              for p = a to b do
+                if w.in_bucket.(pins.(p)) then shift w pins.(p) 1
+              done
+            else if tc = 1 then
+              for p = a to b do
+                let u = pins.(p) in
+                if side.(u) = t && w.in_bucket.(u) then shift w u (-1)
+              done;
+            counts.((2 * e) + s) <- sc - 1;
+            counts.((2 * e) + t) <- tc + 1;
+            if sc = 1 then
+              for p = a to b do
+                if w.in_bucket.(pins.(p)) then shift w pins.(p) (-1)
+              done
+            else if sc = 2 then
+              for p = a to b do
+                let u = pins.(p) in
+                if side.(u) = s && w.in_bucket.(u) then shift w u 1
+              done;
+            (* After the move the to-side is non-empty, so the net is cut
+               iff pins remain on the from-side. *)
+            if sc > 0 && tc > 0 then (if sc = 1 then decr cut)
+            else if sc > 1 then incr cut;
+            if f land 3 = 1 lsl s then incr dead;
+            Bytes.set_uint8 fixed e (f lor (1 lsl t))
+          end
         done;
         side.(v) <- t;
         sw.(s) <- sw.(s) - weight.(v);
@@ -242,7 +281,8 @@ let run s ~rng ~nodes:n ~nets:m =
         if !cut < !best_cut then begin
           best_cut := !cut;
           best_prefix := !nmoves
-        end
+        end;
+        if !dead >= !best_cut then continue := false
       end
     done;
     (* Roll back the moves after the best prefix. *)
@@ -260,20 +300,3 @@ let run s ~rng ~nodes:n ~nets:m =
   in
   let rec loop i = if i < max_passes && pass () > 0 then loop (i + 1) in
   loop 0
-
-let bipartition ~rng p =
-  let n = Array.length p.weights and m = Array.length p.nets in
-  let pins = Array.fold_left (fun a net -> a + Array.length net) 0 p.nets in
-  let s = scratch ~nodes:n ~nets:m ~pins in
-  Array.blit p.weights 0 s.weight 0 n;
-  Array.iteri (fun v l -> s.lock.(v) <- Option.value l ~default:(-1)) p.locked;
-  let q = ref 0 in
-  Array.iteri
-    (fun e net ->
-      Array.blit net 0 s.pins !q (Array.length net);
-      s.net_lo.(e) <- !q;
-      q := !q + Array.length net;
-      s.net_hi.(e) <- !q)
-    p.nets;
-  run s ~rng ~nodes:n ~nets:m;
-  s.side

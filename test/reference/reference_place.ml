@@ -6,9 +6,8 @@
 module Geom = Cals_util.Geom
 module Floorplan = Cals_place.Floorplan
 module Hypergraph = Cals_place.Hypergraph
-module Fm = Cals_place.Fm
 
-type problem = Fm.problem = {
+type problem = {
   weights : int array;
   nets : int array array;
   locked : int option array;
@@ -87,13 +86,12 @@ let bucket_best b ok =
 let max_passes = 8
 let balance_tolerance = 0.1 (* either side may hold 60 % of the weight *)
 
-let bipartition ~rng p =
+(* Initial: locked nodes first, then randomized greedy fill of the
+   lighter side. *)
+let initial_split ~rng p =
   let n = Array.length p.weights in
   let side = Array.make n 0 in
-  let total_weight = Array.fold_left ( + ) 0 p.weights in
   let side_weight = [| 0; 0 |] in
-  (* Initial: locked nodes first, then randomized greedy fill of the
-     lighter side. *)
   let order = Array.init n (fun i -> i) in
   Cals_util.Rng.shuffle rng order;
   Array.iteri
@@ -113,6 +111,16 @@ let bipartition ~rng p =
         side.(i) <- s;
         side_weight.(s) <- side_weight.(s) + p.weights.(i))
     order;
+  side
+
+let bipartition ~rng p =
+  let n = Array.length p.weights in
+  let total_weight = Array.fold_left ( + ) 0 p.weights in
+  let side = initial_split ~rng p in
+  let side_weight = [| 0; 0 |] in
+  Array.iteri
+    (fun v s -> side_weight.(s) <- side_weight.(s) + p.weights.(v))
+    side;
   (* Node -> incident net ids. *)
   let degree = Array.make n 0 in
   Array.iter (fun net -> Array.iter (fun v -> degree.(v) <- degree.(v) + 1) net) p.nets;
@@ -339,7 +347,7 @@ let place (hg : Hypergraph.t) ~floorplan ~rng =
       locked.(anchor0) <- Some 0;
       locked.(anchor1) <- Some 1;
       let problem =
-        { Fm.weights; nets = Array.of_list !local_nets; locked }
+        { weights; nets = Array.of_list !local_nets; locked }
       in
       let side = bipartition ~rng problem in
       List.iter (fun v -> in_region.(v) <- false) nodes;

@@ -286,6 +286,23 @@ let test_bad_usage () =
       Alcotest.(check bool) "names the bad value" true
         (contains ~needle:"(0, 1]" (logged ())))
     [ "0"; "1.5"; "nan" ];
+  (* So is a float flag out of its range: [--scale] is finite and > 0,
+     [-k] and [--timing] finite and >= 0. *)
+  List.iter
+    (fun (args, needle) ->
+      check_exit args 124 (Printf.sprintf "%s %s" cals args);
+      Alcotest.(check bool) (args ^ ": names the bad value") true
+        (contains ~needle (logged ())))
+    [
+      ("stats spla --scale nan", "got \"nan\"");
+      ("stats spla --scale inf", "got \"inf\"");
+      ("stats spla --scale 0", "> 0, got \"0\"");
+      (Printf.sprintf "map %s -k nan" blif, "got \"nan\"");
+      (Printf.sprintf "sta %s -k inf" blif, "got \"inf\"");
+      (Printf.sprintf "map %s -k-1" blif, ">= 0, got \"-1\"");
+      (Printf.sprintf "flow %s --timing=-5" blif, ">= 0, got \"-5\"");
+      (Printf.sprintf "flow %s --timing nan" blif, "got \"nan\"");
+    ];
   (* So is an integer flag under its lower bound, and [--route-jobs]:
      every route runs on one domain. *)
   List.iter

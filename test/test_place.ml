@@ -1,12 +1,14 @@
 module Floorplan = Cals_place.Floorplan
 module Hypergraph = Cals_place.Hypergraph
 module Fm = Cals_place.Fm
+module Ref = Cals_reference.Reference_place
 module Bisect = Cals_place.Bisect
 module Legalize = Cals_place.Legalize
 module Placement = Cals_place.Placement
 module Subject = Cals_netlist.Subject
 module Rng = Cals_util.Rng
 module Geom = Cals_util.Geom
+module Metrics = Cals_telemetry.Metrics
 
 let lib = Cals_cell.Stdlib_018.library
 let geometry = Cals_cell.Library.geometry lib
@@ -47,6 +49,24 @@ let test_floorplan_pads () =
 
 (* ------------------------- FM ------------------------- *)
 
+(* [Fm.run] on a scratch sized to one problem: the side of every node. *)
+let bipartition ~rng (p : Ref.problem) =
+  let n = Array.length p.weights and m = Array.length p.nets in
+  let pins = Array.fold_left (fun a net -> a + Array.length net) 0 p.nets in
+  let s = Fm.scratch ~nodes:n ~nets:m ~pins in
+  Array.blit p.weights 0 s.weight 0 n;
+  Array.iteri (fun v l -> s.lock.(v) <- Option.value l ~default:(-1)) p.locked;
+  let q = ref 0 in
+  Array.iteri
+    (fun e net ->
+      Array.blit net 0 s.pins !q (Array.length net);
+      s.net_lo.(e) <- !q;
+      q := !q + Array.length net;
+      s.net_hi.(e) <- !q)
+    p.nets;
+  Fm.run s ~rng ~nodes:n ~nets:m;
+  s.side
+
 let random_problem rng n nets_count =
   let weights = Array.make n 1 in
   let nets =
@@ -54,12 +74,12 @@ let random_problem rng n nets_count =
         let d = Rng.range rng 2 4 in
         Array.of_list (Rng.sample rng d n))
   in
-  { Fm.weights; nets; locked = Array.make n None }
+  { Ref.weights; nets; locked = Array.make n None }
 
 let test_fm_balance () =
   let rng = Rng.create 42 in
   let p = random_problem rng 100 200 in
-  let side = Fm.bipartition ~rng p in
+  let side = bipartition ~rng p in
   let w0 = Array.to_list side |> List.filter (fun s -> s = 0) |> List.length in
   Alcotest.(check bool)
     (Printf.sprintf "balanced (%d/100)" w0)
@@ -69,9 +89,9 @@ let test_fm_balance () =
 let test_fm_respects_locks () =
   let rng = Rng.create 43 in
   let p = random_problem rng 50 100 in
-  p.Fm.locked.(0) <- Some 0;
-  p.Fm.locked.(1) <- Some 1;
-  let side = Fm.bipartition ~rng p in
+  p.Ref.locked.(0) <- Some 0;
+  p.Ref.locked.(1) <- Some 1;
+  let side = bipartition ~rng p in
   Alcotest.(check int) "lock 0" 0 side.(0);
   Alcotest.(check int) "lock 1" 1 side.(1)
 
@@ -89,21 +109,66 @@ let test_fm_beats_random () =
     nets := [| i; i + 1 |] :: !nets
   done;
   nets := [| 5; 45 |] :: [| 20; 60 |] :: !nets;
-  let p = { Fm.weights; nets = Array.of_list !nets; locked = Array.make n None } in
-  let side = Fm.bipartition ~rng p in
-  let cut = Cals_reference.Reference_place.cut_size p side in
+  let p = { Ref.weights; nets = Array.of_list !nets; locked = Array.make n None } in
+  let side = bipartition ~rng p in
+  let cut = Ref.cut_size p side in
   Alcotest.(check bool) (Printf.sprintf "small cut (%d)" cut) true (cut <= 6)
 
+(* Every pass keeps its best prefix, the empty one included, so the
+   result never cuts more nets than the split the passes start from. *)
 let test_fm_pass_never_worsens () =
   let rng = Rng.create 45 in
+  let improved = ref 0 in
   for trial = 1 to 10 do
     let p = random_problem rng 60 120 in
-    let side = Fm.bipartition ~rng p in
-    let cut = Cals_reference.Reference_place.cut_size p side in
-    (* Rerunning from the result must not be worse than a fresh random
-       assignment's final cut by construction; sanity: cut is bounded. *)
-    if cut > Array.length p.Fm.nets then Alcotest.failf "trial %d: impossible cut" trial
-  done
+    let seed = Rng.int rng 1_000_000 in
+    let cut = Ref.cut_size p (bipartition ~rng:(Rng.create seed) p) in
+    let start = Ref.cut_size p (Ref.initial_split ~rng:(Rng.create seed) p) in
+    if cut > start then
+      Alcotest.failf "trial %d: cut %d above the initial split's %d" trial cut
+        start;
+    if cut < start then incr improved
+  done;
+  Alcotest.(check bool) "some run improves its initial split" true
+    (!improved > 0)
+
+let counter name =
+  match
+    List.find_opt
+      (fun (c : Metrics.counter_value) -> c.c_name = name)
+      (Metrics.snapshot ()).counters
+  with
+  | Some c -> c.c_value
+  | None -> 0
+
+(* Every net holds both anchors, so every net is cut whatever the free
+   nodes do: the pass stops before its first move (no move can win) and
+   leaves the oracle's sides. *)
+let test_fm_dead_nets_exit () =
+  let rng = Rng.create 46 in
+  let n = 40 in
+  let nets =
+    Array.init 60 (fun _ ->
+        Array.of_list (n :: (n + 1) :: Rng.sample rng (Rng.range rng 1 4) n))
+  in
+  let p =
+    {
+      Ref.weights = Array.init (n + 2) (fun v -> if v < n then 1 else 0);
+      nets;
+      locked =
+        Array.init (n + 2) (fun v ->
+            if v = n then Some 0 else if v = n + 1 then Some 1 else None);
+    }
+  in
+  Cals_telemetry.Probe.enable ();
+  Fun.protect ~finally:Cals_telemetry.Probe.disable (fun () ->
+      let moves = counter "fm_moves" and passes = counter "fm_passes" in
+      let side = bipartition ~rng:(Rng.create 47) p in
+      Alcotest.(check int) "no move" moves (counter "fm_moves");
+      Alcotest.(check int) "one pass" (passes + 1) (counter "fm_passes");
+      Alcotest.(check (array int)) "oracle's sides"
+        (Ref.bipartition ~rng:(Rng.create 47) p)
+        side)
 
 (* The flat kernel against the list-based oracle: same sides, and the
    same number of RNG draws, on problems with non-unit and zero weights,
@@ -113,7 +178,8 @@ let arb_seed = QCheck.make ~print:string_of_int QCheck.Gen.(0 -- 1_000_000)
 let same_stream r1 r2 = Rng.bits64 r1 = Rng.bits64 r2
 
 let prop_fm_oracle =
-  QCheck.Test.make ~name:"bipartition == oracle" ~count:300 arb_seed
+  QCheck.Test.make ~name:"bipartition == oracle" ~count:300 ~long_factor:10
+    arb_seed
     (fun seed ->
       let rng = Rng.create seed in
       let n = Rng.range rng 1 40 in
@@ -126,9 +192,9 @@ let prop_fm_oracle =
         Array.init (Rng.range rng 0 60) (fun _ ->
             Array.init (Rng.range rng 0 6) (fun _ -> Rng.int rng n))
       in
-      let p = { Fm.weights; nets; locked } in
+      let p = { Ref.weights; nets; locked } in
       let r1 = Rng.create (seed + 1) and r2 = Rng.create (seed + 1) in
-      Fm.bipartition ~rng:r1 p = Cals_reference.Reference_place.bipartition ~rng:r2 p
+      bipartition ~rng:r1 p = Ref.bipartition ~rng:r2 p
       && same_stream r1 r2)
 
 (* ------------------------- Bisect ------------------------- *)
@@ -208,7 +274,8 @@ let test_bisect_deterministic () =
    pads anywhere on the die, zero weights, duplicate pins, one-pin nets,
    and enough nodes for several levels of bisection. *)
 let prop_bisect_oracle =
-  QCheck.Test.make ~name:"place == oracle" ~count:100 arb_seed (fun seed ->
+  QCheck.Test.make ~name:"place == oracle" ~count:100 ~long_factor:10
+    arb_seed (fun seed ->
       let rng = Rng.create seed in
       let fp =
         Floorplan.of_rows ~num_rows:(Rng.range rng 1 12)
@@ -239,7 +306,7 @@ let prop_bisect_oracle =
       in
       Array.map bits (Bisect.place hg ~floorplan:fp ~rng:r1)
       = Array.map bits
-          (Cals_reference.Reference_place.place hg ~floorplan:fp ~rng:r2)
+          (Ref.place hg ~floorplan:fp ~rng:r2)
       && same_stream r1 r2)
 
 (* ------------------------- Legalize ------------------------- *)
@@ -453,6 +520,8 @@ let () =
           Alcotest.test_case "locks" `Quick test_fm_respects_locks;
           Alcotest.test_case "beats random" `Quick test_fm_beats_random;
           Alcotest.test_case "sane cuts" `Quick test_fm_pass_never_worsens;
+          Alcotest.test_case "dead nets end the pass" `Quick
+            test_fm_dead_nets_exit;
           QCheck_alcotest.to_alcotest prop_fm_oracle;
         ] );
       ( "bisect",
