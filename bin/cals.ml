@@ -204,7 +204,7 @@ let export_telemetry trace metrics =
   | None -> ()
 
 (* Orchestrated front end: generate candidate pass orderings, score each
-   through the adaptive K-loop, report the table and the selected
+   through the K search, report the table and the selected
    outcome. Candidate generation and selection live in
    [Cals_logic.Orchestrate] / [Flow.orchestrate]; this is presentation. *)
 let run_orchestrated input scale seed optimize utilization jobs checks timing
@@ -254,7 +254,7 @@ let run_orchestrated input scale seed optimize utilization jobs checks timing
       print_endline "no K in the schedule was acceptable";
       1)
 
-let run_adaptive input scale seed optimize utilization checks timing dump =
+let run_search input scale seed optimize utilization checks timing dump =
   let _, subject = prepare input scale seed optimize in
   let floorplan = floorplan_of subject utilization in
   let t = Option.value timing ~default:0.0 in
@@ -287,13 +287,12 @@ let run_adaptive input scale seed optimize utilization checks timing dump =
           (Congestion.summary it.Flow.report)
           (if it.Flow.estimated then " [estimated]" else ""))
       outcome.Flow.iterations;
-    Printf.printf "adaptive: %d real route%s, %d forecast evals%s\n"
+    Printf.printf
+      "search: %d real route%s, %d point%s ruled out without a route\n"
       s.Flow.real_routes
       (if s.Flow.real_routes = 1 then "" else "s")
       s.Flow.forecast_evals
-      (match s.Flow.frontier_k with
-      | Some k -> Printf.sprintf ", frontier K=%g" k
-      | None -> ", every point ruled out");
+      (if s.Flow.forecast_evals = 1 then "" else "s");
     (match
        (timing, outcome.Flow.mapped, outcome.Flow.placement,
         outcome.Flow.routing)
@@ -334,7 +333,7 @@ let run_flow verbosity input scale seed optimize utilization jobs checks
       run_orchestrated input scale seed optimize utilization jobs checks
         timing budget
     | None ->
-      run_adaptive input scale seed optimize utilization checks timing dump
+      run_search input scale seed optimize utilization checks timing dump
   in
   export_telemetry trace metrics;
   code
@@ -691,7 +690,7 @@ let orchestrate_arg =
     "Explore tech-independent pass orderings before mapping: the legacy \
      pipeline plus $(docv) AIG pass sequences (strash, rewrite, balance, \
      dce, cse, constprop), each miter-verified and scored through the \
-     adaptive K loop; the best mapped result wins, with the baseline \
+     K search; the best mapped result wins, with the baseline \
      winning exact ties. Repeated runs are bit-identical. Without a value, \
      $(docv) defaults to the curated schedule."
   in
@@ -809,17 +808,18 @@ let serve_out_arg =
 let serve_deadline_arg =
   let doc =
     "Default per-job deadline in seconds (jobs may override with their own \
-     $(b,deadline_s) field). Unset means unlimited."
+     $(b,deadline_s) field), > 0. Unset means unlimited."
   in
-  Arg.(value & opt (some float) None & info [ "deadline" ] ~docv:"S" ~doc)
+  Arg.(
+    value & opt (some positive_float) None & info [ "deadline" ] ~docv:"S" ~doc)
 
 let serve_attempts_arg =
   let doc = "Runs per job before it is quarantined." in
   Arg.(value & opt (int_at_least 1) 3 & info [ "max-attempts" ] ~docv:"N" ~doc)
 
 let serve_backoff_arg =
-  let doc = "First retry delay in seconds (doubles per failure)." in
-  Arg.(value & opt float 0.05 & info [ "backoff" ] ~docv:"S" ~doc)
+  let doc = "First retry delay in seconds (doubles per failure), >= 0." in
+  Arg.(value & opt non_negative_float 0.05 & info [ "backoff" ] ~docv:"S" ~doc)
 
 let serve_high_arg =
   let doc = "Queue depth at which $(b,full) checks degrade to $(b,cheap)." in
@@ -852,8 +852,8 @@ let serve_watch_arg =
   Arg.(value & flag & info [ "watch" ] ~doc)
 
 let serve_tick_arg =
-  let doc = "Idle sleep / spool poll interval in seconds." in
-  Arg.(value & opt float 0.1 & info [ "tick" ] ~docv:"S" ~doc)
+  let doc = "Idle sleep / spool poll interval in seconds, > 0." in
+  Arg.(value & opt positive_float 0.1 & info [ "tick" ] ~docv:"S" ~doc)
 
 let serve_listen_arg =
   let doc =

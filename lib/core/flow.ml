@@ -45,11 +45,7 @@ type outcome = {
   routing : Router.result option;
 }
 
-type adaptive_stats = {
-  real_routes : int;
-  forecast_evals : int;
-  frontier_k : float option;
-}
+type adaptive_stats = { real_routes : int; forecast_evals : int }
 
 let default_k_schedule =
   [ 0.0; 0.0001; 0.00025; 0.0005; 0.00075; 0.001; 0.0025; 0.005; 0.0075; 0.01;
@@ -65,9 +61,9 @@ let overflow_report =
     wirelength_um = infinity;
   }
 
-(* Per-K equivalence stimulus must depend only on K so that the adaptive
-   search, whose probes visit the ladder out of order, sees exactly the
-   streams a cold in-order walk would. The seed derivation lives in one
+(* Per-K equivalence stimulus must depend only on K so that a search
+   over a shuffled or duplicated ladder sees exactly the streams a cold
+   in-order walk would at each K. The seed derivation lives in one
    place and is hoisted to the top of [evaluate_k], before any
    mapper/cache work, so that no amount of warm-start reuse can reorder
    or perturb it. *)
@@ -207,17 +203,7 @@ let log_accepted (it : iteration) =
         it.report.Congestion.total_overflow it.cells
         (100.0 *. it.utilization))
 
-(* ---------------- Adaptive K search ---------------- *)
-
-(* A point the pruned linear sweep would reject without ever routing it:
-   the netlist does not legalize, or its cut certificate proves every
-   route of it violates (the forecast's [Unroutable]). Both are proofs,
-   not forecasts: such a point also fails a real route, so it can never
-   be the accepted one. These are the only points the adaptive search
-   may skip a real route for, which is what makes its accepted K
-   bit-identical to the linear schedule's, pruned or not. *)
-let established_rejected (it : iteration) =
-  it.hpwl_um = infinity || it.verdict = Some Estimate.Unroutable
+(* ---------------- K search ---------------- *)
 
 (* The router runs on one domain; [route_jobs] survives only as the
    value 1 that calsbench passes. *)
@@ -249,108 +235,37 @@ let run_adaptive ?(k_schedule = default_k_schedule) ?router_config
       s
   in
   let route_session = Incremental.route_session session in
-  let ks = Array.of_list k_schedule in
-  let n = Array.length ks in
-  let results : iteration option array = Array.make n None in
-  let forecast_evals = ref 0 in
   let real_routes = ref 0 in
-  (* Forecast-only evaluation: map, legalize and run the estimator, never
-     the router ([Triage] skips every negotiated route). *)
-  let triage idx =
-    incr forecast_evals;
-    let iteration, _ =
-      evaluate_k ?router_config ~checks ~estimate:Estimate.Triage ~session
-        ~route_session ~t ~cancel ~subject ~library ~floorplan ~positions
-        ~k:ks.(idx) ()
-    in
-    results.(idx) <- Some iteration;
-    iteration
-  in
-  (* Phase 1 — verdict bisection. Find the frontier: the lowest schedule
-     index that is not proven rejected. Congestion falls
-     as K rises, so ruled-out points form (in practice) a prefix of the
-     ladder; the bisection exploits that to seed the frontier in
-     O(log n) forecast probes instead of n. *)
-  let rec bisect lo hi =
-    if lo >= hi then lo
-    else begin
-      let mid = (lo + hi) / 2 in
-      if established_rejected (triage mid) then bisect (mid + 1) hi
-      else bisect lo mid
-    end
-  in
-  let seed_frontier = bisect 0 n in
-  (* Phase 2 — soundness sweep. The bisection's prefix assumption is an
-     optimization, never a premise: forecast every point it skipped below
-     the seed, and lower the frontier to the first point not proven
-     rejected. After this pass every point below the frontier is
-     established-rejected by exactly the rules the pruned linear sweep
-     applies, so skipping their routes cannot move the accepted K. *)
-  for idx = seed_frontier - 1 downto 0 do
-    if results.(idx) = None then ignore (triage idx)
-  done;
-  let frontier =
-    let rec first idx =
-      if idx >= seed_frontier then seed_frontier
-      else
-        match results.(idx) with
-        | Some it when not (established_rejected it) -> idx
-        | _ -> first (idx + 1)
-    in
-    first 0
-  in
-  Log.debug (fun m ->
-      m "adaptive frontier at %s after %d forecast evaluations"
-        (if frontier < n then Printf.sprintf "K=%g" ks.(frontier) else "end")
-        !forecast_evals);
-  (* Phase 3 — confirming routes. From the frontier up this is the pruned
-     linear loop: each point re-forecasts under [Prune] (skipping any
-     whose certificate proves it unroutable) and otherwise routes for
-     real, until
-     the first acceptable real route. Acceptance still rides a real
-     route; the refinement only reorders where the forecast work
-     happens. *)
-  let rec confirm idx =
-    if idx >= n then None
-    else begin
+  let forecast_evals = ref 0 in
+  (* The pruned linear walk: each point once, in schedule order, until
+     the first acceptable real route. A point is rejected without a
+     route only when its netlist does not legalize or its cut
+     certificate proves every route of it violates. *)
+  let rec walk acc = function
+    | [] ->
+      Log.info (fun m -> m "no K in the schedule was acceptable");
+      { iterations = List.rev acc; accepted = None; mapped = None;
+        placement = None; routing = None }
+    | k :: rest ->
       let iteration, (mapped, placement, routing) =
         evaluate_k ?router_config ~checks ~estimate:Estimate.Prune ~session
-          ~route_session ~t ~cancel ~subject ~library
-          ~floorplan ~positions ~k:ks.(idx) ()
+          ~route_session ~t ~cancel ~subject ~library ~floorplan ~positions ~k
+          ()
       in
-      results.(idx) <- Some iteration;
-      if (not iteration.estimated) && iteration.hpwl_um < infinity then
-        incr real_routes;
+      incr (if Option.is_none routing then forecast_evals else real_routes);
       if Congestion.acceptable iteration.report then begin
         log_accepted iteration;
-        check_accepted ~checks ~subject ~k:iteration.k mapped;
-        Some (iteration, mapped, placement, routing)
+        check_accepted ~checks ~subject ~k mapped;
+        { iterations = List.rev (iteration :: acc); accepted = Some iteration;
+          mapped = Some mapped; placement; routing }
       end
       else begin
         log_rejected iteration;
-        confirm (idx + 1)
+        walk (iteration :: acc) rest
       end
-    end
   in
-  let accepted = confirm frontier in
-  let iterations = List.filter_map Fun.id (Array.to_list results) in
-  let stats =
-    {
-      real_routes = !real_routes;
-      forecast_evals = !forecast_evals;
-      frontier_k = (if frontier < n then Some ks.(frontier) else None);
-    }
-  in
-  match accepted with
-  | Some (iteration, mapped, placement, routing) ->
-    ( { iterations; accepted = Some iteration; mapped = Some mapped;
-        placement; routing },
-      stats )
-  | None ->
-    Log.info (fun m -> m "no K in the schedule was acceptable");
-    ( { iterations; accepted = None; mapped = None; placement = None;
-        routing = None },
-      stats )
+  let outcome = walk [] k_schedule in
+  (outcome, { real_routes = !real_routes; forecast_evals = !forecast_evals })
 
 (* ---------------- Synthesis orchestration ---------------- *)
 

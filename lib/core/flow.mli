@@ -20,8 +20,8 @@ type iteration = {
           ([None] under [estimate:Off] and for netlists that do not
           legalize). [Some Unroutable] means the point's cut certificate
           proved every route of it violates. Routed points keep their
-          pre-route verdict, so the adaptive search and its tests can
-          audit which skips were justified. *)
+          pre-route verdict, so the K search and its tests can audit
+          which skips were justified. *)
 }
 
 type outcome = {
@@ -34,17 +34,13 @@ type outcome = {
 
 type adaptive_stats = {
   real_routes : int;
-      (** Negotiated routes actually performed by the adaptive search —
-          the number the linear 14-point sweep pays 14 of. Legalize
-          overflows and estimator-skipped points do not count. *)
+      (** Points the search paid a negotiated route for. A walk without
+          the estimator routes every point that legalizes. *)
   forecast_evals : int;
-      (** Forecast-only evaluations (map + legalize + millisecond
-          estimate, no route) spent on bisection probes and the
-          soundness sweep. *)
-  frontier_k : float option;
-      (** First schedule point not proven rejected — where the
-          confirming routes started. [None] when every point was
-          established-rejected. *)
+      (** Points ruled out without a route: the netlist does not
+          legalize, or its forecast is a certified [Unroutable]. Every
+          iteration is one or the other, so
+          [real_routes + forecast_evals = List.length iterations]. *)
 }
 
 val default_k_schedule : float list
@@ -65,39 +61,25 @@ val run_adaptive :
   rng:Cals_util.Rng.t ->
   unit ->
   outcome * adaptive_stats
-(** The K search: find the first acceptable point of [k_schedule] with a
-    handful of real routes instead of one per schedule point, seeded by
-    {!Cals_estimate.Estimate} verdicts.
+(** The K search of Figure 3: walk [k_schedule] in order, evaluating
+    each point once with {!evaluate_k} under [estimate:Prune], and stop
+    at the first acceptable {e real} route.
 
-    Three phases. (1) {e Verdict bisection}: binary-search the ladder for
-    the frontier — the lowest K not proven rejected — using
-    forecast-only probes (map + legalize + estimate, never a route).
-    (2) {e Soundness sweep}: forecast every point the bisection skipped
-    below the frontier; any point not proven rejected lowers the
-    frontier, so the prefix-of-rejections assumption behind the
-    bisection is only ever an optimization. (3) {e Confirming routes}:
-    from the frontier up, route every point not proven rejected,
-    ascending, until the first acceptable {e real} route.
+    A point is ruled out without a route only where it is proven
+    rejected: its netlist does not legalize, or its forecast is
+    [Unroutable], which means its {!Cals_route.Router.Cut} certificate
+    proves every route of it violates (and its recorded report carries
+    violations). Every other point is routed. A skipped point would have
+    failed a real route too, so the accepted K, its mapped netlist and
+    its routed result are those of the same walk without the estimator,
+    and the no-acceptable-K outcome (over-capacity floorplans) is
+    preserved. The test suites keep that walk as an oracle
+    ([Reference_flow]).
 
-    The invariant, by construction: a real route is skipped only where
-    the point is established-rejected — its netlist does not legalize,
-    or its forecast is [Unroutable], which means its
-    {!Cals_route.Router.Cut} certificate proves every route of it
-    violates (and its recorded report carries violations). Every other
-    point below the accepted one is routed, in schedule order, exactly
-    as a linear walk of the schedule under [estimate:Prune] would route
-    it, and a skipped point would have failed the unpruned walk's route
-    too. Hence the accepted K, its mapped netlist and its routed result
-    are those of the linear walk, pruned or not, and the no-acceptable-K
-    outcome (over-capacity floorplans) is preserved — at the cost of
-    [real_routes] negotiated routes against the 14-point default ladder
-    (test_flow "adaptive route budget" bounds them on a settling
-    circuit). The test suites keep that linear walk as an oracle.
-
-    [iterations] in the returned outcome holds every point the search
-    evaluated, in schedule order; bisection probes above the accepted K
-    may appear (forecast-only, [estimated = true]), and points the search
-    never needed to look at are absent.
+    [iterations] in the returned outcome is the prefix of [k_schedule]
+    up to and including the accepted point (all of it when no point is
+    acceptable), in schedule order; each entry paid either a real route
+    or a forecast, as counted by {!adaptive_stats}.
 
     Mapping runs through one {!Incremental} session (the partition and
     per-tree pattern matches are computed once, only the cost DP re-runs
@@ -201,7 +183,7 @@ type candidate_eval = {
           more gates than the baseline's, so it could never be selected
           and no K-loop evaluation was spent on it. *)
   result : (outcome * adaptive_stats) option;
-      (** The candidate's adaptive K search; [None] iff [guarded]. *)
+      (** The candidate's K search; [None] iff [guarded]. *)
 }
 
 type orchestrated = {
@@ -269,6 +251,6 @@ val orchestrate :
 val equiv_seed : k:float -> int
 (** Seed of the per-K equivalence stimulus, derived from K alone and from
     nothing else — not evaluation order, not cache state — so cold,
-    incremental and out-of-order (adaptive) evaluations all draw identical
+    incremental and reordered-ladder evaluations all draw identical
     stimulus streams at the same K. Hoisted to the top of {!evaluate_k} and shared
     with the accepted-netlist spot-check. *)

@@ -58,7 +58,7 @@ type forecast = {
    utilization 0.42-0.53). Only the Routable band is fitted, and only
    the serve Triage rung reads it: there a wrong Routable accepts a K
    that a real route would reject (such results are marked estimated).
-   The adaptive search ignores it, and outside Triage acceptance always
+   The K search ignores it, and outside Triage acceptance always
    rides a real route. Unroutable is never a fit; it is the cut
    certificate's proof. *)
 let pin_track_cost = 0.125

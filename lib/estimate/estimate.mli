@@ -21,8 +21,8 @@
     shows some cut line carries more segment crossings than its floored
     capacity, so no route of it is clean (DESIGN.md, Section 4k). That
     lets {!Cals_core.Flow.evaluate_k} skip the negotiated route
-    entirely. [Routable] is the one fitted band. The adaptive search
-    never reads it (its probes stop only on [Unroutable] or a failed
+    entirely. [Routable] is the one fitted band. The K search never
+    reads it (it skips a route only on [Unroutable] or a failed
     legalization); its one effect is acceptance under [Triage], the
     estimator-only rung of [cals serve] (degradation level 3), where a
     [Routable] point may be accepted without a route. Everywhere else
@@ -45,12 +45,12 @@ type policy =
   | Prune
       (** Forecast first; a certified [Unroutable] skips the real route
           (recording the estimated report), everything else routes. The
-          adaptive K search's confirming routes. *)
+          policy of every point of {!Cals_core.Flow.run_adaptive}. *)
   | Triage
       (** Estimator-only: the point never routes for real, and the
-          forecast is recorded as its report. The adaptive search's
-          bisection probes, and the batch service's deepest degradation
-          rung — results are explicitly marked estimated. *)
+          forecast is recorded as its report. The batch service's
+          deepest degradation rung — results are explicitly marked
+          estimated. *)
 
 type maps = {
   cols : int;

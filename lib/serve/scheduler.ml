@@ -288,10 +288,10 @@ type run_metrics = {
          absent rather than stale. *)
   real_routes : int;
       (* Iterations that paid a negotiated route (not estimator-skipped,
-         not legalize-rejected) — the currency the adaptive ladder
-         saves. *)
+         not legalize-rejected). *)
   forecast_evals : int option;
-      (* [Some] when the adaptive K search ran this job's ladder. *)
+      (* [Some] when the K search ran this job's ladder: its iterations
+         ruled out without a route. *)
   store_preloaded : int option;
       (* Match sets this job's design preloaded from the persistent
          store; [None] without a cache dir. *)
@@ -302,8 +302,7 @@ type run_result = Success of run_metrics | Fault of Job.fault
 (* Level 3 is the deepest rung: no job routes at all — acceptance is
    decided on the congestion forecast and the results are marked
    estimated. Cheaper than capping K points, because the capped schedule
-   still pays one negotiated route per point. With nothing routed there
-   is nothing for the adaptive search to save, so the rung walks the
+   still pays one negotiated route per point. The rung walks the
    schedule in order under [Triage], against the cached session. Checks
    are always [Off] at this level (see [degraded_checks]). *)
 let run_schedule ~cancel ~t ~design schedule =

@@ -130,11 +130,14 @@ type run_metrics = {
   critical_path_ns : float option;
       (** Post-route STA at the accepted K; see [metrics.json]. *)
   real_routes : int;
-      (** Iterations that paid a negotiated route — what the adaptive
-          ladder minimizes. *)
+      (** Iterations that paid a negotiated route. *)
   forecast_evals : int option;
-      (** Forecast-only probe count of the adaptive search; [None] on the
-          triage rung, which walks the schedule without it. *)
+      (** Iterations the K search ruled out without a route (the netlist
+          does not legalize, or its forecast is a certified
+          [Unroutable]); [metrics.json] writes it as
+          [adaptive.forecast_evals]. With [real_routes] it adds up to
+          [iterations]. [None] on the triage rung, which walks the
+          schedule without the search. *)
   store_preloaded : int option;
       (** Match sets the design preloaded from the persistent store
           ([None] without [cache_dir]). *)

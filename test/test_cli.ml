@@ -302,6 +302,14 @@ let test_bad_usage () =
       (Printf.sprintf "map %s -k-1" blif, ">= 0, got \"-1\"");
       (Printf.sprintf "flow %s --timing=-5" blif, ">= 0, got \"-5\"");
       (Printf.sprintf "flow %s --timing nan" blif, "got \"nan\"");
+      (* serve: [--deadline] and [--tick] are finite and > 0 (a tick of 0
+         would spin the poll loop), [--backoff] finite and >= 0. *)
+      ("serve --stdin --deadline nan", "got \"nan\"");
+      ("serve --stdin --deadline=-1", "> 0, got \"-1\"");
+      ("serve --stdin --deadline 0", "> 0, got \"0\"");
+      ("serve --stdin --tick 0", "> 0, got \"0\"");
+      ("serve --stdin --backoff nan", "got \"nan\"");
+      ("serve --stdin --backoff=-1", ">= 0, got \"-1\"");
     ];
   (* So is an integer flag under its lower bound, and [--route-jobs]:
      every route runs on one domain. *)

@@ -271,10 +271,10 @@ let prop_pruned_accepted_identical =
           (match p with Some _ -> "accepted" | None -> "rejected"));
       true)
 
-(* A Routable forecast only ever seeds the adaptive bisection — it must
-   never stand in for the confirming route. On the congested fixture
+(* A Routable forecast never stands in for the route: the search skips
+   a route only on a certified Unroutable. On the congested fixture
    swept across utilizations that straddle the calibration threshold,
-   whatever K the adaptive search accepts must come from a real route
+   whatever K the search accepts must come from a real route
    with zero violations, re-confirmed by an independent estimator-off
    run restricted to that K alone. *)
 let test_routable_seed_never_accepts_violations () =

@@ -183,15 +183,20 @@ let unordered_ladder rng =
   end
   else ladder
 
-(* The adaptive search's contract, as a differential against the linear
-   walk of the same ladder on random workloads: same accepted K and
-   metrics, same mapped netlist (verilog digest), same routed paths, and
-   exactly as many real routes as the pruned linear walk pays — never one
-   more. Crowd 2 drives over-capacity floorplans where no K is routable.
-   The ladder is the default one in order, or (shape > 0) shuffled and
-   possibly with a duplicated point, as serve jobs may send it. *)
+(* The search's contract, as a two-part differential on random
+   workloads. (1) It is the pruned linear walk of [Reference_flow] on a
+   warmed session: the whole outcome — every iteration record, the
+   accepted one, the netlist (Verilog), the placement and the routed
+   result — is the same. (2) Its accepted iteration, netlist and routed
+   paths are those of the walk without the estimator, mapping and
+   routing every point cold: pruning and the incremental session never
+   move the result. Its iterations are a prefix of the ladder, each one
+   either a real route or a point ruled out without one. Crowd 2 drives
+   over-capacity floorplans where no K is routable. The ladder is the
+   default one in order, or (shape > 0) shuffled and possibly with a
+   duplicated point, as serve jobs may send it. *)
 let prop_adaptive_matches_linear =
-  QCheck.Test.make ~count:8
+  QCheck.Test.make ~count:32
     ~name:"adaptive search == linear schedule on the full default ladder"
     QCheck.(
       quad (int_range 0 10_000) (int_range 0 2) (int_range 0 1)
@@ -215,58 +220,98 @@ let prop_adaptive_matches_linear =
         if shape = 0 then Flow.default_k_schedule
         else unordered_ladder (Rng.create (seed + shape))
       in
-      let linear =
-        Reference_flow.run ~k_schedule ~router_config ~subject ~library:lib
-          ~floorplan ~rng:(Rng.create (seed + 1)) ()
+      let run_reference ?estimate ?session () =
+        Reference_flow.run ~k_schedule ~router_config ?estimate ?session
+          ~subject ~library:lib ~floorplan ~rng:(Rng.create (seed + 1)) ()
       in
-      let adaptive, stats =
+      let pruned = run_reference () in
+      let cold =
+        run_reference ~estimate:Cals_estimate.Estimate.Off ~session:false ()
+      in
+      let search, stats =
         Flow.run_adaptive ~k_schedule ~router_config ~subject ~library:lib
           ~floorplan ~rng:(Rng.create (seed + 1)) ()
       in
-      (match (linear.Flow.accepted, adaptive.Flow.accepted) with
-      | None, None -> ()
-      | Some l, Some a ->
-        if
-          not
-            (l.Flow.k = a.Flow.k
-            && l.Flow.cells = a.Flow.cells
-            && l.Flow.cell_area = a.Flow.cell_area
-            && l.Flow.hpwl_um = a.Flow.hpwl_um
-            && l.Flow.report = a.Flow.report)
-        then
-          QCheck.Test.fail_reportf
-            "seed %d: accepted iteration differs (linear K=%g, adaptive K=%g)"
-            seed l.Flow.k a.Flow.k;
-        if a.Flow.estimated then
-          QCheck.Test.fail_reportf
-            "seed %d: adaptive accepted an estimated point" seed
-      | l, a ->
-        QCheck.Test.fail_reportf "seed %d: acceptance differs (%s vs %s)" seed
-          (match l with Some _ -> "accepted" | None -> "rejected")
-          (match a with Some _ -> "accepted" | None -> "rejected"));
-      (match (linear.Flow.mapped, adaptive.Flow.mapped) with
-      | None, None -> ()
-      | Some l, Some a ->
-        if not (String.equal (Mapped.to_verilog l) (Mapped.to_verilog a)) then
-          QCheck.Test.fail_reportf "seed %d: mapped netlists differ" seed
-      | _ -> QCheck.Test.fail_reportf "seed %d: mapped presence differs" seed);
-      (match (linear.Flow.routing, adaptive.Flow.routing) with
-      | None, None -> ()
-      | Some l, Some a ->
-        if l.Router.routes <> a.Router.routes then
-          QCheck.Test.fail_reportf "seed %d: routed paths differ" seed
-      | _ -> QCheck.Test.fail_reportf "seed %d: routing presence differs" seed);
-      let linear_routed =
+      let verilog o = Option.map Mapped.to_verilog o.Flow.mapped in
+      let routes o = Option.map (fun r -> r.Router.routes) o.Flow.routing in
+      (* Part 1: the pruned walk, record for record. *)
+      let placed o =
+        Option.map
+          (fun (p : Placement.mapped_placement) ->
+            (p.Placement.cell_pos, p.Placement.pi_pos, p.Placement.po_pos,
+             p.Placement.hpwl, p.Placement.row_fill))
+          o.Flow.placement
+      in
+      let routed o =
+        Option.map
+          (fun (r : Router.result) ->
+            (r.Router.routes, r.Router.net_length_um, r.Router.violations,
+             r.Router.total_overflow, r.Router.wirelength_um))
+          o.Flow.routing
+      in
+      if compare pruned.Flow.iterations search.Flow.iterations <> 0 then
+        QCheck.Test.fail_reportf
+          "seed %d: iteration records differ from the pruned walk" seed;
+      if compare pruned.Flow.accepted search.Flow.accepted <> 0 then
+        QCheck.Test.fail_reportf
+          "seed %d: accepted iteration differs from the pruned walk" seed;
+      if verilog pruned <> verilog search then
+        QCheck.Test.fail_reportf
+          "seed %d: mapped netlist differs from the pruned walk" seed;
+      if compare (placed pruned) (placed search) <> 0 then
+        QCheck.Test.fail_reportf
+          "seed %d: placement differs from the pruned walk" seed;
+      if compare (routed pruned) (routed search) <> 0 then
+        QCheck.Test.fail_reportf
+          "seed %d: routed result differs from the pruned walk" seed;
+      (* Part 2: the unpruned walk, mapped and routed cold. *)
+      let accepted_figures o =
+        Option.map
+          (fun (it : Flow.iteration) ->
+            (it.Flow.k, it.Flow.cells, it.Flow.cell_area, it.Flow.utilization,
+             it.Flow.hpwl_um, it.Flow.report, it.Flow.estimated))
+          o.Flow.accepted
+      in
+      if compare (accepted_figures cold) (accepted_figures search) <> 0 then
+        QCheck.Test.fail_reportf
+          "seed %d: accepted iteration differs from the unpruned cold walk \
+           (%s vs %s)"
+          seed
+          (match cold.Flow.accepted with
+          | Some it -> Printf.sprintf "K=%g" it.Flow.k
+          | None -> "none")
+          (match search.Flow.accepted with
+          | Some it -> Printf.sprintf "K=%g" it.Flow.k
+          | None -> "none");
+      if verilog cold <> verilog search then
+        QCheck.Test.fail_reportf
+          "seed %d: mapped netlist differs from the unpruned cold walk" seed;
+      if routes cold <> routes search then
+        QCheck.Test.fail_reportf
+          "seed %d: routed paths differ from the unpruned cold walk" seed;
+      (* Each point once, in ladder order, counted once. *)
+      let n = List.length search.Flow.iterations in
+      if
+        List.map (fun (it : Flow.iteration) -> it.Flow.k) search.Flow.iterations
+        <> List.filteri (fun i _ -> i < n) k_schedule
+      then
+        QCheck.Test.fail_reportf
+          "seed %d: iterations are not a prefix of the ladder" seed;
+      if stats.Flow.real_routes + stats.Flow.forecast_evals <> n then
+        QCheck.Test.fail_reportf
+          "seed %d: %d real routes + %d ruled out <> %d iterations" seed
+          stats.Flow.real_routes stats.Flow.forecast_evals n;
+      let paid_routes =
         List.length
           (List.filter
              (fun (it : Flow.iteration) ->
                (not it.Flow.estimated) && it.Flow.hpwl_um < infinity)
-             linear.Flow.iterations)
+             search.Flow.iterations)
       in
-      if stats.Flow.real_routes <> linear_routed then
+      if stats.Flow.real_routes <> paid_routes then
         QCheck.Test.fail_reportf
-          "seed %d: adaptive paid %d real routes, pruned linear pays %d" seed
-          stats.Flow.real_routes linear_routed;
+          "seed %d: stats count %d real routes, the iterations %d" seed
+          stats.Flow.real_routes paid_routes;
       true)
 
 let test_adaptive_over_capacity () =
@@ -285,12 +330,14 @@ let test_adaptive_over_capacity () =
   Alcotest.(check bool) "linear rejects" true (linear.Flow.accepted = None);
   Alcotest.(check bool) "adaptive rejects" true (adaptive.Flow.accepted = None);
   Alcotest.(check int) "no real routes spent" 0 stats.Flow.real_routes;
-  Alcotest.(check bool) "no frontier" true (stats.Flow.frontier_k = None)
+  Alcotest.(check int) "every point ruled out"
+    (List.length Flow.default_k_schedule)
+    stats.Flow.forecast_evals
 
 let test_adaptive_route_budget () =
   (* On a comfortably-routable circuit the ladder's acceptance sits at
-     its very first point: one confirming route, never the 14 the linear
-     schedule walks. *)
+     its very first point: one evaluation and one real route, never the
+     14 the ladder holds. *)
   let net = small_circuit 1 in
   let subject = Cals_logic.Decompose.subject_of_network net in
   let floorplan =
@@ -304,10 +351,9 @@ let test_adaptive_route_budget () =
   (match outcome.Flow.accepted with
   | Some it -> Alcotest.(check (float 1e-9)) "accepted at K=0" 0.0 it.Flow.k
   | None -> Alcotest.fail "loose floorplan should route");
-  Alcotest.(check bool)
-    (Printf.sprintf "route budget respected (%d <= 6)" stats.Flow.real_routes)
-    true
-    (stats.Flow.real_routes <= 6);
+  Alcotest.(check int) "one iteration" 1 (List.length outcome.Flow.iterations);
+  Alcotest.(check int) "one real route" 1 stats.Flow.real_routes;
+  Alcotest.(check int) "nothing ruled out" 0 stats.Flow.forecast_evals;
   Alcotest.(check bool) "routing returned" true (outcome.Flow.routing <> None)
 
 (* ---------------------- synthesis orchestration ---------------------- *)

@@ -683,11 +683,13 @@ let test_adaptive_ladder () =
   Alcotest.(check (float 0.0)) "same real routes as the linear walk"
     (float_of_int linear_routes)
     (num_member "real_routes" metrics);
-  (* The drained job says how it searched. *)
+  (* The drained job says how it searched: each iteration is a real route
+     or a point ruled out without one. *)
   match Proto.member "adaptive" metrics with
   | Some a ->
-    Alcotest.(check bool) "forecast evaluations recorded" true
-      (num_member "forecast_evals" a >= 0.0)
+    Alcotest.(check (float 0.0)) "iterations = real routes + ruled out"
+      (num_member "iterations" metrics)
+      (num_member "real_routes" metrics +. num_member "forecast_evals" a)
   | None -> Alcotest.fail "metrics.json has no adaptive object"
 
 (* A malformed spool line is rejected, recorded, and does not poison the

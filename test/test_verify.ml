@@ -603,9 +603,8 @@ let test_flow_full_checks_clean () =
 
 (* Three-way differential under Full checks: the linear walk with cold
    re-mapping and routing, the same walk through one incremental session,
-   and the adaptive search must agree on the shipped netlist instance for
-   instance. The two walks must also agree on every recorded figure; the
-   adaptive search, which visits other points, on the accepted one. *)
+   and the shipped search must agree on the shipped netlist instance for
+   instance, and on every recorded figure. *)
 let test_checked_three_way_differential () =
   let net = Cals_workload.Presets.spla_like ~scale:0.04 ~seed:19 () in
   Cals_logic.Network.sweep net;
@@ -623,7 +622,7 @@ let test_checked_three_way_differential () =
     Reference_flow.run ~checks:Check.Full ~subject ~library:lib ~floorplan
       ~rng:(Rng.create 20) ()
   in
-  let adaptive, _ =
+  let search, _ =
     Flow.run_adaptive ~checks:Check.Full ~subject ~library:lib ~floorplan
       ~rng:(Rng.create 20) ()
   in
@@ -631,11 +630,10 @@ let test_checked_three_way_differential () =
     (it.Flow.k, it.Flow.cells, it.Flow.cell_area, it.Flow.hpwl_um,
      it.Flow.report)
   in
-  let check_pair label ~records a b =
-    if records then
-      Alcotest.(check bool) (label ^ ": same iteration records") true
-        (List.map signature a.Flow.iterations
-        = List.map signature b.Flow.iterations);
+  let check_pair label a b =
+    Alcotest.(check bool) (label ^ ": same iteration records") true
+      (List.map signature a.Flow.iterations
+      = List.map signature b.Flow.iterations);
     Alcotest.(check bool) (label ^ ": same accepted iteration") true
       (Option.map signature a.Flow.accepted
       = Option.map signature b.Flow.accepted);
@@ -655,8 +653,8 @@ let test_checked_three_way_differential () =
     | None, None -> ()
     | _ -> Alcotest.failf "%s: mapped presence differs" label
   in
-  check_pair "cold vs incremental" ~records:true cold warm;
-  check_pair "cold vs adaptive" ~records:false cold adaptive
+  check_pair "cold vs incremental" cold warm;
+  check_pair "cold vs search" cold search
 
 (* ---------------- Check levels ---------------- *)
 
